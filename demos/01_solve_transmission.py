@@ -33,7 +33,7 @@ for k, bus in enumerate(net.buses):
         q = f"{state.gen_q_per_phase(gen_by_bus[bus.id])[0]:10.4f}"
     print(f"{bus.id:4d}   {vm[k]:8.5f}   {va[k]:10.4f}   {q}")
 
-mis = validate_solution(net, state)
+mis = validate_solution(report.network, state)
 print(f"\nindependent mismatch check: max dP={mis.max_p:.2e}, max dQ={mis.max_q:.2e} pu")
 
 ref = dense_reference_solve(net)

@@ -30,5 +30,5 @@ for k, bus in enumerate(net.buses):
     print(f"{bus.id:4d}   {mags[0]:.4f}   {mags[1]:.4f}   {mags[2]:.4f}   {unb:8.2f}")
 
 print("\nphase angles at the feeder end (deg):", np.round(va[:, -1], 2))
-mis = validate_solution(net, state)
+mis = validate_solution(report.network, state)
 print(f"independent current-mismatch check: {mis.max_i:.2e} pu")

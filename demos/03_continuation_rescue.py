@@ -38,4 +38,4 @@ v = state.v_complex()[0]
 section_angles = np.degrees(np.angle(v[1:] / v[:-1]))
 print(f"\nsolution: cumulative angle {section_angles.sum():.0f} deg over "
       f"{len(section_angles)} sections, |V| all {state.v_mag().min():.3f}..{state.v_mag().max():.3f} pu")
-print(f"independent mismatch check: {validate_solution(net, state).max:.2e} pu")
+print(f"independent mismatch check: {validate_solution(rescued.network, state).max:.2e} pu")

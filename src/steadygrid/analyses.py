@@ -178,7 +178,7 @@ def _run_one_contingency(
         homotopy_steps=report.homotopy_steps,
     )
     if report.status == CONVERGED:
-        mis = validate_solution(post, state)
+        mis = validate_solution(report.network, state)
         result.max_mismatch = mis.max
         if mis.max > mismatch_tol:
             result.status = DIVERGED

@@ -15,7 +15,6 @@ import sys
 from . import analyses
 from .caseio import CaseError, load_case, parse_case, write_solution
 from .homotopy import HomotopySchedule, lambda_trace_to_csv
-from .network import validate
 from .nr import NrOptions, trace_to_csv
 from .solver import (
     CONVERGED,
@@ -94,7 +93,7 @@ def _cmd_solve(args) -> int:
         _write(args.out, "trace.csv", trace_to_csv(report.nr_trace))
         if report.lambda_trace:
             _write(args.out, "lambda_trace.csv", lambda_trace_to_csv(report.lambda_trace))
-    mis = validate_solution(case.network, state) if report.status == CONVERGED else None
+    mis = validate_solution(report.network, state) if report.status == CONVERGED else None
     print(f"{case.name}: {report.status} "
           f"(inner {report.inner_iterations}, homotopy {report.homotopy_steps}, "
           f"passes {report.outer_passes})"
@@ -146,13 +145,8 @@ def _cmd_validate(args) -> int:
         return EX_NOINPUT
     try:
         net = parse_case(text, name=os.path.basename(args.case))
-    except CaseError as exc:
+    except CaseError as exc:  # parse_case also rejects every validate() issue
         print(f"invalid: {exc}")
-        return 1
-    issues = validate(net)
-    if issues:
-        for issue in issues:
-            print(str(issue))
         return 1
     print(f"ok: {net.nbus} buses, {len(net.generators)} generators, "
           f"{len(net.branches)} branches, {len(net.transformers)} transformers")

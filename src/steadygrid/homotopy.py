@@ -20,7 +20,7 @@ minimum step underflows, which reports divergence with the last good factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,9 +32,7 @@ from .stamps import DeviceParams, GenModes, effective_params
 
 __all__ = [
     "HomotopySchedule",
-    "HomotopyState",
     "HomotopyResult",
-    "VirtualShortPath",
     "build_virtual_shorts",
     "tx_transform",
     "power_transform",
@@ -57,32 +55,6 @@ class HomotopySchedule:
 
 
 @dataclass
-class VirtualShortPath:
-    """lambda-scaled low-impedance tie between a controlling and a controlled bus."""
-
-    o_bus: int
-    w_bus: int
-    y: complex = 0.0  # exactly 0 at lambda = 0
-
-
-@dataclass
-class HomotopyState:
-    """Progress of one continuation run."""
-
-    method: str  # "tx" or "power"
-    lam: float
-    gamma: float
-    step: float
-    min_step: float
-    backtrack: float
-    accepted: list = field(default_factory=list)  # (lambda, nr_iterations, residual)
-
-    @property
-    def beta(self) -> float:
-        return 1.0 - self.lam
-
-
-@dataclass
 class HomotopyResult:
     converged: bool
     state: StateVector | None
@@ -93,16 +65,14 @@ class HomotopyResult:
     nr_trace: list
 
 
-def build_virtual_shorts(network: Network) -> list[VirtualShortPath]:
-    """One open path per distinct remote-control pair (controller, target)."""
+def build_virtual_shorts(network: Network) -> list[tuple[int, int]]:
+    """``(o_bus, w_bus)`` per distinct remote-control pair (controller, target);
+    continuation ties each pair with a lambda-scaled low-impedance path."""
     pairs = []
-    seen = set()
     for g in network.generators:
         if g.controls_voltage and g.remote_bus is not None and g.remote_bus != g.bus:
-            key = (g.bus, g.remote_bus)
-            if key not in seen:
-                seen.add(key)
-                pairs.append(VirtualShortPath(o_bus=g.bus, w_bus=g.remote_bus, y=0.0))
+            if (g.bus, g.remote_bus) not in pairs:
+                pairs.append((g.bus, g.remote_bus))
     return pairs
 
 
@@ -131,10 +101,7 @@ def tx_transform(
         out[idx, idx] = out[idx, idx] * scale
         return out
 
-    shorts = [
-        VirtualShortPath(p.o_bus, p.w_bus, lam * gamma * (1.0 - 1.0j))
-        for p in build_virtual_shorts(network)
-    ]
+    y_short = lam * gamma * (1.0 - 1.0j)
     return DeviceParams(
         branch_y=[scale_series(y) for y in base.branch_y],
         branch_bf=[b * open_factor for b in base.branch_bf],
@@ -150,7 +117,7 @@ def tx_transform(
         zip_s=base.zip_s,
         big_alpha=base.big_alpha,
         big_y=base.big_y,
-        shorts=[(p.o_bus, p.w_bus, p.y) for p in shorts],
+        shorts=[(o, w, y_short) for o, w in build_virtual_shorts(network)],
     )
 
 
@@ -240,14 +207,9 @@ def run_homotopy(
             return tx_transform(network, lam, schedule.gamma, base)
         return power_transform(network, 1.0 - lam, base)
 
-    hstate = HomotopyState(
-        method=method,
-        lam=1.0,
-        gamma=schedule.gamma,
-        step=schedule.d_lambda,
-        min_step=schedule.min_step,
-        backtrack=schedule.backtrack,
-    )
+    lam = 1.0
+    step = schedule.d_lambda
+    accepted: list = []  # (lambda, nr_iterations, residual)
     total_iters = 0
 
     state = anchored_state(network, index)
@@ -260,7 +222,7 @@ def run_homotopy(
     total_iters += iters
     if not ok:
         return HomotopyResult(False, None, 0, total_iters, [], 1.0, trace)
-    hstate.accepted.append((1.0, iters, trace[-1].residual if trace else 0.0))
+    accepted.append((1.0, iters, trace[-1].residual if trace else 0.0))
 
     def next_lambda(lam, step):
         # snap float dust to the exact endpoint so the final sub-problem is
@@ -269,8 +231,8 @@ def run_homotopy(
         return 0.0 if out < schedule.min_step else out
 
     first_try_successes = 0
-    while hstate.lam > 0.0:
-        lam_next = next_lambda(hstate.lam, hstate.step)
+    while lam > 0.0:
+        lam_next = next_lambda(lam, step)
         first_try = True
         while True:
             try:
@@ -284,25 +246,22 @@ def run_homotopy(
                 break
             first_try = False
             first_try_successes = 0
-            hstate.step *= hstate.backtrack
-            if hstate.step < hstate.min_step:
+            step *= schedule.backtrack
+            if step < schedule.min_step:
                 return HomotopyResult(
-                    False, state, len(hstate.accepted), total_iters,
-                    list(hstate.accepted), hstate.lam, trace,
+                    False, state, len(accepted), total_iters, accepted, lam, trace
                 )
-            lam_next = next_lambda(hstate.lam, hstate.step)
+            lam_next = next_lambda(lam, step)
         state = cand
-        hstate.lam = lam_next
-        hstate.accepted.append((lam_next, iters, trace[-1].residual if trace else 0.0))
+        lam = lam_next
+        accepted.append((lam_next, iters, trace[-1].residual if trace else 0.0))
         if first_try:
             first_try_successes += 1
             if first_try_successes >= 2:
-                hstate.step = min(hstate.step * schedule.growth, schedule.max_step)
+                step = min(step * schedule.growth, schedule.max_step)
                 first_try_successes = 0
 
-    return HomotopyResult(
-        True, state, len(hstate.accepted), total_iters, list(hstate.accepted), 0.0, trace
-    )
+    return HomotopyResult(True, state, len(accepted), total_iters, accepted, 0.0, trace)
 
 
 def lambda_trace_to_csv(accepted: list) -> str:

@@ -153,12 +153,6 @@ class ZipLoad:
     i: np.ndarray = None  # complex, pu current components
     s: np.ndarray = None  # complex, pu power
 
-    @property
-    def z(self) -> np.ndarray:
-        """Impedance of the impedance part; inf where that part is absent."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(self.y != 0, 1.0 / np.where(self.y != 0, self.y, 1.0), np.inf)
-
 
 @dataclass(frozen=True)
 class BigLoad:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .indexing import IndexMap, StateVector
-from .linsys import SingularityError, SparseSystem
+from .linsys import SparseSystem
 from .network import Network, PHASE_OFFSETS
 from .stamps import (
     DeviceParams,
@@ -302,12 +302,9 @@ def run_newton(
     zeta = options.zeta_init
     current = state.copy()
     for k in range(options.max_iter):
-        try:
-            new, row, residual = nr_iterate(
-                network, params, index, current, options, zeta, modes, system, k
-            )
-        except SingularityError:
-            raise
+        new, row, residual = nr_iterate(
+            network, params, index, current, options, zeta, modes, system, k
+        )
         if residual < options.tol:
             return current, True, k
         own_trace.append(row)

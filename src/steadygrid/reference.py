@@ -5,7 +5,9 @@ dense Newton-Raphson for voltage magnitudes and angles. It shares no code
 with the stamping path (complex bus-admittance matrix, polar unknowns,
 power-based Jacobian), which is exactly what makes it useful as an oracle.
 
-Positive sequence only; remote voltage control is out of its scope.
+The solver is positive sequence only and leaves remote voltage control out
+of its scope; the admittance builder covers both phase domains and is what
+``validate_solution`` checks candidate solutions against.
 """
 
 from __future__ import annotations
@@ -31,34 +33,55 @@ class DenseSolution:
 
 
 def build_ybus(network: Network) -> np.ndarray:
-    """Dense complex bus admittance matrix (positive sequence)."""
-    if network.domain != PhaseDomain.POSITIVE_SEQUENCE:
-        raise ValueError("dense reference handles positive sequence only")
+    """Dense complex admittance matrix over (bus, phase) nodes.
+
+    Nodes are phase-major: node ``ph * nbus + pos``, so the positive-sequence
+    matrix is the plain bus admittance matrix. Only switchable shunts engage
+    their ``blocks_on`` susceptance blocks.
+    """
     n = network.nbus
-    y = np.zeros((n, n), dtype=complex)
-    for br in network.branches:
-        i = network.bus_index[br.from_bus]
-        l = network.bus_index[br.to_bus]
-        ys = complex(br.y_series[0, 0])
-        y[i, i] += ys + 1j * float(br.b_from[0])
-        y[l, l] += ys + 1j * float(br.b_to[0])
-        y[i, l] -= ys
-        y[l, i] -= ys
-    for tx in network.transformers:
-        i = network.bus_index[tx.from_bus]
-        l = network.bus_index[tx.to_bus]
-        ys = complex(tx.y_series[0, 0])
-        nr = float(tx.tap[0]) * np.exp(1j * float(tx.shift[0]))
-        y[i, i] += ys / (nr * np.conj(nr))
-        y[i, l] -= ys / np.conj(nr)
-        y[l, i] -= ys / nr
-        y[l, l] += ys
-    for sh in network.shunts:
-        k = network.bus_index[sh.bus]
-        b = float(sh.b[0])
-        if sh.switchable and sh.block_b is not None:
-            b += sh.blocks_on * float(sh.block_b[0])
-        y[k, k] += complex(float(sh.g[0]), b)
+    nph = network.nphase
+    ph = np.arange(nph)
+    y = np.zeros((nph * n, nph * n), dtype=complex)
+
+    def pos(buses):
+        return np.array([network.bus_index[b] for b in buses], dtype=int)
+
+    def diag(values):
+        return np.asarray(values)[..., None] * np.eye(nph)
+
+    def add(rows, cols, blocks):
+        # blocks[d, k, pr, pc] couples node (pr, rows[d, k]) to node (pc, cols[d, k]);
+        # np.add.at accumulates in index order, device by device
+        r = ph[:, None] * n + rows[..., None, None]
+        c = ph * n + cols[..., None, None]
+        np.add.at(y, (r, c), blocks)
+
+    brs = network.branches
+    if brs:
+        f, t = pos(b.from_bus for b in brs), pos(b.to_bus for b in brs)
+        ys = np.array([b.y_series for b in brs], dtype=complex)
+        charge_f = diag(1j * np.array([b.b_from for b in brs]))
+        charge_t = diag(1j * np.array([b.b_to for b in brs]))
+        add(np.stack([f, f, t, t, f, t], axis=1), np.stack([f, t, t, f, f, t], axis=1),
+            np.stack([ys, -ys, ys, -ys, charge_f, charge_t], axis=1))
+    txs = network.transformers
+    if txs:
+        f, t = pos(tx.from_bus for tx in txs), pos(tx.to_bus for tx in txs)
+        ys = np.array([tx.y_series for tx in txs], dtype=complex)
+        nr = np.array([tx.tap * np.exp(1j * tx.shift) for tx in txs])
+        add(np.stack([f, f, t, t], axis=1), np.stack([f, t, f, t], axis=1),
+            np.stack([ys / (np.conj(nr)[:, :, None] * nr[:, None, :]),
+                      -(ys / np.conj(nr)[:, :, None]), -(ys / nr[:, None, :]), ys], axis=1))
+    if network.shunts:
+        shunt_y = []
+        for sh in network.shunts:
+            b = sh.b
+            if sh.switchable and sh.block_b is not None:
+                b = b + sh.blocks_on * sh.block_b
+            shunt_y.append(sh.g + 1j * b)
+        k = pos(sh.bus for sh in network.shunts)[:, None]
+        add(k, k, diag(shunt_y)[:, None])
     return y
 
 
@@ -101,6 +124,8 @@ def dense_reference_solve(
     regulating and their bus drops to PQ. ``v0`` optionally warm-starts
     ``(vm, va)``.
     """
+    if network.domain != PhaseDomain.POSITIVE_SEQUENCE:
+        raise ValueError("dense reference handles positive sequence only")
     q_pins = q_pins or {}
     n = network.nbus
     ybus = build_ybus(network)

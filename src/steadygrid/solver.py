@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -102,8 +102,7 @@ class SolveReport:
     last_lambda: float | None = None
     lambda_trace: list = field(default_factory=list)
     nr_trace: list = field(default_factory=list)
-    final_taps: dict = field(default_factory=dict)
-    final_shunt_blocks: dict = field(default_factory=dict)
+    network: Network | None = None  # as operated: the outer loop's taps and shunt blocks
 
     @property
     def exit_code(self) -> int:
@@ -111,6 +110,8 @@ class SolveReport:
 
     def to_dict(self) -> dict:
         """JSON-friendly form; volatile timing lives under ``meta``."""
+        xfmrs = self.network.transformers if self.network is not None else ()
+        shunts = self.network.shunts if self.network is not None else ()
         return {
             "status": self.status,
             "inner_iterations": self.inner_iterations,
@@ -122,8 +123,8 @@ class SolveReport:
             "last_lambda": self.last_lambda,
             "vmag": None if self.vmag is None else self.vmag.tolist(),
             "vang_deg": None if self.vang_deg is None else self.vang_deg.tolist(),
-            "final_taps": {str(k): np.asarray(v).tolist() for k, v in self.final_taps.items()},
-            "final_shunt_blocks": {str(k): v for k, v in self.final_shunt_blocks.items()},
+            "final_taps": {str(tx.id): tx.tap.tolist() for tx in xfmrs},
+            "final_shunt_blocks": {str(sh.id): sh.blocks_on for sh in shunts},
             "meta": {"wall_time_s": self.wall_time_s},
         }
 
@@ -281,39 +282,45 @@ def _enforce_q_limits(network, index, state, modes, frozen, events, pass_no, tol
     return changed
 
 
-def _adjust_shunts(network, state, shunt_blocks, frozen, events, pass_no):
-    changed = False
-    for sh in network.shunts:
+def _adjust_shunts(network, state, frozen, events, pass_no):
+    """Step switchable shunt blocks toward their voltage band; returns the
+    shunt tuple with new ``blocks_on`` (``network.shunts`` itself when none moved)."""
+    shunts = list(network.shunts)
+    moved = False
+    for k, sh in enumerate(network.shunts):
         if not sh.switchable or sh.block_b is None:
             continue
         key = ("shunt", sh.id)
         if key in frozen:
             continue
         vmag = _target_vmag(network, state, sh.bus)
-        blocks = shunt_blocks[sh.id]
         direction = 0
         capacitive = float(sh.block_b[0]) > 0
         if vmag < sh.v_lo:
             direction = 1 if capacitive else -1
         elif vmag > sh.v_hi:
             direction = -1 if capacitive else 1
-        new_blocks = min(max(blocks + direction, 0), sh.max_blocks)
-        if new_blocks != blocks:
-            shunt_blocks[sh.id] = new_blocks
+        new_blocks = min(max(sh.blocks_on + direction, 0), sh.max_blocks)
+        if new_blocks != sh.blocks_on:
+            shunts[k] = replace(sh, blocks_on=new_blocks)
+            moved = True
             events.append(
                 {"pass": pass_no, "device": f"shunt {sh.id}", "action": "blocks",
                  "value": new_blocks}
             )
-            changed = True
             dirs = [e["value"] for e in events if e["device"] == f"shunt {sh.id}"]
             if len(dirs) >= 3 and (dirs[-1] - dirs[-2]) * (dirs[-2] - dirs[-3]) < 0:
                 frozen.add(key)
-    return changed
+    return tuple(shunts) if moved else network.shunts
 
 
-def _adjust_taps(network, state, taps, frozen, events, pass_no, deadband):
-    changed = False
-    for tx in network.transformers:
+def _adjust_taps(network, state, frozen, events, pass_no, deadband):
+    """Step controlled taps toward their voltage target; returns the
+    transformer tuple with new ``tap`` (``network.transformers`` itself when
+    none moved)."""
+    xfmrs = list(network.transformers)
+    moved = False
+    for k, tx in enumerate(network.transformers):
         if tx.controlled_bus is None:
             continue
         key = ("tap", tx.id)
@@ -325,7 +332,6 @@ def _adjust_taps(network, state, taps, frozen, events, pass_no, deadband):
         if target is None:
             continue
         vmag = _target_vmag(network, state, tx.controlled_bus)
-        tap = taps[tx.id]
         direction = 0.0
         if vmag < target - deadband:
             direction = -tx.tap_step  # lower tap raises the regulated side
@@ -333,18 +339,19 @@ def _adjust_taps(network, state, taps, frozen, events, pass_no, deadband):
             direction = tx.tap_step
         if direction == 0.0:
             continue
-        new_tap = np.clip(tap + direction, tx.tap_min, tx.tap_max)
-        if not np.array_equal(new_tap, tap):
-            taps[tx.id] = new_tap
+        new_tap = np.clip(tx.tap + direction, tx.tap_min, tx.tap_max)
+        if not np.array_equal(new_tap, tx.tap):
+            new_tap.setflags(write=False)
+            xfmrs[k] = replace(tx, tap=new_tap)
+            moved = True
             events.append(
                 {"pass": pass_no, "device": f"xfmr {tx.id}", "action": "tap",
                  "value": float(new_tap[0])}
             )
-            changed = True
             vals = [e["value"] for e in events if e["device"] == f"xfmr {tx.id}"]
             if len(vals) >= 3 and (vals[-1] - vals[-2]) * (vals[-2] - vals[-3]) < 0:
                 frozen.add(key)
-    return changed
+    return tuple(xfmrs) if moved else network.transformers
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +369,11 @@ def solve(network: Network, options: SolverOptions | None = None):
     t0 = time.perf_counter()
     index = IndexMap(network)
     modes = GenModes.initial(network)
-    shunt_blocks = {sh.id: sh.blocks_on for sh in network.shunts}
-    taps = {tx.id: np.array(tx.tap) for tx in network.transformers}
     system = SparseSystem(index.dim)
 
     state = initialize_state(network, options.init, index)
     report = SolveReport(status=DIVERGED)
+    operated = network  # carries the outer loop's taps and shunt blocks
     frozen: set = set()
     events: list = []
     total_inner = 0
@@ -378,11 +384,23 @@ def solve(network: Network, options: SolverOptions | None = None):
     pass_no = 0
 
     for pass_no in range(1, options.outer_max_passes + 1):
-        params = effective_params(network, shunt_blocks, taps)
+        params = effective_params(operated)
         ok = False
-        if options.homotopy != "none" and pass_no == 1:
+        # continuation opens the first pass; later passes re-solve plainly and
+        # continue again only when devices moved and Newton stalled
+        if options.homotopy == "none" or pass_no > 1:
+            try:
+                state_new, ok, iters = run_newton(
+                    operated, params, index, state, options.nr, modes, system, nr_trace
+                )
+                total_inner += iters
+            except SingularityError:
+                ok = False
+            if ok:
+                state = state_new
+        if not ok and options.homotopy != "none":
             hres = run_homotopy(
-                network, options.homotopy, options.nr, options.schedule,
+                operated, options.homotopy, options.nr, options.schedule,
                 index=index, modes=modes, base=params, system=system, nr_trace=nr_trace,
             )
             total_inner += hres.inner_iterations
@@ -393,30 +411,6 @@ def solve(network: Network, options: SolverOptions | None = None):
                 state = hres.state
             else:
                 report.last_lambda = hres.last_good_lambda
-        else:
-            try:
-                state_new, ok, iters = run_newton(
-                    network, params, index, state, options.nr, modes, system, nr_trace
-                )
-                total_inner += iters
-            except SingularityError:
-                ok = False
-            if ok:
-                state = state_new
-            elif options.homotopy != "none":
-                # devices moved and plain re-solve stalled: continue again
-                hres = run_homotopy(
-                    network, options.homotopy, options.nr, options.schedule,
-                    index=index, modes=modes, base=params, system=system, nr_trace=nr_trace,
-                )
-                total_inner += hres.inner_iterations
-                homotopy_steps += hres.steps
-                lam_trace = hres.accepted
-                ok = hres.converged
-                if ok:
-                    state = hres.state
-                else:
-                    report.last_lambda = hres.last_good_lambda
         if not ok:
             status = DIVERGED
             break
@@ -424,14 +418,22 @@ def solve(network: Network, options: SolverOptions | None = None):
         changed = False
         if options.enforce_q_limits:
             changed |= _enforce_q_limits(
-                network, index, state, modes, frozen, events, pass_no, 10 * options.nr.tol
+                operated, index, state, modes, frozen, events, pass_no, 10 * options.nr.tol
             )
+        devices = {}
         if options.adjust_shunts:
-            changed |= _adjust_shunts(network, state, shunt_blocks, frozen, events, pass_no)
+            shunts = _adjust_shunts(operated, state, frozen, events, pass_no)
+            if shunts is not operated.shunts:
+                devices["shunts"] = shunts
         if options.adjust_taps:
-            changed |= _adjust_taps(
-                network, state, taps, frozen, events, pass_no, options.tap_deadband
+            xfmrs = _adjust_taps(
+                operated, state, frozen, events, pass_no, options.tap_deadband
             )
+            if xfmrs is not operated.transformers:
+                devices["transformers"] = xfmrs
+        if devices:
+            operated = operated.with_devices(**devices)
+            changed = True
         if not changed:
             status = CONVERGED
             break
@@ -445,13 +447,11 @@ def solve(network: Network, options: SolverOptions | None = None):
     report.switch_events = events
     report.lambda_trace = lam_trace
     report.nr_trace = nr_trace
-    report.final_taps = taps
-    report.final_shunt_blocks = shunt_blocks
+    report.network = operated
     report.wall_time_s = time.perf_counter() - t0
 
     if status == CONVERGED:
-        params = effective_params(network, shunt_blocks, taps)
-        res = check_convergence(network, state, options.nr.tol, modes, params)
+        res = check_convergence(operated, state, options.nr.tol, modes)
         report.max_kcl_residual = res.max_kcl
         report.max_constraint_residual = res.max_constraint
         if not res.converged:
@@ -477,49 +477,6 @@ class MismatchReport:
     @property
     def max(self) -> float:
         return max(self.max_p, self.max_q, self.max_i)
-
-
-def _ybus_threephase(network: Network) -> np.ndarray:
-    """Dense complex admittance over (bus, phase) nodes, phase-major blocks."""
-    n = network.nbus
-    nph = network.nphase
-    dim = n * nph
-    y = np.zeros((dim, dim), dtype=complex)
-
-    def node(pos, ph):
-        return ph * n + pos
-
-    for br in network.branches:
-        i = network.bus_index[br.from_bus]
-        l = network.bus_index[br.to_bus]
-        for pr in range(nph):
-            for pc in range(nph):
-                ys = complex(br.y_series[pr, pc])
-                y[node(i, pr), node(i, pc)] += ys
-                y[node(i, pr), node(l, pc)] -= ys
-                y[node(l, pr), node(l, pc)] += ys
-                y[node(l, pr), node(i, pc)] -= ys
-            y[node(i, pr), node(i, pr)] += 1j * float(br.b_from[pr])
-            y[node(l, pr), node(l, pr)] += 1j * float(br.b_to[pr])
-    for tx in network.transformers:
-        i = network.bus_index[tx.from_bus]
-        l = network.bus_index[tx.to_bus]
-        nr = np.asarray(tx.tap) * np.exp(1j * np.asarray(tx.shift))
-        for pr in range(nph):
-            for pc in range(nph):
-                ys = complex(tx.y_series[pr, pc])
-                y[node(i, pr), node(i, pc)] += ys / (np.conj(nr[pr]) * nr[pc])
-                y[node(i, pr), node(l, pc)] -= ys / np.conj(nr[pr])
-                y[node(l, pr), node(i, pc)] -= ys / nr[pc]
-                y[node(l, pr), node(l, pc)] += ys
-    for sh in network.shunts:
-        k = network.bus_index[sh.bus]
-        b = np.asarray(sh.b, dtype=float)
-        if sh.switchable and sh.block_b is not None:
-            b = b + sh.blocks_on * np.asarray(sh.block_b, dtype=float)
-        for ph in range(nph):
-            y[node(k, ph), node(k, ph)] += complex(float(sh.g[ph]), b[ph])
-    return y
 
 
 def _device_injections(network: Network, state: StateVector) -> np.ndarray:
@@ -575,24 +532,17 @@ def validate_solution(network: Network, state: StateVector) -> MismatchReport:
     n = network.nbus
     nph = network.nphase
     v = state.v_complex()
+    i_net = (build_ybus(network) @ v.reshape(-1)).reshape(nph, n)  # phase-major nodes
+    inj = _device_injections(network, state)
     slack_pos = {network.bus_index[b.id] for b in network.slack_buses()}
+    keep = np.array([k not in slack_pos for k in range(n)])
 
     if network.domain == PhaseDomain.POSITIVE_SEQUENCE:
-        ybus = build_ybus(network)
-        s_calc = v[0] * np.conj(ybus @ v[0])
-        s_dev = v[0] * np.conj(_device_injections(network, state)[0])
-        ds = s_dev - s_calc
-        per_bus = np.abs(ds)
-        keep = np.array([k not in slack_pos for k in range(n)])
+        ds = v[0] * np.conj(inj[0]) - v[0] * np.conj(i_net[0])
         max_p = float(np.max(np.abs(ds.real[keep]))) if keep.any() else 0.0
         max_q = float(np.max(np.abs(ds.imag[keep]))) if keep.any() else 0.0
-        return MismatchReport(network.domain, max_p=max_p, max_q=max_q, per_bus=per_bus)
+        return MismatchReport(network.domain, max_p=max_p, max_q=max_q, per_bus=np.abs(ds))
 
-    ybus = _ybus_threephase(network)
-    vflat = v.reshape(-1)  # phase-major
-    i_net = (ybus @ vflat).reshape(nph, n)
-    di = _device_injections(network, state) - i_net
-    per_bus = np.max(np.abs(di), axis=0)
-    keep = np.array([k not in slack_pos for k in range(n)])
+    per_bus = np.max(np.abs(inj - i_net), axis=0)
     max_i = float(np.max(per_bus[keep])) if keep.any() else 0.0
     return MismatchReport(network.domain, max_i=max_i, per_bus=per_bus)

@@ -153,29 +153,22 @@ class DeviceParams:
     shorts: list = field(default_factory=list)
 
 
-def effective_params(
-    network: Network,
-    shunt_blocks: dict | None = None,
-    taps: dict | None = None,
-) -> DeviceParams:
-    """Identity parameter snapshot, with optional outer-loop overrides.
+def effective_params(network: Network) -> DeviceParams:
+    """Identity parameter snapshot of the network as operated.
 
-    ``shunt_blocks`` maps shunt id -> engaged block count; ``taps`` maps
-    transformer id -> per-phase tap array.
+    Only switchable shunts engage their ``blocks_on`` susceptance blocks.
     """
     shunt_y = []
     for sh in network.shunts:
-        blocks = sh.blocks_on if shunt_blocks is None else shunt_blocks.get(sh.id, sh.blocks_on)
-        b = sh.b + (blocks * sh.block_b if sh.block_b is not None else 0.0)
+        engaged = sh.switchable and sh.block_b is not None
+        b = sh.b + (sh.blocks_on * sh.block_b if engaged else 0.0)
         shunt_y.append(sh.g + 1j * b)
     return DeviceParams(
         branch_y=[br.y_series for br in network.branches],
         branch_bf=[br.b_from for br in network.branches],
         branch_bt=[br.b_to for br in network.branches],
         xfmr_y=[tx.y_series for tx in network.transformers],
-        xfmr_tap=[
-            tx.tap if taps is None else taps.get(tx.id, tx.tap) for tx in network.transformers
-        ],
+        xfmr_tap=[tx.tap for tx in network.transformers],
         xfmr_shift=[tx.shift for tx in network.transformers],
         shunt_y=shunt_y,
         gen_p=[g.p for g in network.generators],

@@ -134,6 +134,42 @@ def net_allparts():
     )
 
 
+def net_tap(parallel=False):
+    """Transformer regulating its under-voltage to-side bus by tap stepping;
+    ``parallel`` adds a second 1-2 line (branch 2)."""
+    buses = (
+        Bus(1, BusKind.SLACK, 138.0, 1.0, 0.0),
+        Bus(2, BusKind.PQ, 138.0),
+        Bus(3, BusKind.PQ, 13.8),
+    )
+    branches = (make_branch(1, 1, 2, 0.01, 0.08),)
+    if parallel:
+        branches += (make_branch(2, 1, 2, 0.01, 0.08),)
+    tx = Transformer(1, 2, 3, y_series=series_y(0.005, 0.1),
+                     tap=phase_array(1.0, 1), shift=phase_array(0.0, 1),
+                     tap_min=0.9, tap_max=1.1, tap_step=0.0125,
+                     controlled_bus=3, v_target=1.0)
+    return Network(
+        PhaseDomain.POSITIVE_SEQUENCE, 100.0, buses,
+        zip_loads=(make_zip(1, 3, s=0.6 + 0.25j),),
+        branches=branches, transformers=(tx,),
+    )
+
+
+def net_switched_shunt():
+    """Under-voltage load bus with a switchable capacitor bank, all blocks off."""
+    buses = (Bus(1, BusKind.SLACK, 138.0, 1.0, 0.0), Bus(2, BusKind.PQ, 138.0))
+    sh = Shunt(1, 2, g=phase_array(0.0, 1), b=phase_array(0.0, 1), switchable=True,
+               block_b=phase_array(0.1, 1), max_blocks=4, blocks_on=0,
+               v_lo=0.95, v_hi=1.05)
+    return Network(
+        PhaseDomain.POSITIVE_SEQUENCE, 100.0, buses,
+        zip_loads=(make_zip(1, 2, s=0.5 + 0.3j),),
+        branches=(make_branch(1, 1, 2, 0.02, 0.15),),
+        shunts=(sh,),
+    )
+
+
 def net_3phase():
     """Small unbalanced three-phase network with every load style."""
     buses = (

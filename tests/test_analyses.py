@@ -18,7 +18,7 @@ from steadygrid.nr import NrOptions
 from steadygrid.reference import dense_reference_solve
 from steadygrid.solver import CONVERGED, INFEASIBLE, InitSpec, SolverOptions, solve
 
-from conftest import case_path
+from conftest import case_path, net_tap
 
 OPTS = SolverOptions(nr=NrOptions(tol=1e-10))
 
@@ -52,6 +52,18 @@ def test_branch_outage_matches_dense_oracle():
     rep2, st2 = solve(post, SolverOptions(nr=NrOptions(tol=1e-10),
                                           init=InitSpec(kind="warm", state=warm)))
     np.testing.assert_allclose(ref.vm, st2.v_mag()[0], atol=1e-8)
+
+
+def test_outage_with_tap_control_passes_independent_check():
+    # the check must read the taps the outer loop chose, not the case's
+    net = net_tap(parallel=True)
+    options = SolverOptions(adjust_taps=True, outer_max_passes=12)
+    base, state = solve(net, options)
+    assert base.status == CONVERGED
+    cset = ContingencySet([Outage("LB_branch2", branch_ids=(2,))])
+    [result] = run_contingencies(net, state, cset, options)
+    assert result.status == CONVERGED, result.reason
+    assert result.max_mismatch < 10 * options.nr.tol
 
 
 def test_islanding_marked_infeasible():

@@ -133,10 +133,9 @@ def test_no_remote_control_no_shorts():
 
 def test_remote_pair_maps_to_single_path():
     net = load_case(case_path("case6_remote.net")).network
-    shorts = build_virtual_shorts(net)
-    assert len(shorts) == 1
-    assert (shorts[0].o_bus, shorts[0].w_bus) == (5, 3)
-    assert shorts[0].y == 0.0
+    assert build_virtual_shorts(net) == [(5, 3)]
+    # the path is there at lambda = 0 but carries no admittance
+    assert tx_transform(net, 0.0, 1e4).shorts == [(5, 3, 0.0)]
 
 
 def test_short_admittance_scales_with_lambda():

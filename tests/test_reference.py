@@ -6,7 +6,7 @@ import pytest
 from steadygrid.caseio import load_case
 from steadygrid.reference import build_ybus, dense_reference_solve
 
-from conftest import case_path, net_2bus, net_allparts
+from conftest import case_path, net_2bus, net_3phase, net_allparts
 
 
 def test_two_bus_against_closed_form():
@@ -26,6 +26,17 @@ def test_ybus_symmetry_without_shifts():
     net = net_2bus()
     y = build_ybus(net)
     np.testing.assert_allclose(y, y.T, atol=1e-15)
+
+
+def test_three_phase_ybus_is_phase_major_and_the_solver_refuses_it():
+    net = net_3phase()
+    y = build_ybus(net)
+    assert y.shape == (9, 9)
+    ys = net.branches[0].y_series  # bus 1 to bus 2, mutually coupled
+    assert y[0, 1] == -ys[0, 0]  # node ph * nbus + pos: (a, bus 1) to (a, bus 2)
+    assert y[0, 3] == ys[0, 1]  # (a, bus 1) to (b, bus 1)
+    with pytest.raises(ValueError):
+        dense_reference_solve(net)
 
 
 def test_case14_matches_published_operating_point():

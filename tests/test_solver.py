@@ -3,10 +3,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steadygrid.caseio import load_case, write_solution
 from steadygrid.indexing import IndexMap
-from steadygrid.network import BusKind, PhaseDomain
+from steadygrid.network import (
+    Bus,
+    BusKind,
+    PhaseDomain,
+    Shunt,
+    Transformer,
+    phase_array,
+    series_y,
+)
 from steadygrid.nr import NrOptions
 from steadygrid.reference import dense_reference_solve
 from steadygrid.solver import (
@@ -21,7 +31,16 @@ from steadygrid.solver import (
 )
 from steadygrid.stamps import GEN_PINNED
 
-from conftest import case_path, net_2bus, net_3bus, net_3phase, random_network
+from conftest import (
+    case_path,
+    make_zip,
+    net_2bus,
+    net_3bus,
+    net_3phase,
+    net_switched_shunt,
+    net_tap,
+    random_network,
+)
 
 
 def test_two_bus_flat_start_fast():
@@ -229,56 +248,117 @@ def test_remote_control_holds_target_bus():
     assert validate_solution(net, state).max < 1e-8
 
 
-def test_tap_adjustment_moves_toward_target(tmp_path):
-    # transformer regulating its to-side bus upward
-    from steadygrid.network import (
-        Branch, Bus, Generator, Network, Shunt, Transformer, ZipLoad,
-        Connection, phase_array, phase_carray, series_y,
-    )
-    buses = (
-        Bus(1, BusKind.SLACK, 138.0, 1.0, 0.0),
-        Bus(2, BusKind.PQ, 138.0),
-        Bus(3, BusKind.PQ, 13.8),
-    )
-    br = Branch(1, 1, 2, y_series=series_y(0.01, 0.08),
-                b_from=phase_array(0.0, 1), b_to=phase_array(0.0, 1))
-    tx = Transformer(1, 2, 3, y_series=series_y(0.005, 0.1),
-                     tap=phase_array(1.0, 1), shift=phase_array(0.0, 1),
-                     tap_min=0.9, tap_max=1.1, tap_step=0.0125,
-                     controlled_bus=3, v_target=1.0)
-    load = ZipLoad(1, 3, Connection.WYE, y=phase_carray(0.0, 1),
-                   i=phase_carray(0.0, 1), s=phase_carray(0.6 + 0.25j, 1))
-    net = Network(PhaseDomain.POSITIVE_SEQUENCE, 100.0, buses,
-                  zip_loads=(load,), branches=(br,), transformers=(tx,))
+def test_tap_adjustment_moves_toward_target():
+    net = net_tap()
     no_adjust, state0 = solve(net, SolverOptions())
     v_before = state0.v_mag()[0, 2]
     assert v_before < 0.99
-    report, state = solve(net, SolverOptions(adjust_taps=True, outer_max_passes=12))
+    options = SolverOptions(adjust_taps=True, outer_max_passes=12)
+    report, state = solve(net, options)
     assert report.status == CONVERGED
     v_after = state.v_mag()[0, 2]
     assert v_after > v_before
     assert abs(v_after - 1.0) <= 0.011  # inside the deadband of the target
-    assert report.final_taps[1][0] < 1.0
+    assert report.network.transformers[0].tap[0] < 1.0
+    assert net.transformers[0].tap[0] == 1.0  # the case itself is untouched
+    assert report.to_dict()["final_taps"] == {"1": report.network.transformers[0].tap.tolist()}
+    assert validate_solution(report.network, state).max < 10 * options.nr.tol
 
 
 def test_shunt_block_stepping():
-    from steadygrid.network import (
-        Branch, Bus, Network, Shunt, ZipLoad, Connection,
-        phase_array, phase_carray, series_y,
-    )
-    buses = (Bus(1, BusKind.SLACK, 138.0, 1.0, 0.0), Bus(2, BusKind.PQ, 138.0))
-    br = Branch(1, 1, 2, y_series=series_y(0.02, 0.15),
-                b_from=phase_array(0.0, 1), b_to=phase_array(0.0, 1))
-    load = ZipLoad(1, 2, Connection.WYE, y=phase_carray(0.0, 1),
-                   i=phase_carray(0.0, 1), s=phase_carray(0.5 + 0.3j, 1))
-    sh = Shunt(1, 2, g=phase_array(0.0, 1), b=phase_array(0.0, 1), switchable=True,
-               block_b=phase_array(0.1, 1), max_blocks=4, blocks_on=0,
-               v_lo=0.95, v_hi=1.05)
-    net = Network(PhaseDomain.POSITIVE_SEQUENCE, 100.0, buses,
-                  zip_loads=(load,), branches=(br,), shunts=(sh,))
+    net = net_switched_shunt()
     base, s0 = solve(net, SolverOptions())
     assert s0.v_mag()[0, 1] < 0.95
-    report, state = solve(net, SolverOptions(adjust_shunts=True))
+    options = SolverOptions(adjust_shunts=True)
+    report, state = solve(net, options)
     assert report.status == CONVERGED
-    assert report.final_shunt_blocks[1] >= 1
+    assert report.network.shunts[0].blocks_on >= 1
+    assert net.shunts[0].blocks_on == 0
+    assert report.to_dict()["final_shunt_blocks"] == {"1": report.network.shunts[0].blocks_on}
     assert state.v_mag()[0, 1] > s0.v_mag()[0, 1]
+    assert validate_solution(report.network, state).max < 10 * options.nr.tol
+
+
+def test_without_adjustment_the_case_is_the_operated_network():
+    net = net_tap()
+    report, _ = solve(net)
+    assert report.network is net
+
+
+def test_non_switchable_shunt_ignores_block_table():
+    # an API-built shunt may carry a block table without being switchable;
+    # only switchable shunts engage blocks, in the stamps and the oracle alike
+    sh = Shunt(1, 2, g=phase_array(0.0, 1), b=phase_array(0.05, 1), switchable=False,
+               block_b=phase_array(0.1, 1), max_blocks=4, blocks_on=2)
+    net = net_2bus().with_devices(shunts=(sh,))
+    options = SolverOptions(nr=NrOptions(tol=1e-10))
+    report, state = solve(net, options)
+    assert report.status == CONVERGED
+    assert validate_solution(report.network, state).max < 10 * options.nr.tol
+    ref = dense_reference_solve(net, tol=1e-12)
+    np.testing.assert_allclose(ref.vm, state.v_mag()[0], atol=1e-8)
+
+
+def _q_pins(events) -> dict:
+    """Generator id -> pinned Q after replaying the outer loop's pin events."""
+    pins = {}
+    for e in events:
+        if not e["device"].startswith("gen "):
+            continue
+        gid = int(e["device"].split()[1])
+        if e["action"] in ("pin_qmax", "pin_qmin"):
+            pins[gid] = e["value"]
+        elif e["action"] == "release":
+            pins.pop(gid, None)
+    return pins
+
+
+def _with_outer_devices(net, tap_from, shunt_bus):
+    """``net`` plus a load bus fed through a voltage-controlled transformer
+    and a switchable capacitor bank, so the outer loop moves taps and blocks."""
+    nph = net.nphase
+    new_bus = net.nbus + 1
+    tx = Transformer(1, tap_from, new_bus, y_series=series_y(0.005, 0.1, nph),
+                     tap=phase_array(1.0, nph), shift=phase_array(0.0, nph),
+                     tap_min=0.9, tap_max=1.1, tap_step=0.0125,
+                     controlled_bus=new_bus, v_target=1.0)
+    sh = Shunt(len(net.shunts) + 1, shunt_bus, g=phase_array(0.0, nph),
+               b=phase_array(0.0, nph), switchable=True, block_b=phase_array(0.05, nph),
+               max_blocks=4, v_lo=0.98, v_hi=1.02)
+    return net.with_devices(
+        buses=net.buses + (Bus(new_bus, BusKind.PQ, 13.8),),
+        zip_loads=net.zip_loads + (make_zip(len(net.zip_loads) + 1, new_bus, nph, s=0.4 + 0.2j),),
+        transformers=(tx,),
+        shunts=net.shunts + (sh,),
+    )
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    domain=st.sampled_from([PhaseDomain.POSITIVE_SEQUENCE, PhaseDomain.THREE_PHASE]),
+    method=st.sampled_from(["none", "tx", "power"]),
+    data=st.data(),
+)
+def test_outer_loop_solutions_pass_independent_check(seed, domain, method, data):
+    base = random_network(seed, domain)
+    net = _with_outer_devices(
+        base,
+        tap_from=data.draw(st.integers(1, base.nbus), label="tap_from"),
+        shunt_bus=data.draw(st.integers(2, base.nbus), label="shunt_bus"),
+    )
+    options = SolverOptions(nr=NrOptions(tol=1e-10), homotopy=method,
+                            adjust_shunts=True, adjust_taps=True, outer_max_passes=20)
+    report, state = solve(net, options)
+    if report.status != CONVERGED:
+        return
+    assert validate_solution(report.network, state).max < 10 * options.nr.tol
+    if domain != PhaseDomain.POSITIVE_SEQUENCE:
+        return
+    vm, va = state.v_mag()[0], state.v_ang()[0]
+    ref = dense_reference_solve(
+        report.network, q_pins=_q_pins(report.switch_events), v0=(vm, va), tol=1e-12
+    )
+    assert ref.converged
+    np.testing.assert_allclose(ref.vm, vm, atol=1e-8)
+    np.testing.assert_allclose(np.angle(np.exp(1j * (ref.va - va))), 0.0, atol=1e-8)
