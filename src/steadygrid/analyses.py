@@ -157,20 +157,18 @@ def _run_one_contingency(
         post = apply_outage(network, outage)
     except ValueError as exc:
         return ContingencyResult(outage.label, INFEASIBLE, reason=str(exc))
-    issues = validate(post)
-    if any(i.code in ("missing_slack",) for i in issues):
-        return ContingencyResult(outage.label, INFEASIBLE, reason="islanding without slack")
-    if issues:
-        return ContingencyResult(
-            outage.label, INFEASIBLE, reason="; ".join(str(i) for i in issues)
-        )
     index = IndexMap(post)
     warm = transfer_state(base_state, post, index)
     opts = replace(options, init=InitSpec(kind="warm", state=warm))
     try:
-        report, state = solve(post, opts)
+        report, state = solve(post, opts)  # validates the post-outage network
     except ValueError as exc:
-        return ContingencyResult(outage.label, INFEASIBLE, reason=str(exc))
+        issues = validate(post)
+        if any(i.code == "missing_slack" for i in issues):
+            reason = "islanding without slack"
+        else:
+            reason = "; ".join(str(i) for i in issues) or str(exc)
+        return ContingencyResult(outage.label, INFEASIBLE, reason=reason)
     result = ContingencyResult(
         outage.label,
         report.status,

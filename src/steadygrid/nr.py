@@ -27,11 +27,13 @@ from .indexing import IndexMap, StateVector
 from .linsys import SparseSystem
 from .network import Network, PHASE_OFFSETS
 from .stamps import (
+    Companion,
     DeviceParams,
     GenModes,
     GEN_PINNED,
     ZeroVoltageIterate,
     assemble_system,
+    build_companion,
     effective_params,
     invert_pv_current,
     pv_current,
@@ -93,9 +95,11 @@ class ResidualReport:
 
 
 def trace_to_csv(trace: list[NrTraceRow]) -> str:
-    lines = ["iteration,residual,max_dv,zeta"]
+    lines = ["iteration,residual,max_dv,zeta,limited"]
     for row in trace:
-        lines.append(f"{row.iteration},{row.residual!r},{row.max_dv!r},{row.zeta!r}")
+        lines.append(
+            f"{row.iteration},{row.residual!r},{row.max_dv!r},{row.zeta!r},{row.limited}"
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -149,10 +153,10 @@ def _kcl_mask(index: IndexMap) -> np.ndarray:
     """Rows whose residual counts for convergence: everything except the
     KCL rows of slack buses (their mismatch is absorbed by the source)."""
     mask = np.ones(index.dim, dtype=bool)
-    for pos in index.slack_positions:
-        for ph in range(index.nphase):
-            mask[index.vr(pos, ph)] = False
-            mask[index.vi(pos, ph)] = False
+    vr, vi = index.voltage_indices()
+    slack = list(index.slack_positions)
+    mask[vr[:, slack]] = False
+    mask[vi[:, slack]] = False
     return mask
 
 
@@ -163,17 +167,15 @@ def _constraint_mask(index: IndexMap) -> np.ndarray:
 
 
 def residual_vector(
-    network: Network,
-    params: DeviceParams,
-    index: IndexMap,
+    companion: Companion,
     state: StateVector,
     modes: GenModes | None = None,
     system: SparseSystem | None = None,
 ) -> np.ndarray:
     """Exact nonlinear residual F(x) via the companion identity A x - b."""
-    rows, cols, vals, rr, rv = assemble_system(network, params, index, state, 1.0, modes)
+    rows, cols, vals, rr, rv = assemble_system(companion, state, 1.0, modes)
     if system is None:
-        system = SparseSystem(index.dim)
+        system = SparseSystem(companion.index.dim)
     system.assemble(rows, cols, vals, rr, rv)
     return system.matrix @ state.x - system.rhs
 
@@ -189,7 +191,7 @@ def check_convergence(
     index = state.index
     if params is None:
         params = effective_params(network)
-    f = residual_vector(network, params, index, state, modes)
+    f = residual_vector(build_companion(network, params, index), state, modes)
     kcl = _kcl_mask(index) & ~_constraint_mask(index)
     con = _constraint_mask(index)
     max_kcl = float(np.max(np.abs(f[kcl]))) if kcl.any() else 0.0
@@ -210,9 +212,8 @@ def _reinit_voltage(state: StateVector, network: Network, bus: int, ph: int) -> 
 
 
 def nr_iterate(
-    network: Network,
-    params: DeviceParams,
-    index: IndexMap,
+    companion: Companion,
+    mask: np.ndarray,
     state: StateVector,
     options: NrOptions,
     zeta: float,
@@ -220,24 +221,23 @@ def nr_iterate(
     system: SparseSystem,
     iteration: int,
 ):
-    """One stamp-assemble-solve-limit cycle.
+    """One stamp-assemble-solve-limit cycle; ``mask`` selects the KCL rows
+    whose mismatch counts.
 
     Returns ``(next_state, trace_row, residual_before_step)``. Raises
     :class:`SingularityError` when the linearized system cannot be solved.
     """
+    index = companion.index
     for attempt in range(4):
         try:
-            rows, cols, vals, rr, rv = assemble_system(
-                network, params, index, state, zeta, modes
-            )
+            rows, cols, vals, rr, rv = assemble_system(companion, state, zeta, modes)
             break
         except ZeroVoltageIterate as zvi:
             if attempt == 3:
                 raise
-            _reinit_voltage(state, network, zvi.bus, zvi.phase)
+            _reinit_voltage(state, companion.network, zvi.bus, zvi.phase)
     system.assemble(rows, cols, vals, rr, rv)
     f = system.matrix @ state.x - system.rhs
-    mask = _kcl_mask(index)
     residual = float(np.max(np.abs(f[mask]))) if mask.any() else 0.0
 
     x_raw = system.factor_solve()
@@ -255,24 +255,19 @@ def nr_iterate(
     # auxiliary slack currents take the raw solve
     new.x[nv:] = x_raw[nv:]
     # Q limiting on free generator slots
-    for n_vc, gen_pos in enumerate(index.vc_gen_positions):
-        gen = network.generators[gen_pos]
-        bus_pos = network.bus_index[gen.bus]
-        for ph in range(index.nphase):
-            if modes.mode[gen_pos, ph] == GEN_PINNED:
-                continue
-            qi = index.q_gen(gen_pos, ph)
-            q_lim = apply_q_limiting(
-                float(params.gen_p[gen_pos][ph]),
-                state.x[qi],
-                x_raw[qi],
-                state.x[index.vr(bus_pos, ph)],
-                state.x[index.vi(bus_pos, ph)],
-                options.di_max,
-            )
-            if q_lim != x_raw[qi]:
-                limited += 1
-            new.x[qi] = q_lim
+    c = companion
+    pinned = modes.mode.ravel()[c.slot_lanes] == GEN_PINNED
+    for lane, qi, pin in zip(c.slot_lanes, c.q_idx, pinned):
+        if pin:
+            continue
+        v = c.gen_v[lane]
+        q_lim = apply_q_limiting(
+            float(c.gen_p[lane]), state.x[qi], x_raw[qi], state.x[v], state.x[v + 1],
+            options.di_max,
+        )
+        if q_lim != x_raw[qi]:
+            limited += 1
+        new.x[qi] = q_lim
 
     row = NrTraceRow(iteration, residual, max_dv, zeta, limited)
     return new, row, residual
@@ -301,9 +296,11 @@ def run_newton(
     base = len(own_trace)
     zeta = options.zeta_init
     current = state.copy()
+    companion = build_companion(network, params, index)
+    mask = _kcl_mask(index)
     for k in range(options.max_iter):
         new, row, residual = nr_iterate(
-            network, params, index, current, options, zeta, modes, system, k
+            companion, mask, current, options, zeta, modes, system, k
         )
         if residual < options.tol:
             return current, True, k
@@ -311,7 +308,6 @@ def run_newton(
         current = new
         zeta = update_zeta(own_trace[base:], zeta, options)
     # the final iterate may have just crossed the tolerance
-    f = residual_vector(network, params, index, current, modes, system)
-    mask = _kcl_mask(index)
+    f = residual_vector(companion, current, modes, system)
     residual = float(np.max(np.abs(f[mask]))) if mask.any() else 0.0
     return current, residual < options.tol, options.max_iter

@@ -1,14 +1,30 @@
-"""Per-device linearization of the nodal equations.
+"""Linearization of the nodal equations: the companion system.
 
-Every device contributes a :class:`Stamp`: sparse matrix triplets plus
-right-hand-side entries of the companion system ``A x = b`` whose solution is
-the *next* iterate ``x^{k+1}``. For a nonlinear device current ``I(v)`` the
-stamp encodes the first-order expansion around the current iterate, so
+The companion system ``A x = b`` has the *next* iterate ``x^{k+1}`` as its
+solution. For a nonlinear device current ``I(v)`` it holds the first-order
+expansion around the current iterate, so
 
     A(x_k) x_k - b(x_k)  ==  F(x_k)
 
-is exactly the nonlinear KCL/constraint residual; linear devices contribute
-to ``A`` only (plus constant sources to ``b``) and are iterate-independent.
+is exactly the nonlinear KCL/constraint residual. It is built in two parts:
+
+* the **linear part** depends only on the parameter set: branches and their
+  charging, transformers (``n = tap * exp(j shift)`` on the from side),
+  virtual shorts, shunts, BIG loads, the impedance part of ZIP loads (wye to
+  ground, delta between two phase nodes) and the slack rows. One vectorised
+  primitive turns their complex admittance blocks into real triplets.
+  :func:`build_companion` makes it once per parameter set;
+* the **nonlinear part** holds generators per (generator, phase) and the
+  constant-current and constant-power parts of ZIP loads per (load,
+  terminal). :func:`assemble_system` only computes their values at the
+  iterate, elementwise over arrays, with :func:`pv_current_jac` and
+  :func:`zip_current_jac`.
+
+The pattern depends only on the network and the virtual shorts present:
+zero-valued shunts, loads and charging emit explicit zeros, and every Q-slot
+row emits its diagonal and both regulated-voltage columns whether the
+generator is free or pinned at a limit. Assemblies at any iterate, generator
+mode or parameter values therefore share (rows, cols).
 
 Sign conventions: each KCL row sums currents *leaving* the node, so passive
 and load currents enter with ``+`` and source injections with ``-``.
@@ -29,7 +45,6 @@ from .indexing import IndexMap, StateVector
 from .network import Connection, Network, PHASE_OFFSETS
 
 __all__ = [
-    "Stamp",
     "ZeroVoltageIterate",
     "GenModes",
     "GEN_VC",
@@ -37,15 +52,8 @@ __all__ = [
     "GEN_FIXED",
     "DeviceParams",
     "effective_params",
-    "stamp_branch",
-    "stamp_transformer",
-    "stamp_slack",
-    "stamp_pv_generator",
-    "stamp_voltage_control",
-    "stamp_q_pin",
-    "stamp_zip_load",
-    "stamp_big_load",
-    "stamp_shunt",
+    "Companion",
+    "build_companion",
     "assemble_system",
 ]
 
@@ -64,34 +72,6 @@ class ZeroVoltageIterate(Exception):
         self.device = device
         self.bus = bus
         self.phase = phase
-
-
-@dataclass
-class Stamp:
-    """Jacobian triplets and RHS entries contributed by one device."""
-
-    rows: list = field(default_factory=list)
-    cols: list = field(default_factory=list)
-    vals: list = field(default_factory=list)
-    rhs_rows: list = field(default_factory=list)
-    rhs_vals: list = field(default_factory=list)
-
-    def add(self, row: int, col: int, val: float) -> None:
-        self.rows.append(row)
-        self.cols.append(col)
-        self.vals.append(val)
-
-    def add_rhs(self, row: int, val: float) -> None:
-        self.rhs_rows.append(row)
-        self.rhs_vals.append(val)
-
-    def add_complex_y(self, row_r, row_i, col_r, col_i, y: complex) -> None:
-        """Current-out contribution y * V at (row block, col block)."""
-        g, b = y.real, y.imag
-        self.add(row_r, col_r, g)
-        self.add(row_r, col_i, -b)
-        self.add(row_i, col_r, b)
-        self.add(row_i, col_i, g)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +163,7 @@ def effective_params(network: Network) -> DeviceParams:
 
 
 # ---------------------------------------------------------------------------
-# Exact device currents and their hand-derived partials
+# Exact device currents and their hand-derived partials (elementwise)
 
 
 def pv_current(p: float, q: float, vr: float, vi: float):
@@ -194,8 +174,8 @@ def pv_current(p: float, q: float, vr: float, vi: float):
     return ir, ii
 
 
-def pv_current_jac(p: float, q: float, vr: float, vi: float):
-    """Currents plus partials w.r.t. (vr, vi, q)."""
+def pv_current_jac(p, q, vr, vi):
+    """Currents plus partials w.r.t. (vr, vi, q); scalars or arrays."""
     d = vr * vr + vi * vi
     nr = p * vr + q * vi
     ni = p * vi - q * vr
@@ -227,34 +207,43 @@ def zip_current(y: complex, ic: complex, s: complex, ur: float, ui: float):
     return ir, ii
 
 
-def zip_current_jac(y: complex, ic: complex, s: complex, ur: float, ui: float):
-    """Currents plus the 2x2 Jacobian w.r.t. the device voltage (ur, ui)."""
+def zip_current_jac(y, ic, s, ur, ui):
+    """Currents plus the 2x2 Jacobian w.r.t. the device voltage (ur, ui).
+
+    Elementwise over scalars or arrays. A zero ``s`` or ``ic`` contributes
+    exactly nothing, so only lanes with a nonzero one need ``u != 0``.
+    """
+    y = np.asarray(y, dtype=complex)
+    ic = np.asarray(ic, dtype=complex)
+    s = np.asarray(s, dtype=complex)
     ir = y.real * ur - y.imag * ui
     ii = y.real * ui + y.imag * ur
     dir_dur, dir_dui = y.real, -y.imag
     dii_dur, dii_dui = y.imag, y.real
     d = ur * ur + ui * ui
-    d2 = d * d
-    if s != 0:
-        nr = s.real * ur + s.imag * ui
-        ni = s.real * ui - s.imag * ur
-        ir += nr / d
-        ii += ni / d
-        dir_dur += (s.real * d - nr * 2.0 * ur) / d2
-        dir_dui += (s.imag * d - nr * 2.0 * ui) / d2
-        dii_dur += (-s.imag * d - ni * 2.0 * ur) / d2
-        dii_dui += (s.real * d - ni * 2.0 * ui) / d2
-    if ic != 0:
-        mag = abs(ic)
-        ang = math.atan2(ui, ur) - math.atan2(ic.imag, ic.real)
-        c, sn = math.cos(ang), math.sin(ang)
-        ir += mag * c
-        ii += mag * sn
-        # d(angle)/dur = -ui/d, d(angle)/dui = ur/d
-        dir_dur += mag * sn * ui / d
-        dir_dui += -mag * sn * ur / d
-        dii_dur += -mag * c * ui / d
-        dii_dui += mag * c * ur / d
+    # constant power: divisions guarded where the part is absent
+    ds = np.where(s != 0, d, 1.0)
+    ds2 = ds * ds
+    nr = s.real * ur + s.imag * ui
+    ni = s.real * ui - s.imag * ur
+    ir = ir + nr / ds
+    ii = ii + ni / ds
+    dir_dur = dir_dur + (s.real * ds - nr * 2.0 * ur) / ds2
+    dir_dui = dir_dui + (s.imag * ds - nr * 2.0 * ui) / ds2
+    dii_dur = dii_dur + (-s.imag * ds - ni * 2.0 * ur) / ds2
+    dii_dui = dii_dui + (s.real * ds - ni * 2.0 * ui) / ds2
+    # constant current magnitude at the load's own angle offset
+    dc = np.where(ic != 0, d, 1.0)
+    mag = np.abs(ic)
+    ang = np.arctan2(ui, ur) - np.arctan2(ic.imag, ic.real)
+    c, sn = np.cos(ang), np.sin(ang)
+    ir = ir + mag * c
+    ii = ii + mag * sn
+    # d(angle)/dur = -ui/d, d(angle)/dui = ur/d
+    dir_dur = dir_dur + mag * sn * ui / dc
+    dir_dui = dir_dui + -mag * sn * ur / dc
+    dii_dur = dii_dur + -mag * c * ui / dc
+    dii_dui = dii_dui + mag * c * ur / dc
     return ir, ii, dir_dur, dir_dui, dii_dur, dii_dui
 
 
@@ -266,358 +255,286 @@ def invert_pv_current(ir: float, ii: float, vr: float, vi: float):
 
 
 # ---------------------------------------------------------------------------
-# Stamps
+# The companion system of one parameter set
 
 
-def stamp_branch(
-    network: Network,
-    index: IndexMap,
-    from_bus: int,
-    to_bus: int,
-    y_series: np.ndarray,
-    b_from=None,
-    b_to=None,
-) -> Stamp:
-    """Linear series element (line or virtual-short path); Jacobian only."""
-    st = Stamp()
-    i = network.bus_index[from_bus]
-    l = network.bus_index[to_bus]
-    nph = index.nphase
-    y = np.atleast_2d(y_series)
-    for pr in range(nph):
-        ri_r, ri_i = index.vr(i, pr), index.vi(i, pr)
-        rl_r, rl_i = index.vr(l, pr), index.vi(l, pr)
-        for pc in range(nph):
-            yv = complex(y[pr, pc])
-            ci_r, ci_i = index.vr(i, pc), index.vi(i, pc)
-            cl_r, cl_i = index.vr(l, pc), index.vi(l, pc)
-            # current out of i: y (V_i - V_l); out of l: y (V_l - V_i)
-            st.add_complex_y(ri_r, ri_i, ci_r, ci_i, yv)
-            st.add_complex_y(ri_r, ri_i, cl_r, cl_i, -yv)
-            st.add_complex_y(rl_r, rl_i, cl_r, cl_i, yv)
-            st.add_complex_y(rl_r, rl_i, ci_r, ci_i, -yv)
-        if b_from is not None and b_from[pr] != 0.0:
-            st.add_complex_y(ri_r, ri_i, ri_r, ri_i, 1j * float(b_from[pr]))
-        if b_to is not None and b_to[pr] != 0.0:
-            st.add_complex_y(rl_r, rl_i, rl_r, rl_i, 1j * float(b_to[pr]))
-    return st
+def _blocks(rows: np.ndarray, cols: np.ndarray):
+    """Pattern of one real 2x2 block per (``V_R`` row, ``V_R`` col) pair,
+    entry-major: all (R, R) entries, then (R, I), (I, R), (I, I)."""
+    return (
+        np.concatenate([rows, rows, rows + 1, rows + 1]),
+        np.concatenate([cols, cols + 1, cols, cols + 1]),
+    )
 
 
-def stamp_transformer(
-    network: Network,
-    index: IndexMap,
-    from_bus: int,
-    to_bus: int,
-    y_series: np.ndarray,
-    tap: np.ndarray,
-    shift: np.ndarray,
-) -> Stamp:
-    """Two-port tap changer / phase shifter stamp.
+def _add_complex_y(blocks):
+    """Real triplets of the currents ``y V[col]`` leaving node ``row``.
 
-    The complex ratio n = tap * exp(j shift) sits on the from side, so the
-    two-port admittance blocks are N^-* Y N^-1, -N^-* Y, -Y N^-1 and Y.
-    Reduces to :func:`stamp_branch` at tap 1, shift 0.
+    ``blocks`` holds ``(rows, cols, y)`` groups of ``V_R`` indices and complex
+    admittances, each group broadcast to one shape.
     """
-    if np.any(np.asarray(tap) <= 0):
-        raise ValueError(f"transformer {from_bus}-{to_bus}: tap must be positive, got {tap}")
-    st = Stamp()
-    i = network.bus_index[from_bus]
-    l = network.bus_index[to_bus]
-    nph = index.nphase
-    y = np.atleast_2d(y_series)
-    n = np.asarray(tap) * np.exp(1j * np.asarray(shift))
-    for pr in range(nph):
-        ri_r, ri_i = index.vr(i, pr), index.vi(i, pr)
-        rl_r, rl_i = index.vr(l, pr), index.vi(l, pr)
-        for pc in range(nph):
-            yv = complex(y[pr, pc])
-            if yv == 0 and pr != pc:
-                continue
-            ci_r, ci_i = index.vr(i, pc), index.vi(i, pc)
-            cl_r, cl_i = index.vr(l, pc), index.vi(l, pc)
-            st.add_complex_y(ri_r, ri_i, ci_r, ci_i, yv / (np.conj(n[pr]) * n[pc]))
-            st.add_complex_y(ri_r, ri_i, cl_r, cl_i, -yv / np.conj(n[pr]))
-            st.add_complex_y(rl_r, rl_i, ci_r, ci_i, -yv / n[pc])
-            st.add_complex_y(rl_r, rl_i, cl_r, cl_i, yv)
-    return st
+    parts = [np.broadcast_arrays(r, c, y) for r, c, y in blocks]
+    rows = np.concatenate([r.ravel() for r, _, _ in parts])
+    cols = np.concatenate([c.ravel() for _, c, _ in parts])
+    y = np.concatenate([y.ravel() for _, _, y in parts]).astype(complex)
+    g, b = y.real, y.imag
+    return (*_blocks(rows, cols), np.concatenate([g, -b, b, g]))
 
 
-def stamp_slack(network: Network, index: IndexMap, bus_pos: int) -> Stamp:
-    """Ideal voltage source rows; injection current is an auxiliary unknown."""
-    st = Stamp()
-    bus = network.buses[bus_pos]
-    offsets = PHASE_OFFSETS[network.domain]
-    for ph in range(index.nphase):
-        vset = bus.v_set * np.exp(1j * (bus.angle + offsets[ph]))
-        r_r, r_i = index.vr(bus_pos, ph), index.vi(bus_pos, ph)
-        c_ir, c_ii = index.slack_ir(bus_pos, ph), index.slack_ii(bus_pos, ph)
-        # KCL: injected current leaves through the network
-        st.add(r_r, c_ir, -1.0)
-        st.add(r_i, c_ii, -1.0)
-        # constraint rows pin the node voltage
-        st.add(c_ir, r_r, 1.0)
-        st.add_rhs(c_ir, vset.real)
-        st.add(c_ii, r_i, 1.0)
-        st.add_rhs(c_ii, vset.imag)
-    return st
+def _stack(values, shape, dtype=complex) -> np.ndarray:
+    """Per-device parameter arrays as one (ndevice, *shape) array."""
+    return np.array(values, dtype=dtype).reshape((-1, *shape))
 
 
-def stamp_pv_generator(
-    network: Network,
-    index: IndexMap,
-    gen_pos: int,
-    state: StateVector,
-    zeta: float,
-    p_eff: np.ndarray,
-    q_fixed: np.ndarray | None,
-) -> Stamp:
-    """First-order stamp of the constant-power source.
+@dataclass(frozen=True)
+class Companion:
+    """The companion system of one parameter set, before any iterate.
 
-    Voltage-derivative entries are scaled by the damping factor ``zeta``; the
-    dI/dQ column (when Q is a free unknown) is left unscaled. ``q_fixed``
-    of None means Q comes from the state slot.
+    ``rows``/``cols`` is the whole fixed pattern: the linear triplets first
+    (values ``linear_vals``, constant right-hand side ``linear_rhs``), then
+    the nonlinear slots in the order :func:`assemble_system` fills them.
+    Lanes are (generator, phase) and (ZIP load, terminal) in device order;
+    indices are ``V_R`` positions (``V_I`` follows each).
     """
-    st = Stamp()
-    gen = network.generators[gen_pos]
-    bus_pos = network.bus_index[gen.bus]
-    has_slot = index.has_q_slot(gen_pos)
-    for ph in range(index.nphase):
-        vr = state.x[index.vr(bus_pos, ph)]
-        vi = state.x[index.vi(bus_pos, ph)]
-        if vr == 0.0 and vi == 0.0:
-            raise ZeroVoltageIterate(f"gen {gen.id}", gen.bus, ph)
-        p = float(p_eff[ph])
-        q = float(q_fixed[ph]) if q_fixed is not None else state.q_gen(gen_pos, ph)
-        ir, ii, dir_dvr, dir_dvi, dii_dvr, dii_dvi, dir_dq, dii_dq = pv_current_jac(p, q, vr, vi)
-        r_r, r_i = index.vr(bus_pos, ph), index.vi(bus_pos, ph)
-        c_r, c_i = r_r, r_i
-        # injections enter KCL with a minus sign
-        st.add(r_r, c_r, -zeta * dir_dvr)
-        st.add(r_r, c_i, -zeta * dir_dvi)
-        st.add(r_i, c_r, -zeta * dii_dvr)
-        st.add(r_i, c_i, -zeta * dii_dvi)
-        rhs_r = ir - zeta * (dir_dvr * vr + dir_dvi * vi)
-        rhs_i = ii - zeta * (dii_dvr * vr + dii_dvi * vi)
-        if has_slot and q_fixed is None:
-            c_q = index.q_gen(gen_pos, ph)
-            st.add(r_r, c_q, -dir_dq)
-            st.add(r_i, c_q, -dii_dq)
-            rhs_r -= dir_dq * q
-            rhs_i -= dii_dq * q
-        st.add_rhs(r_r, rhs_r)
-        st.add_rhs(r_i, rhs_i)
-    return st
+
+    network: Network
+    index: IndexMap
+    rows: np.ndarray
+    cols: np.ndarray
+    linear_vals: np.ndarray
+    linear_rhs: np.ndarray
+    nonlinear_rhs_rows: np.ndarray
+    gen_v: np.ndarray  # bus node per generator lane
+    gen_p: np.ndarray
+    gen_q: np.ndarray  # fixed Q per lane; Q-slot lanes read the state
+    slot_lanes: np.ndarray  # generator lanes (k * nph + ph) with a Q slot, in slot order
+    q_idx: np.ndarray  # Q unknown (and its constraint row) per slot lane
+    vc_v: np.ndarray  # regulated node per slot lane
+    vc_set: np.ndarray  # regulated magnitude per slot lane
+    zip_a: np.ndarray  # + node per ZIP lane (the node itself for wye)
+    zip_b: np.ndarray  # - node per delta lane
+    delta_lanes: np.ndarray
+    zip_i: np.ndarray
+    zip_s: np.ndarray
+    zip_active: np.ndarray  # lanes with a constant-current or -power part
 
 
-def stamp_voltage_control(
-    network: Network,
-    index: IndexMap,
-    gen_pos: int,
-    state: StateVector,
-) -> Stamp:
-    """Linearized magnitude constraint rows tying Q to the regulated bus."""
-    st = Stamp()
-    gen = network.generators[gen_pos]
-    target = gen.target_bus()
-    w = network.bus_index[target]
-    vset = network.bus(target).v_set
-    for ph in range(index.nphase):
-        vr = state.x[index.vr(w, ph)]
-        vi = state.x[index.vi(w, ph)]
-        row = index.q_gen(gen_pos, ph)
-        st.add(row, index.vr(w, ph), -2.0 * vr)
-        st.add(row, index.vi(w, ph), -2.0 * vi)
-        st.add_rhs(row, -(vset * vset + vr * vr + vi * vi))
-    return st
+def build_companion(network: Network, params: DeviceParams, index: IndexMap) -> Companion:
+    """Stamp the linear part and lay out the nonlinear lanes.
+
+    Raises ``ValueError`` on a non-positive transformer tap.
+    """
+    nph = index.nphase
+    vr, _ = index.voltage_indices()
+    bus_pos = network.bus_index
+
+    def nodes(buses) -> np.ndarray:
+        """``V_R`` index per (device, phase), shape (ndevice, nph)."""
+        return vr[:, [bus_pos[b] for b in buses]].T.reshape(-1, nph)
+
+    def coupled(f, t):
+        """Row and column grids of the nph x nph block between node sets."""
+        return f[:, :, None], t[:, None, :]
+
+    blocks = []
+    # branches: y between the ends, charging to ground at each end
+    brs = network.branches
+    f, t = nodes([br.from_bus for br in brs]), nodes([br.to_bus for br in brs])
+    y = _stack(params.branch_y, (nph, nph))
+    blocks += [
+        (*coupled(f, f), y), (*coupled(f, t), -y), (*coupled(t, t), y), (*coupled(t, f), -y)
+    ]
+    blocks += [
+        (f, f, 1j * _stack(params.branch_bf, (nph,), float)),
+        (t, t, 1j * _stack(params.branch_bt, (nph,), float)),
+    ]
+    # transformers: blocks N^-* Y N^-1, -N^-* Y, -Y N^-1 and Y
+    txs = network.transformers
+    tap = _stack(params.xfmr_tap, (nph,), float)
+    bad = np.flatnonzero(np.any(tap <= 0, axis=1))
+    if bad.size:
+        tx = txs[bad[0]]
+        raise ValueError(
+            f"transformer {tx.from_bus}-{tx.to_bus}: tap must be positive, "
+            f"got {params.xfmr_tap[bad[0]]}"
+        )
+    n = tap * np.exp(1j * _stack(params.xfmr_shift, (nph,), float))
+    n_row, n_col = n[:, :, None], n[:, None, :]
+    f, t = nodes([tx.from_bus for tx in txs]), nodes([tx.to_bus for tx in txs])
+    y = _stack(params.xfmr_y, (nph, nph))
+    blocks += [
+        (*coupled(f, f), y / (np.conj(n_row) * n_col)),
+        (*coupled(f, t), -y / np.conj(n_row)),
+        (*coupled(t, f), -y / n_col),
+        (*coupled(t, t), y),
+    ]
+    # shunts and BIG-load admittances to ground
+    g = nodes([sh.bus for sh in network.shunts])
+    blocks.append((g, g, _stack(params.shunt_y, (nph,))))
+    bl = nodes([ld.bus for ld in network.big_loads])
+    blocks.append((bl, bl, _stack(params.big_y, (nph,))))
+    # virtual shorts: y per phase between the controller and its target
+    o = nodes([s[0] for s in params.shorts])
+    w = nodes([s[1] for s in params.shorts])
+    y = _stack([s[2] for s in params.shorts], (1,))
+    blocks += [(o, o, y), (o, w, -y), (w, w, y), (w, o, -y)]
+    # ZIP impedance: wye to ground; delta terminal d spans phases d and d+1
+    zl = network.zip_loads
+    za = nodes([ld.bus for ld in zl])
+    delta = np.array([ld.connection == Connection.DELTA for ld in zl], dtype=bool)
+    zd = za[delta]
+    zb = np.roll(zd, -1, axis=1)
+    y = _stack(params.zip_y, (nph,))
+    yd = y[delta]
+    blocks += [(za, za, y), (zd, zb, -yd), (zb, zb, yd), (zb, zd, -yd)]
+    rows, cols, vals = _add_complex_y(blocks)
+
+    # slack rows: the source current leaves through the network, the
+    # constraint rows pin the node voltage
+    slack = list(index.slack_positions)
+    sv = vr[:, slack].T.ravel()
+    si = np.array([index.slack_ir(p, ph) for p in slack for ph in range(nph)], dtype=np.intp)
+    rows = np.concatenate([rows, sv, sv + 1, si, si + 1])
+    cols = np.concatenate([cols, si, si + 1, sv, sv + 1])
+    ones = np.ones(sv.size)
+    linear_vals = np.concatenate([vals, -ones, -ones, ones, ones])
+    linear_rhs = np.zeros(index.dim)
+    buses = [network.buses[p] for p in slack]
+    v_set = np.array([b.v_set for b in buses], dtype=float)[:, None]
+    angle = np.array([b.angle for b in buses], dtype=float)[:, None]
+    vset = (v_set * np.exp(1j * (angle + PHASE_OFFSETS[network.domain]))).ravel()
+    linear_rhs[si] = vset.real
+    linear_rhs[si + 1] = vset.imag
+    alpha = _stack(params.big_alpha, (nph,)).ravel()
+    np.add.at(linear_rhs, bl.ravel(), -alpha.real)
+    np.add.at(linear_rhs, bl.ravel() + 1, -alpha.imag)
+
+    # generator lanes; Q-slot lanes also carry the dI/dQ column and the
+    # constraint row (diagonal plus both regulated-voltage columns)
+    gens = network.generators
+    gen_v = nodes([gen.bus for gen in gens]).ravel()
+    vc_gens = np.array(index.vc_gen_positions, dtype=np.intp)
+    fixed = [
+        np.zeros(nph) if q is None or index.has_q_slot(k) else q
+        for k, q in enumerate(params.gen_q)
+    ]
+    slot_lanes = (vc_gens[:, None] * nph + np.arange(nph)).ravel()
+    q_idx = np.array(
+        [index.q_gen(k, ph) for k in index.vc_gen_positions for ph in range(nph)], dtype=np.intp
+    )
+    targets = [gens[k].target_bus() for k in index.vc_gen_positions]
+    vc_v = nodes(targets).ravel()
+    vc_set = np.repeat(np.array([network.bus(b).v_set for b in targets], dtype=float), nph)
+    gv = gen_v[slot_lanes]
+    za, zd, zb = za.ravel(), zd.ravel(), zb.ravel()
+    nl_rows, nl_cols = zip(
+        _blocks(gen_v, gen_v),
+        (np.concatenate([gv, gv + 1]), np.concatenate([q_idx, q_idx])),
+        (np.concatenate([q_idx, q_idx, q_idx]), np.concatenate([q_idx, vc_v, vc_v + 1])),
+        _blocks(za, za),
+        _blocks(zd, zb),
+        _blocks(zb, zd),
+        _blocks(zb, zb),
+    )
+    zip_i = _stack(params.zip_i, (nph,)).ravel()
+    zip_s = _stack(params.zip_s, (nph,)).ravel()
+    return Companion(
+        network=network,
+        index=index,
+        rows=np.concatenate([rows, *nl_rows]),
+        cols=np.concatenate([cols, *nl_cols]),
+        linear_vals=linear_vals,
+        linear_rhs=linear_rhs,
+        nonlinear_rhs_rows=np.concatenate([gen_v, gen_v + 1, q_idx, za, za + 1, zb, zb + 1]),
+        gen_v=gen_v,
+        gen_p=_stack(params.gen_p, (nph,), float).ravel(),
+        gen_q=_stack(fixed, (nph,), float).ravel(),
+        slot_lanes=slot_lanes,
+        q_idx=q_idx,
+        vc_v=vc_v,
+        vc_set=vc_set,
+        zip_a=za,
+        zip_b=zb,
+        delta_lanes=np.flatnonzero(np.repeat(delta, nph)),
+        zip_i=zip_i,
+        zip_s=zip_s,
+        zip_active=(zip_i != 0) | (zip_s != 0),
+    )
 
 
-def stamp_q_pin(index: IndexMap, gen_pos: int, ph: int, q_value: float) -> Stamp:
-    """Replacement constraint row while a generator sits at a Q limit."""
-    st = Stamp()
-    row = index.q_gen(gen_pos, ph)
-    st.add(row, row, 1.0)
-    st.add_rhs(row, q_value)
-    return st
-
-
-def stamp_zip_load(
-    network: Network,
-    index: IndexMap,
-    load_pos: int,
-    state: StateVector,
-    y_eff: np.ndarray,
-    i_eff: np.ndarray,
-    s_eff: np.ndarray,
-) -> Stamp:
-    """ZIP load stamp; wye on node voltage, delta across phase pairs."""
-    st = Stamp()
-    load = network.zip_loads[load_pos]
-    bus_pos = network.bus_index[load.bus]
-    if load.connection == Connection.WYE:
-        terminals = [((bus_pos, ph), None, ph) for ph in range(index.nphase)]
-    else:
-        terminals = [((bus_pos, a), (bus_pos, b), d) for d, (a, b) in enumerate(DELTA_PAIRS)]
-
-    for (pos_a, ph_a), neg, dev_ph in terminals:
-        y = complex(y_eff[dev_ph])
-        ic = complex(i_eff[dev_ph])
-        s = complex(s_eff[dev_ph])
-        if y == 0 and ic == 0 and s == 0:
-            continue
-        a_r, a_i = index.vr(pos_a, ph_a), index.vi(pos_a, ph_a)
-        ur = state.x[a_r]
-        ui = state.x[a_i]
-        cols = [(a_r, a_i, 1.0)]
-        if neg is not None:
-            pos_b, ph_b = neg
-            b_r, b_i = index.vr(pos_b, ph_b), index.vi(pos_b, ph_b)
-            ur -= state.x[b_r]
-            ui -= state.x[b_i]
-            cols.append((b_r, b_i, -1.0))
-        if (s != 0 or ic != 0) and ur == 0.0 and ui == 0.0:
-            raise ZeroVoltageIterate(f"zip {load.id}", load.bus, dev_ph)
-        ir, ii, dir_dur, dir_dui, dii_dur, dii_dui = zip_current_jac(y, ic, s, ur, ui)
-        rows = [(a_r, a_i, 1.0)] + ([(b_r, b_i, -1.0)] if neg is not None else [])
-        nonlinear = s != 0 or ic != 0  # pure impedance needs no RHS
-        rhs_r = dir_dur * ur + dir_dui * ui - ir
-        rhs_i = dii_dur * ur + dii_dui * ui - ii
-        for row_r, row_i, rsign in rows:
-            for col_r, col_i, csign in cols:
-                sgn = rsign * csign
-                st.add(row_r, col_r, sgn * dir_dur)
-                st.add(row_r, col_i, sgn * dir_dui)
-                st.add(row_i, col_r, sgn * dii_dur)
-                st.add(row_i, col_i, sgn * dii_dui)
-            if nonlinear:
-                st.add_rhs(row_r, rsign * rhs_r)
-                st.add_rhs(row_i, rsign * rhs_i)
-    return st
-
-
-def stamp_big_load(
-    network: Network,
-    index: IndexMap,
-    load_pos: int,
-    alpha_eff: np.ndarray,
-    y_eff: np.ndarray,
-) -> Stamp:
-    """Linear load: admittance into the matrix, base current into the RHS."""
-    st = Stamp()
-    load = network.big_loads[load_pos]
-    bus_pos = network.bus_index[load.bus]
-    for ph in range(index.nphase):
-        a = complex(alpha_eff[ph])
-        y = complex(y_eff[ph])
-        if a == 0 and y == 0:
-            continue
-        r_r, r_i = index.vr(bus_pos, ph), index.vi(bus_pos, ph)
-        if y != 0:
-            st.add_complex_y(r_r, r_i, r_r, r_i, y)
-        if a != 0:
-            st.add_rhs(r_r, -a.real)
-            st.add_rhs(r_i, -a.imag)
-    return st
-
-
-def stamp_shunt(network: Network, index: IndexMap, bus: int, y_eff: np.ndarray) -> Stamp:
-    """Fixed admittance to ground per phase."""
-    st = Stamp()
-    bus_pos = network.bus_index[bus]
-    for ph in range(index.nphase):
-        y = complex(y_eff[ph])
-        if y == 0:
-            continue
-        r_r, r_i = index.vr(bus_pos, ph), index.vi(bus_pos, ph)
-        st.add_complex_y(r_r, r_i, r_r, r_i, y)
-    return st
-
-
-# ---------------------------------------------------------------------------
-# Whole-system assembly
+def _check_nonzero(companion: Companion, vr, vi, ur, ui) -> None:
+    """Raise :class:`ZeroVoltageIterate` for the first generator lane, then
+    the first active ZIP lane, sitting at zero voltage."""
+    net = companion.network
+    nph = companion.index.nphase
+    hit = np.flatnonzero((vr == 0.0) & (vi == 0.0))
+    if hit.size:
+        k, ph = divmod(int(hit[0]), nph)
+        gen = net.generators[k]
+        raise ZeroVoltageIterate(f"gen {gen.id}", gen.bus, ph)
+    hit = np.flatnonzero(companion.zip_active & (ur == 0.0) & (ui == 0.0))
+    if hit.size:
+        k, ph = divmod(int(hit[0]), nph)
+        load = net.zip_loads[k]
+        raise ZeroVoltageIterate(f"zip {load.id}", load.bus, ph)
 
 
 def assemble_system(
-    network: Network,
-    params: DeviceParams,
-    index: IndexMap,
+    companion: Companion,
     state: StateVector,
     zeta: float = 1.0,
     modes: GenModes | None = None,
 ):
-    """Stamp every device; returns (rows, cols, vals, rhs_rows, rhs_vals).
+    """Companion system at the iterate; returns (rows, cols, vals, rhs_rows, rhs_vals).
 
-    One call produces the Jacobian and RHS of the companion system at the
-    given iterate. The emitted sparsity pattern depends only on the network
-    and the presence of virtual-short paths, never on iterate values, so
-    repeated assemblies reuse the factorization symbolics downstream.
+    The linear part is copied as built; the nonlinear values fill their fixed
+    slots. Generator voltage derivatives are scaled by the damping factor
+    ``zeta``; the dI/dQ column is left unscaled. Pinned Q-slot rows become
+    identity pins at ``modes.q_pin``.
     """
+    c = companion
     if modes is None:
-        modes = GenModes.initial(network)
-    stamps: list[Stamp] = []
+        modes = GenModes.initial(c.network)
+    x = state.x
+    vr, vi = x[c.gen_v], x[c.gen_v + 1]
+    ur, ui = x[c.zip_a], x[c.zip_a + 1]
+    ur[c.delta_lanes] -= x[c.zip_b]
+    ui[c.delta_lanes] -= x[c.zip_b + 1]
+    _check_nonzero(c, vr, vi, ur, ui)
 
-    for k, br in enumerate(network.branches):
-        stamps.append(
-            stamp_branch(
-                network, index, br.from_bus, br.to_bus,
-                params.branch_y[k], params.branch_bf[k], params.branch_bt[k],
-            )
-        )
-    for k, tx in enumerate(network.transformers):
-        stamps.append(
-            stamp_transformer(
-                network, index, tx.from_bus, tx.to_bus,
-                params.xfmr_y[k], params.xfmr_tap[k], params.xfmr_shift[k],
-            )
-        )
-    for k, sh in enumerate(network.shunts):
-        stamps.append(stamp_shunt(network, index, sh.bus, params.shunt_y[k]))
-    for o_bus, w_bus, y in params.shorts:
-        nph = index.nphase
-        ymat = np.zeros((nph, nph), dtype=complex)
-        np.fill_diagonal(ymat, y)
-        stamps.append(stamp_branch(network, index, o_bus, w_bus, ymat))
-    for pos in index.slack_positions:
-        stamps.append(stamp_slack(network, index, pos))
-    for k, gen in enumerate(network.generators):
-        if not index.has_q_slot(k):
-            q_fix = params.gen_q[k]
-            if q_fix is None:
-                # regulating machine on a slack bus: reactive support comes
-                # from the source, the machine contributes its real power
-                q_fix = np.zeros(index.nphase)
-            stamps.append(
-                stamp_pv_generator(network, index, k, state, zeta, params.gen_p[k], q_fix)
-            )
-            continue
-        # Free or pinned Q both keep the dI/dQ coupling; the pinned phases
-        # simply swap their constraint row for an identity pin.
-        stamps.append(
-            stamp_pv_generator(network, index, k, state, zeta, params.gen_p[k], None)
-        )
-        vc_stamp = stamp_voltage_control(network, index, k, state)
-        for ph in range(index.nphase):
-            if modes.mode[k, ph] == GEN_PINNED:
-                stamps.append(stamp_q_pin(index, k, ph, modes.q_pin[k, ph]))
-            else:
-                row = index.q_gen(k, ph)
-                part = Stamp()
-                for r, c, v in zip(vc_stamp.rows, vc_stamp.cols, vc_stamp.vals):
-                    if r == row:
-                        part.add(r, c, v)
-                for r, v in zip(vc_stamp.rhs_rows, vc_stamp.rhs_vals):
-                    if r == row:
-                        part.add_rhs(r, v)
-                stamps.append(part)
-    for k in range(len(network.zip_loads)):
-        stamps.append(
-            stamp_zip_load(network, index, k, state, params.zip_y[k], params.zip_i[k], params.zip_s[k])
-        )
-    for k in range(len(network.big_loads)):
-        stamps.append(stamp_big_load(network, index, k, params.big_alpha[k], params.big_y[k]))
+    # generators: injections enter KCL with a minus sign
+    slot = c.slot_lanes
+    q = c.gen_q.copy()
+    q[slot] = x[c.q_idx]
+    ir, ii, dir_dvr, dir_dvi, dii_dvr, dii_dvi, dir_dq, dii_dq = pv_current_jac(c.gen_p, q, vr, vi)
+    gen_r = ir - zeta * (dir_dvr * vr + dir_dvi * vi)
+    gen_i = ii - zeta * (dii_dvr * vr + dii_dvi * vi)
+    gen_r[slot] -= dir_dq[slot] * q[slot]
+    gen_i[slot] -= dii_dq[slot] * q[slot]
 
-    rows = np.array([r for st in stamps for r in st.rows], dtype=np.int64)
-    cols = np.array([c for st in stamps for c in st.cols], dtype=np.int64)
-    vals = np.array([v for st in stamps for v in st.vals], dtype=float)
-    rhs_rows = np.array([r for st in stamps for r in st.rhs_rows], dtype=np.int64)
-    rhs_vals = np.array([v for st in stamps for v in st.rhs_vals], dtype=float)
-    return rows, cols, vals, rhs_rows, rhs_vals
+    # Q-slot rows: |V_w|^2 = vset^2 linearized, or the pin while at a limit
+    pinned = modes.mode.ravel()[slot] == GEN_PINNED
+    wr, wi = x[c.vc_v], x[c.vc_v + 1]
+    vc_rhs = np.where(
+        pinned, modes.q_pin.ravel()[slot], -(c.vc_set * c.vc_set + wr * wr + wi * wi)
+    )
+
+    # ZIP constant-current and constant-power parts; delta terminals stamp
+    # +J on the + node and -J on the - node
+    zr, zi, dzr_dur, dzr_dui, dzi_dur, dzi_dui = zip_current_jac(0.0, c.zip_i, c.zip_s, ur, ui)
+    zip_r = dzr_dur * ur + dzr_dui * ui - zr
+    zip_im = dzi_dur * ur + dzi_dui * ui - zi
+    jac = np.stack([dzr_dur, dzr_dui, dzi_dur, dzi_dui])
+    dl = c.delta_lanes
+    jd = jac[:, dl].ravel()
+
+    vals = np.concatenate([
+        c.linear_vals,
+        -zeta * dir_dvr, -zeta * dir_dvi, -zeta * dii_dvr, -zeta * dii_dvi,
+        -dir_dq[slot], -dii_dq[slot],
+        pinned.astype(float), np.where(pinned, 0.0, -2.0 * wr), np.where(pinned, 0.0, -2.0 * wi),
+        jac.ravel(), -jd, -jd, jd,
+    ])
+    nl_rhs = np.concatenate([gen_r, gen_i, vc_rhs, zip_r, zip_im, -zip_r[dl], -zip_im[dl]])
+    rhs = np.bincount(c.nonlinear_rhs_rows, weights=nl_rhs, minlength=c.index.dim) + c.linear_rhs
+    return c.rows, c.cols, vals, np.arange(c.index.dim), rhs

@@ -29,7 +29,7 @@ def test_solve_trace_output(tmp_path):
     code = run(["solve", case_path("case2.net"), "--trace", "--out", str(tmp_path)])
     assert code == 0
     trace = (tmp_path / "trace.csv").read_text().splitlines()
-    assert trace[0] == "iteration,residual,max_dv,zeta"
+    assert trace[0] == "iteration,residual,max_dv,zeta,limited"
     assert len(trace) >= 2
 
 

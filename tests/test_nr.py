@@ -228,8 +228,9 @@ def test_trace_csv_format():
     trace = [row(0, 1e-2, 0.3, 1.0, 2), row(1, 1e-5, 0.01, 1.0, 0)]
     csv = trace_to_csv(trace)
     lines = csv.strip().splitlines()
-    assert lines[0] == "iteration,residual,max_dv,zeta"
+    assert lines[0] == "iteration,residual,max_dv,zeta,limited"
     assert lines[1].startswith("0,0.01,")
+    assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["2", "0"]
 
 
 def test_nr_applies_clamp_bounds():
