@@ -26,7 +26,7 @@ print(f"screening {len(cset.outages)} outages "
       f"({sum(1 for o in cset.outages if o.gen_ids)} generator, "
       f"{sum(1 for o in cset.outages if not o.gen_ids)} series)\n")
 
-results = run_contingencies(net, base_state, cset, opts, workers=4)
+results = run_contingencies(net, base_state, cset, opts)
 
 print(f"{'outage':>16s} {'status':>12s} {'iters':>6s} {'mismatch':>10s}")
 for r in results:

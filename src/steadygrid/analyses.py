@@ -1,13 +1,11 @@
 """Batch studies: N-k contingency runs and initial-condition sweeps.
 
-Both are embarrassingly parallel over independent solves on the shared
-immutable network; results are gathered in input order so repeated runs are
-deterministic.
+Each runs one independent solve per input, serially and in input order, on
+the shared immutable network, so repeated runs give identical results.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -189,7 +187,6 @@ def run_contingencies(
     base_state: StateVector,
     cset: ContingencySet,
     options: SolverOptions | None = None,
-    workers: int | None = None,
 ) -> list[ContingencyResult]:
     """Solve each outage warm-started from the base operating point.
 
@@ -199,19 +196,10 @@ def run_contingencies(
     if options is None:
         options = SolverOptions()
     mismatch_tol = 10.0 * options.nr.tol
-    if not cset.outages:
-        return []
-    if workers is None or workers <= 1:
-        return [
-            _run_one_contingency(network, base_state, o, options, mismatch_tol)
-            for o in cset.outages
-        ]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futs = [
-            pool.submit(_run_one_contingency, network, base_state, o, options, mismatch_tol)
-            for o in cset.outages
-        ]
-        return [f.result() for f in futs]
+    return [
+        _run_one_contingency(network, base_state, o, options, mismatch_tol)
+        for o in cset.outages
+    ]
 
 
 def tally(results: list[ContingencyResult]) -> dict:
@@ -225,7 +213,6 @@ def run_sweep(
     network: Network,
     spec: SweepSpec,
     options: SolverOptions | None = None,
-    workers: int | None = None,
 ) -> SweepResult:
     """Solve from ``spec.samples`` uniformly sampled initial conditions.
 
@@ -244,18 +231,13 @@ def run_sweep(
         for _ in range(spec.samples)
     ]
 
-    def run_one(sample):
-        vm, va = sample
-        opts = replace(options, init=InitSpec(kind="uniform", vmag=vm, vang_deg=va))
-        report, state = solve(network, opts)
-        return report, state
-
-    if workers is None or workers <= 1:
-        outcomes = [run_one(s) for s in samples]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_one, samples))
-
+    outcomes = [
+        solve(
+            network,
+            replace(options, init=InitSpec(kind="uniform", vmag=vm, vang_deg=va)),
+        )
+        for vm, va in samples
+    ]
     statuses = [rep.status for rep, _ in outcomes]
     iters = [rep.inner_iterations for rep, _ in outcomes]
     solved = [st.v_complex() for rep, st in outcomes if rep.status == CONVERGED]

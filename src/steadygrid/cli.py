@@ -105,7 +105,7 @@ def _cmd_sweep(args) -> int:
     case = _load(args.case)
     options = _build_options(args)
     spec = analyses.SweepSpec(samples=args.samples, seed=args.seed)
-    result = analyses.run_sweep(case.network, spec, options, workers=args.workers)
+    result = analyses.run_sweep(case.network, spec, options)
     _write(args.out, "sweep.csv", result.csv())
     print(f"{case.name}: {result.n_converged}/{spec.samples} converged, "
           f"spread {result.max_pairwise_dv:.3e}")
@@ -123,8 +123,7 @@ def _cmd_contingency(args) -> int:
         sys.stderr.write("base case did not converge; aborting contingencies\n")
         return base_report.exit_code
     cset = analyses.sample_contingencies(case.network, base_state, top_fraction=args.top_fraction)
-    results = analyses.run_contingencies(case.network, base_state, cset, options,
-                                         workers=args.workers)
+    results = analyses.run_contingencies(case.network, base_state, cset, options)
     lines = ["label,status,inner_iters,homotopy_steps,max_mismatch"]
     lines += [r.csv_row() for r in results]
     _write(args.out, "contingency.csv", "\n".join(lines) + "\n")
@@ -167,14 +166,12 @@ def main(argv=None) -> int:
     p_sweep.add_argument("case")
     _add_solver_flags(p_sweep)
     p_sweep.add_argument("--samples", type=int, default=15)
-    p_sweep.add_argument("--workers", type=int, default=None)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_cont = sub.add_parser("contingency", help="N-1 screening from a solved base")
     p_cont.add_argument("case")
     _add_solver_flags(p_cont)
     p_cont.add_argument("--top-fraction", type=float, default=0.1)
-    p_cont.add_argument("--workers", type=int, default=None)
     p_cont.set_defaults(func=_cmd_contingency)
 
     p_val = sub.add_parser("validate", help="parse and structurally check a case")

@@ -130,16 +130,6 @@ class StateVector:
             return np.zeros(self.index.nphase)
         return np.asarray(gen.q, dtype=float)
 
-    def slack_injection(self, bus_pos: int) -> np.ndarray:
-        """Complex current injected by the slack source, per phase."""
-        return np.array(
-            [
-                self.x[self.index.slack_ir(bus_pos, ph)]
-                + 1j * self.x[self.index.slack_ii(bus_pos, ph)]
-                for ph in range(self.index.nphase)
-            ]
-        )
-
 
 def flat_state(index: IndexMap) -> StateVector:
     """V = 1 at the balanced reference angles everywhere, all auxiliaries 0."""

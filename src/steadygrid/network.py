@@ -231,7 +231,7 @@ class ValidationIssue:
 
 @dataclass(frozen=True)
 class Network:
-    """Immutable grid case. Safe to share across concurrent solves."""
+    """Immutable grid case."""
 
     domain: PhaseDomain
     base_mva: float

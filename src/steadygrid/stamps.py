@@ -57,8 +57,6 @@ __all__ = [
     "assemble_system",
 ]
 
-DELTA_PAIRS = ((0, 1), (1, 2), (2, 0))
-
 
 class ZeroVoltageIterate(Exception):
     """A nonlinear stamp was asked to linearize at |V| = 0.

@@ -105,13 +105,11 @@ def test_contingency_csv_format():
     assert len(row.split(",")) == 5
 
 
-def test_parallel_results_in_input_order():
+def test_results_in_input_order():
     net, state = solved("case14.net")
     cset = sample_contingencies(net, state, top_fraction=0.2)
-    serial = run_contingencies(net, state, cset, OPTS)
-    parallel = run_contingencies(net, state, cset, OPTS, workers=4)
-    assert [r.label for r in serial] == [r.label for r in parallel]
-    assert [r.status for r in serial] == [r.status for r in parallel]
+    results = run_contingencies(net, state, cset, OPTS)
+    assert [r.label for r in results] == [o.label for o in cset.outages]
 
 
 def test_tally_counts():
@@ -169,13 +167,6 @@ def test_sweep_seed_reproducible():
     a = run_sweep(net, SweepSpec(samples=4, seed=9), OPTS)
     b = run_sweep(net, SweepSpec(samples=4, seed=9), OPTS)
     assert a.samples == b.samples and a.statuses == b.statuses
-    assert a.csv() == b.csv()
-
-
-def test_sweep_parallel_deterministic():
-    net = load_case(case_path("case3_ring.net")).network
-    a = run_sweep(net, SweepSpec(samples=6, seed=2), OPTS)
-    b = run_sweep(net, SweepSpec(samples=6, seed=2), OPTS, workers=3)
     assert a.csv() == b.csv()
 
 

@@ -43,6 +43,8 @@ def test_sweep_row_count(tmp_path):
 
 def test_bogus_homotopy_flag_is_usage_error(capsys):
     assert run(["solve", case_path("case2.net"), "--homotopy", "bogus"]) == EX_USAGE
+    # an unknown flag on a batch subcommand
+    assert run(["sweep", case_path("case3_ring.net"), "--workers", "2"]) == EX_USAGE
 
 
 def test_unreadable_case_exit_code(tmp_path):
@@ -85,13 +87,23 @@ def test_contingency_outputs(tmp_path, capsys):
 
 
 def test_identical_invocations_byte_identical(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    for out in (out1, out2):
-        assert run(["solve", case_path("case14.net"), "--homotopy", "tx",
-                    "--seed", "3", "--out", str(out)]) == 0
-    assert (out1 / "solution.csv").read_bytes() == (out2 / "solution.csv").read_bytes()
-    d1 = json.loads((out1 / "report.json").read_text())
-    d2 = json.loads((out2 / "report.json").read_text())
+    # (argv, output file, exit code); a case9 outage leaves an island without
+    # a slack, so that batch exits 2
+    invocations = [
+        (["solve", case_path("case14.net"), "--homotopy", "tx", "--seed", "3"],
+         "solution.csv", 0),
+        (["sweep", case_path("case14.net"), "--samples", "15", "--seed", "7"],
+         "sweep.csv", 0),
+        (["contingency", case_path("case9.net"), "--homotopy", "tx"],
+         "contingency.csv", 2),
+    ]
+    for k, (argv, name, code) in enumerate(invocations):
+        out1, out2 = tmp_path / f"{k}a", tmp_path / f"{k}b"
+        for out in (out1, out2):
+            assert run(argv + ["--out", str(out)]) == code
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    d1 = json.loads((tmp_path / "0a" / "report.json").read_text())
+    d2 = json.loads((tmp_path / "0b" / "report.json").read_text())
     d1.pop("meta"), d2.pop("meta")  # timestamps are isolated to metadata
     assert d1 == d2
 
