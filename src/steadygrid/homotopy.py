@@ -33,7 +33,6 @@ from .stamps import DeviceParams, GenModes, effective_params
 __all__ = [
     "HomotopySchedule",
     "HomotopyResult",
-    "build_virtual_shorts",
     "tx_transform",
     "power_transform",
     "anchored_state",
@@ -65,17 +64,6 @@ class HomotopyResult:
     nr_trace: list
 
 
-def build_virtual_shorts(network: Network) -> list[tuple[int, int]]:
-    """``(o_bus, w_bus)`` per distinct remote-control pair (controller, target);
-    continuation ties each pair with a lambda-scaled low-impedance path."""
-    pairs = []
-    for g in network.generators:
-        if g.controls_voltage and g.remote_bus is not None and g.remote_bus != g.bus:
-            if (g.bus, g.remote_bus) not in pairs:
-                pairs.append((g.bus, g.remote_bus))
-    return pairs
-
-
 def tx_transform(
     network: Network,
     lam: float,
@@ -84,8 +72,8 @@ def tx_transform(
 ) -> DeviceParams:
     """Series-shorted parameter set at continuation factor ``lam``.
 
-    ``lam = 0`` reproduces ``base`` exactly (bit for bit); the virtual-short
-    list is still present but carries zero admittance there.
+    ``lam = 0`` reproduces ``base`` exactly (bit for bit), the virtual
+    shorts' admittance included: it is zero there.
     """
     if base is None:
         base = effective_params(network)
@@ -101,7 +89,6 @@ def tx_transform(
         out[idx, idx] = out[idx, idx] * scale
         return out
 
-    y_short = lam * gamma * (1.0 - 1.0j)
     return DeviceParams(
         branch_y=[scale_series(y) for y in base.branch_y],
         branch_bf=[b * open_factor for b in base.branch_bf],
@@ -117,7 +104,7 @@ def tx_transform(
         zip_s=base.zip_s,
         big_alpha=base.big_alpha,
         big_y=base.big_y,
-        shorts=[(o, w, y_short) for o, w in build_virtual_shorts(network)],
+        short_y=lam * gamma * (1.0 - 1.0j),
     )
 
 
@@ -149,7 +136,7 @@ def power_transform(
         zip_s=[s * beta for s in base.zip_s],
         big_alpha=[a * beta for a in base.big_alpha],
         big_y=base.big_y,
-        shorts=list(base.shorts),
+        short_y=base.short_y,
     )
 
 

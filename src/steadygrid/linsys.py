@@ -4,9 +4,12 @@ Triplets with duplicate coordinates are summed. The compressed pattern is
 cached: as long as consecutive assemblies emit the same (rows, cols) arrays,
 only the numeric values are scattered into the cached structure, which keeps
 repeated Newton iterations free of symbolic work (``pattern_builds`` counts
-how often the symbolic step actually ran). Rows are equilibrated before
-factorization because source/constraint rows and admittance rows can differ
-by many orders of magnitude mid-continuation.
+how often the symbolic step actually ran); every matrix shares the cached,
+read-only ``indices``/``indptr``. Rows are equilibrated on those CSC arrays
+before factorization, because source/constraint rows and admittance rows can
+differ by many orders of magnitude mid-continuation. The scaled copy drops the
+pattern's explicit zeros (open shorts, zeroed loads): SuperLU orders columns
+by the structure, so a kept zero would change the pivots and the solution.
 """
 
 from __future__ import annotations
@@ -33,17 +36,12 @@ class SparseSystem:
     def __init__(self, n: int):
         self.n = n
         self.pattern_builds = 0
-        self._key_rows = None
-        self._key_cols = None
-        self._inverse = None
-        self._indices = None
-        self._indptr = None
-        self._nnz = 0
-        self._matrix = None
-        self._rhs = None
+        self._key_rows = self._key_cols = self._inverse = None
+        self._indices = self._indptr = None
+        self._matrix = self._rhs = None
 
-    def assemble(self, rows, cols, vals, rhs_rows, rhs_vals) -> None:
-        """Sum duplicate triplets into CSC form; deterministic ordering."""
+    def assemble(self, rows, cols, vals, rhs) -> None:
+        """Sum duplicate triplets into CSC form; ``rhs`` is dense, length ``n``."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=float)
@@ -52,30 +50,24 @@ class SparseSystem:
         if cols.size and (cols.min() < 0 or cols.max() >= self.n):
             raise IndexError(f"col index out of range 0..{self.n - 1}")
 
-        if (
-            self._key_rows is None
-            or rows.shape != self._key_rows.shape
-            or not (np.array_equal(rows, self._key_rows) and np.array_equal(cols, self._key_cols))
+        if self._key_rows is None or not (
+            np.array_equal(rows, self._key_rows) and np.array_equal(cols, self._key_cols)
         ):
             # symbolic step: canonical CSC ordering plus triplet -> slot map
             keys = cols * self.n + rows
-            uniq, inverse = np.unique(keys, return_inverse=True)
+            uniq, self._inverse = np.unique(keys, return_inverse=True)
             self._key_rows = rows.copy()
             self._key_cols = cols.copy()
-            self._inverse = inverse
-            self._nnz = uniq.size
             self._indices = (uniq % self.n).astype(np.int32)
             counts = np.bincount((uniq // self.n).astype(np.int64), minlength=self.n)
             self._indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+            # every assembled matrix shares these: an in-place edit must fail
+            self._indices.flags.writeable = self._indptr.flags.writeable = False
             self.pattern_builds += 1
 
-        data = np.bincount(self._inverse, weights=vals, minlength=self._nnz)
-        self._matrix = sparse.csc_matrix(
-            (data, self._indices.copy(), self._indptr.copy()), shape=(self.n, self.n)
-        )
-        rhs = np.zeros(self.n)
-        np.add.at(rhs, np.asarray(rhs_rows, dtype=np.int64), np.asarray(rhs_vals, dtype=float))
-        self._rhs = rhs
+        data = np.bincount(self._inverse, weights=vals, minlength=self._indices.size)
+        self._matrix = sparse.csc_matrix((data, self._indices, self._indptr), shape=(self.n, self.n))
+        self._rhs = np.asarray(rhs, dtype=float)
 
     @property
     def matrix(self) -> sparse.csc_matrix:
@@ -92,19 +84,24 @@ class SparseSystem:
     def factor_solve(self) -> np.ndarray:
         """LU solve with row equilibration and one refinement step.
 
-        Raises :class:`SingularityError` on structural or numerical
-        singularity, reporting an offending row where one is identifiable.
+        Each row is scaled by its largest magnitude on the cached CSC arrays;
+        the scaled copy drops explicit zeros, so SuperLU orders columns by
+        the structural nonzeros only. Raises :class:`SingularityError` on
+        structural or numerical singularity, reporting an offending row where
+        one is identifiable.
         """
         a = self.matrix
         b = self.rhs
-        absmax = np.asarray(abs(a).max(axis=1).todense()).ravel()
+        absmax = np.zeros(self.n)
+        np.maximum.at(absmax, a.indices, np.abs(a.data))
         empty = np.flatnonzero(absmax == 0.0)
         if empty.size:
             raise SingularityError(int(empty[0]), "row has no entries")
-        csr = a.tocsr()
         scale = 1.0 / absmax
-        d = sparse.diags(scale)
-        a_s = (d @ csr).tocsc()
+        a_s = sparse.csc_matrix(
+            (a.data * scale[a.indices], a.indices.copy(), a.indptr.copy()), shape=a.shape
+        )
+        a_s.eliminate_zeros()
         b_s = scale * b
         try:
             lu = splu(a_s)

@@ -173,10 +173,10 @@ def residual_vector(
     system: SparseSystem | None = None,
 ) -> np.ndarray:
     """Exact nonlinear residual F(x) via the companion identity A x - b."""
-    rows, cols, vals, rr, rv = assemble_system(companion, state, 1.0, modes)
+    parts = assemble_system(companion, state, 1.0, modes)
     if system is None:
         system = SparseSystem(companion.index.dim)
-    system.assemble(rows, cols, vals, rr, rv)
+    system.assemble(*parts)
     return system.matrix @ state.x - system.rhs
 
 
@@ -230,13 +230,13 @@ def nr_iterate(
     index = companion.index
     for attempt in range(4):
         try:
-            rows, cols, vals, rr, rv = assemble_system(companion, state, zeta, modes)
+            parts = assemble_system(companion, state, zeta, modes)
             break
         except ZeroVoltageIterate as zvi:
             if attempt == 3:
                 raise
             _reinit_voltage(state, companion.network, zvi.bus, zvi.phase)
-    system.assemble(rows, cols, vals, rr, rv)
+    system.assemble(*parts)
     f = system.matrix @ state.x - system.rhs
     residual = float(np.max(np.abs(f[mask]))) if mask.any() else 0.0
 

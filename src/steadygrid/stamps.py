@@ -20,11 +20,12 @@ is exactly the nonlinear KCL/constraint residual. It is built in two parts:
   iterate, elementwise over arrays, with :func:`pv_current_jac` and
   :func:`zip_current_jac`.
 
-The pattern depends only on the network and the virtual shorts present:
-zero-valued shunts, loads and charging emit explicit zeros, and every Q-slot
-row emits its diagonal and both regulated-voltage columns whether the
-generator is free or pinned at a limit. Assemblies at any iterate, generator
-mode or parameter values therefore share (rows, cols).
+The pattern depends only on the network: zero-valued shunts, loads,
+charging and virtual shorts (one per remote-control pair, open outside Tx
+stepping) emit explicit zeros, and every Q-slot row emits its diagonal and
+both regulated-voltage columns whether the generator is free or pinned at a
+limit. Assemblies at any iterate, generator mode or parameter values
+therefore share (rows, cols).
 
 Sign conventions: each KCL row sums currents *leaving* the node, so passive
 and load currents enter with ``+`` and source injections with ``-``.
@@ -37,7 +38,7 @@ finite differences by the test suite before anything else trusts them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,6 +53,7 @@ __all__ = [
     "GEN_FIXED",
     "DeviceParams",
     "effective_params",
+    "build_virtual_shorts",
     "Companion",
     "build_companion",
     "assemble_system",
@@ -110,8 +112,8 @@ class DeviceParams:
     """Snapshot of the numeric parameters the stamps consume.
 
     Continuation methods produce transformed copies of this structure; the
-    identity snapshot reproduces the Network exactly. ``shorts`` holds
-    ``(from_bus, to_bus, y)`` virtual paths that only exist mid-continuation.
+    identity snapshot reproduces the Network exactly. ``short_y`` is the
+    admittance every virtual short carries; it is zero outside Tx stepping.
     """
 
     branch_y: list
@@ -128,7 +130,7 @@ class DeviceParams:
     zip_s: list
     big_alpha: list
     big_y: list
-    shorts: list = field(default_factory=list)
+    short_y: complex = 0j
 
 
 def effective_params(network: Network) -> DeviceParams:
@@ -156,8 +158,18 @@ def effective_params(network: Network) -> DeviceParams:
         zip_s=[ld.s for ld in network.zip_loads],
         big_alpha=[ld.alpha for ld in network.big_loads],
         big_y=[ld.y for ld in network.big_loads],
-        shorts=[],
     )
+
+
+def build_virtual_shorts(network: Network) -> list[tuple[int, int]]:
+    """``(o_bus, w_bus)`` per distinct remote-control pair (controller, target);
+    continuation ties each pair with a lambda-scaled low-impedance path."""
+    pairs = []
+    for g in network.generators:
+        if g.controls_voltage and g.remote_bus is not None and g.remote_bus != g.bus:
+            if (g.bus, g.remote_bus) not in pairs:
+                pairs.append((g.bus, g.remote_bus))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +383,10 @@ def build_companion(network: Network, params: DeviceParams, index: IndexMap) -> 
     blocks.append((g, g, _stack(params.shunt_y, (nph,))))
     bl = nodes([ld.bus for ld in network.big_loads])
     blocks.append((bl, bl, _stack(params.big_y, (nph,))))
-    # virtual shorts: y per phase between the controller and its target
-    o = nodes([s[0] for s in params.shorts])
-    w = nodes([s[1] for s in params.shorts])
-    y = _stack([s[2] for s in params.shorts], (1,))
+    # virtual shorts: y per phase between each controller and its target
+    pairs = build_virtual_shorts(network)
+    o, w = nodes([p[0] for p in pairs]), nodes([p[1] for p in pairs])
+    y = params.short_y
     blocks += [(o, o, y), (o, w, -y), (w, w, y), (w, o, -y)]
     # ZIP impedance: wye to ground; delta terminal d spans phases d and d+1
     zl = network.zip_loads
@@ -483,7 +495,10 @@ def assemble_system(
     zeta: float = 1.0,
     modes: GenModes | None = None,
 ):
-    """Companion system at the iterate; returns (rows, cols, vals, rhs_rows, rhs_vals).
+    """Companion system at the iterate; returns ``(rows, cols, vals, rhs)``.
+
+    ``rows``/``cols`` are the companion's fixed pattern (the same arrays on
+    every call), ``vals`` their values and ``rhs`` the dense right-hand side.
 
     The linear part is copied as built; the nonlinear values fill their fixed
     slots. Generator voltage derivatives are scaled by the damping factor
@@ -535,4 +550,4 @@ def assemble_system(
     ])
     nl_rhs = np.concatenate([gen_r, gen_i, vc_rhs, zip_r, zip_im, -zip_r[dl], -zip_im[dl]])
     rhs = np.bincount(c.nonlinear_rhs_rows, weights=nl_rhs, minlength=c.index.dim) + c.linear_rhs
-    return c.rows, c.cols, vals, np.arange(c.index.dim), rhs
+    return c.rows, c.cols, vals, rhs

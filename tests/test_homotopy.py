@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from steadygrid.caseio import load_case
 from steadygrid.homotopy import (
     HomotopySchedule,
     anchored_state,
-    build_virtual_shorts,
     lambda_trace_to_csv,
     power_transform,
     run_homotopy,
@@ -17,7 +17,7 @@ from steadygrid.indexing import IndexMap
 from steadygrid.network import PhaseDomain
 from steadygrid.nr import NrOptions, run_newton
 from steadygrid.solver import InitSpec, SolverOptions, solve
-from steadygrid.stamps import effective_params
+from steadygrid.stamps import build_companion, build_virtual_shorts, effective_params
 
 from conftest import (
     ALL_NET_CASES,
@@ -65,8 +65,7 @@ def test_tx_endpoint_identity_bit_exact(name):
     base = effective_params(net)
     p0 = tx_transform(net, 0.0, 1e4)
     assert params_identical(p0, base)
-    for o, w, y in p0.shorts:
-        assert y == 0.0  # open path at the original problem
+    assert p0.short_y == base.short_y == 0.0  # open paths at the original problem
 
 
 @pytest.mark.parametrize("name", ALL_NET_CASES + ["feeder8.json"])
@@ -135,16 +134,32 @@ def test_remote_pair_maps_to_single_path():
     net = load_case(case_path("case6_remote.net")).network
     assert build_virtual_shorts(net) == [(5, 3)]
     # the path is there at lambda = 0 but carries no admittance
-    assert tx_transform(net, 0.0, 1e4).shorts == [(5, 3, 0.0)]
+    p0 = tx_transform(net, 0.0, 1e4)
+    assert p0.short_y == 0.0
+    # the companion lays the path out as four 2x2 blocks between the pair's
+    # nodes, all zero: the linear part is that of the unpaired network
+    index = IndexMap(net)
+    local = net.with_devices(
+        generators=tuple(replace(g, remote_bus=None) for g in net.generators)
+    )
+
+    def linear_part(c):
+        n = c.linear_vals.size
+        a = np.zeros((index.dim, index.dim))
+        np.add.at(a, (c.rows[:n], c.cols[:n]), c.linear_vals)
+        return n, a
+
+    n_pair, a_pair = linear_part(build_companion(net, p0, index))
+    n_local, a_local = linear_part(build_companion(local, p0, index))
+    assert n_pair - n_local == 16
+    assert np.array_equal(a_pair, a_local)
 
 
 def test_short_admittance_scales_with_lambda():
     net = load_case(case_path("case6_remote.net")).network
     p = tx_transform(net, 0.5, 1e4)
-    (o, w, y) = p.shorts[0]
-    assert y == 0.5 * 1e4 * (1.0 - 1.0j)
-    p0 = tx_transform(net, 0.0, 1e4)
-    assert p0.shorts[0][2] == 0.0
+    assert p.short_y == 0.5 * 1e4 * (1.0 - 1.0j)
+    assert tx_transform(net, 0.0, 1e4).short_y == 0.0
 
 
 # -- the driver -----------------------------------------------------------------

@@ -45,13 +45,11 @@ def dense_system(net, state=None, params=None, zeta=1.0, modes=None):
         state = flat_state(index)
     if params is None:
         params = effective_params(net)
-    rows, cols, vals, rr, rv = assemble_system(
+    rows, cols, vals, b = assemble_system(
         build_companion(net, params, index), state, zeta, modes
     )
     a = np.zeros((index.dim, index.dim))
     np.add.at(a, (rows, cols), vals)
-    b = np.zeros(index.dim)
-    np.add.at(b, rr, rv)
     return a, b, index
 
 
@@ -458,9 +456,8 @@ def test_assembled_jacobian_matches_fd(setup):
         -0.1, 0.1, size=2 * index.nbus * index.nphase
     )
     companion = build_companion(net, params, index)
-    rows, cols, vals, rr, rv = assemble_system(companion, state, 1.0, modes)
     system = SparseSystem(index.dim)
-    system.assemble(rows, cols, vals, rr, rv)
+    system.assemble(*assemble_system(companion, state, 1.0, modes))
     a = np.asarray(system.matrix.todense())
     jac = fd_jacobian(companion, state, modes)
     np.testing.assert_allclose(a, jac, atol=5e-6)
@@ -468,7 +465,7 @@ def test_assembled_jacobian_matches_fd(setup):
 
 def test_tx_half_remote_stamps_the_short():
     net, params, _ = tx_half_remote()
-    assert params.shorts  # the remote pair is tied mid-continuation
+    assert params.short_y != 0  # the remote pair is tied mid-continuation
     a, _, index = dense_system(net, params=params)
     a0, _, _ = dense_system(net)
     o, w = net.bus_index[2], net.bus_index[4]
@@ -487,9 +484,8 @@ def test_taylor_consistency_at_expansion_point():
     companion = build_companion(net, effective_params(net), index)
     f_unit = residual_vector(companion, state)
     # zeta must not change the residual at the expansion point
-    rows, cols, vals, rr, rv = assemble_system(companion, state, 0.3, GenModes.initial(net))
     system = SparseSystem(index.dim)
-    system.assemble(rows, cols, vals, rr, rv)
+    system.assemble(*assemble_system(companion, state, 0.3, GenModes.initial(net)))
     f_damped = system.matrix @ state.x - system.rhs
     np.testing.assert_allclose(f_damped, f_unit, atol=1e-14)
 
@@ -513,10 +509,14 @@ def test_sparsity_pattern_is_iterate_independent():
         assert np.array_equal(r1, r2) and np.array_equal(c1, c2)
 
 
-@pytest.mark.parametrize("case, method", [
-    ("case196_mesh.net", "tx"), ("case14.net", "power"), ("case_qlim.net", "none"),
+@pytest.mark.parametrize("case, method, qmax", [
+    pytest.param("case196_mesh.net", "tx", None, id="case196_mesh.net-tx"),
+    pytest.param("case14.net", "power", None, id="case14.net-power"),
+    pytest.param("case_qlim.net", "none", None, id="case_qlim.net-none"),
+    # the Q limit binds after Tx stepping: a plain re-solve with the shorts open
+    pytest.param("case6_remote.net", "tx", 0.1, id="case6_remote.net-tx-qmax0.1"),
 ])
-def test_one_pattern_build_per_system_in_a_solve(monkeypatch, case, method):
+def test_one_pattern_build_per_system_in_a_solve(monkeypatch, case, method, qmax):
     systems = []
     init = SparseSystem.__init__
 
@@ -526,6 +526,8 @@ def test_one_pattern_build_per_system_in_a_solve(monkeypatch, case, method):
 
     monkeypatch.setattr(SparseSystem, "__init__", recording_init)
     net = load_case(case_path(case)).network
+    if qmax is not None:
+        net = net.with_devices(generators=tuple(replace(g, qmax=qmax) for g in net.generators))
     report, _ = solve(net, SolverOptions(homotopy=method, nr=NrOptions(tol=1e-8)))
     assert report.status == "converged"
     assert systems and [s.pattern_builds for s in systems] == [1] * len(systems)
