@@ -5,14 +5,18 @@ is trivial and the last is the original network, then walk the factor with an
 adaptive step, warm-starting every sub-problem from the previous solution.
 
 * Tx stepping multiplies every series admittance by ``(1 + lambda*gamma)``
-  (three-phase: self terms only), relaxes taps to 1 and shifts to 0 at
-  ``lambda = 1``, open-circuits shunts and charging by ``(1 - lambda)`` and
-  closes a virtual short between every remote-control pair. The shorted
-  system holds all voltages near the sources, which is why the final solution
-  lands on the high-voltage branch.
+  (the block diagonal only, a 1x1 block in positive sequence), relaxes taps
+  to 1 and shifts to 0 at ``lambda = 1``, open-circuits shunts and charging
+  by ``(1 - lambda)`` and closes a virtual short between every remote-control
+  pair. The shorted system holds all voltages near the sources, which is why
+  the final solution lands on the high-voltage branch.
 * Power stepping scales generation and the non-impedance load parts by
   ``beta = 1 - lambda``, so the first sub-problem has (almost) linear network
   constraints.
+
+Both transforms are array operations on :class:`DeviceParams` that share
+every array they leave unchanged with their base. Only values move, so every
+sub-problem binds to the one companion layout of the solve.
 
 The factor moves from 1 to 0; a failed sub-problem halves the step until the
 minimum step underflows, which reports divergence with the last good factor.
@@ -20,7 +24,7 @@ minimum step underflows, which reports divergence with the last good factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +32,7 @@ from .indexing import IndexMap, StateVector
 from .linsys import SingularityError, SparseSystem
 from .network import BusKind, Network, PHASE_OFFSETS
 from .nr import NrOptions, NrTraceRow, run_newton
-from .stamps import DeviceParams, GenModes, effective_params
+from .stamps import Companion, DeviceParams, GenModes, build_companion, effective_params
 
 __all__ = [
     "HomotopySchedule",
@@ -79,31 +83,19 @@ def tx_transform(
         base = effective_params(network)
     scale = 1.0 + lam * gamma
     open_factor = 1.0 - lam
-    nph = network.nphase
-
-    def scale_series(y):
-        if nph == 1:
-            return y * scale
-        out = np.array(y)
-        idx = np.arange(nph)
-        out[idx, idx] = out[idx, idx] * scale
-        return out
-
-    return DeviceParams(
-        branch_y=[scale_series(y) for y in base.branch_y],
-        branch_bf=[b * open_factor for b in base.branch_bf],
-        branch_bt=[b * open_factor for b in base.branch_bt],
-        xfmr_y=[scale_series(y) for y in base.xfmr_y],
-        xfmr_tap=[t + lam * (1.0 - t) for t in base.xfmr_tap],
-        xfmr_shift=[s * open_factor for s in base.xfmr_shift],
-        shunt_y=[y * open_factor for y in base.shunt_y],
-        gen_p=base.gen_p,
-        gen_q=base.gen_q,
-        zip_y=base.zip_y,
-        zip_i=base.zip_i,
-        zip_s=base.zip_s,
-        big_alpha=base.big_alpha,
-        big_y=base.big_y,
+    branch_y, xfmr_y = base.branch_y.copy(), base.xfmr_y.copy()
+    d = np.arange(network.nphase)
+    branch_y[:, d, d] *= scale
+    xfmr_y[:, d, d] *= scale
+    return replace(
+        base,
+        branch_y=branch_y,
+        branch_bf=base.branch_bf * open_factor,
+        branch_bt=base.branch_bt * open_factor,
+        xfmr_y=xfmr_y,
+        xfmr_tap=base.xfmr_tap + lam * (1.0 - base.xfmr_tap),
+        xfmr_shift=base.xfmr_shift * open_factor,
+        shunt_y=base.shunt_y * open_factor,
         short_y=lam * gamma * (1.0 - 1.0j),
     )
 
@@ -121,22 +113,13 @@ def power_transform(
     """
     if base is None:
         base = effective_params(network)
-    return DeviceParams(
-        branch_y=base.branch_y,
-        branch_bf=base.branch_bf,
-        branch_bt=base.branch_bt,
-        xfmr_y=base.xfmr_y,
-        xfmr_tap=base.xfmr_tap,
-        xfmr_shift=base.xfmr_shift,
-        shunt_y=base.shunt_y,
-        gen_p=[p * beta for p in base.gen_p],
-        gen_q=[None if q is None else q * beta for q in base.gen_q],
-        zip_y=base.zip_y,
-        zip_i=[i * beta for i in base.zip_i],
-        zip_s=[s * beta for s in base.zip_s],
-        big_alpha=[a * beta for a in base.big_alpha],
-        big_y=base.big_y,
-        short_y=base.short_y,
+    return replace(
+        base,
+        gen_p=base.gen_p * beta,
+        gen_q=base.gen_q * beta,
+        zip_i=base.zip_i * beta,
+        zip_s=base.zip_s * beta,
+        big_alpha=base.big_alpha * beta,
     )
 
 
@@ -168,19 +151,21 @@ def run_homotopy(
     method: str,
     options: NrOptions,
     schedule: HomotopySchedule | None = None,
-    index: IndexMap | None = None,
+    layout: Companion | None = None,
     modes: GenModes | None = None,
     base: DeviceParams | None = None,
     system: SparseSystem | None = None,
     nr_trace: list[NrTraceRow] | None = None,
 ) -> HomotopyResult:
-    """Walk the continuation factor from the trivial to the original problem."""
+    """Walk the continuation factor from the trivial to the original problem;
+    every sub-problem binds to ``layout`` (built from ``network`` if None)."""
     if method not in ("tx", "power"):
         raise ValueError(f"unknown homotopy method {method!r}")
     if schedule is None:
         schedule = HomotopySchedule()
-    if index is None:
-        index = IndexMap(network)
+    if layout is None:
+        layout = build_companion(network, IndexMap(network))
+    index = layout.index
     if modes is None:
         modes = GenModes.initial(network)
     if base is None:
@@ -202,7 +187,7 @@ def run_homotopy(
     state = anchored_state(network, index)
     try:
         state, ok, iters = run_newton(
-            network, params_at(1.0), index, state, options, modes, system, trace
+            layout, params_at(1.0), state, options, modes, system, trace
         )
     except SingularityError:
         ok, iters = False, 0
@@ -224,7 +209,7 @@ def run_homotopy(
         while True:
             try:
                 cand, ok, iters = run_newton(
-                    network, params_at(lam_next), index, state, options, modes, system, trace
+                    layout, params_at(lam_next), state, options, modes, system, trace
                 )
             except SingularityError:
                 ok, iters = False, 0

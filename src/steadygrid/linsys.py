@@ -117,9 +117,3 @@ class SparseSystem:
         if np.max(np.abs(res)) / denom > 1e-12:
             x = x + lu.solve(res)
         return x
-
-    def residual_norm(self, x: np.ndarray) -> float:
-        """Relative infinity-norm backward error of a candidate solution."""
-        b = self.rhs
-        r = self.matrix @ x - b
-        return float(np.max(np.abs(r)) / max(1.0, np.max(np.abs(b))))

@@ -4,8 +4,7 @@ A :class:`Network` is an immutable description of one grid case: buses,
 generators, loads (ZIP and BIG), branches, transformers and shunts, in either
 the positive-sequence domain (one phase, ``p``) or the three-phase domain
 (phases ``a, b, c``). All electrical quantities inside a Network are per-unit
-on a common MVA base; :func:`to_pu_power` / :func:`to_pu_impedance` and their
-inverses do the normalization.
+on a common MVA base.
 
 Conventions used throughout the package:
 
@@ -39,11 +38,6 @@ __all__ = [
     "Network",
     "ValidationIssue",
     "validate",
-    "to_pu_power",
-    "from_pu_power",
-    "z_base",
-    "to_pu_impedance",
-    "from_pu_impedance",
     "PHASE_OFFSETS",
     "phase_array",
     "phase_carray",
@@ -296,26 +290,6 @@ class Network:
     def slack_buses(self) -> list[Bus]:
         return [b for b in self.buses if b.kind == BusKind.SLACK]
 
-    def controlled_buses(self) -> dict[int, float]:
-        """bus id -> regulated magnitude, for every voltage-controlled bus."""
-        out: dict[int, float] = {}
-        for g in self.generators:
-            if g.controls_voltage:
-                tgt = g.target_bus()
-                vset = self.bus(tgt).v_set if tgt in self.bus_index else None
-                if vset is not None:
-                    out[tgt] = vset
-        return out
-
-    def bus_kind(self, bus_id: int) -> BusKind:
-        """Effective kind: slack designation wins, then PV iff regulated."""
-        b = self.bus(bus_id)
-        if b.kind == BusKind.SLACK:
-            return BusKind.SLACK
-        if bus_id in self.controlled_buses():
-            return BusKind.PV
-        return BusKind.PQ
-
     def adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {b.id: set() for b in self.buses}
         for dev in list(self.branches) + list(self.transformers):
@@ -327,36 +301,6 @@ class Network:
     def with_devices(self, **kwargs) -> "Network":
         """Copy with some device collections replaced (still immutable)."""
         return replace(self, **kwargs)
-
-
-# ---------------------------------------------------------------------------
-# Per-unit conversion
-
-
-def to_pu_power(mw: float, base_mva: float) -> float:
-    if base_mva <= 0:
-        raise ValueError(f"base MVA must be positive, got {base_mva}")
-    return mw / base_mva
-
-
-def from_pu_power(pu: float, base_mva: float) -> float:
-    if base_mva <= 0:
-        raise ValueError(f"base MVA must be positive, got {base_mva}")
-    return pu * base_mva
-
-
-def z_base(base_kv: float, base_mva: float) -> float:
-    if base_kv <= 0 or base_mva <= 0:
-        raise ValueError("bases must be positive")
-    return base_kv**2 / base_mva
-
-
-def to_pu_impedance(ohm: float, base_kv: float, base_mva: float) -> float:
-    return ohm / z_base(base_kv, base_mva)
-
-
-def from_pu_impedance(pu: float, base_kv: float, base_mva: float) -> float:
-    return pu * z_base(base_kv, base_mva)
 
 
 # ---------------------------------------------------------------------------

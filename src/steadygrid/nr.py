@@ -1,8 +1,9 @@
 """Inner Newton-Raphson loop with variable, voltage and Q limiting.
 
-Each iteration stamps the companion system at the current iterate, measures
-the true nonlinear residual (``A x_k - b`` is exact for companion stamps),
-solves for the raw next iterate and then applies the safeguards:
+Each call binds its parameter set to a companion layout that the caller
+builds once; each iteration assembles the system at the current iterate,
+measures the true nonlinear residual (``A x_k - b`` is exact for companion
+stamps), solves for the raw next iterate and then applies the safeguards:
 
 * voltage limiting caps every ``V_R``/``V_I`` step at ``dv_max`` and clamps
   the result into ``[v_min, v_max]``;
@@ -27,6 +28,7 @@ from .indexing import IndexMap, StateVector
 from .linsys import SparseSystem
 from .network import Network, PHASE_OFFSETS
 from .stamps import (
+    BoundCompanion,
     Companion,
     DeviceParams,
     GenModes,
@@ -149,33 +151,25 @@ def apply_q_limiting(
 # Residual evaluation
 
 
-def _kcl_mask(index: IndexMap) -> np.ndarray:
-    """Rows whose residual counts for convergence: everything except the
-    KCL rows of slack buses (their mismatch is absorbed by the source)."""
-    mask = np.ones(index.dim, dtype=bool)
-    vr, vi = index.voltage_indices()
-    slack = list(index.slack_positions)
-    mask[vr[:, slack]] = False
-    mask[vi[:, slack]] = False
-    return mask
+def _max_abs(f: np.ndarray, mask: np.ndarray) -> float:
+    """Largest ``|f|`` over the selected rows, 0 when none is selected."""
+    return float(np.max(np.abs(f[mask]))) if mask.any() else 0.0
 
 
 def _constraint_mask(index: IndexMap) -> np.ndarray:
-    mask = np.zeros(index.dim, dtype=bool)
-    mask[2 * index.nbus * index.nphase :] = True
-    return mask
+    return np.arange(index.dim) >= 2 * index.nbus * index.nphase
 
 
 def residual_vector(
-    companion: Companion,
+    bound: BoundCompanion,
     state: StateVector,
     modes: GenModes | None = None,
     system: SparseSystem | None = None,
 ) -> np.ndarray:
     """Exact nonlinear residual F(x) via the companion identity A x - b."""
-    parts = assemble_system(companion, state, 1.0, modes)
+    parts = assemble_system(bound, state, 1.0, modes)
     if system is None:
-        system = SparseSystem(companion.index.dim)
+        system = SparseSystem(bound.layout.index.dim)
     system.assemble(*parts)
     return system.matrix @ state.x - system.rhs
 
@@ -189,13 +183,14 @@ def check_convergence(
 ) -> ResidualReport:
     """Nonlinear mismatch test on the (untransformed) network equations."""
     index = state.index
+    layout = build_companion(network, index)
     if params is None:
         params = effective_params(network)
-    f = residual_vector(build_companion(network, params, index), state, modes)
-    kcl = _kcl_mask(index) & ~_constraint_mask(index)
+    f = residual_vector(layout.bind(params), state, modes)
     con = _constraint_mask(index)
-    max_kcl = float(np.max(np.abs(f[kcl]))) if kcl.any() else 0.0
-    max_con = float(np.max(np.abs(f[con]))) if con.any() else 0.0
+    kcl = layout.kcl_mask & ~con
+    max_kcl = _max_abs(f, kcl)
+    max_con = _max_abs(f, con)
     res = max(max_kcl, max_con)
     return ResidualReport(res < tol, res, max_kcl, max_con)
 
@@ -212,8 +207,7 @@ def _reinit_voltage(state: StateVector, network: Network, bus: int, ph: int) -> 
 
 
 def nr_iterate(
-    companion: Companion,
-    mask: np.ndarray,
+    bound: BoundCompanion,
     state: StateVector,
     options: NrOptions,
     zeta: float,
@@ -221,48 +215,44 @@ def nr_iterate(
     system: SparseSystem,
     iteration: int,
 ):
-    """One stamp-assemble-solve-limit cycle; ``mask`` selects the KCL rows
-    whose mismatch counts.
+    """One stamp-assemble-solve-limit cycle.
 
     Returns ``(next_state, trace_row, residual_before_step)``. Raises
     :class:`SingularityError` when the linearized system cannot be solved.
     """
-    index = companion.index
+    c = bound.layout
     for attempt in range(4):
         try:
-            parts = assemble_system(companion, state, zeta, modes)
+            parts = assemble_system(bound, state, zeta, modes)
             break
         except ZeroVoltageIterate as zvi:
             if attempt == 3:
                 raise
-            _reinit_voltage(state, companion.network, zvi.bus, zvi.phase)
+            _reinit_voltage(state, c.network, zvi.bus, zvi.phase)
     system.assemble(*parts)
-    f = system.matrix @ state.x - system.rhs
-    residual = float(np.max(np.abs(f[mask]))) if mask.any() else 0.0
+    residual = _max_abs(system.matrix @ state.x - system.rhs, c.kcl_mask)
 
     x_raw = system.factor_solve()
     dx = x_raw - state.x
 
-    nv = 2 * index.nbus * index.nphase
+    nv = 2 * c.index.nbus * c.index.nphase
     dv = dx[:nv]
     max_dv = float(np.max(np.abs(dv))) if nv else 0.0
 
     new = state.copy()
-    limited = 0
     v_new = apply_voltage_limiting(state.x[:nv], dv, options)
-    limited += int(np.count_nonzero(np.abs(v_new - x_raw[:nv]) > 0.0))
+    limited = int(np.count_nonzero(np.abs(v_new - x_raw[:nv]) > 0.0))
     new.x[:nv] = v_new
     # auxiliary slack currents take the raw solve
     new.x[nv:] = x_raw[nv:]
     # Q limiting on free generator slots
-    c = companion
     pinned = modes.mode.ravel()[c.slot_lanes] == GEN_PINNED
     for lane, qi, pin in zip(c.slot_lanes, c.q_idx, pinned):
         if pin:
             continue
         v = c.gen_v[lane]
         q_lim = apply_q_limiting(
-            float(c.gen_p[lane]), state.x[qi], x_raw[qi], state.x[v], state.x[v + 1],
+            float(bound.gen_p[lane]), state.x[qi], x_raw[qi], state.x[v], state.x[v + 1],
             options.di_max,
         )
         if q_lim != x_raw[qi]:
@@ -274,9 +264,8 @@ def nr_iterate(
 
 
 def run_newton(
-    network: Network,
+    layout: Companion,
     params: DeviceParams,
-    index: IndexMap,
     state: StateVector,
     options: NrOptions,
     modes: GenModes | None = None,
@@ -286,28 +275,25 @@ def run_newton(
     """Iterate to convergence. Returns ``(state, converged, iterations)``.
 
     ``trace`` (when given) accumulates one row per iteration actually taken;
-    ``system`` may be shared across calls to reuse the assembly pattern.
+    ``layout`` and ``system`` may be shared across calls to reuse the layout
+    and the assembly pattern.
     """
     if modes is None:
-        modes = GenModes.initial(network)
+        modes = GenModes.initial(layout.network)
     if system is None:
-        system = SparseSystem(index.dim)
+        system = SparseSystem(layout.index.dim)
     own_trace: list[NrTraceRow] = [] if trace is None else trace
     base = len(own_trace)
     zeta = options.zeta_init
     current = state.copy()
-    companion = build_companion(network, params, index)
-    mask = _kcl_mask(index)
+    bound = layout.bind(params)
     for k in range(options.max_iter):
-        new, row, residual = nr_iterate(
-            companion, mask, current, options, zeta, modes, system, k
-        )
+        new, row, residual = nr_iterate(bound, current, options, zeta, modes, system, k)
         if residual < options.tol:
             return current, True, k
         own_trace.append(row)
         current = new
         zeta = update_zeta(own_trace[base:], zeta, options)
     # the final iterate may have just crossed the tolerance
-    f = residual_vector(companion, current, modes, system)
-    residual = float(np.max(np.abs(f[mask]))) if mask.any() else 0.0
+    residual = _max_abs(residual_vector(bound, current, modes, system), layout.kcl_mask)
     return current, residual < options.tol, options.max_iter

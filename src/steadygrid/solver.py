@@ -25,7 +25,7 @@ from .linsys import SingularityError, SparseSystem
 from .network import Connection, Network, PHASE_OFFSETS, PhaseDomain, validate
 from .nr import NrOptions, check_convergence, run_newton
 from .reference import build_ybus
-from .stamps import GEN_PINNED, GEN_VC, GenModes, effective_params
+from .stamps import GEN_PINNED, GEN_VC, GenModes, build_companion, effective_params
 
 __all__ = [
     "CONVERGED",
@@ -368,6 +368,7 @@ def solve(network: Network, options: SolverOptions | None = None):
 
     t0 = time.perf_counter()
     index = IndexMap(network)
+    layout = build_companion(network, index)  # taps and shunt blocks only bind values
     modes = GenModes.initial(network)
     system = SparseSystem(index.dim)
 
@@ -391,7 +392,7 @@ def solve(network: Network, options: SolverOptions | None = None):
         if options.homotopy == "none" or pass_no > 1:
             try:
                 state_new, ok, iters = run_newton(
-                    operated, params, index, state, options.nr, modes, system, nr_trace
+                    layout, params, state, options.nr, modes, system, nr_trace
                 )
                 total_inner += iters
             except SingularityError:
@@ -401,7 +402,7 @@ def solve(network: Network, options: SolverOptions | None = None):
         if not ok and options.homotopy != "none":
             hres = run_homotopy(
                 operated, options.homotopy, options.nr, options.schedule,
-                index=index, modes=modes, base=params, system=system, nr_trace=nr_trace,
+                layout=layout, modes=modes, base=params, system=system, nr_trace=nr_trace,
             )
             total_inner += hres.inner_iterations
             homotopy_steps += hres.steps
@@ -448,7 +449,6 @@ def solve(network: Network, options: SolverOptions | None = None):
     report.lambda_trace = lam_trace
     report.nr_trace = nr_trace
     report.network = operated
-    report.wall_time_s = time.perf_counter() - t0
 
     if status == CONVERGED:
         res = check_convergence(operated, state, options.nr.tol, modes)
@@ -456,6 +456,7 @@ def solve(network: Network, options: SolverOptions | None = None):
         report.max_constraint_residual = res.max_constraint
         if not res.converged:
             report.status = DIVERGED
+    report.wall_time_s = time.perf_counter() - t0
     v = state.v_complex()
     report.vmag = np.abs(v)
     report.vang_deg = np.degrees(np.angle(v))

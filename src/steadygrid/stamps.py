@@ -6,26 +6,25 @@ expansion around the current iterate, so
 
     A(x_k) x_k - b(x_k)  ==  F(x_k)
 
-is exactly the nonlinear KCL/constraint residual. It is built in two parts:
+is exactly the nonlinear KCL/constraint residual. It is made in three steps:
 
-* the **linear part** depends only on the parameter set: branches and their
-  charging, transformers (``n = tap * exp(j shift)`` on the from side),
-  virtual shorts, shunts, BIG loads, the impedance part of ZIP loads (wye to
-  ground, delta between two phase nodes) and the slack rows. One vectorised
-  primitive turns their complex admittance blocks into real triplets.
-  :func:`build_companion` makes it once per parameter set;
-* the **nonlinear part** holds generators per (generator, phase) and the
-  constant-current and constant-power parts of ZIP loads per (load,
-  terminal). :func:`assemble_system` only computes their values at the
-  iterate, elementwise over arrays, with :func:`pv_current_jac` and
-  :func:`zip_current_jac`.
-
-The pattern depends only on the network: zero-valued shunts, loads,
-charging and virtual shorts (one per remote-control pair, open outside Tx
-stepping) emit explicit zeros, and every Q-slot row emits its diagonal and
-both regulated-voltage columns whether the generator is free or pinned at a
-limit. Assemblies at any iterate, generator mode or parameter values
-therefore share (rows, cols).
+* :func:`build_companion` **lays it out** once per solve from device
+  endpoints, connections and the :class:`IndexMap`: the whole fixed pattern,
+  the node array of every device family, the generator and ZIP lanes, the
+  Q-slot rows and the KCL mask. Zero-valued shunts, loads, charging and
+  virtual shorts (one per remote-control pair, open outside Tx stepping) keep
+  their explicit zeros, and every Q-slot row keeps its diagonal and both
+  regulated-voltage columns whether the generator is free or pinned;
+* :meth:`Companion.bind` **binds** one parameter set (:class:`DeviceParams`,
+  stacked arrays): the values of the linear part (branches and charging,
+  transformers with ``n = tap * exp(j shift)`` on the from side, virtual
+  shorts, shunts, BIG loads, wye and delta ZIP impedance, slack rows), the
+  constant rhs and the lane parameters. Continuation steps, taps and shunt
+  blocks change only this step;
+* :func:`assemble_system` computes the nonlinear values at the iterate,
+  elementwise over the lanes, with :func:`pv_current_jac` and
+  :func:`zip_current_jac`: generators per (generator, phase) and the
+  constant-current and -power parts of ZIP loads per (load, terminal).
 
 Sign conventions: each KCL row sums currents *leaving* the node, so passive
 and load currents enter with ``+`` and source injections with ``-``.
@@ -55,6 +54,7 @@ __all__ = [
     "effective_params",
     "build_virtual_shorts",
     "Companion",
+    "BoundCompanion",
     "build_companion",
     "assemble_system",
 ]
@@ -107,30 +107,41 @@ class GenModes:
 # Effective (possibly homotopy-transformed) device parameters
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeviceParams:
-    """Snapshot of the numeric parameters the stamps consume.
+    """Snapshot of the numeric parameters the stamps consume, stacked per
+    device family in network order.
 
-    Continuation methods produce transformed copies of this structure; the
-    identity snapshot reproduces the Network exactly. ``short_y`` is the
-    admittance every virtual short carries; it is zero outside Tx stepping.
+    Series admittances (``branch_y``, ``xfmr_y``) are ``(ndevice, nph, nph)``
+    complex arrays; every other field is ``(ndevice, nph)``. ``gen_q`` is the
+    fixed reactive power, 0 for voltage-controlling machines (their Q-slot
+    lanes read the state instead). ``short_y`` is the admittance every
+    virtual short carries; it is zero outside Tx stepping.
+
+    Every array is read-only: continuation transforms share the arrays they
+    leave unchanged with their base, so an in-place edit must fail.
     """
 
-    branch_y: list
-    branch_bf: list
-    branch_bt: list
-    xfmr_y: list
-    xfmr_tap: list
-    xfmr_shift: list
-    shunt_y: list
-    gen_p: list
-    gen_q: list  # fixed per-phase Q or None per generator
-    zip_y: list
-    zip_i: list
-    zip_s: list
-    big_alpha: list
-    big_y: list
+    branch_y: np.ndarray
+    branch_bf: np.ndarray
+    branch_bt: np.ndarray
+    xfmr_y: np.ndarray
+    xfmr_tap: np.ndarray
+    xfmr_shift: np.ndarray
+    shunt_y: np.ndarray
+    gen_p: np.ndarray
+    gen_q: np.ndarray
+    zip_y: np.ndarray
+    zip_i: np.ndarray
+    zip_s: np.ndarray
+    big_alpha: np.ndarray
+    big_y: np.ndarray
     short_y: complex = 0j
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
 
 def effective_params(network: Network) -> DeviceParams:
@@ -138,26 +149,31 @@ def effective_params(network: Network) -> DeviceParams:
 
     Only switchable shunts engage their ``blocks_on`` susceptance blocks.
     """
+    nph = network.nphase
+
+    def stack(values, dtype=complex, *tail):
+        return np.array(values, dtype=dtype).reshape(-1, nph, *tail)
+
     shunt_y = []
     for sh in network.shunts:
         engaged = sh.switchable and sh.block_b is not None
         b = sh.b + (sh.blocks_on * sh.block_b if engaged else 0.0)
         shunt_y.append(sh.g + 1j * b)
     return DeviceParams(
-        branch_y=[br.y_series for br in network.branches],
-        branch_bf=[br.b_from for br in network.branches],
-        branch_bt=[br.b_to for br in network.branches],
-        xfmr_y=[tx.y_series for tx in network.transformers],
-        xfmr_tap=[tx.tap for tx in network.transformers],
-        xfmr_shift=[tx.shift for tx in network.transformers],
-        shunt_y=shunt_y,
-        gen_p=[g.p for g in network.generators],
-        gen_q=[g.q for g in network.generators],
-        zip_y=[ld.y for ld in network.zip_loads],
-        zip_i=[ld.i for ld in network.zip_loads],
-        zip_s=[ld.s for ld in network.zip_loads],
-        big_alpha=[ld.alpha for ld in network.big_loads],
-        big_y=[ld.y for ld in network.big_loads],
+        branch_y=stack([br.y_series for br in network.branches], complex, nph),
+        branch_bf=stack([br.b_from for br in network.branches], float),
+        branch_bt=stack([br.b_to for br in network.branches], float),
+        xfmr_y=stack([tx.y_series for tx in network.transformers], complex, nph),
+        xfmr_tap=stack([tx.tap for tx in network.transformers], float),
+        xfmr_shift=stack([tx.shift for tx in network.transformers], float),
+        shunt_y=stack(shunt_y),
+        gen_p=stack([g.p for g in network.generators], float),
+        gen_q=stack([np.zeros(nph) if g.q is None else g.q for g in network.generators], float),
+        zip_y=stack([ld.y for ld in network.zip_loads]),
+        zip_i=stack([ld.i for ld in network.zip_loads]),
+        zip_s=stack([ld.s for ld in network.zip_loads]),
+        big_alpha=stack([ld.alpha for ld in network.big_loads]),
+        big_y=stack([ld.y for ld in network.big_loads]),
     )
 
 
@@ -265,7 +281,7 @@ def invert_pv_current(ir: float, ii: float, vr: float, vi: float):
 
 
 # ---------------------------------------------------------------------------
-# The companion system of one parameter set
+# The companion system: laid out once per network, bound per parameter set
 
 
 def _blocks(rows: np.ndarray, cols: np.ndarray):
@@ -277,46 +293,31 @@ def _blocks(rows: np.ndarray, cols: np.ndarray):
     )
 
 
-def _add_complex_y(blocks):
-    """Real triplets of the currents ``y V[col]`` leaving node ``row``.
-
-    ``blocks`` holds ``(rows, cols, y)`` groups of ``V_R`` indices and complex
-    admittances, each group broadcast to one shape.
-    """
-    parts = [np.broadcast_arrays(r, c, y) for r, c, y in blocks]
-    rows = np.concatenate([r.ravel() for r, _, _ in parts])
-    cols = np.concatenate([c.ravel() for _, c, _ in parts])
-    y = np.concatenate([y.ravel() for _, _, y in parts]).astype(complex)
-    g, b = y.real, y.imag
-    return (*_blocks(rows, cols), np.concatenate([g, -b, b, g]))
-
-
-def _stack(values, shape, dtype=complex) -> np.ndarray:
-    """Per-device parameter arrays as one (ndevice, *shape) array."""
-    return np.array(values, dtype=dtype).reshape((-1, *shape))
-
-
 @dataclass(frozen=True)
 class Companion:
-    """The companion system of one parameter set, before any iterate.
+    """The layout of a network's companion system, before any parameter set.
 
-    ``rows``/``cols`` is the whole fixed pattern: the linear triplets first
-    (values ``linear_vals``, constant right-hand side ``linear_rhs``), then
-    the nonlinear slots in the order :func:`assemble_system` fills them.
+    It depends only on device endpoints, connections and the
+    :class:`IndexMap`, so one layout serves every parameter set of a solve:
+    continuation steps, taps and shunt blocks change values, never the layout.
+    ``rows``/``cols`` is the whole fixed pattern: the linear triplets first,
+    then the nonlinear slots in the order :func:`assemble_system` fills them.
     Lanes are (generator, phase) and (ZIP load, terminal) in device order;
-    indices are ``V_R`` positions (``V_I`` follows each).
+    indices are ``V_R`` positions (``V_I`` follows each). :meth:`bind` adds
+    one parameter set's values.
     """
 
     network: Network
     index: IndexMap
     rows: np.ndarray
     cols: np.ndarray
-    linear_vals: np.ndarray
-    linear_rhs: np.ndarray
+    n_short: int  # (virtual short, phase) lanes
+    zip_delta: np.ndarray  # per ZIP load: delta connected
+    big_v: np.ndarray  # node per BIG-load lane
+    slack_vals: np.ndarray  # linear values of the slack rows
+    slack_rhs: np.ndarray  # constant rhs of the slack set-points
     nonlinear_rhs_rows: np.ndarray
     gen_v: np.ndarray  # bus node per generator lane
-    gen_p: np.ndarray
-    gen_q: np.ndarray  # fixed Q per lane; Q-slot lanes read the state
     slot_lanes: np.ndarray  # generator lanes (k * nph + ph) with a Q slot, in slot order
     q_idx: np.ndarray  # Q unknown (and its constraint row) per slot lane
     vc_v: np.ndarray  # regulated node per slot lane
@@ -324,16 +325,71 @@ class Companion:
     zip_a: np.ndarray  # + node per ZIP lane (the node itself for wye)
     zip_b: np.ndarray  # - node per delta lane
     delta_lanes: np.ndarray
-    zip_i: np.ndarray
+    kcl_mask: np.ndarray  # rows whose mismatch counts: all but slack KCL rows
+
+    def bind(self, params: DeviceParams) -> "BoundCompanion":
+        """Stamp the linear part of ``params`` and take its lane parameters.
+
+        Raises ``ValueError`` on a non-positive transformer tap.
+        """
+        tap = params.xfmr_tap
+        bad = np.flatnonzero(np.any(tap <= 0, axis=1))
+        if bad.size:
+            tx = self.network.transformers[bad[0]]
+            raise ValueError(
+                f"transformer {tx.from_bus}-{tx.to_bus}: tap must be positive, "
+                f"got {tap[bad[0]]}"
+            )
+        # complex admittance per laid-out triplet group, in layout order;
+        # transformers stamp N^-* Y N^-1, -N^-* Y, -Y N^-1 and Y
+        n = tap * np.exp(1j * params.xfmr_shift)
+        n_row, n_col = n[:, :, None], n[:, None, :]
+        yb, yt = params.branch_y, params.xfmr_y
+        short = np.full(self.n_short, params.short_y)
+        yz = params.zip_y
+        yd = yz[self.zip_delta]
+        groups = (
+            yb, -yb, yb, -yb, 1j * params.branch_bf, 1j * params.branch_bt,
+            yt / (np.conj(n_row) * n_col), -yt / np.conj(n_row), -yt / n_col, yt,
+            params.shunt_y, params.big_y,
+            short, -short, short, -short,
+            yz, -yd, yd, -yd,
+        )
+        y = np.concatenate([g.ravel() for g in groups]).astype(complex)
+        g, b = y.real, y.imag
+        rhs = self.slack_rhs.copy()
+        alpha = params.big_alpha.ravel()
+        np.add.at(rhs, self.big_v, -alpha.real)
+        np.add.at(rhs, self.big_v + 1, -alpha.imag)
+        zip_i, zip_s = params.zip_i.ravel(), params.zip_s.ravel()
+        return BoundCompanion(
+            layout=self,
+            linear_vals=np.concatenate([g, -b, b, g, self.slack_vals]),
+            linear_rhs=rhs,
+            gen_p=params.gen_p.ravel(),
+            gen_q=params.gen_q.ravel(),
+            zip_i=zip_i,
+            zip_s=zip_s,
+            zip_active=(zip_i != 0) | (zip_s != 0),
+        )
+
+
+@dataclass(frozen=True)
+class BoundCompanion:
+    """One parameter set's linear values, constant rhs and lane parameters."""
+
+    layout: Companion
+    linear_vals: np.ndarray
+    linear_rhs: np.ndarray
+    gen_p: np.ndarray  # per generator lane
+    gen_q: np.ndarray  # fixed Q per lane; Q-slot lanes read the state
+    zip_i: np.ndarray  # per ZIP lane
     zip_s: np.ndarray
     zip_active: np.ndarray  # lanes with a constant-current or -power part
 
 
-def build_companion(network: Network, params: DeviceParams, index: IndexMap) -> Companion:
-    """Stamp the linear part and lay out the nonlinear lanes.
-
-    Raises ``ValueError`` on a non-positive transformer tap.
-    """
+def build_companion(network: Network, index: IndexMap) -> Companion:
+    """Lay out the fixed pattern and the nonlinear lanes of ``network``."""
     nph = index.nphase
     vr, _ = index.voltage_indices()
     bus_pos = network.bus_index
@@ -346,58 +402,34 @@ def build_companion(network: Network, params: DeviceParams, index: IndexMap) -> 
         """Row and column grids of the nph x nph block between node sets."""
         return f[:, :, None], t[:, None, :]
 
-    blocks = []
+    # the linear groups, in the order Companion.bind emits their admittances;
     # branches: y between the ends, charging to ground at each end
     brs = network.branches
     f, t = nodes([br.from_bus for br in brs]), nodes([br.to_bus for br in brs])
-    y = _stack(params.branch_y, (nph, nph))
-    blocks += [
-        (*coupled(f, f), y), (*coupled(f, t), -y), (*coupled(t, t), y), (*coupled(t, f), -y)
-    ]
-    blocks += [
-        (f, f, 1j * _stack(params.branch_bf, (nph,), float)),
-        (t, t, 1j * _stack(params.branch_bt, (nph,), float)),
-    ]
-    # transformers: blocks N^-* Y N^-1, -N^-* Y, -Y N^-1 and Y
+    grids = [coupled(f, f), coupled(f, t), coupled(t, t), coupled(t, f), (f, f), (t, t)]
     txs = network.transformers
-    tap = _stack(params.xfmr_tap, (nph,), float)
-    bad = np.flatnonzero(np.any(tap <= 0, axis=1))
-    if bad.size:
-        tx = txs[bad[0]]
-        raise ValueError(
-            f"transformer {tx.from_bus}-{tx.to_bus}: tap must be positive, "
-            f"got {params.xfmr_tap[bad[0]]}"
-        )
-    n = tap * np.exp(1j * _stack(params.xfmr_shift, (nph,), float))
-    n_row, n_col = n[:, :, None], n[:, None, :]
     f, t = nodes([tx.from_bus for tx in txs]), nodes([tx.to_bus for tx in txs])
-    y = _stack(params.xfmr_y, (nph, nph))
-    blocks += [
-        (*coupled(f, f), y / (np.conj(n_row) * n_col)),
-        (*coupled(f, t), -y / np.conj(n_row)),
-        (*coupled(t, f), -y / n_col),
-        (*coupled(t, t), y),
-    ]
+    grids += [coupled(f, f), coupled(f, t), coupled(t, f), coupled(t, t)]
     # shunts and BIG-load admittances to ground
     g = nodes([sh.bus for sh in network.shunts])
-    blocks.append((g, g, _stack(params.shunt_y, (nph,))))
     bl = nodes([ld.bus for ld in network.big_loads])
-    blocks.append((bl, bl, _stack(params.big_y, (nph,))))
+    grids += [(g, g), (bl, bl)]
     # virtual shorts: y per phase between each controller and its target
     pairs = build_virtual_shorts(network)
     o, w = nodes([p[0] for p in pairs]), nodes([p[1] for p in pairs])
-    y = params.short_y
-    blocks += [(o, o, y), (o, w, -y), (w, w, y), (w, o, -y)]
+    grids += [(o, o), (o, w), (w, w), (w, o)]
     # ZIP impedance: wye to ground; delta terminal d spans phases d and d+1
     zl = network.zip_loads
     za = nodes([ld.bus for ld in zl])
     delta = np.array([ld.connection == Connection.DELTA for ld in zl], dtype=bool)
     zd = za[delta]
     zb = np.roll(zd, -1, axis=1)
-    y = _stack(params.zip_y, (nph,))
-    yd = y[delta]
-    blocks += [(za, za, y), (zd, zb, -yd), (zb, zb, yd), (zb, zd, -yd)]
-    rows, cols, vals = _add_complex_y(blocks)
+    grids += [(za, za), (zd, zb), (zb, zb), (zb, zd)]
+    parts = [np.broadcast_arrays(r, c) for r, c in grids]
+    rows, cols = _blocks(
+        np.concatenate([r.ravel() for r, _ in parts]),
+        np.concatenate([c.ravel() for _, c in parts]),
+    )
 
     # slack rows: the source current leaves through the network, the
     # constraint rows pin the node voltage
@@ -407,27 +439,22 @@ def build_companion(network: Network, params: DeviceParams, index: IndexMap) -> 
     rows = np.concatenate([rows, sv, sv + 1, si, si + 1])
     cols = np.concatenate([cols, si, si + 1, sv, sv + 1])
     ones = np.ones(sv.size)
-    linear_vals = np.concatenate([vals, -ones, -ones, ones, ones])
-    linear_rhs = np.zeros(index.dim)
+    slack_rhs = np.zeros(index.dim)
     buses = [network.buses[p] for p in slack]
     v_set = np.array([b.v_set for b in buses], dtype=float)[:, None]
     angle = np.array([b.angle for b in buses], dtype=float)[:, None]
     vset = (v_set * np.exp(1j * (angle + PHASE_OFFSETS[network.domain]))).ravel()
-    linear_rhs[si] = vset.real
-    linear_rhs[si + 1] = vset.imag
-    alpha = _stack(params.big_alpha, (nph,)).ravel()
-    np.add.at(linear_rhs, bl.ravel(), -alpha.real)
-    np.add.at(linear_rhs, bl.ravel() + 1, -alpha.imag)
+    slack_rhs[si] = vset.real
+    slack_rhs[si + 1] = vset.imag
+    kcl_mask = np.ones(index.dim, dtype=bool)  # the source absorbs slack KCL mismatch
+    kcl_mask[sv] = False
+    kcl_mask[sv + 1] = False
 
     # generator lanes; Q-slot lanes also carry the dI/dQ column and the
     # constraint row (diagonal plus both regulated-voltage columns)
     gens = network.generators
     gen_v = nodes([gen.bus for gen in gens]).ravel()
     vc_gens = np.array(index.vc_gen_positions, dtype=np.intp)
-    fixed = [
-        np.zeros(nph) if q is None or index.has_q_slot(k) else q
-        for k, q in enumerate(params.gen_q)
-    ]
     slot_lanes = (vc_gens[:, None] * nph + np.arange(nph)).ravel()
     q_idx = np.array(
         [index.q_gen(k, ph) for k in index.vc_gen_positions for ph in range(nph)], dtype=np.intp
@@ -446,19 +473,18 @@ def build_companion(network: Network, params: DeviceParams, index: IndexMap) -> 
         _blocks(zb, zd),
         _blocks(zb, zb),
     )
-    zip_i = _stack(params.zip_i, (nph,)).ravel()
-    zip_s = _stack(params.zip_s, (nph,)).ravel()
     return Companion(
         network=network,
         index=index,
         rows=np.concatenate([rows, *nl_rows]),
         cols=np.concatenate([cols, *nl_cols]),
-        linear_vals=linear_vals,
-        linear_rhs=linear_rhs,
+        n_short=o.size,
+        zip_delta=delta,
+        big_v=bl.ravel(),
+        slack_vals=np.concatenate([-ones, -ones, ones, ones]),
+        slack_rhs=slack_rhs,
         nonlinear_rhs_rows=np.concatenate([gen_v, gen_v + 1, q_idx, za, za + 1, zb, zb + 1]),
         gen_v=gen_v,
-        gen_p=_stack(params.gen_p, (nph,), float).ravel(),
-        gen_q=_stack(fixed, (nph,), float).ravel(),
         slot_lanes=slot_lanes,
         q_idx=q_idx,
         vc_v=vc_v,
@@ -466,23 +492,21 @@ def build_companion(network: Network, params: DeviceParams, index: IndexMap) -> 
         zip_a=za,
         zip_b=zb,
         delta_lanes=np.flatnonzero(np.repeat(delta, nph)),
-        zip_i=zip_i,
-        zip_s=zip_s,
-        zip_active=(zip_i != 0) | (zip_s != 0),
+        kcl_mask=kcl_mask,
     )
 
 
-def _check_nonzero(companion: Companion, vr, vi, ur, ui) -> None:
+def _check_nonzero(bound: BoundCompanion, vr, vi, ur, ui) -> None:
     """Raise :class:`ZeroVoltageIterate` for the first generator lane, then
     the first active ZIP lane, sitting at zero voltage."""
-    net = companion.network
-    nph = companion.index.nphase
+    net = bound.layout.network
+    nph = bound.layout.index.nphase
     hit = np.flatnonzero((vr == 0.0) & (vi == 0.0))
     if hit.size:
         k, ph = divmod(int(hit[0]), nph)
         gen = net.generators[k]
         raise ZeroVoltageIterate(f"gen {gen.id}", gen.bus, ph)
-    hit = np.flatnonzero(companion.zip_active & (ur == 0.0) & (ui == 0.0))
+    hit = np.flatnonzero(bound.zip_active & (ur == 0.0) & (ui == 0.0))
     if hit.size:
         k, ph = divmod(int(hit[0]), nph)
         load = net.zip_loads[k]
@@ -490,22 +514,22 @@ def _check_nonzero(companion: Companion, vr, vi, ur, ui) -> None:
 
 
 def assemble_system(
-    companion: Companion,
+    bound: BoundCompanion,
     state: StateVector,
     zeta: float = 1.0,
     modes: GenModes | None = None,
 ):
     """Companion system at the iterate; returns ``(rows, cols, vals, rhs)``.
 
-    ``rows``/``cols`` are the companion's fixed pattern (the same arrays on
+    ``rows``/``cols`` are the layout's fixed pattern (the same arrays on
     every call), ``vals`` their values and ``rhs`` the dense right-hand side.
 
-    The linear part is copied as built; the nonlinear values fill their fixed
-    slots. Generator voltage derivatives are scaled by the damping factor
-    ``zeta``; the dI/dQ column is left unscaled. Pinned Q-slot rows become
-    identity pins at ``modes.q_pin``.
+    The bound linear part is copied as is; the nonlinear values fill their
+    fixed slots. Generator voltage derivatives are scaled by the damping
+    factor ``zeta``; the dI/dQ column is left unscaled. Pinned Q-slot rows
+    become identity pins at ``modes.q_pin``.
     """
-    c = companion
+    c = bound.layout
     if modes is None:
         modes = GenModes.initial(c.network)
     x = state.x
@@ -513,13 +537,15 @@ def assemble_system(
     ur, ui = x[c.zip_a], x[c.zip_a + 1]
     ur[c.delta_lanes] -= x[c.zip_b]
     ui[c.delta_lanes] -= x[c.zip_b + 1]
-    _check_nonzero(c, vr, vi, ur, ui)
+    _check_nonzero(bound, vr, vi, ur, ui)
 
     # generators: injections enter KCL with a minus sign
     slot = c.slot_lanes
-    q = c.gen_q.copy()
+    q = bound.gen_q.copy()
     q[slot] = x[c.q_idx]
-    ir, ii, dir_dvr, dir_dvi, dii_dvr, dii_dvi, dir_dq, dii_dq = pv_current_jac(c.gen_p, q, vr, vi)
+    ir, ii, dir_dvr, dir_dvi, dii_dvr, dii_dvi, dir_dq, dii_dq = pv_current_jac(
+        bound.gen_p, q, vr, vi
+    )
     gen_r = ir - zeta * (dir_dvr * vr + dir_dvi * vi)
     gen_i = ii - zeta * (dii_dvr * vr + dii_dvi * vi)
     gen_r[slot] -= dir_dq[slot] * q[slot]
@@ -534,7 +560,9 @@ def assemble_system(
 
     # ZIP constant-current and constant-power parts; delta terminals stamp
     # +J on the + node and -J on the - node
-    zr, zi, dzr_dur, dzr_dui, dzi_dur, dzi_dui = zip_current_jac(0.0, c.zip_i, c.zip_s, ur, ui)
+    zr, zi, dzr_dur, dzr_dui, dzi_dur, dzi_dui = zip_current_jac(
+        0.0, bound.zip_i, bound.zip_s, ur, ui
+    )
     zip_r = dzr_dur * ur + dzr_dui * ui - zr
     zip_im = dzi_dur * ur + dzi_dui * ui - zi
     jac = np.stack([dzr_dur, dzr_dui, dzi_dur, dzi_dui])
@@ -542,12 +570,12 @@ def assemble_system(
     jd = jac[:, dl].ravel()
 
     vals = np.concatenate([
-        c.linear_vals,
+        bound.linear_vals,
         -zeta * dir_dvr, -zeta * dir_dvi, -zeta * dii_dvr, -zeta * dii_dvi,
         -dir_dq[slot], -dii_dq[slot],
         pinned.astype(float), np.where(pinned, 0.0, -2.0 * wr), np.where(pinned, 0.0, -2.0 * wi),
         jac.ravel(), -jd, -jd, jd,
     ])
     nl_rhs = np.concatenate([gen_r, gen_i, vc_rhs, zip_r, zip_im, -zip_r[dl], -zip_im[dl]])
-    rhs = np.bincount(c.nonlinear_rhs_rows, weights=nl_rhs, minlength=c.index.dim) + c.linear_rhs
-    return c.rows, c.cols, vals, rhs
+    rhs = np.bincount(c.nonlinear_rhs_rows, weights=nl_rhs, minlength=c.index.dim)
+    return c.rows, c.cols, vals, rhs + bound.linear_rhs

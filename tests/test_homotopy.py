@@ -146,11 +146,11 @@ def test_remote_pair_maps_to_single_path():
     def linear_part(c):
         n = c.linear_vals.size
         a = np.zeros((index.dim, index.dim))
-        np.add.at(a, (c.rows[:n], c.cols[:n]), c.linear_vals)
+        np.add.at(a, (c.layout.rows[:n], c.layout.cols[:n]), c.linear_vals)
         return n, a
 
-    n_pair, a_pair = linear_part(build_companion(net, p0, index))
-    n_local, a_local = linear_part(build_companion(local, p0, index))
+    n_pair, a_pair = linear_part(build_companion(net, index).bind(p0))
+    n_local, a_local = linear_part(build_companion(local, index).bind(p0))
     assert n_pair - n_local == 16
     assert np.array_equal(a_pair, a_local)
 
@@ -184,7 +184,7 @@ def test_shorted_system_voltages_hug_the_sources(name):
     index = IndexMap(net)
     params = tx_transform(net, 1.0, 1e4)
     state, ok, iters = run_newton(
-        net, params, index, anchored_state(net, index), NrOptions(tol=1e-8)
+        build_companion(net, index), params, anchored_state(net, index), NrOptions(tol=1e-8)
     )
     assert ok
     assert iters <= 5  # trivial problem property
@@ -216,6 +216,7 @@ def test_lambda_monotone_nonincreasing():
 def test_warm_start_continuity():
     net = load_case(case_path("case14.net")).network
     index = IndexMap(net)
+    layout = build_companion(net, index)
     opts = NrOptions(tol=1e-10)
     state = anchored_state(net, index)
     prev = None
@@ -225,7 +226,7 @@ def test_warm_start_continuity():
     assert res.converged
     for lam, _, _ in res.accepted:
         params = tx_transform(net, lam, 1e4)
-        state, ok, _ = run_newton(net, params, index, state, opts)
+        state, ok, _ = run_newton(layout, params, state, opts)
         assert ok
         v = state.v_complex().copy()
         if prev is not None and lam_prev != lam:

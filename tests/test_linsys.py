@@ -99,10 +99,12 @@ def test_backward_error_on_diagonally_dominant(n):
     rows = np.concatenate([rows, np.arange(n)])
     cols = np.concatenate([cols, np.arange(n)])
     vals = np.concatenate([vals, np.full(n, 10.0 * nnz_per_row)])
+    b = rng.normal(size=n)
     s = SparseSystem(n)
-    s.assemble(rows, cols, vals, rng.normal(size=n))
+    s.assemble(rows, cols, vals, b)
     x = s.factor_solve()
-    assert s.residual_norm(x) < 1e-10
+    # relative infinity-norm backward error
+    assert np.max(np.abs(s.matrix @ x - b)) / max(1.0, np.max(np.abs(b))) < 1e-10
 
 
 def test_badly_scaled_rows_are_equilibrated():

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -10,15 +8,10 @@ from steadygrid.network import (
     Generator,
     Network,
     PhaseDomain,
-    from_pu_impedance,
-    from_pu_power,
     coupled_line_y,
     phase_array,
     series_y,
-    to_pu_impedance,
-    to_pu_power,
     validate,
-    z_base,
 )
 
 from conftest import make_branch, make_zip, net_2bus
@@ -91,56 +84,12 @@ def test_coupled_line_helper_is_exactly_symmetric():
     assert np.array_equal(y, y.T)
 
 
-def test_bus_kind_derivation():
-    net = net_2bus()
-    assert net.bus_kind(1) == BusKind.SLACK
-    assert net.bus_kind(2) == BusKind.PQ
-
-
 def test_dangling_reference_detected():
     buses = (Bus(1, BusKind.SLACK, 138.0, 1.0), Bus(2, BusKind.PQ, 138.0))
     net = Network(PhaseDomain.POSITIVE_SEQUENCE, 100.0, buses,
                   zip_loads=(make_zip(1, 99, s=0.1),),
                   branches=(make_branch(1, 1, 2, 0.01, 0.1),))
     assert any(i.code == "unknown_bus" for i in validate(net))
-
-
-# -- per-unit conversions ----------------------------------------------------
-
-
-def test_power_base_ratio_one():
-    assert to_pu_power(100.0, 100.0) == 1.0
-
-
-def test_power_complex_parts():
-    assert to_pu_power(50.0, 100.0) == 0.5
-    assert to_pu_power(10.0, 100.0) == 0.1
-
-
-def test_impedance_conversion_138kv():
-    # 5 ohm on a 138 kV / 100 MVA base: Z_base = 190.44 ohm
-    z = to_pu_impedance(5.0, 138.0, 100.0)
-    assert z == pytest.approx(5.0 / 190.44, rel=1e-15)
-    assert round(z, 5) == 0.02625
-
-
-def test_per_unit_round_trip_identity():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        mw = float(rng.uniform(-500, 500))
-        base = float(rng.uniform(1, 1000))
-        assert abs(from_pu_power(to_pu_power(mw, base), base) - mw) < 1e-12 * max(1, abs(mw))
-        ohm = float(rng.uniform(0.01, 100))
-        kv = float(rng.uniform(1, 765))
-        back = from_pu_impedance(to_pu_impedance(ohm, kv, base), kv, base)
-        assert abs(back - ohm) < 1e-12 * max(1, abs(ohm))
-
-
-def test_bad_base_rejected():
-    with pytest.raises(ValueError):
-        to_pu_power(10.0, 0.0)
-    with pytest.raises(ValueError):
-        z_base(-1.0, 100.0)
 
 
 def test_islands_union_find():

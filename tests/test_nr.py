@@ -15,7 +15,13 @@ from steadygrid.nr import (
     trace_to_csv,
     update_zeta,
 )
-from steadygrid.stamps import GenModes, effective_params, invert_pv_current, pv_current
+from steadygrid.stamps import (
+    GenModes,
+    build_companion,
+    effective_params,
+    invert_pv_current,
+    pv_current,
+)
 from steadygrid.solver import uniform_state
 
 from conftest import net_2bus, net_3bus, net_linear
@@ -147,15 +153,16 @@ def test_partial_cap_limits_q_change():
 def test_linear_network_converges_in_one_iteration_from_any_start():
     net = net_linear()
     index = IndexMap(net)
+    layout = build_companion(net, index)
     params = effective_params(net)
     rng = np.random.default_rng(9)
     for _ in range(10):
         state = flat_state(index)
         state.x += rng.uniform(-3, 3, size=index.dim)
-        out, ok, iters = run_newton(net, params, index, state, WIDE)
+        out, ok, iters = run_newton(layout, params, state, WIDE)
         assert ok and iters == 1
         # second iterate would take a zero step: already at the solution
-        out2, ok2, iters2 = run_newton(net, params, index, out, WIDE)
+        out2, ok2, iters2 = run_newton(layout, params, out, WIDE)
         assert ok2 and iters2 == 0
 
 
@@ -164,7 +171,9 @@ def test_two_bus_quadratic_convergence():
     index = IndexMap(net)
     params = effective_params(net)
     trace = []
-    state, ok, iters = run_newton(net, params, index, flat_state(index), WIDE, trace=trace)
+    state, ok, iters = run_newton(
+        build_companion(net, index), params, flat_state(index), WIDE, trace=trace
+    )
     assert ok
     residuals = [r.residual for r in trace if r.residual > 0]
     # superlinear: successive ratios shrink
@@ -180,7 +189,7 @@ def test_raw_step_capped_in_trace():
     params = effective_params(net)
     opts = NrOptions(dv_max=0.02)
     trace = []
-    run_newton(net, params, index, flat_state(index), opts, trace=trace)
+    run_newton(build_companion(net, index), params, flat_state(index), opts, trace=trace)
     # raw Newton steps recorded, limited count increments when capped
     assert any(r.limited > 0 for r in trace)
 
@@ -239,6 +248,8 @@ def test_nr_applies_clamp_bounds():
     params = effective_params(net)
     opts = NrOptions(max_iter=30)
     trace = []
-    state, ok, _ = run_newton(net, params, index, flat_state(index), opts, trace=trace)
+    state, ok, _ = run_newton(
+        build_companion(net, index), params, flat_state(index), opts, trace=trace
+    )
     nv = 2 * index.nbus
     assert np.all(state.x[:nv] >= opts.v_min) and np.all(state.x[:nv] <= opts.v_max)

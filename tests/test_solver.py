@@ -67,6 +67,32 @@ def test_qlim_switch_event_and_oracle_match():
     np.testing.assert_allclose(ref.vm, state.v_mag()[0], atol=1e-8)
 
 
+@pytest.mark.parametrize("case, method", [
+    ("case_qlim.net", "none"),
+    ("case14.net", "none"),
+    # the lambda = 1 sub-problem needs thousands of pu of reactive current
+    # through the shorted series admittances; capping its change at 0.05 pu
+    # per iteration cuts the residual by about 0.05 per iteration
+    pytest.param("case_qlim.net", "tx", marks=pytest.mark.xfail(
+        strict=True, reason="finite di_max stalls the Tx-stepping start")),
+    pytest.param("case14.net", "tx", marks=pytest.mark.xfail(
+        strict=True, reason="finite di_max stalls the Tx-stepping start")),
+])
+def test_q_limiting_inside_newton_keeps_the_solution(case, method):
+    net = load_case(case_path(case)).network
+    runs = [
+        solve(net, SolverOptions(homotopy=method, nr=NrOptions(tol=1e-10, di_max=di_max)))
+        for di_max in (math.inf, 0.05)
+    ]
+    (free, free_state), (capped, capped_state) = runs
+    assert free.status == capped.status == CONVERGED
+    limited = [sum(row.limited for row in report.nr_trace) for report, _ in runs]
+    assert limited[1] > limited[0]
+    np.testing.assert_allclose(capped_state.v_complex(), free_state.v_complex(), atol=1e-8)
+    for report, state in runs:
+        assert validate_solution(report.network, state).max < 1e-8
+
+
 def test_three_phase_feeder_iteration_count():
     net = load_case(case_path("feeder8.json")).network
     report, state = solve(net)

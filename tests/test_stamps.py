@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from steadygrid import load_case
+from steadygrid import homotopy, load_case, nr, solver
 from steadygrid.homotopy import power_transform, tx_transform
 from steadygrid.indexing import IndexMap, flat_state
 from steadygrid.linsys import SparseSystem
@@ -46,7 +46,7 @@ def dense_system(net, state=None, params=None, zeta=1.0, modes=None):
     if params is None:
         params = effective_params(net)
     rows, cols, vals, b = assemble_system(
-        build_companion(net, params, index), state, zeta, modes
+        build_companion(net, index).bind(params), state, zeta, modes
     )
     a = np.zeros((index.dim, index.dim))
     np.add.at(a, (rows, cols), vals)
@@ -149,7 +149,7 @@ def test_transformer_rejects_nonpositive_tap():
     net = two_bus(transformer=xfmr(tap=0.0))
     index = IndexMap(net)
     with pytest.raises(ValueError, match="tap must be positive"):
-        residual_vector(build_companion(net, effective_params(net), index), flat_state(index))
+        residual_vector(build_companion(net, index).bind(effective_params(net)), flat_state(index))
 
 
 def test_transformer_conservation_zero_row_sums():
@@ -261,7 +261,7 @@ def test_unloaded_generator_stamps_nothing_numeric():
 def test_zero_voltage_iterate_reported():
     net = net_3bus()  # generator at bus 3, ZIP load at bus 2
     index = IndexMap(net)
-    companion = build_companion(net, effective_params(net), index)
+    companion = build_companion(net, index).bind(effective_params(net))
     state = flat_state(index)
     state.set_voltage(net.bus_index[2], 0, 0.0 + 0.0j)
     with pytest.raises(ZeroVoltageIterate) as zvi:
@@ -302,7 +302,7 @@ def test_vc_row_residual_values():
     # |v| = 0.9 against set-point 1.0: F = 1 - 0.81 = 0.19
     state.set_voltage(pos, 0, 0.9 + 0.0j)
     object.__setattr__(net.buses[pos], "v_set", 1.0)
-    companion = build_companion(net, effective_params(net), index)
+    companion = build_companion(net, index).bind(effective_params(net))
     assert residual_vector(companion, state)[row] == pytest.approx(0.19)
 
     # magnitude-only: (0.8, 0.6) has |v| = 1 exactly
@@ -396,7 +396,7 @@ def test_zip_gradient_against_finite_differences():
 
 def fd_jacobian(companion, state, modes=None):
     h = 1e-7
-    dim = companion.index.dim
+    dim = companion.layout.index.dim
     jac = np.zeros((dim, dim))
     for j in range(dim):
         xp = state.copy()
@@ -455,7 +455,7 @@ def test_assembled_jacobian_matches_fd(setup):
     state.x[: 2 * index.nbus * index.nphase] += rng.uniform(
         -0.1, 0.1, size=2 * index.nbus * index.nphase
     )
-    companion = build_companion(net, params, index)
+    companion = build_companion(net, index).bind(params)
     system = SparseSystem(index.dim)
     system.assemble(*assemble_system(companion, state, 1.0, modes))
     a = np.asarray(system.matrix.todense())
@@ -481,7 +481,7 @@ def test_taylor_consistency_at_expansion_point():
     state = flat_state(index)
     rng = np.random.default_rng(3)
     state.x += rng.uniform(-0.05, 0.05, size=index.dim)
-    companion = build_companion(net, effective_params(net), index)
+    companion = build_companion(net, index).bind(effective_params(net))
     f_unit = residual_vector(companion, state)
     # zeta must not change the residual at the expansion point
     system = SparseSystem(index.dim)
@@ -500,12 +500,13 @@ def test_sparsity_pattern_is_iterate_independent():
     s1 = flat_state(index)
     s2 = flat_state(index)
     s2.x[: 2 * index.nbus] += 0.05
-    r1, c1, *_ = assemble_system(build_companion(net, params, index), s1, 1.0, free)
+    layout = build_companion(net, index)
+    r1, c1, *_ = assemble_system(layout.bind(params), s1, 1.0, free)
     # nor does it depend on pinned Q rows or on zeroed parameters
     for prm, st, modes in ((params, s2, free), (params, s1, pinned),
                            (tx_transform(net, 0.5, 10.0), s1, free),
                            (power_transform(net, 0.0), s2, free)):
-        r2, c2, *_ = assemble_system(build_companion(net, prm, index), st, 1.0, modes)
+        r2, c2, *_ = assemble_system(layout.bind(prm), st, 1.0, modes)
         assert np.array_equal(r1, r2) and np.array_equal(c1, c2)
 
 
@@ -531,3 +532,43 @@ def test_one_pattern_build_per_system_in_a_solve(monkeypatch, case, method, qmax
     report, _ = solve(net, SolverOptions(homotopy=method, nr=NrOptions(tol=1e-8)))
     assert report.status == "converged"
     assert systems and [s.pattern_builds for s in systems] == [1] * len(systems)
+
+
+@pytest.mark.parametrize("case, method, passes, newton_calls", [
+    pytest.param("case196_mesh.net", "tx", 3, 8, id="case196_mesh.net-tx"),
+    pytest.param("feeder8.json", "power", 1, 6, id="feeder8.json-power"),
+])
+def test_one_layout_per_solve(monkeypatch, case, method, passes, newton_calls):
+    builds, newton = [], []
+    for module in (solver, nr, homotopy):
+        def counting(*args, _module=module.__name__, _build=module.build_companion):
+            builds.append(_module)
+            return _build(*args)
+
+        monkeypatch.setattr(module, "build_companion", counting)
+    for module in (solver, homotopy):
+        def counting_newton(*args, _run=module.run_newton):
+            newton.append(args[0])
+            return _run(*args)
+
+        monkeypatch.setattr(module, "run_newton", counting_newton)
+    net = load_case(case_path(case)).network
+    report, _ = solve(net, SolverOptions(homotopy=method, nr=NrOptions(tol=1e-8)))
+    assert report.status == "converged" and report.outer_passes == passes
+    assert len(newton) == newton_calls
+    # one layout for the solve loop, one for the independent final check
+    assert builds == ["steadygrid.solver", "steadygrid.nr"]
+    assert all(layout is newton[0] for layout in newton)
+
+
+def test_device_params_are_read_only():
+    net = net_allparts()
+    base = effective_params(net)
+    with pytest.raises(ValueError):
+        base.branch_y[0, 0, 0] = 0.0
+    stepped = tx_transform(net, 0.5, 10.0, base)
+    assert stepped.gen_p is base.gen_p  # shared with the base, never copied
+    with pytest.raises(ValueError):
+        stepped.gen_p[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        stepped.branch_y[0, 0, 0] = 0.0
