@@ -129,21 +129,13 @@ def anchored_state(network: Network, index: IndexMap) -> StateVector:
     The first sub-problem's solution sits in a small ball around these values,
     so this start makes it trivially reachable.
     """
-    x = np.zeros(index.dim)
-    offsets = PHASE_OFFSETS[network.domain]
-    island_slack = {}
-    for pos, bus in enumerate(network.buses):
-        if bus.kind == BusKind.SLACK:
-            island_slack[network.islands[pos]] = bus
-    for pos in range(network.nbus):
-        slack = island_slack.get(network.islands[pos])
-        vmag = slack.v_set if slack is not None else 1.0
-        vang = slack.angle if slack is not None else 0.0
-        for ph in range(index.nphase):
-            v = vmag * np.exp(1j * (vang + offsets[ph]))
-            x[index.vr(pos, ph)] = v.real
-            x[index.vi(pos, ph)] = v.imag
-    return StateVector(x, index)
+    slack = {network.islands[k]: b for k, b in enumerate(network.buses) if b.kind == BusKind.SLACK}
+    buses = [slack.get(island) for island in network.islands]
+    vmag = np.array([1.0 if b is None else b.v_set for b in buses], dtype=float)
+    vang = np.array([0.0 if b is None else b.angle for b in buses], dtype=float)
+    state = StateVector(np.zeros(index.dim), index)
+    state.set_voltages(vmag * np.exp(1j * (vang + PHASE_OFFSETS[network.domain][:, None])))
+    return state
 
 
 def run_homotopy(

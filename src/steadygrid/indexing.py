@@ -113,6 +113,12 @@ class StateVector:
         self.x[self.index.vr(bus_pos, ph)] = v.real
         self.x[self.index.vi(bus_pos, ph)] = v.imag
 
+    def set_voltages(self, v: np.ndarray) -> None:
+        """Write every node voltage; ``v`` broadcasts to (nphase, nbus)."""
+        vr, vi = self.index.voltage_indices()
+        self.x[vr] = v.real
+        self.x[vi] = v.imag
+
     # -- generator reactive power ----------------------------------------------
     def q_gen(self, gen_pos: int, ph: int) -> float:
         return self.x[self.index.q_gen(gen_pos, ph)]
@@ -133,11 +139,6 @@ class StateVector:
 
 def flat_state(index: IndexMap) -> StateVector:
     """V = 1 at the balanced reference angles everywhere, all auxiliaries 0."""
-    x = np.zeros(index.dim)
-    offsets = PHASE_OFFSETS[index.network.domain]
-    for ph in range(index.nphase):
-        v = np.exp(1j * offsets[ph])
-        for k in range(index.nbus):
-            x[index.vr(k, ph)] = v.real
-            x[index.vi(k, ph)] = v.imag
-    return StateVector(x, index)
+    state = StateVector(np.zeros(index.dim), index)
+    state.set_voltages(np.exp(1j * PHASE_OFFSETS[index.network.domain])[:, None])
+    return state

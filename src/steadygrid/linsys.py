@@ -1,24 +1,25 @@
-"""Sparse real linear system: assembly, LU factorization, solve.
+"""Sparse real linear system: pattern compression, LU factorization, solve.
 
-Triplets with duplicate coordinates are summed. The compressed pattern is
-cached: as long as consecutive assemblies emit the same (rows, cols) arrays,
-only the numeric values are scattered into the cached structure, which keeps
-repeated Newton iterations free of symbolic work (``pattern_builds`` counts
-how often the symbolic step actually ran); every matrix shares the cached,
-read-only ``indices``/``indptr``. Rows are equilibrated on those CSC arrays
-before factorization, because source/constraint rows and admittance rows can
-differ by many orders of magnitude mid-continuation. The scaled copy drops the
-pattern's explicit zeros (open shorts, zeroed loads): SuperLU orders columns
-by the structure, so a kept zero would change the pivots and the solution.
+:func:`compress_pattern` is the one place a CSC structure is derived, once
+per fixed pattern; :meth:`SparseSystem.assemble` only takes CSC data over it
+(``pattern_builds`` counts the patterns it has not seen, by identity), and
+every matrix shares the pattern's read-only ``indices``/``indptr``. Rows are
+equilibrated on those CSC arrays before factorization, because
+source/constraint rows and admittance rows can differ by many orders of
+magnitude mid-continuation. The scaled copy drops the pattern's explicit
+zeros (open shorts, zeroed loads): SuperLU orders columns by the structure,
+so a kept zero would change the pivots and the solution.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-__all__ = ["SparseSystem", "SingularityError"]
+__all__ = ["CscPattern", "compress_pattern", "SparseSystem", "SingularityError"]
 
 
 class SingularityError(Exception):
@@ -30,44 +31,53 @@ class SingularityError(Exception):
         self.reason = reason
 
 
+@dataclass(frozen=True)
+class CscPattern:
+    """Canonical CSC structure of an ``n x n`` matrix; both arrays read-only."""
+
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+def compress_pattern(n: int, rows, cols) -> tuple[CscPattern, np.ndarray]:
+    """CSC pattern of the (``rows``, ``cols``) coordinates and the slot of
+    each one in it (duplicates share a slot); ``IndexError`` outside ``0..n-1``.
+
+    ``np.bincount(slots, weights=vals, minlength=pattern.indices.size)`` then
+    reduces per-coordinate values into CSC data, summing in coordinate order.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    for name, idx in (("row", rows), ("col", cols)):
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
+            raise IndexError(f"{name} index out of range 0..{n - 1}")
+    uniq, slots = np.unique(cols * n + rows, return_inverse=True)
+    indices = (uniq % n).astype(np.int32)
+    counts = np.bincount(uniq // n, minlength=n)
+    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+    # every matrix assembled on the pattern shares these: an in-place edit must fail
+    indices.flags.writeable = indptr.flags.writeable = False
+    return CscPattern(indices, indptr), slots
+
+
 class SparseSystem:
-    """One n x n real system, rebuilt in place every Newton iteration."""
+    """One n x n real system, reassembled in place every Newton iteration."""
 
     def __init__(self, n: int):
         self.n = n
         self.pattern_builds = 0
-        self._key_rows = self._key_cols = self._inverse = None
-        self._indices = self._indptr = None
+        self._pattern = None
         self._matrix = self._rhs = None
 
-    def assemble(self, rows, cols, vals, rhs) -> None:
-        """Sum duplicate triplets into CSC form; ``rhs`` is dense, length ``n``."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=float)
-        if rows.size and (rows.min() < 0 or rows.max() >= self.n):
-            raise IndexError(f"row index out of range 0..{self.n - 1}")
-        if cols.size and (cols.min() < 0 or cols.max() >= self.n):
-            raise IndexError(f"col index out of range 0..{self.n - 1}")
-
-        if self._key_rows is None or not (
-            np.array_equal(rows, self._key_rows) and np.array_equal(cols, self._key_cols)
-        ):
-            # symbolic step: canonical CSC ordering plus triplet -> slot map
-            keys = cols * self.n + rows
-            uniq, self._inverse = np.unique(keys, return_inverse=True)
-            self._key_rows = rows.copy()
-            self._key_cols = cols.copy()
-            self._indices = (uniq % self.n).astype(np.int32)
-            counts = np.bincount((uniq // self.n).astype(np.int64), minlength=self.n)
-            self._indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
-            # every assembled matrix shares these: an in-place edit must fail
-            self._indices.flags.writeable = self._indptr.flags.writeable = False
+    def assemble(self, pattern: CscPattern, data: np.ndarray, rhs: np.ndarray) -> None:
+        """``data`` holds one value per slot of ``pattern``; ``rhs`` is dense."""
+        if pattern is not self._pattern:
+            self._pattern = pattern
             self.pattern_builds += 1
-
-        data = np.bincount(self._inverse, weights=vals, minlength=self._indices.size)
-        self._matrix = sparse.csc_matrix((data, self._indices, self._indptr), shape=(self.n, self.n))
-        self._rhs = np.asarray(rhs, dtype=float)
+        self._matrix = sparse.csc_matrix(
+            (data, pattern.indices, pattern.indptr), shape=(self.n, self.n)
+        )
+        self._rhs = rhs
 
     @property
     def matrix(self) -> sparse.csc_matrix:

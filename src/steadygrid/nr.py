@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indexing import IndexMap, StateVector
+from .indexing import StateVector
 from .linsys import SparseSystem
 from .network import Network, PHASE_OFFSETS
 from .stamps import (
@@ -156,10 +156,6 @@ def _max_abs(f: np.ndarray, mask: np.ndarray) -> float:
     return float(np.max(np.abs(f[mask]))) if mask.any() else 0.0
 
 
-def _constraint_mask(index: IndexMap) -> np.ndarray:
-    return np.arange(index.dim) >= 2 * index.nbus * index.nphase
-
-
 def residual_vector(
     bound: BoundCompanion,
     state: StateVector,
@@ -167,10 +163,10 @@ def residual_vector(
     system: SparseSystem | None = None,
 ) -> np.ndarray:
     """Exact nonlinear residual F(x) via the companion identity A x - b."""
-    parts = assemble_system(bound, state, 1.0, modes)
+    data, rhs = assemble_system(bound, state, 1.0, modes)
     if system is None:
         system = SparseSystem(bound.layout.index.dim)
-    system.assemble(*parts)
+    system.assemble(bound.layout.pattern, data, rhs)
     return system.matrix @ state.x - system.rhs
 
 
@@ -187,7 +183,7 @@ def check_convergence(
     if params is None:
         params = effective_params(network)
     f = residual_vector(layout.bind(params), state, modes)
-    con = _constraint_mask(index)
+    con = np.arange(index.dim) >= 2 * index.nbus * index.nphase  # auxiliary rows
     kcl = layout.kcl_mask & ~con
     max_kcl = _max_abs(f, kcl)
     max_con = _max_abs(f, con)
@@ -200,10 +196,8 @@ def check_convergence(
 
 
 def _reinit_voltage(state: StateVector, network: Network, bus: int, ph: int) -> None:
-    offsets = PHASE_OFFSETS[network.domain]
-    pos = network.bus_index[bus]
-    v = np.exp(1j * offsets[ph])
-    state.set_voltage(pos, ph, v)
+    v = np.exp(1j * PHASE_OFFSETS[network.domain][ph])
+    state.set_voltage(network.bus_index[bus], ph, v)
 
 
 def nr_iterate(
@@ -221,15 +215,18 @@ def nr_iterate(
     :class:`SingularityError` when the linearized system cannot be solved.
     """
     c = bound.layout
-    for attempt in range(4):
+    # one node re-initialized per attempt; each generator or ZIP lane needs
+    # at most one, so an arbitrary start (all zeros included) gets through
+    budget = c.gen_v.size + c.zip_a.size
+    for attempt in range(budget + 1):
         try:
-            parts = assemble_system(bound, state, zeta, modes)
+            data, rhs = assemble_system(bound, state, zeta, modes)
             break
         except ZeroVoltageIterate as zvi:
-            if attempt == 3:
+            if attempt == budget:
                 raise
             _reinit_voltage(state, c.network, zvi.bus, zvi.phase)
-    system.assemble(*parts)
+    system.assemble(c.pattern, data, rhs)
     residual = _max_abs(system.matrix @ state.x - system.rhs, c.kcl_mask)
 
     x_raw = system.factor_solve()

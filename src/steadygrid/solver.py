@@ -139,13 +139,8 @@ class SolveReport:
 def uniform_state(network: Network, index: IndexMap, vmag: float, vang_deg: float) -> StateVector:
     """Every bus at the same magnitude/angle (plus balanced phase offsets)."""
     state = flat_state(index)
-    offsets = PHASE_OFFSETS[network.domain]
-    ang = math.radians(vang_deg)
-    for ph in range(index.nphase):
-        v = vmag * np.exp(1j * (ang + offsets[ph]))
-        for k in range(index.nbus):
-            state.x[index.vr(k, ph)] = v.real
-            state.x[index.vi(k, ph)] = v.imag
+    ang = math.radians(vang_deg) + PHASE_OFFSETS[network.domain]
+    state.set_voltages(vmag * np.exp(1j * ang)[:, None])
     return state
 
 
@@ -160,16 +155,9 @@ def initialize_state(network: Network, spec: InitSpec, index: IndexMap | None = 
     if spec.kind == "random":
         rng = np.random.default_rng(spec.seed)
         state = flat_state(index)
-        offsets = PHASE_OFFSETS[network.domain]
-        mags = rng.uniform(spec.vmag_range[0], spec.vmag_range[1], size=index.nbus)
-        angs = np.radians(
-            rng.uniform(spec.vang_range_deg[0], spec.vang_range_deg[1], size=index.nbus)
-        )
-        for k in range(index.nbus):
-            for ph in range(index.nphase):
-                v = mags[k] * np.exp(1j * (angs[k] + offsets[ph]))
-                state.x[index.vr(k, ph)] = v.real
-                state.x[index.vi(k, ph)] = v.imag
+        mags = rng.uniform(*spec.vmag_range, size=index.nbus)
+        angs = np.radians(rng.uniform(*spec.vang_range_deg, size=index.nbus))
+        state.set_voltages(mags * np.exp(1j * (angs + PHASE_OFFSETS[network.domain][:, None])))
         return state
     if spec.kind == "warm":
         if spec.state is None:
@@ -184,11 +172,11 @@ def initialize_state(network: Network, spec: InitSpec, index: IndexMap | None = 
             doc = read_solution_json(fh.read())
         state = flat_state(index)
         phase_pos = {name: ph for ph, name in enumerate(network.domain.phases)}
+        v = state.v_complex()
         for rec in doc["buses"]:
-            pos = network.bus_index[int(rec["bus"])]
-            ph = phase_pos[rec["phase"]]
-            state.x[index.vr(pos, ph)] = float(rec["vr_pu"])
-            state.x[index.vi(pos, ph)] = float(rec["vi_pu"])
+            at = phase_pos[rec["phase"]], network.bus_index[int(rec["bus"])]
+            v[at] = complex(float(rec["vr_pu"]), float(rec["vi_pu"]))
+        state.set_voltages(v)
         return state
     raise ValueError(f"unknown init kind {spec.kind!r}")
 
@@ -201,13 +189,11 @@ def transfer_state(
     old_index = old.index
     old_net = old_index.network
     state = flat_state(new_index)
-    for bus_id, new_pos in new_network.bus_index.items():
-        if bus_id not in old_net.bus_index:
-            continue
-        old_pos = old_net.bus_index[bus_id]
-        for ph in range(new_index.nphase):
-            state.x[new_index.vr(new_pos, ph)] = old.x[old_index.vr(old_pos, ph)]
-            state.x[new_index.vi(new_pos, ph)] = old.x[old_index.vi(old_pos, ph)]
+    kept = [b for b in new_network.bus_index if b in old_net.bus_index]
+    new_pos = [new_network.bus_index[b] for b in kept]
+    old_pos = [old_net.bus_index[b] for b in kept]
+    for new_idx, old_idx in zip(new_index.voltage_indices(), old_index.voltage_indices()):
+        state.x[new_idx[:, new_pos]] = old.x[old_idx[:, old_pos]]
     old_gen_pos = {g.id: k for k, g in enumerate(old_net.generators)}
     for k, g in enumerate(new_network.generators):
         if not new_index.has_q_slot(k):
@@ -243,23 +229,19 @@ def _enforce_q_limits(network, index, state, modes, frozen, events, pass_no, tol
             if mode == GEN_VC:
                 q = state.q_gen(gen_pos, ph)
                 if q > gen.qmax + tol:
-                    modes.mode[gen_pos, ph] = GEN_PINNED
-                    modes.q_pin[gen_pos, ph] = gen.qmax
-                    state.x[index.q_gen(gen_pos, ph)] = gen.qmax
-                    events.append(
-                        {"pass": pass_no, "device": f"gen {gen.id}", "phase": ph,
-                         "action": "pin_qmax", "value": gen.qmax}
-                    )
-                    changed = True
+                    action, limit = "pin_qmax", gen.qmax
                 elif q < gen.qmin - tol:
-                    modes.mode[gen_pos, ph] = GEN_PINNED
-                    modes.q_pin[gen_pos, ph] = gen.qmin
-                    state.x[index.q_gen(gen_pos, ph)] = gen.qmin
-                    events.append(
-                        {"pass": pass_no, "device": f"gen {gen.id}", "phase": ph,
-                         "action": "pin_qmin", "value": gen.qmin}
-                    )
-                    changed = True
+                    action, limit = "pin_qmin", gen.qmin
+                else:
+                    continue  # inside the band: nothing moved, nothing to freeze
+                modes.mode[gen_pos, ph] = GEN_PINNED
+                modes.q_pin[gen_pos, ph] = limit
+                state.x[index.q_gen(gen_pos, ph)] = limit
+                events.append(
+                    {"pass": pass_no, "device": f"gen {gen.id}", "phase": ph,
+                     "action": action, "value": limit}
+                )
+                changed = True
             else:
                 pin = modes.q_pin[gen_pos, ph]
                 vmag = _target_vmag(network, state, gen.target_bus())

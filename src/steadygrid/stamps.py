@@ -9,22 +9,24 @@ expansion around the current iterate, so
 is exactly the nonlinear KCL/constraint residual. It is made in three steps:
 
 * :func:`build_companion` **lays it out** once per solve from device
-  endpoints, connections and the :class:`IndexMap`: the whole fixed pattern,
-  the node array of every device family, the generator and ZIP lanes, the
-  Q-slot rows and the KCL mask. Zero-valued shunts, loads, charging and
-  virtual shorts (one per remote-control pair, open outside Tx stepping) keep
-  their explicit zeros, and every Q-slot row keeps its diagonal and both
-  regulated-voltage columns whether the generator is free or pinned;
+  endpoints, connections and the :class:`IndexMap`: the whole fixed pattern
+  as CSC with the slot of every value, the node array of every device
+  family, the generator and ZIP lanes, the Q-slot rows and the KCL mask.
+  Zero-valued shunts, loads, charging and virtual shorts (one per
+  remote-control pair, open outside Tx stepping) keep their explicit zeros,
+  and every Q-slot row keeps its diagonal and both regulated-voltage columns
+  whether the generator is free or pinned;
 * :meth:`Companion.bind` **binds** one parameter set (:class:`DeviceParams`,
-  stacked arrays): the values of the linear part (branches and charging,
-  transformers with ``n = tap * exp(j shift)`` on the from side, virtual
-  shorts, shunts, BIG loads, wye and delta ZIP impedance, slack rows), the
-  constant rhs and the lane parameters. Continuation steps, taps and shunt
-  blocks change only this step;
+  stacked arrays): the linear part (branches and charging, transformers
+  with ``n = tap * exp(j shift)`` on the from side, virtual shorts, shunts,
+  BIG loads, wye and delta ZIP impedance, slack rows) reduced into CSC data,
+  the constant rhs and the lane parameters. Continuation steps, taps and
+  shunt blocks change only this step;
 * :func:`assemble_system` computes the nonlinear values at the iterate,
   elementwise over the lanes, with :func:`pv_current_jac` and
-  :func:`zip_current_jac`: generators per (generator, phase) and the
-  constant-current and -power parts of ZIP loads per (load, terminal).
+  :func:`zip_current_jac` (generators per (generator, phase) and the
+  constant-current and -power parts of ZIP loads per (load, terminal)), and
+  adds them to a copy of the bound data at their slots.
 
 Sign conventions: each KCL row sums currents *leaving* the node, so passive
 and load currents enter with ``+`` and source injections with ``-``.
@@ -42,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .indexing import IndexMap, StateVector
+from .linsys import CscPattern, compress_pattern
 from .network import Connection, Network, PHASE_OFFSETS
 
 __all__ = [
@@ -91,12 +94,9 @@ class GenModes:
 
     @classmethod
     def initial(cls, network: Network) -> "GenModes":
-        ng = len(network.generators)
-        nph = network.nphase
+        ng, nph = len(network.generators), network.nphase
         mode = np.full((ng, nph), GEN_VC, dtype=np.int8)
-        for k, g in enumerate(network.generators):
-            if not g.controls_voltage:
-                mode[k, :] = GEN_FIXED
+        mode[[not g.controls_voltage for g in network.generators]] = GEN_FIXED
         return cls(mode=mode, q_pin=np.zeros((ng, nph)))
 
     def copy(self) -> "GenModes":
@@ -152,7 +152,8 @@ def effective_params(network: Network) -> DeviceParams:
     nph = network.nphase
 
     def stack(values, dtype=complex, *tail):
-        return np.array(values, dtype=dtype).reshape(-1, nph, *tail)
+        # the empty leading block keeps an empty family's shape
+        return np.concatenate([np.zeros((0, *tail)), *values], dtype=dtype).reshape(-1, nph, *tail)
 
     shunt_y = []
     for sh in network.shunts:
@@ -180,12 +181,11 @@ def effective_params(network: Network) -> DeviceParams:
 def build_virtual_shorts(network: Network) -> list[tuple[int, int]]:
     """``(o_bus, w_bus)`` per distinct remote-control pair (controller, target);
     continuation ties each pair with a lambda-scaled low-impedance path."""
-    pairs = []
-    for g in network.generators:
-        if g.controls_voltage and g.remote_bus is not None and g.remote_bus != g.bus:
-            if (g.bus, g.remote_bus) not in pairs:
-                pairs.append((g.bus, g.remote_bus))
-    return pairs
+    pairs = [
+        (g.bus, g.remote_bus) for g in network.generators
+        if g.controls_voltage and g.remote_bus is not None and g.remote_bus != g.bus
+    ]
+    return list(dict.fromkeys(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -300,17 +300,18 @@ class Companion:
     It depends only on device endpoints, connections and the
     :class:`IndexMap`, so one layout serves every parameter set of a solve:
     continuation steps, taps and shunt blocks change values, never the layout.
-    ``rows``/``cols`` is the whole fixed pattern: the linear triplets first,
-    then the nonlinear slots in the order :func:`assemble_system` fills them.
-    Lanes are (generator, phase) and (ZIP load, terminal) in device order;
-    indices are ``V_R`` positions (``V_I`` follows each). :meth:`bind` adds
-    one parameter set's values.
+    ``pattern`` is the whole fixed CSC pattern; ``linear_slots`` and
+    ``nonlinear_slots`` are the slots of the values :meth:`bind` and
+    :func:`assemble_system` emit, in emission order. Lanes are (generator,
+    phase) and (ZIP load, terminal) in device order; indices are ``V_R``
+    positions (``V_I`` follows each).
     """
 
     network: Network
     index: IndexMap
-    rows: np.ndarray
-    cols: np.ndarray
+    pattern: CscPattern
+    linear_slots: np.ndarray
+    nonlinear_slots: np.ndarray
     n_short: int  # (virtual short, phase) lanes
     zip_delta: np.ndarray  # per ZIP load: delta connected
     big_v: np.ndarray  # node per BIG-load lane
@@ -328,7 +329,8 @@ class Companion:
     kcl_mask: np.ndarray  # rows whose mismatch counts: all but slack KCL rows
 
     def bind(self, params: DeviceParams) -> "BoundCompanion":
-        """Stamp the linear part of ``params`` and take its lane parameters.
+        """Reduce the linear part of ``params`` into CSC data over the
+        pattern and take its lane parameters.
 
         Raises ``ValueError`` on a non-positive transformer tap.
         """
@@ -362,9 +364,15 @@ class Companion:
         np.add.at(rhs, self.big_v, -alpha.real)
         np.add.at(rhs, self.big_v + 1, -alpha.imag)
         zip_i, zip_s = params.zip_i.ravel(), params.zip_s.ravel()
+        data = np.bincount(
+            self.linear_slots,
+            weights=np.concatenate([g, -b, b, g, self.slack_vals]),
+            minlength=self.pattern.indices.size,
+        )
+        data.setflags(write=False)
         return BoundCompanion(
             layout=self,
-            linear_vals=np.concatenate([g, -b, b, g, self.slack_vals]),
+            linear_data=data,
             linear_rhs=rhs,
             gen_p=params.gen_p.ravel(),
             gen_q=params.gen_q.ravel(),
@@ -376,10 +384,11 @@ class Companion:
 
 @dataclass(frozen=True)
 class BoundCompanion:
-    """One parameter set's linear values, constant rhs and lane parameters."""
+    """One parameter set's linear part as CSC data over the layout's pattern
+    (read-only), its constant rhs and its lane parameters."""
 
     layout: Companion
-    linear_vals: np.ndarray
+    linear_data: np.ndarray
     linear_rhs: np.ndarray
     gen_p: np.ndarray  # per generator lane
     gen_q: np.ndarray  # fixed Q per lane; Q-slot lanes read the state
@@ -438,6 +447,7 @@ def build_companion(network: Network, index: IndexMap) -> Companion:
     si = np.array([index.slack_ir(p, ph) for p in slack for ph in range(nph)], dtype=np.intp)
     rows = np.concatenate([rows, sv, sv + 1, si, si + 1])
     cols = np.concatenate([cols, si, si + 1, sv, sv + 1])
+    n_linear = rows.size
     ones = np.ones(sv.size)
     slack_rhs = np.zeros(index.dim)
     buses = [network.buses[p] for p in slack]
@@ -473,11 +483,15 @@ def build_companion(network: Network, index: IndexMap) -> Companion:
         _blocks(zb, zd),
         _blocks(zb, zb),
     )
+    pattern, slots = compress_pattern(
+        index.dim, np.concatenate([rows, *nl_rows]), np.concatenate([cols, *nl_cols])
+    )
     return Companion(
         network=network,
         index=index,
-        rows=np.concatenate([rows, *nl_rows]),
-        cols=np.concatenate([cols, *nl_cols]),
+        pattern=pattern,
+        linear_slots=slots[:n_linear],
+        nonlinear_slots=slots[n_linear:],
         n_short=o.size,
         zip_delta=delta,
         big_v=bl.ravel(),
@@ -519,13 +533,12 @@ def assemble_system(
     zeta: float = 1.0,
     modes: GenModes | None = None,
 ):
-    """Companion system at the iterate; returns ``(rows, cols, vals, rhs)``.
+    """Companion system at the iterate; returns ``(data, rhs)``: the CSC data
+    over ``bound.layout.pattern`` and the dense right-hand side.
 
-    ``rows``/``cols`` are the layout's fixed pattern (the same arrays on
-    every call), ``vals`` their values and ``rhs`` the dense right-hand side.
-
-    The bound linear part is copied as is; the nonlinear values fill their
-    fixed slots. Generator voltage derivatives are scaled by the damping
+    The bound linear data is copied and the nonlinear values are added at
+    their slots in layout order, so every slot sums its values in the same
+    order on every call. Generator voltage derivatives are scaled by the damping
     factor ``zeta``; the dI/dQ column is left unscaled. Pinned Q-slot rows
     become identity pins at ``modes.q_pin``.
     """
@@ -570,12 +583,15 @@ def assemble_system(
     jd = jac[:, dl].ravel()
 
     vals = np.concatenate([
-        bound.linear_vals,
         -zeta * dir_dvr, -zeta * dir_dvi, -zeta * dii_dvr, -zeta * dii_dvi,
         -dir_dq[slot], -dii_dq[slot],
         pinned.astype(float), np.where(pinned, 0.0, -2.0 * wr), np.where(pinned, 0.0, -2.0 * wi),
         jac.ravel(), -jd, -jd, jd,
     ])
+    data = bound.linear_data.copy()
+    # lanes share slots (a generator and a load on one bus, neighbouring
+    # delta terminals): add in layout order, never pre-reduced
+    np.add.at(data, c.nonlinear_slots, vals)
     nl_rhs = np.concatenate([gen_r, gen_i, vc_rhs, zip_r, zip_im, -zip_r[dl], -zip_im[dl]])
     rhs = np.bincount(c.nonlinear_rhs_rows, weights=nl_rhs, minlength=c.index.dim)
-    return c.rows, c.cols, vals, rhs + bound.linear_rhs
+    return data, rhs + bound.linear_rhs

@@ -1,0 +1,111 @@
+"""Statuses and work counts of every corpus case under each method.
+
+Refactors of the solver must leave iterates, and therefore these counts,
+unchanged; a change that moves one on purpose updates the table with it.
+"""
+
+import os
+
+import pytest
+
+from steadygrid.caseio import load_case
+from steadygrid.nr import NrOptions
+from steadygrid.solver import SolverOptions, solve
+
+from conftest import CASE_DIR
+
+# (status, inner_iterations, homotopy_steps, outer_passes) at tol 1e-8
+WORK = {
+    "case12_radial.net": {
+        "none": ("converged", 4, 0, 1),
+        "tx": ("converged", 14, 6, 1),
+        "power": ("converged", 17, 6, 1),
+    },
+    "case14.net": {
+        "none": ("converged", 5, 0, 1),
+        "tx": ("converged", 22, 6, 1),
+        "power": ("converged", 19, 6, 1),
+    },
+    "case196_mesh.net": {
+        "none": ("converged", 18, 0, 3),
+        "tx": ("converged", 29, 6, 3),
+        "power": ("converged", 30, 6, 3),
+    },
+    "case2.net": {
+        "none": ("converged", 3, 0, 1),
+        "tx": ("converged", 8, 6, 1),
+        "power": ("converged", 10, 6, 1),
+    },
+    "case20_radial.net": {
+        "none": ("diverged", 111, 0, 2),
+        "tx": ("diverged", 1351, 22, 2),
+        "power": ("diverged", 1363, 15, 2),
+    },
+    "case2_twosol.net": {
+        "none": ("converged", 4, 0, 1),
+        "tx": ("converged", 9, 6, 1),
+        "power": ("converged", 13, 6, 1),
+    },
+    "case30_mesh.net": {
+        "none": ("converged", 4, 0, 1),
+        "tx": ("converged", 15, 6, 1),
+        "power": ("converged", 18, 6, 1),
+    },
+    "case3_ring.net": {
+        "none": ("converged", 2, 0, 1),
+        "tx": ("converged", 8, 6, 1),
+        "power": ("converged", 11, 6, 1),
+    },
+    "case4_pv.net": {
+        "none": ("converged", 3, 0, 1),
+        "tx": ("converged", 15, 6, 1),
+        "power": ("converged", 13, 6, 1),
+    },
+    "case56_mesh.net": {
+        "none": ("converged", 5, 0, 1),
+        "tx": ("converged", 17, 6, 1),
+        "power": ("converged", 18, 6, 1),
+    },
+    "case5_mesh.net": {
+        "none": ("converged", 3, 0, 1),
+        "tx": ("converged", 15, 6, 1),
+        "power": ("converged", 16, 6, 1),
+    },
+    "case6_remote.net": {
+        "none": ("converged", 3, 0, 1),
+        "tx": ("converged", 17, 6, 1),
+        "power": ("converged", 16, 6, 1),
+    },
+    "case9.net": {
+        "none": ("converged", 4, 0, 1),
+        "tx": ("converged", 14, 6, 1),
+        "power": ("converged", 18, 6, 1),
+    },
+    "case_qlim.net": {
+        "none": ("converged", 5, 0, 2),
+        "tx": ("converged", 18, 6, 2),
+        "power": ("converged", 16, 6, 2),
+    },
+    "feeder8.json": {
+        "none": ("converged", 3, 0, 1),
+        "tx": ("converged", 12, 6, 1),
+        "power": ("converged", 11, 6, 1),
+    },
+    "hard_corridor.net": {
+        "none": ("diverged", 100, 0, 1),
+        "tx": ("converged", 103, 6, 1),
+        "power": ("converged", 108, 6, 1),
+    },
+}
+
+
+def test_table_covers_the_corpus():
+    assert sorted(WORK) == sorted(os.listdir(CASE_DIR))
+
+
+@pytest.mark.parametrize("case, method", [(c, m) for c in sorted(WORK) for m in WORK[c]])
+def test_corpus_work_counts(case, method):
+    net = load_case(os.path.join(CASE_DIR, case)).network
+    report, _ = solve(net, SolverOptions(homotopy=method, nr=NrOptions(tol=1e-8)))
+    got = (report.status, report.inner_iterations, report.homotopy_steps, report.outer_passes)
+    assert got == WORK[case][method]

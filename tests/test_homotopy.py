@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from steadygrid.caseio import load_case
 from steadygrid.homotopy import (
@@ -144,10 +145,9 @@ def test_remote_pair_maps_to_single_path():
     )
 
     def linear_part(c):
-        n = c.linear_vals.size
-        a = np.zeros((index.dim, index.dim))
-        np.add.at(a, (c.layout.rows[:n], c.layout.cols[:n]), c.linear_vals)
-        return n, a
+        p = c.layout.pattern
+        a = sparse.csc_matrix((c.linear_data, p.indices, p.indptr), shape=(index.dim, index.dim))
+        return c.layout.linear_slots.size, a.toarray()
 
     n_pair, a_pair = linear_part(build_companion(net, index).bind(p0))
     n_local, a_local = linear_part(build_companion(local, index).bind(p0))

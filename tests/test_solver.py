@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steadygrid.caseio import load_case, write_solution
+from steadygrid.homotopy import anchored_state
 from steadygrid.indexing import IndexMap
 from steadygrid.network import (
+    PHASE_OFFSETS,
     Bus,
     BusKind,
     PhaseDomain,
@@ -127,6 +129,41 @@ def test_random_seed_reproducible():
     assert not np.array_equal(a.x, c.x)
 
 
+def _per_node(index, v_of):
+    """Reference state written node by node: ``v_of(bus_pos, phase)``."""
+    x = np.zeros(index.dim)
+    for k in range(index.nbus):
+        for ph in range(index.nphase):
+            v = v_of(k, ph)
+            x[index.vr(k, ph)] = v.real
+            x[index.vi(k, ph)] = v.imag
+    return x
+
+
+@pytest.mark.parametrize("case", ["case2.net", "case196_mesh.net", "feeder8.json"])
+def test_initial_states_match_a_per_node_write(case):
+    net = load_case(case_path(case)).network
+    index = IndexMap(net)
+    off = PHASE_OFFSETS[net.domain]
+    states = {
+        "flat": (InitSpec(kind="flat"), lambda k, ph: np.exp(1j * off[ph])),
+        "uniform": (InitSpec(kind="uniform", vmag=1.05, vang_deg=12.5),
+                    lambda k, ph: 1.05 * np.exp(1j * (math.radians(12.5) + off[ph]))),
+    }
+    rng = np.random.default_rng(7)
+    mags = rng.uniform(0.9, 1.1, size=index.nbus)
+    angs = np.radians(rng.uniform(-40.0, 40.0, size=index.nbus))
+    states["random"] = (InitSpec(kind="random", seed=7),
+                        lambda k, ph: mags[k] * np.exp(1j * (angs[k] + off[ph])))
+    for kind, (spec, v_of) in states.items():
+        x = initialize_state(net, spec, index).x
+        assert x.tobytes() == _per_node(index, v_of).tobytes(), kind
+    slack = {net.islands[k]: b for k, b in enumerate(net.buses) if b.kind == BusKind.SLACK}
+    anchored = _per_node(index, lambda k, ph: slack[net.islands[k]].v_set * np.exp(
+        1j * (slack[net.islands[k]].angle + off[ph])))
+    assert anchored_state(net, index).x.tobytes() == anchored.tobytes()
+
+
 def test_random_respects_ranges():
     net = net_3bus()
     spec = InitSpec(kind="random", seed=5, vmag_range=(0.9, 1.1), vang_range_deg=(-40, 40))
@@ -144,6 +181,18 @@ def test_uniform_state_same_everywhere():
     va = np.degrees(state.v_ang()[0])
     np.testing.assert_allclose(vm, 1.05, atol=1e-14)
     np.testing.assert_allclose(va, 12.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case, iterations", [
+    ("case14.net", 11), ("case56_mesh.net", 11), ("case196_mesh.net", 17), ("feeder8.json", 10),
+])
+def test_zero_voltage_start_converges(case, iterations):
+    # every generator and ZIP lane sits at |V| = 0: Newton re-initializes
+    # one node at a time until the companion system can be linearized
+    net = load_case(case_path(case)).network
+    report, _ = solve(net, SolverOptions(init=InitSpec(kind="uniform", vmag=0.0)))
+    assert report.status == CONVERGED
+    assert report.inner_iterations == iterations
 
 
 def test_warm_start_dimension_checked():

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from steadygrid import homotopy, load_case, nr, solver
 from steadygrid.homotopy import power_transform, tx_transform
@@ -45,11 +46,10 @@ def dense_system(net, state=None, params=None, zeta=1.0, modes=None):
         state = flat_state(index)
     if params is None:
         params = effective_params(net)
-    rows, cols, vals, b = assemble_system(
-        build_companion(net, index).bind(params), state, zeta, modes
-    )
-    a = np.zeros((index.dim, index.dim))
-    np.add.at(a, (rows, cols), vals)
+    layout = build_companion(net, index)
+    data, b = assemble_system(layout.bind(params), state, zeta, modes)
+    p = layout.pattern
+    a = sparse.csc_matrix((data, p.indices, p.indptr), shape=(index.dim, index.dim)).toarray()
     return a, b, index
 
 
@@ -457,7 +457,7 @@ def test_assembled_jacobian_matches_fd(setup):
     )
     companion = build_companion(net, index).bind(params)
     system = SparseSystem(index.dim)
-    system.assemble(*assemble_system(companion, state, 1.0, modes))
+    system.assemble(companion.layout.pattern, *assemble_system(companion, state, 1.0, modes))
     a = np.asarray(system.matrix.todense())
     jac = fd_jacobian(companion, state, modes)
     np.testing.assert_allclose(a, jac, atol=5e-6)
@@ -485,7 +485,9 @@ def test_taylor_consistency_at_expansion_point():
     f_unit = residual_vector(companion, state)
     # zeta must not change the residual at the expansion point
     system = SparseSystem(index.dim)
-    system.assemble(*assemble_system(companion, state, 0.3, GenModes.initial(net)))
+    system.assemble(
+        companion.layout.pattern, *assemble_system(companion, state, 0.3, GenModes.initial(net))
+    )
     f_damped = system.matrix @ state.x - system.rhs
     np.testing.assert_allclose(f_damped, f_unit, atol=1e-14)
 
@@ -501,13 +503,19 @@ def test_sparsity_pattern_is_iterate_independent():
     s2 = flat_state(index)
     s2.x[: 2 * index.nbus] += 0.05
     layout = build_companion(net, index)
-    r1, c1, *_ = assemble_system(layout.bind(params), s1, 1.0, free)
+    nnz = layout.pattern.indices.size
+    d1, _ = assemble_system(layout.bind(params), s1, 1.0, free)
+    assert d1.size == nnz
     # nor does it depend on pinned Q rows or on zeroed parameters
     for prm, st, modes in ((params, s2, free), (params, s1, pinned),
                            (tx_transform(net, 0.5, 10.0), s1, free),
                            (power_transform(net, 0.0), s2, free)):
-        r2, c2, *_ = assemble_system(layout.bind(prm), st, 1.0, modes)
-        assert np.array_equal(r1, r2) and np.array_equal(c1, c2)
+        d2, _ = assemble_system(layout.bind(prm), st, 1.0, modes)
+        assert d2.size == nnz
+    # a fresh layout lays out the same pattern
+    again = build_companion(net, index).pattern
+    assert np.array_equal(again.indices, layout.pattern.indices)
+    assert np.array_equal(again.indptr, layout.pattern.indptr)
 
 
 @pytest.mark.parametrize("case, method, qmax", [
