@@ -22,8 +22,8 @@ from .network import (
 )
 from .caseio import load_case, parse_case, write_case, write_solution
 from .indexing import IndexMap, StateVector
-from .nr import NrOptions, check_convergence
-from .homotopy import HomotopySchedule, power_transform, run_homotopy, tx_transform
+from .nr import NrOptions
+from .homotopy import HomotopySchedule
 from .solver import (
     InitSpec,
     MismatchReport,
@@ -61,17 +61,13 @@ __all__ = [
     "SweepSpec",
     "Transformer",
     "ZipLoad",
-    "check_convergence",
     "dense_reference_solve",
     "initialize_state",
     "load_case",
     "parse_case",
-    "power_transform",
     "run_contingencies",
-    "run_homotopy",
     "run_sweep",
     "solve",
-    "tx_transform",
     "validate",
     "validate_solution",
     "write_case",

@@ -32,7 +32,7 @@ from .indexing import IndexMap, StateVector
 from .linsys import SingularityError, SparseSystem
 from .network import BusKind, Network, PHASE_OFFSETS
 from .nr import NrOptions, NrTraceRow, run_newton
-from .stamps import Companion, DeviceParams, GenModes, build_companion, effective_params
+from .stamps import Companion, DeviceParams, GenModes
 
 __all__ = [
     "HomotopySchedule",
@@ -65,26 +65,18 @@ class HomotopyResult:
     inner_iterations: int
     accepted: list
     last_good_lambda: float
-    nr_trace: list
 
 
-def tx_transform(
-    network: Network,
-    lam: float,
-    gamma: float,
-    base: DeviceParams | None = None,
-) -> DeviceParams:
+def tx_transform(base: DeviceParams, lam: float, gamma: float) -> DeviceParams:
     """Series-shorted parameter set at continuation factor ``lam``.
 
     ``lam = 0`` reproduces ``base`` exactly (bit for bit), the virtual
     shorts' admittance included: it is zero there.
     """
-    if base is None:
-        base = effective_params(network)
     scale = 1.0 + lam * gamma
     open_factor = 1.0 - lam
     branch_y, xfmr_y = base.branch_y.copy(), base.xfmr_y.copy()
-    d = np.arange(network.nphase)
+    d = np.arange(base.branch_y.shape[-1])  # the phases
     branch_y[:, d, d] *= scale
     xfmr_y[:, d, d] *= scale
     return replace(
@@ -100,19 +92,13 @@ def tx_transform(
     )
 
 
-def power_transform(
-    network: Network,
-    beta: float,
-    base: DeviceParams | None = None,
-) -> DeviceParams:
+def power_transform(base: DeviceParams, beta: float) -> DeviceParams:
     """Generation/load scaled by ``beta``; impedance parts untouched.
 
     ``beta = 1`` reproduces ``base`` exactly. Fixed generator reactive power
     scales with the real power so that ``beta = 0`` leaves no constant-power
     constraint anywhere.
     """
-    if base is None:
-        base = effective_params(network)
     return replace(
         base,
         gen_p=base.gen_p * beta,
@@ -139,54 +125,41 @@ def anchored_state(network: Network, index: IndexMap) -> StateVector:
 
 
 def run_homotopy(
-    network: Network,
+    layout: Companion,
+    base: DeviceParams,
     method: str,
     options: NrOptions,
-    schedule: HomotopySchedule | None = None,
-    layout: Companion | None = None,
-    modes: GenModes | None = None,
-    base: DeviceParams | None = None,
-    system: SparseSystem | None = None,
-    nr_trace: list[NrTraceRow] | None = None,
+    schedule: HomotopySchedule,
+    modes: GenModes,
+    system: SparseSystem,
+    nr_trace: list[NrTraceRow],
 ) -> HomotopyResult:
-    """Walk the continuation factor from the trivial to the original problem;
-    every sub-problem binds to ``layout`` (built from ``network`` if None)."""
-    if method not in ("tx", "power"):
-        raise ValueError(f"unknown homotopy method {method!r}")
-    if schedule is None:
-        schedule = HomotopySchedule()
-    if layout is None:
-        layout = build_companion(network, IndexMap(network))
-    index = layout.index
-    if modes is None:
-        modes = GenModes.initial(network)
-    if base is None:
-        base = effective_params(network)
-    if system is None:
-        system = SparseSystem(index.dim)
-    trace = [] if nr_trace is None else nr_trace
+    """Walk the continuation factor from the trivial to the original problem
+    of ``base`` (``method`` is ``tx`` or ``power``); every sub-problem binds
+    its parameter set to ``layout`` and appends its iterations to ``nr_trace``."""
 
     def params_at(lam: float) -> DeviceParams:
         if method == "tx":
-            return tx_transform(network, lam, schedule.gamma, base)
-        return power_transform(network, 1.0 - lam, base)
+            return tx_transform(base, lam, schedule.gamma)
+        return power_transform(base, 1.0 - lam)
+
+    def newton_at(lam: float, state: StateVector):
+        return run_newton(layout.bind(params_at(lam)), state, options, modes, system, nr_trace)
 
     lam = 1.0
     step = schedule.d_lambda
     accepted: list = []  # (lambda, nr_iterations, residual)
     total_iters = 0
 
-    state = anchored_state(network, index)
+    state = anchored_state(layout.network, layout.index)
     try:
-        state, ok, iters = run_newton(
-            layout, params_at(1.0), state, options, modes, system, trace
-        )
+        state, ok, iters = newton_at(1.0, state)
     except SingularityError:
         ok, iters = False, 0
     total_iters += iters
     if not ok:
-        return HomotopyResult(False, None, 0, total_iters, [], 1.0, trace)
-    accepted.append((1.0, iters, trace[-1].residual if trace else 0.0))
+        return HomotopyResult(False, None, 0, total_iters, [], 1.0)
+    accepted.append((1.0, iters, nr_trace[-1].residual if nr_trace else 0.0))
 
     def next_lambda(lam, step):
         # snap float dust to the exact endpoint so the final sub-problem is
@@ -200,9 +173,7 @@ def run_homotopy(
         first_try = True
         while True:
             try:
-                cand, ok, iters = run_newton(
-                    layout, params_at(lam_next), state, options, modes, system, trace
-                )
+                cand, ok, iters = newton_at(lam_next, state)
             except SingularityError:
                 ok, iters = False, 0
             total_iters += iters
@@ -212,20 +183,18 @@ def run_homotopy(
             first_try_successes = 0
             step *= schedule.backtrack
             if step < schedule.min_step:
-                return HomotopyResult(
-                    False, state, len(accepted), total_iters, accepted, lam, trace
-                )
+                return HomotopyResult(False, state, len(accepted), total_iters, accepted, lam)
             lam_next = next_lambda(lam, step)
         state = cand
         lam = lam_next
-        accepted.append((lam_next, iters, trace[-1].residual if trace else 0.0))
+        accepted.append((lam_next, iters, nr_trace[-1].residual if nr_trace else 0.0))
         if first_try:
             first_try_successes += 1
             if first_try_successes >= 2:
                 step = min(step * schedule.growth, schedule.max_step)
                 first_try_successes = 0
 
-    return HomotopyResult(True, state, len(accepted), total_iters, accepted, 0.0, trace)
+    return HomotopyResult(True, state, len(accepted), total_iters, accepted, 0.0)
 
 
 def lambda_trace_to_csv(accepted: list) -> str:

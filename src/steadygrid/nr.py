@@ -1,7 +1,8 @@
 """Inner Newton-Raphson loop with variable, voltage and Q limiting.
 
-Each call binds its parameter set to a companion layout that the caller
-builds once; each iteration assembles the system at the current iterate,
+Each call takes one parameter set already bound to the companion layout
+(``solve()`` lays the layout out once and binds each parameter set once);
+each iteration assembles the system at the current iterate,
 measures the true nonlinear residual (``A x_k - b`` is exact for companion
 stamps), solves for the raw next iterate and then applies the safeguards:
 
@@ -29,14 +30,10 @@ from .linsys import SparseSystem
 from .network import Network, PHASE_OFFSETS
 from .stamps import (
     BoundCompanion,
-    Companion,
-    DeviceParams,
     GenModes,
     GEN_PINNED,
     ZeroVoltageIterate,
     assemble_system,
-    build_companion,
-    effective_params,
     invert_pv_current,
     pv_current,
 )
@@ -171,20 +168,19 @@ def residual_vector(
 
 
 def check_convergence(
-    network: Network,
+    bound: BoundCompanion,
     state: StateVector,
     tol: float,
     modes: GenModes | None = None,
-    params: DeviceParams | None = None,
+    system: SparseSystem | None = None,
 ) -> ResidualReport:
-    """Nonlinear mismatch test on the (untransformed) network equations."""
-    index = state.index
-    layout = build_companion(network, index)
-    if params is None:
-        params = effective_params(network)
-    f = residual_vector(layout.bind(params), state, modes)
+    """Nonlinear mismatch test on the network equations of ``bound``: the
+    untransformed parameter set of the network as operated, bound to the
+    solve's layout and assembled into the solve's ``system``."""
+    index = bound.layout.index
+    f = residual_vector(bound, state, modes, system)
     con = np.arange(index.dim) >= 2 * index.nbus * index.nphase  # auxiliary rows
-    kcl = layout.kcl_mask & ~con
+    kcl = bound.layout.kcl_mask & ~con
     max_kcl = _max_abs(f, kcl)
     max_con = _max_abs(f, con)
     res = max(max_kcl, max_con)
@@ -261,8 +257,7 @@ def nr_iterate(
 
 
 def run_newton(
-    layout: Companion,
-    params: DeviceParams,
+    bound: BoundCompanion,
     state: StateVector,
     options: NrOptions,
     modes: GenModes | None = None,
@@ -272,9 +267,9 @@ def run_newton(
     """Iterate to convergence. Returns ``(state, converged, iterations)``.
 
     ``trace`` (when given) accumulates one row per iteration actually taken;
-    ``layout`` and ``system`` may be shared across calls to reuse the layout
-    and the assembly pattern.
+    ``system`` may be shared across calls to reuse the assembly pattern.
     """
+    layout = bound.layout
     if modes is None:
         modes = GenModes.initial(layout.network)
     if system is None:
@@ -283,7 +278,6 @@ def run_newton(
     base = len(own_trace)
     zeta = options.zeta_init
     current = state.copy()
-    bound = layout.bind(params)
     for k in range(options.max_iter):
         new, row, residual = nr_iterate(bound, current, options, zeta, modes, system, k)
         if residual < options.tol:

@@ -351,6 +351,8 @@ def solve(network: Network, options: SolverOptions | None = None):
     t0 = time.perf_counter()
     index = IndexMap(network)
     layout = build_companion(network, index)  # taps and shunt blocks only bind values
+    params = effective_params(network)
+    bound = layout.bind(params)
     modes = GenModes.initial(network)
     system = SparseSystem(index.dim)
 
@@ -367,14 +369,13 @@ def solve(network: Network, options: SolverOptions | None = None):
     pass_no = 0
 
     for pass_no in range(1, options.outer_max_passes + 1):
-        params = effective_params(operated)
         ok = False
         # continuation opens the first pass; later passes re-solve plainly and
         # continue again only when devices moved and Newton stalled
         if options.homotopy == "none" or pass_no > 1:
             try:
                 state_new, ok, iters = run_newton(
-                    layout, params, state, options.nr, modes, system, nr_trace
+                    bound, state, options.nr, modes, system, nr_trace
                 )
                 total_inner += iters
             except SingularityError:
@@ -383,8 +384,8 @@ def solve(network: Network, options: SolverOptions | None = None):
                 state = state_new
         if not ok and options.homotopy != "none":
             hres = run_homotopy(
-                operated, options.homotopy, options.nr, options.schedule,
-                layout=layout, modes=modes, base=params, system=system, nr_trace=nr_trace,
+                layout, params, options.homotopy, options.nr, options.schedule,
+                modes, system, nr_trace,
             )
             total_inner += hres.inner_iterations
             homotopy_steps += hres.steps
@@ -416,6 +417,8 @@ def solve(network: Network, options: SolverOptions | None = None):
                 devices["transformers"] = xfmrs
         if devices:
             operated = operated.with_devices(**devices)
+            params = effective_params(operated)
+            bound = layout.bind(params)
             changed = True
         if not changed:
             status = CONVERGED
@@ -433,7 +436,7 @@ def solve(network: Network, options: SolverOptions | None = None):
     report.network = operated
 
     if status == CONVERGED:
-        res = check_convergence(operated, state, options.nr.tol, modes)
+        res = check_convergence(bound, state, options.nr.tol, modes, system)
         report.max_kcl_residual = res.max_kcl
         report.max_constraint_residual = res.max_constraint
         if not res.converged:

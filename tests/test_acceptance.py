@@ -110,7 +110,7 @@ def test_criterion_3_homotopy_endpoints():
     for name in ALL_NET_CASES + ["feeder8.json"]:
         net = load_case(case_path(name)).network
         base = effective_params(net)
-        for params in (tx_transform(net, 0.0, 1e4), power_transform(net, 1.0)):
+        for params in (tx_transform(base, 0.0, 1e4), power_transform(base, 1.0)):
             for attr in ("branch_y", "branch_bf", "branch_bt", "xfmr_y", "xfmr_tap",
                          "xfmr_shift", "shunt_y", "gen_p", "zip_y", "zip_i", "zip_s",
                          "big_alpha", "big_y"):
@@ -120,7 +120,7 @@ def test_criterion_3_homotopy_endpoints():
                 assert (qa is None) == (qb is None)
                 if qa is not None:
                     assert np.array_equal(qa, qb)
-        assert tx_transform(net, 0.0, 1e4).short_y == 0.0
+        assert tx_transform(base, 0.0, 1e4).short_y == 0.0
         checked += 1
     _report(3, f"series/power transforms are bit-exact identities at their "
                f"endpoints on {checked} corpus networks")

@@ -1,7 +1,6 @@
 import warnings
 
 import numpy as np
-import pytest
 
 from steadygrid.analyses import (
     ContingencySet,

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -15,7 +14,7 @@ from steadygrid.caseio import (
 )
 from steadygrid.indexing import IndexMap, flat_state
 from steadygrid.network import Connection, PhaseDomain, validate
-from steadygrid.solver import solve, SolverOptions
+from steadygrid.solver import solve
 
 from conftest import case_path, net_2bus, random_network
 

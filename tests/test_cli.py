@@ -1,7 +1,4 @@
 import json
-import os
-
-import pytest
 
 from steadygrid.cli import EX_NOINPUT, EX_USAGE, main
 

@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -11,13 +10,11 @@ from steadygrid.homotopy import (
     anchored_state,
     lambda_trace_to_csv,
     power_transform,
-    run_homotopy,
     tx_transform,
 )
 from steadygrid.indexing import IndexMap
-from steadygrid.network import PhaseDomain
 from steadygrid.nr import NrOptions, run_newton
-from steadygrid.solver import InitSpec, SolverOptions, solve
+from steadygrid.solver import SolverOptions, solve
 from steadygrid.stamps import build_companion, build_virtual_shorts, effective_params
 
 from conftest import (
@@ -52,10 +49,9 @@ def params_identical(a, b):
 
 def test_tx_scaling_reference_value():
     net = net_2bus(r=0.0099, x=0.0999)
-    base = effective_params(net)
     y = 1.0 - 10.0j
     object.__setattr__(net.branches[0], "y_series", np.array([[y]]))
-    p = tx_transform(net, 1.0, 1000.0)
+    p = tx_transform(effective_params(net), 1.0, 1000.0)
     assert p.branch_y[0][0, 0] == (1.0 - 10.0j) * 1001.0
     assert p.branch_y[0][0, 0] == pytest.approx(1001.0 - 10010.0j)
 
@@ -64,7 +60,7 @@ def test_tx_scaling_reference_value():
 def test_tx_endpoint_identity_bit_exact(name):
     net = load_case(case_path(name)).network
     base = effective_params(net)
-    p0 = tx_transform(net, 0.0, 1e4)
+    p0 = tx_transform(base, 0.0, 1e4)
     assert params_identical(p0, base)
     assert p0.short_y == base.short_y == 0.0  # open paths at the original problem
 
@@ -73,7 +69,7 @@ def test_tx_endpoint_identity_bit_exact(name):
 def test_power_endpoint_identity_bit_exact(name):
     net = load_case(case_path(name)).network
     base = effective_params(net)
-    assert params_identical(power_transform(net, 1.0), base)
+    assert params_identical(power_transform(base, 1.0), base)
 
 
 def test_three_phase_scaling_is_diagonal_only():
@@ -84,7 +80,7 @@ def test_three_phase_scaling_is_diagonal_only():
     y = np.full((3, 3), yab)
     np.fill_diagonal(y, yaa)
     object.__setattr__(net.branches[0], "y_series", y)
-    p = tx_transform(net, 0.5, 100.0)
+    p = tx_transform(effective_params(net), 0.5, 100.0)
     out = p.branch_y[0]
     assert out[0, 0] == yaa * 51.0
     assert out[0, 1] == yab  # mutual terms untouched
@@ -93,23 +89,22 @@ def test_three_phase_scaling_is_diagonal_only():
 
 def test_power_transform_scales_loads_and_generation():
     net = net_allparts()
-    p0 = power_transform(net, 0.0)
+    base = effective_params(net)
+    p0 = power_transform(base, 0.0)
     assert all(np.all(x == 0) for x in p0.gen_p)
     assert all(np.all(x == 0) for x in p0.zip_s)
     assert all(np.all(x == 0) for x in p0.zip_i)
     assert all(np.all(x == 0) for x in p0.big_alpha)
     # impedance parts untouched
-    base = effective_params(net)
     for a, b in zip(p0.zip_y, base.zip_y):
         assert np.array_equal(a, b)
-    half = power_transform(net, 0.5)
+    half = power_transform(base, 0.5)
     idx = [k for k, z in enumerate(net.zip_loads) if z.s[0].real == 0.3][0]
     assert half.zip_s[idx][0].real == pytest.approx(0.15)
 
 
 def test_power_half_scaling_reference():
-    net = net_2bus(p=0.8, q=0.0)
-    half = power_transform(net, 0.5)
+    half = power_transform(effective_params(net_2bus(p=0.8, q=0.0)), 0.5)
     assert half.zip_s[0][0] == pytest.approx(0.4 + 0.0j)
 
 
@@ -117,10 +112,10 @@ def test_shunt_open_circuit_schedule():
     net = net_allparts()
     base = effective_params(net)
     for lam, factor in ((1.0, 0.0), (0.0, 1.0), (0.25, 0.75)):
-        p = tx_transform(net, lam, 1e4)
+        p = tx_transform(base, lam, 1e4)
         np.testing.assert_allclose(p.shunt_y[0], base.shunt_y[0] * factor, atol=1e-15)
     # charging follows the shunts
-    p = tx_transform(net, 0.25, 1e4)
+    p = tx_transform(base, 0.25, 1e4)
     np.testing.assert_allclose(p.branch_bf[0], base.branch_bf[0] * 0.75, atol=1e-16)
 
 
@@ -135,7 +130,7 @@ def test_remote_pair_maps_to_single_path():
     net = load_case(case_path("case6_remote.net")).network
     assert build_virtual_shorts(net) == [(5, 3)]
     # the path is there at lambda = 0 but carries no admittance
-    p0 = tx_transform(net, 0.0, 1e4)
+    p0 = tx_transform(effective_params(net), 0.0, 1e4)
     assert p0.short_y == 0.0
     # the companion lays the path out as four 2x2 blocks between the pair's
     # nodes, all zero: the linear part is that of the unpaired network
@@ -156,10 +151,10 @@ def test_remote_pair_maps_to_single_path():
 
 
 def test_short_admittance_scales_with_lambda():
-    net = load_case(case_path("case6_remote.net")).network
-    p = tx_transform(net, 0.5, 1e4)
+    base = effective_params(load_case(case_path("case6_remote.net")).network)
+    p = tx_transform(base, 0.5, 1e4)
     assert p.short_y == 0.5 * 1e4 * (1.0 - 1.0j)
-    assert tx_transform(net, 0.0, 1e4).short_y == 0.0
+    assert tx_transform(base, 0.0, 1e4).short_y == 0.0
 
 
 # -- the driver -----------------------------------------------------------------
@@ -171,9 +166,9 @@ def test_cross_method_agreement_three_bus():
     base_rep, base_state = solve(net, SolverOptions(nr=opts))
     assert base_rep.status == "converged"
     for method in ("tx", "power"):
-        res = run_homotopy(net, method, opts)
-        assert res.converged
-        dv = np.max(np.abs(res.state.v_complex() - base_state.v_complex()))
+        report, state = solve(net, SolverOptions(nr=opts, homotopy=method))
+        assert report.status == "converged"
+        dv = np.max(np.abs(state.v_complex() - base_state.v_complex()))
         assert dv < 1e-8
 
 
@@ -182,10 +177,8 @@ def test_shorted_system_voltages_hug_the_sources(name):
     # the first sub-problem holds every bus near the slack/PV magnitudes
     net = load_case(case_path(name)).network
     index = IndexMap(net)
-    params = tx_transform(net, 1.0, 1e4)
-    state, ok, iters = run_newton(
-        build_companion(net, index), params, anchored_state(net, index), NrOptions(tol=1e-8)
-    )
+    bound = build_companion(net, index).bind(tx_transform(effective_params(net), 1.0, 1e4))
+    state, ok, iters = run_newton(bound, anchored_state(net, index), NrOptions(tol=1e-8))
     assert ok
     assert iters <= 5  # trivial problem property
     vmag = state.v_mag()
@@ -206,9 +199,9 @@ def test_shorted_system_voltages_hug_the_sources(name):
 
 def test_lambda_monotone_nonincreasing():
     net = load_case(case_path("case14.net")).network
-    res = run_homotopy(net, "tx", NrOptions())
-    assert res.converged
-    lams = [l for l, _, _ in res.accepted]
+    report, _ = solve(net, SolverOptions(homotopy="tx"))
+    assert report.status == "converged"
+    lams = [l for l, _, _ in report.lambda_trace]
     assert all(b <= a for a, b in zip(lams, lams[1:]))
     assert lams[0] == 1.0 and lams[-1] == 0.0
 
@@ -217,44 +210,46 @@ def test_warm_start_continuity():
     net = load_case(case_path("case14.net")).network
     index = IndexMap(net)
     layout = build_companion(net, index)
+    base = effective_params(net)
     opts = NrOptions(tol=1e-10)
     state = anchored_state(net, index)
     prev = None
     bound = 6.0  # max |dV| per unit of d(lambda); loose empirical bound
     lam_prev = None
-    res = run_homotopy(net, "tx", opts)
-    assert res.converged
-    for lam, _, _ in res.accepted:
-        params = tx_transform(net, lam, 1e4)
-        state, ok, _ = run_newton(layout, params, state, opts)
+    report, final = solve(net, SolverOptions(nr=opts, homotopy="tx"))
+    # one pass: the final state is the continuation's own
+    assert report.status == "converged" and report.outer_passes == 1
+    for lam, _, _ in report.lambda_trace:
+        state, ok, _ = run_newton(layout.bind(tx_transform(base, lam, 1e4)), state, opts)
         assert ok
         v = state.v_complex().copy()
         if prev is not None and lam_prev != lam:
             dv = np.max(np.abs(v - prev))
             assert dv <= bound * abs(lam_prev - lam) + 1e-6
         prev, lam_prev = v, lam
-    np.testing.assert_allclose(np.abs(prev), res.state.v_mag(), atol=1e-8)
+    np.testing.assert_allclose(np.abs(prev), final.v_mag(), atol=1e-8)
 
 
 def test_high_voltage_branch_selected():
     net = load_case(case_path("case2_twosol.net")).network
     # analytic pair: |V2| = 0.9096 (high) or 0.2296 (low)
-    res = run_homotopy(net, "tx", NrOptions(tol=1e-10))
-    assert res.converged
-    v2 = res.state.v_mag()[0, 1]
+    report, state = solve(net, SolverOptions(nr=NrOptions(tol=1e-10), homotopy="tx"))
+    assert report.status == "converged"
+    v2 = state.v_mag()[0, 1]
     assert v2 == pytest.approx(0.90957, abs=1e-4)
 
 
 def test_step_underflow_reports_last_good_lambda():
     net = net_2bus(p=3.0, q=1.0, x=0.2, r=0.0)  # no solution at full load
-    res = run_homotopy(net, "power", NrOptions(max_iter=40),
-                       HomotopySchedule(min_step=1e-3))
-    assert not res.converged
-    assert 0.0 < res.last_good_lambda <= 1.0
-    csv = lambda_trace_to_csv(res.accepted)
+    options = SolverOptions(nr=NrOptions(max_iter=40), homotopy="power",
+                            schedule=HomotopySchedule(min_step=1e-3))
+    report, _ = solve(net, options)
+    assert report.status == "diverged"
+    assert 0.0 < report.last_lambda <= 1.0
+    csv = lambda_trace_to_csv(report.lambda_trace)
     assert csv.splitlines()[0] == "lambda,nr_iterations,residual"
 
 
 def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        run_homotopy(net_3bus(), "bogus", NrOptions())
+    with pytest.raises(ValueError, match="unknown homotopy method"):
+        SolverOptions(homotopy="bogus")

@@ -10,7 +10,6 @@ from steadygrid.network import (
     PhaseDomain,
     coupled_line_y,
     phase_array,
-    series_y,
     validate,
 )
 

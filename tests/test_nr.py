@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from steadygrid.indexing import IndexMap, flat_state
-from steadygrid.linsys import SparseSystem
 from steadygrid.nr import (
     NrOptions,
     NrTraceRow,
@@ -16,17 +15,20 @@ from steadygrid.nr import (
     update_zeta,
 )
 from steadygrid.stamps import (
-    GenModes,
     build_companion,
     effective_params,
     invert_pv_current,
     pv_current,
 )
-from steadygrid.solver import uniform_state
 
-from conftest import net_2bus, net_3bus, net_linear
+from conftest import net_2bus, net_linear
 
 WIDE = NrOptions(tol=1e-10, dv_max=100.0, v_min=-10.0, v_max=10.0)
+
+
+def bound_of(net):
+    """The network's own parameter set bound to a fresh layout."""
+    return build_companion(net, IndexMap(net)).bind(effective_params(net))
 
 
 def row(it, res, dv, zeta=1.0, limited=0):
@@ -152,59 +154,50 @@ def test_partial_cap_limits_q_change():
 
 def test_linear_network_converges_in_one_iteration_from_any_start():
     net = net_linear()
-    index = IndexMap(net)
-    layout = build_companion(net, index)
-    params = effective_params(net)
+    bound = bound_of(net)
+    index = bound.layout.index
     rng = np.random.default_rng(9)
     for _ in range(10):
         state = flat_state(index)
         state.x += rng.uniform(-3, 3, size=index.dim)
-        out, ok, iters = run_newton(layout, params, state, WIDE)
+        out, ok, iters = run_newton(bound, state, WIDE)
         assert ok and iters == 1
         # second iterate would take a zero step: already at the solution
-        out2, ok2, iters2 = run_newton(layout, params, out, WIDE)
+        out2, ok2, iters2 = run_newton(bound, out, WIDE)
         assert ok2 and iters2 == 0
 
 
 def test_two_bus_quadratic_convergence():
-    net = net_2bus()
-    index = IndexMap(net)
-    params = effective_params(net)
+    bound = bound_of(net_2bus())
     trace = []
-    state, ok, iters = run_newton(
-        build_companion(net, index), params, flat_state(index), WIDE, trace=trace
-    )
+    state, ok, iters = run_newton(bound, flat_state(bound.layout.index), WIDE, trace=trace)
     assert ok
     residuals = [r.residual for r in trace if r.residual > 0]
     # superlinear: successive ratios shrink
     ratios = [residuals[k + 1] / residuals[k] for k in range(len(residuals) - 1)]
     assert all(r2 < r1 for r1, r2 in zip(ratios, ratios[1:]))
-    rep = check_convergence(net, state, 1e-10)
+    rep = check_convergence(bound, state, 1e-10)
     assert rep.converged
 
 
 def test_raw_step_capped_in_trace():
-    net = net_2bus(p=1.2, q=0.5)
-    index = IndexMap(net)
-    params = effective_params(net)
+    bound = bound_of(net_2bus(p=1.2, q=0.5))
     opts = NrOptions(dv_max=0.02)
     trace = []
-    run_newton(build_companion(net, index), params, flat_state(index), opts, trace=trace)
+    run_newton(bound, flat_state(bound.layout.index), opts, trace=trace)
     # raw Newton steps recorded, limited count increments when capped
     assert any(r.limited > 0 for r in trace)
 
 
 def test_check_convergence_zero_load_flat():
-    net = net_linear().with_devices(big_loads=())
-    state = flat_state(IndexMap(net))
-    rep = check_convergence(net, state, 1e-12)
+    bound = bound_of(net_linear().with_devices(big_loads=()))
+    rep = check_convergence(bound, flat_state(bound.layout.index), 1e-12)
     assert rep.converged and rep.residual <= 1e-12
 
 
 def test_check_convergence_flat_start_equals_injection():
-    net = net_2bus(p=0.5, q=0.2)
-    state = flat_state(IndexMap(net))
-    rep = check_convergence(net, state, 1e-6)
+    bound = bound_of(net_2bus(p=0.5, q=0.2))
+    rep = check_convergence(bound, flat_state(bound.layout.index), 1e-6)
     assert not rep.converged
     # at a flat start the only KCL violation is the load's own current draw;
     # the residual is a max over the real/imaginary rows separately
@@ -228,7 +221,7 @@ def test_check_convergence_on_analytic_two_bus():
     i_line = (1.0 - state.v_complex()[0, 1]) / complex(0.0, x)
     state.x[index.slack_ir(0, 0)] = i_line.real
     state.x[index.slack_ii(0, 0)] = i_line.imag
-    rep = check_convergence(net, state, 1e-9)
+    rep = check_convergence(bound_of(net), state, 1e-9)
     assert rep.converged
     assert rep.residual <= 1e-12
 
@@ -243,13 +236,10 @@ def test_trace_csv_format():
 
 
 def test_nr_applies_clamp_bounds():
-    net = net_2bus(p=3.0, q=1.5)  # infeasible: would dive toward collapse
-    index = IndexMap(net)
-    params = effective_params(net)
+    bound = bound_of(net_2bus(p=3.0, q=1.5))  # infeasible: would dive toward collapse
+    index = bound.layout.index
     opts = NrOptions(max_iter=30)
     trace = []
-    state, ok, _ = run_newton(
-        build_companion(net, index), params, flat_state(index), opts, trace=trace
-    )
+    state, ok, _ = run_newton(bound, flat_state(index), opts, trace=trace)
     nv = 2 * index.nbus
     assert np.all(state.x[:nv] >= opts.v_min) and np.all(state.x[:nv] <= opts.v_max)

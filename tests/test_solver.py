@@ -1,11 +1,11 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steadygrid import homotopy, nr, solver, stamps
 from steadygrid.caseio import load_case, write_solution
 from steadygrid.homotopy import anchored_state
 from steadygrid.indexing import IndexMap
@@ -31,7 +31,6 @@ from steadygrid.solver import (
     uniform_state,
     validate_solution,
 )
-from steadygrid.stamps import GEN_PINNED
 
 from conftest import (
     case_path,
@@ -280,6 +279,12 @@ def test_pass_limit_reports_infeasible():
     assert report.exit_code == 2
 
 
+@pytest.mark.parametrize("bad", [{"homotopy": "bogus"}, {"outer_max_passes": 0}])
+def test_options_reject_bad_values(bad):
+    with pytest.raises(ValueError):
+        SolverOptions(**bad)
+
+
 def test_determinism_of_reports_and_solutions():
     net = load_case(case_path("case14.net")).network
     opts = SolverOptions(homotopy="tx")
@@ -338,6 +343,34 @@ def test_tap_adjustment_moves_toward_target():
     assert net.transformers[0].tap[0] == 1.0  # the case itself is untouched
     assert report.to_dict()["final_taps"] == {"1": report.network.transformers[0].tap.tolist()}
     assert validate_solution(report.network, state).max < 10 * options.nr.tol
+
+
+@pytest.mark.parametrize("make, options", [
+    pytest.param(lambda: load_case(case_path("case_qlim.net")).network,
+                 SolverOptions(homotopy="tx"), id="case_qlim-tx"),
+    pytest.param(net_tap, SolverOptions(adjust_taps=True, outer_max_passes=12), id="tap"),
+])
+def test_one_layout_and_one_stack_per_parameter_set(monkeypatch, make, options):
+    calls = {"compress": 0, "stack": 0}
+
+    def compress(*args, _compress=stamps.compress_pattern):
+        calls["compress"] += 1
+        return _compress(*args)
+
+    def stack(*args, _stack=stamps.effective_params):
+        calls["stack"] += 1
+        return _stack(*args)
+
+    monkeypatch.setattr(stamps, "compress_pattern", compress)
+    for module in (solver, nr, homotopy):
+        if hasattr(module, "effective_params"):
+            monkeypatch.setattr(module, "effective_params", stack)
+    report, _ = solve(make(), options)
+    assert report.status == CONVERGED and report.outer_passes >= 2
+    # the final check reuses the solve's layout and binding; a new parameter
+    # set is stacked only after a pass that moved a tap or shunt block
+    moved = {e["pass"] for e in report.switch_events if e["action"] in ("tap", "blocks")}
+    assert calls == {"compress": 1, "stack": 1 + len(moved)}
 
 
 def test_shunt_block_stepping():

@@ -18,7 +18,6 @@ from steadygrid.network import (
     PhaseDomain,
     Transformer,
     phase_array,
-    phase_carray,
     series_y,
 )
 from steadygrid.nr import NrOptions, residual_vector
@@ -87,8 +86,8 @@ def test_branch_stamp_pattern_and_kcl():
 
 def test_branch_tx_scaling_factor():
     net = two_bus()
-    params = tx_transform(net, 1.0, 1000.0)
     base = effective_params(net)
+    params = tx_transform(base, 1.0, 1000.0)
     np.testing.assert_allclose(params.branch_y[0], base.branch_y[0] * 1001.0, rtol=1e-15)
 
 
@@ -128,7 +127,7 @@ def test_identity_transformer_equals_branch():
 def test_transformer_tap_relaxation_endpoint():
     net = net_allparts()
     base = effective_params(net)
-    p1 = tx_transform(net, 1.0, 10.0)
+    p1 = tx_transform(base, 1.0, 10.0)
     np.testing.assert_allclose(p1.xfmr_tap[0], 1.0, atol=1e-15)
     np.testing.assert_allclose(p1.xfmr_shift[0], 0.0, atol=1e-15)
     # halfway: shift of 30 deg relaxed by lambda = 0.5 leaves 15 deg
@@ -140,7 +139,7 @@ def test_transformer_tap_relaxation_endpoint():
     # the relaxed transformer assembles exactly like a plain branch
     tx = replace(net.transformers[0], from_bus=1, to_bus=2)
     relaxed = two_bus(transformer=tx)
-    a_tx, _, _ = dense_system(relaxed, params=tx_transform(relaxed, 1.0, 0.0))
+    a_tx, _, _ = dense_system(relaxed, params=tx_transform(effective_params(relaxed), 1.0, 0.0))
     a_br, _, _ = dense_system(two_bus(y=tx.y_series))
     np.testing.assert_allclose(a_tx, a_br, atol=1e-15)
 
@@ -425,12 +424,12 @@ def plain(builder):
 
 def tx_half_remote():
     net = net_remote()
-    return net, tx_transform(net, 0.5, 10.0), GenModes.initial(net)
+    return net, tx_transform(effective_params(net), 0.5, 10.0), GenModes.initial(net)
 
 
 def power_half():
     net = net_3phase()
-    return net, power_transform(net, 0.5), GenModes.initial(net)
+    return net, power_transform(effective_params(net), 0.5), GenModes.initial(net)
 
 
 def pinned_gen():
@@ -508,8 +507,8 @@ def test_sparsity_pattern_is_iterate_independent():
     assert d1.size == nnz
     # nor does it depend on pinned Q rows or on zeroed parameters
     for prm, st, modes in ((params, s2, free), (params, s1, pinned),
-                           (tx_transform(net, 0.5, 10.0), s1, free),
-                           (power_transform(net, 0.0), s2, free)):
+                           (tx_transform(params, 0.5, 10.0), s1, free),
+                           (power_transform(params, 0.0), s2, free)):
         d2, _ = assemble_system(layout.bind(prm), st, 1.0, modes)
         assert d2.size == nnz
     # a fresh layout lays out the same pattern
@@ -548,12 +547,12 @@ def test_one_pattern_build_per_system_in_a_solve(monkeypatch, case, method, qmax
 ])
 def test_one_layout_per_solve(monkeypatch, case, method, passes, newton_calls):
     builds, newton = [], []
-    for module in (solver, nr, homotopy):
-        def counting(*args, _module=module.__name__, _build=module.build_companion):
-            builds.append(_module)
-            return _build(*args)
 
-        monkeypatch.setattr(module, "build_companion", counting)
+    def counting(*args, _build=solver.build_companion):
+        builds.append(1)
+        return _build(*args)
+
+    monkeypatch.setattr(solver, "build_companion", counting)
     for module in (solver, homotopy):
         def counting_newton(*args, _run=module.run_newton):
             newton.append(args[0])
@@ -564,9 +563,10 @@ def test_one_layout_per_solve(monkeypatch, case, method, passes, newton_calls):
     report, _ = solve(net, SolverOptions(homotopy=method, nr=NrOptions(tol=1e-8)))
     assert report.status == "converged" and report.outer_passes == passes
     assert len(newton) == newton_calls
-    # one layout for the solve loop, one for the independent final check
-    assert builds == ["steadygrid.solver", "steadygrid.nr"]
-    assert all(layout is newton[0] for layout in newton)
+    # one layout for the whole solve, the final check included; nothing
+    # below solve() lays out a companion of its own
+    assert len(builds) == 1
+    assert all(bound.layout is newton[0].layout for bound in newton)
 
 
 def test_device_params_are_read_only():
@@ -574,7 +574,7 @@ def test_device_params_are_read_only():
     base = effective_params(net)
     with pytest.raises(ValueError):
         base.branch_y[0, 0, 0] = 0.0
-    stepped = tx_transform(net, 0.5, 10.0, base)
+    stepped = tx_transform(base, 0.5, 10.0)
     assert stepped.gen_p is base.gen_p  # shared with the base, never copied
     with pytest.raises(ValueError):
         stepped.gen_p[0, 0] = 0.0
