@@ -3,7 +3,8 @@
 Outputs land in ``--out`` (default ``.``): ``solution.csv``, ``report.json``,
 ``trace.csv`` (with ``--trace``), ``sweep.csv``, ``contingency.csv``. Exit
 codes: 0 converged, 1 diverged, 2 infeasible (worst status across a batch),
-64 usage error, 66 unreadable case file.
+64 usage error (a rejected flag value included), 66 unreadable case or init
+file.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import NoReturn
 
 from . import analyses
 from .caseio import CaseError, load_case, parse_case, write_solution
@@ -21,6 +23,7 @@ from .solver import (
     EXIT_CODES,
     InitSpec,
     SolverOptions,
+    initialize_state,
     solve,
     validate_solution,
 )
@@ -50,20 +53,32 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=".", help="output directory")
 
 
-def _build_options(args) -> SolverOptions:
-    nr = NrOptions(tol=args.tol, max_iter=args.max_iter, dv_max=args.dv_max,
-                   zeta_min=args.zeta_min)
-    if args.init == "file" and not getattr(args, "init_file", None):
-        sys.stderr.write("error: --init file needs --init-file PATH\n")
-        raise SystemExit(EX_USAGE)
-    init = InitSpec(kind=args.init, seed=args.seed, path=getattr(args, "init_file", None))
-    return SolverOptions(
-        nr=nr,
-        homotopy=args.homotopy,
-        schedule=HomotopySchedule(gamma=args.gamma),
-        init=init,
-        enforce_q_limits=args.q_limits == "on",
-    )
+def _fail(code: int, message: str) -> NoReturn:
+    sys.stderr.write(f"error: {message}\n")
+    raise SystemExit(code)
+
+
+def _build_options(args, network) -> SolverOptions:
+    if args.init == "file" and not args.init_file:
+        _fail(EX_USAGE, "--init file needs --init-file PATH")
+    init = InitSpec(kind=args.init, seed=args.seed, path=args.init_file)
+    try:
+        options = SolverOptions(
+            nr=NrOptions(tol=args.tol, max_iter=args.max_iter, dv_max=args.dv_max,
+                         zeta_min=args.zeta_min),
+            homotopy=args.homotopy,
+            schedule=HomotopySchedule(gamma=args.gamma),
+            init=init,
+            enforce_q_limits=args.q_limits == "on",
+        )
+    except ValueError as exc:
+        _fail(EX_USAGE, str(exc))
+    if init.kind == "file":  # read once, here, so a bad file is an input error
+        try:
+            options.init = InitSpec(kind="warm", state=initialize_state(network, init))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            _fail(EX_NOINPUT, f"cannot use init file {init.path}: {exc}")
+    return options
 
 
 def _load(path: str):
@@ -85,7 +100,7 @@ def _write(outdir: str, name: str, text: str) -> None:
 
 def _cmd_solve(args) -> int:
     case = _load(args.case)
-    options = _build_options(args)
+    options = _build_options(args, case.network)
     report, state = solve(case.network, options)
     _write(args.out, "solution.csv", write_solution(case.network, state, report, fmt="csv"))
     _write(args.out, "report.json", report.to_json())
@@ -103,7 +118,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     case = _load(args.case)
-    options = _build_options(args)
+    options = _build_options(args, case.network)
     spec = analyses.SweepSpec(samples=args.samples, seed=args.seed)
     result = analyses.run_sweep(case.network, spec, options)
     _write(args.out, "sweep.csv", result.csv())
@@ -117,7 +132,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_contingency(args) -> int:
     case = _load(args.case)
-    options = _build_options(args)
+    options = _build_options(args, case.network)
     base_report, base_state = solve(case.network, options)
     if base_report.status != CONVERGED:
         sys.stderr.write("base case did not converge; aborting contingencies\n")

@@ -56,6 +56,10 @@ class HomotopySchedule:
     max_step: float = 0.5
     gamma: float = 1e4
 
+    def __post_init__(self):
+        if not self.gamma > 0:
+            raise ValueError("gamma must be positive")
+
 
 @dataclass
 class HomotopyResult:

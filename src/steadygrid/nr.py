@@ -1,10 +1,11 @@
 """Inner Newton-Raphson loop with variable, voltage and Q limiting.
 
 Each call takes one parameter set already bound to the companion layout
-(``solve()`` lays the layout out once and binds each parameter set once);
-each iteration assembles the system at the current iterate,
+(``solve()`` lays the layout out once and binds each parameter set once).
+Each pass of the one loop assembles the system at the current iterate and
 measures the true nonlinear residual (``A x_k - b`` is exact for companion
-stamps), solves for the raw next iterate and then applies the safeguards:
+stamps). A converged iterate returns before any factorization; otherwise
+the pass solves for the raw next iterate and then applies the safeguards:
 
 * voltage limiting caps every ``V_R``/``V_I`` step at ``dv_max`` and clamps
   the result into ``[v_min, v_max]``;
@@ -14,8 +15,10 @@ stamps), solves for the raw next iterate and then applies the safeguards:
 * Q limiting caps the change of the source current implied by a reactive
   power step and maps the capped current back to Q.
 
-Convergence is declared on the maximum nonlinear current mismatch over all
-non-slack KCL rows together with every control-constraint residual.
+The last iterate of the ``max_iter`` budget is measured in one more pass,
+at the current ``zeta``. Convergence is declared on the maximum nonlinear
+current mismatch over all non-slack KCL rows together with every
+control-constraint residual.
 """
 
 from __future__ import annotations
@@ -74,6 +77,10 @@ class NrOptions:
             raise ValueError("dv_max must be positive")
         if not self.v_min < self.v_max:
             raise ValueError("v_min must be below v_max")
+        if not self.tol > 0:
+            raise ValueError("tol must be positive")
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be >= 0")
 
 
 @dataclass
@@ -196,66 +203,6 @@ def _reinit_voltage(state: StateVector, network: Network, bus: int, ph: int) -> 
     state.set_voltage(network.bus_index[bus], ph, v)
 
 
-def nr_iterate(
-    bound: BoundCompanion,
-    state: StateVector,
-    options: NrOptions,
-    zeta: float,
-    modes: GenModes,
-    system: SparseSystem,
-    iteration: int,
-):
-    """One stamp-assemble-solve-limit cycle.
-
-    Returns ``(next_state, trace_row, residual_before_step)``. Raises
-    :class:`SingularityError` when the linearized system cannot be solved.
-    """
-    c = bound.layout
-    # one node re-initialized per attempt; each generator or ZIP lane needs
-    # at most one, so an arbitrary start (all zeros included) gets through
-    budget = c.gen_v.size + c.zip_a.size
-    for attempt in range(budget + 1):
-        try:
-            data, rhs = assemble_system(bound, state, zeta, modes)
-            break
-        except ZeroVoltageIterate as zvi:
-            if attempt == budget:
-                raise
-            _reinit_voltage(state, c.network, zvi.bus, zvi.phase)
-    system.assemble(c.pattern, data, rhs)
-    residual = _max_abs(system.matrix @ state.x - system.rhs, c.kcl_mask)
-
-    x_raw = system.factor_solve()
-    dx = x_raw - state.x
-
-    nv = 2 * c.index.nbus * c.index.nphase
-    dv = dx[:nv]
-    max_dv = float(np.max(np.abs(dv))) if nv else 0.0
-
-    new = state.copy()
-    v_new = apply_voltage_limiting(state.x[:nv], dv, options)
-    limited = int(np.count_nonzero(np.abs(v_new - x_raw[:nv]) > 0.0))
-    new.x[:nv] = v_new
-    # auxiliary slack currents take the raw solve
-    new.x[nv:] = x_raw[nv:]
-    # Q limiting on free generator slots
-    pinned = modes.mode.ravel()[c.slot_lanes] == GEN_PINNED
-    for lane, qi, pin in zip(c.slot_lanes, c.q_idx, pinned):
-        if pin:
-            continue
-        v = c.gen_v[lane]
-        q_lim = apply_q_limiting(
-            float(bound.gen_p[lane]), state.x[qi], x_raw[qi], state.x[v], state.x[v + 1],
-            options.di_max,
-        )
-        if q_lim != x_raw[qi]:
-            limited += 1
-        new.x[qi] = q_lim
-
-    row = NrTraceRow(iteration, residual, max_dv, zeta, limited)
-    return new, row, residual
-
-
 def run_newton(
     bound: BoundCompanion,
     state: StateVector,
@@ -266,25 +213,70 @@ def run_newton(
 ):
     """Iterate to convergence. Returns ``(state, converged, iterations)``.
 
-    ``trace`` (when given) accumulates one row per iteration actually taken;
-    ``system`` may be shared across calls to reuse the assembly pattern.
+    Each pass assembles the system at the iterate (re-initializing one
+    zero-voltage node per attempt) and measures ``max |A x - b|`` over the
+    KCL rows. An iterate within ``tol`` returns at once, before any
+    factorization; otherwise the pass factors, applies voltage and then Q
+    limiting and appends one trace row. The pass after ``max_iter`` steps
+    only measures, at the current ``zeta``. Raises :class:`SingularityError`
+    when the system at an unconverged iterate cannot be solved.
+
+    ``trace`` (when given) accumulates one row per step taken; ``system``
+    may be shared across calls to reuse the assembly pattern.
     """
-    layout = bound.layout
+    c = bound.layout
     if modes is None:
-        modes = GenModes.initial(layout.network)
+        modes = GenModes.initial(c.network)
     if system is None:
-        system = SparseSystem(layout.index.dim)
+        system = SparseSystem(c.index.dim)
     own_trace: list[NrTraceRow] = [] if trace is None else trace
     base = len(own_trace)
+    nv = 2 * c.index.nbus * c.index.nphase
+    # one node re-initialized per attempt; each generator or ZIP lane needs
+    # at most one, so an arbitrary start (all zeros included) gets through
+    reinits = c.gen_v.size + c.zip_a.size
     zeta = options.zeta_init
     current = state.copy()
-    for k in range(options.max_iter):
-        new, row, residual = nr_iterate(bound, current, options, zeta, modes, system, k)
+    for k in range(options.max_iter + 1):
+        for attempt in range(reinits + 1):
+            try:
+                data, rhs = assemble_system(bound, current, zeta, modes)
+                break
+            except ZeroVoltageIterate as zvi:
+                if attempt == reinits:
+                    raise
+                _reinit_voltage(current, c.network, zvi.bus, zvi.phase)
+        system.assemble(c.pattern, data, rhs)
+        residual = _max_abs(system.matrix @ current.x - system.rhs, c.kcl_mask)
         if residual < options.tol:
             return current, True, k
-        own_trace.append(row)
+        if k == options.max_iter:
+            break
+
+        x_raw = system.factor_solve()
+        dv = x_raw[:nv] - current.x[:nv]
+        max_dv = float(np.max(np.abs(dv))) if nv else 0.0
+        new = current.copy()
+        v_new = apply_voltage_limiting(current.x[:nv], dv, options)
+        limited = int(np.count_nonzero(np.abs(v_new - x_raw[:nv]) > 0.0))
+        new.x[:nv] = v_new
+        # auxiliary slack currents take the raw solve
+        new.x[nv:] = x_raw[nv:]
+        # Q limiting on free generator slots
+        pinned = modes.mode.ravel()[c.slot_lanes] == GEN_PINNED
+        for lane, qi, pin in zip(c.slot_lanes, c.q_idx, pinned):
+            if pin:
+                continue
+            v = c.gen_v[lane]
+            q_lim = apply_q_limiting(
+                float(bound.gen_p[lane]), current.x[qi], x_raw[qi],
+                current.x[v], current.x[v + 1], options.di_max,
+            )
+            if q_lim != x_raw[qi]:
+                limited += 1
+            new.x[qi] = q_lim
+
+        own_trace.append(NrTraceRow(k, residual, max_dv, zeta, limited))
         current = new
         zeta = update_zeta(own_trace[base:], zeta, options)
-    # the final iterate may have just crossed the tolerance
-    residual = _max_abs(residual_vector(bound, current, modes, system), layout.kcl_mask)
-    return current, residual < options.tol, options.max_iter
+    return current, False, options.max_iter

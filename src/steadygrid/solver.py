@@ -174,8 +174,12 @@ def initialize_state(network: Network, spec: InitSpec, index: IndexMap | None = 
         phase_pos = {name: ph for ph, name in enumerate(network.domain.phases)}
         v = state.v_complex()
         for rec in doc["buses"]:
-            at = phase_pos[rec["phase"]], network.bus_index[int(rec["bus"])]
-            v[at] = complex(float(rec["vr_pu"]), float(rec["vi_pu"]))
+            bus, phase = int(rec["bus"]), rec["phase"]
+            if bus not in network.bus_index or phase not in phase_pos:
+                raise ValueError(f"the case has no bus {bus} phase {phase!r}")
+            v[phase_pos[phase], network.bus_index[bus]] = complex(
+                float(rec["vr_pu"]), float(rec["vi_pu"])
+            )
         state.set_voltages(v)
         return state
     raise ValueError(f"unknown init kind {spec.kind!r}")

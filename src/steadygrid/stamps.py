@@ -99,9 +99,6 @@ class GenModes:
         mode[[not g.controls_voltage for g in network.generators]] = GEN_FIXED
         return cls(mode=mode, q_pin=np.zeros((ng, nph)))
 
-    def copy(self) -> "GenModes":
-        return GenModes(self.mode.copy(), self.q_pin.copy())
-
 
 # ---------------------------------------------------------------------------
 # Effective (possibly homotopy-transformed) device parameters

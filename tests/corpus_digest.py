@@ -1,0 +1,105 @@
+"""Print a digest of every corpus solve and of six CLI commands.
+
+Two trees that print the same lines produce bit-identical iterates: each
+corpus line hashes the report without ``meta``, the state bytes, the NR
+trace and the lambda trace; each CLI line hashes stdout and every output
+file (``report.json`` without ``meta``). ``steadygrid`` comes from the
+import path, so the same script compares any two source trees:
+
+    PYTHONPATH=src python3 tests/corpus_digest.py > after.txt
+    PYTHONPATH=<other checkout>/src python3 tests/corpus_digest.py > before.txt
+    diff before.txt after.txt
+
+pytest does not collect this file (its name does not start with ``test_``).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import math
+import os
+import tempfile
+
+from steadygrid.caseio import load_case
+from steadygrid.cli import main
+from steadygrid.homotopy import lambda_trace_to_csv
+from steadygrid.nr import NrOptions, trace_to_csv
+from steadygrid.solver import SolverOptions, solve
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CASES = os.path.join(ROOT, "cases")
+
+CLI_COMMANDS = [
+    ["sweep", "cases/case14.net", "--samples", "15", "--seed", "7"],
+    ["contingency", "cases/case9.net", "--homotopy", "tx"],
+    ["contingency", "cases/case56_mesh.net", "--homotopy", "tx", "--top-fraction", "0.15",
+     "--tol", "1e-8"],
+    ["solve", "cases/case14.net", "--homotopy", "tx", "--seed", "3", "--trace"],
+    ["solve", "cases/case6_remote.net", "--homotopy", "tx", "--trace"],
+    ["solve", "cases/case14.net", "--init", "random", "--seed", "3"],
+]
+
+
+def _digest(*parts: bytes) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(len(part).to_bytes(8, "little"))
+        h.update(part)
+    return h.hexdigest()[:16]
+
+
+def _without_meta(report_json: str) -> bytes:
+    doc = json.loads(report_json)
+    doc.pop("meta")
+    return json.dumps(doc, sort_keys=True).encode()
+
+
+def corpus_lines():
+    grid = itertools.product(
+        sorted(os.listdir(CASES)), ("none", "tx", "power"), (False, True), (1e-6, 1e-8),
+        (math.inf, 0.05),
+    )
+    for case, method, adjust, tol, di_max in grid:
+        label = f"{case} {method} adjust={int(adjust)} tol={tol:g} di_max={di_max:g}"
+        options = SolverOptions(
+            homotopy=method, nr=NrOptions(tol=tol, di_max=di_max),
+            adjust_taps=adjust, adjust_shunts=adjust,
+        )
+        try:
+            report, state = solve(load_case(os.path.join(CASES, case)).network, options)
+        except Exception as exc:  # a raised run is part of the behaviour
+            yield f"{label} raised {type(exc).__name__}"
+            continue
+        digest = _digest(
+            _without_meta(report.to_json()),
+            state.x.tobytes(),
+            trace_to_csv(report.nr_trace).encode(),
+            lambda_trace_to_csv(report.lambda_trace).encode(),
+        )
+        yield (f"{label} {report.status} {report.inner_iterations} "
+               f"{report.homotopy_steps} {report.outer_passes} {digest}")
+
+
+def cli_lines():
+    for argv in CLI_COMMANDS:
+        with tempfile.TemporaryDirectory() as out:
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main([os.path.join(ROOT, a) if a.startswith("cases/") else a
+                             for a in argv] + ["--out", out])
+            parts = [stdout.getvalue().encode()]
+            for name in sorted(os.listdir(out)):
+                with open(os.path.join(out, name), encoding="utf-8") as fh:
+                    text = fh.read()
+                parts += [name.encode(), _without_meta(text) if name == "report.json"
+                          else text.encode()]
+        yield f"{' '.join(argv)} exit={code} {_digest(*parts)}"
+
+
+if __name__ == "__main__":
+    for line in itertools.chain(corpus_lines(), cli_lines()):
+        print(line, flush=True)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from steadygrid.cli import EX_NOINPUT, EX_USAGE, main
 
 from conftest import case_path
@@ -42,6 +44,15 @@ def test_bogus_homotopy_flag_is_usage_error(capsys):
     assert run(["solve", case_path("case2.net"), "--homotopy", "bogus"]) == EX_USAGE
     # an unknown flag on a batch subcommand
     assert run(["sweep", case_path("case3_ring.net"), "--workers", "2"]) == EX_USAGE
+    capsys.readouterr()
+    # values the options reject: one error line, no traceback, no solve
+    for flag, value in [("--dv-max", "0"), ("--zeta-min", "2"), ("--tol", "-1"),
+                        ("--tol", "0"), ("--max-iter", "-3"), ("--gamma", "0")]:
+        for command in ("solve", "sweep", "contingency"):
+            assert run([command, case_path("case2.net"), flag, value]) == EX_USAGE
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_unreadable_case_exit_code(tmp_path):
@@ -126,3 +137,27 @@ def test_init_from_solution_file(tmp_path):
 
 def test_init_file_without_path_is_usage_error():
     assert run(["solve", case_path("case14.net"), "--init", "file"]) == EX_USAGE
+
+
+def test_missing_init_file_is_input_error(tmp_path, capsys):
+    argv = ["solve", case_path("case14.net"), "--init", "file",
+            "--init-file", str(tmp_path / "missing.json"), "--out", str(tmp_path)]
+    assert run(argv) == EX_NOINPUT
+    assert capsys.readouterr().err.startswith("error: cannot use init file")
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "not json",
+    '{"solutions": []}',
+    '{"buses": [{"bus": 99, "phase": "p", "vr_pu": 1.0, "vi_pu": 0.0}]}',
+    '{"buses": [{"bus": 1, "phase": "a", "vr_pu": 1.0, "vi_pu": 0.0}]}',
+])
+def test_malformed_init_file_is_input_error(tmp_path, capsys, text):
+    sol = tmp_path / "sol.json"
+    sol.write_text(text)
+    argv = ["solve", case_path("case14.net"), "--init", "file",
+            "--init-file", str(sol), "--out", str(tmp_path)]
+    assert run(argv) == EX_NOINPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot use init file") and err.count("\n") == 1

@@ -9,6 +9,7 @@ import os
 import pytest
 
 from steadygrid.caseio import load_case
+from steadygrid.linsys import SparseSystem
 from steadygrid.nr import NrOptions
 from steadygrid.solver import SolverOptions, solve
 
@@ -104,8 +105,18 @@ def test_table_covers_the_corpus():
 
 
 @pytest.mark.parametrize("case, method", [(c, m) for c in sorted(WORK) for m in WORK[c]])
-def test_corpus_work_counts(case, method):
+def test_corpus_work_counts(case, method, monkeypatch):
+    factorizations = 0
+
+    def counting_factor_solve(self, _run=SparseSystem.factor_solve):
+        nonlocal factorizations
+        factorizations += 1
+        return _run(self)
+
+    monkeypatch.setattr(SparseSystem, "factor_solve", counting_factor_solve)
     net = load_case(os.path.join(CASE_DIR, case)).network
     report, _ = solve(net, SolverOptions(homotopy=method, nr=NrOptions(tol=1e-8)))
     got = (report.status, report.inner_iterations, report.homotopy_steps, report.outer_passes)
     assert got == WORK[case][method]
+    # one factorization per Newton step: a converged iterate is never factored
+    assert factorizations == report.inner_iterations

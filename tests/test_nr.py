@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from steadygrid.indexing import IndexMap, flat_state
+from steadygrid.linsys import SparseSystem
 from steadygrid.nr import (
     NrOptions,
     NrTraceRow,
@@ -152,7 +153,14 @@ def test_partial_cap_limits_q_change():
 # -- the Newton loop --------------------------------------------------------------
 
 
-def test_linear_network_converges_in_one_iteration_from_any_start():
+def test_linear_network_converges_in_one_iteration_from_any_start(monkeypatch):
+    factorizations = []
+
+    def counting_factor_solve(self, _run=SparseSystem.factor_solve):
+        factorizations.append(self)
+        return _run(self)
+
+    monkeypatch.setattr(SparseSystem, "factor_solve", counting_factor_solve)
     net = net_linear()
     bound = bound_of(net)
     index = bound.layout.index
@@ -162,9 +170,24 @@ def test_linear_network_converges_in_one_iteration_from_any_start():
         state.x += rng.uniform(-3, 3, size=index.dim)
         out, ok, iters = run_newton(bound, state, WIDE)
         assert ok and iters == 1
-        # second iterate would take a zero step: already at the solution
+        assert len(factorizations) == 1
+        # already at the solution: measured, never factored
         out2, ok2, iters2 = run_newton(bound, out, WIDE)
         assert ok2 and iters2 == 0
+        assert len(factorizations) == 1
+        factorizations.clear()
+
+
+def test_zero_budget_measures_the_start_only():
+    bound = bound_of(net_2bus(p=0.5, q=0.2))
+    start = flat_state(bound.layout.index)
+    trace = []
+    out, ok, iters = run_newton(bound, start, NrOptions(max_iter=0), trace=trace)
+    assert (ok, iters, trace) == (False, 0, [])
+    assert np.array_equal(out.x, start.x)
+    solved, ok, _ = run_newton(bound, start, WIDE)
+    assert ok
+    assert run_newton(bound, solved, NrOptions(tol=1e-8, max_iter=0))[1:] == (True, 0)
 
 
 def test_two_bus_quadratic_convergence():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from steadygrid import homotopy, nr, solver, stamps
 from steadygrid.caseio import load_case, write_solution
-from steadygrid.homotopy import anchored_state
+from steadygrid.homotopy import HomotopySchedule, anchored_state
 from steadygrid.indexing import IndexMap
 from steadygrid.network import (
     PHASE_OFFSETS,
@@ -212,6 +213,16 @@ def test_file_init_round_trip(tmp_path):
     np.testing.assert_allclose(loaded.v_complex(), state.v_complex(), atol=1e-15)
 
 
+@pytest.mark.parametrize("bus, phase", [(99, "p"), (1, "a")])
+def test_file_init_rejects_a_bus_or_phase_the_case_lacks(tmp_path, bus, phase):
+    path = tmp_path / "sol.json"
+    path.write_text(json.dumps(
+        {"buses": [{"bus": bus, "phase": phase, "vr_pu": 1.0, "vi_pu": 0.0}]}
+    ))
+    with pytest.raises(ValueError, match=f"bus {bus} phase '{phase}'"):
+        initialize_state(net_2bus(), InitSpec(kind="file", path=str(path)))
+
+
 # -- validate_solution -----------------------------------------------------------
 
 
@@ -279,10 +290,21 @@ def test_pass_limit_reports_infeasible():
     assert report.exit_code == 2
 
 
-@pytest.mark.parametrize("bad", [{"homotopy": "bogus"}, {"outer_max_passes": 0}])
+@pytest.mark.parametrize("bad", [
+    {"homotopy": "bogus"},
+    {"outer_max_passes": 0},
+    {"nr": {"tol": 0.0}},
+    {"nr": {"tol": -1.0}},
+    {"nr": {"max_iter": -3}},
+    {"nr": {"dv_max": 0.0}},
+    {"nr": {"zeta_min": 2.0}},
+    {"schedule": {"gamma": 0.0}},
+    {"schedule": {"gamma": -1e4}},
+])
 def test_options_reject_bad_values(bad):
+    parts = {"nr": NrOptions, "schedule": HomotopySchedule}
     with pytest.raises(ValueError):
-        SolverOptions(**bad)
+        SolverOptions(**{k: parts[k](**v) if k in parts else v for k, v in bad.items()})
 
 
 def test_determinism_of_reports_and_solutions():

@@ -496,7 +496,7 @@ def test_sparsity_pattern_is_iterate_independent():
     index = IndexMap(net)
     params = effective_params(net)
     free = GenModes.initial(net)
-    pinned = free.copy()
+    pinned = GenModes(free.mode.copy(), free.q_pin.copy())
     pinned.mode[0, 0] = GEN_PINNED
     s1 = flat_state(index)
     s2 = flat_state(index)
