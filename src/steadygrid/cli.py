@@ -46,11 +46,14 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float, default=1e4)
     p.add_argument("--dv-max", type=float, default=0.1)
     p.add_argument("--zeta-min", type=float, default=0.05)
-    p.add_argument("--init", choices=["flat", "random", "file"], default="flat")
-    p.add_argument("--init-file", help="JSON solution used with --init file")
     p.add_argument("--q-limits", choices=["on", "off"], default="on")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=".", help="output directory")
+
+
+def _add_init_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--init", choices=["flat", "random", "file"], default="flat")
+    p.add_argument("--init-file", help="JSON solution used with --init file")
 
 
 def _fail(code: int, message: str) -> NoReturn:
@@ -174,6 +177,7 @@ def main(argv=None) -> int:
     p_solve = sub.add_parser("solve", help="solve one case")
     p_solve.add_argument("case")
     _add_solver_flags(p_solve)
+    _add_init_flags(p_solve)
     p_solve.add_argument("--trace", action="store_true", help="write iteration traces")
     p_solve.set_defaults(func=_cmd_solve)
 
@@ -181,11 +185,13 @@ def main(argv=None) -> int:
     p_sweep.add_argument("case")
     _add_solver_flags(p_sweep)
     p_sweep.add_argument("--samples", type=int, default=15)
-    p_sweep.set_defaults(func=_cmd_sweep)
+    # the sweep draws its own starts, so it takes no --init
+    p_sweep.set_defaults(func=_cmd_sweep, init="flat", init_file=None)
 
     p_cont = sub.add_parser("contingency", help="N-1 screening from a solved base")
     p_cont.add_argument("case")
     _add_solver_flags(p_cont)
+    _add_init_flags(p_cont)
     p_cont.add_argument("--top-fraction", type=float, default=0.1)
     p_cont.set_defaults(func=_cmd_contingency)
 

@@ -152,18 +152,18 @@ def run_homotopy(
 
     lam = 1.0
     step = schedule.d_lambda
-    accepted: list = []  # (lambda, nr_iterations, residual)
+    accepted: list = []  # (lambda, nr_iterations, residual of the accepted iterate)
     total_iters = 0
 
     state = anchored_state(layout.network, layout.index)
     try:
-        state, ok, iters = newton_at(1.0, state)
+        state, ok, iters, residual = newton_at(1.0, state)
     except SingularityError:
         ok, iters = False, 0
     total_iters += iters
     if not ok:
         return HomotopyResult(False, None, 0, total_iters, [], 1.0)
-    accepted.append((1.0, iters, nr_trace[-1].residual if nr_trace else 0.0))
+    accepted.append((1.0, iters, residual))
 
     def next_lambda(lam, step):
         # snap float dust to the exact endpoint so the final sub-problem is
@@ -177,7 +177,7 @@ def run_homotopy(
         first_try = True
         while True:
             try:
-                cand, ok, iters = newton_at(lam_next, state)
+                cand, ok, iters, residual = newton_at(lam_next, state)
             except SingularityError:
                 ok, iters = False, 0
             total_iters += iters
@@ -191,7 +191,7 @@ def run_homotopy(
             lam_next = next_lambda(lam, step)
         state = cand
         lam = lam_next
-        accepted.append((lam_next, iters, nr_trace[-1].residual if nr_trace else 0.0))
+        accepted.append((lam_next, iters, residual))
         if first_try:
             first_try_successes += 1
             if first_try_successes >= 2:

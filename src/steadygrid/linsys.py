@@ -6,9 +6,17 @@ per fixed pattern; :meth:`SparseSystem.assemble` only takes CSC data over it
 every matrix shares the pattern's read-only ``indices``/``indptr``. Rows are
 equilibrated on those CSC arrays before factorization, because
 source/constraint rows and admittance rows can differ by many orders of
-magnitude mid-continuation. The scaled copy drops the pattern's explicit
+magnitude mid-continuation. The scaled matrix drops the pattern's explicit
 zeros (open shorts, zeroed loads): SuperLU orders columns by the structure,
 so a kept zero would change the pivots and the solution.
+
+The column order lives on the :class:`SparseSystem`, next to the pattern.
+COLAMD runs on the first factorization of a pattern and again only when the
+set of dropped zeros changes (``orderings`` counts these); every other
+factorization gathers the values into the column-permuted matrix and calls
+SuperLU in ``NATURAL`` order, which yields the same L and U. The refinement
+residual is taken on the unpermuted matrix, because a permuted product sums
+each row in another order and the result would differ in the last bits.
 """
 
 from __future__ import annotations
@@ -60,19 +68,53 @@ def compress_pattern(n: int, rows, cols) -> tuple[CscPattern, np.ndarray]:
     return CscPattern(indices, indptr), slots
 
 
+def _csc(n: int, cols: np.ndarray, rows: np.ndarray) -> sparse.csc_matrix:
+    """An ``n x n`` CSC matrix over entries already sorted by column, whose
+    data a gather fills in place before each use."""
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
+    return sparse.csc_matrix(
+        (np.empty(rows.size), rows, indptr.astype(np.int32)), shape=(n, n)
+    )
+
+
+class _Order:
+    """SuperLU's column order ``perm_c`` for one set of dropped zeros.
+
+    ``gather`` takes the pattern's other slots into ``a_s`` in the original
+    column order; ``gather_p`` takes them into ``a_p``, whose column ``j`` is
+    the column ``i`` of ``a_s`` with ``perm_c[i] == j`` (``A Pc`` in SuperLU's
+    terms), so ``a_p`` factors in ``NATURAL`` order to the same L and U.
+    """
+
+    def __init__(self, pattern: CscPattern, zero: np.ndarray, perm_c: np.ndarray):
+        n = pattern.indptr.size - 1
+        self.zero = zero
+        self.perm_c = perm_c
+        self.gather = np.flatnonzero(~zero)
+        cols = np.repeat(np.arange(n), np.diff(pattern.indptr))[self.gather]
+        self.a_s = _csc(n, cols, pattern.indices[self.gather])
+        cols_p = perm_c[cols]
+        by_col = np.argsort(cols_p, kind="stable")  # each column's rows stay ascending
+        self.gather_p = self.gather[by_col]
+        self.a_p = _csc(n, cols_p[by_col], pattern.indices[self.gather_p])
+
+
 class SparseSystem:
     """One n x n real system, reassembled in place every Newton iteration."""
 
     def __init__(self, n: int):
         self.n = n
         self.pattern_builds = 0
+        self.orderings = 0
         self._pattern = None
+        self._order = None
         self._matrix = self._rhs = None
 
     def assemble(self, pattern: CscPattern, data: np.ndarray, rhs: np.ndarray) -> None:
         """``data`` holds one value per slot of ``pattern``; ``rhs`` is dense."""
         if pattern is not self._pattern:
             self._pattern = pattern
+            self._order = None
             self.pattern_builds += 1
         self._matrix = sparse.csc_matrix(
             (data, pattern.indices, pattern.indptr), shape=(self.n, self.n)
@@ -94,11 +136,18 @@ class SparseSystem:
     def factor_solve(self) -> np.ndarray:
         """LU solve with row equilibration and one refinement step.
 
-        Each row is scaled by its largest magnitude on the cached CSC arrays;
-        the scaled copy drops explicit zeros, so SuperLU orders columns by
-        the structural nonzeros only. Raises :class:`SingularityError` on
-        structural or numerical singularity, reporting an offending row where
-        one is identifiable.
+        Each row is scaled by its largest magnitude on the cached CSC arrays,
+        and SuperLU sees only the structural nonzeros of the scaled values.
+        The column order lives here, next to the pattern: the first
+        factorization of a pattern, and the first after its set of exact
+        zeros changes, runs COLAMD and keeps ``perm_c`` (``orderings`` counts
+        these). Every other call gathers the data into the column-permuted
+        matrix, factors it in ``NATURAL`` order and un-permutes the solution.
+        The refinement residual is taken on the unpermuted matrix, so every
+        row sums in the same order whichever path factored. Raises
+        :class:`SingularityError` on structural or numerical singularity,
+        reporting an offending row where one is identifiable; a call that
+        raises keeps no new order.
         """
         a = self.matrix
         b = self.rhs
@@ -108,14 +157,22 @@ class SparseSystem:
         if empty.size:
             raise SingularityError(int(empty[0]), "row has no entries")
         scale = 1.0 / absmax
-        a_s = sparse.csc_matrix(
-            (a.data * scale[a.indices], a.indices.copy(), a.indptr.copy()), shape=a.shape
-        )
-        a_s.eliminate_zeros()
+        data = a.data * scale[a.indices]
+        zero = data == 0.0
+        order = self._order
+        if order is not None and np.array_equal(zero, order.zero):
+            a_s, a_p, perm, permc_spec = order.a_s, order.a_p, order.perm_c, "NATURAL"
+            np.take(data, order.gather, out=a_s.data)
+            np.take(data, order.gather_p, out=a_p.data)
+        else:
+            order = None
+            a_s = sparse.csc_matrix((data, a.indices.copy(), a.indptr.copy()), shape=a.shape)
+            a_s.eliminate_zeros()
+            a_p, perm, permc_spec = a_s, slice(None), "COLAMD"
         b_s = scale * b
         try:
-            lu = splu(a_s)
-            x = lu.solve(b_s)
+            lu = splu(a_p, permc_spec=permc_spec)
+            x = lu.solve(b_s)[perm]
         except RuntimeError as exc:  # SuperLU signals singularity this way
             raise SingularityError(-1, str(exc)) from exc
         if not np.all(np.isfinite(x)):
@@ -125,5 +182,8 @@ class SparseSystem:
         denom = max(1.0, np.max(np.abs(b_s))) if b_s.size else 1.0
         res = b_s - a_s @ x
         if np.max(np.abs(res)) / denom > 1e-12:
-            x = x + lu.solve(res)
+            x = x + lu.solve(res)[perm]
+        if order is None:
+            self._order = _Order(self._pattern, zero, lu.perm_c)
+            self.orderings += 1
         return x

@@ -18,6 +18,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass, field, replace
@@ -290,14 +291,6 @@ class Network:
     def slack_buses(self) -> list[Bus]:
         return [b for b in self.buses if b.kind == BusKind.SLACK]
 
-    def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {b.id: set() for b in self.buses}
-        for dev in list(self.branches) + list(self.transformers):
-            if dev.from_bus in adj and dev.to_bus in adj:
-                adj[dev.from_bus].add(dev.to_bus)
-                adj[dev.to_bus].add(dev.from_bus)
-        return adj
-
     def with_devices(self, **kwargs) -> "Network":
         """Copy with some device collections replaced (still immutable)."""
         return replace(self, **kwargs)
@@ -340,22 +333,11 @@ def validate(network: Network) -> list[ValidationIssue]:
         if b.v_set is not None and not (b.v_set > 0):
             add(ValidationIssue("bad_vset", f"bus {b.id}", f"v_set {b.v_set} not positive"))
 
-    adj = network.adjacency()
+    def finite(arr: np.ndarray) -> bool:
+        return all(map(cmath.isfinite, arr.tolist()))
 
-    def reachable(src: int, dst: int) -> bool:
-        if src == dst:
-            return True
-        seen = {src}
-        stack = [src]
-        while stack:
-            u = stack.pop()
-            for v in adj.get(u, ()):
-                if v == dst:
-                    return True
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return False
+    def nonzero(arr: np.ndarray) -> bool:  # NaN counts as nonzero, as in np.any
+        return any(arr.ravel().tolist())
 
     for g in network.generators:
         dev = f"gen {g.id}"
@@ -371,7 +353,7 @@ def validate(network: Network) -> list[ValidationIssue]:
         if g.remote_bus is not None:
             if g.remote_bus not in idx:
                 add(ValidationIssue("unknown_bus", dev, f"remote bus {g.remote_bus} not defined"))
-            elif not reachable(g.bus, g.remote_bus):
+            elif network.islands[idx[g.bus]] != network.islands[idx[g.remote_bus]]:
                 add(ValidationIssue("unreachable_remote", dev,
                                     f"no path from bus {g.bus} to remote bus {g.remote_bus}"))
         if g.controls_voltage:
@@ -386,7 +368,7 @@ def validate(network: Network) -> list[ValidationIssue]:
         for name, arr in (("y", ld.y), ("i", ld.i), ("s", ld.s)):
             if arr.shape != (nph,):
                 add(ValidationIssue("bad_phase_count", dev, f"{name} has wrong phase count"))
-            elif not np.all(np.isfinite(arr)):
+            elif not finite(arr):
                 add(ValidationIssue("not_finite", dev, f"{name} has non-finite entries"))
         if ld.connection == Connection.DELTA and network.domain != PhaseDomain.THREE_PHASE:
             add(ValidationIssue("bad_connection", dev, "delta load in positive-sequence network"))
@@ -398,7 +380,7 @@ def validate(network: Network) -> list[ValidationIssue]:
         for name, arr in (("alpha", ld.alpha), ("y", ld.y)):
             if arr.shape != (nph,):
                 add(ValidationIssue("bad_phase_count", dev, f"{name} has wrong phase count"))
-            elif not np.all(np.isfinite(arr)):
+            elif not finite(arr):
                 add(ValidationIssue("not_finite", dev, f"{name} has non-finite entries"))
 
     for br in network.branches:
@@ -409,7 +391,7 @@ def validate(network: Network) -> list[ValidationIssue]:
         if br.y_series.shape != (nph, nph):
             add(ValidationIssue("bad_phase_count", dev, "y_series has wrong shape"))
             continue
-        if not np.any(br.y_series):
+        if not nonzero(br.y_series):
             add(ValidationIssue("zero_series_y", dev, "series admittance is zero"))
         if nph > 1 and not np.array_equal(br.y_series, br.y_series.T):
             add(ValidationIssue("asymmetric_y", dev, "three-phase y_series not symmetric"))
@@ -422,11 +404,11 @@ def validate(network: Network) -> list[ValidationIssue]:
         if tx.y_series.shape != (nph, nph):
             add(ValidationIssue("bad_phase_count", dev, "y_series has wrong shape"))
             continue
-        if not np.any(tx.y_series):
+        if not nonzero(tx.y_series):
             add(ValidationIssue("zero_series_y", dev, "series admittance is zero"))
-        if np.any(tx.tap < tx.tap_min) or np.any(tx.tap > tx.tap_max):
+        if any(t < tx.tap_min or t > tx.tap_max for t in tx.tap.ravel().tolist()):
             add(ValidationIssue("tap_range", dev, f"tap {tx.tap} outside [{tx.tap_min}, {tx.tap_max}]"))
-        if np.any(tx.shift <= -math.pi) or np.any(tx.shift > math.pi):
+        if any(a <= -math.pi or a > math.pi for a in tx.shift.ravel().tolist()):
             add(ValidationIssue("shift_range", dev, "phase shift outside (-180, 180] degrees"))
         if tx.controlled_bus is not None and tx.controlled_bus not in idx:
             add(ValidationIssue("unknown_bus", dev, f"controlled bus {tx.controlled_bus} not defined"))

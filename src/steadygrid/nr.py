@@ -211,7 +211,8 @@ def run_newton(
     system: SparseSystem | None = None,
     trace: list[NrTraceRow] | None = None,
 ):
-    """Iterate to convergence. Returns ``(state, converged, iterations)``.
+    """Iterate to convergence. Returns ``(state, converged, iterations,
+    residual)``, where ``residual`` was measured at the returned iterate.
 
     Each pass assembles the system at the iterate (re-initializing one
     zero-voltage node per attempt) and measures ``max |A x - b|`` over the
@@ -249,7 +250,7 @@ def run_newton(
         system.assemble(c.pattern, data, rhs)
         residual = _max_abs(system.matrix @ current.x - system.rhs, c.kcl_mask)
         if residual < options.tol:
-            return current, True, k
+            return current, True, k, residual
         if k == options.max_iter:
             break
 
@@ -279,4 +280,4 @@ def run_newton(
         own_trace.append(NrTraceRow(k, residual, max_dv, zeta, limited))
         current = new
         zeta = update_zeta(own_trace[base:], zeta, options)
-    return current, False, options.max_iter
+    return current, False, options.max_iter, residual

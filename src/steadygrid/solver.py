@@ -378,7 +378,7 @@ def solve(network: Network, options: SolverOptions | None = None):
         # continue again only when devices moved and Newton stalled
         if options.homotopy == "none" or pass_no > 1:
             try:
-                state_new, ok, iters = run_newton(
+                state_new, ok, iters, _ = run_newton(
                     bound, state, options.nr, modes, system, nr_trace
                 )
                 total_inner += iters

@@ -45,6 +45,15 @@ def test_bogus_homotopy_flag_is_usage_error(capsys):
     # an unknown flag on a batch subcommand
     assert run(["sweep", case_path("case3_ring.net"), "--workers", "2"]) == EX_USAGE
     capsys.readouterr()
+    # the sweep draws its own starts: a start flag is rejected, not ignored
+    for flags in (["--init", "random"], ["--init", "file", "--init-file", "start.json"],
+                  ["--init-file", "start.json"]):
+        assert run(["sweep", case_path("case3_ring.net"), *flags]) == EX_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: unrecognized arguments: {' '.join(flags)}"
+        ]
     # values the options reject: one error line, no traceback, no solve
     for flag, value in [("--dv-max", "0"), ("--zeta-min", "2"), ("--tol", "-1"),
                         ("--tol", "0"), ("--max-iter", "-3"), ("--gamma", "0")]:

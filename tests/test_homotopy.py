@@ -178,7 +178,7 @@ def test_shorted_system_voltages_hug_the_sources(name):
     net = load_case(case_path(name)).network
     index = IndexMap(net)
     bound = build_companion(net, index).bind(tx_transform(effective_params(net), 1.0, 1e4))
-    state, ok, iters = run_newton(bound, anchored_state(net, index), NrOptions(tol=1e-8))
+    state, ok, iters, _ = run_newton(bound, anchored_state(net, index), NrOptions(tol=1e-8))
     assert ok
     assert iters <= 5  # trivial problem property
     vmag = state.v_mag()
@@ -206,6 +206,18 @@ def test_lambda_monotone_nonincreasing():
     assert lams[0] == 1.0 and lams[-1] == 0.0
 
 
+@pytest.mark.parametrize("method", ["tx", "power"])
+@pytest.mark.parametrize("name", ["case2.net", "case2_twosol.net", "hard_corridor.net",
+                                  "case196_mesh.net"])
+def test_lambda_trace_logs_the_residual_of_each_accepted_step(name, method):
+    net = load_case(case_path(name)).network
+    report, _ = solve(net, SolverOptions(homotopy=method, nr=NrOptions(tol=1e-8)))
+    assert report.status == "converged" and report.lambda_trace
+    # measured at the iterate each step accepted, so every one met tol; a
+    # step already converged at its start (0 iterations) logs its own too
+    assert all(res < 1e-8 for _, _, res in report.lambda_trace)
+
+
 def test_warm_start_continuity():
     net = load_case(case_path("case14.net")).network
     index = IndexMap(net)
@@ -220,7 +232,7 @@ def test_warm_start_continuity():
     # one pass: the final state is the continuation's own
     assert report.status == "converged" and report.outer_passes == 1
     for lam, _, _ in report.lambda_trace:
-        state, ok, _ = run_newton(layout.bind(tx_transform(base, lam, 1e4)), state, opts)
+        state, ok, _, _ = run_newton(layout.bind(tx_transform(base, lam, 1e4)), state, opts)
         assert ok
         v = state.v_complex().copy()
         if prev is not None and lam_prev != lam:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from steadygrid.linsys import SingularityError, SparseSystem, compress_pattern
 
@@ -194,3 +196,85 @@ def test_factor_solve_leaves_the_cached_pattern_intact():
         assert np.array_equal(fresh.matrix.indptr, indptr)
         assert np.array_equal(fresh.factor_solve(), x)
     assert s.pattern_builds == 1
+
+
+def _old_factor_solve(a, b):
+    """The path without a kept order: equilibrate, drop the exact zeros,
+    COLAMD ``splu``, one refinement step."""
+    absmax = np.zeros(a.shape[0])
+    np.maximum.at(absmax, a.indices, np.abs(a.data))
+    scale = 1.0 / absmax
+    a_s = sparse.csc_matrix(
+        (a.data * scale[a.indices], a.indices.copy(), a.indptr.copy()), shape=a.shape
+    )
+    a_s.eliminate_zeros()
+    b_s = scale * b
+    lu = splu(a_s)
+    x = lu.solve(b_s)
+    res = b_s - a_s @ x
+    if np.max(np.abs(res)) / max(1.0, np.max(np.abs(b_s))) > 1e-12:
+        x = x + lu.solve(res)
+    return x
+
+
+def test_kept_order_matches_a_fresh_colamd_factorization():
+    rng = np.random.default_rng(9)
+    rows, cols, base = _random_system(60, rng)
+    pattern, slots = compress_pattern(60, rows, cols)
+    off = rows != cols
+    masks = [(rng.random(base.size) < 0.2) & off for _ in range(2)]
+    s = SparseSystem(60)
+    # one order is kept: going back to the first set of zeros orders again
+    for which, orderings in zip([0, 0, 0, 1, 1, 1, 0, 0], [1, 1, 1, 2, 2, 2, 3, 3]):
+        vals = base * rng.uniform(0.5, 2.0, size=base.size)
+        vals[masks[which]] = 0.0
+        rhs = rng.normal(size=60)
+        s.assemble(pattern, reduce(pattern, slots, vals), rhs)
+        want = _old_factor_solve(s.matrix, rhs)
+        assert s.factor_solve().tobytes() == want.tobytes()
+        assert s.orderings == orderings
+    assert s.pattern_builds == 1
+
+
+def test_orderings_count_masks_and_patterns():
+    rng = np.random.default_rng(10)
+    rows, cols, base = _random_system(30, rng)
+    pattern, slots = compress_pattern(30, rows, cols)
+    s = SparseSystem(30)
+    for _ in range(3):
+        s.assemble(pattern, reduce(pattern, slots, base * rng.uniform(0.5, 2.0, base.size)),
+                   np.ones(30))
+        s.factor_solve()
+    assert s.orderings == 1
+    vals = base.copy()
+    vals[np.flatnonzero(rows != cols)[:5]] = 0.0
+    s.assemble(pattern, reduce(pattern, slots, vals), np.ones(30))
+    s.factor_solve()
+    assert s.orderings == 2
+    # an equal pattern under another identity is a new pattern
+    again, _ = compress_pattern(30, rows, cols)
+    s.assemble(again, reduce(again, slots, vals), np.ones(30))
+    s.factor_solve()
+    assert (s.orderings, s.pattern_builds) == (3, 2)
+
+
+def test_singular_call_on_a_kept_order_leaves_it_usable():
+    pattern, slots = compress_pattern(2, [0, 0, 1, 1], [0, 1, 0, 1])
+    s = SparseSystem(2)
+    s.assemble(pattern, reduce(pattern, slots, [2.0, 1.0, 1.0, 2.0]), np.array([3.0, 3.0]))
+    np.testing.assert_allclose(s.factor_solve(), [1.0, 1.0], atol=1e-14)
+    # same zero structure, numerically singular
+    s.assemble(pattern, reduce(pattern, slots, [1.0, 2.0, 2.0, 4.0]), np.array([1.0, 0.0]))
+    with pytest.raises(SingularityError):
+        s.factor_solve()
+    s.assemble(pattern, reduce(pattern, slots, [4.0, 1.0, 1.0, 3.0]), np.array([5.0, 4.0]))
+    np.testing.assert_allclose(s.factor_solve(), [1.0, 1.0], atol=1e-14)
+    assert s.orderings == 1
+
+
+def test_a_first_factorization_that_raises_keeps_no_order():
+    s = SparseSystem(2)
+    assemble(s, [0, 0, 1, 1], [0, 1, 0, 1], [1.0, 2.0, 2.0, 4.0], [1.0, 0.0])
+    with pytest.raises(SingularityError):
+        s.factor_solve()
+    assert s.orderings == 0

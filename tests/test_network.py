@@ -1,15 +1,24 @@
+import math
+
 import numpy as np
 import pytest
 
 from steadygrid.network import (
+    BigLoad,
     Branch,
     Bus,
     BusKind,
+    Connection,
     Generator,
     Network,
     PhaseDomain,
+    Shunt,
+    Transformer,
+    ZipLoad,
     coupled_line_y,
     phase_array,
+    phase_carray,
+    series_y,
     validate,
 )
 
@@ -107,3 +116,142 @@ def test_network_is_immutable():
         net.base_mva = 50.0
     with pytest.raises(Exception):
         net.branches[0].y_series[0, 0] = 1.0  # read-only array
+
+
+def _broken_networks():
+    """Two networks that between them break a check in every device family."""
+    c1 = lambda v: phase_carray(v, 1)
+    r1 = lambda v: phase_array(v, 1)
+    nan, inf = math.nan, math.inf
+    buses = (
+        Bus(1, BusKind.SLACK, 138.0, 1.0),
+        Bus(2, BusKind.PQ, 138.0, v_set=-0.5),
+        Bus(3, BusKind.PQ, 138.0),
+        Bus(3, BusKind.SLACK, 138.0, None),  # duplicate id, slack without v_set
+        Bus(5, BusKind.PQ, 138.0),
+        Bus(6, BusKind.SLACK, 138.0, 1.0),
+        Bus(7, BusKind.SLACK, 138.0, 1.0),
+    )
+    zero_y = np.zeros((1, 1), dtype=complex)
+    gens = (
+        Generator(1, 99, p=r1(0.1)),
+        Generator(2, 2, p=phase_array(0.1, 3), q=phase_array(0.0, 3), qmin=1.0, qmax=-1.0),
+        Generator(3, 2, p=r1(0.1), remote_bus=98),
+        Generator(4, 2, p=r1(0.1), remote_bus=5),
+        Generator(5, 1, p=r1(0.1), remote_bus=3),
+        Generator(6, 1, p=r1(0.1)),
+        Generator(7, 6, p=r1(0.1), remote_bus=7),
+    )
+    zips = (
+        ZipLoad(1, 97, Connection.DELTA, y=c1(0), i=c1(0), s=c1(complex(nan, 0))),
+        ZipLoad(2, 1, y=phase_carray(0, 3), i=c1(complex(0, inf)), s=c1(1.0)),
+        ZipLoad(3, 2, y=c1(complex(0, nan)), i=c1(0), s=c1(0)),
+    )
+    bigs = (
+        BigLoad(1, 96, alpha=c1(inf), y=phase_carray(0, 3)),
+        BigLoad(2, 2, alpha=c1(0.1), y=c1(complex(nan, nan))),
+    )
+    branches = (
+        Branch(1, 1, 2, y_series=series_y(0.01, 0.1), b_from=r1(0), b_to=r1(0)),
+        Branch(2, 2, 95, y_series=zero_y, b_from=r1(0), b_to=r1(0)),
+        Branch(3, 94, 3, y_series=series_y(0.01, 0.1, 3), b_from=r1(0), b_to=r1(0)),
+        Branch(4, 1, 3, y_series=np.array([[complex(nan, 0)]]), b_from=r1(0), b_to=r1(0)),
+        Branch(5, 6, 6, y_series=np.array([[-0.0j]]), b_from=r1(0), b_to=r1(0)),
+    )
+    xfmrs = (
+        Transformer(1, 1, 93, y_series=zero_y, tap=r1(1.3), shift=r1(-math.pi),
+                    controlled_bus=92),
+        Transformer(2, 2, 3, y_series=series_y(0.0, 0.1), tap=r1(nan), shift=r1(math.pi)),
+        Transformer(3, 3, 2, y_series=series_y(0.0, 0.1), tap=r1(0.7), shift=r1(4.0)),
+        Transformer(4, 91, 1, y_series=series_y(0.0, 0.1, 3), tap=r1(1.0), shift=r1(0.0)),
+    )
+    shunts = (
+        Shunt(1, 90, g=r1(0), b=r1(0.1)),
+        Shunt(2, 1, g=phase_array(0, 3), b=r1(0.1), switchable=True),
+        Shunt(3, 2, g=r1(0), b=r1(0.1), switchable=True, block_b=r1(0.1), max_blocks=2,
+              blocks_on=3),
+    )
+    positive = Network(PhaseDomain.POSITIVE_SEQUENCE, -1.0, buses, gens, zips, bigs,
+                       branches, xfmrs, shunts)
+    y = np.array(coupled_line_y(0.01, 0.05, 0.002, 0.01))
+    y[0, 1] += 1e-9
+    c3 = lambda v: phase_carray(v, 3)
+    three = Network(
+        PhaseDomain.THREE_PHASE, 10.0,
+        (Bus(1, BusKind.SLACK, 12.47, 1.0), Bus(2, BusKind.PQ, 12.47)),
+        zip_loads=(ZipLoad(1, 2, Connection.DELTA, y=c3(0), i=c3(0),
+                           s=c3([0.1, complex(0, inf), 0.1])),),
+        big_loads=(BigLoad(1, 2, alpha=c3([0, 0, nan]), y=c3(0)),),
+        branches=(Branch(1, 1, 2, y_series=y, b_from=phase_array(0.0, 3),
+                         b_to=phase_array(0.0, 3)),
+                  Branch(2, 1, 2, y_series=np.zeros((3, 3), dtype=complex),
+                         b_from=phase_array(0.0, 3), b_to=phase_array(0.0, 3))),
+        transformers=(Transformer(1, 1, 2, y_series=series_y(0.0, 0.1, 3),
+                                  tap=phase_array([1.0, 1.25, 1.0], 3),
+                                  shift=phase_array([0.0, 0.0, -4.0], 3)),),
+    )
+    return positive, three
+
+
+# recorded before validate() replaced its numpy reductions with scalar checks
+BROKEN_ISSUES = (
+    [
+        ('bad_base', 'network', 'base MVA -1.0 not positive'),
+        ('duplicate_bus', 'network', 'duplicate bus ids'),
+        ('bad_vset', 'bus 3', 'slack bus needs v_set > 0'),
+        ('multiple_slack', 'island 0', 'slack buses [1, 3]'),
+        ('missing_slack', 'island 1', 'island has no slack bus'),
+        ('missing_slack', 'island 2', 'island has no slack bus'),
+        ('bad_vset', 'bus 2', 'v_set -0.5 not positive'),
+        ('unknown_bus', 'gen 1', 'bus 99 not defined'),
+        ('bad_phase_count', 'gen 2', 'p has wrong phase count'),
+        ('bad_phase_count', 'gen 2', 'q has wrong phase count'),
+        ('qlim_order', 'gen 2', 'qmin 1.0 > qmax -1.0'),
+        ('unknown_bus', 'gen 3', 'remote bus 98 not defined'),
+        ('unreachable_remote', 'gen 4', 'no path from bus 2 to remote bus 5'),
+        ('missing_vset', 'gen 4', 'controlled bus 5 has no v_set'),
+        ('missing_vset', 'gen 5', 'controlled bus 3 has no v_set'),
+        ('unreachable_remote', 'gen 7', 'no path from bus 6 to remote bus 7'),
+        ('unknown_bus', 'zip 1', 'bus 97 not defined'),
+        ('not_finite', 'zip 1', 's has non-finite entries'),
+        ('bad_connection', 'zip 1', 'delta load in positive-sequence network'),
+        ('bad_phase_count', 'zip 2', 'y has wrong phase count'),
+        ('not_finite', 'zip 2', 'i has non-finite entries'),
+        ('not_finite', 'zip 3', 'y has non-finite entries'),
+        ('unknown_bus', 'big 1', 'bus 96 not defined'),
+        ('not_finite', 'big 1', 'alpha has non-finite entries'),
+        ('bad_phase_count', 'big 1', 'y has wrong phase count'),
+        ('not_finite', 'big 2', 'y has non-finite entries'),
+        ('unknown_bus', 'branch 2', 'bus 95 not defined'),
+        ('zero_series_y', 'branch 2', 'series admittance is zero'),
+        ('unknown_bus', 'branch 3', 'bus 94 not defined'),
+        ('bad_phase_count', 'branch 3', 'y_series has wrong shape'),
+        ('zero_series_y', 'branch 5', 'series admittance is zero'),
+        ('unknown_bus', 'xfmr 1', 'bus 93 not defined'),
+        ('zero_series_y', 'xfmr 1', 'series admittance is zero'),
+        ('tap_range', 'xfmr 1', 'tap [1.3] outside [0.8, 1.2]'),
+        ('shift_range', 'xfmr 1', 'phase shift outside (-180, 180] degrees'),
+        ('unknown_bus', 'xfmr 1', 'controlled bus 92 not defined'),
+        ('tap_range', 'xfmr 3', 'tap [0.7] outside [0.8, 1.2]'),
+        ('shift_range', 'xfmr 3', 'phase shift outside (-180, 180] degrees'),
+        ('unknown_bus', 'xfmr 4', 'bus 91 not defined'),
+        ('bad_phase_count', 'xfmr 4', 'y_series has wrong shape'),
+        ('unknown_bus', 'shunt 1', 'bus 90 not defined'),
+        ('bad_phase_count', 'shunt 2', 'g/b have wrong phase count'),
+        ('bad_blocks', 'shunt 2', 'switchable shunt needs finite block table'),
+        ('bad_blocks', 'shunt 3', 'switchable shunt needs finite block table'),
+    ],
+    [
+        ('not_finite', 'zip 1', 's has non-finite entries'),
+        ('not_finite', 'big 1', 'alpha has non-finite entries'),
+        ('asymmetric_y', 'branch 1', 'three-phase y_series not symmetric'),
+        ('zero_series_y', 'branch 2', 'series admittance is zero'),
+        ('tap_range', 'xfmr 1', 'tap [1.   1.25 1.  ] outside [0.8, 1.2]'),
+        ('shift_range', 'xfmr 1', 'phase shift outside (-180, 180] degrees'),
+    ],
+)
+
+
+def test_validate_reports_every_issue_in_order():
+    for net, want in zip(_broken_networks(), BROKEN_ISSUES):
+        assert [(i.code, i.device, i.message) for i in validate(net)] == want

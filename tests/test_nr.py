@@ -168,11 +168,11 @@ def test_linear_network_converges_in_one_iteration_from_any_start(monkeypatch):
     for _ in range(10):
         state = flat_state(index)
         state.x += rng.uniform(-3, 3, size=index.dim)
-        out, ok, iters = run_newton(bound, state, WIDE)
+        out, ok, iters, _ = run_newton(bound, state, WIDE)
         assert ok and iters == 1
         assert len(factorizations) == 1
         # already at the solution: measured, never factored
-        out2, ok2, iters2 = run_newton(bound, out, WIDE)
+        out2, ok2, iters2, _ = run_newton(bound, out, WIDE)
         assert ok2 and iters2 == 0
         assert len(factorizations) == 1
         factorizations.clear()
@@ -182,19 +182,24 @@ def test_zero_budget_measures_the_start_only():
     bound = bound_of(net_2bus(p=0.5, q=0.2))
     start = flat_state(bound.layout.index)
     trace = []
-    out, ok, iters = run_newton(bound, start, NrOptions(max_iter=0), trace=trace)
+    out, ok, iters, residual = run_newton(bound, start, NrOptions(max_iter=0), trace=trace)
     assert (ok, iters, trace) == (False, 0, [])
     assert np.array_equal(out.x, start.x)
-    solved, ok, _ = run_newton(bound, start, WIDE)
+    # the residual of the returned iterate, here the start's
+    assert residual == check_convergence(bound, start, 1.0).max_kcl > 1e-6
+    solved, ok, _, _ = run_newton(bound, start, WIDE)
     assert ok
-    assert run_newton(bound, solved, NrOptions(tol=1e-8, max_iter=0))[1:] == (True, 0)
+    ok, iters, residual = run_newton(bound, solved, NrOptions(tol=1e-8, max_iter=0))[1:]
+    assert (ok, iters) == (True, 0) and residual < 1e-8
 
 
 def test_two_bus_quadratic_convergence():
     bound = bound_of(net_2bus())
     trace = []
-    state, ok, iters = run_newton(bound, flat_state(bound.layout.index), WIDE, trace=trace)
-    assert ok
+    state, ok, iters, residual = run_newton(
+        bound, flat_state(bound.layout.index), WIDE, trace=trace
+    )
+    assert ok and residual < WIDE.tol
     residuals = [r.residual for r in trace if r.residual > 0]
     # superlinear: successive ratios shrink
     ratios = [residuals[k + 1] / residuals[k] for k in range(len(residuals) - 1)]
@@ -263,6 +268,6 @@ def test_nr_applies_clamp_bounds():
     index = bound.layout.index
     opts = NrOptions(max_iter=30)
     trace = []
-    state, ok, _ = run_newton(bound, flat_state(index), opts, trace=trace)
+    state, ok, _, _ = run_newton(bound, flat_state(index), opts, trace=trace)
     nv = 2 * index.nbus
     assert np.all(state.x[:nv] >= opts.v_min) and np.all(state.x[:nv] <= opts.v_max)
