@@ -1,14 +1,15 @@
 """Sparse real linear system: pattern compression, LU factorization, solve.
 
 :func:`compress_pattern` is the one place a CSC structure is derived, once
-per fixed pattern; :meth:`SparseSystem.assemble` only takes CSC data over it
-(``pattern_builds`` counts the patterns it has not seen, by identity), and
-every matrix shares the pattern's read-only ``indices``/``indptr``. Rows are
-equilibrated on those CSC arrays before factorization, because
-source/constraint rows and admittance rows can differ by many orders of
-magnitude mid-continuation. The scaled matrix drops the pattern's explicit
-zeros (open shorts, zeroed loads): SuperLU orders columns by the structure,
-so a kept zero would change the pivots and the solution.
+per fixed pattern; :meth:`SparseSystem.assemble` builds one CSC matrix per
+pattern it has not seen, by identity (``pattern_builds`` counts these), and
+afterwards only rebinds its data. Every matrix shares the pattern's
+read-only ``indices``/``indptr``. Rows are equilibrated on those CSC arrays
+before factorization, because source/constraint rows and admittance rows can
+differ by many orders of magnitude mid-continuation. The scaled matrix drops
+the pattern's explicit zeros (open shorts, zeroed loads): SuperLU orders
+columns by the structure, so a kept zero would change the pivots and the
+solution.
 
 The column order lives on the :class:`SparseSystem`, next to the pattern.
 COLAMD runs on the first factorization of a pattern and again only when the
@@ -17,6 +18,13 @@ factorization gathers the values into the column-permuted matrix and calls
 SuperLU in ``NATURAL`` order, which yields the same L and U. The refinement
 residual is taken on the unpermuted matrix, because a permuted product sums
 each row in another order and the result would differ in the last bits.
+
+Every factorization uses one SuperLU setting, ``_SUPERLU_SETTING``:
+``relax=1, panel_size=1``, so no relaxed supernodes and no panels. scipy's
+defaults (``relax=20, panel_size=10``) target larger, denser factors; at
+these sizes they cost more than they save, for the same L+U fill. The
+COLAMD call and the ``NATURAL`` call share the setting, so factoring
+``A Pc`` in ``NATURAL`` order still yields the same L and U.
 """
 
 from __future__ import annotations
@@ -28,6 +36,9 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 __all__ = ["CscPattern", "compress_pattern", "SparseSystem", "SingularityError"]
+
+# no supernodes or panels; SuperLU's default diag_pivot_thresh
+_SUPERLU_SETTING = {"relax": 1, "panel_size": 1}
 
 
 class SingularityError(Exception):
@@ -111,14 +122,22 @@ class SparseSystem:
         self._matrix = self._rhs = None
 
     def assemble(self, pattern: CscPattern, data: np.ndarray, rhs: np.ndarray) -> None:
-        """``data`` holds one value per slot of ``pattern``; ``rhs`` is dense."""
+        """``data`` holds one value per slot of ``pattern``; ``rhs`` is dense.
+
+        The CSC matrix is built once per pattern; later calls rebind its
+        ``data``, so ``data`` must not be edited while it is assembled.
+        """
         if pattern is not self._pattern:
+            self._matrix = sparse.csc_matrix(
+                (data, pattern.indices, pattern.indptr), shape=(self.n, self.n)
+            )
             self._pattern = pattern
             self._order = None
             self.pattern_builds += 1
-        self._matrix = sparse.csc_matrix(
-            (data, pattern.indices, pattern.indptr), shape=(self.n, self.n)
-        )
+        elif data.shape != self._matrix.data.shape:
+            raise ValueError(f"{data.shape} values for {self._matrix.data.shape} slots")
+        else:
+            self._matrix.data = data
         self._rhs = rhs
 
     @property
@@ -143,6 +162,8 @@ class SparseSystem:
         zeros changes, runs COLAMD and keeps ``perm_c`` (``orderings`` counts
         these). Every other call gathers the data into the column-permuted
         matrix, factors it in ``NATURAL`` order and un-permutes the solution.
+        Both calls use ``_SUPERLU_SETTING`` (no supernodes at these sizes),
+        so the ``NATURAL`` call on ``A Pc`` yields the same L and U.
         The refinement residual is taken on the unpermuted matrix, so every
         row sums in the same order whichever path factored. Raises
         :class:`SingularityError` on structural or numerical singularity,
@@ -171,7 +192,7 @@ class SparseSystem:
             a_p, perm, permc_spec = a_s, slice(None), "COLAMD"
         b_s = scale * b
         try:
-            lu = splu(a_p, permc_spec=permc_spec)
+            lu = splu(a_p, permc_spec=permc_spec, **_SUPERLU_SETTING)
             x = lu.solve(b_s)[perm]
         except RuntimeError as exc:  # SuperLU signals singularity this way
             raise SingularityError(-1, str(exc)) from exc

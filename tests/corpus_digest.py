@@ -10,11 +10,21 @@ import path, so the same script compares any two source trees:
     PYTHONPATH=<other checkout>/src python3 tests/corpus_digest.py > before.txt
     diff before.txt after.txt
 
+A change that moves iterates in the last bits on purpose is measured by the
+state vectors instead: ``--states FILE.npz`` also saves the state of every
+converged corpus run, and ``--compare`` prints the largest ``|dx|`` of each
+run converged in both files, then the worst of them:
+
+    PYTHONPATH=src python3 tests/corpus_digest.py --states after.npz > after.txt
+    PYTHONPATH=<other checkout>/src python3 tests/corpus_digest.py --states before.npz > before.txt
+    PYTHONPATH=src python3 tests/corpus_digest.py --compare before.npz after.npz
+
 pytest does not collect this file (its name does not start with ``test_``).
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -23,6 +33,8 @@ import json
 import math
 import os
 import tempfile
+
+import numpy as np
 
 from steadygrid.caseio import load_case
 from steadygrid.cli import main
@@ -58,7 +70,9 @@ def _without_meta(report_json: str) -> bytes:
     return json.dumps(doc, sort_keys=True).encode()
 
 
-def corpus_lines():
+def corpus_lines(states=None):
+    """One line per corpus run; the state of each converged run goes into
+    ``states`` (a dict keyed by the run's label) when one is given."""
     grid = itertools.product(
         sorted(os.listdir(CASES)), ("none", "tx", "power"), (False, True), (1e-6, 1e-8),
         (math.inf, 0.05),
@@ -74,6 +88,8 @@ def corpus_lines():
         except Exception as exc:  # a raised run is part of the behaviour
             yield f"{label} raised {type(exc).__name__}"
             continue
+        if states is not None and report.status == "converged":
+            states[label] = state.x
         digest = _digest(
             _without_meta(report.to_json()),
             state.x.tobytes(),
@@ -100,6 +116,36 @@ def cli_lines():
         yield f"{' '.join(argv)} exit={code} {_digest(*parts)}"
 
 
+def compare_states(before_path: str, after_path: str):
+    """A line for each run converged in only one file, ``label max|dx|`` for
+    each run converged in both, and the worst difference last."""
+    with np.load(before_path) as before, np.load(after_path) as after:
+        for label in sorted(set(before.files) - set(after.files)):
+            yield f"{label} converged only in before"
+        for label in sorted(set(after.files) - set(before.files)):
+            yield f"{label} converged only in after"
+        worst, worst_label = 0.0, "none"
+        for label in sorted(set(before.files) & set(after.files)):
+            dx = float(np.max(np.abs(after[label] - before[label]), initial=0.0))
+            yield f"{label} {dx:.3g}"
+            if dx > worst:
+                worst, worst_label = dx, label
+        yield f"worst {worst:.3g} {worst_label}"
+
+
 if __name__ == "__main__":
-    for line in itertools.chain(corpus_lines(), cli_lines()):
-        print(line, flush=True)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--states", metavar="FILE.npz",
+                        help="also save the state of every converged corpus run")
+    parser.add_argument("--compare", nargs=2, metavar=("BEFORE.npz", "AFTER.npz"),
+                        help="print the largest |dx| per run converged in both, and exit")
+    args = parser.parse_args()
+    if args.compare:
+        for line in compare_states(*args.compare):
+            print(line)
+    else:
+        states = {} if args.states else None
+        for line in itertools.chain(corpus_lines(states), cli_lines()):
+            print(line, flush=True)
+        if args.states:
+            np.savez(args.states, **states)

@@ -3,7 +3,12 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
+from steadygrid import linsys
+from steadygrid.caseio import load_case
 from steadygrid.linsys import SingularityError, SparseSystem, compress_pattern
+from steadygrid.solver import SolverOptions, solve
+
+from conftest import case_path
 
 
 def reduce(pattern, slots, vals):
@@ -200,7 +205,7 @@ def test_factor_solve_leaves_the_cached_pattern_intact():
 
 def _old_factor_solve(a, b):
     """The path without a kept order: equilibrate, drop the exact zeros,
-    COLAMD ``splu``, one refinement step."""
+    COLAMD ``splu`` without supernodes, one refinement step."""
     absmax = np.zeros(a.shape[0])
     np.maximum.at(absmax, a.indices, np.abs(a.data))
     scale = 1.0 / absmax
@@ -209,7 +214,7 @@ def _old_factor_solve(a, b):
     )
     a_s.eliminate_zeros()
     b_s = scale * b
-    lu = splu(a_s)
+    lu = splu(a_s, relax=1, panel_size=1)
     x = lu.solve(b_s)
     res = b_s - a_s @ x
     if np.max(np.abs(res)) / max(1.0, np.max(np.abs(b_s))) > 1e-12:
@@ -278,3 +283,41 @@ def test_a_first_factorization_that_raises_keeps_no_order():
     with pytest.raises(SingularityError):
         s.factor_solve()
     assert s.orderings == 0
+
+
+def test_every_factorization_uses_one_superlu_setting(monkeypatch):
+    calls = []
+
+    def recording_splu(a, **kwargs):
+        calls.append(kwargs)
+        return splu(a, **kwargs)
+
+    monkeypatch.setattr(linsys, "splu", recording_splu)
+    report, _ = solve(load_case(case_path("case196_mesh.net")).network,
+                      SolverOptions(homotopy="tx"))
+    assert report.status == "converged"
+    specs = [c.pop("permc_spec") for c in calls]
+    assert {"COLAMD", "NATURAL"} <= set(specs)
+    assert all(c == {"relax": 1, "panel_size": 1} for c in calls)
+
+
+def test_assemble_builds_one_matrix_per_pattern():
+    rng = np.random.default_rng(11)
+    rows, cols, base = _random_system(20, rng)
+    pattern, slots = compress_pattern(20, rows, cols)
+    s = SparseSystem(20)
+    s.assemble(pattern, reduce(pattern, slots, base), np.ones(20))
+    first = s.matrix
+    second = reduce(pattern, slots, 2.0 * base)
+    s.assemble(pattern, second, np.zeros(20))
+    assert s.matrix is first
+    assert s.matrix.data is second
+    assert np.shares_memory(s.matrix.indices, pattern.indices)
+    assert np.shares_memory(s.matrix.indptr, pattern.indptr)
+    assert not s.matrix.indices.flags.writeable and not s.matrix.indptr.flags.writeable
+    with pytest.raises(ValueError):
+        s.assemble(pattern, second[:-1], np.zeros(20))
+    other, other_slots = compress_pattern(20, rows, cols)
+    s.assemble(other, reduce(other, other_slots, base), np.ones(20))
+    assert s.matrix is not first
+    assert np.shares_memory(s.matrix.indices, other.indices)
