@@ -13,7 +13,12 @@ the pass solves for the raw next iterate and then applies the safeguards:
   factor ``zeta``, which shrinks on large raw steps and recovers after two
   consecutive monotone improvements;
 * Q limiting caps the change of the source current implied by a reactive
-  power step and maps the capped current back to Q.
+  power step and maps the capped current back to Q. Under the default
+  infinite cap (``di_max = inf``) it can limit nothing, so the pass skips its
+  per-lane loop and every Q takes the raw solve.
+
+A variable counts as limited when its step was capped or its result
+clamped, or when Q limiting moved its Q.
 
 The last iterate of the ``max_iter`` budget is measured in one more pass,
 at the current ``zeta``. Convergence is declared on the maximum nonlinear
@@ -89,7 +94,7 @@ class NrTraceRow:
     residual: float
     max_dv: float  # raw Newton step, before limiting
     zeta: float
-    limited: int  # number of clamped variables this step
+    limited: int  # variables whose step was capped, clamped or Q limited
 
 
 @dataclass
@@ -235,7 +240,7 @@ def run_newton(
     nv = 2 * c.index.nbus * c.index.nphase
     # one node re-initialized per attempt; each generator or ZIP lane needs
     # at most one, so an arbitrary start (all zeros included) gets through
-    reinits = c.gen_v.size + c.zip_a.size
+    reinits = c.lane_v.size
     zeta = options.zeta_init
     current = state.copy()
     for k in range(options.max_iter + 1):
@@ -258,24 +263,28 @@ def run_newton(
         dv = x_raw[:nv] - current.x[:nv]
         max_dv = float(np.max(np.abs(dv))) if nv else 0.0
         new = current.copy()
-        v_new = apply_voltage_limiting(current.x[:nv], dv, options)
-        limited = int(np.count_nonzero(np.abs(v_new - x_raw[:nv]) > 0.0))
-        new.x[:nv] = v_new
-        # auxiliary slack currents take the raw solve
+        new.x[:nv] = apply_voltage_limiting(current.x[:nv], dv, options)
+        # the limiter's decisions, not the round-off of v_k + (x_raw - v_k)
+        reach = current.x[:nv] + dv
+        limited = int(np.count_nonzero(
+            (np.abs(dv) > options.dv_max) | (reach < options.v_min) | (reach > options.v_max)
+        ))
+        # auxiliary slack currents and Q slots take the raw solve
         new.x[nv:] = x_raw[nv:]
-        # Q limiting on free generator slots
-        pinned = modes.mode.ravel()[c.slot_lanes] == GEN_PINNED
-        for lane, qi, pin in zip(c.slot_lanes, c.q_idx, pinned):
-            if pin:
-                continue
-            v = c.gen_v[lane]
-            q_lim = apply_q_limiting(
-                float(bound.gen_p[lane]), current.x[qi], x_raw[qi],
-                current.x[v], current.x[v + 1], options.di_max,
-            )
-            if q_lim != x_raw[qi]:
-                limited += 1
-            new.x[qi] = q_lim
+        # Q limiting on free generator slots; an infinite cap limits nothing
+        if options.di_max != math.inf:
+            pinned = modes.mode.ravel()[c.slot_lanes] == GEN_PINNED
+            for lane, qi, pin in zip(c.slot_lanes, c.q_idx, pinned):
+                if pin:
+                    continue
+                v = 2 * c.lane_v[lane]
+                q_lim = apply_q_limiting(
+                    float(bound.gen_p[lane]), current.x[qi], x_raw[qi],
+                    current.x[v], current.x[v + 1], options.di_max,
+                )
+                if q_lim != x_raw[qi]:
+                    limited += 1
+                new.x[qi] = q_lim
 
         own_trace.append(NrTraceRow(k, residual, max_dv, zeta, limited))
         current = new

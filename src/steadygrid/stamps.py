@@ -22,23 +22,37 @@ is exactly the nonlinear KCL/constraint residual. It is made in three steps:
   BIG loads, wye and delta ZIP impedance, slack rows) reduced into CSC data,
   the constant rhs and the lane parameters. Continuation steps, taps and
   shunt blocks change only this step;
-* :func:`assemble_system` computes the nonlinear values at the iterate,
-  elementwise over the lanes, with :func:`pv_current_jac` and
-  :func:`zip_current_jac` (generators per (generator, phase) and the
-  constant-current and -power parts of ZIP loads per (load, terminal)), and
+* :func:`assemble_system` computes the nonlinear values at the iterate in
+  closed form over complex lanes (generators per (generator, phase), the
+  constant-current and -power parts of ZIP loads per (load, terminal)) and
   adds them to a copy of the bound data at their slots.
 
 Sign conventions: each KCL row sums currents *leaving* the node, so passive
 and load currents enter with ``+`` and source injections with ``-``.
-Generator and constant-power/current load currents are injections/draws
-``conj(S)/conj(V) = conj(S) V / |V|^2`` split into real and imaginary parts.
-All Jacobian entries here are derived by hand and are checked against central
-finite differences by the test suite before anything else trusts them.
+
+A lane at voltage ``u`` (a node voltage, or the voltage across a delta
+terminal) with constant power ``s`` and constant current ``c`` carries
+
+    I = u (conj(s) / |u|^2 + conj(c) / |u|)
+
+(a generator is a lane with ``s = P + jQ`` and ``c = 0``). The
+constant-current part ``conj(c) u / |u| = |c| e^{j(angle(u) - angle(c))}``
+needs no trigonometry. With ``a = conj(c) / (2|u|)`` and
+``h = conj(s) / |u|^2 + a``, the current is ``I = u (h + a)``, its
+derivatives are ``dI/du = a`` and ``dI/dconj(u) = -h u^2 / |u|^2``, so
+``dI/dRe(u) = a - b`` and ``dI/dIm(u) = j (a + b)`` with
+``b = h u^2 / |u|^2``, and a generator's ``dI/dQ = -j u / |u|^2``. Both
+parts are homogeneous in ``u`` (of degree -1 and 0), so ``J u = -u h + u a``
+and the companion right-hand sides need no Jacobian product:
+``J u - I = -2 u h`` on a load lane, and on a generator lane
+``I - zeta J v - (dI/dQ) Q = (1 + zeta) I + j v Q / |v|^2`` (the ``Q`` term
+on Q-slot lanes only). The test suite checks every Jacobian entry against
+central finite differences of scalar reference currents before anything
+else trusts them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,7 +200,7 @@ def build_virtual_shorts(network: Network) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Exact device currents and their hand-derived partials (elementwise)
+# Scalar source currents (the Q limiter's)
 
 
 def pv_current(p: float, q: float, vr: float, vi: float):
@@ -195,79 +209,6 @@ def pv_current(p: float, q: float, vr: float, vi: float):
     ir = (p * vr + q * vi) / d
     ii = (p * vi - q * vr) / d
     return ir, ii
-
-
-def pv_current_jac(p, q, vr, vi):
-    """Currents plus partials w.r.t. (vr, vi, q); scalars or arrays."""
-    d = vr * vr + vi * vi
-    nr = p * vr + q * vi
-    ni = p * vi - q * vr
-    ir = nr / d
-    ii = ni / d
-    d2 = d * d
-    dir_dvr = (p * d - nr * 2.0 * vr) / d2
-    dir_dvi = (q * d - nr * 2.0 * vi) / d2
-    dii_dvr = (-q * d - ni * 2.0 * vr) / d2
-    dii_dvi = (p * d - ni * 2.0 * vi) / d2
-    dir_dq = vi / d
-    dii_dq = -vr / d
-    return ir, ii, dir_dvr, dir_dvi, dii_dvr, dii_dvi, dir_dq, dii_dq
-
-
-def zip_current(y: complex, ic: complex, s: complex, ur: float, ui: float):
-    """Load current drawn by one ZIP device (or one delta branch)."""
-    ir = y.real * ur - y.imag * ui
-    ii = y.real * ui + y.imag * ur
-    d = ur * ur + ui * ui
-    if s != 0:
-        ir += (s.real * ur + s.imag * ui) / d
-        ii += (s.real * ui - s.imag * ur) / d
-    if ic != 0:
-        mag = abs(ic)
-        ang = math.atan2(ui, ur) - math.atan2(ic.imag, ic.real)
-        ir += mag * math.cos(ang)
-        ii += mag * math.sin(ang)
-    return ir, ii
-
-
-def zip_current_jac(y, ic, s, ur, ui):
-    """Currents plus the 2x2 Jacobian w.r.t. the device voltage (ur, ui).
-
-    Elementwise over scalars or arrays. A zero ``s`` or ``ic`` contributes
-    exactly nothing, so only lanes with a nonzero one need ``u != 0``.
-    """
-    y = np.asarray(y, dtype=complex)
-    ic = np.asarray(ic, dtype=complex)
-    s = np.asarray(s, dtype=complex)
-    ir = y.real * ur - y.imag * ui
-    ii = y.real * ui + y.imag * ur
-    dir_dur, dir_dui = y.real, -y.imag
-    dii_dur, dii_dui = y.imag, y.real
-    d = ur * ur + ui * ui
-    # constant power: divisions guarded where the part is absent
-    ds = np.where(s != 0, d, 1.0)
-    ds2 = ds * ds
-    nr = s.real * ur + s.imag * ui
-    ni = s.real * ui - s.imag * ur
-    ir = ir + nr / ds
-    ii = ii + ni / ds
-    dir_dur = dir_dur + (s.real * ds - nr * 2.0 * ur) / ds2
-    dir_dui = dir_dui + (s.imag * ds - nr * 2.0 * ui) / ds2
-    dii_dur = dii_dur + (-s.imag * ds - ni * 2.0 * ur) / ds2
-    dii_dui = dii_dui + (s.real * ds - ni * 2.0 * ui) / ds2
-    # constant current magnitude at the load's own angle offset
-    dc = np.where(ic != 0, d, 1.0)
-    mag = np.abs(ic)
-    ang = np.arctan2(ui, ur) - np.arctan2(ic.imag, ic.real)
-    c, sn = np.cos(ang), np.sin(ang)
-    ir = ir + mag * c
-    ii = ii + mag * sn
-    # d(angle)/dur = -ui/d, d(angle)/dui = ur/d
-    dir_dur = dir_dur + mag * sn * ui / dc
-    dir_dui = dir_dui + -mag * sn * ur / dc
-    dii_dur = dii_dur + -mag * c * ui / dc
-    dii_dui = dii_dui + mag * c * ur / dc
-    return ir, ii, dir_dur, dir_dui, dii_dur, dii_dui
 
 
 def invert_pv_current(ir: float, ii: float, vr: float, vi: float):
@@ -300,8 +241,10 @@ class Companion:
     ``pattern`` is the whole fixed CSC pattern; ``linear_slots`` and
     ``nonlinear_slots`` are the slots of the values :meth:`bind` and
     :func:`assemble_system` emit, in emission order. Lanes are (generator,
-    phase) and (ZIP load, terminal) in device order; indices are ``V_R``
-    positions (``V_I`` follows each).
+    phase), then (ZIP load, terminal), in device order. Lane, regulated and
+    delta nodes are complex node numbers: node ``k`` is ``V_R`` at ``2k``
+    and ``V_I`` at ``2k + 1``, the ``k``-th entry of the complex view of the
+    state's voltages.
     """
 
     network: Network
@@ -315,14 +258,14 @@ class Companion:
     slack_vals: np.ndarray  # linear values of the slack rows
     slack_rhs: np.ndarray  # constant rhs of the slack set-points
     nonlinear_rhs_rows: np.ndarray
-    gen_v: np.ndarray  # bus node per generator lane
+    lane_v: np.ndarray  # node per lane; a ZIP lane's + node (the node itself for wye)
+    n_gen: int  # generator lanes, which lead the lanes
     slot_lanes: np.ndarray  # generator lanes (k * nph + ph) with a Q slot, in slot order
     q_idx: np.ndarray  # Q unknown (and its constraint row) per slot lane
     vc_v: np.ndarray  # regulated node per slot lane
-    vc_set: np.ndarray  # regulated magnitude per slot lane
-    zip_a: np.ndarray  # + node per ZIP lane (the node itself for wye)
+    vc_sq: np.ndarray  # squared regulated magnitude per slot lane
+    delta_lanes: np.ndarray  # lanes of delta terminals
     zip_b: np.ndarray  # - node per delta lane
-    delta_lanes: np.ndarray
     kcl_mask: np.ndarray  # rows whose mismatch counts: all but slack KCL rows
 
     def bind(self, params: DeviceParams) -> "BoundCompanion":
@@ -360,7 +303,7 @@ class Companion:
         alpha = params.big_alpha.ravel()
         np.add.at(rhs, self.big_v, -alpha.real)
         np.add.at(rhs, self.big_v + 1, -alpha.imag)
-        zip_i, zip_s = params.zip_i.ravel(), params.zip_s.ravel()
+        gen_p, zip_i, zip_s = params.gen_p.ravel(), params.zip_i.ravel(), params.zip_s.ravel()
         data = np.bincount(
             self.linear_slots,
             weights=np.concatenate([g, -b, b, g, self.slack_vals]),
@@ -371,11 +314,10 @@ class Companion:
             layout=self,
             linear_data=data,
             linear_rhs=rhs,
-            gen_p=params.gen_p.ravel(),
-            gen_q=params.gen_q.ravel(),
-            zip_i=zip_i,
-            zip_s=zip_s,
-            zip_active=(zip_i != 0) | (zip_s != 0),
+            gen_p=gen_p,
+            lane_cs=np.concatenate([gen_p - 1j * params.gen_q.ravel(), np.conj(zip_s)]),
+            lane_cc=np.concatenate([np.zeros(gen_p.size), np.conj(zip_i)]),
+            lane_live=np.concatenate([np.ones(gen_p.size, bool), (zip_i != 0) | (zip_s != 0)]),
         )
 
 
@@ -388,10 +330,9 @@ class BoundCompanion:
     linear_data: np.ndarray
     linear_rhs: np.ndarray
     gen_p: np.ndarray  # per generator lane
-    gen_q: np.ndarray  # fixed Q per lane; Q-slot lanes read the state
-    zip_i: np.ndarray  # per ZIP lane
-    zip_s: np.ndarray
-    zip_active: np.ndarray  # lanes with a constant-current or -power part
+    lane_cs: np.ndarray  # conj(s) per lane: P - jQ with the fixed Q (0 on Q-slot lanes)
+    lane_cc: np.ndarray  # conj(c) per lane, 0 on generator lanes
+    lane_live: np.ndarray  # generator lanes and ZIP lanes with a constant-current or -power part
 
 
 def build_companion(network: Network, index: IndexMap) -> Companion:
@@ -483,6 +424,7 @@ def build_companion(network: Network, index: IndexMap) -> Companion:
     pattern, slots = compress_pattern(
         index.dim, np.concatenate([rows, *nl_rows]), np.concatenate([cols, *nl_cols])
     )
+    lanes = np.concatenate([gen_v, za])
     return Companion(
         network=network,
         index=index,
@@ -494,33 +436,33 @@ def build_companion(network: Network, index: IndexMap) -> Companion:
         big_v=bl.ravel(),
         slack_vals=np.concatenate([-ones, -ones, ones, ones]),
         slack_rhs=slack_rhs,
-        nonlinear_rhs_rows=np.concatenate([gen_v, gen_v + 1, q_idx, za, za + 1, zb, zb + 1]),
-        gen_v=gen_v,
+        nonlinear_rhs_rows=np.concatenate([lanes, lanes + 1, q_idx, zb, zb + 1]),
+        lane_v=lanes // 2,
+        n_gen=gen_v.size,
         slot_lanes=slot_lanes,
         q_idx=q_idx,
-        vc_v=vc_v,
-        vc_set=vc_set,
-        zip_a=za,
-        zip_b=zb,
-        delta_lanes=np.flatnonzero(np.repeat(delta, nph)),
+        vc_v=vc_v // 2,
+        vc_sq=vc_set * vc_set,
+        delta_lanes=gen_v.size + np.flatnonzero(np.repeat(delta, nph)),
+        zip_b=zb // 2,
         kcl_mask=kcl_mask,
     )
 
 
-def _check_nonzero(bound: BoundCompanion, vr, vi, ur, ui) -> None:
-    """Raise :class:`ZeroVoltageIterate` for the first generator lane, then
-    the first active ZIP lane, sitting at zero voltage."""
-    net = bound.layout.network
-    nph = bound.layout.index.nphase
-    hit = np.flatnonzero((vr == 0.0) & (vi == 0.0))
-    if hit.size:
-        k, ph = divmod(int(hit[0]), nph)
-        gen = net.generators[k]
-        raise ZeroVoltageIterate(f"gen {gen.id}", gen.bus, ph)
-    hit = np.flatnonzero(bound.zip_active & (ur == 0.0) & (ui == 0.0))
-    if hit.size:
-        k, ph = divmod(int(hit[0]), nph)
-        load = net.zip_loads[k]
+def _check_nonzero(bound: BoundCompanion, u: np.ndarray) -> None:
+    """Raise :class:`ZeroVoltageIterate` for the first live lane at zero
+    voltage: generator lanes come first, then active ZIP lanes."""
+    dead = bound.lane_live & (u == 0)
+    if dead.any():
+        c = bound.layout
+        nph = c.index.nphase
+        lane = int(np.flatnonzero(dead)[0])
+        if lane < c.n_gen:
+            k, ph = divmod(lane, nph)
+            gen = c.network.generators[k]
+            raise ZeroVoltageIterate(f"gen {gen.id}", gen.bus, ph)
+        k, ph = divmod(lane - c.n_gen, nph)
+        load = c.network.zip_loads[k]
         raise ZeroVoltageIterate(f"zip {load.id}", load.bus, ph)
 
 
@@ -543,52 +485,52 @@ def assemble_system(
     if modes is None:
         modes = GenModes.initial(c.network)
     x = state.x
-    vr, vi = x[c.gen_v], x[c.gen_v + 1]
-    ur, ui = x[c.zip_a], x[c.zip_a + 1]
-    ur[c.delta_lanes] -= x[c.zip_b]
-    ui[c.delta_lanes] -= x[c.zip_b + 1]
-    _check_nonzero(bound, vr, vi, ur, ui)
+    node = x[: 2 * c.index.nbus * c.index.nphase].view(complex)
+    u = node[c.lane_v]
+    u[c.delta_lanes] -= node[c.zip_b]
+    _check_nonzero(bound, u)
 
-    # generators: injections enter KCL with a minus sign
-    slot = c.slot_lanes
-    q = bound.gen_q.copy()
-    q[slot] = x[c.q_idx]
-    ir, ii, dir_dvr, dir_dvi, dii_dvr, dii_dvi, dir_dq, dii_dq = pv_current_jac(
-        bound.gen_p, q, vr, vi
-    )
-    gen_r = ir - zeta * (dir_dvr * vr + dir_dvi * vi)
-    gen_i = ii - zeta * (dii_dvr * vr + dii_dvi * vi)
-    gen_r[slot] -= dir_dq[slot] * q[slot]
-    gen_i[slot] -= dii_dq[slot] * q[slot]
+    # every lane in closed form (module docstring); Q-slot lanes read Q from
+    # the state, and lanes without a constant-current or -power part may sit
+    # at u = 0 (a delta terminal between equal phase voltages)
+    ng, slot = c.n_gen, c.slot_lanes
+    q = x[c.q_idx]
+    cs = bound.lane_cs.copy()
+    cs.imag[slot] = -q
+    m2 = 1.0 / np.where(bound.lane_live, u.real * u.real + u.imag * u.imag, 1.0)
+    a = bound.lane_cc * (0.5 * np.sqrt(m2))
+    h = cs * m2 + a
+    uh = u * h
+    b = h * (u * u * m2)
+    d_re, d_im = a - b, a + b  # dI/dRe(u), and dI/dIm(u) / j
+    jac = np.array([d_re.real, -d_im.imag, d_re.imag, d_im.real])
+    jq = 1j * u[slot] * m2[slot]  # -dI/dQ
+
+    # right-hand sides: generators inject (minus in KCL), loads draw
+    r = -2.0 * uh
+    r[:ng] = (1.0 + zeta) * uh[:ng]
+    r[slot] += jq * q
 
     # Q-slot rows: |V_w|^2 = vset^2 linearized, or the pin while at a limit
     pinned = modes.mode.ravel()[slot] == GEN_PINNED
-    wr, wi = x[c.vc_v], x[c.vc_v + 1]
+    w = node[c.vc_v]
     vc_rhs = np.where(
-        pinned, modes.q_pin.ravel()[slot], -(c.vc_set * c.vc_set + wr * wr + wi * wi)
+        pinned, modes.q_pin.ravel()[slot], -(c.vc_sq + w.real * w.real + w.imag * w.imag)
     )
+    dw = np.where(pinned, 0.0, -2.0 * w)
 
-    # ZIP constant-current and constant-power parts; delta terminals stamp
-    # +J on the + node and -J on the - node
-    zr, zi, dzr_dur, dzr_dui, dzi_dur, dzi_dui = zip_current_jac(
-        0.0, bound.zip_i, bound.zip_s, ur, ui
-    )
-    zip_r = dzr_dur * ur + dzr_dui * ui - zr
-    zip_im = dzi_dur * ur + dzi_dui * ui - zi
-    jac = np.stack([dzr_dur, dzr_dui, dzi_dur, dzi_dui])
+    # delta terminals stamp +J on the + node and -J on the - node
     dl = c.delta_lanes
     jd = jac[:, dl].ravel()
-
     vals = np.concatenate([
-        -zeta * dir_dvr, -zeta * dir_dvi, -zeta * dii_dvr, -zeta * dii_dvi,
-        -dir_dq[slot], -dii_dq[slot],
-        pinned.astype(float), np.where(pinned, 0.0, -2.0 * wr), np.where(pinned, 0.0, -2.0 * wi),
-        jac.ravel(), -jd, -jd, jd,
+        (-zeta * jac[:, :ng]).ravel(), jq.real, jq.imag,
+        pinned.astype(float), dw.real, dw.imag,
+        jac[:, ng:].ravel(), -jd, -jd, jd,
     ])
     data = bound.linear_data.copy()
     # lanes share slots (a generator and a load on one bus, neighbouring
     # delta terminals): add in layout order, never pre-reduced
     np.add.at(data, c.nonlinear_slots, vals)
-    nl_rhs = np.concatenate([gen_r, gen_i, vc_rhs, zip_r, zip_im, -zip_r[dl], -zip_im[dl]])
+    nl_rhs = np.concatenate([r.real, r.imag, vc_rhs, -r.real[dl], -r.imag[dl]])
     rhs = np.bincount(c.nonlinear_rhs_rows, weights=nl_rhs, minlength=c.index.dim)
     return data, rhs + bound.linear_rhs

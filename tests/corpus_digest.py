@@ -19,6 +19,11 @@ run converged in both files, then the worst of them:
     PYTHONPATH=<other checkout>/src python3 tests/corpus_digest.py --states before.npz > before.txt
     PYTHONPATH=src python3 tests/corpus_digest.py --compare before.npz after.npz
 
+``--work`` prints each line without its trailing hash, so that a plain
+``diff`` of two ``--work`` outputs shows every changed status or work count
+(Newton iterations, continuation steps, outer passes, exit codes) and
+nothing else.
+
 pytest does not collect this file (its name does not start with ``test_``).
 """
 
@@ -71,8 +76,9 @@ def _without_meta(report_json: str) -> bytes:
 
 
 def corpus_lines(states=None):
-    """One line per corpus run; the state of each converged run goes into
-    ``states`` (a dict keyed by the run's label) when one is given."""
+    """One ``(line, hash)`` per corpus run (a raised run has no hash); the
+    state of each converged run goes into ``states`` (a dict keyed by the
+    run's label) when one is given."""
     grid = itertools.product(
         sorted(os.listdir(CASES)), ("none", "tx", "power"), (False, True), (1e-6, 1e-8),
         (math.inf, 0.05),
@@ -86,7 +92,7 @@ def corpus_lines(states=None):
         try:
             report, state = solve(load_case(os.path.join(CASES, case)).network, options)
         except Exception as exc:  # a raised run is part of the behaviour
-            yield f"{label} raised {type(exc).__name__}"
+            yield f"{label} raised {type(exc).__name__}", None
             continue
         if states is not None and report.status == "converged":
             states[label] = state.x
@@ -97,10 +103,11 @@ def corpus_lines(states=None):
             lambda_trace_to_csv(report.lambda_trace).encode(),
         )
         yield (f"{label} {report.status} {report.inner_iterations} "
-               f"{report.homotopy_steps} {report.outer_passes} {digest}")
+               f"{report.homotopy_steps} {report.outer_passes}", digest)
 
 
 def cli_lines():
+    """One ``(line, hash)`` per CLI command."""
     for argv in CLI_COMMANDS:
         with tempfile.TemporaryDirectory() as out:
             stdout = io.StringIO()
@@ -113,7 +120,7 @@ def cli_lines():
                     text = fh.read()
                 parts += [name.encode(), _without_meta(text) if name == "report.json"
                           else text.encode()]
-        yield f"{' '.join(argv)} exit={code} {_digest(*parts)}"
+        yield f"{' '.join(argv)} exit={code}", _digest(*parts)
 
 
 def compare_states(before_path: str, after_path: str):
@@ -139,13 +146,15 @@ if __name__ == "__main__":
                         help="also save the state of every converged corpus run")
     parser.add_argument("--compare", nargs=2, metavar=("BEFORE.npz", "AFTER.npz"),
                         help="print the largest |dx| per run converged in both, and exit")
+    parser.add_argument("--work", action="store_true",
+                        help="print each line without its trailing hash")
     args = parser.parse_args()
     if args.compare:
         for line in compare_states(*args.compare):
             print(line)
     else:
         states = {} if args.states else None
-        for line in itertools.chain(corpus_lines(states), cli_lines()):
-            print(line, flush=True)
+        for line, digest in itertools.chain(corpus_lines(states), cli_lines()):
+            print(line if args.work or digest is None else f"{line} {digest}", flush=True)
         if args.states:
             np.savez(args.states, **states)

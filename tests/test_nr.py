@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -215,6 +216,18 @@ def test_raw_step_capped_in_trace():
     run_newton(bound, flat_state(bound.layout.index), opts, trace=trace)
     # raw Newton steps recorded, limited count increments when capped
     assert any(r.limited > 0 for r in trace)
+
+
+def test_limited_counts_capped_and_clamped_variables():
+    bound = bound_of(net_2bus(p=0.5, q=0.2))
+    start = flat_state(bound.layout.index)
+    counts = []
+    # the first step moves bus 2 by a few hundredths and leaves the slack at 1
+    for opts in (WIDE, replace(WIDE, dv_max=1e-3), replace(WIDE, v_max=0.999)):
+        trace = []
+        run_newton(bound, start, replace(opts, max_iter=1), trace=trace)
+        counts.append(trace[0].limited)
+    assert counts == [0, 2, 1]
 
 
 def test_check_convergence_zero_load_flat():

@@ -20,7 +20,8 @@ from steadygrid.network import (
     phase_array,
     series_y,
 )
-from steadygrid.nr import NrOptions
+from steadygrid.homotopy import lambda_trace_to_csv
+from steadygrid.nr import NrOptions, trace_to_csv
 from steadygrid.reference import dense_reference_solve
 from steadygrid.solver import (
     CONVERGED,
@@ -93,6 +94,50 @@ def test_q_limiting_inside_newton_keeps_the_solution(case, method):
     np.testing.assert_allclose(capped_state.v_complex(), free_state.v_complex(), atol=1e-8)
     for report, state in runs:
         assert validate_solution(report.network, state).max < 1e-8
+
+
+@pytest.mark.parametrize("case, method", [
+    ("case_qlim.net", "none"),
+    ("case196_mesh.net", "tx"),
+])
+def test_infinite_q_cap_skips_only_the_scalar_limiter(monkeypatch, case, method):
+    # an infinite cap never limits, so skipping the per-lane loop must give
+    # the same bits as a finite cap too large to act, which runs the loop
+    calls = []
+
+    def counting(*args, _limit=nr.apply_q_limiting):
+        calls.append(args)
+        return _limit(*args)
+
+    monkeypatch.setattr(nr, "apply_q_limiting", counting)
+    net = load_case(case_path(case)).network
+    runs = []
+    for di_max in (math.inf, 1e300):
+        calls.clear()
+        report, state = solve(net, SolverOptions(homotopy=method, nr=NrOptions(di_max=di_max)))
+        doc = json.loads(report.to_json())
+        doc.pop("meta")
+        runs.append((len(calls), doc, state.x.tobytes(), trace_to_csv(report.nr_trace),
+                     lambda_trace_to_csv(report.lambda_trace)))
+    (n_inf, *free), (n_finite, *capped) = runs
+    assert free[0]["status"] == CONVERGED
+    assert n_inf == 0 and n_finite > 0
+    assert free == capped
+
+
+@pytest.mark.parametrize("case, method", [
+    ("case14.net", "tx"),
+    ("hard_corridor.net", "power"),
+])
+def test_steps_no_limiter_touches_count_nothing(case, method):
+    # caps and clamps far beyond every step: v_k + (x_raw - v_k) differs from
+    # x_raw in the last bit for some entries, which is no limiting
+    net = load_case(case_path(case)).network
+    options = NrOptions(dv_max=10.0, v_min=-10.0, v_max=10.0)
+    report, _ = solve(net, SolverOptions(homotopy=method, nr=options))
+    assert report.status == CONVERGED
+    assert max(row.max_dv for row in report.nr_trace) < options.dv_max
+    assert [row.limited for row in report.nr_trace] == [0] * len(report.nr_trace)
 
 
 def test_three_phase_feeder_iteration_count():

@@ -30,9 +30,6 @@ from steadygrid.stamps import (
     build_companion,
     effective_params,
     pv_current,
-    pv_current_jac,
-    zip_current,
-    zip_current_jac,
 )
 
 from conftest import case_path, make_zip, net_3bus, net_3phase, net_allparts
@@ -50,6 +47,65 @@ def dense_system(net, state=None, params=None, zeta=1.0, modes=None):
     p = layout.pattern
     a = sparse.csc_matrix((data, p.indices, p.indptr), shape=(index.dim, index.dim)).toarray()
     return a, b, index
+
+
+# -- scalar reference currents and one device's lane --------------------------
+
+
+def zip_current(y: complex, ic: complex, s: complex, ur: float, ui: float):
+    """Load current drawn by one ZIP device (or one delta branch), with the
+    constant-current part in polar form."""
+    ir = y.real * ur - y.imag * ui
+    ii = y.real * ui + y.imag * ur
+    d = ur * ur + ui * ui
+    if s != 0:
+        ir += (s.real * ur + s.imag * ui) / d
+        ii += (s.real * ui - s.imag * ur) / d
+    if ic != 0:
+        mag = abs(ic)
+        ang = math.atan2(ui, ur) - math.atan2(ic.imag, ic.real)
+        ir += mag * math.cos(ang)
+        ii += mag * math.sin(ang)
+    return ir, ii
+
+
+def lane(device, v: complex, q: float = 0.0):
+    """``(F, J)`` that ``device`` alone puts on the KCL rows ``(V_R, V_I)`` of
+    its bus at voltage ``v``, read from the assembled system.
+
+    ``device`` is a generator or ZIP load at bus 2 of a slack-fed two-bus
+    network whose branch has zero admittance, so nothing else enters those
+    rows: ``F = A x - b`` there is ``-I`` for a generator and ``+I`` for a
+    load, and ``J`` holds the rows of ``A`` over the columns ``(V_R, V_I)``,
+    plus ``Q`` (at state value ``q``) for a voltage-controlling generator.
+    """
+    buses = (Bus(1, BusKind.SLACK, 1.0, 1.0, 0.0), Bus(2, BusKind.PQ, 1.0, v_set=1.0))
+    branch = Branch(1, 1, 2, y_series=np.zeros((1, 1), complex),
+                    b_from=phase_array(0.0, 1), b_to=phase_array(0.0, 1))
+    gen = isinstance(device, Generator)
+    net = Network(PhaseDomain.POSITIVE_SEQUENCE, 1.0, buses, branches=(branch,),
+                  generators=(device,) if gen else (), zip_loads=() if gen else (device,))
+    index = IndexMap(net)
+    state = flat_state(index)
+    state.set_voltage(1, 0, v)
+    rows = [index.vr(1, 0), index.vi(1, 0)]
+    cols = list(rows)
+    if gen and device.controls_voltage:
+        cols.append(index.q_gen(0, 0))
+        state.x[cols[2]] = q
+    a, b, _ = dense_system(net, state)
+    return (a @ state.x - b)[rows], a[np.ix_(rows, cols)]
+
+
+def central_differences(current, x, h=1e-7):
+    """Columns ``dF/dx_k`` of ``F = current(*x)`` by central differences."""
+    cols = []
+    for k in range(len(x)):
+        xp, xm = list(x), list(x)
+        xp[k] += h
+        xm[k] -= h
+        cols.append((np.array(current(*xp)) - np.array(current(*xm))) / (2 * h))
+    return np.array(cols).T
 
 
 # -- branch ---------------------------------------------------------------
@@ -200,33 +256,28 @@ def test_three_phase_slack_offsets():
 
 
 def test_pv_jacobian_reference_point():
-    ir, ii, dvr, dvi, dvr_i, dvi_i, dq_r, dq_i = pv_current_jac(1.0, 0.0, 1.0, 0.0)
-    assert (ir, ii) == (1.0, 0.0)
-    assert dvr == -1.0
-    assert dvi == 0.0
-    assert dq_i == -1.0
+    # P = 1 at v = 1 draws I = 1 with dI_R/dV_R = -1 and dI_I/dQ = -1; the
+    # KCL rows carry -I, so the assembled entries are their negatives
+    f, jac = lane(Generator(1, 2, p=phase_array(1.0, 1)), 1.0 + 0.0j)
+    assert tuple(f) == (-1.0, 0.0)
+    assert jac[0, 0] == 1.0
+    assert jac[0, 1] == 0.0
+    assert jac[1, 2] == 1.0
 
 
 def test_pv_gradient_against_finite_differences():
     rng = np.random.default_rng(42)
-    h = 1e-7
     for _ in range(100):
         p, q = rng.uniform(-2, 2, size=2)
-        mag = rng.uniform(0.5, 1.5)
-        ang = rng.uniform(-np.pi, np.pi)
-        vr, vi = mag * np.cos(ang), mag * np.sin(ang)
-        _, _, dvr_r, dvi_r, dvr_i, dvi_i, dq_r, dq_i = pv_current_jac(p, q, vr, vi)
-        for which, analytic in (("vr", (dvr_r, dvr_i)), ("vi", (dvi_r, dvi_i)), ("q", (dq_r, dq_i))):
-            args_p = dict(p=p, q=q, vr=vr, vi=vi)
-            args_m = dict(p=p, q=q, vr=vr, vi=vi)
-            args_p[which] = args_p[which] + h
-            args_m[which] = args_m[which] - h
-            fp = pv_current(**args_p)
-            fm = pv_current(**args_m)
-            fd = ((fp[0] - fm[0]) / (2 * h), (fp[1] - fm[1]) / (2 * h))
-            for a_val, f_val in zip(analytic, fd):
-                scale = max(1.0, abs(a_val))
-                assert abs(a_val - f_val) / scale < 1e-6
+        v = rng.uniform(0.5, 1.5) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        f, jac = lane(Generator(1, 2, p=phase_array(p, 1)), v, q)
+
+        def injected(vr, vi, q):
+            return [-i for i in pv_current(p, q, vr, vi)]
+
+        np.testing.assert_allclose(f, injected(v.real, v.imag, q), rtol=1e-12, atol=1e-15)
+        fd = central_differences(injected, (v.real, v.imag, q))
+        assert np.all(np.abs(jac - fd) / np.maximum(1.0, np.abs(jac)) < 1e-6)
 
 
 def test_pv_zeta_scales_voltage_terms_only():
@@ -320,16 +371,20 @@ def test_vc_row_residual_values():
 
 
 def test_zip_reference_currents():
-    ir, ii = zip_current(0.1 + 0.05j, 0.0, 0.5 + 0.2j, 1.0, 0.0)
-    assert ir == pytest.approx(0.6)
-    assert ii == pytest.approx(-0.15)
+    f, _ = lane(make_zip(1, 2, y=0.1 + 0.05j, s=0.5 + 0.2j), 1.0 + 0.0j)
+    assert f[0] == pytest.approx(0.6)
+    assert f[1] == pytest.approx(-0.15)
 
 
 def test_zip_constant_current_part():
-    ir, ii = zip_current(0.0, 0.3 + 0.1j, 0.0, 1.0, 0.0)
-    assert ir == pytest.approx(0.3)
-    assert ii == pytest.approx(-0.1)
-    assert math.hypot(0.3, 0.1) == pytest.approx(math.sqrt(0.1))
+    c = 0.3 + 0.1j
+    f, _ = lane(make_zip(1, 2, i=c), 1.0 + 0.0j)
+    assert f[0] == pytest.approx(0.3)
+    assert f[1] == pytest.approx(-0.1)
+    # the magnitude |c| holds at any voltage, at the load's own angle offset
+    f, _ = lane(make_zip(1, 2, i=c), 0.8 * np.exp(1j * math.radians(30.0)))
+    assert math.hypot(*f) == pytest.approx(abs(c), rel=1e-14)
+    assert math.atan2(f[1], f[0]) == pytest.approx(math.radians(30.0) - np.angle(c), rel=1e-14)
 
 
 def test_zip_impedance_only_is_iterate_independent():
@@ -350,44 +405,67 @@ def test_zip_impedance_only_is_iterate_independent():
         pytest.approx(-0.05)
 
 
-def test_zip_jac_arrays_match_scalar_calls():
-    # lanes without constant-current/power parts may sit at u = 0 (a delta
-    # terminal between equal phase voltages) without a 0/0 anywhere
-    y = np.array([0.1 - 0.02j, 0.0, 0.05 + 0.0j, 0.0])
-    ic = np.array([0.2 + 0.05j, 0.0, 0.0, 0.1 - 0.1j])
-    s = np.array([0.4 + 0.1j, 0.0, 0.3 - 0.2j, 0.0])
-    ur = np.array([0.9, 0.0, -0.4, 0.3])
-    ui = np.array([-0.2, 0.0, 0.8, 1.1])
-    lanes = np.array(zip_current_jac(y, ic, s, ur, ui))
-    for k in range(4):
-        if ur[k] == 0.0 and ui[k] == 0.0:
-            np.testing.assert_array_equal(lanes[:, k], 0.0)
-            continue
-        one = zip_current_jac(y[k], ic[k], s[k], ur[k], ui[k])
-        np.testing.assert_allclose(lanes[:, k], np.array(one, dtype=float), rtol=1e-15)
-        np.testing.assert_allclose(one[:2], zip_current(y[k], ic[k], s[k], ur[k], ui[k]),
-                                   rtol=1e-14)
+def net_3phase_delta():
+    """net_3phase with a fixed-Q machine at bus 3, where terminal b-c of the
+    delta load keeps only its impedance part (terminal d spans phases d and
+    d + 1)."""
+    net = net_3phase()
+    delta = net.zip_loads[1]
+    i, s = delta.i.copy(), delta.s.copy()
+    i[1] = s[1] = 0.0
+    delta = replace(delta, i=i, s=s)
+    gen = Generator(1, 3, p=phase_array(0.1, 3), q=phase_array(0.02, 3))
+    return net.with_devices(zip_loads=(net.zip_loads[0], delta), generators=(gen,))
+
+
+def test_inactive_delta_lane_at_zero_voltage_stamps_finite_values():
+    # terminal b-c has only an impedance part, so equal phase voltages there
+    # (u = 0) are no zero-voltage iterate and leave no 0/0 anywhere
+    net = net_3phase_delta()
+    index = IndexMap(net)
+    state = flat_state(index)
+    pos = net.bus_index[3]
+    state.set_voltage(pos, 2, complex(state.x[index.vr(pos, 1)], state.x[index.vi(pos, 1)]))
+    assert state.v_complex()[1, pos] - state.v_complex()[2, pos] == 0
+    bound = build_companion(net, index).bind(effective_params(net))
+    data, rhs = assemble_system(bound, state)
+    assert np.all(np.isfinite(data)) and np.all(np.isfinite(rhs))
+
+
+def test_active_delta_lane_at_zero_voltage_is_reported():
+    net = net_3phase_delta()
+    index = IndexMap(net)
+    bound = build_companion(net, index).bind(effective_params(net))
+    pos = net.bus_index[3]
+    state = flat_state(index)
+    v_a = complex(state.x[index.vr(pos, 0)], state.x[index.vi(pos, 0)])
+    state.set_voltage(pos, 1, v_a)  # terminal a-b, which has parts, at u = 0
+    with pytest.raises(ZeroVoltageIterate) as zvi:
+        assemble_system(bound, state)
+    assert (zvi.value.device, zvi.value.bus, zvi.value.phase) == ("zip 2", 3, 0)
+    # the machine on the same bus is named first once its phase a is at zero
+    state.set_voltage(pos, 0, 0.0 + 0.0j)
+    state.set_voltage(pos, 1, 0.0 + 0.0j)
+    with pytest.raises(ZeroVoltageIterate) as zvi:
+        assemble_system(bound, state)
+    assert (zvi.value.device, zvi.value.bus, zvi.value.phase) == ("gen 1", 3, 0)
 
 
 def test_zip_gradient_against_finite_differences():
     rng = np.random.default_rng(7)
-    h = 1e-7
     for _ in range(100):
         y = complex(rng.uniform(0, 0.3), -rng.uniform(0, 0.15))
         ic = complex(rng.uniform(0, 0.4), rng.uniform(-0.1, 0.2))
         s = complex(rng.uniform(-1, 1), rng.uniform(-0.4, 0.4))
-        mag = rng.uniform(0.5, 1.5)
-        ang = rng.uniform(-np.pi, np.pi)
-        ur, ui = mag * np.cos(ang), mag * np.sin(ang)
-        _, _, dr_ur, dr_ui, di_ur, di_ui = zip_current_jac(y, ic, s, ur, ui)
-        fdp = zip_current(y, ic, s, ur + h, ui)
-        fdm = zip_current(y, ic, s, ur - h, ui)
-        assert abs((fdp[0] - fdm[0]) / (2 * h) - dr_ur) / max(1, abs(dr_ur)) < 1e-6
-        assert abs((fdp[1] - fdm[1]) / (2 * h) - di_ur) / max(1, abs(di_ur)) < 1e-6
-        fdp = zip_current(y, ic, s, ur, ui + h)
-        fdm = zip_current(y, ic, s, ur, ui - h)
-        assert abs((fdp[0] - fdm[0]) / (2 * h) - dr_ui) / max(1, abs(dr_ui)) < 1e-6
-        assert abs((fdp[1] - fdm[1]) / (2 * h) - di_ui) / max(1, abs(di_ui)) < 1e-6
+        u = rng.uniform(0.5, 1.5) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        f, jac = lane(make_zip(1, 2, y=y, i=ic, s=s), u)
+
+        def drawn(ur, ui):
+            return zip_current(y, ic, s, ur, ui)
+
+        np.testing.assert_allclose(f, drawn(u.real, u.imag), rtol=1e-12, atol=1e-15)
+        fd = central_differences(drawn, (u.real, u.imag))
+        assert np.all(np.abs(jac - fd) / np.maximum(1.0, np.abs(jac)) < 1e-6)
 
 
 # -- whole-system checks -----------------------------------------------------
