@@ -1,4 +1,4 @@
-"""Sparse real linear system: pattern compression, LU factorization, solve.
+"""Real linear system: pattern compression, LU factorization, solve.
 
 :func:`compress_pattern` is the one place a CSC structure is derived, once
 per fixed pattern; :meth:`SparseSystem.assemble` builds one CSC matrix per
@@ -6,20 +6,34 @@ pattern it has not seen, by identity (``pattern_builds`` counts these), and
 afterwards only rebinds its data. Every matrix shares the pattern's
 read-only ``indices``/``indptr``. Rows are equilibrated on those CSC arrays
 before factorization, because source/constraint rows and admittance rows can
-differ by many orders of magnitude mid-continuation. The scaled matrix drops
-the pattern's explicit zeros (open shorts, zeroed loads): SuperLU orders
-columns by the structure, so a kept zero would change the pivots and the
-solution.
+differ by many orders of magnitude mid-continuation.
 
-The column order lives on the :class:`SparseSystem`, next to the pattern.
-COLAMD runs on the first factorization of a pattern and again only when the
-set of dropped zeros changes (``orderings`` counts these); every other
-factorization gathers the values into the column-permuted matrix and calls
-SuperLU in ``NATURAL`` order, which yields the same L and U. The refinement
-residual is taken on the unpermuted matrix, because a permuted product sums
-each row in another order and the result would differ in the last bits.
+Two factorizations, chosen by the number of unknowns ``n``:
 
-Every factorization uses one SuperLU setting, ``_SUPERLU_SETTING``:
+* ``n <= _DENSE_MAX_N``: the scaled data is scattered into one dense
+  Fortran-order matrix per pattern (its other entries stay zero) and LAPACK
+  ``dgetrf``/``dgetrs`` factor and solve it with partial pivoting. At these
+  sizes SuperLU's fixed cost per call, not the factorization, dominates.
+* larger systems go to SuperLU, whose work follows the fill rather than n³.
+
+The cutoff is the crossover measured in live ``tx`` solves of generated
+k x k' meshes, timing every ``factor_solve`` call with either path forced
+(2 cores, one BLAS thread): dense took 0.74 of SuperLU's time at 121
+unknowns (case56), 0.87 at 150, 0.94 at 168, 1.08 at 187, 1.18 at 207 and
+2.6 at 418 (case196), so the paths cross near 175 unknowns.
+
+On the SuperLU side, the scaled matrix drops the pattern's explicit zeros
+(open shorts, zeroed loads): SuperLU orders columns by the structure, so a
+kept zero would change the pivots and the solution. The column order lives
+on the :class:`SparseSystem`, next to the pattern. COLAMD runs on the first
+factorization of a pattern and again only when the set of dropped zeros
+changes (``orderings`` counts these); every other factorization gathers the
+values into the column-permuted matrix and calls SuperLU in ``NATURAL``
+order, which yields the same L and U. The refinement residual is taken on
+the unpermuted matrix, because a permuted product sums each row in another
+order and the result would differ in the last bits.
+
+Every SuperLU factorization uses one setting, ``_SUPERLU_SETTING``:
 ``relax=1, panel_size=1``, so no relaxed supernodes and no panels. scipy's
 defaults (``relax=20, panel_size=10``) target larger, denser factors; at
 these sizes they cost more than they save, for the same L+U fill. The
@@ -33,12 +47,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.sparse.linalg import splu
 
 __all__ = ["CscPattern", "compress_pattern", "SparseSystem", "SingularityError"]
 
 # no supernodes or panels; SuperLU's default diag_pivot_thresh
 _SUPERLU_SETTING = {"relax": 1, "panel_size": 1}
+
+# systems of at most this many unknowns are factored dense: the measured
+# crossover (see the module docstring)
+_DENSE_MAX_N = 175
 
 
 class SingularityError(Exception):
@@ -110,6 +129,18 @@ class _Order:
         self.a_p = _csc(n, cols_p[by_col], pattern.indices[self.gather_p])
 
 
+class _Dense:
+    """The ``n x n`` Fortran-order matrix of one pattern; ``flat[slots]``
+    are the pattern's entries in CSC order and every other entry stays zero."""
+
+    def __init__(self, pattern: CscPattern):
+        n = pattern.indptr.size - 1
+        self.a = np.zeros((n, n), order="F")
+        self.flat = self.a.reshape(-1, order="F")  # a view of ``a``
+        cols = np.repeat(np.arange(n), np.diff(pattern.indptr))
+        self.slots = cols * n + pattern.indices
+
+
 class SparseSystem:
     """One n x n real system, reassembled in place every Newton iteration."""
 
@@ -118,7 +149,7 @@ class SparseSystem:
         self.pattern_builds = 0
         self.orderings = 0
         self._pattern = None
-        self._order = None
+        self._order = self._dense = None
         self._matrix = self._rhs = None
 
     def assemble(self, pattern: CscPattern, data: np.ndarray, rhs: np.ndarray) -> None:
@@ -132,7 +163,7 @@ class SparseSystem:
                 (data, pattern.indices, pattern.indptr), shape=(self.n, self.n)
             )
             self._pattern = pattern
-            self._order = None
+            self._order = self._dense = None
             self.pattern_builds += 1
         elif data.shape != self._matrix.data.shape:
             raise ValueError(f"{data.shape} values for {self._matrix.data.shape} slots")
@@ -155,23 +186,27 @@ class SparseSystem:
     def factor_solve(self) -> np.ndarray:
         """LU solve with row equilibration and one refinement step.
 
-        Each row is scaled by its largest magnitude on the cached CSC arrays,
-        and SuperLU sees only the structural nonzeros of the scaled values.
-        The column order lives here, next to the pattern: the first
-        factorization of a pattern, and the first after its set of exact
-        zeros changes, runs COLAMD and keeps ``perm_c`` (``orderings`` counts
-        these). Every other call gathers the data into the column-permuted
-        matrix, factors it in ``NATURAL`` order and un-permutes the solution.
-        Both calls use ``_SUPERLU_SETTING`` (no supernodes at these sizes),
-        so the ``NATURAL`` call on ``A Pc`` yields the same L and U.
-        The refinement residual is taken on the unpermuted matrix, so every
-        row sums in the same order whichever path factored. Raises
+        Each row is scaled by its largest magnitude on the cached CSC arrays;
+        a row with no nonzero raises. Systems of at most ``_DENSE_MAX_N``
+        unknowns are then factored dense: the scaled data is scattered into
+        one Fortran-order buffer per pattern, whose other entries stay zero,
+        and LAPACK ``dgetrf``/``dgetrs`` factor and solve it; an exact zero
+        pivot raises, naming the unknown. Larger systems go to SuperLU, which
+        sees only the structural nonzeros of the scaled values. Its column
+        order lives here, next to the pattern: the first factorization of a
+        pattern, and the first after its set of exact zeros changes, runs
+        COLAMD and keeps ``perm_c`` (``orderings`` counts these). Every
+        other call gathers the data into the column-permuted matrix, factors
+        it in ``NATURAL`` order and un-permutes the solution. Both use
+        ``_SUPERLU_SETTING`` (no supernodes at these sizes), so the
+        ``NATURAL`` call on ``A Pc`` yields the same L and U. The refinement
+        residual is taken on the unpermuted matrix, so every row sums in the
+        same order whichever SuperLU call factored. Raises
         :class:`SingularityError` on structural or numerical singularity,
         reporting an offending row where one is identifiable; a call that
         raises keeps no new order.
         """
         a = self.matrix
-        b = self.rhs
         absmax = np.zeros(self.n)
         np.maximum.at(absmax, a.indices, np.abs(a.data))
         empty = np.flatnonzero(absmax == 0.0)
@@ -179,6 +214,41 @@ class SparseSystem:
             raise SingularityError(int(empty[0]), "row has no entries")
         scale = 1.0 / absmax
         data = a.data * scale[a.indices]
+        b_s = scale * self.rhs
+        factor = self._dense_lu if self.n <= _DENSE_MAX_N else self._sparse_lu
+        a_s, solve, order = factor(data)
+        x = solve(b_s)
+        if not np.all(np.isfinite(x)):
+            bad = int(np.flatnonzero(~np.isfinite(x))[0])
+            raise SingularityError(bad, "non-finite solution entry")
+        # one step of iterative refinement when the backward error is loose
+        denom = max(1.0, np.max(np.abs(b_s))) if b_s.size else 1.0
+        res = b_s - a_s @ x
+        if np.max(np.abs(res)) / denom > 1e-12:
+            x = x + solve(res)
+        if order is not None:
+            self._order = order
+            self.orderings += 1
+        return x
+
+    def _dense_lu(self, data: np.ndarray):
+        """LAPACK LU of the scaled ``data``: the dense matrix, its solve, and
+        no order to keep."""
+        if self._dense is None:
+            self._dense = _Dense(self._pattern)
+        dense = self._dense
+        dense.flat[dense.slots] = data
+        # dgetrf factors a copy: ``dense.a`` keeps its zeros off the pattern
+        # and serves the refinement residual
+        lu, piv, info = dgetrf(dense.a)
+        if info > 0:
+            raise SingularityError(info - 1, f"zero pivot at unknown {info - 1}")
+        return dense.a, lambda r: dgetrs(lu, piv, r)[0], None
+
+    def _sparse_lu(self, data: np.ndarray):
+        """SuperLU of the scaled ``data`` without its exact zeros: the
+        zero-dropped matrix, its solve, and the order to keep (``None`` when
+        the kept one was used)."""
         zero = data == 0.0
         order = self._order
         if order is not None and np.array_equal(zero, order.zero):
@@ -187,24 +257,13 @@ class SparseSystem:
             np.take(data, order.gather_p, out=a_p.data)
         else:
             order = None
-            a_s = sparse.csc_matrix((data, a.indices.copy(), a.indptr.copy()), shape=a.shape)
+            a_s = sparse.csc_matrix((data, self._pattern.indices.copy(),
+                                     self._pattern.indptr.copy()), shape=(self.n, self.n))
             a_s.eliminate_zeros()
             a_p, perm, permc_spec = a_s, slice(None), "COLAMD"
-        b_s = scale * b
         try:
             lu = splu(a_p, permc_spec=permc_spec, **_SUPERLU_SETTING)
-            x = lu.solve(b_s)[perm]
         except RuntimeError as exc:  # SuperLU signals singularity this way
             raise SingularityError(-1, str(exc)) from exc
-        if not np.all(np.isfinite(x)):
-            bad = int(np.flatnonzero(~np.isfinite(x))[0])
-            raise SingularityError(bad, "non-finite solution entry")
-        # one step of iterative refinement when the backward error is loose
-        denom = max(1.0, np.max(np.abs(b_s))) if b_s.size else 1.0
-        res = b_s - a_s @ x
-        if np.max(np.abs(res)) / denom > 1e-12:
-            x = x + lu.solve(res)[perm]
-        if order is None:
-            self._order = _Order(self._pattern, zero, lu.perm_c)
-            self.orderings += 1
-        return x
+        new = None if order is not None else _Order(self._pattern, zero, lu.perm_c)
+        return a_s, lambda r: lu.solve(r)[perm], new

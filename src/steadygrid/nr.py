@@ -86,6 +86,8 @@ class NrOptions:
             raise ValueError("tol must be positive")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
+        if not self.di_max > 0:  # also rejects nan
+            raise ValueError("di_max must be positive")
 
 
 @dataclass

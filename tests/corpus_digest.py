@@ -13,7 +13,9 @@ import path, so the same script compares any two source trees:
 A change that moves iterates in the last bits on purpose is measured by the
 state vectors instead: ``--states FILE.npz`` also saves the state of every
 converged corpus run, and ``--compare`` prints the largest ``|dx|`` of each
-run converged in both files, then the worst of them:
+run converged in both files, then the worst of them. It also prints a line
+for each run converged in only one of the files, and then exits 1, so a
+script can check that both trees converged on the same runs:
 
     PYTHONPATH=src python3 tests/corpus_digest.py --states after.npz > after.txt
     PYTHONPATH=<other checkout>/src python3 tests/corpus_digest.py --states before.npz > before.txt
@@ -37,6 +39,7 @@ import itertools
 import json
 import math
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -145,13 +148,15 @@ if __name__ == "__main__":
     parser.add_argument("--states", metavar="FILE.npz",
                         help="also save the state of every converged corpus run")
     parser.add_argument("--compare", nargs=2, metavar=("BEFORE.npz", "AFTER.npz"),
-                        help="print the largest |dx| per run converged in both, and exit")
+                        help="print the largest |dx| per run converged in both, and exit "
+                             "(1 when a run converged in only one file)")
     parser.add_argument("--work", action="store_true",
                         help="print each line without its trailing hash")
     args = parser.parse_args()
     if args.compare:
-        for line in compare_states(*args.compare):
-            print(line)
+        lines = list(compare_states(*args.compare))
+        print("\n".join(lines))
+        sys.exit(1 if any(" converged only in " in line for line in lines) else 0)
     else:
         states = {} if args.states else None
         for line, digest in itertools.chain(corpus_lines(states), cli_lines()):

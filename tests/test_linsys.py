@@ -10,6 +10,9 @@ from steadygrid.solver import SolverOptions, solve
 
 from conftest import case_path
 
+# the smallest system SuperLU factors; smaller ones are factored dense
+SPARSE_N = linsys._DENSE_MAX_N + 1
+
 
 def reduce(pattern, slots, vals):
     """Values given per coordinate summed into the pattern's CSC data."""
@@ -160,47 +163,49 @@ def _random_system(n, rng):
 
 def test_explicit_zeros_do_not_change_the_solution():
     rng = np.random.default_rng(7)
-    rows, cols, vals = _random_system(40, rng)
-    rhs = rng.normal(size=40)
-    # explicit zeros on fresh slots and on top of existing ones
-    zr = np.concatenate([rng.integers(0, 40, size=40), rows[:40]])
-    zc = np.concatenate([rng.integers(0, 40, size=40), cols[:40]])
-    s1 = SparseSystem(40)
-    assemble(s1, rows, cols, vals, rhs)
-    s2 = SparseSystem(40)
-    assemble(
-        s2, np.concatenate([rows, zr]), np.concatenate([cols, zc]),
-        np.concatenate([vals, np.zeros(zr.size)]), rhs,
-    )
-    assert s2.matrix.nnz > s1.matrix.nnz
-    assert np.array_equal(s1.factor_solve(), s2.factor_solve())
+    for n in (40, SPARSE_N + 40):
+        rows, cols, vals = _random_system(n, rng)
+        rhs = rng.normal(size=n)
+        # explicit zeros on fresh slots and on top of existing ones
+        zr = np.concatenate([rng.integers(0, n, size=40), rows[:40]])
+        zc = np.concatenate([rng.integers(0, n, size=40), cols[:40]])
+        s1 = SparseSystem(n)
+        assemble(s1, rows, cols, vals, rhs)
+        s2 = SparseSystem(n)
+        assemble(
+            s2, np.concatenate([rows, zr]), np.concatenate([cols, zc]),
+            np.concatenate([vals, np.zeros(zr.size)]), rhs,
+        )
+        assert s2.matrix.nnz > s1.matrix.nnz
+        assert np.array_equal(s1.factor_solve(), s2.factor_solve())
 
 
 def test_factor_solve_leaves_the_cached_pattern_intact():
     rng = np.random.default_rng(8)
-    rows, cols, base = _random_system(40, rng)
-    pattern, slots = compress_pattern(40, rows, cols)
-    with pytest.raises(ValueError):
-        pattern.indices[0] = 0
-    with pytest.raises(ValueError):
-        pattern.indptr[0] = 1
-    s = SparseSystem(40)
-    for _ in range(5):
-        # fresh values each round, explicit zeros off the diagonal
-        vals = base * rng.uniform(0.5, 2.0, size=base.size)
-        vals[(rng.random(base.size) < 0.3) & (rows != cols)] = 0.0
-        rhs = rng.normal(size=40)
-        s.assemble(pattern, reduce(pattern, slots, vals), rhs)
-        indices, indptr = s.matrix.indices.copy(), s.matrix.indptr.copy()
-        x = s.factor_solve()
-        assert np.array_equal(s.matrix.indices, indices)
-        assert np.array_equal(s.matrix.indptr, indptr)
-        fresh = SparseSystem(40)
-        assemble(fresh, rows, cols, vals, rhs)
-        assert np.array_equal(fresh.matrix.indices, indices)
-        assert np.array_equal(fresh.matrix.indptr, indptr)
-        assert np.array_equal(fresh.factor_solve(), x)
-    assert s.pattern_builds == 1
+    for n in (40, SPARSE_N + 40):
+        rows, cols, base = _random_system(n, rng)
+        pattern, slots = compress_pattern(n, rows, cols)
+        with pytest.raises(ValueError):
+            pattern.indices[0] = 0
+        with pytest.raises(ValueError):
+            pattern.indptr[0] = 1
+        s = SparseSystem(n)
+        for _ in range(5):
+            # fresh values each round, explicit zeros off the diagonal
+            vals = base * rng.uniform(0.5, 2.0, size=base.size)
+            vals[(rng.random(base.size) < 0.3) & (rows != cols)] = 0.0
+            rhs = rng.normal(size=n)
+            s.assemble(pattern, reduce(pattern, slots, vals), rhs)
+            indices, indptr = s.matrix.indices.copy(), s.matrix.indptr.copy()
+            x = s.factor_solve()
+            assert np.array_equal(s.matrix.indices, indices)
+            assert np.array_equal(s.matrix.indptr, indptr)
+            fresh = SparseSystem(n)
+            assemble(fresh, rows, cols, vals, rhs)
+            assert np.array_equal(fresh.matrix.indices, indices)
+            assert np.array_equal(fresh.matrix.indptr, indptr)
+            assert np.array_equal(fresh.factor_solve(), x)
+        assert s.pattern_builds == 1
 
 
 def _old_factor_solve(a, b):
@@ -224,16 +229,17 @@ def _old_factor_solve(a, b):
 
 def test_kept_order_matches_a_fresh_colamd_factorization():
     rng = np.random.default_rng(9)
-    rows, cols, base = _random_system(60, rng)
-    pattern, slots = compress_pattern(60, rows, cols)
+    n = SPARSE_N + 60
+    rows, cols, base = _random_system(n, rng)
+    pattern, slots = compress_pattern(n, rows, cols)
     off = rows != cols
     masks = [(rng.random(base.size) < 0.2) & off for _ in range(2)]
-    s = SparseSystem(60)
+    s = SparseSystem(n)
     # one order is kept: going back to the first set of zeros orders again
     for which, orderings in zip([0, 0, 0, 1, 1, 1, 0, 0], [1, 1, 1, 2, 2, 2, 3, 3]):
         vals = base * rng.uniform(0.5, 2.0, size=base.size)
         vals[masks[which]] = 0.0
-        rhs = rng.normal(size=60)
+        rhs = rng.normal(size=n)
         s.assemble(pattern, reduce(pattern, slots, vals), rhs)
         want = _old_factor_solve(s.matrix, rhs)
         assert s.factor_solve().tobytes() == want.tobytes()
@@ -243,43 +249,57 @@ def test_kept_order_matches_a_fresh_colamd_factorization():
 
 def test_orderings_count_masks_and_patterns():
     rng = np.random.default_rng(10)
-    rows, cols, base = _random_system(30, rng)
-    pattern, slots = compress_pattern(30, rows, cols)
-    s = SparseSystem(30)
+    n = SPARSE_N + 30
+    rows, cols, base = _random_system(n, rng)
+    pattern, slots = compress_pattern(n, rows, cols)
+    s = SparseSystem(n)
     for _ in range(3):
         s.assemble(pattern, reduce(pattern, slots, base * rng.uniform(0.5, 2.0, base.size)),
-                   np.ones(30))
+                   np.ones(n))
         s.factor_solve()
     assert s.orderings == 1
     vals = base.copy()
     vals[np.flatnonzero(rows != cols)[:5]] = 0.0
-    s.assemble(pattern, reduce(pattern, slots, vals), np.ones(30))
+    s.assemble(pattern, reduce(pattern, slots, vals), np.ones(n))
     s.factor_solve()
     assert s.orderings == 2
     # an equal pattern under another identity is a new pattern
-    again, _ = compress_pattern(30, rows, cols)
-    s.assemble(again, reduce(again, slots, vals), np.ones(30))
+    again, _ = compress_pattern(n, rows, cols)
+    s.assemble(again, reduce(again, slots, vals), np.ones(n))
     s.factor_solve()
     assert (s.orderings, s.pattern_builds) == (3, 2)
 
 
+def _block_system(n):
+    """A full 2 x 2 block on unknowns 0 and 1 and a unit diagonal on the
+    others: the pattern, and the data that puts a given block (row-major) there."""
+    rows = np.concatenate([[0, 0, 1, 1], np.arange(2, n)])
+    cols = np.concatenate([[0, 1, 0, 1], np.arange(2, n)])
+    pattern, slots = compress_pattern(n, rows, cols)
+    return pattern, lambda block: reduce(pattern, slots, np.concatenate([block, np.ones(n - 2)]))
+
+
 def test_singular_call_on_a_kept_order_leaves_it_usable():
-    pattern, slots = compress_pattern(2, [0, 0, 1, 1], [0, 1, 0, 1])
-    s = SparseSystem(2)
-    s.assemble(pattern, reduce(pattern, slots, [2.0, 1.0, 1.0, 2.0]), np.array([3.0, 3.0]))
-    np.testing.assert_allclose(s.factor_solve(), [1.0, 1.0], atol=1e-14)
+    n = SPARSE_N
+    pattern, data = _block_system(n)
+    ones = np.ones(n)
+    s = SparseSystem(n)
+    s.assemble(pattern, data([2.0, 1.0, 1.0, 2.0]), np.concatenate([[3.0, 3.0], ones[2:]]))
+    np.testing.assert_allclose(s.factor_solve(), ones, atol=1e-14)
     # same zero structure, numerically singular
-    s.assemble(pattern, reduce(pattern, slots, [1.0, 2.0, 2.0, 4.0]), np.array([1.0, 0.0]))
+    s.assemble(pattern, data([1.0, 2.0, 2.0, 4.0]), np.concatenate([[1.0, 0.0], ones[2:]]))
     with pytest.raises(SingularityError):
         s.factor_solve()
-    s.assemble(pattern, reduce(pattern, slots, [4.0, 1.0, 1.0, 3.0]), np.array([5.0, 4.0]))
-    np.testing.assert_allclose(s.factor_solve(), [1.0, 1.0], atol=1e-14)
+    s.assemble(pattern, data([4.0, 1.0, 1.0, 3.0]), np.concatenate([[5.0, 4.0], ones[2:]]))
+    np.testing.assert_allclose(s.factor_solve(), ones, atol=1e-14)
     assert s.orderings == 1
 
 
 def test_a_first_factorization_that_raises_keeps_no_order():
-    s = SparseSystem(2)
-    assemble(s, [0, 0, 1, 1], [0, 1, 0, 1], [1.0, 2.0, 2.0, 4.0], [1.0, 0.0])
+    n = SPARSE_N
+    pattern, data = _block_system(n)
+    s = SparseSystem(n)
+    s.assemble(pattern, data([1.0, 2.0, 2.0, 4.0]), np.ones(n))
     with pytest.raises(SingularityError):
         s.factor_solve()
     assert s.orderings == 0
@@ -321,3 +341,94 @@ def test_assemble_builds_one_matrix_per_pattern():
     s.assemble(other, reduce(other, other_slots, base), np.ones(20))
     assert s.matrix is not first
     assert np.shares_memory(s.matrix.indices, other.indices)
+
+
+# -- the dense path ---------------------------------------------------------------
+
+
+def _no_splu(*args, **kwargs):
+    raise AssertionError("splu called on a system at or below the dense cutoff")
+
+
+def _equilibrated(a, b):
+    """The row-equilibrated dense matrix and right-hand side."""
+    dense = a.toarray()
+    scale = 1.0 / np.max(np.abs(dense), axis=1)
+    return dense * scale[:, None], b * scale
+
+
+def test_dense_solve_agrees_with_a_reference_solve(monkeypatch):
+    monkeypatch.setattr(linsys, "splu", _no_splu)
+    rng = np.random.default_rng(12)
+    for n in (2, 5, 28, 121, linsys._DENSE_MAX_N):
+        for _ in range(3):
+            rows, cols, vals = _random_system(n, rng)
+            # rows a few orders of magnitude apart, as mid-continuation
+            vals = vals * 10.0 ** rng.integers(-4, 5, size=n)[rows]
+            rhs = rng.normal(size=n)
+            s = SparseSystem(n)
+            assemble(s, rows, cols, vals, rhs)
+            x = s.factor_solve()
+            want = np.linalg.solve(*_equilibrated(s.matrix, rhs))
+            assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+            assert s.orderings == 0
+
+
+def test_dense_zero_pivot_names_the_unknown(monkeypatch):
+    monkeypatch.setattr(linsys, "splu", _no_splu)
+    # unknown 2 is the sum of unknowns 0 and 1 in every row
+    s = SparseSystem(3)
+    assemble(s, [0, 0, 0, 1, 1, 1, 2, 2, 2], [0, 1, 2, 0, 1, 2, 0, 1, 2],
+             [1.0, 2.0, 3.0, 4.0, 1.0, 5.0, 2.0, 2.0, 4.0], np.ones(3))
+    with pytest.raises(SingularityError) as err:
+        s.factor_solve()
+    assert err.value.row == 2
+    assert err.value.reason == "zero pivot at unknown 2"
+
+
+@pytest.mark.parametrize("n", [3, SPARSE_N])
+def test_empty_and_zero_rows_are_reported_on_both_paths(n):
+    empty = SparseSystem(n)
+    assemble(empty, [], [], [], np.zeros(n))
+    with pytest.raises(SingularityError) as err:
+        empty.factor_solve()
+    assert (err.value.row, err.value.reason) == (0, "row has no entries")
+    # row 1 has no slot, and row 2 only an explicit zero
+    keep = np.setdiff1d(np.arange(n), [1, 2])
+    s = SparseSystem(n)
+    assemble(s, np.concatenate([keep, [2]]), np.concatenate([keep, [0]]),
+             np.concatenate([np.ones(keep.size), [0.0]]), np.ones(n))
+    with pytest.raises(SingularityError) as err:
+        s.factor_solve()
+    assert (err.value.row, err.value.reason) == (1, "row has no entries")
+
+
+@pytest.mark.parametrize("n", [3, SPARSE_N])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_data_raises_on_both_paths(n, bad):
+    vals = np.ones(n)
+    vals[1] = bad
+    s = SparseSystem(n)
+    assemble(s, np.arange(n), np.arange(n), vals, np.ones(n))
+    # numpy warns on the equilibration's arithmetic; the call must still raise
+    with np.errstate(invalid="ignore"), pytest.raises(SingularityError):
+        s.factor_solve()
+    assert s.orderings == 0
+
+
+def test_the_cutoff_separates_the_two_paths(monkeypatch):
+    calls = []
+
+    def recording_splu(a, **kwargs):
+        calls.append(a.shape[0])
+        return splu(a, **kwargs)
+
+    monkeypatch.setattr(linsys, "splu", recording_splu)
+    rng = np.random.default_rng(13)
+    for n in (linsys._DENSE_MAX_N, linsys._DENSE_MAX_N + 1):
+        rows, cols, vals = _random_system(n, rng)
+        s = SparseSystem(n)
+        assemble(s, rows, cols, vals, np.ones(n))
+        s.factor_solve()
+        assert s.orderings == (n > linsys._DENSE_MAX_N)
+    assert calls == [linsys._DENSE_MAX_N + 1]

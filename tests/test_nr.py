@@ -116,6 +116,15 @@ def test_options_invariants_enforced():
         NrOptions(v_min=2.0, v_max=-2.0)
 
 
+def test_q_cap_must_be_positive():
+    # 0 freezes Q, a negative cap overshoots the raw step and nan limits by accident
+    for bad in (0.0, -0.05, math.nan):
+        with pytest.raises(ValueError, match="di_max"):
+            NrOptions(di_max=bad)
+    for cap in (math.inf, 0.05, 1e300):
+        assert NrOptions(di_max=cap).di_max == cap
+
+
 # -- Q limiting ----------------------------------------------------------------
 
 
