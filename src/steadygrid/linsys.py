@@ -4,17 +4,27 @@
 per fixed pattern; :meth:`SparseSystem.assemble` builds one CSC matrix per
 pattern it has not seen, by identity (``pattern_builds`` counts these), and
 afterwards only rebinds its data. Every matrix shares the pattern's
-read-only ``indices``/``indptr``. Rows are equilibrated on those CSC arrays
-before factorization, because source/constraint rows and admittance rows can
-differ by many orders of magnitude mid-continuation.
+read-only ``indices``/``indptr``. Every row is equilibrated by its largest
+magnitude before factorization, because source/constraint rows and
+admittance rows can differ by many orders of magnitude mid-continuation. A
+row with no nonzero entry, with a non-finite one, or whose largest magnitude
+is too small to invert raises before any row is scaled, and without a numpy
+warning.
 
 Two factorizations, chosen by the number of unknowns ``n``:
 
-* ``n <= _DENSE_MAX_N``: the scaled data is scattered into one dense
-  Fortran-order matrix per pattern (its other entries stay zero) and LAPACK
-  ``dgetrf``/``dgetrs`` factor and solve it with partial pivoting. At these
-  sizes SuperLU's fixed cost per call, not the factorization, dominates.
+* ``n <= _DENSE_MAX_N``: one dense Fortran-order matrix per pattern, whose
+  entries off the pattern stay zero, first takes the magnitudes of the data
+  and yields the row maxima by one reduction over its rows; then the scaled
+  data replaces them, and LAPACK ``dgetrf``/``dgetrs`` factor and solve it
+  with partial pivoting. At these sizes SuperLU's fixed cost per call, not
+  the factorization, dominates. Measured in live solves, the row maxima
+  taken this way cost slightly less than a scatter-maximum
+  (``np.maximum.at``) over the CSC data at 28 and 54 unknowns and about the
+  same at 121. A maximum is exact, so the scale, and every scaled entry,
+  are the same bytes either way.
 * larger systems go to SuperLU, whose work follows the fill rather than n³.
+  Their row maxima are a scatter-maximum over the CSC arrays.
 
 The cutoff is the crossover measured in live ``tx`` solves of generated
 k x k' meshes, timing every ``factor_solve`` call with either path forced
@@ -58,6 +68,9 @@ _SUPERLU_SETTING = {"relax": 1, "panel_size": 1}
 # systems of at most this many unknowns are factored dense: the measured
 # crossover (see the module docstring)
 _DENSE_MAX_N = 175
+
+# a row maximum at or below this has no finite scale: its reciprocal overflows
+_MIN_ROW_MAX = 1.0 / np.finfo(float).max
 
 
 class SingularityError(Exception):
@@ -141,6 +154,20 @@ class _Dense:
         self.slots = cols * n + pattern.indices
 
 
+def _row_scale(absmax: np.ndarray) -> np.ndarray:
+    """``1 / absmax`` of the row maxima; raises on the first row with no
+    nonzero entry, with a non-finite one (a ``nan`` or ``inf`` maximum), or
+    whose scale would overflow."""
+    if not (absmax.min() > _MIN_ROW_MAX and absmax.max() < np.inf):  # nan fails too
+        row = int(np.flatnonzero(~((absmax > _MIN_ROW_MAX) & (absmax < np.inf)))[0])
+        if absmax[row] == 0.0:
+            raise SingularityError(row, "row has no entries")
+        if np.isfinite(absmax[row]):
+            raise SingularityError(row, "row scale overflows")
+        raise SingularityError(row, "non-finite matrix entry")
+    return 1.0 / absmax
+
+
 class SparseSystem:
     """One n x n real system, reassembled in place every Newton iteration."""
 
@@ -186,56 +213,67 @@ class SparseSystem:
     def factor_solve(self) -> np.ndarray:
         """LU solve with row equilibration and one refinement step.
 
-        Each row is scaled by its largest magnitude on the cached CSC arrays;
-        a row with no nonzero raises. Systems of at most ``_DENSE_MAX_N``
-        unknowns are then factored dense: the scaled data is scattered into
-        one Fortran-order buffer per pattern, whose other entries stay zero,
-        and LAPACK ``dgetrf``/``dgetrs`` factor and solve it; an exact zero
-        pivot raises, naming the unknown. Larger systems go to SuperLU, which
-        sees only the structural nonzeros of the scaled values. Its column
-        order lives here, next to the pattern: the first factorization of a
-        pattern, and the first after its set of exact zeros changes, runs
-        COLAMD and keeps ``perm_c`` (``orderings`` counts these). Every
-        other call gathers the data into the column-permuted matrix, factors
-        it in ``NATURAL`` order and un-permutes the solution. Both use
-        ``_SUPERLU_SETTING`` (no supernodes at these sizes), so the
-        ``NATURAL`` call on ``A Pc`` yields the same L and U. The refinement
-        residual is taken on the unpermuted matrix, so every row sums in the
-        same order whichever SuperLU call factored. Raises
-        :class:`SingularityError` on structural or numerical singularity,
-        reporting an offending row where one is identifiable; a call that
-        raises keeps no new order.
+        Each row is scaled by its largest magnitude; a row with no nonzero
+        entry, with a non-finite one, or whose scale would overflow raises
+        before it is scaled, naming the first such row. Systems of at most
+        ``_DENSE_MAX_N`` unknowns are factored dense: the magnitudes of the
+        data are scattered into one Fortran-order buffer per pattern, whose
+        other entries stay zero, the row maxima are read off it, the scaled
+        data replaces the magnitudes, and LAPACK ``dgetrf``/``dgetrs``
+        factor and solve it; an exact zero pivot raises, naming the unknown.
+        Larger systems are scaled on the cached CSC arrays and go to
+        SuperLU, which sees only the structural nonzeros of the scaled
+        values. Its column order lives here, next to the pattern: the first
+        factorization of a pattern, and the first after its set of exact
+        zeros changes, runs COLAMD and keeps ``perm_c`` (``orderings``
+        counts these). Every other call gathers the data into the
+        column-permuted matrix, factors it in ``NATURAL`` order and
+        un-permutes the solution. Both use ``_SUPERLU_SETTING`` (no
+        supernodes at these sizes), so the ``NATURAL`` call on ``A Pc``
+        yields the same L and U. The refinement residual is taken on the
+        unpermuted matrix, so every row sums in the same order whichever
+        SuperLU call factored. Raises :class:`SingularityError` on
+        structural or numerical singularity, reporting an offending row
+        where one is identifiable; a call that raises keeps no new order.
         """
         a = self.matrix
-        absmax = np.zeros(self.n)
-        np.maximum.at(absmax, a.indices, np.abs(a.data))
-        empty = np.flatnonzero(absmax == 0.0)
-        if empty.size:
-            raise SingularityError(int(empty[0]), "row has no entries")
-        scale = 1.0 / absmax
+        if self.n <= _DENSE_MAX_N:
+            absmax, factor = self._dense_row_max(a.data), self._dense_lu
+        else:
+            absmax = np.zeros(self.n)
+            with np.errstate(invalid="ignore"):  # a nan entry leaves its row's maximum nan
+                np.maximum.at(absmax, a.indices, np.abs(a.data))
+            factor = self._sparse_lu
+        scale = _row_scale(absmax)
         data = a.data * scale[a.indices]
         b_s = scale * self.rhs
-        factor = self._dense_lu if self.n <= _DENSE_MAX_N else self._sparse_lu
         a_s, solve, order = factor(data)
         x = solve(b_s)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             bad = int(np.flatnonzero(~np.isfinite(x))[0])
             raise SingularityError(bad, "non-finite solution entry")
         # one step of iterative refinement when the backward error is loose
-        denom = max(1.0, np.max(np.abs(b_s))) if b_s.size else 1.0
+        denom = max(1.0, np.abs(b_s).max()) if b_s.size else 1.0
         res = b_s - a_s @ x
-        if np.max(np.abs(res)) / denom > 1e-12:
+        if np.abs(res).max() / denom > 1e-12:
             x = x + solve(res)
         if order is not None:
             self._order = order
             self.orderings += 1
         return x
 
+    def _dense_row_max(self, data: np.ndarray) -> np.ndarray:
+        """Row maxima of ``|data|`` by one reduction over the rows of the
+        pattern's dense buffer, whose entries off the pattern stay zero."""
+        if self._dense is None:
+            self._dense = _Dense(self._pattern)
+        dense = self._dense
+        dense.flat[dense.slots] = np.abs(data)
+        return dense.a.max(axis=1)
+
     def _dense_lu(self, data: np.ndarray):
         """LAPACK LU of the scaled ``data``: the dense matrix, its solve, and
         no order to keep."""
-        if self._dense is None:
-            self._dense = _Dense(self._pattern)
         dense = self._dense
         dense.flat[dense.slots] = data
         # dgetrf factors a copy: ``dense.a`` keeps its zeros off the pattern

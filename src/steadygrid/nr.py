@@ -123,7 +123,9 @@ def trace_to_csv(trace: list[NrTraceRow]) -> str:
 def apply_voltage_limiting(v_k: np.ndarray, dv: np.ndarray, options: NrOptions) -> np.ndarray:
     """Componentwise capped and clamped voltage update."""
     step = np.sign(dv) * np.minimum(np.abs(dv), options.dv_max)
-    return np.clip(v_k + step, options.v_min, options.v_max)
+    # np.clip without its wrapper: the bound goes first, so a value equal to
+    # a bound keeps its own bits (its sign, for a zero bound), as np.clip does
+    return np.minimum(options.v_max, np.maximum(options.v_min, v_k + step))
 
 
 def update_zeta(trace: list[NrTraceRow], zeta: float, options: NrOptions) -> float:
@@ -164,7 +166,7 @@ def apply_q_limiting(
 
 def _max_abs(f: np.ndarray, mask: np.ndarray) -> float:
     """Largest ``|f|`` over the selected rows, 0 when none is selected."""
-    return float(np.max(np.abs(f[mask]))) if mask.any() else 0.0
+    return float(np.abs(f[mask]).max()) if mask.any() else 0.0
 
 
 def residual_vector(
@@ -255,7 +257,7 @@ def run_newton(
                     raise
                 _reinit_voltage(current, c.network, zvi.bus, zvi.phase)
         system.assemble(c.pattern, data, rhs)
-        residual = _max_abs(system.matrix @ current.x - system.rhs, c.kcl_mask)
+        residual = _max_abs(system.matrix @ current.x - rhs, c.kcl_mask)
         if residual < options.tol:
             return current, True, k, residual
         if k == options.max_iter:
@@ -263,13 +265,14 @@ def run_newton(
 
         x_raw = system.factor_solve()
         dv = x_raw[:nv] - current.x[:nv]
-        max_dv = float(np.max(np.abs(dv))) if nv else 0.0
+        abs_dv = np.abs(dv)
+        max_dv = float(abs_dv.max()) if nv else 0.0
         new = current.copy()
         new.x[:nv] = apply_voltage_limiting(current.x[:nv], dv, options)
         # the limiter's decisions, not the round-off of v_k + (x_raw - v_k)
         reach = current.x[:nv] + dv
         limited = int(np.count_nonzero(
-            (np.abs(dv) > options.dv_max) | (reach < options.v_min) | (reach > options.v_max)
+            (abs_dv > options.dv_max) | (reach < options.v_min) | (reach > options.v_max)
         ))
         # auxiliary slack currents and Q slots take the raw solve
         new.x[nv:] = x_raw[nv:]
@@ -290,5 +293,6 @@ def run_newton(
 
         own_trace.append(NrTraceRow(k, residual, max_dv, zeta, limited))
         current = new
-        zeta = update_zeta(own_trace[base:], zeta, options)
+        # update_zeta reads at most the last three rows of this call
+        zeta = update_zeta(own_trace[max(base, len(own_trace) - 3):], zeta, options)
     return current, False, options.max_iter, residual

@@ -488,7 +488,8 @@ def assemble_system(
     node = x[: 2 * c.index.nbus * c.index.nphase].view(complex)
     u = node[c.lane_v]
     u[c.delta_lanes] -= node[c.zip_b]
-    _check_nonzero(bound, u)
+    if not u.all():  # some lane sits at zero voltage
+        _check_nonzero(bound, u)
 
     # every lane in closed form (module docstring); Q-slot lanes read Q from
     # the state, and lanes without a constant-current or -power part may sit
@@ -514,10 +515,11 @@ def assemble_system(
     # Q-slot rows: |V_w|^2 = vset^2 linearized, or the pin while at a limit
     pinned = modes.mode.ravel()[slot] == GEN_PINNED
     w = node[c.vc_v]
-    vc_rhs = np.where(
-        pinned, modes.q_pin.ravel()[slot], -(c.vc_sq + w.real * w.real + w.imag * w.imag)
-    )
-    dw = np.where(pinned, 0.0, -2.0 * w)
+    vc_rhs = -(c.vc_sq + w.real * w.real + w.imag * w.imag)
+    dw = -2.0 * w
+    if pinned.any():
+        vc_rhs = np.where(pinned, modes.q_pin.ravel()[slot], vc_rhs)
+        dw = np.where(pinned, 0.0, dw)
 
     # delta terminals stamp +J on the + node and -J on the - node
     dl = c.delta_lanes

@@ -26,6 +26,14 @@ script can check that both trees converged on the same runs:
 (Newton iterations, continuation steps, outer passes, exit codes) and
 nothing else.
 
+``--jobs WORKLOAD --seeds A-B`` prints, instead of the corpus, one work line
+per benchmark job (``seed label status iterations steps passes``), built and
+run by ``perfbench.jobs`` for every seed from A to B. A benchmark work
+digest at one seed does not show whether a change moves a job's status or
+counts at other seeds; this does:
+
+    PYTHONPATH=src python3 tests/corpus_digest.py --jobs hard_ic --seeds 1-60 > after.txt
+
 pytest does not collect this file (its name does not start with ``test_``).
 """
 
@@ -126,6 +134,23 @@ def cli_lines():
         yield f"{' '.join(argv)} exit={code}", _digest(*parts)
 
 
+def job_lines(workload: str, seeds):
+    """One work line per benchmark job of ``workload`` at each seed."""
+    sys.path.insert(0, ROOT)
+    from perfbench import jobs
+
+    networks = jobs.load_networks(workload, CASES)
+    for seed in seeds:
+        for job in jobs.build_jobs(workload, seed, networks):
+            status, iterations, steps, passes = jobs.run_job(job, jobs.Api()).counts
+            yield f"seed={seed} {job.label} {status} {iterations} {steps} {passes}"
+
+
+def _seed_range(text: str) -> range:
+    first, _, last = text.partition("-")
+    return range(int(first), int(last or first) + 1)
+
+
 def compare_states(before_path: str, after_path: str):
     """A line for each run converged in only one file, ``label max|dx|`` for
     each run converged in both, and the worst difference last."""
@@ -152,8 +177,15 @@ if __name__ == "__main__":
                              "(1 when a run converged in only one file)")
     parser.add_argument("--work", action="store_true",
                         help="print each line without its trailing hash")
+    parser.add_argument("--jobs", metavar="WORKLOAD",
+                        help="print one work line per benchmark job instead")
+    parser.add_argument("--seeds", metavar="A-B", type=_seed_range, default=range(1, 2),
+                        help="the seeds of --jobs, A to B inclusive (default 1)")
     args = parser.parse_args()
-    if args.compare:
+    if args.jobs:
+        for line in job_lines(args.jobs, args.seeds):
+            print(line, flush=True)
+    elif args.compare:
         lines = list(compare_states(*args.compare))
         print("\n".join(lines))
         sys.exit(1 if any(" converged only in " in line for line in lines) else 0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.sparse.linalg import splu
 
 from steadygrid import linsys
@@ -404,16 +405,107 @@ def test_empty_and_zero_rows_are_reported_on_both_paths(n):
 
 
 @pytest.mark.parametrize("n", [3, SPARSE_N])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 5e-309])
 def test_non_finite_data_raises_on_both_paths(n, bad):
+    # 5e-309 is finite, but its reciprocal, the row's scale, overflows
+    reason = "row scale overflows" if np.isfinite(bad) else "non-finite matrix entry"
+    pattern, slots = compress_pattern(n, np.arange(n), np.arange(n))
     vals = np.ones(n)
     vals[1] = bad
     s = SparseSystem(n)
-    assemble(s, np.arange(n), np.arange(n), vals, np.ones(n))
-    # numpy warns on the equilibration's arithmetic; the call must still raise
-    with np.errstate(invalid="ignore"), pytest.raises(SingularityError):
+    s.assemble(pattern, reduce(pattern, slots, vals), np.ones(n))
+    # raised before any arithmetic on the row, so numpy has nothing to warn about
+    with pytest.raises(SingularityError) as err:
         s.factor_solve()
+    assert (err.value.row, err.value.reason) == (1, reason)
     assert s.orderings == 0
+    # the call left nothing behind: the same pattern, with the smallest row
+    # maximum that has a finite scale, solves as on a fresh system
+    vals[1] = np.nextafter(linsys._MIN_ROW_MAX, 1.0)
+    s.assemble(pattern, reduce(pattern, slots, vals), np.ones(n))
+    fresh = SparseSystem(n)
+    assemble(fresh, np.arange(n), np.arange(n), vals, np.ones(n))
+    x = s.factor_solve()
+    assert np.isfinite(x).all() and x.tobytes() == fresh.factor_solve().tobytes()
+
+
+def test_the_first_bad_row_is_reported_whichever_its_kind():
+    for n in (4, SPARSE_N):
+        # row 1 holds a nan next to a finite entry, row 2 has no entry
+        rows = np.concatenate([[0, 1, 1], np.arange(3, n)])
+        cols = np.concatenate([[0, 0, 1], np.arange(3, n)])
+        vals = np.concatenate([[1.0, 2.0, np.nan], np.ones(n - 3)])
+        s = SparseSystem(n)
+        assemble(s, rows, cols, vals, np.ones(n))
+        with pytest.raises(SingularityError) as err:
+            s.factor_solve()
+        assert (err.value.row, err.value.reason) == (1, "non-finite matrix entry")
+        vals[2] = 3.0
+        assemble(s, rows, cols, vals, np.ones(n))
+        with pytest.raises(SingularityError) as err:
+            s.factor_solve()
+        assert (err.value.row, err.value.reason) == (2, "row has no entries")
+
+
+def _old_dense_factor_solve(a, b):
+    """The dense path equilibrated on the CSC arrays: ``np.maximum.at`` row
+    maxima, the scaled data scattered into a zeroed Fortran-order matrix,
+    ``dgetrf``/``dgetrs``, one refinement step."""
+    n = a.shape[0]
+    absmax = np.zeros(n)
+    np.maximum.at(absmax, a.indices, np.abs(a.data))
+    scale = 1.0 / absmax
+    a_s = np.zeros((n, n), order="F")
+    cols = np.repeat(np.arange(n), np.diff(a.indptr))
+    a_s.reshape(-1, order="F")[cols * n + a.indices] = a.data * scale[a.indices]
+    lu, piv, info = dgetrf(a_s)
+    assert info == 0
+    b_s = scale * b
+    x = dgetrs(lu, piv, b_s)[0]
+    res = b_s - a_s @ x
+    if np.max(np.abs(res)) / max(1.0, np.max(np.abs(b_s))) > 1e-12:
+        x = x + dgetrs(lu, piv, res)[0]
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 28, 54, 121, linsys._DENSE_MAX_N])
+def test_dense_path_matches_the_csc_equilibration_bit_for_bit(monkeypatch, n):
+    monkeypatch.setattr(linsys, "splu", _no_splu)
+    solves = []
+
+    def counting_dgetrs(*args):
+        solves.append(1)
+        return dgetrs(*args)
+
+    monkeypatch.setattr(linsys, "dgetrs", counting_dgetrs)
+    rng = np.random.default_rng(15 + n)
+    rows, cols, base = _random_system(n, rng)
+    # explicit zeros on fresh slots, and rows 0 and 1 full (n = 1 has no row 1)
+    rows = np.concatenate([rows, rng.integers(0, n, size=n), np.repeat([0, 1], n)])
+    cols = np.concatenate([cols, rng.integers(0, n, size=n), np.tile(np.arange(n), 2)])
+    keep = rows < n
+    rows, cols = rows[keep], cols[keep]
+    pattern, slots = compress_pattern(n, rows, cols)
+    row0, row1 = (np.flatnonzero(pattern.indices == r) for r in (0, 1))
+    # each row scaled by up to 8 decades, half of them negated
+    decades = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-4, 4, size=n)
+    s = SparseSystem(n)
+    rounds = 6
+    for k in range(rounds):  # one buffer per pattern, reused
+        vals = np.concatenate([base * rng.uniform(0.5, 2.0, size=base.size), np.zeros(n),
+                               rng.normal(size=rows.size - base.size - n)])
+        vals[(rng.random(vals.size) < 0.2) & (rows != cols) & (rows > 1)] = 0.0
+        data = reduce(pattern, slots, vals * decades[rows])
+        if k % 2 and n > 1:
+            # row 1 a near copy of row 0: the backward error is loose, so the
+            # refinement step runs
+            data[row1] = data[row0] * (1.0 + 1e-9 * rng.normal(size=n))
+        rhs = rng.normal(size=n) * decades
+        s.assemble(pattern, data, rhs)
+        want = _old_dense_factor_solve(s.matrix, rhs)
+        assert s.factor_solve().tobytes() == want.tobytes()
+    assert (s.pattern_builds, s.orderings) == (1, 0)
+    assert len(solves) > rounds or n == 1
 
 
 def test_the_cutoff_separates_the_two_paths(monkeypatch):

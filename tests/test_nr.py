@@ -69,6 +69,26 @@ def test_limiting_safety_property():
         assert np.all(np.abs(out - v) <= opts.dv_max + 1e-15)
 
 
+def test_voltage_limiting_matches_the_clip_formula_bit_for_bit():
+    # at, inside and beyond each bound, signed zeros, NaN and infinities
+    special = np.array([
+        -np.inf, -3.0, -2.0, np.nextafter(-2.0, -3.0), -1.0, -0.25, -0.0, 0.0,
+        0.25, 1.0, np.nextafter(2.0, 3.0), 2.0, 3.0, np.inf, np.nan,
+    ])
+    v_k, dv = (a.ravel() for a in np.meshgrid(special, special))
+    rng = np.random.default_rng(14)
+    for v_min, v_max in [(-2.0, 2.0), (-1.0, 0.0), (-1.0, -0.0), (0.0, 1.0), (-0.0, 1.0)]:
+        opts = NrOptions(dv_max=0.25, v_min=v_min, v_max=v_max)
+        # every length, so that vector loops and their scalar tails both run
+        for n in (*range(1, 40), v_k.size):
+            pick = rng.integers(0, v_k.size, size=n) if n < v_k.size else np.arange(n)
+            with np.errstate(invalid="ignore"):  # inf - inf and NaN comparisons
+                step = np.sign(dv[pick]) * np.minimum(np.abs(dv[pick]), opts.dv_max)
+                want = np.clip(v_k[pick] + step, v_min, v_max)
+                got = apply_voltage_limiting(v_k[pick], dv[pick], opts)
+            assert got.tobytes() == want.tobytes()
+
+
 # -- zeta heuristics ----------------------------------------------------------
 
 
