@@ -23,7 +23,6 @@ from .network import (
 from .caseio import load_case, parse_case, write_case, write_solution
 from .indexing import IndexMap, StateVector
 from .nr import NrOptions
-from .homotopy import HomotopySchedule
 from .solver import (
     InitSpec,
     MismatchReport,
@@ -46,7 +45,6 @@ __all__ = [
     "Connection",
     "ContingencySet",
     "Generator",
-    "HomotopySchedule",
     "IndexMap",
     "InitSpec",
     "MismatchReport",

@@ -72,6 +72,10 @@ class SweepSpec:
     vang_range_deg: tuple = (-40.0, 40.0)
     seed: int | None = None
 
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ValueError("samples must be >= 1")
+
 
 @dataclass
 class SweepResult:
@@ -107,11 +111,19 @@ def apply_outage(network: Network, outage: Outage) -> Network:
     return network.with_devices(generators=gens, branches=branches, transformers=xfmrs)
 
 
+def check_top_fraction(top_fraction: float) -> None:
+    """Reject a screening fraction outside ``(0, 1]`` (``nan`` included)."""
+    if not 0.0 < top_fraction <= 1.0:
+        raise ValueError("top_fraction must be in (0, 1]")
+
+
 def sample_contingencies(
     network: Network, base_state: StateVector, top_fraction: float = 0.1
 ) -> ContingencySet:
     """The usual screening set: the largest online generators and the most
-    heavily loaded series elements, dropped one at a time."""
+    heavily loaded series elements, dropped one at a time; ``top_fraction``
+    of each family, at least one, with ``0 < top_fraction <= 1``."""
+    check_top_fraction(top_fraction)
     outages: list[Outage] = []
     gens = sorted(network.generators, key=lambda g: -float(np.sum(np.abs(g.p))))
     n_gen = max(1, int(round(top_fraction * len(gens)))) if gens else 0

@@ -37,6 +37,7 @@ from .network import (
     ZipLoad,
     phase_array,
     phase_carray,
+    series_y,
     validate,
 )
 
@@ -219,10 +220,9 @@ def _parse_net(text: str, name: str) -> Network:
             b = float(toks[5]) if len(toks) > 5 else 0.0
         except (ValueError, IndexError):
             raise CaseSyntaxError(lineno, f"bad BRANCH record: {' '.join(toks)}")
-        y = np.array([[1.0 / complex(r, x)]])
-        y.setflags(write=False)
         branches.append(
-            Branch(brid, fb, tb, y_series=y, b_from=phase_array(b / 2.0, 1), b_to=phase_array(b / 2.0, 1))
+            Branch(brid, fb, tb, y_series=series_y(r, x),
+                   b_from=phase_array(b / 2.0, 1), b_to=phase_array(b / 2.0, 1))
         )
 
     transformers: list[Transformer] = []
@@ -242,11 +242,9 @@ def _parse_net(text: str, name: str) -> Network:
             vtgt = _opt(toks[11]) if len(toks) > 11 else None
         except (ValueError, IndexError):
             raise CaseSyntaxError(lineno, f"bad TRANSFORMER record: {' '.join(toks)}")
-        y = np.array([[1.0 / complex(r, x)]])
-        y.setflags(write=False)
         transformers.append(
             Transformer(
-                tid, fb, tb, y_series=y,
+                tid, fb, tb, y_series=series_y(r, x),
                 tap=phase_array(tap, 1), shift=phase_array(math.radians(shift), 1),
                 tap_min=tap_min, tap_max=tap_max, tap_step=tap_step,
                 controlled_bus=ctrl, v_target=vtgt,

@@ -16,7 +16,7 @@ from typing import NoReturn
 
 from . import analyses
 from .caseio import CaseError, load_case, parse_case, write_solution
-from .homotopy import HomotopySchedule, lambda_trace_to_csv
+from .homotopy import lambda_trace_to_csv
 from .nr import NrOptions, trace_to_csv
 from .solver import (
     CONVERGED,
@@ -70,7 +70,7 @@ def _build_options(args, network) -> SolverOptions:
             nr=NrOptions(tol=args.tol, max_iter=args.max_iter, dv_max=args.dv_max,
                          zeta_min=args.zeta_min),
             homotopy=args.homotopy,
-            schedule=HomotopySchedule(gamma=args.gamma),
+            gamma=args.gamma,
             init=init,
             enforce_q_limits=args.q_limits == "on",
         )
@@ -122,7 +122,10 @@ def _cmd_solve(args) -> int:
 def _cmd_sweep(args) -> int:
     case = _load(args.case)
     options = _build_options(args, case.network)
-    spec = analyses.SweepSpec(samples=args.samples, seed=args.seed)
+    try:
+        spec = analyses.SweepSpec(samples=args.samples, seed=args.seed)
+    except ValueError as exc:
+        _fail(EX_USAGE, str(exc))
     result = analyses.run_sweep(case.network, spec, options)
     _write(args.out, "sweep.csv", result.csv())
     print(f"{case.name}: {result.n_converged}/{spec.samples} converged, "
@@ -136,6 +139,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_contingency(args) -> int:
     case = _load(args.case)
     options = _build_options(args, case.network)
+    try:  # the sampling bound, checked before the base solve
+        analyses.check_top_fraction(args.top_fraction)
+    except ValueError as exc:
+        _fail(EX_USAGE, str(exc))
     base_report, base_state = solve(case.network, options)
     if base_report.status != CONVERGED:
         sys.stderr.write("base case did not converge; aborting contingencies\n")

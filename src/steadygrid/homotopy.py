@@ -18,8 +18,11 @@ Both transforms are array operations on :class:`DeviceParams` that share
 every array they leave unchanged with their base. Only values move, so every
 sub-problem binds to the one companion layout of the solve.
 
-The factor moves from 1 to 0; a failed sub-problem halves the step until the
-minimum step underflows, which reports divergence with the last good factor.
+The factor moves from 1 to 0 with fixed step control: the first step is
+``D_LAMBDA``; a failed sub-problem multiplies the step by ``BACKTRACK`` until
+it drops below ``MIN_STEP``, which reports divergence with the last good
+factor; two consecutive first-try successes multiply it by ``GROWTH``, up to
+``MAX_STEP``. Only the Tx-stepping scale ``gamma`` is an option.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .nr import NrOptions, NrTraceRow, run_newton
 from .stamps import Companion, DeviceParams, GenModes
 
 __all__ = [
-    "HomotopySchedule",
     "HomotopyResult",
     "tx_transform",
     "power_transform",
@@ -45,20 +47,12 @@ __all__ = [
 ]
 
 
-@dataclass
-class HomotopySchedule:
-    """Step-control constants for the continuation walk."""
-
-    d_lambda: float = 0.1
-    min_step: float = 1e-4
-    backtrack: float = 0.5
-    growth: float = 2.0
-    max_step: float = 0.5
-    gamma: float = 1e4
-
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+# step control of the continuation walk (see the module docstring)
+D_LAMBDA = 0.1
+MIN_STEP = 1e-4
+BACKTRACK = 0.5
+GROWTH = 2.0
+MAX_STEP = 0.5
 
 
 @dataclass
@@ -133,25 +127,26 @@ def run_homotopy(
     base: DeviceParams,
     method: str,
     options: NrOptions,
-    schedule: HomotopySchedule,
+    gamma: float,
     modes: GenModes,
     system: SparseSystem,
     nr_trace: list[NrTraceRow],
 ) -> HomotopyResult:
     """Walk the continuation factor from the trivial to the original problem
-    of ``base`` (``method`` is ``tx`` or ``power``); every sub-problem binds
-    its parameter set to ``layout`` and appends its iterations to ``nr_trace``."""
+    of ``base`` (``method`` is ``tx`` or ``power``, which ignores ``gamma``);
+    every sub-problem binds its parameter set to ``layout`` and appends its
+    iterations to ``nr_trace``."""
 
     def params_at(lam: float) -> DeviceParams:
         if method == "tx":
-            return tx_transform(base, lam, schedule.gamma)
+            return tx_transform(base, lam, gamma)
         return power_transform(base, 1.0 - lam)
 
     def newton_at(lam: float, state: StateVector):
         return run_newton(layout.bind(params_at(lam)), state, options, modes, system, nr_trace)
 
     lam = 1.0
-    step = schedule.d_lambda
+    step = D_LAMBDA
     accepted: list = []  # (lambda, nr_iterations, residual of the accepted iterate)
     total_iters = 0
 
@@ -169,7 +164,7 @@ def run_homotopy(
         # snap float dust to the exact endpoint so the final sub-problem is
         # the untransformed network, bit for bit
         out = lam - step
-        return 0.0 if out < schedule.min_step else out
+        return 0.0 if out < MIN_STEP else out
 
     first_try_successes = 0
     while lam > 0.0:
@@ -185,8 +180,8 @@ def run_homotopy(
                 break
             first_try = False
             first_try_successes = 0
-            step *= schedule.backtrack
-            if step < schedule.min_step:
+            step *= BACKTRACK
+            if step < MIN_STEP:
                 return HomotopyResult(False, state, len(accepted), total_iters, accepted, lam)
             lam_next = next_lambda(lam, step)
         state = cand
@@ -195,7 +190,7 @@ def run_homotopy(
         if first_try:
             first_try_successes += 1
             if first_try_successes >= 2:
-                step = min(step * schedule.growth, schedule.max_step)
+                step = min(step * GROWTH, MAX_STEP)
                 first_try_successes = 0
 
     return HomotopyResult(True, state, len(accepted), total_iters, accepted, 0.0)

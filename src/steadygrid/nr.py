@@ -23,7 +23,11 @@ clamped, or when Q limiting moved its Q.
 The last iterate of the ``max_iter`` budget is measured in one more pass,
 at the current ``zeta``. Convergence is declared on the maximum nonlinear
 current mismatch over all non-slack KCL rows together with every
-control-constraint residual.
+control-constraint residual; :func:`check_convergence` splits that same
+measurement into its two parts.
+
+The damping constants (``ZETA_INIT``, ``ZETA_SHRINK``, ``ZETA_GROWTH``,
+``LARGE_STEP``) are fixed; only the floor ``zeta_min`` is an option.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .linsys import SparseSystem
 from .network import Network, PHASE_OFFSETS
 from .stamps import (
     BoundCompanion,
+    Companion,
     GenModes,
     GEN_PINNED,
     ZeroVoltageIterate,
@@ -49,7 +54,6 @@ from .stamps import (
 __all__ = [
     "NrOptions",
     "NrTraceRow",
-    "ResidualReport",
     "apply_voltage_limiting",
     "update_zeta",
     "apply_q_limiting",
@@ -59,25 +63,28 @@ __all__ = [
 ]
 
 
+# the generator damping of update_zeta; every call starts at ZETA_INIT
+ZETA_INIT = 1.0
+ZETA_SHRINK = 0.5
+ZETA_GROWTH = 2.0
+LARGE_STEP = 0.5
+
+
 @dataclass
 class NrOptions:
-    """Tolerances, iteration budget and limiting constants."""
+    """Tolerances, iteration budget and limiting bounds."""
 
     tol: float = 1e-6
     max_iter: int = 100
     dv_max: float = 0.1
     v_min: float = -2.0
     v_max: float = 2.0
-    zeta_init: float = 1.0
     zeta_min: float = 0.05
-    zeta_shrink: float = 0.5
-    zeta_growth: float = 2.0
-    large_step: float = 0.5
     di_max: float = math.inf  # Q-limiting current cap per step
 
     def __post_init__(self):
-        if not (0.0 < self.zeta_min <= self.zeta_init <= 1.0):
-            raise ValueError("need 0 < zeta_min <= zeta_init <= 1")
+        if not (0.0 < self.zeta_min <= ZETA_INIT):
+            raise ValueError("need 0 < zeta_min <= 1")
         if not self.dv_max > 0:
             raise ValueError("dv_max must be positive")
         if not self.v_min < self.v_max:
@@ -97,14 +104,6 @@ class NrTraceRow:
     max_dv: float  # raw Newton step, before limiting
     zeta: float
     limited: int  # variables whose step was capped, clamped or Q limited
-
-
-@dataclass
-class ResidualReport:
-    converged: bool
-    residual: float
-    max_kcl: float
-    max_constraint: float
 
 
 def trace_to_csv(trace: list[NrTraceRow]) -> str:
@@ -132,13 +131,13 @@ def update_zeta(trace: list[NrTraceRow], zeta: float, options: NrOptions) -> flo
     """Damping heuristic driven by the raw step-size history."""
     if not trace:
         return zeta
-    if trace[-1].max_dv > options.large_step:
-        return max(zeta * options.zeta_shrink, options.zeta_min)
+    if trace[-1].max_dv > LARGE_STEP:
+        return max(zeta * ZETA_SHRINK, options.zeta_min)
     if (
         len(trace) >= 3
         and trace[-1].max_dv < trace[-2].max_dv < trace[-3].max_dv
     ):
-        return min(zeta * options.zeta_growth, 1.0)
+        return min(zeta * ZETA_GROWTH, 1.0)
     return zeta
 
 
@@ -169,38 +168,22 @@ def _max_abs(f: np.ndarray, mask: np.ndarray) -> float:
     return float(np.abs(f[mask]).max()) if mask.any() else 0.0
 
 
-def residual_vector(
-    bound: BoundCompanion,
-    state: StateVector,
-    modes: GenModes | None = None,
-    system: SparseSystem | None = None,
-) -> np.ndarray:
-    """Exact nonlinear residual F(x) via the companion identity A x - b."""
-    data, rhs = assemble_system(bound, state, 1.0, modes)
-    if system is None:
-        system = SparseSystem(bound.layout.index.dim)
-    system.assemble(bound.layout.pattern, data, rhs)
-    return system.matrix @ state.x - system.rhs
-
-
 def check_convergence(
-    bound: BoundCompanion,
-    state: StateVector,
-    tol: float,
-    modes: GenModes | None = None,
-    system: SparseSystem | None = None,
-) -> ResidualReport:
-    """Nonlinear mismatch test on the network equations of ``bound``: the
-    untransformed parameter set of the network as operated, bound to the
-    solve's layout and assembled into the solve's ``system``."""
-    index = bound.layout.index
-    f = residual_vector(bound, state, modes, system)
-    con = np.arange(index.dim) >= 2 * index.nbus * index.nphase  # auxiliary rows
-    kcl = bound.layout.kcl_mask & ~con
-    max_kcl = _max_abs(f, kcl)
-    max_con = _max_abs(f, con)
-    res = max(max_kcl, max_con)
-    return ResidualReport(res < tol, res, max_kcl, max_con)
+    layout: Companion, system: SparseSystem, state: StateVector
+) -> tuple[float, float]:
+    """``(max_kcl, max_constraint)``: the residual ``A x - b`` of the
+    assembly in ``system`` at ``state``, split into the non-slack KCL rows
+    and the auxiliary (constraint) rows of ``layout``.
+
+    Called on the ``system`` that :func:`run_newton` last assembled and the
+    ``state`` it returned, this is the measurement that pass compared with
+    ``tol``: its maximum is that residual, bit for bit. It stamps nothing,
+    so the residual is the one taken at the pass's damping ``zeta`` (1 unless
+    limiting shrank it), not re-measured undamped.
+    """
+    nv = 2 * layout.index.nbus * layout.index.nphase
+    f = system.matrix @ state.x - system.rhs
+    return _max_abs(f[:nv], layout.kcl_mask[:nv]), _max_abs(f[nv:], layout.kcl_mask[nv:])
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +215,9 @@ def run_newton(
     when the system at an unconverged iterate cannot be solved.
 
     ``trace`` (when given) accumulates one row per step taken; ``system``
-    may be shared across calls to reuse the assembly pattern.
+    may be shared across calls to reuse the assembly pattern. On return it
+    holds the assembly ``residual`` was measured on, which
+    :func:`check_convergence` splits.
     """
     c = bound.layout
     if modes is None:
@@ -245,7 +230,7 @@ def run_newton(
     # one node re-initialized per attempt; each generator or ZIP lane needs
     # at most one, so an arbitrary start (all zeros included) gets through
     reinits = c.lane_v.size
-    zeta = options.zeta_init
+    zeta = ZETA_INIT
     current = state.copy()
     for k in range(options.max_iter + 1):
         for attempt in range(reinits + 1):

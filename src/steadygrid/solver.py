@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .homotopy import HomotopySchedule, run_homotopy
+from .homotopy import run_homotopy
 from .indexing import IndexMap, StateVector, flat_state
 from .linsys import SingularityError, SparseSystem
 from .network import Connection, Network, PHASE_OFFSETS, PhaseDomain, validate
@@ -47,6 +47,9 @@ INFEASIBLE = "infeasible"
 
 EXIT_CODES = {CONVERGED: 0, DIVERGED: 1, INFEASIBLE: 2}
 
+# a controlled tap moves once its bus is this far (pu) from the target
+TAP_DEADBAND = 0.01
+
 
 @dataclass
 class InitSpec:
@@ -72,17 +75,18 @@ class InitSpec:
 class SolverOptions:
     nr: NrOptions = field(default_factory=NrOptions)
     homotopy: str = "none"  # none | tx | power
-    schedule: HomotopySchedule = field(default_factory=HomotopySchedule)
+    gamma: float = 1e4  # Tx-stepping series scale
     init: InitSpec = field(default_factory=InitSpec)
     outer_max_passes: int = 10
     enforce_q_limits: bool = True
     adjust_shunts: bool = False
     adjust_taps: bool = False
-    tap_deadband: float = 0.01
 
     def __post_init__(self):
         if self.outer_max_passes < 1:
             raise ValueError("outer_max_passes must be >= 1")
+        if not self.gamma > 0:  # also rejects nan
+            raise ValueError("gamma must be positive")
         if self.homotopy not in ("none", "tx", "power"):
             raise ValueError(f"unknown homotopy method {self.homotopy!r}")
 
@@ -300,7 +304,7 @@ def _adjust_shunts(network, state, frozen, events, pass_no):
     return tuple(shunts) if moved else network.shunts
 
 
-def _adjust_taps(network, state, frozen, events, pass_no, deadband):
+def _adjust_taps(network, state, frozen, events, pass_no):
     """Step controlled taps toward their voltage target; returns the
     transformer tuple with new ``tap`` (``network.transformers`` itself when
     none moved)."""
@@ -319,9 +323,9 @@ def _adjust_taps(network, state, frozen, events, pass_no, deadband):
             continue
         vmag = _target_vmag(network, state, tx.controlled_bus)
         direction = 0.0
-        if vmag < target - deadband:
+        if vmag < target - TAP_DEADBAND:
             direction = -tx.tap_step  # lower tap raises the regulated side
-        elif vmag > target + deadband:
+        elif vmag > target + TAP_DEADBAND:
             direction = tx.tap_step
         if direction == 0.0:
             continue
@@ -388,7 +392,7 @@ def solve(network: Network, options: SolverOptions | None = None):
                 state = state_new
         if not ok and options.homotopy != "none":
             hres = run_homotopy(
-                layout, params, options.homotopy, options.nr, options.schedule,
+                layout, params, options.homotopy, options.nr, options.gamma,
                 modes, system, nr_trace,
             )
             total_inner += hres.inner_iterations
@@ -414,9 +418,7 @@ def solve(network: Network, options: SolverOptions | None = None):
             if shunts is not operated.shunts:
                 devices["shunts"] = shunts
         if options.adjust_taps:
-            xfmrs = _adjust_taps(
-                operated, state, frozen, events, pass_no, options.tap_deadband
-            )
+            xfmrs = _adjust_taps(operated, state, frozen, events, pass_no)
             if xfmrs is not operated.transformers:
                 devices["transformers"] = xfmrs
         if devices:
@@ -440,11 +442,10 @@ def solve(network: Network, options: SolverOptions | None = None):
     report.network = operated
 
     if status == CONVERGED:
-        res = check_convergence(bound, state, options.nr.tol, modes, system)
-        report.max_kcl_residual = res.max_kcl
-        report.max_constraint_residual = res.max_constraint
-        if not res.converged:
-            report.status = DIVERGED
+        # ``system`` still holds the assembly the last Newton pass measured
+        report.max_kcl_residual, report.max_constraint_residual = check_convergence(
+            layout, system, state
+        )
     report.wall_time_s = time.perf_counter() - t0
     v = state.v_complex()
     report.vmag = np.abs(v)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from steadygrid.linsys import SparseSystem
 from steadygrid.network import (
     BigLoad,
     Branch,
@@ -21,6 +22,7 @@ from steadygrid.network import (
     phase_carray,
     series_y,
 )
+from steadygrid.stamps import assemble_system
 
 CASE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "cases")
 
@@ -51,6 +53,20 @@ def case_path(name: str) -> str:
 @pytest.fixture(scope="session")
 def cases_dir() -> str:
     return CASE_DIR
+
+
+def assembled(bound, state, modes=None) -> SparseSystem:
+    """The system of ``bound`` assembled undamped at ``state``."""
+    data, rhs = assemble_system(bound, state, 1.0, modes)
+    system = SparseSystem(bound.layout.index.dim)
+    system.assemble(bound.layout.pattern, data, rhs)
+    return system
+
+
+def residual_vector(bound, state, modes=None) -> np.ndarray:
+    """Exact nonlinear residual F(x) via the companion identity A x - b."""
+    system = assembled(bound, state, modes)
+    return system.matrix @ state.x - system.rhs
 
 
 def make_branch(idx, f, t, r, x, b=0.0, nphase=1):

@@ -1,6 +1,7 @@
 import warnings
 
 import numpy as np
+import pytest
 
 from steadygrid.analyses import (
     ContingencySet,
@@ -142,6 +143,16 @@ def test_warm_start_no_worse_than_flat(recwarn):
 
 
 # -- sweeps ----------------------------------------------------------------------
+
+
+def test_batch_sizes_outside_their_range_rejected():
+    with pytest.raises(ValueError, match="samples"):
+        SweepSpec(samples=0)
+    net, state = solved("case9.net")
+    for bad in (-2.0, 0.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="top_fraction"):
+            sample_contingencies(net, state, top_fraction=bad)
+    assert sample_contingencies(net, state, top_fraction=1.0).outages
 
 
 def test_sweep_of_size_one_flat_matches_plain_solve():

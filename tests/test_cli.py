@@ -55,13 +55,22 @@ def test_bogus_homotopy_flag_is_usage_error(capsys):
             f"error: unrecognized arguments: {' '.join(flags)}"
         ]
     # values the options reject: one error line, no traceback, no solve
-    for flag, value in [("--dv-max", "0"), ("--zeta-min", "2"), ("--tol", "-1"),
-                        ("--tol", "0"), ("--max-iter", "-3"), ("--gamma", "0")]:
-        for command in ("solve", "sweep", "contingency"):
-            assert run([command, case_path("case2.net"), flag, value]) == EX_USAGE
-            out, err = capsys.readouterr()
-            assert out == ""
-            assert err.startswith("error: ") and err.count("\n") == 1
+    rejected = [
+        (command, flag, value)
+        for flag, value in [("--dv-max", "0"), ("--zeta-min", "2"), ("--tol", "-1"),
+                            ("--tol", "0"), ("--max-iter", "-3"), ("--gamma", "0")]
+        for command in ("solve", "sweep", "contingency")
+    ]
+    # and the values one subcommand's own flag rejects
+    rejected += [("sweep", "--samples", "-3"), ("sweep", "--samples", "0"),
+                 ("contingency", "--top-fraction", "-2"),
+                 ("contingency", "--top-fraction", "0"),
+                 ("contingency", "--top-fraction", "1.5")]
+    for command, flag, value in rejected:
+        assert run([command, case_path("case2.net"), flag, value]) == EX_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_unreadable_case_exit_code(tmp_path):

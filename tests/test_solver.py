@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from steadygrid import homotopy, nr, solver, stamps
 from steadygrid.caseio import load_case, write_solution
-from steadygrid.homotopy import HomotopySchedule, anchored_state
+from steadygrid.homotopy import anchored_state
 from steadygrid.indexing import IndexMap
 from steadygrid.network import (
     PHASE_OFFSETS,
@@ -35,6 +35,7 @@ from steadygrid.solver import (
 )
 
 from conftest import (
+    ALL_NET_CASES,
     case_path,
     make_zip,
     net_2bus,
@@ -343,11 +344,11 @@ def test_pass_limit_reports_infeasible():
     {"nr": {"max_iter": -3}},
     {"nr": {"dv_max": 0.0}},
     {"nr": {"zeta_min": 2.0}},
-    {"schedule": {"gamma": 0.0}},
-    {"schedule": {"gamma": -1e4}},
+    {"gamma": 0.0},
+    {"gamma": -1e4},
 ])
 def test_options_reject_bad_values(bad):
-    parts = {"nr": NrOptions, "schedule": HomotopySchedule}
+    parts = {"nr": NrOptions}
     with pytest.raises(ValueError):
         SolverOptions(**{k: parts[k](**v) if k in parts else v for k, v in bad.items()})
 
@@ -362,6 +363,23 @@ def test_determinism_of_reports_and_solutions():
     d1.pop("meta"), d2.pop("meta")  # timing is the only volatile field
     assert d1 == d2
     assert write_solution(net, s1, r1, fmt="csv") == write_solution(net, s2, r2, fmt="csv")
+
+
+def test_report_carries_the_residual_the_last_newton_pass_measured():
+    # in one outer pass the last Newton pass is the continuation's lambda = 0
+    # sub-problem, whose measured residual the lambda trace records
+    checked = 0
+    for case in ALL_NET_CASES:
+        net = load_case(case_path(case)).network
+        for method in ("tx", "power"):
+            report, _ = solve(net, SolverOptions(homotopy=method))
+            if report.status != CONVERGED or report.outer_passes != 1:
+                continue
+            assert report.lambda_trace[-1][0] == 0.0
+            residual = max(report.max_kcl_residual, report.max_constraint_residual)
+            assert residual == report.lambda_trace[-1][2], (case, method)
+            checked += 1
+    assert checked >= 20
 
 
 def test_diverged_exit_code_and_report():

@@ -20,7 +20,7 @@ from steadygrid.network import (
     phase_array,
     series_y,
 )
-from steadygrid.nr import NrOptions, residual_vector
+from steadygrid.nr import NrOptions
 from steadygrid.solver import SolverOptions, solve
 from steadygrid.stamps import (
     GEN_PINNED,
@@ -32,7 +32,14 @@ from steadygrid.stamps import (
     pv_current,
 )
 
-from conftest import case_path, make_zip, net_3bus, net_3phase, net_allparts
+from conftest import (
+    case_path,
+    make_zip,
+    net_3bus,
+    net_3phase,
+    net_allparts,
+    residual_vector,
+)
 
 
 def dense_system(net, state=None, params=None, zeta=1.0, modes=None):
