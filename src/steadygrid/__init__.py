@@ -20,7 +20,7 @@ from .network import (
     ZipLoad,
     validate,
 )
-from .caseio import load_case, parse_case, write_case, write_solution
+from .caseio import load_case, parse_case, write_solution
 from .indexing import IndexMap, StateVector
 from .nr import NrOptions
 from .solver import (
@@ -68,6 +68,5 @@ __all__ = [
     "solve",
     "validate",
     "validate_solution",
-    "write_case",
     "write_solution",
 ]

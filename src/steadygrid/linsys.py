@@ -11,7 +11,8 @@ row with no nonzero entry, with a non-finite one, or whose largest magnitude
 is too small to invert raises before any row is scaled, and without a numpy
 warning.
 
-Two factorizations, chosen by the number of unknowns ``n``:
+Three factorizations. The number of unknowns ``n`` chooses the first; above
+it, the pattern's first factorization chooses between the other two:
 
 * ``n <= _DENSE_MAX_N``: one dense Fortran-order matrix per pattern, whose
   entries off the pattern stay zero, first takes the magnitudes of the data
@@ -23,14 +24,52 @@ Two factorizations, chosen by the number of unknowns ``n``:
   (``np.maximum.at``) over the CSC data at 28 and 54 unknowns and about the
   same at 121. A maximum is exact, so the scale, and every scaled entry,
   are the same bytes either way.
-* larger systems go to SuperLU, whose work follows the fill rather than n³.
-  Their row maxima are a scatter-maximum over the CSC arrays.
+* larger systems take their row maxima by a scatter-maximum over the CSC
+  arrays. The first factorization of a pattern goes to SuperLU with COLAMD,
+  and its flop count ``F = Σ_j nnz(L[j+1:, j]) · nnz(U[j, j+1:]) + nnz(L) − n``
+  chooses the pattern's path for every later call:
+  * the band LU when ``n·kl·(kl+ku) <= _BAND_FLOP_RATIO · F``. The unknowns
+    are renumbered by reverse Cuthill–McKee (RCM) on the structure of
+    ``A + Aᵀ`` (Cuthill and McKee, 1969; George and Liu, *Computer Solution
+    of Large Sparse Positive Definite Systems*, 1981, ch. 4), which gives
+    the half-bandwidths ``kl`` below and ``ku`` above the diagonal. The
+    scaled data goes by one scatter into one Fortran-order buffer per
+    pattern in LAPACK's band layout, ``2 kl + ku + 1`` rows by ``n``, whose
+    first ``kl`` rows take the fill of row interchanges; LAPACK
+    ``dgbtrf``/``dgbtrs`` factor and solve it with partial pivoting, and the
+    solution is mapped back to the caller's numbering. The order depends on
+    the pattern alone, explicit zeros included, and the pivots on the
+    values, so a change in the set of exact zeros never orders again;
+  * SuperLU otherwise, as described below.
 
-The cutoff is the crossover measured in live ``tx`` solves of generated
-k x k' meshes, timing every ``factor_solve`` call with either path forced
-(2 cores, one BLAS thread): dense took 0.74 of SuperLU's time at 121
+The dense cutoff is the crossover measured in live ``tx`` solves of
+generated k x k' meshes, timing every ``factor_solve`` call with either path
+forced (2 cores, one BLAS thread): dense took 0.74 of SuperLU's time at 121
 unknowns (case56), 0.87 at 150, 0.94 at 168, 1.08 at 187, 1.18 at 207 and
 2.6 at 418 (case196), so the paths cross near 175 unknowns.
+
+The band rule reads SuperLU's flop count because no cutoff on the band's
+work ``n·kl·(kl+ku)`` or on its width alone separates the systems where the
+band wins. Median ``dgbtrf`` time against ``splu`` in ``NATURAL`` order on
+the kept COLAMD order, row-equilibrated systems, 2 cores, one BLAS thread;
+a tile is copies of case196 joined by 3 random ties per copy:
+
+=======================================  =======  =======  ==============
+system (unknowns)                        kl       ratio    band / SuperLU
+=======================================  =======  =======  ==============
+case196 Jacobian (418)                   32       5.5      0.27-0.33
+k x k' 2 x 2-block meshes (392-2700)     29-63    2.3-4.7  0.30-0.73
+random, dominant diagonal (216)          132-140  28-32    0.65-0.66
+case196 tiled x2 (835)                   70       26       1.16
+case196 tiled x4 (1669)                  148      106      3.2
+case196 tiled x10 (4171)                 326      466      15.8
+=======================================  =======  =======  ==============
+
+where ratio is ``n·kl·(kl+ku) / F``. A ratio of 16 sends case196 and every
+mesh to the band and every tile to SuperLU, and keeps the random systems,
+where the band's gain is small, on SuperLU. The band's work alone does not
+separate them: the x2 tile (8.2e6, band loses) sits below the 30 x 45 mesh
+(2.1e7, band wins).
 
 On the SuperLU side, the scaled matrix drops the pattern's explicit zeros
 (open shorts, zeroed loads): SuperLU orders columns by the structure, so a
@@ -39,9 +78,11 @@ on the :class:`SparseSystem`, next to the pattern. COLAMD runs on the first
 factorization of a pattern and again only when the set of dropped zeros
 changes (``orderings`` counts these); every other factorization gathers the
 values into the column-permuted matrix and calls SuperLU in ``NATURAL``
-order, which yields the same L and U. The refinement residual is taken on
-the unpermuted matrix, because a permuted product sums each row in another
-order and the result would differ in the last bits.
+order, which yields the same L and U. A pattern that took the band keeps no
+column order, so ``orderings`` counts its first factorization alone. On
+either path the refinement residual is taken on the unpermuted matrix,
+because a permuted product sums each row in another order and the result
+would differ in the last bits.
 
 Every SuperLU factorization uses one setting, ``_SUPERLU_SETTING``:
 ``relax=1, panel_size=1``, so no relaxed supernodes and no panels. scipy's
@@ -57,7 +98,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 __all__ = ["CscPattern", "compress_pattern", "SparseSystem", "SingularityError"]
@@ -68,6 +110,11 @@ _SUPERLU_SETTING = {"relax": 1, "panel_size": 1}
 # systems of at most this many unknowns are factored dense: the measured
 # crossover (see the module docstring)
 _DENSE_MAX_N = 175
+
+# a larger pattern takes the band LU when n·kl·(kl+ku) is at most this many
+# times SuperLU's flop count on its first factorization: the measured
+# separation (see the module docstring)
+_BAND_FLOP_RATIO = 16.0
 
 # a row maximum at or below this has no finite scale: its reciprocal overflows
 _MIN_ROW_MAX = 1.0 / np.finfo(float).max
@@ -154,6 +201,70 @@ class _Dense:
         self.slots = cols * n + pattern.indices
 
 
+class _Band:
+    """LAPACK band storage of one pattern in its reverse Cuthill–McKee order.
+
+    Unknown ``perm[i]`` of the caller's numbering sits at position ``i`` of
+    the order, and ``inv`` maps back. ``kl`` and ``ku`` are the reordered
+    pattern's half-bandwidths below and above the diagonal, and the pattern's
+    slots sit at (``row``, ``col``) in the order. ``ab`` is the
+    Fortran-order ``(2 kl + ku + 1) x n`` buffer of ``dgbtrf``, whose first
+    ``kl`` rows hold the fill of row interchanges; ``flat[slots]`` are the
+    pattern's entries in CSC order and every other entry stays zero. ``a_s``
+    is a CSC matrix on the pattern whose data is rebound to the scaled values
+    of each call, for the refinement residual.
+    """
+
+    def __init__(self, pattern: CscPattern, perm: np.ndarray, inv: np.ndarray,
+                 kl: int, ku: int, row: np.ndarray, col: np.ndarray):
+        n = pattern.indptr.size - 1
+        self.perm, self.inv, self.kl, self.ku = perm, inv, kl, ku
+        ldab = 2 * kl + ku + 1
+        self.ab = np.zeros((ldab, n), order="F")
+        self.flat = self.ab.reshape(-1, order="F")  # a view of ``ab``
+        # entry (i, j) of the reordered matrix sits at ab[kl + ku + i - j, j]
+        self.slots = col * ldab + kl + ku + row - col
+        self.a_s = sparse.csc_matrix(
+            (np.empty(pattern.indices.size), pattern.indices, pattern.indptr), shape=(n, n)
+        )
+
+    def solve(self, lu: np.ndarray, piv: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """``A^-1 r`` in the caller's numbering from the band factors."""
+        return dgbtrs(lu, self.kl, self.ku, r[self.perm], piv)[0][self.inv]
+
+
+def _superlu_flops(lu) -> int:
+    """Multiplications and divisions of SuperLU's elimination:
+    ``Σ_j nnz(L[j+1:, j]) · nnz(U[j, j+1:]) + nnz(L) − n``."""
+    n = lu.shape[0]
+    lower, upper = lu.L.tocoo(), lu.U.tocoo()
+    below = np.bincount(lower.col[lower.row > lower.col], minlength=n)
+    right = np.bincount(upper.row[upper.col > upper.row], minlength=n)
+    return int(below @ right + below.sum())
+
+
+def _band_if_cheaper(pattern: CscPattern, flops: int):
+    """The pattern's :class:`_Band` when its band work ``n·kl·(kl+ku)`` is at
+    most ``_BAND_FLOP_RATIO`` times SuperLU's ``flops``, else ``False``.
+
+    The order is reverse Cuthill–McKee on the structure of ``A + Aᵀ``, so it
+    depends on the pattern alone, explicit zeros included.
+    """
+    n = pattern.indptr.size - 1
+    a = sparse.csc_matrix(
+        (np.ones(pattern.indices.size), pattern.indices, pattern.indptr), shape=(n, n)
+    )
+    perm = reverse_cuthill_mckee((a + a.T).tocsr(), symmetric_mode=True)
+    inv = np.empty(n, dtype=np.intp)
+    inv[perm] = np.arange(n)
+    row = inv[pattern.indices]
+    col = inv[np.repeat(np.arange(n), np.diff(pattern.indptr))]
+    kl, ku = int(np.max(row - col, initial=0)), int(np.max(col - row, initial=0))
+    if n * kl * (kl + ku) > _BAND_FLOP_RATIO * flops:
+        return False
+    return _Band(pattern, perm, inv, kl, ku, row, col)
+
+
 def _row_scale(absmax: np.ndarray) -> np.ndarray:
     """``1 / absmax`` of the row maxima; raises on the first row with no
     nonzero entry, with a non-finite one (a ``nan`` or ``inf`` maximum), or
@@ -176,7 +287,9 @@ class SparseSystem:
         self.pattern_builds = 0
         self.orderings = 0
         self._pattern = None
-        self._order = self._dense = None
+        # _band is None until a pattern's first factorization succeeds, then
+        # its _Band, or False where SuperLU keeps the pattern
+        self._order = self._dense = self._band = None
         self._matrix = self._rhs = None
 
     def assemble(self, pattern: CscPattern, data: np.ndarray, rhs: np.ndarray) -> None:
@@ -190,7 +303,7 @@ class SparseSystem:
                 (data, pattern.indices, pattern.indptr), shape=(self.n, self.n)
             )
             self._pattern = pattern
-            self._order = self._dense = None
+            self._order = self._dense = self._band = None
             self.pattern_builds += 1
         elif data.shape != self._matrix.data.shape:
             raise ValueError(f"{data.shape} values for {self._matrix.data.shape} slots")
@@ -215,26 +328,37 @@ class SparseSystem:
 
         Each row is scaled by its largest magnitude; a row with no nonzero
         entry, with a non-finite one, or whose scale would overflow raises
-        before it is scaled, naming the first such row. Systems of at most
-        ``_DENSE_MAX_N`` unknowns are factored dense: the magnitudes of the
-        data are scattered into one Fortran-order buffer per pattern, whose
-        other entries stay zero, the row maxima are read off it, the scaled
-        data replaces the magnitudes, and LAPACK ``dgetrf``/``dgetrs``
-        factor and solve it; an exact zero pivot raises, naming the unknown.
-        Larger systems are scaled on the cached CSC arrays and go to
-        SuperLU, which sees only the structural nonzeros of the scaled
-        values. Its column order lives here, next to the pattern: the first
-        factorization of a pattern, and the first after its set of exact
-        zeros changes, runs COLAMD and keeps ``perm_c`` (``orderings``
-        counts these). Every other call gathers the data into the
-        column-permuted matrix, factors it in ``NATURAL`` order and
-        un-permutes the solution. Both use ``_SUPERLU_SETTING`` (no
-        supernodes at these sizes), so the ``NATURAL`` call on ``A Pc``
-        yields the same L and U. The refinement residual is taken on the
-        unpermuted matrix, so every row sums in the same order whichever
-        SuperLU call factored. Raises :class:`SingularityError` on
-        structural or numerical singularity, reporting an offending row
-        where one is identifiable; a call that raises keeps no new order.
+        before it is scaled, naming the first such row, and before any band
+        or SuperLU work. Systems of at most ``_DENSE_MAX_N`` unknowns are
+        factored dense: the magnitudes of the data are scattered into one
+        Fortran-order buffer per pattern, whose other entries stay zero, the
+        row maxima are read off it, the scaled data replaces the magnitudes,
+        and LAPACK ``dgetrf``/``dgetrs`` factor and solve it; an exact zero
+        pivot raises, naming the unknown.
+
+        Larger systems are scaled on the cached CSC arrays. The first
+        factorization of a pattern goes to SuperLU with COLAMD, and its flop
+        count ``F`` chooses the pattern's path once: the band LU when
+        ``n·kl·(kl+ku) <= _BAND_FLOP_RATIO · F``, where ``kl`` and ``ku``
+        are the half-bandwidths of the pattern in its reverse Cuthill–McKee
+        order, else SuperLU. On the band, the scaled data is scattered into
+        one LAPACK band buffer per pattern, ``dgbtrf``/``dgbtrs`` factor and
+        solve it in the RCM order, and an exact zero pivot raises, naming
+        the unknown in the caller's numbering; the order depends only on the
+        pattern, so exact zeros never change it. SuperLU sees only the
+        structural nonzeros of the scaled values. Its column order lives
+        here, next to the pattern: the first factorization of a pattern, and
+        the first after its set of exact zeros changes, runs COLAMD and
+        keeps ``perm_c`` (``orderings`` counts these). Every other call
+        gathers the data into the column-permuted matrix, factors it in
+        ``NATURAL`` order and un-permutes the solution. Both use
+        ``_SUPERLU_SETTING`` (no supernodes at these sizes), so the
+        ``NATURAL`` call on ``A Pc`` yields the same L and U. The refinement
+        residual is taken on the unpermuted matrix, so every row sums in the
+        same order whichever SuperLU call factored. Raises
+        :class:`SingularityError` on structural or numerical singularity,
+        reporting an offending row where one is identifiable; a call that
+        raises keeps no new order and chooses no path.
         """
         a = self.matrix
         if self.n <= _DENSE_MAX_N:
@@ -243,11 +367,11 @@ class SparseSystem:
             absmax = np.zeros(self.n)
             with np.errstate(invalid="ignore"):  # a nan entry leaves its row's maximum nan
                 np.maximum.at(absmax, a.indices, np.abs(a.data))
-            factor = self._sparse_lu
+            factor = self._band_lu if self._band else self._sparse_lu
         scale = _row_scale(absmax)
         data = a.data * scale[a.indices]
         b_s = scale * self.rhs
-        a_s, solve, order = factor(data)
+        a_s, solve, fresh = factor(data)
         x = solve(b_s)
         if not np.isfinite(x).all():
             bad = int(np.flatnonzero(~np.isfinite(x))[0])
@@ -257,10 +381,19 @@ class SparseSystem:
         res = b_s - a_s @ x
         if np.abs(res).max() / denom > 1e-12:
             x = x + solve(res)
-        if order is not None:
-            self._order = order
-            self.orderings += 1
+        if fresh is not None:
+            self._keep_order(*fresh)
         return x
+
+    def _keep_order(self, zero: np.ndarray, lu) -> None:
+        """Count and keep the order of a COLAMD factorization ``lu`` that
+        dropped the ``zero`` slots, once its call has succeeded. The pattern's
+        first one also chooses its path: a pattern on the band keeps no
+        SuperLU order."""
+        self.orderings += 1
+        if self._band is None:
+            self._band = _band_if_cheaper(self._pattern, _superlu_flops(lu))
+        self._order = None if self._band else _Order(self._pattern, zero, lu.perm_c)
 
     def _dense_row_max(self, data: np.ndarray) -> np.ndarray:
         """Row maxima of ``|data|`` by one reduction over the rows of the
@@ -283,10 +416,23 @@ class SparseSystem:
             raise SingularityError(info - 1, f"zero pivot at unknown {info - 1}")
         return dense.a, lambda r: dgetrs(lu, piv, r)[0], None
 
+    def _band_lu(self, data: np.ndarray):
+        """LAPACK band LU of the scaled ``data`` in the pattern's RCM order:
+        the scaled matrix, its solve, and no order to keep."""
+        band = self._band
+        band.flat[band.slots] = data
+        # dgbtrf factors a copy: ``band.ab`` keeps its zeros off the pattern
+        lu, piv, info = dgbtrf(band.ab, band.kl, band.ku)
+        if info > 0:
+            unknown = int(band.perm[info - 1])
+            raise SingularityError(unknown, f"zero pivot at unknown {unknown}")
+        band.a_s.data = data
+        return band.a_s, lambda r: band.solve(lu, piv, r), None
+
     def _sparse_lu(self, data: np.ndarray):
         """SuperLU of the scaled ``data`` without its exact zeros: the
-        zero-dropped matrix, its solve, and the order to keep (``None`` when
-        the kept one was used)."""
+        zero-dropped matrix, its solve, and, when it ran COLAMD, the dropped
+        slots and the factorization (``None`` when the kept order was used)."""
         zero = data == 0.0
         order = self._order
         if order is not None and np.array_equal(zero, order.zero):
@@ -303,5 +449,4 @@ class SparseSystem:
             lu = splu(a_p, permc_spec=permc_spec, **_SUPERLU_SETTING)
         except RuntimeError as exc:  # SuperLU signals singularity this way
             raise SingularityError(-1, str(exc)) from exc
-        new = None if order is not None else _Order(self._pattern, zero, lu.perm_c)
-        return a_s, lambda r: lu.solve(r)[perm], new
+        return a_s, lambda r: lu.solve(r)[perm], None if order is not None else (zero, lu)

@@ -43,7 +43,6 @@ __all__ = [
     "phase_array",
     "phase_carray",
     "series_y",
-    "coupled_line_y",
 ]
 
 
@@ -454,17 +453,3 @@ def series_y(r: float, x: float, nphase: int = 1) -> np.ndarray:
     out.setflags(write=False)
     return out
 
-
-def coupled_line_y(r: float, x: float, rm: float = 0.0, xm: float = 0.0) -> np.ndarray:
-    """3x3 series admittance of a line with mutual coupling.
-
-    Built by inverting the impedance matrix with self terms ``r + jx`` and
-    mutual terms ``rm + jxm``, then symmetrized so the exact-transpose
-    invariant holds bit for bit.
-    """
-    z = np.full((3, 3), complex(rm, xm))
-    np.fill_diagonal(z, complex(r, x))
-    y = np.linalg.inv(z)
-    y = (y + y.T) / 2.0
-    y.setflags(write=False)
-    return y

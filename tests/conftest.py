@@ -1,9 +1,11 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from steadygrid.caseio import load_case
 from steadygrid.linsys import SparseSystem
 from steadygrid.network import (
     BigLoad,
@@ -17,7 +19,6 @@ from steadygrid.network import (
     Shunt,
     Transformer,
     ZipLoad,
-    coupled_line_y,
     phase_array,
     phase_carray,
     series_y,
@@ -53,6 +54,21 @@ def case_path(name: str) -> str:
 @pytest.fixture(scope="session")
 def cases_dir() -> str:
     return CASE_DIR
+
+
+def coupled_line_y(r: float, x: float, rm: float = 0.0, xm: float = 0.0) -> np.ndarray:
+    """3x3 series admittance of a line with mutual coupling.
+
+    Built by inverting the impedance matrix with self terms ``r + jx`` and
+    mutual terms ``rm + jxm``, then symmetrized so the exact-transpose
+    invariant holds bit for bit.
+    """
+    z = np.full((3, 3), complex(rm, xm))
+    np.fill_diagonal(z, complex(r, x))
+    y = np.linalg.inv(z)
+    y = (y + y.T) / 2.0
+    y.setflags(write=False)
+    return y
 
 
 def assembled(bound, state, modes=None) -> SparseSystem:
@@ -224,6 +240,43 @@ def net_3phase():
         zip_loads=(wye, delta), big_loads=(big,),
         branches=(br,), transformers=(tx,),
     )
+
+
+def case196_tile(copies: int) -> Network:
+    """``copies`` copies of case196 in one network, joined by 3 tie branches each.
+
+    Copy ``c`` adds ``1000 c`` to every bus and device id. Copy 0 keeps the
+    only slack. Every other copy's old slack bus becomes a load bus with a
+    voltage-controlling machine at the slack's set-point and without Q limits,
+    whose real power is the copy's net load at 1 pu, so the ties carry little
+    power. Each copy after the first gets 3 ties (r = 0.01, x = 0.1 pu) from
+    buses of its own to buses of the copies before it, drawn from seed 0.
+    """
+    base = load_case(case_path("case196_mesh.net")).network
+    step = 1000
+    slack = next(b for b in base.buses if b.kind == BusKind.SLACK)
+    load_p = sum(float(z.s.real.sum() + z.i.real.sum() + z.y.real.sum()) for z in base.zip_loads)
+    machine_p = load_p - sum(float(g.p.sum()) for g in base.generators)
+    rng = np.random.default_rng(0)
+    buses, gens, loads, branches = [], [], [], []
+    for c in range(copies):
+        off = c * step
+        for b in base.buses:
+            if c and b is slack:
+                b = Bus(b.id, BusKind.PQ, b.base_kv, v_set=b.v_set)
+            buses.append(replace(b, id=b.id + off))
+        gens += [replace(g, id=g.id + off, bus=g.bus + off) for g in base.generators]
+        if c:
+            gens.append(Generator(step - 1 + off, slack.id + off, p=phase_array(machine_p, 1)))
+        loads += [replace(z, id=z.id + off, bus=z.bus + off) for z in base.zip_loads]
+        branches += [replace(br, id=br.id + off, from_bus=br.from_bus + off,
+                             to_bus=br.to_bus + off) for br in base.branches]
+        for t in range(3 if c else 0):
+            own = base.buses[rng.integers(base.nbus)].id + off
+            other = base.buses[rng.integers(base.nbus)].id + step * int(rng.integers(c))
+            branches.append(make_branch(step - 1 - t + off, own, other, 0.01, 0.1))
+    return Network(PhaseDomain.POSITIVE_SEQUENCE, base.base_mva, tuple(buses), tuple(gens),
+                   tuple(loads), (), tuple(branches), (), (), name=f"case196_x{copies}")
 
 
 def random_network(seed: int, domain=PhaseDomain.POSITIVE_SEQUENCE) -> Network:

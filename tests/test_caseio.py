@@ -9,13 +9,13 @@ from steadygrid.caseio import (
     load_case,
     parse_case,
     read_solution_json,
-    write_case,
     write_solution,
 )
 from steadygrid.indexing import IndexMap, flat_state
 from steadygrid.network import Connection, PhaseDomain, validate
 from steadygrid.solver import solve
 
+from casewriter import write_case
 from conftest import case_path, net_2bus, random_network
 
 MINIMAL = """

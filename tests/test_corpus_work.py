@@ -3,8 +3,10 @@
 Refactors of the solver must leave iterates, and therefore these counts,
 unchanged; a change that moves one on purpose updates the table with it.
 Small cases also run with every system sent to SuperLU, which must take the
-same path as the dense LU, and ``corpus_digest.py --compare`` must fail when
-the two trees converged on different runs.
+same path as the dense LU; case196 runs once on the band LU and once with
+the band disabled, which must take the same path too; and
+``corpus_digest.py --compare`` must fail when the two trees converged on
+different runs.
 """
 
 import os
@@ -27,7 +29,8 @@ from conftest import CASE_DIR
 # set of exact zeros met in a row by SuperLU, so a column order that is never
 # reused shows here as orderings == inner_iterations. Systems of at most
 # ``linsys._DENSE_MAX_N`` unknowns are factored dense and order nothing, so
-# every case but case196 reads 0
+# every case but case196 reads 0. case196's one pattern runs COLAMD once, on
+# its first factorization, which chooses the band LU for every later one
 WORK = {
     "case12_radial.net": {
         "none": ("converged", 4, 0, 1, 0),
@@ -40,9 +43,9 @@ WORK = {
         "power": ("converged", 19, 6, 1, 0),
     },
     "case196_mesh.net": {
-        "none": ("converged", 18, 0, 3, 4),
-        "tx": ("converged", 29, 6, 3, 4),
-        "power": ("converged", 30, 6, 3, 4),
+        "none": ("converged", 18, 0, 3, 1),
+        "tx": ("converged", 29, 6, 3, 1),
+        "power": ("converged", 30, 6, 3, 1),
     },
     "case2.net": {
         "none": ("converged", 3, 0, 1, 0),
@@ -156,6 +159,29 @@ def test_superlu_and_dense_lu_take_the_same_path(case, method, monkeypatch):
     (dense_work, dense_x), (sparse_work, sparse_x) = runs
     assert dense_work == sparse_work
     assert np.max(np.abs(dense_x - sparse_x)) <= 1e-9
+
+
+@pytest.mark.parametrize("method", ["none", "tx", "power"])
+def test_band_and_superlu_take_the_same_path(method, monkeypatch):
+    """case196 solved once with the band chosen after the first
+    factorization, and once with every factorization left to SuperLU."""
+    net = load_case(os.path.join(CASE_DIR, "case196_mesh.net")).network
+    options = SolverOptions(homotopy=method, nr=NrOptions(tol=1e-8))
+    calls = []
+    real = linsys.dgbtrf
+    monkeypatch.setattr(linsys, "dgbtrf", lambda *args: calls.append(1) or real(*args))
+    runs = []
+    for ratio in (linsys._BAND_FLOP_RATIO, 0.0):
+        monkeypatch.setattr(linsys, "_BAND_FLOP_RATIO", ratio)
+        calls.clear()
+        report, state = solve(net, options)
+        # the band takes every factorization but the first, or none
+        assert len(calls) == (report.inner_iterations - 1 if ratio else 0)
+        runs.append(((report.status, report.inner_iterations, report.homotopy_steps,
+                      report.outer_passes), state.x))
+    (band_work, band_x), (sparse_work, sparse_x) = runs
+    assert band_work == sparse_work
+    assert np.max(np.abs(band_x - sparse_x)) <= 1e-9
 
 
 def test_digest_compare_exits_1_when_one_file_converged_alone(tmp_path):

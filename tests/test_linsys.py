@@ -1,3 +1,6 @@
+import os
+import warnings
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -6,13 +9,35 @@ from scipy.sparse.linalg import splu
 
 from steadygrid import linsys
 from steadygrid.caseio import load_case
+from steadygrid.indexing import IndexMap, flat_state
 from steadygrid.linsys import SingularityError, SparseSystem, compress_pattern
 from steadygrid.solver import SolverOptions, solve
+from steadygrid.stamps import build_companion, effective_params
 
-from conftest import case_path
+from conftest import CASE_DIR, assembled, case196_tile
 
 # the smallest system SuperLU factors; smaller ones are factored dense
 SPARSE_N = linsys._DENSE_MAX_N + 1
+
+
+def _no_band(*args, **kwargs):
+    raise AssertionError("band LU set up for a system the flop rule keeps on SuperLU")
+
+
+def _recording(monkeypatch, *names):
+    """Wrap each named LAPACK or SuperLU entry point of ``linsys`` so that
+    every call appends its name to the returned list."""
+    calls = []
+
+    def wrap(name, real):
+        def record(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return record
+
+    for name in names:
+        monkeypatch.setattr(linsys, name, wrap(name, getattr(linsys, name)))
+    return calls
 
 
 def reduce(pattern, slots, vals):
@@ -181,7 +206,9 @@ def test_explicit_zeros_do_not_change_the_solution():
         assert np.array_equal(s1.factor_solve(), s2.factor_solve())
 
 
-def test_factor_solve_leaves_the_cached_pattern_intact():
+def test_factor_solve_leaves_the_cached_pattern_intact(monkeypatch):
+    # a random 216-unknown system has a flop ratio near 30: it stays on SuperLU
+    monkeypatch.setattr(linsys, "dgbtrf", _no_band)
     rng = np.random.default_rng(8)
     for n in (40, SPARSE_N + 40):
         rows, cols, base = _random_system(n, rng)
@@ -228,7 +255,8 @@ def _old_factor_solve(a, b):
     return x
 
 
-def test_kept_order_matches_a_fresh_colamd_factorization():
+def test_kept_order_matches_a_fresh_colamd_factorization(monkeypatch):
+    monkeypatch.setattr(linsys, "dgbtrf", _no_band)
     rng = np.random.default_rng(9)
     n = SPARSE_N + 60
     rows, cols, base = _random_system(n, rng)
@@ -248,7 +276,8 @@ def test_kept_order_matches_a_fresh_colamd_factorization():
     assert s.pattern_builds == 1
 
 
-def test_orderings_count_masks_and_patterns():
+def test_orderings_count_masks_and_patterns(monkeypatch):
+    monkeypatch.setattr(linsys, "dgbtrf", _no_band)
     rng = np.random.default_rng(10)
     n = SPARSE_N + 30
     rows, cols, base = _random_system(n, rng)
@@ -273,14 +302,19 @@ def test_orderings_count_masks_and_patterns():
 
 def _block_system(n):
     """A full 2 x 2 block on unknowns 0 and 1 and a unit diagonal on the
-    others: the pattern, and the data that puts a given block (row-major) there."""
+    others: the pattern, and the data that puts a given block (row-major) there.
+
+    SuperLU eliminates it in 2 flops and the band (``kl = ku = 1``) in
+    ``2 n``, so the flop rule keeps it on SuperLU.
+    """
     rows = np.concatenate([[0, 0, 1, 1], np.arange(2, n)])
     cols = np.concatenate([[0, 1, 0, 1], np.arange(2, n)])
     pattern, slots = compress_pattern(n, rows, cols)
     return pattern, lambda block: reduce(pattern, slots, np.concatenate([block, np.ones(n - 2)]))
 
 
-def test_singular_call_on_a_kept_order_leaves_it_usable():
+def test_singular_call_on_a_kept_order_leaves_it_usable(monkeypatch):
+    monkeypatch.setattr(linsys, "dgbtrf", _no_band)
     n = SPARSE_N
     pattern, data = _block_system(n)
     ones = np.ones(n)
@@ -296,7 +330,8 @@ def test_singular_call_on_a_kept_order_leaves_it_usable():
     assert s.orderings == 1
 
 
-def test_a_first_factorization_that_raises_keeps_no_order():
+def test_a_first_factorization_that_raises_keeps_no_order(monkeypatch):
+    monkeypatch.setattr(linsys, "reverse_cuthill_mckee", _no_band)
     n = SPARSE_N
     pattern, data = _block_system(n)
     s = SparseSystem(n)
@@ -314,8 +349,10 @@ def test_every_factorization_uses_one_superlu_setting(monkeypatch):
         return splu(a, **kwargs)
 
     monkeypatch.setattr(linsys, "splu", recording_splu)
-    report, _ = solve(load_case(case_path("case196_mesh.net")).network,
-                      SolverOptions(homotopy="tx"))
+    # case196 takes the band after its first factorization; two tiled copies
+    # of it stay on SuperLU for the whole solve
+    monkeypatch.setattr(linsys, "dgbtrf", _no_band)
+    report, _ = solve(case196_tile(2), SolverOptions(homotopy="tx"))
     assert report.status == "converged"
     specs = [c.pop("permc_spec") for c in calls]
     assert {"COLAMD", "NATURAL"} <= set(specs)
@@ -388,7 +425,9 @@ def test_dense_zero_pivot_names_the_unknown(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [3, SPARSE_N])
-def test_empty_and_zero_rows_are_reported_on_both_paths(n):
+def test_empty_and_zero_rows_are_reported_on_both_paths(monkeypatch, n):
+    # raised by the row checks, before a band order is ever computed
+    monkeypatch.setattr(linsys, "reverse_cuthill_mckee", _no_band)
     empty = SparseSystem(n)
     assemble(empty, [], [], [], np.zeros(n))
     with pytest.raises(SingularityError) as err:
@@ -524,3 +563,147 @@ def test_the_cutoff_separates_the_two_paths(monkeypatch):
         s.factor_solve()
         assert s.orderings == (n > linsys._DENSE_MAX_N)
     assert calls == [linsys._DENSE_MAX_N + 1]
+
+
+# -- the band path ----------------------------------------------------------------
+
+
+def _mesh_system(k, k2, rng):
+    """Triplets of a k x k2 grid of nodes with a 2 x 2 block per node and per
+    grid edge, as a nodal Jacobian in rectangular coordinates, plus a dominant
+    diagonal. The unknowns are shuffled, so only a reordering makes it narrow."""
+    node = np.arange(k * k2).reshape(k, k2)
+    a = np.concatenate([node[:, :-1].ravel(), node[:-1, :].ravel()])
+    b = np.concatenate([node[:, 1:].ravel(), node[1:, :].ravel()])
+    src = np.concatenate([node.ravel(), a, b])
+    dst = np.concatenate([node.ravel(), b, a])
+    shuffle = rng.permutation(2 * k * k2)
+    rows = shuffle[(2 * src[:, None] + [0, 0, 1, 1]).ravel()]
+    cols = shuffle[(2 * dst[:, None] + [0, 1, 0, 1]).ravel()]
+    vals = rng.normal(size=rows.size) + np.where(rows == cols, 10.0, 0.0)
+    return rows, cols, vals
+
+
+def _band_system(k, k2, rng):
+    """A mesh system after one factorization, which chose the band: the
+    system, its pattern and slots, and its triplets."""
+    rows, cols, vals = _mesh_system(k, k2, rng)
+    n = 2 * k * k2
+    pattern, slots = compress_pattern(n, rows, cols)
+    s = SparseSystem(n)
+    s.assemble(pattern, reduce(pattern, slots, vals), np.ones(n))
+    s.factor_solve()
+    assert s._band
+    return s, pattern, slots, (rows, cols, vals)
+
+
+def test_band_solve_agrees_with_a_reference_solve(monkeypatch):
+    calls = _recording(monkeypatch, "splu", "dgbtrf")
+    rng = np.random.default_rng(16)
+    for k, k2 in ((10, 9), (14, 14), (6, 40)):
+        rows, cols, base = _mesh_system(k, k2, rng)
+        n = 2 * k * k2
+        pattern, slots = compress_pattern(n, rows, cols)
+        # rows a few orders of magnitude apart, as mid-continuation
+        decades = 10.0 ** rng.integers(-4, 5, size=n)
+        s = SparseSystem(n)
+        for _ in range(4):
+            vals = base * rng.uniform(0.5, 2.0, size=base.size) * decades[rows]
+            rhs = rng.normal(size=n) * decades
+            s.assemble(pattern, reduce(pattern, slots, vals), rhs)
+            x = s.factor_solve()
+            want = np.linalg.solve(*_equilibrated(s.matrix, rhs))
+            assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+        assert (s.orderings, s.pattern_builds) == (1, 1)
+    # the first factorization of each pattern is SuperLU's and chooses the band
+    assert calls == 3 * ["splu", "dgbtrf", "dgbtrf", "dgbtrf"]
+
+
+def test_band_zero_pivot_names_the_unknown_in_the_callers_numbering():
+    s, pattern, slots, (rows, cols, vals) = _band_system(10, 10, np.random.default_rng(17))
+    # an unknown the reverse Cuthill-McKee order moves, its column all exact
+    # zeros; every row keeps a nonzero entry
+    c = next(c for c in range(s.n) if s._band.inv[c] != c)
+    singular = np.where(cols == c, 0.0, vals)
+    s.assemble(pattern, reduce(pattern, slots, singular), np.ones(s.n))
+    with pytest.raises(SingularityError) as err:
+        s.factor_solve()
+    assert (err.value.row, err.value.reason) == (c, f"zero pivot at unknown {c}")
+    # the band stays usable
+    s.assemble(pattern, reduce(pattern, slots, vals), np.ones(s.n))
+    x = s.factor_solve()
+    np.testing.assert_allclose(s.matrix @ x, np.ones(s.n), rtol=0.0, atol=1e-12)
+    assert s.orderings == 1
+
+
+@pytest.mark.parametrize("bad, reason", [
+    (0.0, "row has no entries"),
+    (np.nan, "non-finite matrix entry"),
+    (np.inf, "non-finite matrix entry"),
+    (-np.inf, "non-finite matrix entry"),
+    (5e-309, "row scale overflows"),
+])
+def test_bad_rows_raise_before_any_band_work(monkeypatch, bad, reason):
+    s, pattern, slots, (rows, cols, vals) = _band_system(10, 10, np.random.default_rng(18))
+    calls = _recording(monkeypatch, "splu", "dgbtrf", "reverse_cuthill_mckee")
+    # row 7 holds only exact zeros, one of them replaced by the bad value
+    worse = np.where(rows == 7, 0.0, vals)
+    worse[np.flatnonzero(rows == 7)[0]] = bad
+    fresh = SparseSystem(s.n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # on the band, and on a fresh system before any order is chosen
+        for system in (s, fresh):
+            system.assemble(pattern, reduce(pattern, slots, worse), np.ones(s.n))
+            with pytest.raises(SingularityError) as err:
+                system.factor_solve()
+            assert (err.value.row, err.value.reason) == (7, reason)
+    assert calls == [] and fresh.orderings == 0
+    s.assemble(pattern, reduce(pattern, slots, vals), np.ones(s.n))
+    s.factor_solve()
+    assert calls == ["dgbtrf"]
+
+
+def test_exact_zeros_never_reorder_the_band(monkeypatch):
+    calls = _recording(monkeypatch, "splu", "dgbtrf", "reverse_cuthill_mckee")
+    rng = np.random.default_rng(19)
+    rows, cols, base = _mesh_system(12, 10, rng)
+    n = 240
+    pattern, slots = compress_pattern(n, rows, cols)
+    off = rows != cols
+    masks = [(rng.random(base.size) < 0.2) & off for _ in range(3)]
+    s = SparseSystem(n)
+    for which in (0, 1, 2, 0, 1):
+        vals = base * rng.uniform(0.5, 2.0, size=base.size)
+        vals[masks[which]] = 0.0
+        rhs = rng.normal(size=n)
+        s.assemble(pattern, reduce(pattern, slots, vals), rhs)
+        x = s.factor_solve()
+        want = np.linalg.solve(*_equilibrated(s.matrix, rhs))
+        assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+    assert calls == ["splu", "reverse_cuthill_mckee"] + 4 * ["dgbtrf"]
+    assert s.orderings == 1
+
+
+def _network(name):
+    if name.startswith("tile"):
+        return case196_tile(int(name[4:]))
+    return load_case(os.path.join(CASE_DIR, name)).network
+
+
+# the path of each system's first and second factorization at a flat start
+PATHS = {name: ["dgetrf", "dgetrf"] for name in sorted(os.listdir(CASE_DIR))}
+PATHS["case196_mesh.net"] = ["splu", "dgbtrf"]
+PATHS.update({f"tile{k}": ["splu", "splu"] for k in (2, 4, 10)})
+
+
+@pytest.mark.parametrize("name", sorted(PATHS))
+def test_each_network_takes_its_measured_path(monkeypatch, name):
+    net = _network(name)
+    index = IndexMap(net)
+    s = assembled(build_companion(net, index).bind(effective_params(net)), flat_state(index))
+    assert (s.n <= linsys._DENSE_MAX_N) == (PATHS[name][0] == "dgetrf")
+    calls = _recording(monkeypatch, "splu", "dgbtrf", "dgetrf")
+    s.factor_solve()
+    s.factor_solve()
+    assert calls == PATHS[name]

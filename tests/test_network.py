@@ -15,14 +15,13 @@ from steadygrid.network import (
     Shunt,
     Transformer,
     ZipLoad,
-    coupled_line_y,
     phase_array,
     phase_carray,
     series_y,
     validate,
 )
 
-from conftest import make_branch, make_zip, net_2bus
+from conftest import coupled_line_y, make_branch, make_zip, net_2bus
 
 
 def test_minimal_network_validates_clean():
