@@ -11,11 +11,20 @@ row with no nonzero entry, with a non-finite one, or whose largest magnitude
 is too small to invert raises before any row is scaled, and without a numpy
 warning.
 
-Three factorizations. The number of unknowns ``n`` chooses the first; above
-it, the pattern's first factorization chooses between the other two:
+Three factorizations, and one plan per pattern that picks among them. The
+analysis that depends on the structure alone runs once per pattern, not
+once per system (the split of symbolic analysis from numeric factorization
+in Davis and Palamadai Natarajan, "Algorithm 907: KLU", ACM TOMS 37(3),
+2010): the pattern's first factorization chooses its ``plan``, which holds
+read-only index arrays only and which every later system on the pattern
+reuses. Writable memory is never shared: each :class:`SparseSystem`
+allocates its own buffers, so ``pattern_builds`` still counts one per
+system and pattern. The number of unknowns ``n`` chooses the first path;
+above it, the pattern's first factorization chooses between the other two:
 
-* ``n <= _DENSE_MAX_N``: one dense Fortran-order matrix per pattern, whose
-  entries off the pattern stay zero, first takes the magnitudes of the data
+* ``n <= _DENSE_MAX_N``: the plan holds the place of each CSC entry in an
+  ``n x n`` Fortran-order matrix. One such matrix per system, whose entries
+  off the pattern stay zero, first takes the magnitudes of the data
   and yields the row maxima by one reduction over its rows; then the scaled
   data replaces them, and LAPACK ``dgetrf``/``dgetrs`` factor and solve it
   with partial pivoting. At these sizes SuperLU's fixed cost per call, not
@@ -27,20 +36,28 @@ it, the pattern's first factorization chooses between the other two:
 * larger systems take their row maxima by a scatter-maximum over the CSC
   arrays. The first factorization of a pattern goes to SuperLU with COLAMD,
   and its flop count ``F = Σ_j nnz(L[j+1:, j]) · nnz(U[j, j+1:]) + nnz(L) − n``
-  chooses the pattern's path for every later call:
+  chooses the pattern's plan:
   * the band LU when ``n·kl·(kl+ku) <= _BAND_FLOP_RATIO · F``. The unknowns
     are renumbered by reverse Cuthill–McKee (RCM) on the structure of
     ``A + Aᵀ`` (Cuthill and McKee, 1969; George and Liu, *Computer Solution
     of Large Sparse Positive Definite Systems*, 1981, ch. 4), which gives
-    the half-bandwidths ``kl`` below and ``ku`` above the diagonal. The
-    scaled data goes by one scatter into one Fortran-order buffer per
-    pattern in LAPACK's band layout, ``2 kl + ku + 1`` rows by ``n``, whose
-    first ``kl`` rows take the fill of row interchanges; LAPACK
+    the half-bandwidths ``kl`` below and ``ku`` above the diagonal; the plan
+    keeps the order, its inverse, ``kl``, ``ku`` and the place of each CSC
+    entry in LAPACK's band layout, ``2 kl + ku + 1`` rows by ``n``, whose
+    first ``kl`` rows take the fill of row interchanges. The scaled data
+    goes by one scatter into the system's own buffer in that layout; LAPACK
     ``dgbtrf``/``dgbtrs`` factor and solve it with partial pivoting, and the
-    solution is mapped back to the caller's numbering. The order depends on
-    the pattern alone, explicit zeros included, and the pivots on the
-    values, so a change in the set of exact zeros never orders again;
-  * SuperLU otherwise, as described below.
+    solution is mapped back to the caller's numbering. The call that
+    chooses the band factors the same scaled data again with ``dgbtrf`` and
+    solves with the band, so every factorization of a band pattern takes
+    the same path, whether the plan was chosen in the call, earlier in the
+    same solve or by another solve of the same network; a solve's result
+    does not depend on what was solved before it. The order depends on the
+    pattern alone, explicit zeros included, and the pivots on the values,
+    so a change in the set of exact zeros never orders again. The flop
+    count does depend on the values of the first factorization, but the
+    measured ratios below sit far from the threshold;
+  * SuperLU otherwise (the plan ``"SuperLU"``), as described below.
 
 The dense cutoff is the crossover measured in live ``tx`` solves of
 generated k x k' meshes, timing every ``factor_solve`` call with either path
@@ -73,13 +90,14 @@ separate them: the x2 tile (8.2e6, band loses) sits below the 30 x 45 mesh
 
 On the SuperLU side, the scaled matrix drops the pattern's explicit zeros
 (open shorts, zeroed loads): SuperLU orders columns by the structure, so a
-kept zero would change the pivots and the solution. The column order lives
-on the :class:`SparseSystem`, next to the pattern. COLAMD runs on the first
-factorization of a pattern and again only when the set of dropped zeros
-changes (``orderings`` counts these); every other factorization gathers the
-values into the column-permuted matrix and calls SuperLU in ``NATURAL``
-order, which yields the same L and U. A pattern that took the band keeps no
-column order, so ``orderings`` counts its first factorization alone. On
+kept zero would change the pivots and the solution. The column order
+depends on the values' zeros, so it lives on the :class:`SparseSystem`, not
+on the plan. COLAMD runs on a system's first factorization of a pattern
+and again only when the set of dropped zeros changes (``orderings`` counts
+these); every other factorization gathers the values into the
+column-permuted matrix and calls SuperLU in ``NATURAL`` order, which yields
+the same L and U. A pattern on the band keeps no column order, so
+``orderings`` counts only the call that chose its plan. On
 either path the refinement residual is taken on the unpermuted matrix,
 because a permuted product sums each row in another order and the result
 would differ in the last bits.
@@ -94,7 +112,7 @@ COLAMD call and the ``NATURAL`` call share the setting, so factoring
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -116,6 +134,9 @@ _DENSE_MAX_N = 175
 # separation (see the module docstring)
 _BAND_FLOP_RATIO = 16.0
 
+# the plan of a pattern whose band work the flop rule rejects
+_SUPERLU = "SuperLU"
+
 # a row maximum at or below this has no finite scale: its reciprocal overflows
 _MIN_ROW_MAX = 1.0 / np.finfo(float).max
 
@@ -131,10 +152,17 @@ class SingularityError(Exception):
 
 @dataclass(frozen=True)
 class CscPattern:
-    """Canonical CSC structure of an ``n x n`` matrix; both arrays read-only."""
+    """Canonical CSC structure of an ``n x n`` matrix; both arrays read-only.
+
+    ``plan`` is the path of every factorization on the pattern: ``None``
+    until the first one chooses it, then a :class:`_DensePlan`, a
+    :class:`_BandPlan` or ``"SuperLU"`` (see the module docstring). A plan
+    holds no writable memory, so every system on the pattern shares it.
+    """
 
     indices: np.ndarray
     indptr: np.ndarray
+    plan: object = field(default=None, init=False, repr=False, compare=False)
 
 
 def compress_pattern(n: int, rows, cols) -> tuple[CscPattern, np.ndarray]:
@@ -156,6 +184,11 @@ def compress_pattern(n: int, rows, cols) -> tuple[CscPattern, np.ndarray]:
     # every matrix assembled on the pattern shares these: an in-place edit must fail
     indices.flags.writeable = indptr.flags.writeable = False
     return CscPattern(indices, indptr), slots
+
+
+def _columns(pattern: CscPattern) -> np.ndarray:
+    """The column of each of the pattern's entries, in CSC order."""
+    return np.repeat(np.arange(pattern.indptr.size - 1), np.diff(pattern.indptr))
 
 
 def _csc(n: int, cols: np.ndarray, rows: np.ndarray) -> sparse.csc_matrix:
@@ -181,7 +214,7 @@ class _Order:
         self.zero = zero
         self.perm_c = perm_c
         self.gather = np.flatnonzero(~zero)
-        cols = np.repeat(np.arange(n), np.diff(pattern.indptr))[self.gather]
+        cols = _columns(pattern)[self.gather]
         self.a_s = _csc(n, cols, pattern.indices[self.gather])
         cols_p = perm_c[cols]
         by_col = np.argsort(cols_p, kind="stable")  # each column's rows stay ascending
@@ -189,48 +222,49 @@ class _Order:
         self.a_p = _csc(n, cols_p[by_col], pattern.indices[self.gather_p])
 
 
-class _Dense:
-    """The ``n x n`` Fortran-order matrix of one pattern; ``flat[slots]``
-    are the pattern's entries in CSC order and every other entry stays zero."""
+class _DensePlan:
+    """The dense path of a pattern: its entries, in CSC order, sit at
+    ``slots`` of the flattened Fortran-order ``n x n`` matrix (read-only)."""
 
     def __init__(self, pattern: CscPattern):
         n = pattern.indptr.size - 1
-        self.a = np.zeros((n, n), order="F")
-        self.flat = self.a.reshape(-1, order="F")  # a view of ``a``
-        cols = np.repeat(np.arange(n), np.diff(pattern.indptr))
-        self.slots = cols * n + pattern.indices
+        self.shape = (n, n)
+        self.slots = _columns(pattern) * n + pattern.indices
+        self.slots.flags.writeable = False
 
 
-class _Band:
-    """LAPACK band storage of one pattern in its reverse Cuthill–McKee order.
+class _BandPlan:
+    """The band path of a pattern in its reverse Cuthill–McKee order.
 
     Unknown ``perm[i]`` of the caller's numbering sits at position ``i`` of
     the order, and ``inv`` maps back. ``kl`` and ``ku`` are the reordered
-    pattern's half-bandwidths below and above the diagonal, and the pattern's
-    slots sit at (``row``, ``col``) in the order. ``ab`` is the
-    Fortran-order ``(2 kl + ku + 1) x n`` buffer of ``dgbtrf``, whose first
-    ``kl`` rows hold the fill of row interchanges; ``flat[slots]`` are the
-    pattern's entries in CSC order and every other entry stays zero. ``a_s``
-    is a CSC matrix on the pattern whose data is rebound to the scaled values
-    of each call, for the refinement residual.
+    pattern's half-bandwidths below and above the diagonal. The pattern's
+    entries, in CSC order, sit at ``slots`` of the flattened Fortran-order
+    ``(2 kl + ku + 1) x n`` buffer of ``dgbtrf``, whose first ``kl`` rows
+    hold the fill of row interchanges. Every array is read-only.
     """
 
-    def __init__(self, pattern: CscPattern, perm: np.ndarray, inv: np.ndarray,
-                 kl: int, ku: int, row: np.ndarray, col: np.ndarray):
-        n = pattern.indptr.size - 1
-        self.perm, self.inv, self.kl, self.ku = perm, inv, kl, ku
-        ldab = 2 * kl + ku + 1
-        self.ab = np.zeros((ldab, n), order="F")
-        self.flat = self.ab.reshape(-1, order="F")  # a view of ``ab``
-        # entry (i, j) of the reordered matrix sits at ab[kl + ku + i - j, j]
-        self.slots = col * ldab + kl + ku + row - col
-        self.a_s = sparse.csc_matrix(
-            (np.empty(pattern.indices.size), pattern.indices, pattern.indptr), shape=(n, n)
-        )
+    def __init__(self, perm: np.ndarray, inv: np.ndarray, kl: int, ku: int,
+                 slots: np.ndarray):
+        self.perm, self.inv, self.kl, self.ku, self.slots = perm, inv, kl, ku, slots
+        self.shape = (2 * kl + ku + 1, perm.size)
+        for a in (perm, inv, slots):
+            a.flags.writeable = False
 
     def solve(self, lu: np.ndarray, piv: np.ndarray, r: np.ndarray) -> np.ndarray:
         """``A^-1 r`` in the caller's numbering from the band factors."""
         return dgbtrs(lu, self.kl, self.ku, r[self.perm], piv)[0][self.inv]
+
+
+class _Buffer:
+    """One system's Fortran-order matrix of a dense or band plan's shape:
+    ``flat[plan.slots]`` are the pattern's entries in CSC order and every
+    other entry stays zero."""
+
+    def __init__(self, plan):
+        self.plan = plan
+        self.a = np.zeros(plan.shape, order="F")
+        self.flat = self.a.reshape(-1, order="F")  # a view of ``a``
 
 
 def _superlu_flops(lu) -> int:
@@ -243,9 +277,10 @@ def _superlu_flops(lu) -> int:
     return int(below @ right + below.sum())
 
 
-def _band_if_cheaper(pattern: CscPattern, flops: int):
-    """The pattern's :class:`_Band` when its band work ``n·kl·(kl+ku)`` is at
-    most ``_BAND_FLOP_RATIO`` times SuperLU's ``flops``, else ``False``.
+def _choose_plan(pattern: CscPattern, flops: int):
+    """The pattern's :class:`_BandPlan` when its band work ``n·kl·(kl+ku)``
+    is at most ``_BAND_FLOP_RATIO`` times SuperLU's ``flops``, else
+    ``"SuperLU"``.
 
     The order is reverse Cuthill–McKee on the structure of ``A + Aᵀ``, so it
     depends on the pattern alone, explicit zeros included.
@@ -257,12 +292,12 @@ def _band_if_cheaper(pattern: CscPattern, flops: int):
     perm = reverse_cuthill_mckee((a + a.T).tocsr(), symmetric_mode=True)
     inv = np.empty(n, dtype=np.intp)
     inv[perm] = np.arange(n)
-    row = inv[pattern.indices]
-    col = inv[np.repeat(np.arange(n), np.diff(pattern.indptr))]
+    row, col = inv[pattern.indices], inv[_columns(pattern)]
     kl, ku = int(np.max(row - col, initial=0)), int(np.max(col - row, initial=0))
     if n * kl * (kl + ku) > _BAND_FLOP_RATIO * flops:
-        return False
-    return _Band(pattern, perm, inv, kl, ku, row, col)
+        return _SUPERLU
+    # entry (i, j) of the reordered matrix sits at ab[kl + ku + i - j, j]
+    return _BandPlan(perm, inv, kl, ku, col * (2 * kl + ku + 1) + kl + ku + row - col)
 
 
 def _row_scale(absmax: np.ndarray) -> np.ndarray:
@@ -279,17 +314,27 @@ def _row_scale(absmax: np.ndarray) -> np.ndarray:
     return 1.0 / absmax
 
 
+def _splu(a: sparse.csc_matrix, permc_spec: str):
+    try:
+        return splu(a, permc_spec=permc_spec, **_SUPERLU_SETTING)
+    except RuntimeError as exc:  # SuperLU signals singularity this way
+        raise SingularityError(-1, str(exc)) from exc
+
+
 class SparseSystem:
-    """One n x n real system, reassembled in place every Newton iteration."""
+    """One n x n real system, reassembled in place every Newton iteration.
+
+    Only the pattern and its plan, both read-only, are shared with other
+    systems; the dense or band buffer, the band's scaled matrix and
+    SuperLU's kept order belong to this system.
+    """
 
     def __init__(self, n: int):
         self.n = n
         self.pattern_builds = 0
         self.orderings = 0
         self._pattern = None
-        # _band is None until a pattern's first factorization succeeds, then
-        # its _Band, or False where SuperLU keeps the pattern
-        self._order = self._dense = self._band = None
+        self._order = self._buffer = self._band_a = None
         self._matrix = self._rhs = None
 
     def assemble(self, pattern: CscPattern, data: np.ndarray, rhs: np.ndarray) -> None:
@@ -303,7 +348,7 @@ class SparseSystem:
                 (data, pattern.indices, pattern.indptr), shape=(self.n, self.n)
             )
             self._pattern = pattern
-            self._order = self._dense = self._band = None
+            self._order = self._buffer = self._band_a = None
             self.pattern_builds += 1
         elif data.shape != self._matrix.data.shape:
             raise ValueError(f"{data.shape} values for {self._matrix.data.shape} slots")
@@ -329,49 +374,60 @@ class SparseSystem:
         Each row is scaled by its largest magnitude; a row with no nonzero
         entry, with a non-finite one, or whose scale would overflow raises
         before it is scaled, naming the first such row, and before any band
-        or SuperLU work. Systems of at most ``_DENSE_MAX_N`` unknowns are
-        factored dense: the magnitudes of the data are scattered into one
-        Fortran-order buffer per pattern, whose other entries stay zero, the
-        row maxima are read off it, the scaled data replaces the magnitudes,
-        and LAPACK ``dgetrf``/``dgetrs`` factor and solve it; an exact zero
-        pivot raises, naming the unknown.
+        or SuperLU work. The pattern's plan chooses the factorization; the
+        first factorization of a pattern chooses its plan.
 
-        Larger systems are scaled on the cached CSC arrays. The first
+        A pattern of at most ``_DENSE_MAX_N`` unknowns is factored dense:
+        the magnitudes of the data are scattered into this system's
+        Fortran-order buffer, whose other entries stay zero, the row maxima
+        are read off it, the scaled data replaces the magnitudes, and LAPACK
+        ``dgetrf``/``dgetrs`` factor and solve it; an exact zero pivot
+        raises, naming the unknown.
+
+        Larger patterns are scaled on the cached CSC arrays. The first
         factorization of a pattern goes to SuperLU with COLAMD, and its flop
-        count ``F`` chooses the pattern's path once: the band LU when
-        ``n·kl·(kl+ku) <= _BAND_FLOP_RATIO · F``, where ``kl`` and ``ku``
-        are the half-bandwidths of the pattern in its reverse Cuthill–McKee
-        order, else SuperLU. On the band, the scaled data is scattered into
-        one LAPACK band buffer per pattern, ``dgbtrf``/``dgbtrs`` factor and
-        solve it in the RCM order, and an exact zero pivot raises, naming
-        the unknown in the caller's numbering; the order depends only on the
-        pattern, so exact zeros never change it. SuperLU sees only the
-        structural nonzeros of the scaled values. Its column order lives
-        here, next to the pattern: the first factorization of a pattern, and
-        the first after its set of exact zeros changes, runs COLAMD and
-        keeps ``perm_c`` (``orderings`` counts these). Every other call
-        gathers the data into the column-permuted matrix, factors it in
-        ``NATURAL`` order and un-permutes the solution. Both use
-        ``_SUPERLU_SETTING`` (no supernodes at these sizes), so the
-        ``NATURAL`` call on ``A Pc`` yields the same L and U. The refinement
-        residual is taken on the unpermuted matrix, so every row sums in the
-        same order whichever SuperLU call factored. Raises
-        :class:`SingularityError` on structural or numerical singularity,
-        reporting an offending row where one is identifiable; a call that
-        raises keeps no new order and chooses no path.
+        count ``F`` chooses the plan: the band when ``n·kl·(kl+ku) <=
+        _BAND_FLOP_RATIO · F``, where ``kl`` and ``ku`` are the
+        half-bandwidths of the pattern in its reverse Cuthill–McKee order,
+        else SuperLU. When it chooses the band, the same call factors the
+        same scaled data again on the band and solves with that, so every
+        factorization of a band pattern is the band's, whether its plan was
+        just chosen or chosen by another system. On the band, the scaled data
+        is scattered into this system's LAPACK band buffer,
+        ``dgbtrf``/``dgbtrs`` factor and solve it in the RCM order, and an
+        exact zero pivot raises, naming the unknown in the caller's
+        numbering; the order depends only on the pattern, so exact zeros
+        never change it. SuperLU sees only the structural nonzeros of the
+        scaled values. Its column order lives on this system, next to the
+        pattern: the system's first factorization of a pattern, and the
+        first after its set of exact zeros changes, runs COLAMD and keeps
+        ``perm_c`` (``orderings`` counts these, the call that chooses a band
+        plan included). Every other call gathers the data into the
+        column-permuted matrix, factors it in ``NATURAL`` order and
+        un-permutes the solution. Both use ``_SUPERLU_SETTING`` (no
+        supernodes at these sizes), so the ``NATURAL`` call on ``A Pc``
+        yields the same L and U. The refinement residual is taken on the
+        unpermuted matrix, so every row sums in the same order whichever
+        SuperLU call factored. Raises :class:`SingularityError` on structural
+        or numerical singularity, reporting an offending row where one is
+        identifiable; a call that raises keeps no new order and chooses no
+        plan above the dense cutoff.
         """
-        a = self.matrix
-        if self.n <= _DENSE_MAX_N:
-            absmax, factor = self._dense_row_max(a.data), self._dense_lu
+        a, plan = self.matrix, self._pattern.plan
+        if plan is None and self.n <= _DENSE_MAX_N:
+            plan = _DensePlan(self._pattern)
+            object.__setattr__(self._pattern, "plan", plan)
+        if isinstance(plan, _DensePlan):
+            absmax, factor = self._dense_row_max(a.data, plan), self._dense_lu
         else:
             absmax = np.zeros(self.n)
             with np.errstate(invalid="ignore"):  # a nan entry leaves its row's maximum nan
                 np.maximum.at(absmax, a.indices, np.abs(a.data))
-            factor = self._band_lu if self._band else self._sparse_lu
+            factor = self._band_lu if isinstance(plan, _BandPlan) else self._sparse_lu
         scale = _row_scale(absmax)
         data = a.data * scale[a.indices]
         b_s = scale * self.rhs
-        a_s, solve, fresh = factor(data)
+        a_s, solve, fresh = factor(data, plan)
         x = solve(b_s)
         if not np.isfinite(x).all():
             bad = int(np.flatnonzero(~np.isfinite(x))[0])
@@ -382,71 +438,85 @@ class SparseSystem:
         if np.abs(res).max() / denom > 1e-12:
             x = x + solve(res)
         if fresh is not None:
-            self._keep_order(*fresh)
+            self._keep(*fresh)
         return x
 
-    def _keep_order(self, zero: np.ndarray, lu) -> None:
-        """Count and keep the order of a COLAMD factorization ``lu`` that
-        dropped the ``zero`` slots, once its call has succeeded. The pattern's
-        first one also chooses its path: a pattern on the band keeps no
-        SuperLU order."""
+    def _keep(self, plan, zero: np.ndarray | None, lu) -> None:
+        """Count a COLAMD factorization ``lu`` that dropped the ``zero``
+        slots, once its call has succeeded, and keep its order unless the
+        pattern's ``plan`` is the band. The pattern's first one also keeps
+        the plan it chose on the pattern."""
         self.orderings += 1
-        if self._band is None:
-            self._band = _band_if_cheaper(self._pattern, _superlu_flops(lu))
-        self._order = None if self._band else _Order(self._pattern, zero, lu.perm_c)
+        if self._pattern.plan is None:
+            object.__setattr__(self._pattern, "plan", plan)
+        self._order = None if isinstance(plan, _BandPlan) else _Order(
+            self._pattern, zero, lu.perm_c
+        )
 
-    def _dense_row_max(self, data: np.ndarray) -> np.ndarray:
+    def _buffer_of(self, plan) -> _Buffer:
+        """This system's buffer of a dense or band ``plan``."""
+        if self._buffer is None or self._buffer.plan is not plan:
+            self._buffer = _Buffer(plan)
+        return self._buffer
+
+    def _dense_row_max(self, data: np.ndarray, plan: _DensePlan) -> np.ndarray:
         """Row maxima of ``|data|`` by one reduction over the rows of the
-        pattern's dense buffer, whose entries off the pattern stay zero."""
-        if self._dense is None:
-            self._dense = _Dense(self._pattern)
-        dense = self._dense
-        dense.flat[dense.slots] = np.abs(data)
-        return dense.a.max(axis=1)
+        dense buffer, whose entries off the pattern stay zero."""
+        buffer = self._buffer_of(plan)
+        buffer.flat[plan.slots] = np.abs(data)
+        return buffer.a.max(axis=1)
 
-    def _dense_lu(self, data: np.ndarray):
+    def _dense_lu(self, data: np.ndarray, plan: _DensePlan):
         """LAPACK LU of the scaled ``data``: the dense matrix, its solve, and
-        no order to keep."""
-        dense = self._dense
-        dense.flat[dense.slots] = data
-        # dgetrf factors a copy: ``dense.a`` keeps its zeros off the pattern
+        nothing to keep."""
+        buffer = self._buffer
+        buffer.flat[plan.slots] = data
+        # dgetrf factors a copy: the buffer keeps its zeros off the pattern
         # and serves the refinement residual
-        lu, piv, info = dgetrf(dense.a)
+        lu, piv, info = dgetrf(buffer.a)
         if info > 0:
             raise SingularityError(info - 1, f"zero pivot at unknown {info - 1}")
-        return dense.a, lambda r: dgetrs(lu, piv, r)[0], None
+        return buffer.a, lambda r: dgetrs(lu, piv, r)[0], None
 
-    def _band_lu(self, data: np.ndarray):
-        """LAPACK band LU of the scaled ``data`` in the pattern's RCM order:
-        the scaled matrix, its solve, and no order to keep."""
-        band = self._band
-        band.flat[band.slots] = data
-        # dgbtrf factors a copy: ``band.ab`` keeps its zeros off the pattern
-        lu, piv, info = dgbtrf(band.ab, band.kl, band.ku)
+    def _band_lu(self, data: np.ndarray, plan: _BandPlan):
+        """LAPACK band LU of the scaled ``data`` in the plan's RCM order: the
+        scaled matrix, its solve, and nothing to keep."""
+        buffer = self._buffer_of(plan)
+        buffer.flat[plan.slots] = data
+        # dgbtrf factors a copy: the buffer keeps its zeros off the pattern
+        lu, piv, info = dgbtrf(buffer.a, plan.kl, plan.ku)
         if info > 0:
-            unknown = int(band.perm[info - 1])
+            unknown = int(plan.perm[info - 1])
             raise SingularityError(unknown, f"zero pivot at unknown {unknown}")
-        band.a_s.data = data
-        return band.a_s, lambda r: band.solve(lu, piv, r), None
+        # the scaled values on the whole pattern, for the refinement residual
+        if self._band_a is None:
+            self._band_a = sparse.csc_matrix(
+                (data, self._pattern.indices, self._pattern.indptr), shape=(self.n, self.n)
+            )
+        else:
+            self._band_a.data = data
+        return self._band_a, lambda r: plan.solve(lu, piv, r), None
 
-    def _sparse_lu(self, data: np.ndarray):
+    def _sparse_lu(self, data: np.ndarray, plan):
         """SuperLU of the scaled ``data`` without its exact zeros: the
-        zero-dropped matrix, its solve, and, when it ran COLAMD, the dropped
-        slots and the factorization (``None`` when the kept order was used)."""
+        zero-dropped matrix, its solve, and, when it ran COLAMD, what
+        :meth:`_keep` keeps (``None`` when the kept order was used). A call
+        that chooses the band factors ``data`` again on the band."""
         zero = data == 0.0
         order = self._order
         if order is not None and np.array_equal(zero, order.zero):
-            a_s, a_p, perm, permc_spec = order.a_s, order.a_p, order.perm_c, "NATURAL"
-            np.take(data, order.gather, out=a_s.data)
-            np.take(data, order.gather_p, out=a_p.data)
-        else:
-            order = None
-            a_s = sparse.csc_matrix((data, self._pattern.indices.copy(),
-                                     self._pattern.indptr.copy()), shape=(self.n, self.n))
-            a_s.eliminate_zeros()
-            a_p, perm, permc_spec = a_s, slice(None), "COLAMD"
-        try:
-            lu = splu(a_p, permc_spec=permc_spec, **_SUPERLU_SETTING)
-        except RuntimeError as exc:  # SuperLU signals singularity this way
-            raise SingularityError(-1, str(exc)) from exc
-        return a_s, lambda r: lu.solve(r)[perm], None if order is not None else (zero, lu)
+            np.take(data, order.gather, out=order.a_s.data)
+            np.take(data, order.gather_p, out=order.a_p.data)
+            lu = _splu(order.a_p, "NATURAL")
+            return order.a_s, lambda r: lu.solve(r)[order.perm_c], None
+        # a copy: eliminate_zeros compacts in place, and the band reads ``data``
+        a_s = sparse.csc_matrix((data.copy(), self._pattern.indices.copy(),
+                                 self._pattern.indptr.copy()), shape=(self.n, self.n))
+        a_s.eliminate_zeros()
+        lu = _splu(a_s, "COLAMD")
+        if plan is None:
+            plan = _choose_plan(self._pattern, _superlu_flops(lu))
+            if isinstance(plan, _BandPlan):
+                a_b, solve, _ = self._band_lu(data, plan)
+                return a_b, solve, (plan, None, None)
+        return a_s, lu.solve, (plan, zero, lu)

@@ -239,10 +239,18 @@ class Network:
     name: str = ""
     bus_index: dict = field(init=False, repr=False, compare=False)
     islands: tuple = field(init=False, repr=False, compare=False)
+    # the solve set-up of this object, kept by its first solve (solver.py)
+    _setup: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "bus_index", {b.id: k for k, b in enumerate(self.buses)})
         object.__setattr__(self, "islands", self._find_islands())
+        object.__setattr__(self, "_setup", None)
+
+    def __getstate__(self):
+        # a copy or an unpickled network starts without the set-up, which
+        # refers to this object and holds read-only arrays
+        return {**self.__dict__, "_setup": None}
 
     @property
     def nphase(self) -> int:

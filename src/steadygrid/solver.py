@@ -8,6 +8,19 @@ the violated limit (their bus drops to PQ); pinned machines are released when
 the regulated voltage crosses the set-point in the relieving direction.
 A device that reverses itself is frozen for the remaining passes so the loop
 cannot oscillate forever; running out of passes reports Infeasible.
+
+The set-up that depends only on the immutable :class:`Network` is built by
+the first solve of a network object and kept on it for every later solve:
+the :class:`IndexMap`, the companion layout with its pattern (whose
+factorization plan the first factorization chooses, see ``linsys.py``) and
+the base :class:`DeviceParams`. It lives in the network's private
+``_setup`` slot, not in a module-level registry, so nothing keeps a network
+alive; as the set-up refers back to its network, the cyclic garbage
+collector frees the two together. A ``with_devices`` copy starts without
+it, and every array it holds is read-only. ``validate`` still runs on every
+solve, and the generator modes, the state and the :class:`SparseSystem`
+are built per solve, so a solve's result does not depend on what was
+solved before it.
 """
 
 from __future__ import annotations
@@ -348,6 +361,17 @@ def _adjust_taps(network, state, frozen, events, pass_no):
 # The driver
 
 
+def _setup(network: Network):
+    """The index map, companion layout and base parameters of ``network``:
+    built by its first solve and kept on it for every later one."""
+    if network._setup is None:
+        index = IndexMap(network)
+        # taps and shunt blocks only bind values: one layout serves every pass
+        setup = (index, build_companion(network, index), effective_params(network))
+        object.__setattr__(network, "_setup", setup)
+    return network._setup
+
+
 def solve(network: Network, options: SolverOptions | None = None):
     """Run the full pipeline; returns ``(SolveReport, StateVector)``."""
     if options is None:
@@ -357,9 +381,7 @@ def solve(network: Network, options: SolverOptions | None = None):
         raise ValueError("invalid network: " + "; ".join(str(i) for i in issues))
 
     t0 = time.perf_counter()
-    index = IndexMap(network)
-    layout = build_companion(network, index)  # taps and shunt blocks only bind values
-    params = effective_params(network)
+    index, layout, params = _setup(network)
     bound = layout.bind(params)
     modes = GenModes.initial(network)
     system = SparseSystem(index.dim)

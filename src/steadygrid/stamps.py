@@ -8,7 +8,7 @@ expansion around the current iterate, so
 
 is exactly the nonlinear KCL/constraint residual. It is made in three steps:
 
-* :func:`build_companion` **lays it out** once per solve from device
+* :func:`build_companion` **lays it out** once per network from device
   endpoints, connections and the :class:`IndexMap`: the whole fixed pattern
   as CSC with the slot of every value, the node array of every device
   family, the generator and ZIP lanes, the Q-slot rows and the KCL mask.
@@ -267,6 +267,12 @@ class Companion:
     delta_lanes: np.ndarray  # lanes of delta terminals
     zip_b: np.ndarray  # - node per delta lane
     kcl_mask: np.ndarray  # rows whose mismatch counts: all but slack KCL rows
+
+    def __post_init__(self):
+        # a layout serves every solve of its network: an in-place edit must fail
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     def bind(self, params: DeviceParams) -> "BoundCompanion":
         """Reduce the linear part of ``params`` into CSC data over the

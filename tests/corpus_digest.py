@@ -26,6 +26,13 @@ script can check that both trees converged on the same runs:
 (Newton iterations, continuation steps, outer passes, exit codes) and
 nothing else.
 
+``--repeat N`` solves each loaded corpus network object N times in one
+process and prints the usual lines once. It exits 1, naming each line whose
+repeats differ, so it shows whether a solve depends on an earlier solve of
+the same object (the set-up a network keeps between solves):
+
+    PYTHONPATH=src python3 tests/corpus_digest.py --repeat 2 > after.txt
+
 ``--jobs WORKLOAD --seeds A-B`` prints, instead of the corpus, one work line
 per benchmark job (``seed label status iterations steps passes``), built and
 run by ``perfbench.jobs`` for every seed from A to B. A benchmark work
@@ -86,10 +93,29 @@ def _without_meta(report_json: str) -> bytes:
     return json.dumps(doc, sort_keys=True).encode()
 
 
-def corpus_lines(states=None):
+def _run(network, options):
+    """The work line tail, the hash and, when converged, the state vector of
+    one solve; a raised solve has a tail alone."""
+    try:
+        report, state = solve(network, options)
+    except Exception as exc:  # a raised run is part of the behaviour
+        return f"raised {type(exc).__name__}", None, None
+    digest = _digest(
+        _without_meta(report.to_json()),
+        state.x.tobytes(),
+        trace_to_csv(report.nr_trace).encode(),
+        lambda_trace_to_csv(report.lambda_trace).encode(),
+    )
+    tail = (f"{report.status} {report.inner_iterations} {report.homotopy_steps} "
+            f"{report.outer_passes}")
+    return tail, digest, state.x if report.status == "converged" else None
+
+
+def corpus_lines(states=None, repeat=1, differs=None):
     """One ``(line, hash)`` per corpus run (a raised run has no hash); the
     state of each converged run goes into ``states`` (a dict keyed by the
-    run's label) when one is given."""
+    run's label) when one is given. Each loaded network is solved ``repeat``
+    times; the line of a run whose repeats differ goes into ``differs``."""
     grid = itertools.product(
         sorted(os.listdir(CASES)), ("none", "tx", "power"), (False, True), (1e-6, 1e-8),
         (math.inf, 0.05),
@@ -100,21 +126,14 @@ def corpus_lines(states=None):
             homotopy=method, nr=NrOptions(tol=tol, di_max=di_max),
             adjust_taps=adjust, adjust_shunts=adjust,
         )
-        try:
-            report, state = solve(load_case(os.path.join(CASES, case)).network, options)
-        except Exception as exc:  # a raised run is part of the behaviour
-            yield f"{label} raised {type(exc).__name__}", None
-            continue
-        if states is not None and report.status == "converged":
-            states[label] = state.x
-        digest = _digest(
-            _without_meta(report.to_json()),
-            state.x.tobytes(),
-            trace_to_csv(report.nr_trace).encode(),
-            lambda_trace_to_csv(report.lambda_trace).encode(),
-        )
-        yield (f"{label} {report.status} {report.inner_iterations} "
-               f"{report.homotopy_steps} {report.outer_passes}", digest)
+        network = load_case(os.path.join(CASES, case)).network
+        runs = [_run(network, options) for _ in range(repeat)]
+        tail, digest, x = runs[0]
+        if differs is not None and any(run[:2] != (tail, digest) for run in runs[1:]):
+            differs.append(f"{label} {tail}")
+        if states is not None and x is not None:
+            states[label] = x
+        yield f"{label} {tail}", digest
 
 
 def cli_lines():
@@ -177,6 +196,9 @@ if __name__ == "__main__":
                              "(1 when a run converged in only one file)")
     parser.add_argument("--work", action="store_true",
                         help="print each line without its trailing hash")
+    parser.add_argument("--repeat", metavar="N", type=int, default=1,
+                        help="solve each loaded corpus network N times, and exit 1 "
+                             "naming each line whose repeats differ")
     parser.add_argument("--jobs", metavar="WORKLOAD",
                         help="print one work line per benchmark job instead")
     parser.add_argument("--seeds", metavar="A-B", type=_seed_range, default=range(1, 2),
@@ -191,7 +213,12 @@ if __name__ == "__main__":
         sys.exit(1 if any(" converged only in " in line for line in lines) else 0)
     else:
         states = {} if args.states else None
-        for line, digest in itertools.chain(corpus_lines(states), cli_lines()):
+        differs = []
+        for line, digest in itertools.chain(corpus_lines(states, args.repeat, differs),
+                                            cli_lines()):
             print(line if args.work or digest is None else f"{line} {digest}", flush=True)
         if args.states:
             np.savez(args.states, **states)
+        for line in differs:
+            print(f"repeats differ: {line}", file=sys.stderr)
+        sys.exit(1 if differs else 0)

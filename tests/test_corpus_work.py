@@ -30,7 +30,8 @@ from conftest import CASE_DIR
 # reused shows here as orderings == inner_iterations. Systems of at most
 # ``linsys._DENSE_MAX_N`` unknowns are factored dense and order nothing, so
 # every case but case196 reads 0. case196's one pattern runs COLAMD once, on
-# its first factorization, which chooses the band LU for every later one
+# its first factorization, which chooses the band LU for every factorization,
+# its own included
 WORK = {
     "case12_radial.net": {
         "none": ("converged", 4, 0, 1, 0),
@@ -147,13 +148,13 @@ def test_corpus_work_counts(case, method, monkeypatch):
 ])
 def test_superlu_and_dense_lu_take_the_same_path(case, method, monkeypatch):
     """Cases under the cutoff, in both domains, solved once dense and once
-    with every system sent to SuperLU."""
-    net = load_case(os.path.join(CASE_DIR, case)).network
+    with every system sent to SuperLU. Each run loads its own network: the
+    plan of a pattern is chosen once, by its first factorization."""
     options = SolverOptions(homotopy=method, nr=NrOptions(tol=1e-8))
     runs = []
     for cutoff in (linsys._DENSE_MAX_N, 0):
         monkeypatch.setattr(linsys, "_DENSE_MAX_N", cutoff)
-        report, state = solve(net, options)
+        report, state = solve(load_case(os.path.join(CASE_DIR, case)).network, options)
         runs.append(((report.status, report.inner_iterations, report.homotopy_steps,
                       report.outer_passes), state.x))
     (dense_work, dense_x), (sparse_work, sparse_x) = runs
@@ -163,9 +164,9 @@ def test_superlu_and_dense_lu_take_the_same_path(case, method, monkeypatch):
 
 @pytest.mark.parametrize("method", ["none", "tx", "power"])
 def test_band_and_superlu_take_the_same_path(method, monkeypatch):
-    """case196 solved once with the band chosen after the first
-    factorization, and once with every factorization left to SuperLU."""
-    net = load_case(os.path.join(CASE_DIR, "case196_mesh.net")).network
+    """case196 solved once with the band chosen by the first factorization,
+    and once with every factorization left to SuperLU. Each run loads its
+    own network: the plan of a pattern is chosen once."""
     options = SolverOptions(homotopy=method, nr=NrOptions(tol=1e-8))
     calls = []
     real = linsys.dgbtrf
@@ -174,9 +175,10 @@ def test_band_and_superlu_take_the_same_path(method, monkeypatch):
     for ratio in (linsys._BAND_FLOP_RATIO, 0.0):
         monkeypatch.setattr(linsys, "_BAND_FLOP_RATIO", ratio)
         calls.clear()
-        report, state = solve(net, options)
-        # the band takes every factorization but the first, or none
-        assert len(calls) == (report.inner_iterations - 1 if ratio else 0)
+        report, state = solve(load_case(os.path.join(CASE_DIR, "case196_mesh.net")).network,
+                              options)
+        # the band takes every factorization, the one that chose it included, or none
+        assert len(calls) == (report.inner_iterations if ratio else 0)
         runs.append(((report.status, report.inner_iterations, report.homotopy_steps,
                       report.outer_passes), state.x))
     (band_work, band_x), (sparse_work, sparse_x) = runs

@@ -349,7 +349,7 @@ def test_every_factorization_uses_one_superlu_setting(monkeypatch):
         return splu(a, **kwargs)
 
     monkeypatch.setattr(linsys, "splu", recording_splu)
-    # case196 takes the band after its first factorization; two tiled copies
+    # case196 takes the band from its first factorization on; two tiled copies
     # of it stay on SuperLU for the whole solve
     monkeypatch.setattr(linsys, "dgbtrf", _no_band)
     report, _ = solve(case196_tile(2), SolverOptions(homotopy="tx"))
@@ -593,7 +593,7 @@ def _band_system(k, k2, rng):
     s = SparseSystem(n)
     s.assemble(pattern, reduce(pattern, slots, vals), np.ones(n))
     s.factor_solve()
-    assert s._band
+    assert isinstance(pattern.plan, linsys._BandPlan)
     return s, pattern, slots, (rows, cols, vals)
 
 
@@ -615,15 +615,16 @@ def test_band_solve_agrees_with_a_reference_solve(monkeypatch):
             want = np.linalg.solve(*_equilibrated(s.matrix, rhs))
             assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
         assert (s.orderings, s.pattern_builds) == (1, 1)
-    # the first factorization of each pattern is SuperLU's and chooses the band
-    assert calls == 3 * ["splu", "dgbtrf", "dgbtrf", "dgbtrf"]
+    # the first factorization of each pattern runs SuperLU to choose the band,
+    # then factors on the band like every later one
+    assert calls == 3 * ["splu", "dgbtrf", "dgbtrf", "dgbtrf", "dgbtrf"]
 
 
 def test_band_zero_pivot_names_the_unknown_in_the_callers_numbering():
     s, pattern, slots, (rows, cols, vals) = _band_system(10, 10, np.random.default_rng(17))
     # an unknown the reverse Cuthill-McKee order moves, its column all exact
     # zeros; every row keeps a nonzero entry
-    c = next(c for c in range(s.n) if s._band.inv[c] != c)
+    c = next(c for c in range(s.n) if pattern.plan.inv[c] != c)
     singular = np.where(cols == c, 0.0, vals)
     s.assemble(pattern, reduce(pattern, slots, singular), np.ones(s.n))
     with pytest.raises(SingularityError) as err:
@@ -652,7 +653,7 @@ def test_bad_rows_raise_before_any_band_work(monkeypatch, bad, reason):
     fresh = SparseSystem(s.n)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # on the band, and on a fresh system before any order is chosen
+        # on the band, and on a fresh system on the same pattern
         for system in (s, fresh):
             system.assemble(pattern, reduce(pattern, slots, worse), np.ones(s.n))
             with pytest.raises(SingularityError) as err:
@@ -681,8 +682,85 @@ def test_exact_zeros_never_reorder_the_band(monkeypatch):
         x = s.factor_solve()
         want = np.linalg.solve(*_equilibrated(s.matrix, rhs))
         assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
-    assert calls == ["splu", "reverse_cuthill_mckee"] + 4 * ["dgbtrf"]
+    assert calls == ["splu", "reverse_cuthill_mckee"] + 5 * ["dgbtrf"]
     assert s.orderings == 1
+
+
+def _system_on_one_pattern(kind, rng):
+    """Triplets of a system whose pattern takes the ``kind`` plan."""
+    if kind == "band":
+        return (240, *_mesh_system(12, 10, rng))
+    n = 40 if kind == "dense" else SPARSE_N + 40  # a random system stays on SuperLU
+    return (n, *_random_system(n, rng))
+
+
+@pytest.mark.parametrize("kind, first_calls, later_calls, orderings", [
+    ("dense", ["dgetrf"], ["dgetrf"], (0, 0)),
+    ("band", ["splu", "reverse_cuthill_mckee", "dgbtrf"], ["dgbtrf"], (1, 0)),
+    ("superlu", ["splu", "reverse_cuthill_mckee"], ["splu"], (1, 1)),
+])
+def test_systems_on_one_pattern_share_its_plan_and_nothing_writable(
+    monkeypatch, kind, first_calls, later_calls, orderings
+):
+    calls = _recording(monkeypatch, "splu", "dgbtrf", "dgetrf", "reverse_cuthill_mckee")
+    rng = np.random.default_rng(20)
+    n, rows, cols, base = _system_on_one_pattern(kind, rng)
+    pattern, slots = compress_pattern(n, rows, cols)
+    zero = (rng.random(base.size) < 0.2) & (rows != cols)  # one set of exact zeros
+    runs = []
+    for _ in range(3):
+        vals = base * rng.uniform(0.5, 2.0, size=base.size)
+        vals[zero] = 0.0
+        runs.append((reduce(pattern, slots, vals), rng.normal(size=n)))
+    first, second = SparseSystem(n), SparseSystem(n)
+    xs = []
+    for data, rhs in runs:
+        first.assemble(pattern, data, rhs)
+        xs.append(first.factor_solve())
+    plan = pattern.plan
+    assert calls == first_calls + 2 * later_calls
+    calls.clear()
+    # the second system starts on the chosen plan: the same calls and bytes
+    # as the first system's later factorizations, from its first one on
+    for (data, rhs), x in zip(runs, xs):
+        second.assemble(pattern, data, rhs)
+        assert second.factor_solve().tobytes() == x.tobytes()
+    assert pattern.plan is plan and calls == 3 * later_calls
+    assert (first.orderings, second.orderings) == orderings
+    assert (first.pattern_builds, second.pattern_builds) == (1, 1)
+    shared = [v for v in vars(plan).values() if isinstance(v, np.ndarray)] if kind != "superlu" else []
+    assert all(not a.flags.writeable for a in shared)
+    if kind == "superlu":
+        owned = [(s._order.a_s.data, s._order.a_p.data) for s in (first, second)]
+    else:
+        owned = [(s._buffer.a,) for s in (first, second)]
+    assert not any(np.shares_memory(a, b) for a in owned[0] for b in owned[1])
+
+
+@pytest.mark.parametrize("kind", ["band", "superlu"])
+def test_a_first_superlu_factorization_leaves_the_scaled_data_intact(monkeypatch, kind):
+    """SuperLU gets a copy of the scaled data: ``eliminate_zeros`` compacts
+    its matrix in place, and a call that chooses the band factors the same
+    data again."""
+    seen = []
+    real = SparseSystem._sparse_lu
+
+    def keeping(self, data, plan):
+        before = data.copy()
+        out = real(self, data, plan)
+        seen.append((before, data))
+        return out
+
+    monkeypatch.setattr(SparseSystem, "_sparse_lu", keeping)
+    rng = np.random.default_rng(21)
+    n, rows, cols, vals = _system_on_one_pattern(kind, rng)
+    vals[(rng.random(vals.size) < 0.2) & (rows != cols)] = 0.0
+    s = SparseSystem(n)
+    assemble(s, rows, cols, vals, rng.normal(size=n))
+    assert (s.matrix.data == 0.0).any()  # SuperLU drops exact zeros
+    s.factor_solve()
+    ((before, after),) = seen
+    assert after.tobytes() == before.tobytes()
 
 
 def _network(name):
@@ -691,9 +769,10 @@ def _network(name):
     return load_case(os.path.join(CASE_DIR, name)).network
 
 
-# the path of each system's first and second factorization at a flat start
+# the calls of each system's first and second factorization at a flat start;
+# case196's first runs SuperLU to choose the band, then factors on the band
 PATHS = {name: ["dgetrf", "dgetrf"] for name in sorted(os.listdir(CASE_DIR))}
-PATHS["case196_mesh.net"] = ["splu", "dgbtrf"]
+PATHS["case196_mesh.net"] = ["splu", "dgbtrf", "dgbtrf"]
 PATHS.update({f"tile{k}": ["splu", "splu"] for k in (2, 4, 10)})
 
 
