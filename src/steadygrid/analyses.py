@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .network import Network, validate
+# perfbench/layers.py traces ``IndexMap`` by its name in this module
 from .indexing import IndexMap, StateVector
 from .solver import (
     CONVERGED,
@@ -18,6 +19,7 @@ from .solver import (
     INFEASIBLE,
     InitSpec,
     SolverOptions,
+    _solved_once,
     solve,
     transfer_state,
     validate_solution,
@@ -167,11 +169,12 @@ def _run_one_contingency(
         post = apply_outage(network, outage)
     except ValueError as exc:
         return ContingencyResult(outage.label, INFEASIBLE, reason=str(exc))
-    index = IndexMap(post)
-    warm = transfer_state(base_state, post, index)
-    opts = replace(options, init=InitSpec(kind="warm", state=warm))
+    index: IndexMap  # of the set-up that ``solve`` reuses; the warm start takes it
     try:
-        report, state = solve(post, opts)  # validates the post-outage network
+        with _solved_once(post) as index:
+            warm = transfer_state(base_state, post, index)
+            opts = replace(options, init=InitSpec(kind="warm", state=warm))
+            report, state = solve(post, opts)  # validates the post-outage network
     except ValueError as exc:
         issues = validate(post)
         if any(i.code == "missing_slack" for i in issues):

@@ -19,45 +19,59 @@ in Davis and Palamadai Natarajan, "Algorithm 907: KLU", ACM TOMS 37(3),
 read-only index arrays only and which every later system on the pattern
 reuses. Writable memory is never shared: each :class:`SparseSystem`
 allocates its own buffers, so ``pattern_builds`` still counts one per
-system and pattern. The number of unknowns ``n`` chooses the first path;
-above it, the pattern's first factorization chooses between the other two:
+system and pattern. The number of unknowns ``n`` chooses how the plan is
+chosen:
 
-* ``n <= _DENSE_MAX_N``: the plan holds the place of each CSC entry in an
-  ``n x n`` Fortran-order matrix. One such matrix per system, whose entries
-  off the pattern stay zero, first takes the magnitudes of the data
-  and yields the row maxima by one reduction over its rows; then the scaled
-  data replaces them, and LAPACK ``dgetrf``/``dgetrs`` factor and solve it
-  with partial pivoting. At these sizes SuperLU's fixed cost per call, not
-  the factorization, dominates. Measured in live solves, the row maxima
-  taken this way cost slightly less than a scatter-maximum
-  (``np.maximum.at``) over the CSC data at 28 and 54 unknowns and about the
-  same at 121. A maximum is exact, so the scale, and every scaled entry,
-  are the same bytes either way.
-* larger systems take their row maxima by a scatter-maximum over the CSC
-  arrays. The first factorization of a pattern goes to SuperLU with COLAMD,
-  and its flop count ``F = Σ_j nnz(L[j+1:, j]) · nnz(U[j, j+1:]) + nnz(L) − n``
-  chooses the pattern's plan:
-  * the band LU when ``n·kl·(kl+ku) <= _BAND_FLOP_RATIO · F``. The unknowns
-    are renumbered by reverse Cuthill–McKee (RCM) on the structure of
-    ``A + Aᵀ`` (Cuthill and McKee, 1969; George and Liu, *Computer Solution
-    of Large Sparse Positive Definite Systems*, 1981, ch. 4), which gives
-    the half-bandwidths ``kl`` below and ``ku`` above the diagonal; the plan
-    keeps the order, its inverse, ``kl``, ``ku`` and the place of each CSC
-    entry in LAPACK's band layout, ``2 kl + ku + 1`` rows by ``n``, whose
-    first ``kl`` rows take the fill of row interchanges. The scaled data
-    goes by one scatter into the system's own buffer in that layout; LAPACK
-    ``dgbtrf``/``dgbtrs`` factor and solve it with partial pivoting, and the
-    solution is mapped back to the caller's numbering. The call that
-    chooses the band factors the same scaled data again with ``dgbtrf`` and
-    solves with the band, so every factorization of a band pattern takes
-    the same path, whether the plan was chosen in the call, earlier in the
-    same solve or by another solve of the same network; a solve's result
-    does not depend on what was solved before it. The order depends on the
-    pattern alone, explicit zeros included, and the pivots on the values,
-    so a change in the set of exact zeros never orders again. The flop
-    count does depend on the values of the first factorization, but the
-    measured ratios below sit far from the threshold;
-  * SuperLU otherwise (the plan ``"SuperLU"``), as described below.
+* ``n <= _DENSE_MAX_N``: from the pattern alone, once the first
+  factorization's rows have passed the checks. SuperLU is never tried at or
+  below the cutoff. The pattern's RCM order (below) gives its
+  half-bandwidths; the plan is the band LU when the band's work
+  ``n·kl·(kl+ku)`` is at least ``_BAND_MIN_SAVING`` below the dense
+  ``n³/3``, and otherwise the dense LU.
+* larger systems: the first factorization of a pattern goes to SuperLU with
+  COLAMD, and its flop count
+  ``F = Σ_j nnz(L[j+1:, j]) · nnz(U[j, j+1:]) + nnz(L) − n`` chooses the
+  band LU when ``n·kl·(kl+ku) <= _BAND_FLOP_RATIO · F``, else SuperLU (the
+  plan ``"SuperLU"``, described below). The call that chooses the band
+  factors the same scaled data again with ``dgbtrf`` and solves with the
+  band, so every factorization of a band pattern takes the same path,
+  whether the plan was chosen in the call, earlier in the same solve or by
+  another solve of the same network; a solve's result does not depend on
+  what was solved before it. The flop count does depend on the values of
+  the first factorization, but the measured ratios below sit far from the
+  threshold.
+
+The three paths:
+
+* dense: the plan holds the place of each CSC entry in an ``n x n``
+  Fortran-order matrix. One such matrix per system, whose entries off the
+  pattern stay zero, first takes the magnitudes of the data and yields the
+  row maxima by one reduction over its rows; then the scaled data replaces
+  them, and LAPACK ``dgetrf``/``dgetrs`` factor and solve it with partial
+  pivoting. At these sizes SuperLU's fixed cost per call, not the
+  factorization, dominates. Measured in live solves, the row maxima taken
+  this way cost slightly less than a scatter-maximum (``np.maximum.at``)
+  over the CSC data at 28 and 54 unknowns and about the same at 121. A
+  maximum is exact, so the scale, and every scaled entry, are the same
+  bytes either way; a pattern's first factorization, before it has a
+  plan, takes the scatter-maximum.
+* band: the unknowns are renumbered by reverse Cuthill–McKee (RCM) on the
+  structure of ``A + Aᵀ`` (Cuthill and McKee, 1969; George and Liu,
+  *Computer Solution of Large Sparse Positive Definite Systems*, 1981,
+  ch. 4), which gives the half-bandwidths ``kl`` below and ``ku`` above the
+  diagonal; the plan keeps the order, its inverse, ``kl``, ``ku`` and the
+  place of each CSC entry in LAPACK's band layout, ``2 kl + ku + 1`` rows
+  by ``n``, whose first ``kl`` rows take the fill of row interchanges. The
+  row maxima come from a scatter-maximum over the CSC arrays. The scaled
+  data goes by one scatter into the system's own buffer in that layout;
+  LAPACK ``dgbtrf``/``dgbtrs`` factor and solve it with partial pivoting,
+  and the solution is mapped back to the caller's numbering. The order
+  depends on the pattern alone, explicit zeros included, and the pivots on
+  the values, so a change in the set of exact zeros never orders again.
+  The order is set up once per pattern: in live N-1 runs of case56 (121
+  unknowns), where every outage is a new pattern, it took a median of
+  0.51 ms, about half of it in forming ``A + Aᵀ``.
+* SuperLU, with a scatter-maximum over the CSC arrays, as described below.
 
 The dense cutoff is the crossover measured in live ``tx`` solves of
 generated k x k' meshes, timing every ``factor_solve`` call with either path
@@ -65,11 +79,43 @@ forced (2 cores, one BLAS thread): dense took 0.74 of SuperLU's time at 121
 unknowns (case56), 0.87 at 150, 0.94 at 168, 1.08 at 187, 1.18 at 207 and
 2.6 at 418 (case196), so the paths cross near 175 unknowns.
 
-The band rule reads SuperLU's flop count because no cutoff on the band's
-work ``n·kl·(kl+ku)`` or on its width alone separates the systems where the
-band wins. Median ``dgbtrf`` time against ``splu`` in ``NATURAL`` order on
-the kept COLAMD order, row-equilibrated systems, 2 cores, one BLAS thread;
-a tile is copies of case196 joined by 3 random ties per copy:
+The band's margin below the cutoff was measured the same way, with the
+dense or the band plan forced: the median time of every ``factor_solve``
+call in live ``tx`` solves (2 cores, one BLAS thread) of corpus cases and
+of generated k x k' meshes of buses, some with a few random ties that widen
+the band. The saving is ``n³/3 − n·kl·(kl+ku)``; where a row gives a range,
+it spans the systems of the row and repeated runs:
+
+=====================================  =======  ================  ============
+system (unknowns)                      kl       saving            band / dense
+=====================================  =======  ================  ============
+case14 (34)                            15       −2.2e3            1.09
+feeder8, three-phase (54)              21       4.9e3             0.92-1.01
+case12_radial (27)                     4        5.7e3             1.05-1.09
+hard_corridor (28)                     5        5.9e3             1.14-1.19
+11 meshes (35-57)                      4-20     8.6e3-2.8e4       0.86-1.06
+case20_radial (43)                     4        2.5e4             0.96
+6 meshes (50-81)                       4-30     3.1e4-4.9e4       0.83-0.99
+case30 (65)                            13       7.0e4             0.85-0.87
+22 meshes (57-173)                     4-56     6.0e4-1.6e6       0.36-0.89
+case56 (121)                           16       5.3e5             0.47
+=====================================  =======  ================  ============
+
+The band's fixed cost per call is higher than the dense path's: a
+scatter-maximum, a sparse residual product and the gathers of the order.
+Below a saving of 1e4 the band lost or tied on every system but feeder8;
+between 1e4 and 3e4 the medians scatter around the break-even, within the
+spread of repeated runs; from 3e4 up the band won on every system, and by
+9% or more from 4e4 up. So ``_BAND_MIN_SAVING`` is 3e4: the band takes only
+the patterns where it wins by more than the noise.
+
+Above the cutoff, the band rule reads SuperLU's flop count because no
+cutoff on the band's work ``n·kl·(kl+ku)`` or on its width alone separates
+the systems where the band wins (below it, the other path is dense, whose
+work ``n³/3`` the pattern gives). Median ``dgbtrf`` time against ``splu``
+in ``NATURAL`` order on the kept COLAMD order, row-equilibrated systems,
+2 cores, one BLAS thread; a tile is copies of case196 joined by 3 random
+ties per copy:
 
 =======================================  =======  =======  ==============
 system (unknowns)                        kl       ratio    band / SuperLU
@@ -97,8 +143,8 @@ and again only when the set of dropped zeros changes (``orderings`` counts
 these); every other factorization gathers the values into the
 column-permuted matrix and calls SuperLU in ``NATURAL`` order, which yields
 the same L and U. A pattern on the band keeps no column order, so
-``orderings`` counts only the call that chose its plan. On
-either path the refinement residual is taken on the unpermuted matrix,
+``orderings`` counts only the call that chose its plan above the cutoff,
+and nothing below it. On either path the refinement residual is taken on the unpermuted matrix,
 because a permuted product sums each row in another order and the result
 would differ in the last bits.
 
@@ -125,14 +171,19 @@ __all__ = ["CscPattern", "compress_pattern", "SparseSystem", "SingularityError"]
 # no supernodes or panels; SuperLU's default diag_pivot_thresh
 _SUPERLU_SETTING = {"relax": 1, "panel_size": 1}
 
-# systems of at most this many unknowns are factored dense: the measured
-# crossover (see the module docstring)
+# systems of at most this many unknowns are factored dense or on the band,
+# never by SuperLU: the measured crossover (see the module docstring)
 _DENSE_MAX_N = 175
 
 # a larger pattern takes the band LU when n·kl·(kl+ku) is at most this many
 # times SuperLU's flop count on its first factorization: the measured
 # separation (see the module docstring)
 _BAND_FLOP_RATIO = 16.0
+
+# a pattern at or below the dense cutoff takes the band LU when n·kl·(kl+ku)
+# is at least this far below the dense n³/3: the measured margin that pays the
+# band path's higher fixed cost per call (see the module docstring)
+_BAND_MIN_SAVING = 30000
 
 # the plan of a pattern whose band work the flop rule rejects
 _SUPERLU = "SuperLU"
@@ -156,8 +207,11 @@ class CscPattern:
 
     ``plan`` is the path of every factorization on the pattern: ``None``
     until the first one chooses it, then a :class:`_DensePlan`, a
-    :class:`_BandPlan` or ``"SuperLU"`` (see the module docstring). A plan
-    holds no writable memory, so every system on the pattern shares it.
+    :class:`_BandPlan` or ``"SuperLU"`` (see the module docstring). At or
+    below ``_DENSE_MAX_N`` unknowns the plan is the band or the dense one,
+    chosen from the pattern alone; above it, SuperLU's first factorization
+    chooses between the band and SuperLU. A plan holds no writable memory,
+    so every system on the pattern shares it.
     """
 
     indices: np.ndarray
@@ -248,6 +302,8 @@ class _BandPlan:
                  slots: np.ndarray):
         self.perm, self.inv, self.kl, self.ku, self.slots = perm, inv, kl, ku, slots
         self.shape = (2 * kl + ku + 1, perm.size)
+        # the multiplications of ``dgbtrf`` at full fill, up to lower orders
+        self.work = perm.size * kl * (kl + ku)
         for a in (perm, inv, slots):
             a.flags.writeable = False
 
@@ -277,14 +333,10 @@ def _superlu_flops(lu) -> int:
     return int(below @ right + below.sum())
 
 
-def _choose_plan(pattern: CscPattern, flops: int):
-    """The pattern's :class:`_BandPlan` when its band work ``n·kl·(kl+ku)``
-    is at most ``_BAND_FLOP_RATIO`` times SuperLU's ``flops``, else
-    ``"SuperLU"``.
-
-    The order is reverse Cuthill–McKee on the structure of ``A + Aᵀ``, so it
-    depends on the pattern alone, explicit zeros included.
-    """
+def _band_plan(pattern: CscPattern) -> _BandPlan:
+    """The pattern's band plan: reverse Cuthill–McKee on the structure of
+    ``A + Aᵀ``, so the order depends on the pattern alone, explicit zeros
+    included."""
     n = pattern.indptr.size - 1
     a = sparse.csc_matrix(
         (np.ones(pattern.indices.size), pattern.indices, pattern.indptr), shape=(n, n)
@@ -294,10 +346,26 @@ def _choose_plan(pattern: CscPattern, flops: int):
     inv[perm] = np.arange(n)
     row, col = inv[pattern.indices], inv[_columns(pattern)]
     kl, ku = int(np.max(row - col, initial=0)), int(np.max(col - row, initial=0))
-    if n * kl * (kl + ku) > _BAND_FLOP_RATIO * flops:
-        return _SUPERLU
     # entry (i, j) of the reordered matrix sits at ab[kl + ku + i - j, j]
     return _BandPlan(perm, inv, kl, ku, col * (2 * kl + ku + 1) + kl + ku + row - col)
+
+
+def _choose_plan(pattern: CscPattern, flops: int):
+    """The plan of a pattern above the dense cutoff: its :class:`_BandPlan`
+    when the band's work is at most ``_BAND_FLOP_RATIO`` times SuperLU's
+    ``flops``, else ``"SuperLU"``."""
+    band = _band_plan(pattern)
+    return band if band.work <= _BAND_FLOP_RATIO * flops else _SUPERLU
+
+
+def _small_plan(pattern: CscPattern):
+    """The plan of a pattern at or below the dense cutoff, from the pattern
+    alone: its :class:`_BandPlan` when the band's work is at least
+    ``_BAND_MIN_SAVING`` below the dense ``n³/3``, else its
+    :class:`_DensePlan`."""
+    n = pattern.indptr.size - 1
+    band = _band_plan(pattern)
+    return band if band.work + _BAND_MIN_SAVING <= n**3 / 3 else _DensePlan(pattern)
 
 
 def _row_scale(absmax: np.ndarray) -> np.ndarray:
@@ -374,57 +442,65 @@ class SparseSystem:
         Each row is scaled by its largest magnitude; a row with no nonzero
         entry, with a non-finite one, or whose scale would overflow raises
         before it is scaled, naming the first such row, and before any band
-        or SuperLU work. The pattern's plan chooses the factorization; the
-        first factorization of a pattern chooses its plan.
+        or SuperLU work, reverse Cuthill–McKee (RCM) ordering included. The
+        pattern's plan chooses the factorization; the first factorization
+        of a pattern chooses its plan.
 
-        A pattern of at most ``_DENSE_MAX_N`` unknowns is factored dense:
-        the magnitudes of the data are scattered into this system's
-        Fortran-order buffer, whose other entries stay zero, the row maxima
-        are read off it, the scaled data replaces the magnitudes, and LAPACK
-        ``dgetrf``/``dgetrs`` factor and solve it; an exact zero pivot
-        raises, naming the unknown.
+        A pattern of at most ``_DENSE_MAX_N`` unknowns chooses its plan from
+        its structure alone, once the rows have passed: the band when
+        ``n·kl·(kl+ku) + _BAND_MIN_SAVING <= n³/3``, where ``kl`` and ``ku``
+        are the half-bandwidths of the pattern in its RCM order, else dense;
+        SuperLU never runs. On the dense plan, the magnitudes of the data
+        are scattered into this system's Fortran-order buffer, whose other
+        entries stay zero, the row maxima are read off it (the first
+        factorization, which chooses the plan, takes them by a
+        scatter-maximum instead), the scaled data replaces the magnitudes,
+        and LAPACK ``dgetrf``/``dgetrs`` factor and solve it; an exact zero
+        pivot raises, naming the unknown.
 
-        Larger patterns are scaled on the cached CSC arrays. The first
-        factorization of a pattern goes to SuperLU with COLAMD, and its flop
-        count ``F`` chooses the plan: the band when ``n·kl·(kl+ku) <=
-        _BAND_FLOP_RATIO · F``, where ``kl`` and ``ku`` are the
-        half-bandwidths of the pattern in its reverse Cuthill–McKee order,
-        else SuperLU. When it chooses the band, the same call factors the
-        same scaled data again on the band and solves with that, so every
-        factorization of a band pattern is the band's, whether its plan was
-        just chosen or chosen by another system. On the band, the scaled data
-        is scattered into this system's LAPACK band buffer,
-        ``dgbtrf``/``dgbtrs`` factor and solve it in the RCM order, and an
-        exact zero pivot raises, naming the unknown in the caller's
-        numbering; the order depends only on the pattern, so exact zeros
-        never change it. SuperLU sees only the structural nonzeros of the
-        scaled values. Its column order lives on this system, next to the
-        pattern: the system's first factorization of a pattern, and the
-        first after its set of exact zeros changes, runs COLAMD and keeps
-        ``perm_c`` (``orderings`` counts these, the call that chooses a band
-        plan included). Every other call gathers the data into the
-        column-permuted matrix, factors it in ``NATURAL`` order and
-        un-permutes the solution. Both use ``_SUPERLU_SETTING`` (no
-        supernodes at these sizes), so the ``NATURAL`` call on ``A Pc``
+        Larger patterns, and band patterns, are scaled on the cached CSC
+        arrays. The first factorization of a larger pattern goes to SuperLU
+        with COLAMD, and its flop count ``F`` chooses the plan: the band
+        when ``n·kl·(kl+ku) <= _BAND_FLOP_RATIO · F``, else SuperLU. When it
+        chooses the band, the same call factors the same scaled data again
+        on the band and solves with that, so every factorization of a band
+        pattern is the band's, whether its plan was just chosen or chosen
+        by another system. On the band, the scaled data is scattered into
+        this system's LAPACK band buffer, ``dgbtrf``/``dgbtrs`` factor and
+        solve it in the RCM order, and an exact zero pivot raises, naming
+        the unknown in the caller's numbering; the order depends only on
+        the pattern, so exact zeros never change it. SuperLU sees only the
+        structural nonzeros of the scaled values. Its column order lives on
+        this system, next to the pattern: the system's first factorization
+        of a pattern, and the first after its set of exact zeros changes,
+        runs COLAMD and keeps ``perm_c`` (``orderings`` counts these, the
+        call that chooses a band plan included). Every other call gathers
+        the data into the column-permuted matrix, factors it in ``NATURAL``
+        order and un-permutes the solution. Both use ``_SUPERLU_SETTING``
+        (no supernodes at these sizes), so the ``NATURAL`` call on ``A Pc``
         yields the same L and U. The refinement residual is taken on the
         unpermuted matrix, so every row sums in the same order whichever
-        SuperLU call factored. Raises :class:`SingularityError` on structural
-        or numerical singularity, reporting an offending row where one is
-        identifiable; a call that raises keeps no new order and chooses no
-        plan above the dense cutoff.
+        SuperLU call factored. Raises :class:`SingularityError` on
+        structural or numerical singularity, reporting an offending row
+        where one is identifiable; a call that raises keeps no new order,
+        and chooses no plan when its rows fail or above the dense cutoff.
         """
         a, plan = self.matrix, self._pattern.plan
-        if plan is None and self.n <= _DENSE_MAX_N:
-            plan = _DensePlan(self._pattern)
-            object.__setattr__(self._pattern, "plan", plan)
         if isinstance(plan, _DensePlan):
-            absmax, factor = self._dense_row_max(a.data, plan), self._dense_lu
+            absmax = self._dense_row_max(a.data, plan)
         else:
             absmax = np.zeros(self.n)
             with np.errstate(invalid="ignore"):  # a nan entry leaves its row's maximum nan
                 np.maximum.at(absmax, a.indices, np.abs(a.data))
-            factor = self._band_lu if isinstance(plan, _BandPlan) else self._sparse_lu
         scale = _row_scale(absmax)
+        # after the row checks, so a call with a bad row orders nothing
+        if plan is None and self.n <= _DENSE_MAX_N:
+            plan = _small_plan(self._pattern)
+            object.__setattr__(self._pattern, "plan", plan)
+        if isinstance(plan, _DensePlan):
+            factor = self._dense_lu
+        else:
+            factor = self._band_lu if isinstance(plan, _BandPlan) else self._sparse_lu
         data = a.data * scale[a.indices]
         b_s = scale * self.rhs
         a_s, solve, fresh = factor(data, plan)
@@ -469,7 +545,7 @@ class SparseSystem:
     def _dense_lu(self, data: np.ndarray, plan: _DensePlan):
         """LAPACK LU of the scaled ``data``: the dense matrix, its solve, and
         nothing to keep."""
-        buffer = self._buffer
+        buffer = self._buffer_of(plan)
         buffer.flat[plan.slots] = data
         # dgetrf factors a copy: the buffer keeps its zeros off the pattern
         # and serves the refinement residual

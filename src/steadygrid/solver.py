@@ -16,7 +16,8 @@ factorization plan the first factorization chooses, see ``linsys.py``) and
 the base :class:`DeviceParams`. It lives in the network's private
 ``_setup`` slot, not in a module-level registry, so nothing keeps a network
 alive; as the set-up refers back to its network, the cyclic garbage
-collector frees the two together. A ``with_devices`` copy starts without
+collector frees the two together, unless the network was solved inside
+``_solved_once``, which drops the set-up. A ``with_devices`` copy starts without
 it, and every array it holds is read-only. ``validate`` still runs on every
 solve, and the generator modes, the state and the :class:`SparseSystem`
 are built per solve, so a solve's result does not depend on what was
@@ -28,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -370,6 +372,18 @@ def _setup(network: Network):
         setup = (index, build_companion(network, index), effective_params(network))
         object.__setattr__(network, "_setup", setup)
     return network._setup
+
+
+@contextmanager
+def _solved_once(network: Network):
+    """The index of the set-up of a network that is solved once: the
+    set-up is dropped on exit, so reference counting frees the network as
+    soon as its caller lets go of it, where the cycle through the set-up
+    would wait for the cyclic garbage collector."""
+    try:
+        yield _setup(network)[0]
+    finally:
+        object.__setattr__(network, "_setup", None)
 
 
 def solve(network: Network, options: SolverOptions | None = None):

@@ -41,6 +41,13 @@ counts at other seeds; this does:
 
     PYTHONPATH=src python3 tests/corpus_digest.py --jobs hard_ic --seeds 1-60 > after.txt
 
+``--plans`` prints, instead, one line per corpus network: its unknowns and
+the factorization plan its pattern chose in a flat-start solve (``dense``,
+``band KL KU`` or ``SuperLU``), so a plain ``diff`` of two trees shows every
+network whose path changed:
+
+    PYTHONPATH=src python3 tests/corpus_digest.py --plans > after.txt
+
 pytest does not collect this file (its name does not start with ``test_``).
 """
 
@@ -59,6 +66,7 @@ import tempfile
 
 import numpy as np
 
+from steadygrid import linsys, solver
 from steadygrid.caseio import load_case
 from steadygrid.cli import main
 from steadygrid.homotopy import lambda_trace_to_csv
@@ -165,6 +173,20 @@ def job_lines(workload: str, seeds):
             yield f"seed={seed} {job.label} {status} {iterations} {steps} {passes}"
 
 
+def plan_lines():
+    """One ``case n=N plan`` line per corpus network."""
+    for case in sorted(os.listdir(CASES)):
+        network = load_case(os.path.join(CASES, case)).network
+        solve(network, SolverOptions())
+        index, layout, _ = solver._setup(network)
+        plan = layout.pattern.plan
+        if isinstance(plan, linsys._BandPlan):
+            name = f"band {plan.kl} {plan.ku}"
+        else:
+            name = "dense" if isinstance(plan, linsys._DensePlan) else str(plan)
+        yield f"{case} n={index.dim} {name}"
+
+
 def _seed_range(text: str) -> range:
     first, _, last = text.partition("-")
     return range(int(first), int(last or first) + 1)
@@ -203,8 +225,12 @@ if __name__ == "__main__":
                         help="print one work line per benchmark job instead")
     parser.add_argument("--seeds", metavar="A-B", type=_seed_range, default=range(1, 2),
                         help="the seeds of --jobs, A to B inclusive (default 1)")
+    parser.add_argument("--plans", action="store_true",
+                        help="print each corpus network's factorization plan instead")
     args = parser.parse_args()
-    if args.jobs:
+    if args.plans:
+        print("\n".join(plan_lines()))
+    elif args.jobs:
         for line in job_lines(args.jobs, args.seeds):
             print(line, flush=True)
     elif args.compare:

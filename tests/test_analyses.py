@@ -1,8 +1,11 @@
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
+from steadygrid import analyses, solver
 from steadygrid.analyses import (
     ContingencySet,
     Outage,
@@ -82,6 +85,59 @@ def test_unknown_outage_id_rejected():
         net, state, ContingencySet([Outage("nope", branch_ids=(99,))]), OPTS
     )
     assert results[0].status == INFEASIBLE
+
+
+def _capturing_outages(monkeypatch):
+    """Weak references to every post-outage network ``run_contingencies``
+    builds from now on."""
+    refs = []
+    real = analyses.apply_outage
+
+    def capturing(network, outage):
+        post = real(network, outage)
+        refs.append(weakref.ref(post))
+        return post
+
+    monkeypatch.setattr(analyses, "apply_outage", capturing)
+    return refs
+
+
+def test_each_outage_network_is_freed_when_its_contingency_finishes(monkeypatch):
+    net, state = solved("case14.net")
+    radial, radial_state = solved("case12_radial.net")
+    runs = [
+        (net, state, sample_contingencies(net, state, top_fraction=0.2), CONVERGED),
+        # islanding: the post-outage network fails validation inside solve
+        (radial, radial_state, ContingencySet([Outage("cut", branch_ids=(1,))]), INFEASIBLE),
+    ]
+    refs = _capturing_outages(monkeypatch)
+    for network, base, cset, status in runs:
+        refs.clear()
+        gc.disable()  # reference counting alone must free each network
+        try:
+            results = run_contingencies(network, base, cset, OPTS)
+            alive = [ref() is not None for ref in refs]
+        finally:
+            gc.enable()
+        assert len(refs) == len(cset.outages) and not any(alive)
+        assert status in {r.status for r in results}
+
+
+def test_each_outage_builds_one_index_map(monkeypatch):
+    net, state = solved("case14.net")
+    cset = sample_contingencies(net, state, top_fraction=0.2)
+    built = []
+    for module in (solver, analyses):
+        real = module.IndexMap
+
+        def counting(network, _real=real):
+            built.append(network)
+            return _real(network)
+
+        monkeypatch.setattr(module, "IndexMap", counting)
+    results = run_contingencies(net, state, cset, OPTS)
+    assert len(built) == len(cset.outages) == len(results)
+    assert len({id(post) for post in built}) == len(built)
 
 
 def test_sampler_takes_biggest_devices():

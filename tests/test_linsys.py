@@ -620,8 +620,8 @@ def test_band_solve_agrees_with_a_reference_solve(monkeypatch):
     assert calls == 3 * ["splu", "dgbtrf", "dgbtrf", "dgbtrf", "dgbtrf"]
 
 
-def test_band_zero_pivot_names_the_unknown_in_the_callers_numbering():
-    s, pattern, slots, (rows, cols, vals) = _band_system(10, 10, np.random.default_rng(17))
+def _check_band_zero_pivot(k, k2, seed, orderings):
+    s, pattern, slots, (rows, cols, vals) = _band_system(k, k2, np.random.default_rng(seed))
     # an unknown the reverse Cuthill-McKee order moves, its column all exact
     # zeros; every row keeps a nonzero entry
     c = next(c for c in range(s.n) if pattern.plan.inv[c] != c)
@@ -634,19 +634,26 @@ def test_band_zero_pivot_names_the_unknown_in_the_callers_numbering():
     s.assemble(pattern, reduce(pattern, slots, vals), np.ones(s.n))
     x = s.factor_solve()
     np.testing.assert_allclose(s.matrix @ x, np.ones(s.n), rtol=0.0, atol=1e-12)
-    assert s.orderings == 1
+    assert s.orderings == orderings
 
 
-@pytest.mark.parametrize("bad, reason", [
+def test_band_zero_pivot_names_the_unknown_in_the_callers_numbering():
+    _check_band_zero_pivot(10, 10, 17, orderings=1)
+
+
+# a bad value, alone in its row, and the reason it is reported with
+BAD_ROWS = [
     (0.0, "row has no entries"),
     (np.nan, "non-finite matrix entry"),
     (np.inf, "non-finite matrix entry"),
     (-np.inf, "non-finite matrix entry"),
     (5e-309, "row scale overflows"),
-])
-def test_bad_rows_raise_before_any_band_work(monkeypatch, bad, reason):
-    s, pattern, slots, (rows, cols, vals) = _band_system(10, 10, np.random.default_rng(18))
-    calls = _recording(monkeypatch, "splu", "dgbtrf", "reverse_cuthill_mckee")
+]
+
+
+def _check_bad_rows_before_band_work(monkeypatch, k, k2, bad, reason):
+    s, pattern, slots, (rows, cols, vals) = _band_system(k, k2, np.random.default_rng(18))
+    calls = _recording(monkeypatch, "splu", "dgbtrf", "dgetrf", "reverse_cuthill_mckee")
     # row 7 holds only exact zeros, one of them replaced by the bad value
     worse = np.where(rows == 7, 0.0, vals)
     worse[np.flatnonzero(rows == 7)[0]] = bad
@@ -663,6 +670,11 @@ def test_bad_rows_raise_before_any_band_work(monkeypatch, bad, reason):
     s.assemble(pattern, reduce(pattern, slots, vals), np.ones(s.n))
     s.factor_solve()
     assert calls == ["dgbtrf"]
+
+
+@pytest.mark.parametrize("bad, reason", BAD_ROWS)
+def test_bad_rows_raise_before_any_band_work(monkeypatch, bad, reason):
+    _check_bad_rows_before_band_work(monkeypatch, 10, 10, bad, reason)
 
 
 def test_exact_zeros_never_reorder_the_band(monkeypatch):
@@ -686,18 +698,96 @@ def test_exact_zeros_never_reorder_the_band(monkeypatch):
     assert s.orderings == 1
 
 
+# -- the band path at or below the dense cutoff -------------------------------------
+
+# meshes of 60 to 170 unknowns, whose patterns the band rule takes
+SMALL_MESHES = ((5, 6), (6, 8), (7, 9), (8, 10), (5, 17))
+
+
+def test_small_band_solve_agrees_with_a_reference_solve(monkeypatch):
+    calls = _recording(monkeypatch, "splu", "dgbtrf", "dgetrf", "reverse_cuthill_mckee")
+    rng = np.random.default_rng(22)
+    for k, k2 in SMALL_MESHES:
+        rows, cols, base = _mesh_system(k, k2, rng)
+        n = 2 * k * k2
+        assert n <= linsys._DENSE_MAX_N
+        pattern, slots = compress_pattern(n, rows, cols)
+        decades = 10.0 ** rng.integers(-4, 5, size=n)
+        s = SparseSystem(n)
+        for _ in range(4):
+            vals = base * rng.uniform(0.5, 2.0, size=base.size) * decades[rows]
+            rhs = rng.normal(size=n) * decades
+            s.assemble(pattern, reduce(pattern, slots, vals), rhs)
+            x = s.factor_solve()
+            want = np.linalg.solve(*_equilibrated(s.matrix, rhs))
+            assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+        assert isinstance(pattern.plan, linsys._BandPlan)
+        assert (s.orderings, s.pattern_builds) == (0, 1)
+    # the plan comes from the pattern alone: no SuperLU, one order per pattern
+    assert calls == len(SMALL_MESHES) * (["reverse_cuthill_mckee"] + 4 * ["dgbtrf"])
+
+
+def test_small_band_zero_pivot_names_the_unknown_in_the_callers_numbering():
+    _check_band_zero_pivot(6, 8, 23, orderings=0)
+
+
+@pytest.mark.parametrize("bad, reason", BAD_ROWS)
+def test_bad_rows_raise_before_any_small_band_work(monkeypatch, bad, reason):
+    _check_bad_rows_before_band_work(monkeypatch, 6, 8, bad, reason)
+    # a pattern that has no plan yet chooses none in a call that raises
+    rows, cols, vals = _mesh_system(6, 8, np.random.default_rng(24))
+    vals = np.where(rows == 7, 0.0, vals)
+    vals[np.flatnonzero(rows == 7)[0]] = bad
+    calls = _recording(monkeypatch, "dgbtrf", "dgetrf", "reverse_cuthill_mckee")
+    s = SparseSystem(96)
+    pattern, slots = compress_pattern(96, rows, cols)
+    s.assemble(pattern, reduce(pattern, slots, vals), np.ones(96))
+    with pytest.raises(SingularityError) as err:
+        s.factor_solve()
+    assert (err.value.row, err.value.reason) == (7, reason)
+    assert calls == [] and pattern.plan is None
+
+
+@pytest.mark.parametrize("n, system, order", [
+    # too small for any band to pay
+    (44, lambda rng: _mesh_system(2, 11, rng), ["reverse_cuthill_mckee"]),
+    # narrow, but the band's saving is short of the margin
+    (48, lambda rng: _mesh_system(3, 8, rng), ["reverse_cuthill_mckee"]),
+    # wide
+    (linsys._DENSE_MAX_N, lambda rng: _random_system(linsys._DENSE_MAX_N, rng),
+     ["reverse_cuthill_mckee"]),
+], ids=["tiny", "narrow", "wide"])
+def test_a_pattern_the_band_rule_rejects_stays_on_dgetrf(monkeypatch, n, system, order):
+    rng = np.random.default_rng(25)
+    rows, cols, vals = system(rng)
+    band = linsys._band_plan(compress_pattern(n, rows, cols)[0])
+    assert band.work + linsys._BAND_MIN_SAVING > n**3 / 3
+    calls = _recording(monkeypatch, "splu", "dgbtrf", "dgetrf", "reverse_cuthill_mckee")
+    pattern, slots = compress_pattern(n, rows, cols)
+    s = SparseSystem(n)
+    for _ in range(2):
+        s.assemble(pattern, reduce(pattern, slots, vals), np.ones(n))
+        x = s.factor_solve()
+        np.testing.assert_allclose(s.matrix @ x, np.ones(n), rtol=0.0, atol=1e-11)
+    assert isinstance(pattern.plan, linsys._DensePlan)
+    assert calls == order + ["dgetrf", "dgetrf"]
+
+
 def _system_on_one_pattern(kind, rng):
     """Triplets of a system whose pattern takes the ``kind`` plan."""
     if kind == "band":
         return (240, *_mesh_system(12, 10, rng))
+    if kind == "small_band":
+        return (96, *_mesh_system(6, 8, rng))
     n = 40 if kind == "dense" else SPARSE_N + 40  # a random system stays on SuperLU
     return (n, *_random_system(n, rng))
 
 
 @pytest.mark.parametrize("kind, first_calls, later_calls, orderings", [
-    ("dense", ["dgetrf"], ["dgetrf"], (0, 0)),
+    ("dense", ["reverse_cuthill_mckee", "dgetrf"], ["dgetrf"], (0, 0)),
     ("band", ["splu", "reverse_cuthill_mckee", "dgbtrf"], ["dgbtrf"], (1, 0)),
     ("superlu", ["splu", "reverse_cuthill_mckee"], ["splu"], (1, 1)),
+    ("small_band", ["reverse_cuthill_mckee", "dgbtrf"], ["dgbtrf"], (0, 0)),
 ])
 def test_systems_on_one_pattern_share_its_plan_and_nothing_writable(
     monkeypatch, kind, first_calls, later_calls, orderings
@@ -770,9 +860,11 @@ def _network(name):
 
 
 # the calls of each system's first and second factorization at a flat start;
-# case196's first runs SuperLU to choose the band, then factors on the band
+# case196's first runs SuperLU to choose the band, then factors on the band;
+# case30 and case56 are narrow enough for the band below the dense cutoff
 PATHS = {name: ["dgetrf", "dgetrf"] for name in sorted(os.listdir(CASE_DIR))}
 PATHS["case196_mesh.net"] = ["splu", "dgbtrf", "dgbtrf"]
+PATHS["case30_mesh.net"] = PATHS["case56_mesh.net"] = ["dgbtrf", "dgbtrf"]
 PATHS.update({f"tile{k}": ["splu", "splu"] for k in (2, 4, 10)})
 
 
@@ -781,7 +873,7 @@ def test_each_network_takes_its_measured_path(monkeypatch, name):
     net = _network(name)
     index = IndexMap(net)
     s = assembled(build_companion(net, index).bind(effective_params(net)), flat_state(index))
-    assert (s.n <= linsys._DENSE_MAX_N) == (PATHS[name][0] == "dgetrf")
+    assert (s.n <= linsys._DENSE_MAX_N) == ("splu" not in PATHS[name])
     calls = _recording(monkeypatch, "splu", "dgbtrf", "dgetrf")
     s.factor_solve()
     s.factor_solve()
