@@ -45,15 +45,15 @@ The three paths:
 
 * dense: the plan holds the place of each CSC entry in an ``n x n``
   Fortran-order matrix. One such matrix per system, whose entries off the
-  pattern stay zero, first takes the magnitudes of the data and yields the
-  row maxima by one reduction over its rows; then the scaled data replaces
-  them, and LAPACK ``dgetrf``/``dgetrs`` factor and solve it with partial
-  pivoting. At these sizes SuperLU's fixed cost per call, not the
-  factorization, dominates. Measured in live solves, the row maxima taken
-  this way cost slightly less than a scatter-maximum (``np.maximum.at``)
-  over the CSC data at 28 and 54 unknowns and about the same at 121. A
-  maximum is exact, so the scale, and every scaled entry, are the same
-  bytes either way; a pattern's first factorization, before it has a
+  pattern stay zero, takes the raw data by one scatter; the row maxima
+  are one reduction over the rows of its magnitudes, and its rows are then
+  scaled in place. LAPACK ``dgetrf``/``dgetrs`` factor and solve it with
+  partial pivoting. At these sizes SuperLU's fixed cost per call, not the
+  factorization, dominates. A maximum is exact, and each entry is
+  multiplied by its row's scale once either way (``0 * scale`` stays 0 off
+  the pattern), so the scale and every scaled entry are the same bytes as
+  a scatter-maximum (``np.maximum.at``) over the CSC data and the scaled
+  CSC data scattered; a pattern's first factorization, before it has a
   plan, takes the scatter-maximum.
 * band: the unknowns are renumbered by reverse Cuthill–McKee (RCM) on the
   structure of ``A + Aᵀ`` (Cuthill and McKee, 1969; George and Liu,
@@ -107,7 +107,11 @@ Below a saving of 1e4 the band lost or tied on every system but feeder8;
 between 1e4 and 3e4 the medians scatter around the break-even, within the
 spread of repeated runs; from 3e4 up the band won on every system, and by
 9% or more from 4e4 up. So ``_BAND_MIN_SAVING`` is 3e4: the band takes only
-the patterns where it wins by more than the noise.
+the patterns where it wins by more than the noise. The table was measured
+before the dense path took its data by one scatter and scaled in place,
+which lowered its fixed cost per call; the thresholds are deliberately left
+as they were, because moving one moves plans, and with them iterates in
+the last bits.
 
 Above the cutoff, the band rule reads SuperLU's flop count because no
 cutoff on the band's work ``n·kl·(kl+ku)`` or on its width alone separates
@@ -450,13 +454,14 @@ class SparseSystem:
         its structure alone, once the rows have passed: the band when
         ``n·kl·(kl+ku) + _BAND_MIN_SAVING <= n³/3``, where ``kl`` and ``ku``
         are the half-bandwidths of the pattern in its RCM order, else dense;
-        SuperLU never runs. On the dense plan, the magnitudes of the data
-        are scattered into this system's Fortran-order buffer, whose other
-        entries stay zero, the row maxima are read off it (the first
+        SuperLU never runs. On the dense plan, the raw data is scattered
+        into this system's Fortran-order buffer, whose other entries stay
+        zero, the row maxima are read off its magnitudes (the first
         factorization, which chooses the plan, takes them by a
-        scatter-maximum instead), the scaled data replaces the magnitudes,
-        and LAPACK ``dgetrf``/``dgetrs`` factor and solve it; an exact zero
-        pivot raises, naming the unknown.
+        scatter-maximum instead), its rows are scaled in place, the same
+        bits as scaling the CSC data, and LAPACK ``dgetrf``/``dgetrs``
+        factor and solve it; an exact zero pivot raises, naming the
+        unknown.
 
         Larger patterns, and band patterns, are scaled on the cached CSC
         arrays. The first factorization of a larger pattern goes to SuperLU
@@ -487,7 +492,8 @@ class SparseSystem:
         """
         a, plan = self.matrix, self._pattern.plan
         if isinstance(plan, _DensePlan):
-            absmax = self._dense_row_max(a.data, plan)
+            a_d = self._dense_buffer(a.data, plan)
+            absmax = np.abs(a_d).max(axis=1)
         else:
             absmax = np.zeros(self.n)
             with np.errstate(invalid="ignore"):  # a nan entry leaves its row's maximum nan
@@ -497,15 +503,19 @@ class SparseSystem:
         if plan is None and self.n <= _DENSE_MAX_N:
             plan = _small_plan(self._pattern)
             object.__setattr__(self._pattern, "plan", plan)
+            if isinstance(plan, _DensePlan):
+                a_d = self._dense_buffer(a.data, plan)
+        b_s = scale * self.rhs
         if isinstance(plan, _DensePlan):
-            factor = self._dense_lu
+            # the same bits as scaling the CSC data: each entry is multiplied
+            # by its row's scale once, and 0 * scale stays 0 off the pattern
+            a_d *= scale[:, None]
+            a_s, solve, fresh = self._dense_lu(a_d)
         else:
             factor = self._band_lu if isinstance(plan, _BandPlan) else self._sparse_lu
-        data = a.data * scale[a.indices]
-        b_s = scale * self.rhs
-        a_s, solve, fresh = factor(data, plan)
+            a_s, solve, fresh = factor(a.data * scale[a.indices], plan)
         x = solve(b_s)
-        if not np.isfinite(x).all():
+        if np.count_nonzero(np.isfinite(x)) < x.size:
             bad = int(np.flatnonzero(~np.isfinite(x))[0])
             raise SingularityError(bad, "non-finite solution entry")
         # one step of iterative refinement when the backward error is loose
@@ -535,24 +545,22 @@ class SparseSystem:
             self._buffer = _Buffer(plan)
         return self._buffer
 
-    def _dense_row_max(self, data: np.ndarray, plan: _DensePlan) -> np.ndarray:
-        """Row maxima of ``|data|`` by one reduction over the rows of the
-        dense buffer, whose entries off the pattern stay zero."""
-        buffer = self._buffer_of(plan)
-        buffer.flat[plan.slots] = np.abs(data)
-        return buffer.a.max(axis=1)
-
-    def _dense_lu(self, data: np.ndarray, plan: _DensePlan):
-        """LAPACK LU of the scaled ``data``: the dense matrix, its solve, and
-        nothing to keep."""
+    def _dense_buffer(self, data: np.ndarray, plan: _DensePlan) -> np.ndarray:
+        """This system's dense matrix of ``plan``, holding ``data`` on the
+        pattern and zeros elsewhere."""
         buffer = self._buffer_of(plan)
         buffer.flat[plan.slots] = data
-        # dgetrf factors a copy: the buffer keeps its zeros off the pattern
-        # and serves the refinement residual
-        lu, piv, info = dgetrf(buffer.a)
+        return buffer.a
+
+    def _dense_lu(self, a_s: np.ndarray):
+        """LAPACK LU of the scaled dense matrix ``a_s``: the matrix, its
+        solve, and nothing to keep."""
+        # dgetrf factors a copy: ``a_s`` keeps its zeros off the pattern and
+        # serves the refinement residual
+        lu, piv, info = dgetrf(a_s)
         if info > 0:
             raise SingularityError(info - 1, f"zero pivot at unknown {info - 1}")
-        return buffer.a, lambda r: dgetrs(lu, piv, r)[0], None
+        return a_s, lambda r: dgetrs(lu, piv, r)[0], None
 
     def _band_lu(self, data: np.ndarray, plan: _BandPlan):
         """LAPACK band LU of the scaled ``data`` in the plan's RCM order: the

@@ -33,6 +33,7 @@ The damping constants (``ZETA_INIT``, ``ZETA_SHRINK``, ``ZETA_GROWTH``,
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,8 +92,8 @@ class NrOptions:
             raise ValueError("v_min must be below v_max")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be >= 0")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 0:
+            raise ValueError("max_iter must be an integer >= 0")
         if not self.di_max > 0:  # also rejects nan
             raise ValueError("di_max must be positive")
 
@@ -227,6 +228,7 @@ def run_newton(
     own_trace: list[NrTraceRow] = [] if trace is None else trace
     base = len(own_trace)
     nv = 2 * c.index.nbus * c.index.nphase
+    kcl = np.flatnonzero(c.kcl_mask)
     # one node re-initialized per attempt; each generator or ZIP lane needs
     # at most one, so an arbitrary start (all zeros included) gets through
     reinits = c.lane_v.size
@@ -242,25 +244,26 @@ def run_newton(
                     raise
                 _reinit_voltage(current, c.network, zvi.bus, zvi.phase)
         system.assemble(c.pattern, data, rhs)
-        residual = _max_abs(system.matrix @ current.x - rhs, c.kcl_mask)
+        f = system.matrix @ current.x - rhs
+        residual = float(np.abs(f[kcl]).max()) if kcl.size else 0.0
         if residual < options.tol:
             return current, True, k, residual
         if k == options.max_iter:
             break
 
         x_raw = system.factor_solve()
-        dv = x_raw[:nv] - current.x[:nv]
+        v_k = current.x[:nv]
+        dv = x_raw[:nv] - v_k
         abs_dv = np.abs(dv)
         max_dv = float(abs_dv.max()) if nv else 0.0
-        new = current.copy()
-        new.x[:nv] = apply_voltage_limiting(current.x[:nv], dv, options)
+        # auxiliary slack currents and Q slots take the raw solve
+        new = StateVector(x_raw.copy(), current.index)
+        new.x[:nv] = apply_voltage_limiting(v_k, dv, options)
         # the limiter's decisions, not the round-off of v_k + (x_raw - v_k)
-        reach = current.x[:nv] + dv
+        reach = v_k + dv
         limited = int(np.count_nonzero(
             (abs_dv > options.dv_max) | (reach < options.v_min) | (reach > options.v_max)
         ))
-        # auxiliary slack currents and Q slots take the raw solve
-        new.x[nv:] = x_raw[nv:]
         # Q limiting on free generator slots; an infinite cap limits nothing
         if options.di_max != math.inf:
             pinned = modes.mode.ravel()[c.slot_lanes] == GEN_PINNED

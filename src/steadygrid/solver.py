@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -98,10 +99,10 @@ class SolverOptions:
     adjust_taps: bool = False
 
     def __post_init__(self):
-        if self.outer_max_passes < 1:
-            raise ValueError("outer_max_passes must be >= 1")
-        if not self.gamma > 0:  # also rejects nan
-            raise ValueError("gamma must be positive")
+        if not isinstance(self.outer_max_passes, numbers.Integral) or self.outer_max_passes < 1:
+            raise ValueError("outer_max_passes must be an integer >= 1")
+        if not 0 < self.gamma < math.inf:  # also rejects nan
+            raise ValueError("gamma must be finite and positive")
         if self.homotopy not in ("none", "tx", "power"):
             raise ValueError(f"unknown homotopy method {self.homotopy!r}")
 

@@ -240,7 +240,9 @@ class Companion:
     continuation steps, taps and shunt blocks change values, never the layout.
     ``pattern`` is the whole fixed CSC pattern; ``linear_slots`` and
     ``nonlinear_slots`` are the slots of the values :meth:`bind` and
-    :func:`assemble_system` emit, in emission order. Lanes are (generator,
+    :func:`assemble_system` emit, in emission order, and
+    ``nonlinear_rhs_rows`` the rows of the right-hand side values
+    :func:`assemble_system` emits. Lanes are (generator,
     phase), then (ZIP load, terminal), in device order. Lane, regulated and
     delta nodes are complex node numbers: node ``k`` is ``V_R`` at ``2k``
     and ``V_I`` at ``2k + 1``, the ``k``-th entry of the complex view of the
@@ -266,6 +268,8 @@ class Companion:
     vc_sq: np.ndarray  # squared regulated magnitude per slot lane
     delta_lanes: np.ndarray  # lanes of delta terminals
     zip_b: np.ndarray  # - node per delta lane
+    delta_src: np.ndarray  # where each delta-block value sits among the lanes' dI/du values
+    delta_sign: np.ndarray  # its sign there
     kcl_mask: np.ndarray  # rows whose mismatch counts: all but slack KCL rows
 
     def __post_init__(self):
@@ -280,35 +284,43 @@ class Companion:
 
         Raises ``ValueError`` on a non-positive transformer tap.
         """
-        tap = params.xfmr_tap
-        bad = np.flatnonzero(np.any(tap <= 0, axis=1))
-        if bad.size:
-            tx = self.network.transformers[bad[0]]
-            raise ValueError(
-                f"transformer {tx.from_bus}-{tx.to_bus}: tap must be positive, "
-                f"got {tap[bad[0]]}"
-            )
-        # complex admittance per laid-out triplet group, in layout order;
-        # transformers stamp N^-* Y N^-1, -N^-* Y, -Y N^-1 and Y
-        n = tap * np.exp(1j * params.xfmr_shift)
-        n_row, n_col = n[:, :, None], n[:, None, :]
-        yb, yt = params.branch_y, params.xfmr_y
-        short = np.full(self.n_short, params.short_y)
+        # complex admittance per laid-out triplet group, in layout order; a
+        # family the network lacks lays out no triplet, so it is skipped
+        groups = []
+        if self.network.branches:
+            yb = params.branch_y
+            groups += [yb, -yb, yb, -yb, 1j * params.branch_bf, 1j * params.branch_bt]
+        if self.network.transformers:
+            tap = params.xfmr_tap
+            bad = np.flatnonzero(tap <= 0)
+            if bad.size:
+                k = bad[0] // tap.shape[1]
+                tx = self.network.transformers[k]
+                raise ValueError(
+                    f"transformer {tx.from_bus}-{tx.to_bus}: tap must be positive, "
+                    f"got {tap[k]}"
+                )
+            # transformers stamp N^-* Y N^-1, -N^-* Y, -Y N^-1 and Y
+            n = tap * np.exp(1j * params.xfmr_shift)
+            n_row, n_col = n[:, :, None], n[:, None, :]
+            yt = params.xfmr_y
+            groups += [yt / (np.conj(n_row) * n_col), -yt / np.conj(n_row), -yt / n_col, yt]
+        groups += [params.shunt_y, params.big_y]
+        if self.n_short:
+            short = np.full(self.n_short, params.short_y)
+            groups += [short, -short, short, -short]
         yz = params.zip_y
-        yd = yz[self.zip_delta]
-        groups = (
-            yb, -yb, yb, -yb, 1j * params.branch_bf, 1j * params.branch_bt,
-            yt / (np.conj(n_row) * n_col), -yt / np.conj(n_row), -yt / n_col, yt,
-            params.shunt_y, params.big_y,
-            short, -short, short, -short,
-            yz, -yd, yd, -yd,
-        )
-        y = np.concatenate([g.ravel() for g in groups]).astype(complex)
+        groups.append(yz)
+        if self.delta_lanes.size:
+            yd = yz[self.zip_delta]
+            groups += [-yd, yd, -yd]
+        y = np.concatenate([g.ravel() for g in groups], dtype=complex)
         g, b = y.real, y.imag
         rhs = self.slack_rhs.copy()
-        alpha = params.big_alpha.ravel()
-        np.add.at(rhs, self.big_v, -alpha.real)
-        np.add.at(rhs, self.big_v + 1, -alpha.imag)
+        if self.big_v.size:
+            alpha = params.big_alpha.ravel()
+            np.add.at(rhs, self.big_v, -alpha.real)
+            np.add.at(rhs, self.big_v + 1, -alpha.imag)
         gen_p, zip_i, zip_s = params.gen_p.ravel(), params.zip_i.ravel(), params.zip_s.ravel()
         data = np.bincount(
             self.linear_slots,
@@ -316,21 +328,34 @@ class Companion:
             minlength=self.pattern.indices.size,
         )
         data.setflags(write=False)
+        lane_cc = np.concatenate([np.zeros(gen_p.size), np.conj(zip_i)])
+        lane_live = np.concatenate([np.ones(gen_p.size, bool), (zip_i != 0) | (zip_s != 0)])
         return BoundCompanion(
             layout=self,
             linear_data=data,
             linear_rhs=rhs,
             gen_p=gen_p,
             lane_cs=np.concatenate([gen_p - 1j * params.gen_q.ravel(), np.conj(zip_s)]),
-            lane_cc=np.concatenate([np.zeros(gen_p.size), np.conj(zip_i)]),
-            lane_live=np.concatenate([np.ones(gen_p.size, bool), (zip_i != 0) | (zip_s != 0)]),
+            lane_cc=lane_cc,
+            lane_live=lane_live,
+            # with every lane_cc zero a pass adds the scalar 0j; a zero that
+            # differs only in sign never reaches data or rhs, whose sums
+            # start from bincount's +0
+            has_cc=bool(np.count_nonzero(lane_cc)),
+            all_live=np.count_nonzero(lane_live) == lane_live.size,
         )
 
 
 @dataclass(frozen=True)
 class BoundCompanion:
     """One parameter set's linear part as CSC data over the layout's pattern
-    (read-only), its constant rhs and its lane parameters."""
+    (read-only), its constant rhs and its lane parameters.
+
+    ``has_cc`` and ``all_live`` tell :func:`assemble_system` which of its
+    steps a pass can skip: with no constant-current part, every lane's
+    ``a`` term is exactly ``0j``; with every lane live, no magnitude needs
+    masking.
+    """
 
     layout: Companion
     linear_data: np.ndarray
@@ -339,6 +364,8 @@ class BoundCompanion:
     lane_cs: np.ndarray  # conj(s) per lane: P - jQ with the fixed Q (0 on Q-slot lanes)
     lane_cc: np.ndarray  # conj(c) per lane, 0 on generator lanes
     lane_live: np.ndarray  # generator lanes and ZIP lanes with a constant-current or -power part
+    has_cc: bool  # some lane has a constant-current part
+    all_live: bool  # every lane is live
 
 
 def build_companion(network: Network, index: IndexMap) -> Companion:
@@ -418,11 +445,25 @@ def build_companion(network: Network, index: IndexMap) -> Companion:
     vc_set = np.repeat(np.array([network.bus(b).v_set for b in targets], dtype=float), nph)
     gv = gen_v[slot_lanes]
     za, zd, zb = za.ravel(), zd.ravel(), zb.ravel()
+    lanes = np.concatenate([gen_v, za])
+
+    def pairs(a, b):
+        """``a`` and ``b`` interleaved, in the order of a complex array's floats."""
+        return np.stack([a, b], axis=1).ravel()
+
+    # nonlinear values in the order assemble_system writes them: dI/du per
+    # lane, real and imaginary parts interleaved, as the (R, R) and (I, R)
+    # entries of its block, then again as (I, I) and (R, I); the dI/dQ
+    # column; the Q-slot rows (diagonals, then both regulated-voltage columns
+    # interleaved); the delta blocks (+ node row, - node column; the reverse;
+    # - node diagonal). Each slot still receives its values in the order of
+    # the lanes, delta blocks last
     nl_rows, nl_cols = zip(
-        _blocks(gen_v, gen_v),
-        (np.concatenate([gv, gv + 1]), np.concatenate([q_idx, q_idx])),
-        (np.concatenate([q_idx, q_idx, q_idx]), np.concatenate([q_idx, vc_v, vc_v + 1])),
-        _blocks(za, za),
+        (pairs(lanes, lanes + 1), pairs(lanes, lanes)),
+        (pairs(lanes + 1, lanes), pairs(lanes + 1, lanes + 1)),
+        (pairs(gv, gv + 1), np.repeat(q_idx, 2)),
+        (np.concatenate([q_idx, np.repeat(q_idx, 2)]),
+         np.concatenate([q_idx, pairs(vc_v, vc_v + 1)])),
         _blocks(zd, zb),
         _blocks(zb, zd),
         _blocks(zb, zb),
@@ -430,7 +471,11 @@ def build_companion(network: Network, index: IndexMap) -> Companion:
     pattern, slots = compress_pattern(
         index.dim, np.concatenate([rows, *nl_rows]), np.concatenate([cols, *nl_cols])
     )
-    lanes = np.concatenate([gen_v, za])
+    # the delta blocks repeat dI/du of the delta lanes, entry-major like
+    # _blocks, from where assemble_system wrote it: -, -, then + on the - node
+    nl = lanes.size
+    dl = gen_v.size + np.flatnonzero(np.repeat(delta, nph))
+    jd = np.concatenate([2 * dl, 2 * nl + 2 * dl + 1, 2 * dl + 1, 2 * nl + 2 * dl])
     return Companion(
         network=network,
         index=index,
@@ -442,15 +487,17 @@ def build_companion(network: Network, index: IndexMap) -> Companion:
         big_v=bl.ravel(),
         slack_vals=np.concatenate([-ones, -ones, ones, ones]),
         slack_rhs=slack_rhs,
-        nonlinear_rhs_rows=np.concatenate([lanes, lanes + 1, q_idx, zb, zb + 1]),
+        nonlinear_rhs_rows=np.concatenate([pairs(lanes, lanes + 1), q_idx, pairs(zb, zb + 1)]),
         lane_v=lanes // 2,
         n_gen=gen_v.size,
         slot_lanes=slot_lanes,
         q_idx=q_idx,
         vc_v=vc_v // 2,
         vc_sq=vc_set * vc_set,
-        delta_lanes=gen_v.size + np.flatnonzero(np.repeat(delta, nph)),
+        delta_lanes=dl,
         zip_b=zb // 2,
+        delta_src=np.tile(jd, 3),
+        delta_sign=np.repeat([-1.0, -1.0, 1.0], jd.size),
         kcl_mask=kcl_mask,
     )
 
@@ -481,11 +528,15 @@ def assemble_system(
     """Companion system at the iterate; returns ``(data, rhs)``: the CSC data
     over ``bound.layout.pattern`` and the dense right-hand side.
 
-    The bound linear data is copied and the nonlinear values are added at
-    their slots in layout order, so every slot sums its values in the same
-    order on every call. Generator voltage derivatives are scaled by the damping
-    factor ``zeta``; the dI/dQ column is left unscaled. Pinned Q-slot rows
-    become identity pins at ``modes.q_pin``.
+    The nonlinear values are written in layout order into one array and
+    added to a copy of the bound linear data at their slots, so every slot
+    sums its values in the same order on every call; the right-hand side is
+    one ``np.bincount`` over the layout's rows. Steps on parts the network
+    lacks (delta terminals, Q slots) or the parameter set lacks
+    (constant-current parts, lanes that are not live) are skipped, with the
+    same bits as taking them. Generator voltage derivatives are scaled by the
+    damping factor ``zeta``; the dI/dQ column is left unscaled. Pinned Q-slot
+    rows become identity pins at ``modes.q_pin``.
     """
     c = bound.layout
     if modes is None:
@@ -493,52 +544,70 @@ def assemble_system(
     x = state.x
     node = x[: 2 * c.index.nbus * c.index.nphase].view(complex)
     u = node[c.lane_v]
-    u[c.delta_lanes] -= node[c.zip_b]
-    if not u.all():  # some lane sits at zero voltage
+    dl = c.delta_lanes
+    if dl.size:
+        u[dl] -= node[c.zip_b]
+    if np.count_nonzero(u) < u.size:  # some lane sits at zero voltage
         _check_nonzero(bound, u)
 
     # every lane in closed form (module docstring); Q-slot lanes read Q from
     # the state, and lanes without a constant-current or -power part may sit
     # at u = 0 (a delta terminal between equal phase voltages)
     ng, slot = c.n_gen, c.slot_lanes
-    q = x[c.q_idx]
-    cs = bound.lane_cs.copy()
-    cs.imag[slot] = -q
-    m2 = 1.0 / np.where(bound.lane_live, u.real * u.real + u.imag * u.imag, 1.0)
-    a = bound.lane_cc * (0.5 * np.sqrt(m2))
+    nl, ns = u.size, slot.size
+    cs = bound.lane_cs
+    if ns:
+        q = x[c.q_idx]
+        cs = cs.copy()
+        cs.imag[slot] = -q
+    sq = u.view(float) * u.view(float)
+    m2 = sq[0::2] + sq[1::2]  # |u|^2
+    m2 = 1.0 / (m2 if bound.all_live else np.where(bound.lane_live, m2, 1.0))
+    # with no constant-current part, lane_cc * s is 0j on every lane
+    a = bound.lane_cc * (0.5 * np.sqrt(m2)) if bound.has_cc else 0j
     h = cs * m2 + a
     uh = u * h
     b = h * (u * u * m2)
-    d_re, d_im = a - b, a + b  # dI/dRe(u), and dI/dIm(u) / j
-    jac = np.array([d_re.real, -d_im.imag, d_re.imag, d_im.real])
-    jq = 1j * u[slot] * m2[slot]  # -dI/dQ
 
+    # the values in layout order (build_companion): dI/dRe(u) = a - b and
+    # dI/dIm(u) / j = a + b per lane, whose imaginary part enters negated;
+    # generator lanes are damped by zeta
+    vals = np.empty(c.nonlinear_slots.size)
+    d = vals[: 4 * nl].view(complex)
+    np.subtract(a, b, out=d[:nl])
+    np.add(a, b, out=d[nl:])
+    np.conjugate(d[nl:], out=d[nl:])
+    vals[: 4 * nl].reshape(2, nl, 2)[:, :ng] *= -zeta
     # right-hand sides: generators inject (minus in KCL), loads draw
-    r = -2.0 * uh
-    r[:ng] = (1.0 + zeta) * uh[:ng]
-    r[slot] += jq * q
+    rhs_vals = np.empty(c.nonlinear_rhs_rows.size)
+    r = rhs_vals[: 2 * nl].view(complex)
+    np.multiply(-2.0, uh, out=r)
+    np.multiply(1.0 + zeta, uh[:ng], out=r[:ng])
+    if ns:
+        at = 4 * nl
+        jq = vals[at: at + 2 * ns].view(complex)  # -dI/dQ
+        np.multiply(1j * u[slot], m2[slot], out=jq)
+        r[slot] += jq * q
+        # Q-slot rows: |V_w|^2 = vset^2 linearized, or the pin while at a limit
+        pinned = modes.mode.ravel()[slot] == GEN_PINNED
+        vals[at + 2 * ns: at + 3 * ns] = pinned
+        w = node[c.vc_v]
+        sq = w.view(float) * w.view(float)
+        vc_rhs = rhs_vals[2 * nl: 2 * nl + ns]
+        np.negative(c.vc_sq + sq[0::2] + sq[1::2], out=vc_rhs)
+        dw = vals[at + 3 * ns: at + 5 * ns].view(complex)
+        np.multiply(-2.0, w, out=dw)
+        if np.count_nonzero(pinned):
+            vc_rhs[pinned] = modes.q_pin.ravel()[slot][pinned]
+            dw[pinned] = 0.0
+    if dl.size:
+        # delta terminals stamp +J on the + node and -J on the - node
+        np.multiply(vals[c.delta_src], c.delta_sign, out=vals[4 * nl + 5 * ns:])
+        np.negative(r[dl], out=rhs_vals[2 * nl + ns:].view(complex))
 
-    # Q-slot rows: |V_w|^2 = vset^2 linearized, or the pin while at a limit
-    pinned = modes.mode.ravel()[slot] == GEN_PINNED
-    w = node[c.vc_v]
-    vc_rhs = -(c.vc_sq + w.real * w.real + w.imag * w.imag)
-    dw = -2.0 * w
-    if pinned.any():
-        vc_rhs = np.where(pinned, modes.q_pin.ravel()[slot], vc_rhs)
-        dw = np.where(pinned, 0.0, dw)
-
-    # delta terminals stamp +J on the + node and -J on the - node
-    dl = c.delta_lanes
-    jd = jac[:, dl].ravel()
-    vals = np.concatenate([
-        (-zeta * jac[:, :ng]).ravel(), jq.real, jq.imag,
-        pinned.astype(float), dw.real, dw.imag,
-        jac[:, ng:].ravel(), -jd, -jd, jd,
-    ])
     data = bound.linear_data.copy()
     # lanes share slots (a generator and a load on one bus, neighbouring
     # delta terminals): add in layout order, never pre-reduced
     np.add.at(data, c.nonlinear_slots, vals)
-    nl_rhs = np.concatenate([r.real, r.imag, vc_rhs, -r.real[dl], -r.imag[dl]])
-    rhs = np.bincount(c.nonlinear_rhs_rows, weights=nl_rhs, minlength=c.index.dim)
+    rhs = np.bincount(c.nonlinear_rhs_rows, weights=rhs_vals, minlength=c.index.dim)
     return data, rhs + bound.linear_rhs

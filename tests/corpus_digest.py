@@ -48,6 +48,17 @@ network whose path changed:
 
     PYTHONPATH=src python3 tests/corpus_digest.py --plans > after.txt
 
+``--call-costs CASE METHOD`` prints, instead, what the calls made on every
+Newton pass cost inside live solves of one corpus case (say
+``hard_corridor.net power``): the median µs per call, the calls per solve
+and the share of solve time of ``Companion.bind``, ``assemble_system``,
+``SparseSystem.factor_solve`` and the factorization call within it
+(``dgetrf``, ``dgbtrf`` or ``splu``). Small numpy calls cost far more in a
+standalone loop than inside a solve, so two trees are compared by running
+this on each, alternately; it runs with every BLAS pool at one thread:
+
+    PYTHONPATH=src python3 tests/corpus_digest.py --call-costs hard_corridor.net power
+
 pytest does not collect this file (its name does not start with ``test_``).
 """
 
@@ -55,18 +66,21 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import itertools
 import json
 import math
 import os
+import statistics
 import sys
 import tempfile
+import time
 
 import numpy as np
 
-from steadygrid import linsys, solver
+from steadygrid import linsys, nr, solver, stamps
 from steadygrid.caseio import load_case
 from steadygrid.cli import main
 from steadygrid.homotopy import lambda_trace_to_csv
@@ -75,6 +89,10 @@ from steadygrid.solver import SolverOptions, solve
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CASES = os.path.join(ROOT, "cases")
+
+COST_SOLVES = 40  # timed solves of --call-costs, after one untimed
+SINGLE_THREAD = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 CLI_COMMANDS = [
     ["sweep", "cases/case14.net", "--samples", "15", "--seed", "7"],
@@ -187,6 +205,52 @@ def plan_lines():
         yield f"{case} n={index.dim} {name}"
 
 
+def call_cost_lines(case: str, method: str):
+    """A header, then ``call us/call calls/solve share`` per timed call that
+    ran, over ``COST_SOLVES`` solves of one loaded network (its set-up is
+    kept between solves, as in the benchmark)."""
+    times: dict[str, list[int]] = {}
+
+    def timed(name, fn):
+        calls = times.setdefault(name, [])
+
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter_ns()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                calls.append(time.perf_counter_ns() - start)
+
+        return wrapper
+
+    stamps.Companion.bind = timed("Companion.bind", stamps.Companion.bind)
+    nr.assemble_system = timed("assemble_system", nr.assemble_system)
+    linsys.SparseSystem.factor_solve = timed(
+        "SparseSystem.factor_solve", linsys.SparseSystem.factor_solve
+    )
+    for name in ("dgetrf", "dgbtrf", "splu"):
+        setattr(linsys, name, timed(name, getattr(linsys, name)))
+    network = load_case(os.path.join(CASES, case)).network
+    options = SolverOptions(homotopy=method)
+    solve(network, options)  # set-up and plan
+    for calls in times.values():
+        calls.clear()
+    solve_ns = []
+    for _ in range(COST_SOLVES):
+        start = time.perf_counter_ns()
+        solve(network, options)
+        solve_ns.append(time.perf_counter_ns() - start)
+    total = sum(solve_ns)
+    yield (f"{case} {method}: {COST_SOLVES} solves, median "
+           f"{statistics.median(solve_ns) / 1e6:.3f} ms, one BLAS thread")
+    yield f"{'call':<28}{'us/call':>10}{'calls/solve':>13}{'share':>8}"
+    for name, calls in times.items():
+        if calls:
+            yield (f"{name:<28}{statistics.median(calls) / 1e3:>10.1f}"
+                   f"{len(calls) / COST_SOLVES:>13.1f}{sum(calls) / total:>8.1%}")
+
+
 def _seed_range(text: str) -> range:
     first, _, last = text.partition("-")
     return range(int(first), int(last or first) + 1)
@@ -227,8 +291,16 @@ if __name__ == "__main__":
                         help="the seeds of --jobs, A to B inclusive (default 1)")
     parser.add_argument("--plans", action="store_true",
                         help="print each corpus network's factorization plan instead")
+    parser.add_argument("--call-costs", nargs=2, metavar=("CASE", "METHOD"),
+                        help="print the cost of each per-pass call in live solves instead")
     args = parser.parse_args()
-    if args.plans:
+    if args.call_costs and any(os.environ.get(v) != "1" for v in SINGLE_THREAD):
+        # the BLAS pools size themselves at import: run again with one thread
+        env = dict(os.environ, **dict.fromkeys(SINGLE_THREAD, "1"))
+        os.execve(sys.executable, [sys.executable, *sys.argv], env)
+    if args.call_costs:
+        print("\n".join(call_cost_lines(*args.call_costs)))
+    elif args.plans:
         print("\n".join(plan_lines()))
     elif args.jobs:
         for line in job_lines(args.jobs, args.seeds):

@@ -346,11 +346,22 @@ def test_pass_limit_reports_infeasible():
     {"nr": {"zeta_min": 2.0}},
     {"gamma": 0.0},
     {"gamma": -1e4},
+    {"gamma": math.inf},
+    {"gamma": math.nan},
+    {"outer_max_passes": 2.5},
+    {"nr": {"max_iter": 2.5}},
 ])
 def test_options_reject_bad_values(bad):
     parts = {"nr": NrOptions}
     with pytest.raises(ValueError):
         SolverOptions(**{k: parts[k](**v) if k in parts else v for k, v in bad.items()})
+
+
+def test_counts_take_any_integer_type():
+    # numpy integers are counts too; floats are rejected (see above)
+    options = SolverOptions(outer_max_passes=np.int64(2), nr=NrOptions(max_iter=np.int32(30)))
+    report, _ = solve(load_case(case_path("case14.net")).network, options)
+    assert report.status == CONVERGED
 
 
 def test_determinism_of_reports_and_solutions():

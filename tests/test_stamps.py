@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +34,7 @@ from steadygrid.stamps import (
 )
 
 from conftest import (
+    CASE_DIR,
     case_path,
     make_zip,
     net_3bus,
@@ -40,6 +42,7 @@ from conftest import (
     net_allparts,
     residual_vector,
 )
+from stamps_reference import reference_assemble, reference_bind
 
 
 def dense_system(net, state=None, params=None, zeta=1.0, modes=None):
@@ -665,3 +668,51 @@ def test_device_params_are_read_only():
         stepped.gen_p[0, 0] = 0.0
     with pytest.raises(ValueError):
         stepped.branch_y[0, 0, 0] = 0.0
+
+
+# -- the per-pass steps against their reference formulations -------------------
+
+BIT_NETWORKS = sorted(os.listdir(CASE_DIR)) + ["net_3phase_delta"]
+
+
+def _bit_network(name):
+    return net_3phase_delta() if name == "net_3phase_delta" else load_case(case_path(name)).network
+
+
+@pytest.mark.parametrize("name", BIT_NETWORKS)
+def test_bind_and_assembly_match_the_reference_byte_for_byte(name):
+    net = _bit_network(name)
+    index = IndexMap(net)
+    layout = build_companion(net, index)
+    base = effective_params(net)
+    params = [base] + [tx_transform(base, lam, 1e4) for lam in (1.0, 0.5, 0.0)]
+    params += [power_transform(base, beta) for beta in (0.5, 0.0)]
+    rng = np.random.default_rng(17)
+    states = []
+    for _ in range(3):
+        state = flat_state(index)
+        state.x[:] = rng.uniform(-1.5, 1.5, size=index.dim)
+        states.append(state)
+    if name == "net_3phase_delta":
+        # terminal b-c keeps only its impedance part: equal phase voltages
+        # there put an inactive delta lane at u = 0
+        state = flat_state(index)
+        pos = net.bus_index[3]
+        state.set_voltage(pos, 2, complex(state.x[index.vr(pos, 1)], state.x[index.vi(pos, 1)]))
+        states.append(state)
+    free = GenModes.initial(net)
+    pinned = GenModes.initial(net)
+    if index.vc_gen_positions:
+        pinned.mode[index.vc_gen_positions[0]] = GEN_PINNED
+        pinned.q_pin[index.vc_gen_positions[0]] = 0.3
+    for p in params:
+        bound = layout.bind(p)
+        for field, want in reference_bind(layout, p).items():
+            assert getattr(bound, field).tobytes() == want.tobytes(), field
+        for state in states:
+            for zeta in (1.0, 0.25):
+                for modes in (free, pinned):
+                    got = assemble_system(bound, state, zeta, modes)
+                    want = reference_assemble(bound, state, zeta, modes)
+                    assert got[0].tobytes() == want[0].tobytes()
+                    assert got[1].tobytes() == want[1].tobytes()
