@@ -6,6 +6,7 @@ the shared immutable network, so repeated runs give identical results.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -75,6 +76,8 @@ class SweepSpec:
     seed: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.samples, numbers.Integral):
+            raise ValueError("samples must be an integer")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
 

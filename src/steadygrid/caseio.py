@@ -232,9 +232,8 @@ def _parse_net(text: str, name: str) -> Network:
             r, x = float(toks[3]), float(toks[4])
             tap = float(toks[5]) if len(toks) > 5 else 1.0
             shift = float(toks[6]) if len(toks) > 6 else 0.0
-            tap_min = float(toks[7]) if len(toks) > 7 else 0.8
-            tap_max = float(toks[8]) if len(toks) > 8 else 1.2
-            tap_step = float(toks[9]) if len(toks) > 9 else 0.00625
+            # the tap table fields the record gives; Transformer holds the defaults
+            table = {k: float(t) for k, t in zip(("tap_min", "tap_max", "tap_step"), toks[7:10])}
             ctrl = None
             if len(toks) > 10 and toks[10] != "-":
                 ctrl = int(toks[10])
@@ -245,8 +244,7 @@ def _parse_net(text: str, name: str) -> Network:
             Transformer(
                 tid, fb, tb, y_series=series_y(r, x),
                 tap=phase_array(tap, 1), shift=phase_array(math.radians(shift), 1),
-                tap_min=tap_min, tap_max=tap_max, tap_step=tap_step,
-                controlled_bus=ctrl, v_target=vtgt,
+                **table, controlled_bus=ctrl, v_target=vtgt,
             )
         )
 
@@ -334,6 +332,12 @@ def _c3(re_list, im_list) -> np.ndarray:
     return arr
 
 
+def _given(rec: dict, *names: str) -> dict:
+    """The named fields that a record gives, as floats: a field it omits
+    keeps its dataclass default."""
+    return {name: float(rec[name]) for name in names if name in rec}
+
+
 def _parse_json3p(text: str, name: str) -> Network:
     try:
         doc = json.loads(text)
@@ -349,7 +353,7 @@ def _parse_json3p(text: str, name: str) -> Network:
             Bus(
                 id=int(rec["id"]),
                 kind=kind,
-                base_kv=float(rec.get("base_kv", 1.0)),
+                **_given(rec, "base_kv"),
                 v_set=rec.get("v_set"),
                 angle=math.radians(float(rec.get("angle_deg", 0.0))),
             )
@@ -431,9 +435,7 @@ def _parse_json3p(text: str, name: str) -> Network:
                 y_series=_c3(rec["y_real_pu"], rec["y_imag_pu"]),
                 tap=phase_array(rec.get("tap", [1.0] * nph), nph),
                 shift=phase_array(np.radians(np.asarray(rec.get("shift_deg", [0.0] * nph), dtype=float)), nph),
-                tap_min=float(rec.get("tap_min", 0.8)),
-                tap_max=float(rec.get("tap_max", 1.2)),
-                tap_step=float(rec.get("tap_step", 0.00625)),
+                **_given(rec, "tap_min", "tap_max", "tap_step"),
                 controlled_bus=rec.get("controlled_bus"),
                 v_target=rec.get("v_target"),
             )

@@ -31,15 +31,18 @@ chosen:
 * larger systems: the first factorization of a pattern goes to SuperLU with
   COLAMD, and its flop count
   ``F = Σ_j nnz(L[j+1:, j]) · nnz(U[j, j+1:]) + nnz(L) − n`` chooses the
-  band LU when ``n·kl·(kl+ku) <= _BAND_FLOP_RATIO · F``, else SuperLU (the
-  plan ``"SuperLU"``, described below). The call that chooses the band
-  factors the same scaled data again with ``dgbtrf`` and solves with the
-  band, so every factorization of a band pattern takes the same path,
+  band LU when ``n·kl·(kl+ku) <= _BAND_FLOP_RATIO · F``, else SuperLU in
+  that call's column order (described below). The call that chooses the
+  band factors the same scaled data again with ``dgbtrf`` and solves with
+  the band, so every factorization of a band pattern takes the same path,
   whether the plan was chosen in the call, earlier in the same solve or by
   another solve of the same network; a solve's result does not depend on
-  what was solved before it. The flop count does depend on the values of
-  the first factorization, but the measured ratios below sit far from the
-  threshold.
+  what was solved before it. The call that chooses SuperLU solves with its
+  own factors, which are the ones every later call's ``NATURAL``
+  factorization of the same values would give. The flop count does depend
+  on the values of the first factorization, but the measured ratios below
+  sit far from the threshold. ``orderings`` counts these COLAMD calls: one
+  per pattern above the cutoff, made by the system that chose its plan.
 
 The three paths:
 
@@ -71,7 +74,15 @@ The three paths:
   The order is set up once per pattern: in live N-1 runs of case56 (121
   unknowns), where every outage is a new pattern, it took a median of
   0.51 ms, about half of it in forming ``A + Aᵀ``.
-* SuperLU, with a scatter-maximum over the CSC arrays, as described below.
+* SuperLU: the plan keeps COLAMD's column order ``perm_c`` from the
+  pattern's first factorization, the gather of each CSC entry into the
+  column-permuted matrix ``A Pc`` and that matrix's ``indices``/``indptr``.
+  The row maxima come from a scatter-maximum over the CSC arrays. The scaled
+  data goes by one gather into the system's own ``A Pc``, which SuperLU
+  factors in ``NATURAL`` order, and the solution is un-permuted. COLAMD
+  orders the structure, explicit zeros (open shorts, zeroed loads)
+  included, so, as on the band, a change in the set of exact zeros never
+  orders again.
 
 The dense cutoff is the crossover measured in live ``tx`` solves of
 generated k x k' meshes, timing every ``factor_solve`` call with either path
@@ -117,7 +128,7 @@ Above the cutoff, the band rule reads SuperLU's flop count because no
 cutoff on the band's work ``n·kl·(kl+ku)`` or on its width alone separates
 the systems where the band wins (below it, the other path is dense, whose
 work ``n³/3`` the pattern gives). Median ``dgbtrf`` time against ``splu``
-in ``NATURAL`` order on the kept COLAMD order, row-equilibrated systems,
+in ``NATURAL`` order on COLAMD's column order, row-equilibrated systems,
 2 cores, one BLAS thread; a tile is copies of case196 joined by 3 random
 ties per copy:
 
@@ -138,19 +149,22 @@ where the band's gain is small, on SuperLU. The band's work alone does not
 separate them: the x2 tile (8.2e6, band loses) sits below the 30 x 45 mesh
 (2.1e7, band wins).
 
-On the SuperLU side, the scaled matrix drops the pattern's explicit zeros
-(open shorts, zeroed loads): SuperLU orders columns by the structure, so a
-kept zero would change the pivots and the solution. The column order
-depends on the values' zeros, so it lives on the :class:`SparseSystem`, not
-on the plan. COLAMD runs on a system's first factorization of a pattern
-and again only when the set of dropped zeros changes (``orderings`` counts
-these); every other factorization gathers the values into the
-column-permuted matrix and calls SuperLU in ``NATURAL`` order, which yields
-the same L and U. A pattern on the band keeps no column order, so
-``orderings`` counts only the call that chose its plan above the cutoff,
-and nothing below it. On either path the refinement residual is taken on the unpermuted matrix,
-because a permuted product sums each row in another order and the result
-would differ in the last bits.
+The SuperLU order is structural since it stopped following the set of
+exact zeros: a system used to keep COLAMD's order of its zero-dropped
+matrix, and ordered again whenever that set changed. On every system
+captured from tile solves (x2 with Q limits, x4 without, under each
+method) the structural order gave the same flop count, and the
+``NATURAL`` factorization took 0.97-0.98 of the old order's time per
+call (interleaved in one process, 2 cores, one BLAS thread). Two patterns
+that differ only by explicit-zero slots now solve alike only to the last
+bits, on SuperLU as on the band.
+
+The band and SuperLU paths keep the scaled data on the whole pattern in one
+CSC matrix per system, which gives COLAMD its input and the refinement its
+residual. The residual is taken on the unpermuted matrix, because a
+permuted product sums each row in another order and the result would differ
+in the last bits; an explicit zero adds a zero product to a sum that starts
+at +0, which never changes it.
 
 Every SuperLU factorization uses one setting, ``_SUPERLU_SETTING``:
 ``relax=1, panel_size=1``, so no relaxed supernodes and no panels. scipy's
@@ -189,9 +203,6 @@ _BAND_FLOP_RATIO = 16.0
 # band path's higher fixed cost per call (see the module docstring)
 _BAND_MIN_SAVING = 30000
 
-# the plan of a pattern whose band work the flop rule rejects
-_SUPERLU = "SuperLU"
-
 # a row maximum at or below this has no finite scale: its reciprocal overflows
 _MIN_ROW_MAX = 1.0 / np.finfo(float).max
 
@@ -211,11 +222,12 @@ class CscPattern:
 
     ``plan`` is the path of every factorization on the pattern: ``None``
     until the first one chooses it, then a :class:`_DensePlan`, a
-    :class:`_BandPlan` or ``"SuperLU"`` (see the module docstring). At or
-    below ``_DENSE_MAX_N`` unknowns the plan is the band or the dense one,
-    chosen from the pattern alone; above it, SuperLU's first factorization
-    chooses between the band and SuperLU. A plan holds no writable memory,
-    so every system on the pattern shares it.
+    :class:`_BandPlan` or a :class:`_SuperluPlan` (see the module
+    docstring), which never changes. At or below ``_DENSE_MAX_N`` unknowns
+    the plan is the band or the dense one, chosen from the pattern alone;
+    above it, SuperLU's first factorization chooses between the band and
+    SuperLU in that call's column order. A plan holds read-only arrays
+    only, so every system on the pattern shares it.
     """
 
     indices: np.ndarray
@@ -249,35 +261,14 @@ def _columns(pattern: CscPattern) -> np.ndarray:
     return np.repeat(np.arange(pattern.indptr.size - 1), np.diff(pattern.indptr))
 
 
-def _csc(n: int, cols: np.ndarray, rows: np.ndarray) -> sparse.csc_matrix:
-    """An ``n x n`` CSC matrix over entries already sorted by column, whose
-    data a gather fills in place before each use."""
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
-    return sparse.csc_matrix(
-        (np.empty(rows.size), rows, indptr.astype(np.int32)), shape=(n, n)
-    )
+class _Buffer:
+    """One system's Fortran-order matrix of a dense or band plan's shape:
+    ``flat[plan.slots]`` are the pattern's entries in CSC order and every
+    other entry stays zero."""
 
-
-class _Order:
-    """SuperLU's column order ``perm_c`` for one set of dropped zeros.
-
-    ``gather`` takes the pattern's other slots into ``a_s`` in the original
-    column order; ``gather_p`` takes them into ``a_p``, whose column ``j`` is
-    the column ``i`` of ``a_s`` with ``perm_c[i] == j`` (``A Pc`` in SuperLU's
-    terms), so ``a_p`` factors in ``NATURAL`` order to the same L and U.
-    """
-
-    def __init__(self, pattern: CscPattern, zero: np.ndarray, perm_c: np.ndarray):
-        n = pattern.indptr.size - 1
-        self.zero = zero
-        self.perm_c = perm_c
-        self.gather = np.flatnonzero(~zero)
-        cols = _columns(pattern)[self.gather]
-        self.a_s = _csc(n, cols, pattern.indices[self.gather])
-        cols_p = perm_c[cols]
-        by_col = np.argsort(cols_p, kind="stable")  # each column's rows stay ascending
-        self.gather_p = self.gather[by_col]
-        self.a_p = _csc(n, cols_p[by_col], pattern.indices[self.gather_p])
+    def __init__(self, shape: tuple[int, int]):
+        self.a = np.zeros(shape, order="F")
+        self.flat = self.a.reshape(-1, order="F")  # a view of ``a``
 
 
 class _DensePlan:
@@ -289,6 +280,9 @@ class _DensePlan:
         self.shape = (n, n)
         self.slots = _columns(pattern) * n + pattern.indices
         self.slots.flags.writeable = False
+
+    def buffer(self) -> _Buffer:
+        return _Buffer(self.shape)
 
 
 class _BandPlan:
@@ -311,20 +305,56 @@ class _BandPlan:
         for a in (perm, inv, slots):
             a.flags.writeable = False
 
-    def solve(self, lu: np.ndarray, piv: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """``A^-1 r`` in the caller's numbering from the band factors."""
-        return dgbtrs(lu, self.kl, self.ku, r[self.perm], piv)[0][self.inv]
+    def buffer(self) -> _Buffer:
+        return _Buffer(self.shape)
+
+    def factor(self, buffer: _Buffer, data: np.ndarray):
+        """The solve, in the caller's numbering, of LAPACK's band LU of the
+        scaled ``data`` scattered into a system's ``buffer``."""
+        buffer.flat[self.slots] = data
+        # dgbtrf factors a copy: the buffer keeps its zeros off the pattern
+        lu, piv, info = dgbtrf(buffer.a, self.kl, self.ku)
+        if info > 0:
+            unknown = int(self.perm[info - 1])
+            raise SingularityError(unknown, f"zero pivot at unknown {unknown}")
+        return lambda r: dgbtrs(lu, self.kl, self.ku, r[self.perm], piv)[0][self.inv]
 
 
-class _Buffer:
-    """One system's Fortran-order matrix of a dense or band plan's shape:
-    ``flat[plan.slots]`` are the pattern's entries in CSC order and every
-    other entry stays zero."""
+class _SuperluPlan:
+    """The SuperLU path of a pattern in COLAMD's column order ``perm_c``,
+    taken from the pattern's first factorization, explicit zeros included.
 
-    def __init__(self, plan):
-        self.plan = plan
-        self.a = np.zeros(plan.shape, order="F")
-        self.flat = self.a.reshape(-1, order="F")  # a view of ``a``
+    ``gather`` takes the pattern's entries, in CSC order, into the CSC
+    arrays ``indices``/``indptr`` of ``A Pc``, whose column ``perm_c[j]`` is
+    the pattern's column ``j``; SuperLU factors ``A Pc`` in ``NATURAL``
+    order to the same L and U as COLAMD's call. Every array is read-only.
+    """
+
+    def __init__(self, pattern: CscPattern, perm_c: np.ndarray):
+        n = pattern.indptr.size - 1
+        self.perm_c = perm_c.copy()  # a copy: SuperLU's array keeps its factors alive
+        cols = self.perm_c[_columns(pattern)]
+        self.gather = np.argsort(cols, kind="stable")  # each column's rows stay ascending
+        self.indices = pattern.indices[self.gather]
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
+        self.indptr = self.indptr.astype(np.int32)
+        for a in (self.perm_c, self.gather, self.indices, self.indptr):
+            a.flags.writeable = False
+
+    def buffer(self) -> sparse.csc_matrix:
+        """A system's own ``A Pc``, whose data a gather fills before each use."""
+        n = self.indptr.size - 1
+        return sparse.csc_matrix(
+            (np.empty(self.indices.size), self.indices, self.indptr), shape=(n, n)
+        )
+
+    def factor(self, a_p: sparse.csc_matrix, data: np.ndarray):
+        """The solve, in the caller's numbering, of SuperLU's LU in
+        ``NATURAL`` order of the scaled ``data`` gathered into a system's
+        ``a_p``."""
+        np.take(data, self.gather, out=a_p.data)
+        lu = _splu(a_p, "NATURAL")
+        return lambda r: lu.solve(r)[self.perm_c]
 
 
 def _superlu_flops(lu) -> int:
@@ -354,12 +384,15 @@ def _band_plan(pattern: CscPattern) -> _BandPlan:
     return _BandPlan(perm, inv, kl, ku, col * (2 * kl + ku + 1) + kl + ku + row - col)
 
 
-def _choose_plan(pattern: CscPattern, flops: int):
-    """The plan of a pattern above the dense cutoff: its :class:`_BandPlan`
-    when the band's work is at most ``_BAND_FLOP_RATIO`` times SuperLU's
-    ``flops``, else ``"SuperLU"``."""
+def _choose_plan(pattern: CscPattern, lu):
+    """The plan of a pattern above the dense cutoff, from its first, COLAMD
+    factorization ``lu``: its :class:`_BandPlan` when the band's work is at
+    most ``_BAND_FLOP_RATIO`` times SuperLU's flops, else its
+    :class:`_SuperluPlan` in ``lu``'s column order."""
     band = _band_plan(pattern)
-    return band if band.work <= _BAND_FLOP_RATIO * flops else _SUPERLU
+    if band.work <= _BAND_FLOP_RATIO * _superlu_flops(lu):
+        return band
+    return _SuperluPlan(pattern, lu.perm_c)
 
 
 def _small_plan(pattern: CscPattern):
@@ -386,6 +419,16 @@ def _row_scale(absmax: np.ndarray) -> np.ndarray:
     return 1.0 / absmax
 
 
+def _dense_lu(a_s: np.ndarray):
+    """The solve of LAPACK's LU of the scaled dense matrix ``a_s``."""
+    # dgetrf factors a copy: ``a_s`` keeps its zeros off the pattern and
+    # serves the refinement residual
+    lu, piv, info = dgetrf(a_s)
+    if info > 0:
+        raise SingularityError(info - 1, f"zero pivot at unknown {info - 1}")
+    return lambda r: dgetrs(lu, piv, r)[0]
+
+
 def _splu(a: sparse.csc_matrix, permc_spec: str):
     try:
         return splu(a, permc_spec=permc_spec, **_SUPERLU_SETTING)
@@ -397,8 +440,9 @@ class SparseSystem:
     """One n x n real system, reassembled in place every Newton iteration.
 
     Only the pattern and its plan, both read-only, are shared with other
-    systems; the dense or band buffer, the band's scaled matrix and
-    SuperLU's kept order belong to this system.
+    systems; this system holds its own buffer of the plan (the dense or
+    band matrix, or SuperLU's ``A Pc``), the band's and SuperLU's scaled
+    CSC matrix, and its counters.
     """
 
     def __init__(self, n: int):
@@ -406,7 +450,7 @@ class SparseSystem:
         self.pattern_builds = 0
         self.orderings = 0
         self._pattern = None
-        self._order = self._buffer = self._band_a = None
+        self._buffer = self._scaled = None
         self._matrix = self._rhs = None
 
     def assemble(self, pattern: CscPattern, data: np.ndarray, rhs: np.ndarray) -> None:
@@ -420,7 +464,7 @@ class SparseSystem:
                 (data, pattern.indices, pattern.indptr), shape=(self.n, self.n)
             )
             self._pattern = pattern
-            self._order = self._buffer = self._band_a = None
+            self._buffer = self._scaled = None
             self.pattern_builds += 1
         elif data.shape != self._matrix.data.shape:
             raise ValueError(f"{data.shape} values for {self._matrix.data.shape} slots")
@@ -464,31 +508,25 @@ class SparseSystem:
         unknown.
 
         Larger patterns, and band patterns, are scaled on the cached CSC
-        arrays. The first factorization of a larger pattern goes to SuperLU
-        with COLAMD, and its flop count ``F`` chooses the plan: the band
-        when ``n·kl·(kl+ku) <= _BAND_FLOP_RATIO · F``, else SuperLU. When it
-        chooses the band, the same call factors the same scaled data again
-        on the band and solves with that, so every factorization of a band
-        pattern is the band's, whether its plan was just chosen or chosen
-        by another system. On the band, the scaled data is scattered into
-        this system's LAPACK band buffer, ``dgbtrf``/``dgbtrs`` factor and
-        solve it in the RCM order, and an exact zero pivot raises, naming
-        the unknown in the caller's numbering; the order depends only on
-        the pattern, so exact zeros never change it. SuperLU sees only the
-        structural nonzeros of the scaled values. Its column order lives on
-        this system, next to the pattern: the system's first factorization
-        of a pattern, and the first after its set of exact zeros changes,
-        runs COLAMD and keeps ``perm_c`` (``orderings`` counts these, the
-        call that chooses a band plan included). Every other call gathers
-        the data into the column-permuted matrix, factors it in ``NATURAL``
-        order and un-permutes the solution. Both use ``_SUPERLU_SETTING``
-        (no supernodes at these sizes), so the ``NATURAL`` call on ``A Pc``
-        yields the same L and U. The refinement residual is taken on the
-        unpermuted matrix, so every row sums in the same order whichever
-        SuperLU call factored. Raises :class:`SingularityError` on
-        structural or numerical singularity, reporting an offending row
-        where one is identifiable; a call that raises keeps no new order,
-        and chooses no plan when its rows fail or above the dense cutoff.
+        arrays into this system's scaled CSC matrix, which keeps the
+        pattern's explicit zeros and serves the refinement residual. The
+        first factorization of a larger pattern goes to SuperLU with
+        COLAMD (``orderings`` counts each that succeeds), and its flop
+        count ``F`` chooses the plan: the band when ``n·kl·(kl+ku) <=
+        _BAND_FLOP_RATIO · F``, else SuperLU in that call's column order.
+        A call that chooses the band factors the same scaled data again on
+        the band and solves with that; a call that chooses SuperLU solves
+        with its own factors. On the band, the scaled data is scattered into this
+        system's LAPACK band buffer, ``dgbtrf``/``dgbtrs`` factor and solve
+        it in the RCM order, and an exact zero pivot raises, naming the
+        unknown in the caller's numbering. On SuperLU, the scaled data is
+        gathered into this system's column-permuted matrix, factored in
+        ``NATURAL`` order and the solution un-permuted. Both orders depend
+        on the pattern alone, so exact zeros never change them. Raises
+        :class:`SingularityError` on structural or numerical singularity,
+        reporting an offending row where one is identifiable; a call that
+        raises chooses no plan when its rows fail or above the dense
+        cutoff.
         """
         a, plan = self.matrix, self._pattern.plan
         if isinstance(plan, _DensePlan):
@@ -506,14 +544,24 @@ class SparseSystem:
             if isinstance(plan, _DensePlan):
                 a_d = self._dense_buffer(a.data, plan)
         b_s = scale * self.rhs
+        chosen = None
         if isinstance(plan, _DensePlan):
             # the same bits as scaling the CSC data: each entry is multiplied
             # by its row's scale once, and 0 * scale stays 0 off the pattern
             a_d *= scale[:, None]
-            a_s, solve, fresh = self._dense_lu(a_d)
+            a_s, solve = a_d, _dense_lu(a_d)
         else:
-            factor = self._band_lu if isinstance(plan, _BandPlan) else self._sparse_lu
-            a_s, solve, fresh = factor(a.data * scale[a.indices], plan)
+            a_s = self._scaled_matrix(a.data * scale[a.indices])
+            if plan is None:
+                # a band buffer left by a choosing call that raised may not
+                # fit the plan this call chooses
+                self._buffer = None
+                lu = _splu(a_s, "COLAMD")
+                plan = chosen = _choose_plan(self._pattern, lu)
+            if isinstance(chosen, _SuperluPlan):
+                solve = lu.solve  # the choosing call solves with its own factors
+            else:
+                solve = plan.factor(self._buffer_of(plan), a_s.data)
         x = solve(b_s)
         if np.count_nonzero(np.isfinite(x)) < x.size:
             bad = int(np.flatnonzero(~np.isfinite(x))[0])
@@ -523,27 +571,26 @@ class SparseSystem:
         res = b_s - a_s @ x
         if np.abs(res).max() / denom > 1e-12:
             x = x + solve(res)
-        if fresh is not None:
-            self._keep(*fresh)
+        if chosen is not None:  # only once the call has succeeded
+            self.orderings += 1
+            object.__setattr__(self._pattern, "plan", chosen)
         return x
 
-    def _keep(self, plan, zero: np.ndarray | None, lu) -> None:
-        """Count a COLAMD factorization ``lu`` that dropped the ``zero``
-        slots, once its call has succeeded, and keep its order unless the
-        pattern's ``plan`` is the band. The pattern's first one also keeps
-        the plan it chose on the pattern."""
-        self.orderings += 1
-        if self._pattern.plan is None:
-            object.__setattr__(self._pattern, "plan", plan)
-        self._order = None if isinstance(plan, _BandPlan) else _Order(
-            self._pattern, zero, lu.perm_c
-        )
-
-    def _buffer_of(self, plan) -> _Buffer:
-        """This system's buffer of a dense or band ``plan``."""
-        if self._buffer is None or self._buffer.plan is not plan:
-            self._buffer = _Buffer(plan)
+    def _buffer_of(self, plan):
+        """This system's buffer of the pattern's ``plan``, which never changes."""
+        if self._buffer is None:
+            self._buffer = plan.buffer()
         return self._buffer
+
+    def _scaled_matrix(self, data: np.ndarray) -> sparse.csc_matrix:
+        """This system's CSC matrix of the scaled ``data`` on the whole pattern."""
+        if self._scaled is None:
+            self._scaled = sparse.csc_matrix(
+                (data, self._pattern.indices, self._pattern.indptr), shape=(self.n, self.n)
+            )
+        else:
+            self._scaled.data = data
+        return self._scaled
 
     def _dense_buffer(self, data: np.ndarray, plan: _DensePlan) -> np.ndarray:
         """This system's dense matrix of ``plan``, holding ``data`` on the
@@ -551,56 +598,3 @@ class SparseSystem:
         buffer = self._buffer_of(plan)
         buffer.flat[plan.slots] = data
         return buffer.a
-
-    def _dense_lu(self, a_s: np.ndarray):
-        """LAPACK LU of the scaled dense matrix ``a_s``: the matrix, its
-        solve, and nothing to keep."""
-        # dgetrf factors a copy: ``a_s`` keeps its zeros off the pattern and
-        # serves the refinement residual
-        lu, piv, info = dgetrf(a_s)
-        if info > 0:
-            raise SingularityError(info - 1, f"zero pivot at unknown {info - 1}")
-        return a_s, lambda r: dgetrs(lu, piv, r)[0], None
-
-    def _band_lu(self, data: np.ndarray, plan: _BandPlan):
-        """LAPACK band LU of the scaled ``data`` in the plan's RCM order: the
-        scaled matrix, its solve, and nothing to keep."""
-        buffer = self._buffer_of(plan)
-        buffer.flat[plan.slots] = data
-        # dgbtrf factors a copy: the buffer keeps its zeros off the pattern
-        lu, piv, info = dgbtrf(buffer.a, plan.kl, plan.ku)
-        if info > 0:
-            unknown = int(plan.perm[info - 1])
-            raise SingularityError(unknown, f"zero pivot at unknown {unknown}")
-        # the scaled values on the whole pattern, for the refinement residual
-        if self._band_a is None:
-            self._band_a = sparse.csc_matrix(
-                (data, self._pattern.indices, self._pattern.indptr), shape=(self.n, self.n)
-            )
-        else:
-            self._band_a.data = data
-        return self._band_a, lambda r: plan.solve(lu, piv, r), None
-
-    def _sparse_lu(self, data: np.ndarray, plan):
-        """SuperLU of the scaled ``data`` without its exact zeros: the
-        zero-dropped matrix, its solve, and, when it ran COLAMD, what
-        :meth:`_keep` keeps (``None`` when the kept order was used). A call
-        that chooses the band factors ``data`` again on the band."""
-        zero = data == 0.0
-        order = self._order
-        if order is not None and np.array_equal(zero, order.zero):
-            np.take(data, order.gather, out=order.a_s.data)
-            np.take(data, order.gather_p, out=order.a_p.data)
-            lu = _splu(order.a_p, "NATURAL")
-            return order.a_s, lambda r: lu.solve(r)[order.perm_c], None
-        # a copy: eliminate_zeros compacts in place, and the band reads ``data``
-        a_s = sparse.csc_matrix((data.copy(), self._pattern.indices.copy(),
-                                 self._pattern.indptr.copy()), shape=(self.n, self.n))
-        a_s.eliminate_zeros()
-        lu = _splu(a_s, "COLAMD")
-        if plan is None:
-            plan = _choose_plan(self._pattern, _superlu_flops(lu))
-            if isinstance(plan, _BandPlan):
-                a_b, solve, _ = self._band_lu(data, plan)
-                return a_b, solve, (plan, None, None)
-        return a_s, lu.solve, (plan, zero, lu)

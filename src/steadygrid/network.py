@@ -329,6 +329,9 @@ def validate(network: Network) -> list[ValidationIssue]:
             slack_per_island.setdefault(network.islands[k], []).append(b.id)
             if b.v_set is None or not (b.v_set > 0):
                 add(ValidationIssue("bad_vset", f"bus {b.id}", "slack bus needs v_set > 0"))
+            if not math.isfinite(b.angle):
+                add(ValidationIssue("not_finite", f"bus {b.id}",
+                                    f"slack angle {b.angle} not finite"))
     for isl in range(network.n_islands):
         got = slack_per_island.get(isl, [])
         if not got:
@@ -343,9 +346,6 @@ def validate(network: Network) -> list[ValidationIssue]:
     def finite(arr: np.ndarray) -> bool:
         return all(map(cmath.isfinite, arr.tolist()))
 
-    def nonzero(arr: np.ndarray) -> bool:  # NaN counts as nonzero, as in np.any
-        return any(arr.ravel().tolist())
-
     for g in network.generators:
         dev = f"gen {g.id}"
         if g.bus not in idx:
@@ -353,8 +353,13 @@ def validate(network: Network) -> list[ValidationIssue]:
             continue
         if g.p.shape != (nph,):
             add(ValidationIssue("bad_phase_count", dev, "p has wrong phase count"))
-        if g.q is not None and g.q.shape != (nph,):
-            add(ValidationIssue("bad_phase_count", dev, "q has wrong phase count"))
+        elif not finite(g.p):
+            add(ValidationIssue("not_finite", dev, "p has non-finite entries"))
+        if g.q is not None:
+            if g.q.shape != (nph,):
+                add(ValidationIssue("bad_phase_count", dev, "q has wrong phase count"))
+            elif not finite(g.q):
+                add(ValidationIssue("not_finite", dev, "q has non-finite entries"))
         if not (g.qmin <= g.qmax):
             add(ValidationIssue("qlim_order", dev, f"qmin {g.qmin} > qmax {g.qmax}"))
         if g.remote_bus is not None:
@@ -398,7 +403,7 @@ def validate(network: Network) -> list[ValidationIssue]:
         if br.y_series.shape != (nph, nph):
             add(ValidationIssue("bad_phase_count", dev, "y_series has wrong shape"))
             continue
-        if not nonzero(br.y_series):
+        if not any(br.y_series.ravel().tolist()):  # NaN counts as nonzero, as in np.any
             add(ValidationIssue("zero_series_y", dev, "series admittance is zero"))
         if nph > 1 and not np.array_equal(br.y_series, br.y_series.T):
             add(ValidationIssue("asymmetric_y", dev, "three-phase y_series not symmetric"))
@@ -411,11 +416,19 @@ def validate(network: Network) -> list[ValidationIssue]:
         if tx.y_series.shape != (nph, nph):
             add(ValidationIssue("bad_phase_count", dev, "y_series has wrong shape"))
             continue
-        if not nonzero(tx.y_series):
+        y = tx.y_series.ravel().tolist()
+        if not any(y):  # NaN counts as nonzero, as in np.any
             add(ValidationIssue("zero_series_y", dev, "series admittance is zero"))
-        if any(t < tx.tap_min or t > tx.tap_max for t in tx.tap.ravel().tolist()):
-            add(ValidationIssue("tap_range", dev, f"tap {tx.tap} outside [{tx.tap_min}, {tx.tap_max}]"))
-        if any(a <= -math.pi or a > math.pi for a in tx.shift.ravel().tolist()):
+        elif not all(map(cmath.isfinite, y)):
+            add(ValidationIssue("not_finite", dev, "y_series has non-finite entries"))
+        # the outer loop clips taps into the table, so a positive table keeps them positive
+        lo, hi = tx.tap_min, tx.tap_max
+        if not (0 < lo <= hi):
+            add(ValidationIssue("tap_limits", dev, f"tap table [{lo}, {hi}] needs 0 < min <= max"))
+        # a NaN fails every comparison, so these range tests reject it
+        if not all(lo <= t <= hi for t in tx.tap.tolist()):
+            add(ValidationIssue("tap_range", dev, f"tap {tx.tap} outside [{lo}, {hi}]"))
+        if not all(-math.pi < a <= math.pi for a in tx.shift.tolist()):
             add(ValidationIssue("shift_range", dev, "phase shift outside (-180, 180] degrees"))
         if tx.controlled_bus is not None and tx.controlled_bus not in idx:
             add(ValidationIssue("unknown_bus", dev, f"controlled bus {tx.controlled_bus} not defined"))
@@ -426,8 +439,11 @@ def validate(network: Network) -> list[ValidationIssue]:
             add(ValidationIssue("unknown_bus", dev, f"bus {sh.bus} not defined"))
         if sh.g.shape != (nph,) or sh.b.shape != (nph,):
             add(ValidationIssue("bad_phase_count", dev, "g/b have wrong phase count"))
+        elif not (finite(sh.g) and finite(sh.b)):
+            add(ValidationIssue("not_finite", dev, "g/b have non-finite entries"))
         if sh.switchable:
-            if sh.block_b is None or sh.max_blocks < 0 or not (0 <= sh.blocks_on <= sh.max_blocks):
+            if (sh.block_b is None or not finite(sh.block_b) or sh.max_blocks < 0
+                    or not (0 <= sh.blocks_on <= sh.max_blocks)):
                 add(ValidationIssue("bad_blocks", dev, "switchable shunt needs finite block table"))
 
     return issues

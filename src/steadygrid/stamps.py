@@ -282,7 +282,9 @@ class Companion:
         """Reduce the linear part of ``params`` into CSC data over the
         pattern and take its lane parameters.
 
-        Raises ``ValueError`` on a non-positive transformer tap.
+        Every tap in ``params`` is positive: ``validate`` requires a
+        positive tap table holding every tap, the outer loop clips taps into
+        that table, and Tx stepping moves them toward 1.
         """
         # complex admittance per laid-out triplet group, in layout order; a
         # family the network lacks lays out no triplet, so it is skipped
@@ -291,17 +293,8 @@ class Companion:
             yb = params.branch_y
             groups += [yb, -yb, yb, -yb, 1j * params.branch_bf, 1j * params.branch_bt]
         if self.network.transformers:
-            tap = params.xfmr_tap
-            bad = np.flatnonzero(tap <= 0)
-            if bad.size:
-                k = bad[0] // tap.shape[1]
-                tx = self.network.transformers[k]
-                raise ValueError(
-                    f"transformer {tx.from_bus}-{tx.to_bus}: tap must be positive, "
-                    f"got {tap[k]}"
-                )
             # transformers stamp N^-* Y N^-1, -N^-* Y, -Y N^-1 and Y
-            n = tap * np.exp(1j * params.xfmr_shift)
+            n = params.xfmr_tap * np.exp(1j * params.xfmr_shift)
             n_row, n_col = n[:, :, None], n[:, None, :]
             yt = params.xfmr_y
             groups += [yt / (np.conj(n_row) * n_col), -yt / np.conj(n_row), -yt / n_col, yt]

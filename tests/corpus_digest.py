@@ -41,6 +41,16 @@ counts at other seeds; this does:
 
     PYTHONPATH=src python3 tests/corpus_digest.py --jobs hard_ic --seeds 1-60 > after.txt
 
+``--tiles`` prints, instead of the corpus, one line per solve of the case196
+tiles (copies of case196 joined by tie branches, ``conftest.case196_tile``),
+the only networks that factor on SuperLU: the x2 tile with Q limits and the
+x4 tile without, under ``none``, ``tx`` and ``power``, each loaded once per
+method and solved twice. A line holds the status, the work counts, the
+COLAMD and ``NATURAL`` calls to SuperLU in that solve, and the hash; with
+``--states`` it saves the states for ``--compare``:
+
+    PYTHONPATH=src python3 tests/corpus_digest.py --tiles --states after.npz > after.txt
+
 ``--plans`` prints, instead, one line per corpus network: its unknowns and
 the factorization plan its pattern chose in a flat-start solve (``dense``,
 ``band KL KU`` or ``SuperLU``), so a plain ``diff`` of two trees shows every
@@ -191,6 +201,33 @@ def job_lines(workload: str, seeds):
             yield f"seed={seed} {job.label} {status} {iterations} {steps} {passes}"
 
 
+def tile_lines(states=None):
+    """One ``(line, hash)`` per solve of the case196 tiles; the state of
+    each converged solve goes into ``states`` when one is given."""
+    from conftest import case196_tile
+
+    specs = []
+    real = linsys.splu
+
+    def counting_splu(a, **kwargs):
+        specs.append(kwargs["permc_spec"])
+        return real(a, **kwargs)
+
+    linsys.splu = counting_splu
+    for copies, q_limits in ((2, True), (4, False)):
+        for method in ("none", "tx", "power"):
+            network = case196_tile(copies)
+            options = SolverOptions(homotopy=method, enforce_q_limits=q_limits)
+            for k in (1, 2):
+                label = f"tile{copies} q_limits={int(q_limits)} {method} solve={k}"
+                specs.clear()
+                tail, digest, x = _run(network, options)
+                if states is not None and x is not None:
+                    states[label] = x
+                yield (f"{label} {tail} colamd={specs.count('COLAMD')} "
+                       f"natural={specs.count('NATURAL')}"), digest
+
+
 def plan_lines():
     """One ``case n=N plan`` line per corpus network."""
     for case in sorted(os.listdir(CASES)):
@@ -201,7 +238,7 @@ def plan_lines():
         if isinstance(plan, linsys._BandPlan):
             name = f"band {plan.kl} {plan.ku}"
         else:
-            name = "dense" if isinstance(plan, linsys._DensePlan) else str(plan)
+            name = "dense" if isinstance(plan, linsys._DensePlan) else "SuperLU"
         yield f"{case} n={index.dim} {name}"
 
 
@@ -289,6 +326,8 @@ if __name__ == "__main__":
                         help="print one work line per benchmark job instead")
     parser.add_argument("--seeds", metavar="A-B", type=_seed_range, default=range(1, 2),
                         help="the seeds of --jobs, A to B inclusive (default 1)")
+    parser.add_argument("--tiles", action="store_true",
+                        help="print one line per solve of the case196 tiles instead")
     parser.add_argument("--plans", action="store_true",
                         help="print each corpus network's factorization plan instead")
     parser.add_argument("--call-costs", nargs=2, metavar=("CASE", "METHOD"),
@@ -312,8 +351,9 @@ if __name__ == "__main__":
     else:
         states = {} if args.states else None
         differs = []
-        for line, digest in itertools.chain(corpus_lines(states, args.repeat, differs),
-                                            cli_lines()):
+        lines = (tile_lines(states) if args.tiles else
+                 itertools.chain(corpus_lines(states, args.repeat, differs), cli_lines()))
+        for line, digest in lines:
             print(line if args.work or digest is None else f"{line} {digest}", flush=True)
         if args.states:
             np.savez(args.states, **states)

@@ -211,6 +211,13 @@ def test_batch_sizes_outside_their_range_rejected():
     assert sample_contingencies(net, state, top_fraction=1.0).outages
 
 
+def test_sweep_samples_must_be_an_integer():
+    for bad in (2.5, "3", 3.0, None):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            SweepSpec(samples=bad)
+    assert SweepSpec(samples=np.int64(3)).samples == 3
+
+
 def test_sweep_of_size_one_flat_matches_plain_solve():
     net = load_case(case_path("case3_ring.net")).network
     spec = SweepSpec(samples=1, vmag_range=(1.0, 1.0), vang_range_deg=(0.0, 0.0))

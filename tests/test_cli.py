@@ -104,6 +104,20 @@ def test_validate_rejects_broken_case(tmp_path, capsys):
     assert run(["validate", str(bad)]) == 1
 
 
+def test_a_zero_tap_table_is_rejected_before_any_solve(tmp_path, capsys):
+    bad = tmp_path / "tap0.net"
+    bad.write_text(
+        "BASE_MVA 100\nBUS\n1 SLACK 138.0 0.0 0.0 1.0 0.0\n2 PQ 138.0\n3 PQ 138.0 10.0 2.0\n"
+        "END\nBRANCH\n1 1 2 0.01 0.1 0.0\nEND\n"
+        "TRANSFORMER\n1 2 3 0.0 0.05 0.0 0 0.0 1.2\nEND\n"
+    )
+    assert run(["validate", str(bad)]) == 1
+    assert "tap_limits" in capsys.readouterr().out
+    assert run(["solve", str(bad), "--out", str(tmp_path)]) == EX_NOINPUT
+    out, err = capsys.readouterr()
+    assert "tap_limits" in err and "Traceback" not in out + err
+
+
 def test_contingency_outputs(tmp_path, capsys):
     code = run(["contingency", case_path("case9.net"), "--top-fraction", "0.34",
                 "--out", str(tmp_path)])

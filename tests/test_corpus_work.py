@@ -25,13 +25,13 @@ from steadygrid.solver import SolverOptions, solve
 from conftest import CASE_DIR
 
 # (status, inner_iterations, homotopy_steps, outer_passes, orderings) at tol 1e-8;
-# orderings sums ``SparseSystem.orderings`` over the solve's systems: one per
-# set of exact zeros met in a row by SuperLU, so a column order that is never
-# reused shows here as orderings == inner_iterations. Systems of at most
-# ``linsys._DENSE_MAX_N`` unknowns are factored dense and order nothing, so
-# every case but case196 reads 0. case196's one pattern runs COLAMD once, on
-# its first factorization, which chooses the band LU for every factorization,
-# its own included
+# orderings sums ``SparseSystem.orderings`` over the solve's systems: one
+# COLAMD call per pattern above the dense cutoff, made by the factorization
+# that chooses the pattern's plan, whatever exact zeros later calls meet.
+# Systems of at most ``linsys._DENSE_MAX_N`` unknowns are factored dense or on
+# the band and order nothing, so every case but case196 reads 0. case196's one
+# pattern runs COLAMD once, on its first factorization, which chooses the band
+# LU for every factorization, its own included
 WORK = {
     "case12_radial.net": {
         "none": ("converged", 4, 0, 1, 0),

@@ -187,23 +187,50 @@ def _random_system(n, rng):
     return rows, cols, vals
 
 
-def test_explicit_zeros_do_not_change_the_solution():
+def _with_zero_slots(n, rows, cols, vals, rng):
+    """The triplets plus explicit zeros on fresh slots and on top of existing ones."""
+    zr = np.concatenate([rng.integers(0, n, size=40), rows[:40]])
+    zc = np.concatenate([rng.integers(0, n, size=40), cols[:40]])
+    return (np.concatenate([rows, zr]), np.concatenate([cols, zc]),
+            np.concatenate([vals, np.zeros(zr.size)]))
+
+
+def test_explicit_zeros_do_not_change_the_solution(monkeypatch):
+    monkeypatch.setattr(linsys, "dgbtrf", _no_band)
     rng = np.random.default_rng(7)
-    for n in (40, SPARSE_N + 40):
-        rows, cols, vals = _random_system(n, rng)
-        rhs = rng.normal(size=n)
-        # explicit zeros on fresh slots and on top of existing ones
-        zr = np.concatenate([rng.integers(0, n, size=40), rows[:40]])
-        zc = np.concatenate([rng.integers(0, n, size=40), cols[:40]])
-        s1 = SparseSystem(n)
-        assemble(s1, rows, cols, vals, rhs)
-        s2 = SparseSystem(n)
-        assemble(
-            s2, np.concatenate([rows, zr]), np.concatenate([cols, zc]),
-            np.concatenate([vals, np.zeros(zr.size)]), rhs,
-        )
-        assert s2.matrix.nnz > s1.matrix.nnz
-        assert np.array_equal(s1.factor_solve(), s2.factor_solve())
+    # dense: the zero slots scatter zeros where the buffer holds zeros anyway
+    n = 40
+    rows, cols, vals = _random_system(n, rng)
+    rhs = rng.normal(size=n)
+    s1, s2 = SparseSystem(n), SparseSystem(n)
+    assemble(s1, rows, cols, vals, rhs)
+    assemble(s2, *_with_zero_slots(n, rows, cols, vals, rng), rhs)
+    assert s2.matrix.nnz > s1.matrix.nnz
+    assert np.array_equal(s1.factor_solve(), s2.factor_solve())
+    # SuperLU orders the structure, zero slots included, so a pattern with
+    # them solves to the last bits only; within one pattern, which values
+    # are exactly zero never reorders: a system that first factored other
+    # zeros solves as a fresh pattern's first, COLAMD, factorization
+    n = SPARSE_N + 40
+    rows, cols, vals = _random_system(n, rng)
+    rhs = rng.normal(size=n)
+    s1 = SparseSystem(n)
+    assemble(s1, rows, cols, vals, rhs)
+    x1 = s1.factor_solve()
+    rows, cols, vals = _with_zero_slots(n, rows, cols, vals, rng)
+    pattern, slots = compress_pattern(n, rows, cols)
+    s2 = SparseSystem(n)
+    other = vals.copy()
+    other[(rng.random(vals.size) < 0.2) & (rows != cols)] = 0.0
+    s2.assemble(pattern, reduce(pattern, slots, other), rhs)
+    s2.factor_solve()
+    s2.assemble(pattern, reduce(pattern, slots, vals), rhs)
+    fresh = SparseSystem(n)
+    assemble(fresh, rows, cols, vals, rhs)
+    x2 = s2.factor_solve()
+    assert x2.tobytes() == fresh.factor_solve().tobytes()
+    assert np.max(np.abs(x2 - x1)) <= 1e-12 * np.max(np.abs(x1))
+    assert (s2.orderings, fresh.orderings) == (1, 1)
 
 
 def test_factor_solve_leaves_the_cached_pattern_intact(monkeypatch):
@@ -236,16 +263,13 @@ def test_factor_solve_leaves_the_cached_pattern_intact(monkeypatch):
         assert s.pattern_builds == 1
 
 
-def _old_factor_solve(a, b):
-    """The path without a kept order: equilibrate, drop the exact zeros,
-    COLAMD ``splu`` without supernodes, one refinement step."""
+def _colamd_factor_solve(a, b):
+    """The path without a plan: equilibrate, keep the exact zeros, COLAMD
+    ``splu`` without supernodes, one refinement step."""
     absmax = np.zeros(a.shape[0])
     np.maximum.at(absmax, a.indices, np.abs(a.data))
     scale = 1.0 / absmax
-    a_s = sparse.csc_matrix(
-        (a.data * scale[a.indices], a.indices.copy(), a.indptr.copy()), shape=a.shape
-    )
-    a_s.eliminate_zeros()
+    a_s = sparse.csc_matrix((a.data * scale[a.indices], a.indices, a.indptr), shape=a.shape)
     b_s = scale * b
     lu = splu(a_s, relax=1, panel_size=1)
     x = lu.solve(b_s)
@@ -264,16 +288,17 @@ def test_kept_order_matches_a_fresh_colamd_factorization(monkeypatch):
     off = rows != cols
     masks = [(rng.random(base.size) < 0.2) & off for _ in range(2)]
     s = SparseSystem(n)
-    # one order is kept: going back to the first set of zeros orders again
-    for which, orderings in zip([0, 0, 0, 1, 1, 1, 0, 0], [1, 1, 1, 2, 2, 2, 3, 3]):
+    # the pattern's order serves every set of zeros: COLAMD runs once
+    for which in [0, 0, 0, 1, 1, 1, 0, 0]:
         vals = base * rng.uniform(0.5, 2.0, size=base.size)
         vals[masks[which]] = 0.0
         rhs = rng.normal(size=n)
         s.assemble(pattern, reduce(pattern, slots, vals), rhs)
-        want = _old_factor_solve(s.matrix, rhs)
+        want = _colamd_factor_solve(s.matrix, rhs)
         assert s.factor_solve().tobytes() == want.tobytes()
-        assert s.orderings == orderings
+        assert s.orderings == 1
     assert s.pattern_builds == 1
+    assert isinstance(pattern.plan, linsys._SuperluPlan)
 
 
 def test_orderings_count_masks_and_patterns(monkeypatch):
@@ -288,16 +313,17 @@ def test_orderings_count_masks_and_patterns(monkeypatch):
                    np.ones(n))
         s.factor_solve()
     assert s.orderings == 1
+    # a new set of exact zeros orders nothing
     vals = base.copy()
     vals[np.flatnonzero(rows != cols)[:5]] = 0.0
     s.assemble(pattern, reduce(pattern, slots, vals), np.ones(n))
     s.factor_solve()
-    assert s.orderings == 2
-    # an equal pattern under another identity is a new pattern
+    assert s.orderings == 1
+    # an equal pattern under another identity is a new pattern, and orders
     again, _ = compress_pattern(n, rows, cols)
     s.assemble(again, reduce(again, slots, vals), np.ones(n))
     s.factor_solve()
-    assert (s.orderings, s.pattern_builds) == (3, 2)
+    assert (s.orderings, s.pattern_builds) == (2, 2)
 
 
 def _block_system(n):
@@ -620,6 +646,26 @@ def test_band_solve_agrees_with_a_reference_solve(monkeypatch):
     assert calls == 3 * ["splu", "dgbtrf", "dgbtrf", "dgbtrf", "dgbtrf"]
 
 
+def test_a_choosing_call_that_raises_leaves_nothing_the_next_choice_trips_on(monkeypatch):
+    rows, cols, vals = _mesh_system(10, 10, np.random.default_rng(26))
+    n = 200
+    pattern, slots = compress_pattern(n, rows, cols)
+    s = SparseSystem(n)
+    rhs = np.ones(n)
+    s.assemble(pattern, reduce(pattern, slots, vals), rhs)
+    # the call chooses the band, whose factorization then fails
+    monkeypatch.setattr(linsys, "dgbtrf", lambda ab, kl, ku: (ab, None, 1))
+    with pytest.raises(SingularityError):
+        s.factor_solve()
+    assert (pattern.plan, s.orderings) == (None, 0)
+    # the next call chooses SuperLU on the same system
+    monkeypatch.setattr(linsys, "_BAND_FLOP_RATIO", 0.0)
+    for _ in range(2):
+        x = s.factor_solve()
+        np.testing.assert_allclose(s.matrix @ x, rhs, rtol=0.0, atol=1e-12)
+    assert isinstance(pattern.plan, linsys._SuperluPlan) and s.orderings == 1
+
+
 def _check_band_zero_pivot(k, k2, seed, orderings):
     s, pattern, slots, (rows, cols, vals) = _band_system(k, k2, np.random.default_rng(seed))
     # an unknown the reverse Cuthill-McKee order moves, its column all exact
@@ -786,7 +832,7 @@ def _system_on_one_pattern(kind, rng):
 @pytest.mark.parametrize("kind, first_calls, later_calls, orderings", [
     ("dense", ["reverse_cuthill_mckee", "dgetrf"], ["dgetrf"], (0, 0)),
     ("band", ["splu", "reverse_cuthill_mckee", "dgbtrf"], ["dgbtrf"], (1, 0)),
-    ("superlu", ["splu", "reverse_cuthill_mckee"], ["splu"], (1, 1)),
+    ("superlu", ["splu", "reverse_cuthill_mckee"], ["splu"], (1, 0)),
     ("small_band", ["reverse_cuthill_mckee", "dgbtrf"], ["dgbtrf"], (0, 0)),
 ])
 def test_systems_on_one_pattern_share_its_plan_and_nothing_writable(
@@ -818,39 +864,61 @@ def test_systems_on_one_pattern_share_its_plan_and_nothing_writable(
     assert pattern.plan is plan and calls == 3 * later_calls
     assert (first.orderings, second.orderings) == orderings
     assert (first.pattern_builds, second.pattern_builds) == (1, 1)
-    shared = [v for v in vars(plan).values() if isinstance(v, np.ndarray)] if kind != "superlu" else []
-    assert all(not a.flags.writeable for a in shared)
-    if kind == "superlu":
-        owned = [(s._order.a_s.data, s._order.a_p.data) for s in (first, second)]
-    else:
-        owned = [(s._buffer.a,) for s in (first, second)]
-    assert not any(np.shares_memory(a, b) for a in owned[0] for b in owned[1])
+    _check_nothing_writable_is_shared(plan, first, second)
+    # the band and SuperLU keep a scaled CSC matrix for the residual; the
+    # dense path scales its own buffer
+    assert (first._scaled is None) == (kind == "dense")
 
 
-@pytest.mark.parametrize("kind", ["band", "superlu"])
-def test_a_first_superlu_factorization_leaves_the_scaled_data_intact(monkeypatch, kind):
-    """SuperLU gets a copy of the scaled data: ``eliminate_zeros`` compacts
-    its matrix in place, and a call that chooses the band factors the same
-    data again."""
-    seen = []
-    real = SparseSystem._sparse_lu
+def _arrays_of(obj):
+    return [a for a in vars(obj).values() if isinstance(a, np.ndarray)]
 
-    def keeping(self, data, plan):
-        before = data.copy()
-        out = real(self, data, plan)
-        seen.append((before, data))
-        return out
 
-    monkeypatch.setattr(SparseSystem, "_sparse_lu", keeping)
+def _check_nothing_writable_is_shared(plan, *systems):
+    """Every array of ``plan`` is read-only, and two of the ``systems``
+    share no memory that either of them could write."""
+    assert all(not a.flags.writeable for a in _arrays_of(plan))
+    held = [[a for obj in (s._buffer, s._scaled) if obj is not None for a in _arrays_of(obj)]
+            for s in systems]
+    assert all(held)
+    for i, own in enumerate(held):
+        for other in held[i + 1:]:
+            for a in own:
+                for b in other:
+                    assert not (np.shares_memory(a, b) and (a.flags.writeable
+                                                             or b.flags.writeable))
+
+
+def test_superlu_orders_a_pattern_once_whatever_its_zeros(monkeypatch):
+    monkeypatch.setattr(linsys, "dgbtrf", _no_band)
+    specs = []
+
+    def recording_splu(a, **kwargs):
+        specs.append(kwargs["permc_spec"])
+        return splu(a, **kwargs)
+
+    monkeypatch.setattr(linsys, "splu", recording_splu)
     rng = np.random.default_rng(21)
-    n, rows, cols, vals = _system_on_one_pattern(kind, rng)
-    vals[(rng.random(vals.size) < 0.2) & (rows != cols)] = 0.0
-    s = SparseSystem(n)
-    assemble(s, rows, cols, vals, rng.normal(size=n))
-    assert (s.matrix.data == 0.0).any()  # SuperLU drops exact zeros
-    s.factor_solve()
-    ((before, after),) = seen
-    assert after.tobytes() == before.tobytes()
+    n = SPARSE_N + 40
+    rows, cols, base = _random_system(n, rng)
+    pattern, slots = compress_pattern(n, rows, cols)
+    off = rows != cols
+    runs = []
+    for _ in range(3):  # three different sets of exact zeros
+        vals = base * rng.uniform(0.5, 2.0, size=base.size)
+        vals[(rng.random(base.size) < 0.2) & off] = 0.0
+        runs.append((reduce(pattern, slots, vals), rng.normal(size=n)))
+    systems = SparseSystem(n), SparseSystem(n)
+    for s in systems:
+        for data, rhs in runs:
+            s.assemble(pattern, data, rhs)
+            # the same bytes as COLAMD on the scaled matrix, zeros kept
+            want = _colamd_factor_solve(s.matrix, rhs)
+            assert s.factor_solve().tobytes() == want.tobytes()
+    assert specs == ["COLAMD"] + 5 * ["NATURAL"]
+    assert tuple(s.orderings for s in systems) == (1, 0)
+    assert isinstance(pattern.plan, linsys._SuperluPlan)
+    _check_nothing_writable_is_shared(pattern.plan, *systems)
 
 
 def _network(name):

@@ -128,7 +128,7 @@ def _broken_networks():
         Bus(3, BusKind.PQ, 138.0),
         Bus(3, BusKind.SLACK, 138.0, None),  # duplicate id, slack without v_set
         Bus(5, BusKind.PQ, 138.0),
-        Bus(6, BusKind.SLACK, 138.0, 1.0),
+        Bus(6, BusKind.SLACK, 138.0, 1.0, nan),
         Bus(7, BusKind.SLACK, 138.0, 1.0),
     )
     zero_y = np.zeros((1, 1), dtype=complex)
@@ -138,7 +138,7 @@ def _broken_networks():
         Generator(3, 2, p=r1(0.1), remote_bus=98),
         Generator(4, 2, p=r1(0.1), remote_bus=5),
         Generator(5, 1, p=r1(0.1), remote_bus=3),
-        Generator(6, 1, p=r1(0.1)),
+        Generator(6, 1, p=r1(inf), q=r1(nan)),
         Generator(7, 6, p=r1(0.1), remote_bus=7),
     )
     zips = (
@@ -163,12 +163,17 @@ def _broken_networks():
         Transformer(2, 2, 3, y_series=series_y(0.0, 0.1), tap=r1(nan), shift=r1(math.pi)),
         Transformer(3, 3, 2, y_series=series_y(0.0, 0.1), tap=r1(0.7), shift=r1(4.0)),
         Transformer(4, 91, 1, y_series=series_y(0.0, 0.1, 3), tap=r1(1.0), shift=r1(0.0)),
+        Transformer(5, 2, 3, y_series=np.array([[complex(0, inf)]]), tap=r1(0.0),
+                    shift=r1(nan), tap_min=0.0),
+        Transformer(6, 3, 2, y_series=series_y(0.0, 0.1), tap=r1(1.0), shift=r1(0.0),
+                    tap_min=1.1, tap_max=nan),
     )
     shunts = (
         Shunt(1, 90, g=r1(0), b=r1(0.1)),
         Shunt(2, 1, g=phase_array(0, 3), b=r1(0.1), switchable=True),
         Shunt(3, 2, g=r1(0), b=r1(0.1), switchable=True, block_b=r1(0.1), max_blocks=2,
               blocks_on=3),
+        Shunt(4, 2, g=r1(nan), b=r1(0.1), switchable=True, block_b=r1(inf), max_blocks=2),
     )
     positive = Network(PhaseDomain.POSITIVE_SEQUENCE, -1.0, buses, gens, zips, bigs,
                        branches, xfmrs, shunts)
@@ -192,12 +197,14 @@ def _broken_networks():
     return positive, three
 
 
-# recorded before validate() replaced its numpy reductions with scalar checks
+# recorded before validate() replaced its numpy reductions with scalar checks,
+# plus the non-finite values and tap tables that validate() rejects since
 BROKEN_ISSUES = (
     [
         ('bad_base', 'network', 'base MVA -1.0 not positive'),
         ('duplicate_bus', 'network', 'duplicate bus ids'),
         ('bad_vset', 'bus 3', 'slack bus needs v_set > 0'),
+        ('not_finite', 'bus 6', 'slack angle nan not finite'),
         ('multiple_slack', 'island 0', 'slack buses [1, 3]'),
         ('missing_slack', 'island 1', 'island has no slack bus'),
         ('missing_slack', 'island 2', 'island has no slack bus'),
@@ -210,6 +217,8 @@ BROKEN_ISSUES = (
         ('unreachable_remote', 'gen 4', 'no path from bus 2 to remote bus 5'),
         ('missing_vset', 'gen 4', 'controlled bus 5 has no v_set'),
         ('missing_vset', 'gen 5', 'controlled bus 3 has no v_set'),
+        ('not_finite', 'gen 6', 'p has non-finite entries'),
+        ('not_finite', 'gen 6', 'q has non-finite entries'),
         ('unreachable_remote', 'gen 7', 'no path from bus 6 to remote bus 7'),
         ('unknown_bus', 'zip 1', 'bus 97 not defined'),
         ('not_finite', 'zip 1', 's has non-finite entries'),
@@ -231,14 +240,22 @@ BROKEN_ISSUES = (
         ('tap_range', 'xfmr 1', 'tap [1.3] outside [0.8, 1.2]'),
         ('shift_range', 'xfmr 1', 'phase shift outside (-180, 180] degrees'),
         ('unknown_bus', 'xfmr 1', 'controlled bus 92 not defined'),
+        ('tap_range', 'xfmr 2', 'tap [nan] outside [0.8, 1.2]'),
         ('tap_range', 'xfmr 3', 'tap [0.7] outside [0.8, 1.2]'),
         ('shift_range', 'xfmr 3', 'phase shift outside (-180, 180] degrees'),
         ('unknown_bus', 'xfmr 4', 'bus 91 not defined'),
         ('bad_phase_count', 'xfmr 4', 'y_series has wrong shape'),
+        ('not_finite', 'xfmr 5', 'y_series has non-finite entries'),
+        ('tap_limits', 'xfmr 5', 'tap table [0.0, 1.2] needs 0 < min <= max'),
+        ('shift_range', 'xfmr 5', 'phase shift outside (-180, 180] degrees'),
+        ('tap_limits', 'xfmr 6', 'tap table [1.1, nan] needs 0 < min <= max'),
+        ('tap_range', 'xfmr 6', 'tap [1.] outside [1.1, nan]'),
         ('unknown_bus', 'shunt 1', 'bus 90 not defined'),
         ('bad_phase_count', 'shunt 2', 'g/b have wrong phase count'),
         ('bad_blocks', 'shunt 2', 'switchable shunt needs finite block table'),
         ('bad_blocks', 'shunt 3', 'switchable shunt needs finite block table'),
+        ('not_finite', 'shunt 4', 'g/b have non-finite entries'),
+        ('bad_blocks', 'shunt 4', 'switchable shunt needs finite block table'),
     ],
     [
         ('not_finite', 'zip 1', 's has non-finite entries'),
@@ -254,3 +271,16 @@ BROKEN_ISSUES = (
 def test_validate_reports_every_issue_in_order():
     for net, want in zip(_broken_networks(), BROKEN_ISSUES):
         assert [(i.code, i.device, i.message) for i in validate(net)] == want
+
+
+def test_transformer_rejects_nonpositive_tap():
+    def with_tap(tap, **table):
+        tx = Transformer(1, 1, 2, y_series=series_y(0.0, 0.1), tap=phase_array(tap, 1),
+                         shift=phase_array(0.0, 1), **table)
+        return net_2bus().with_devices(transformers=(tx,))
+
+    assert validate(with_tap(1.0)) == []
+    # below the default table, and inside a table that reaches zero
+    for net, code in ((with_tap(0.0), "tap_range"), (with_tap(0.0, tap_min=0.0), "tap_limits"),
+                      (with_tap(-0.5, tap_min=-1.0), "tap_limits")):
+        assert [i.code for i in validate(net)] == [code]

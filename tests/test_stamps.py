@@ -210,13 +210,6 @@ def test_transformer_tap_relaxation_endpoint():
     np.testing.assert_allclose(a_tx, a_br, atol=1e-15)
 
 
-def test_transformer_rejects_nonpositive_tap():
-    net = two_bus(transformer=xfmr(tap=0.0))
-    index = IndexMap(net)
-    with pytest.raises(ValueError, match="tap must be positive"):
-        residual_vector(build_companion(net, index).bind(effective_params(net)), flat_state(index))
-
-
 def test_transformer_conservation_zero_row_sums():
     tx = replace(net_allparts().transformers[0], from_bus=1, to_bus=2)
     a, _, index = dense_system(two_bus(transformer=tx))
