@@ -20,8 +20,8 @@ from .solver import (
     INFEASIBLE,
     InitSpec,
     SolverOptions,
-    _solved_once,
     solve,
+    solve_setup,
     transfer_state,
     validate_solution,
 )
@@ -172,19 +172,19 @@ def _run_one_contingency(
         post = apply_outage(network, outage)
     except ValueError as exc:
         return ContingencyResult(outage.label, INFEASIBLE, reason=str(exc))
-    index: IndexMap  # of the set-up that ``solve`` reuses; the warm start takes it
     try:
-        with _solved_once(post) as index:
-            warm = transfer_state(base_state, post, index)
-            opts = replace(options, init=InitSpec(kind="warm", state=warm))
-            report, state = solve(post, opts)  # validates the post-outage network
-    except ValueError as exc:
+        # validates the post-outage network before anything is laid out
+        index: IndexMap = solve_setup(post)[0]
+    except ValueError:
         issues = validate(post)
         if any(i.code == "missing_slack" for i in issues):
             reason = "islanding without slack"
         else:
-            reason = "; ".join(str(i) for i in issues) or str(exc)
+            reason = "; ".join(str(i) for i in issues)
         return ContingencyResult(outage.label, INFEASIBLE, reason=reason)
+    # the warm start takes the index of the set-up that ``solve`` reuses
+    warm = transfer_state(base_state, post, index)
+    report, state = solve(post, replace(options, init=InitSpec(kind="warm", state=warm)))
     result = ContingencyResult(
         outage.label,
         report.status,

@@ -477,7 +477,7 @@ def _parse_json3p(text: str, name: str) -> Network:
 def write_solution(network: Network, state, report=None, fmt: str = "csv") -> str:
     """Serialize a solved state; ``fmt`` is ``csv`` or ``json``."""
     index = state.index
-    if index.dim != state.x.shape[0] or index.network.nbus != network.nbus:
+    if index.dim != state.x.shape[0] or index.nbus != network.nbus:
         raise ValueError("state dimension does not match network")
     v = state.v_complex()
     phases = network.domain.phases

@@ -125,6 +125,7 @@ def anchored_state(network: Network, index: IndexMap) -> StateVector:
 def run_homotopy(
     layout: Companion,
     base: DeviceParams,
+    start: StateVector,
     method: str,
     options: NrOptions,
     gamma: float,
@@ -133,9 +134,10 @@ def run_homotopy(
     nr_trace: list[NrTraceRow],
 ) -> HomotopyResult:
     """Walk the continuation factor from the trivial to the original problem
-    of ``base`` (``method`` is ``tx`` or ``power``, which ignores ``gamma``);
-    every sub-problem binds its parameter set to ``layout`` and appends its
-    iterations to ``nr_trace``."""
+    of ``base`` (``method`` is ``tx`` or ``power``, which ignores ``gamma``),
+    starting the first sub-problem from ``start`` (``solve`` passes
+    :func:`anchored_state`); every sub-problem binds its parameter set to
+    ``layout`` and appends its iterations to ``nr_trace``."""
 
     def params_at(lam: float) -> DeviceParams:
         if method == "tx":
@@ -150,9 +152,8 @@ def run_homotopy(
     accepted: list = []  # (lambda, nr_iterations, residual of the accepted iterate)
     total_iters = 0
 
-    state = anchored_state(layout.network, layout.index)
     try:
-        state, ok, iters, residual = newton_at(1.0, state)
+        state, ok, iters, residual = newton_at(1.0, start)
     except SingularityError:
         ok, iters = False, 0
     total_iters += iters

@@ -25,11 +25,15 @@ class IndexMap:
 
     Stable for the lifetime of one network: Q slots exist for every
     voltage-controlling generator whether or not its limit is currently
-    binding, so the dimension never changes between solver passes.
+    binding, so the dimension never changes between solver passes. It keeps
+    of the network only what reading a state needs (``domain``,
+    ``bus_index`` and ``generators``), never the network itself.
     """
 
     def __init__(self, network: Network):
-        self.network = network
+        self.domain = network.domain
+        self.bus_index = network.bus_index
+        self.generators = network.generators
         nb = network.nbus
         nph = network.nphase
         self.nbus = nb
@@ -129,7 +133,7 @@ class StateVector:
         Slotless regulating machines (those targeting a slack bus) report 0;
         their reactive support is part of the slack injection.
         """
-        gen = self.index.network.generators[gen_pos]
+        gen = self.index.generators[gen_pos]
         if self.index.has_q_slot(gen_pos):
             return np.array([self.q_gen(gen_pos, ph) for ph in range(self.index.nphase)])
         if gen.q is None:
@@ -140,5 +144,5 @@ class StateVector:
 def flat_state(index: IndexMap) -> StateVector:
     """V = 1 at the balanced reference angles everywhere, all auxiliaries 0."""
     state = StateVector(np.zeros(index.dim), index)
-    state.set_voltages(np.exp(1j * PHASE_OFFSETS[index.network.domain])[:, None])
+    state.set_voltages(np.exp(1j * PHASE_OFFSETS[index.domain])[:, None])
     return state

@@ -89,6 +89,17 @@ def _as_phase_array(value, nphase: int, dtype=float) -> np.ndarray:
     return arr
 
 
+class _Device:
+    """Base of the device classes: every array a device holds is made
+    read-only, so a validated network, and the solve set-up built from it,
+    cannot change under later solves."""
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class Bus:
     """A network node.
@@ -107,7 +118,7 @@ class Bus:
 
 
 @dataclass(frozen=True)
-class Generator:
+class Generator(_Device):
     """Power source at a bus.
 
     ``q`` of ``None`` marks a voltage-controlling generator: its reactive
@@ -132,7 +143,7 @@ class Generator:
 
 
 @dataclass(frozen=True)
-class ZipLoad:
+class ZipLoad(_Device):
     """Aggregate load with impedance, current and power parts.
 
     ``y`` is the admittance of the impedance part (0 where absent), ``i`` the
@@ -149,7 +160,7 @@ class ZipLoad:
 
 
 @dataclass(frozen=True)
-class BigLoad:
+class BigLoad(_Device):
     """Linear load: base current source plus sensitivity admittance."""
 
     id: int
@@ -159,7 +170,7 @@ class BigLoad:
 
 
 @dataclass(frozen=True)
-class Branch:
+class Branch(_Device):
     """Series element between two buses.
 
     ``y_series`` is an ``(nphase, nphase)`` complex admittance matrix; for the
@@ -177,7 +188,7 @@ class Branch:
 
 
 @dataclass(frozen=True)
-class Transformer:
+class Transformer(_Device):
     """Two-winding transformer with per-phase off-nominal tap and phase shift.
 
     The tap/shift apply on the ``from`` side. ``shift`` is radians within
@@ -198,7 +209,7 @@ class Transformer:
 
 
 @dataclass(frozen=True)
-class Shunt:
+class Shunt(_Device):
     """Bus shunt; optionally switchable in discrete susceptance blocks."""
 
     id: int
@@ -248,8 +259,8 @@ class Network:
         object.__setattr__(self, "_setup", None)
 
     def __getstate__(self):
-        # a copy or an unpickled network starts without the set-up, which
-        # refers to this object and holds read-only arrays
+        # a copy or an unpickled network starts without the set-up: it holds
+        # read-only arrays and factorization plans, which a copy rebuilds
         return {**self.__dict__, "_setup": None}
 
     @property
@@ -402,11 +413,18 @@ def validate(network: Network) -> list[ValidationIssue]:
                 add(ValidationIssue("unknown_bus", dev, f"bus {end} not defined"))
         if br.y_series.shape != (nph, nph):
             add(ValidationIssue("bad_phase_count", dev, "y_series has wrong shape"))
-            continue
-        if not any(br.y_series.ravel().tolist()):  # NaN counts as nonzero, as in np.any
-            add(ValidationIssue("zero_series_y", dev, "series admittance is zero"))
-        if nph > 1 and not np.array_equal(br.y_series, br.y_series.T):
-            add(ValidationIssue("asymmetric_y", dev, "three-phase y_series not symmetric"))
+        else:
+            y = br.y_series.ravel().tolist()
+            if not any(y):  # NaN counts as nonzero, as in np.any
+                add(ValidationIssue("zero_series_y", dev, "series admittance is zero"))
+            elif not all(map(cmath.isfinite, y)):
+                add(ValidationIssue("not_finite", dev, "y_series has non-finite entries"))
+            elif nph > 1 and not np.array_equal(br.y_series, br.y_series.T):
+                add(ValidationIssue("asymmetric_y", dev, "three-phase y_series not symmetric"))
+        if br.b_from.shape != (nph,) or br.b_to.shape != (nph,):
+            add(ValidationIssue("bad_phase_count", dev, "b_from/b_to have wrong phase count"))
+        elif not all(map(cmath.isfinite, br.b_from.tolist() + br.b_to.tolist())):
+            add(ValidationIssue("not_finite", dev, "b_from/b_to have non-finite entries"))
 
     for tx in network.transformers:
         dev = f"xfmr {tx.id}"

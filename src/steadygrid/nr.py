@@ -40,7 +40,7 @@ import numpy as np
 
 from .indexing import StateVector
 from .linsys import SparseSystem
-from .network import Network, PHASE_OFFSETS
+from .network import PHASE_OFFSETS
 from .stamps import (
     BoundCompanion,
     Companion,
@@ -191,9 +191,10 @@ def check_convergence(
 # The Newton loop
 
 
-def _reinit_voltage(state: StateVector, network: Network, bus: int, ph: int) -> None:
-    v = np.exp(1j * PHASE_OFFSETS[network.domain][ph])
-    state.set_voltage(network.bus_index[bus], ph, v)
+def _reinit_voltage(state: StateVector, bus: int, ph: int) -> None:
+    index = state.index
+    v = np.exp(1j * PHASE_OFFSETS[index.domain][ph])
+    state.set_voltage(index.bus_index[bus], ph, v)
 
 
 def run_newton(
@@ -222,7 +223,7 @@ def run_newton(
     """
     c = bound.layout
     if modes is None:
-        modes = GenModes.initial(c.network)
+        modes = GenModes.initial(c.index)
     if system is None:
         system = SparseSystem(c.index.dim)
     own_trace: list[NrTraceRow] = [] if trace is None else trace
@@ -242,7 +243,7 @@ def run_newton(
             except ZeroVoltageIterate as zvi:
                 if attempt == reinits:
                     raise
-                _reinit_voltage(current, c.network, zvi.bus, zvi.phase)
+                _reinit_voltage(current, zvi.bus, zvi.phase)
         system.assemble(c.pattern, data, rhs)
         f = system.matrix @ current.x - rhs
         residual = float(np.abs(f[kcl]).max()) if kcl.size else 0.0

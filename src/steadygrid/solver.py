@@ -10,18 +10,18 @@ A device that reverses itself is frozen for the remaining passes so the loop
 cannot oscillate forever; running out of passes reports Infeasible.
 
 The set-up that depends only on the immutable :class:`Network` is built by
-the first solve of a network object and kept on it for every later solve:
-the :class:`IndexMap`, the companion layout with its pattern (whose
-factorization plan the first factorization chooses, see ``linsys.py``) and
-the base :class:`DeviceParams`. It lives in the network's private
-``_setup`` slot, not in a module-level registry, so nothing keeps a network
-alive; as the set-up refers back to its network, the cyclic garbage
-collector frees the two together, unless the network was solved inside
-``_solved_once``, which drops the set-up. A ``with_devices`` copy starts without
-it, and every array it holds is read-only. ``validate`` still runs on every
-solve, and the generator modes, the state and the :class:`SparseSystem`
-are built per solve, so a solve's result does not depend on what was
-solved before it.
+the first solve of a network object and kept on it for every later solve
+(:func:`solve_setup`): the :class:`IndexMap`, the companion layout with its
+pattern (whose factorization plan the first factorization chooses, see
+``linsys.py``) and the base :class:`DeviceParams`. ``validate`` runs once
+per object, before the set-up is built, so an invalid network raises before
+anything is laid out and a valid one is never checked again. The set-up
+lives in the network's private ``_setup`` slot, not in a module-level
+registry, and refers to no network, so reference counting frees a network
+with its set-up as soon as its last user lets go. A ``with_devices`` copy
+starts without it, and every array it holds is read-only. The generator
+modes, the state and the :class:`SparseSystem` are built per solve, so a
+solve's result does not depend on what was solved before it.
 """
 
 from __future__ import annotations
@@ -30,12 +30,11 @@ import json
 import math
 import numbers
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .homotopy import run_homotopy
+from .homotopy import anchored_state, run_homotopy
 from .indexing import IndexMap, StateVector, flat_state
 from .linsys import SingularityError, SparseSystem
 from .network import Connection, Network, PHASE_OFFSETS, PhaseDomain, validate
@@ -211,14 +210,13 @@ def transfer_state(
     """Map a state onto another network by bus/generator identity (warm starts
     across contingencies, where devices may have disappeared)."""
     old_index = old.index
-    old_net = old_index.network
     state = flat_state(new_index)
-    kept = [b for b in new_network.bus_index if b in old_net.bus_index]
+    kept = [b for b in new_network.bus_index if b in old_index.bus_index]
     new_pos = [new_network.bus_index[b] for b in kept]
-    old_pos = [old_net.bus_index[b] for b in kept]
+    old_pos = [old_index.bus_index[b] for b in kept]
     for new_idx, old_idx in zip(new_index.voltage_indices(), old_index.voltage_indices()):
         state.x[new_idx[:, new_pos]] = old.x[old_idx[:, old_pos]]
-    old_gen_pos = {g.id: k for k, g in enumerate(old_net.generators)}
+    old_gen_pos = {g.id: k for k, g in enumerate(old_index.generators)}
     for k, g in enumerate(new_network.generators):
         if not new_index.has_q_slot(k):
             continue
@@ -364,10 +362,18 @@ def _adjust_taps(network, state, frozen, events, pass_no):
 # The driver
 
 
-def _setup(network: Network):
+def solve_setup(network: Network):
     """The index map, companion layout and base parameters of ``network``:
-    built by its first solve and kept on it for every later one."""
+    built by its first solve and kept on it for every later one.
+
+    The first call validates the network and raises ``ValueError`` listing
+    every issue before it builds anything; a network object that passed is
+    not validated again.
+    """
     if network._setup is None:
+        issues = validate(network)
+        if issues:
+            raise ValueError("invalid network: " + "; ".join(str(i) for i in issues))
         index = IndexMap(network)
         # taps and shunt blocks only bind values: one layout serves every pass
         setup = (index, build_companion(network, index), effective_params(network))
@@ -375,28 +381,16 @@ def _setup(network: Network):
     return network._setup
 
 
-@contextmanager
-def _solved_once(network: Network):
-    """The index of the set-up of a network that is solved once: the
-    set-up is dropped on exit, so reference counting frees the network as
-    soon as its caller lets go of it, where the cycle through the set-up
-    would wait for the cyclic garbage collector."""
-    try:
-        yield _setup(network)[0]
-    finally:
-        object.__setattr__(network, "_setup", None)
-
-
 def solve(network: Network, options: SolverOptions | None = None):
-    """Run the full pipeline; returns ``(SolveReport, StateVector)``."""
+    """Run the full pipeline; returns ``(SolveReport, StateVector)``.
+
+    Raises ``ValueError`` when the network is invalid (:func:`solve_setup`).
+    """
     if options is None:
         options = SolverOptions()
-    issues = validate(network)
-    if issues:
-        raise ValueError("invalid network: " + "; ".join(str(i) for i in issues))
 
     t0 = time.perf_counter()
-    index, layout, params = _setup(network)
+    index, layout, params = solve_setup(network)
     bound = layout.bind(params)
     modes = GenModes.initial(network)
     system = SparseSystem(index.dim)
@@ -429,8 +423,8 @@ def solve(network: Network, options: SolverOptions | None = None):
                 state = state_new
         if not ok and options.homotopy != "none":
             hres = run_homotopy(
-                layout, params, options.homotopy, options.nr, options.gamma,
-                modes, system, nr_trace,
+                layout, params, anchored_state(network, index), options.homotopy,
+                options.nr, options.gamma, modes, system, nr_trace,
             )
             total_inner += hres.inner_iterations
             homotopy_steps += hres.steps

@@ -107,7 +107,9 @@ class GenModes:
     q_pin: np.ndarray  # (ngen, nphase) float
 
     @classmethod
-    def initial(cls, network: Network) -> "GenModes":
+    def initial(cls, network: Network | IndexMap) -> "GenModes":
+        """Every machine free or fixed, from the ``generators`` and
+        ``nphase`` of a network or of its :class:`IndexMap`."""
         ng, nph = len(network.generators), network.nphase
         mode = np.full((ng, nph), GEN_VC, dtype=np.int8)
         mode[[not g.controls_voltage for g in network.generators]] = GEN_FIXED
@@ -246,11 +248,13 @@ class Companion:
     phase), then (ZIP load, terminal), in device order. Lane, regulated and
     delta nodes are complex node numbers: node ``k`` is ``V_R`` at ``2k``
     and ``V_I`` at ``2k + 1``, the ``k``-th entry of the complex view of the
-    state's voltages.
+    state's voltages. ``zip_loads`` (the network's tuple) names the ZIP
+    lanes in errors, as ``index.generators`` names the generator lanes;
+    neither the layout nor its index refers to the network itself.
     """
 
-    network: Network
     index: IndexMap
+    zip_loads: tuple
     pattern: CscPattern
     linear_slots: np.ndarray
     nonlinear_slots: np.ndarray
@@ -287,12 +291,13 @@ class Companion:
         that table, and Tx stepping moves them toward 1.
         """
         # complex admittance per laid-out triplet group, in layout order; a
-        # family the network lacks lays out no triplet, so it is skipped
+        # family the network lacks has empty arrays and lays out no triplet,
+        # so it is skipped
         groups = []
-        if self.network.branches:
+        if params.branch_y.size:
             yb = params.branch_y
             groups += [yb, -yb, yb, -yb, 1j * params.branch_bf, 1j * params.branch_bt]
-        if self.network.transformers:
+        if params.xfmr_y.size:
             # transformers stamp N^-* Y N^-1, -N^-* Y, -Y N^-1 and Y
             n = params.xfmr_tap * np.exp(1j * params.xfmr_shift)
             n_row, n_col = n[:, :, None], n[:, None, :]
@@ -470,8 +475,8 @@ def build_companion(network: Network, index: IndexMap) -> Companion:
     dl = gen_v.size + np.flatnonzero(np.repeat(delta, nph))
     jd = np.concatenate([2 * dl, 2 * nl + 2 * dl + 1, 2 * dl + 1, 2 * nl + 2 * dl])
     return Companion(
-        network=network,
         index=index,
+        zip_loads=zl,
         pattern=pattern,
         linear_slots=slots[:n_linear],
         nonlinear_slots=slots[n_linear:],
@@ -505,10 +510,10 @@ def _check_nonzero(bound: BoundCompanion, u: np.ndarray) -> None:
         lane = int(np.flatnonzero(dead)[0])
         if lane < c.n_gen:
             k, ph = divmod(lane, nph)
-            gen = c.network.generators[k]
+            gen = c.index.generators[k]
             raise ZeroVoltageIterate(f"gen {gen.id}", gen.bus, ph)
         k, ph = divmod(lane - c.n_gen, nph)
-        load = c.network.zip_loads[k]
+        load = c.zip_loads[k]
         raise ZeroVoltageIterate(f"zip {load.id}", load.bus, ph)
 
 
@@ -533,7 +538,7 @@ def assemble_system(
     """
     c = bound.layout
     if modes is None:
-        modes = GenModes.initial(c.network)
+        modes = GenModes.initial(c.index)
     x = state.x
     node = x[: 2 * c.index.nbus * c.index.nphase].view(complex)
     u = node[c.lane_v]

@@ -63,7 +63,11 @@ Newton pass cost inside live solves of one corpus case (say
 ``hard_corridor.net power``): the median µs per call, the calls per solve
 and the share of solve time of ``Companion.bind``, ``assemble_system``,
 ``SparseSystem.factor_solve`` and the factorization call within it
-(``dgetrf``, ``dgbtrf`` or ``splu``). Small numpy calls cost far more in a
+(``dgetrf``, ``dgbtrf`` or ``splu``). Then it prints what a network object
+costs once, on its first solve, each timed on ``COST_SOLVES`` fresh copies of
+the network: ``validate`` and ``solver.solve_setup`` (which validates, then
+builds the index map, the companion layout and the base parameters), with
+their share of the median solve. Small numpy calls cost far more in a
 standalone loop than inside a solve, so two trees are compared by running
 this on each, alternately; it runs with every BLAS pool at one thread:
 
@@ -76,6 +80,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import functools
 import hashlib
 import io
@@ -94,6 +99,7 @@ from steadygrid import linsys, nr, solver, stamps
 from steadygrid.caseio import load_case
 from steadygrid.cli import main
 from steadygrid.homotopy import lambda_trace_to_csv
+from steadygrid.network import validate
 from steadygrid.nr import NrOptions, trace_to_csv
 from steadygrid.solver import SolverOptions, solve
 
@@ -233,7 +239,7 @@ def plan_lines():
     for case in sorted(os.listdir(CASES)):
         network = load_case(os.path.join(CASES, case)).network
         solve(network, SolverOptions())
-        index, layout, _ = solver._setup(network)
+        index, layout, _ = network._setup
         plan = layout.pattern.plan
         if isinstance(plan, linsys._BandPlan):
             name = f"band {plan.kl} {plan.ku}"
@@ -245,7 +251,8 @@ def plan_lines():
 def call_cost_lines(case: str, method: str):
     """A header, then ``call us/call calls/solve share`` per timed call that
     ran, over ``COST_SOLVES`` solves of one loaded network (its set-up is
-    kept between solves, as in the benchmark)."""
+    kept between solves, as in the benchmark); then ``call us/call share``
+    per call made once per network object, each timed on fresh copies."""
     times: dict[str, list[int]] = {}
 
     def timed(name, fn):
@@ -279,13 +286,24 @@ def call_cost_lines(case: str, method: str):
         solve(network, options)
         solve_ns.append(time.perf_counter_ns() - start)
     total = sum(solve_ns)
+    median = statistics.median(solve_ns)
     yield (f"{case} {method}: {COST_SOLVES} solves, median "
-           f"{statistics.median(solve_ns) / 1e6:.3f} ms, one BLAS thread")
+           f"{median / 1e6:.3f} ms, one BLAS thread")
     yield f"{'call':<28}{'us/call':>10}{'calls/solve':>13}{'share':>8}"
     for name, calls in times.items():
         if calls:
             yield (f"{name:<28}{statistics.median(calls) / 1e3:>10.1f}"
                    f"{len(calls) / COST_SOLVES:>13.1f}{sum(calls) / total:>8.1%}")
+    yield f"{'once per network object':<28}{'us/call':>10}{'':>13}{'share':>8}"
+    for name, fn in (("validate", validate), ("solve_setup", solver.solve_setup)):
+        calls = []
+        for _ in range(COST_SOLVES):
+            fresh = copy.copy(network)  # starts without the set-up
+            start = time.perf_counter_ns()
+            fn(fresh)
+            calls.append(time.perf_counter_ns() - start)
+        cost = statistics.median(calls)
+        yield f"{name:<28}{cost / 1e3:>10.1f}{'':>13}{cost / median:>8.1%}"
 
 
 def _seed_range(text: str) -> range:

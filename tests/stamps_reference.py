@@ -56,11 +56,7 @@ def reference_bind(layout: Companion, params: DeviceParams) -> dict:
     tap = params.xfmr_tap
     bad = np.flatnonzero(np.any(tap <= 0, axis=1))
     if bad.size:
-        tx = layout.network.transformers[bad[0]]
-        raise ValueError(
-            f"transformer {tx.from_bus}-{tx.to_bus}: tap must be positive, "
-            f"got {tap[bad[0]]}"
-        )
+        raise ValueError(f"transformer {bad[0]}: tap must be positive, got {tap[bad[0]]}")
     n = tap * np.exp(1j * params.xfmr_shift)
     n_row, n_col = n[:, :, None], n[:, None, :]
     yb, yt = params.branch_y, params.xfmr_y
@@ -102,7 +98,7 @@ def reference_assemble(bound: BoundCompanion, state, zeta: float = 1.0,
     not put a live lane at zero voltage."""
     c = bound.layout
     if modes is None:
-        modes = GenModes.initial(c.network)
+        modes = GenModes.initial(c.index)
     x = state.x
     node = x[: 2 * c.index.nbus * c.index.nphase].view(complex)
     u = node[c.lane_v]

@@ -107,7 +107,7 @@ def test_each_outage_network_is_freed_when_its_contingency_finishes(monkeypatch)
     radial, radial_state = solved("case12_radial.net")
     runs = [
         (net, state, sample_contingencies(net, state, top_fraction=0.2), CONVERGED),
-        # islanding: the post-outage network fails validation inside solve
+        # islanding: the post-outage network fails validation before its set-up
         (radial, radial_state, ContingencySet([Outage("cut", branch_ids=(1,))]), INFEASIBLE),
     ]
     refs = _capturing_outages(monkeypatch)
@@ -123,9 +123,8 @@ def test_each_outage_network_is_freed_when_its_contingency_finishes(monkeypatch)
         assert status in {r.status for r in results}
 
 
-def test_each_outage_builds_one_index_map(monkeypatch):
-    net, state = solved("case14.net")
-    cset = sample_contingencies(net, state, top_fraction=0.2)
+def _capturing_index_maps(monkeypatch):
+    """The networks of every ``IndexMap`` built from now on."""
     built = []
     for module in (solver, analyses):
         real = module.IndexMap
@@ -135,9 +134,24 @@ def test_each_outage_builds_one_index_map(monkeypatch):
             return _real(network)
 
         monkeypatch.setattr(module, "IndexMap", counting)
+    return built
+
+
+def test_each_outage_builds_one_index_map(monkeypatch):
+    net, state = solved("case14.net")
+    cset = sample_contingencies(net, state, top_fraction=0.2)
+    built = _capturing_index_maps(monkeypatch)
     results = run_contingencies(net, state, cset, OPTS)
     assert len(built) == len(cset.outages) == len(results)
     assert len({id(post) for post in built}) == len(built)
+
+
+def test_an_islanding_outage_is_rejected_before_any_index_map(monkeypatch):
+    net, state = solved("case12_radial.net")
+    built = _capturing_index_maps(monkeypatch)
+    [result] = run_contingencies(net, state, ContingencySet([Outage("cut", branch_ids=(1,))]), OPTS)
+    assert built == []
+    assert (result.status, result.reason) == (INFEASIBLE, "islanding without slack")
 
 
 def test_sampler_takes_biggest_devices():

@@ -1,8 +1,11 @@
 import math
+import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from steadygrid.caseio import load_case
 from steadygrid.network import (
     BigLoad,
     Branch,
@@ -21,7 +24,7 @@ from steadygrid.network import (
     validate,
 )
 
-from conftest import coupled_line_y, make_branch, make_zip, net_2bus
+from conftest import CASE_DIR, coupled_line_y, make_branch, make_zip, net_2bus
 
 
 def test_minimal_network_validates_clean():
@@ -115,6 +118,28 @@ def test_network_is_immutable():
         net.base_mva = 50.0
     with pytest.raises(Exception):
         net.branches[0].y_series[0, 0] = 1.0  # read-only array
+    # every array of every device of every corpus case, from both parsers,
+    # whatever array the parser passed in
+    seen = set()
+    for case in sorted(os.listdir(CASE_DIR)):
+        network = load_case(os.path.join(CASE_DIR, case)).network
+        for family in ("generators", "zip_loads", "big_loads", "branches", "transformers",
+                       "shunts"):
+            for device in getattr(network, family):
+                for f in fields(device):
+                    value = getattr(device, f.name)
+                    if isinstance(value, np.ndarray):
+                        seen.add((type(device).__name__, f.name, case.rsplit(".", 1)[1]))
+                        with pytest.raises(ValueError):
+                            value[...] = 0
+    assert {(cls, name) for cls, name, _ in seen} >= {
+        ("Generator", "p"), ("Generator", "q"), ("ZipLoad", "s"), ("Branch", "y_series"),
+        ("Branch", "b_from"), ("Transformer", "tap"), ("Shunt", "b"),
+    }
+    assert {ext for _, _, ext in seen} == {"net", "json"}
+    gen = Generator(1, 1, p=np.array([0.5]), q=np.array([0.1]))
+    with pytest.raises(ValueError):
+        gen.p[0] += 0.2
 
 
 def _broken_networks():
@@ -152,10 +177,10 @@ def _broken_networks():
     )
     branches = (
         Branch(1, 1, 2, y_series=series_y(0.01, 0.1), b_from=r1(0), b_to=r1(0)),
-        Branch(2, 2, 95, y_series=zero_y, b_from=r1(0), b_to=r1(0)),
+        Branch(2, 2, 95, y_series=zero_y, b_from=phase_array(0, 3), b_to=r1(0)),
         Branch(3, 94, 3, y_series=series_y(0.01, 0.1, 3), b_from=r1(0), b_to=r1(0)),
         Branch(4, 1, 3, y_series=np.array([[complex(nan, 0)]]), b_from=r1(0), b_to=r1(0)),
-        Branch(5, 6, 6, y_series=np.array([[-0.0j]]), b_from=r1(0), b_to=r1(0)),
+        Branch(5, 6, 6, y_series=np.array([[-0.0j]]), b_from=r1(0), b_to=r1(inf)),
     )
     xfmrs = (
         Transformer(1, 1, 93, y_series=zero_y, tap=r1(1.3), shift=r1(-math.pi),
@@ -179,6 +204,8 @@ def _broken_networks():
                        branches, xfmrs, shunts)
     y = np.array(coupled_line_y(0.01, 0.05, 0.002, 0.01))
     y[0, 1] += 1e-9
+    nan_y = np.array(series_y(0.01, 0.1, 3))
+    nan_y[1, 1] = nan
     c3 = lambda v: phase_carray(v, 3)
     three = Network(
         PhaseDomain.THREE_PHASE, 10.0,
@@ -189,7 +216,12 @@ def _broken_networks():
         branches=(Branch(1, 1, 2, y_series=y, b_from=phase_array(0.0, 3),
                          b_to=phase_array(0.0, 3)),
                   Branch(2, 1, 2, y_series=np.zeros((3, 3), dtype=complex),
-                         b_from=phase_array(0.0, 3), b_to=phase_array(0.0, 3))),
+                         b_from=phase_array(0.0, 3), b_to=phase_array(0.0, 3)),
+                  # a non-finite matrix is not also reported asymmetric
+                  Branch(3, 1, 2, y_series=nan_y, b_from=phase_array([0.0, nan, 0.0], 3),
+                         b_to=phase_array(0.0, 1)),
+                  Branch(4, 1, 2, y_series=series_y(0.01, 0.1, 3), b_from=phase_array(0.0, 3),
+                         b_to=phase_array([0.0, 0.0, -inf], 3))),
         transformers=(Transformer(1, 1, 2, y_series=series_y(0.0, 0.1, 3),
                                   tap=phase_array([1.0, 1.25, 1.0], 3),
                                   shift=phase_array([0.0, 0.0, -4.0], 3)),),
@@ -232,9 +264,12 @@ BROKEN_ISSUES = (
         ('not_finite', 'big 2', 'y has non-finite entries'),
         ('unknown_bus', 'branch 2', 'bus 95 not defined'),
         ('zero_series_y', 'branch 2', 'series admittance is zero'),
+        ('bad_phase_count', 'branch 2', 'b_from/b_to have wrong phase count'),
         ('unknown_bus', 'branch 3', 'bus 94 not defined'),
         ('bad_phase_count', 'branch 3', 'y_series has wrong shape'),
+        ('not_finite', 'branch 4', 'y_series has non-finite entries'),
         ('zero_series_y', 'branch 5', 'series admittance is zero'),
+        ('not_finite', 'branch 5', 'b_from/b_to have non-finite entries'),
         ('unknown_bus', 'xfmr 1', 'bus 93 not defined'),
         ('zero_series_y', 'xfmr 1', 'series admittance is zero'),
         ('tap_range', 'xfmr 1', 'tap [1.3] outside [0.8, 1.2]'),
@@ -262,6 +297,9 @@ BROKEN_ISSUES = (
         ('not_finite', 'big 1', 'alpha has non-finite entries'),
         ('asymmetric_y', 'branch 1', 'three-phase y_series not symmetric'),
         ('zero_series_y', 'branch 2', 'series admittance is zero'),
+        ('not_finite', 'branch 3', 'y_series has non-finite entries'),
+        ('bad_phase_count', 'branch 3', 'b_from/b_to have wrong phase count'),
+        ('not_finite', 'branch 4', 'b_from/b_to have non-finite entries'),
         ('tap_range', 'xfmr 1', 'tap [1.   1.25 1.  ] outside [0.8, 1.2]'),
         ('shift_range', 'xfmr 1', 'phase shift outside (-180, 180] degrees'),
     ],

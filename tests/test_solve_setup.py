@@ -1,5 +1,6 @@
 """The per-network solve set-up: kept by a network's first solve, reused by
-every later one, and never a cause of a different result."""
+every later one, never a cause of a different result, and freed with its
+network by reference counting alone."""
 
 import copy
 import gc
@@ -12,7 +13,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from steadygrid import linsys, solver
+from steadygrid import analyses, linsys, solver
+from steadygrid.analyses import run_contingencies, sample_contingencies
 from steadygrid.caseio import load_case
 from steadygrid.network import phase_array
 from steadygrid.solver import SolverOptions, solve
@@ -56,7 +58,7 @@ def test_a_solve_does_not_depend_on_what_was_solved_before(name, method):
     assert isinstance(net._setup[1].pattern.plan, PLANS[name])
 
 
-def test_the_set_up_is_built_once_and_the_network_validated_every_solve(monkeypatch):
+def test_the_set_up_is_built_once_and_the_network_validated_once(monkeypatch):
     counts = {"IndexMap": 0, "validate": 0}
     for name in counts:
         real = getattr(solver, name)
@@ -71,18 +73,37 @@ def test_the_set_up_is_built_once_and_the_network_validated_every_solve(monkeypa
     setup = net._setup
     second, _ = solve(net)
     assert net._setup is setup
-    assert counts == {"IndexMap": 1, "validate": 2}
+    assert counts == {"IndexMap": 1, "validate": 1}
     assert first.status == second.status == "converged"
 
 
-def test_a_solved_network_is_freed_with_its_set_up():
-    net = _load("case196_mesh.net")
-    report, state = solve(net, SolverOptions(homotopy="tx"))
-    assert net._setup is not None
-    ref = weakref.ref(net)
-    del net, report, state
-    gc.collect()
-    assert ref() is None
+def test_a_solved_network_is_freed_with_its_set_up(monkeypatch):
+    posts = []
+    real = analyses.apply_outage
+
+    def keeping_a_weak_reference(network, outage):
+        post = real(network, outage)
+        posts.append(weakref.ref(post))
+        return post
+
+    monkeypatch.setattr(analyses, "apply_outage", keeping_a_weak_reference)
+    gc.disable()  # reference counting alone must free each network
+    try:
+        net = _load("case196_mesh.net")
+        options = SolverOptions(homotopy="tx")
+        report, state = solve(net, options)
+        assert net._setup is not None
+        cset = sample_contingencies(net, state, top_fraction=0.01)
+        results = run_contingencies(net, state, cset, options)
+        outages_alive = [post() is not None for post in posts]
+        ref = weakref.ref(net)
+        del net, report, state
+        alive = ref() is not None
+    finally:
+        gc.enable()
+    assert len(outages_alive) == len(results) == len(cset.outages) > 1
+    assert not any(outages_alive)
+    assert not alive
 
 
 def test_a_copy_with_other_devices_solves_as_a_fresh_network():
@@ -112,30 +133,38 @@ def test_a_copied_or_unpickled_network_starts_without_the_set_up():
         assert _result(other, SolverOptions()) == want
 
 
-def _arrays(obj, seen):
-    """Every numpy array reachable from the set-up, not descending into the
-    network it belongs to."""
-    if id(obj) in seen or isinstance(obj, solver.Network):
+def _reachable(obj, seen):
+    """Every object reachable from ``obj`` through containers and instance
+    attributes."""
+    if id(obj) in seen:
         return
     seen.add(id(obj))
-    if isinstance(obj, np.ndarray):
-        yield obj
-    elif isinstance(obj, (tuple, list)):
+    yield obj
+    if isinstance(obj, (tuple, list)):
         for item in obj:
-            yield from _arrays(item, seen)
+            yield from _reachable(item, seen)
     elif isinstance(obj, dict):
         for item in obj.values():
-            yield from _arrays(item, seen)
-    elif hasattr(obj, "__dict__"):
-        yield from _arrays(vars(obj), seen)
+            yield from _reachable(item, seen)
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        yield from _reachable(vars(obj), seen)
 
 
 @pytest.mark.parametrize("name", sorted(PLANS))
 def test_every_array_of_the_set_up_is_read_only(name):
     net = _load(name)
     solve(net, SolverOptions(homotopy="tx"))
-    arrays = list(_arrays(net._setup, set()))
+    arrays = [obj for obj in _reachable(net._setup, set()) if isinstance(obj, np.ndarray)]
     assert len(arrays) > 20
     for a in arrays:
         with pytest.raises(ValueError):
             a[...] = 0
+
+
+def test_the_set_up_refers_to_no_network():
+    net = _load("case6_remote.net")  # remote control, Q slots and virtual shorts
+    solve(net, SolverOptions(homotopy="tx"))
+    reachable = list(_reachable(net._setup, set()))
+    assert not any(isinstance(obj, solver.Network) for obj in reachable)
+    index, layout, _ = net._setup
+    assert not hasattr(index, "network") and not hasattr(layout, "network")
