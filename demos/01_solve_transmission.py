@@ -26,11 +26,12 @@ print(f"\nstatus: {report.status} in {report.inner_iterations} Newton iterations
 vm = state.v_mag()[0]
 va = np.degrees(state.v_ang()[0])
 print("\n bus   |V| (pu)   angle (deg)   Q_gen (pu)")
+gen_q = state.gen_q()  # (generator, phase)
 gen_by_bus = {g.bus: k for k, g in enumerate(net.generators)}
 for k, bus in enumerate(net.buses):
     q = ""
     if bus.id in gen_by_bus:
-        q = f"{state.gen_q_per_phase(gen_by_bus[bus.id])[0]:10.4f}"
+        q = f"{gen_q[gen_by_bus[bus.id], 0]:10.4f}"
     print(f"{bus.id:4d}   {vm[k]:8.5f}   {va[k]:10.4f}   {q}")
 
 mis = validate_solution(report.network, state)

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .network import Network, validate
+from . import network as _network
+from .network import Network
 # perfbench/layers.py traces ``IndexMap`` by its name in this module
 from .indexing import IndexMap, StateVector
 from .solver import (
@@ -19,12 +20,17 @@ from .solver import (
     DIVERGED,
     INFEASIBLE,
     InitSpec,
+    InvalidNetworkError,
     SolverOptions,
     solve,
     solve_setup,
     transfer_state,
     validate_solution,
 )
+
+# perfbench/layers.py traces ``validate`` by its name in this module too,
+# though ``solve_setup`` alone validates an outage network, once
+validate = _network.validate
 
 __all__ = [
     "Outage",
@@ -175,12 +181,11 @@ def _run_one_contingency(
     try:
         # validates the post-outage network before anything is laid out
         index: IndexMap = solve_setup(post)[0]
-    except ValueError:
-        issues = validate(post)
-        if any(i.code == "missing_slack" for i in issues):
+    except InvalidNetworkError as exc:
+        if any(i.code == "missing_slack" for i in exc.issues):
             reason = "islanding without slack"
         else:
-            reason = "; ".join(str(i) for i in issues)
+            reason = "; ".join(str(i) for i in exc.issues)
         return ContingencyResult(outage.label, INFEASIBLE, reason=reason)
     # the warm start takes the index of the set-up that ``solve`` reuses
     warm = transfer_state(base_state, post, index)

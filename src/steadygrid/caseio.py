@@ -507,8 +507,7 @@ def write_solution(network: Network, state, report=None, fmt: str = "csv") -> st
                     "vi_pu": vv.imag,
                 }
             )
-    for gpos, gen in enumerate(network.generators):
-        q = state.gen_q_per_phase(gpos)
+    for gen, q in zip(network.generators, state.gen_q()):
         doc["generators"].append(
             {"id": gen.id, "bus": gen.bus, "p_pu": gen.p.tolist(), "q_pu": q.tolist()}
         )

@@ -25,7 +25,10 @@ class IndexMap:
 
     Stable for the lifetime of one network: Q slots exist for every
     voltage-controlling generator whether or not its limit is currently
-    binding, so the dimension never changes between solver passes. It keeps
+    binding, so the dimension never changes between solver passes. Every
+    layer addresses a Q slot by its lane, a (generator, phase) pair in
+    ``vc_gen_positions`` order; ``q_rows`` holds the unknown (and the
+    constraint row) of each lane, the contiguous tail of the state. It keeps
     of the network only what reading a state needs (``domain``,
     ``bus_index`` and ``generators``), never the network itself.
     """
@@ -55,12 +58,13 @@ class IndexMap:
 
         # slack current variables: per slack (in position order), per phase, (I_R, I_I)
         self._slack_base = nv
-        # generator Q variables: per vc-gen, per phase
-        self._q_base = nv + 2 * len(self.slack_positions) * nph
-        self.dim = self._q_base + len(self.vc_gen_positions) * nph
-
         self._slack_slot = {p: n for n, p in enumerate(self.slack_positions)}
-        self._q_slot = {p: n for n, p in enumerate(self.vc_gen_positions)}
+        # generator Q variables, the tail of the unknowns: one per Q-slot
+        # lane, a (vc-gen, phase) pair in vc_gen_positions order
+        q_base = nv + 2 * len(self.slack_positions) * nph
+        self.dim = q_base + len(self.vc_gen_positions) * nph
+        self.q_rows = np.arange(q_base, self.dim)
+        self.q_rows.setflags(write=False)
 
     # -- voltage unknowns ---------------------------------------------------
     def vr(self, bus_pos: int, ph: int) -> int:
@@ -75,12 +79,6 @@ class IndexMap:
 
     def slack_ii(self, bus_pos: int, ph: int) -> int:
         return self.slack_ir(bus_pos, ph) + 1
-
-    def q_gen(self, gen_pos: int, ph: int) -> int:
-        return self._q_base + self._q_slot[gen_pos] * self.nphase + ph
-
-    def has_q_slot(self, gen_pos: int) -> bool:
-        return gen_pos in self._q_slot
 
     # -- bulk views -----------------------------------------------------------
     def voltage_indices(self) -> tuple[np.ndarray, np.ndarray]:
@@ -124,21 +122,20 @@ class StateVector:
         self.x[vi] = v.imag
 
     # -- generator reactive power ----------------------------------------------
-    def q_gen(self, gen_pos: int, ph: int) -> float:
-        return self.x[self.index.q_gen(gen_pos, ph)]
-
-    def gen_q_per_phase(self, gen_pos: int) -> np.ndarray:
-        """Reactive output of a generator, from slot or fixed data.
+    def gen_q(self) -> np.ndarray:
+        """Reactive output per (generator, phase): the Q slots of regulating
+        machines, the fixed ``q`` of the others.
 
         Slotless regulating machines (those targeting a slack bus) report 0;
         their reactive support is part of the slack injection.
         """
-        gen = self.index.generators[gen_pos]
-        if self.index.has_q_slot(gen_pos):
-            return np.array([self.q_gen(gen_pos, ph) for ph in range(self.index.nphase)])
-        if gen.q is None:
-            return np.zeros(self.index.nphase)
-        return np.asarray(gen.q, dtype=float)
+        index = self.index
+        q = np.zeros((len(index.generators), index.nphase))
+        for k, gen in enumerate(index.generators):
+            if gen.q is not None:
+                q[k] = gen.q
+        q[list(index.vc_gen_positions)] = self.x[index.q_rows].reshape(-1, index.nphase)
+        return q
 
 
 def flat_state(index: IndexMap) -> StateVector:

@@ -354,6 +354,18 @@ def validate(network: Network) -> list[ValidationIssue]:
         if b.v_set is not None and not (b.v_set > 0):
             add(ValidationIssue("bad_vset", f"bus {b.id}", f"v_set {b.v_set} not positive"))
 
+    # ids name devices in outages, outer-loop events and the report
+    for family, devices in (
+        ("gen", network.generators), ("zip", network.zip_loads), ("big", network.big_loads),
+        ("branch", network.branches), ("xfmr", network.transformers), ("shunt", network.shunts),
+    ):
+        seen = set()
+        for d in devices:
+            if d.id in seen:
+                add(ValidationIssue("duplicate_id", f"{family} {d.id}",
+                                    "id repeated in its family"))
+            seen.add(d.id)
+
     def finite(arr: np.ndarray) -> bool:
         return all(map(cmath.isfinite, arr.tolist()))
 

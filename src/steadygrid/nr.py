@@ -12,10 +12,11 @@ the pass solves for the raw next iterate and then applies the safeguards:
 * variable limiting damps only the PV-source voltage derivatives through the
   factor ``zeta``, which shrinks on large raw steps and recovers after two
   consecutive monotone improvements;
-* Q limiting caps the change of the source current implied by a reactive
-  power step and maps the capped current back to Q. Under the default
-  infinite cap (``di_max = inf``) it can limit nothing, so the pass skips its
-  per-lane loop and every Q takes the raw solve.
+* Q limiting caps the change of the source current implied by the reactive
+  power step of every free Q-slot lane (pinned lanes keep their pin) and
+  maps the capped current back to Q, in one array pass over the lanes. Under
+  the default infinite cap (``di_max = inf``) it can limit nothing, so the
+  pass skips it and every Q takes the raw solve.
 
 A variable counts as limited when its step was capped or its result
 clamped, or when Q limiting moved its Q.
@@ -45,7 +46,6 @@ from .stamps import (
     BoundCompanion,
     Companion,
     GenModes,
-    GEN_PINNED,
     ZeroVoltageIterate,
     assemble_system,
     invert_pv_current,
@@ -143,21 +143,26 @@ def update_zeta(trace: list[NrTraceRow], zeta: float, options: NrOptions) -> flo
 
 
 def apply_q_limiting(
-    p: float, q_k: float, q_raw: float, vr: float, vi: float, di_max: float
-) -> float:
-    """Cap the source-current change implied by a Q step, invert back to Q."""
-    if vr == 0.0 and vi == 0.0:
-        return q_raw
+    p: np.ndarray, q_k: np.ndarray, q_raw: np.ndarray, vr: np.ndarray, vi: np.ndarray,
+    di_max: float,
+) -> np.ndarray:
+    """Cap the source-current change implied by each lane's Q step, invert
+    back to Q. Arrays over lanes; a lane at zero voltage or within the cap
+    keeps its raw Q."""
+    live = (vr != 0.0) | (vi != 0.0)
+    if not live.all():
+        vr = np.where(live, vr, 1.0)  # a unit voltage keeps the dead lanes finite
     ir_k, ii_k = pv_current(p, q_k, vr, vi)
     ir_n, ii_n = pv_current(p, q_raw, vr, vi)
     d_ir = ir_n - ir_k
     d_ii = ii_n - ii_k
-    if abs(d_ir) <= di_max and abs(d_ii) <= di_max:
-        return q_raw
-    ir_lim = ir_k + math.copysign(min(abs(d_ir), di_max), d_ir)
-    ii_lim = ii_k + math.copysign(min(abs(d_ii), di_max), d_ii)
+    a_ir, a_ii = np.abs(d_ir), np.abs(d_ii)
+    within = (a_ir <= di_max) & (a_ii <= di_max)
+    # fmin, like min(a, di_max), ignores a NaN cap
+    ir_lim = ir_k + np.copysign(np.fmin(a_ir, di_max), d_ir)
+    ii_lim = ii_k + np.copysign(np.fmin(a_ii, di_max), d_ii)
     _, q_lim = invert_pv_current(ir_lim, ii_lim, vr, vi)
-    return q_lim
+    return np.where(live & ~within, q_lim, q_raw)
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +206,9 @@ def run_newton(
     bound: BoundCompanion,
     state: StateVector,
     options: NrOptions,
-    modes: GenModes | None = None,
-    system: SparseSystem | None = None,
-    trace: list[NrTraceRow] | None = None,
+    modes: GenModes,
+    system: SparseSystem,
+    trace: list[NrTraceRow],
 ):
     """Iterate to convergence. Returns ``(state, converged, iterations,
     residual)``, where ``residual`` was measured at the returned iterate.
@@ -216,18 +221,13 @@ def run_newton(
     only measures, at the current ``zeta``. Raises :class:`SingularityError`
     when the system at an unconverged iterate cannot be solved.
 
-    ``trace`` (when given) accumulates one row per step taken; ``system``
-    may be shared across calls to reuse the assembly pattern. On return it
-    holds the assembly ``residual`` was measured on, which
-    :func:`check_convergence` splits.
+    ``trace`` accumulates one row per step taken; ``system`` may be shared
+    across calls to reuse the assembly pattern. On return it holds the
+    assembly ``residual`` was measured on, which :func:`check_convergence`
+    splits.
     """
     c = bound.layout
-    if modes is None:
-        modes = GenModes.initial(c.index)
-    if system is None:
-        system = SparseSystem(c.index.dim)
-    own_trace: list[NrTraceRow] = [] if trace is None else trace
-    base = len(own_trace)
+    base = len(trace)
     nv = 2 * c.index.nbus * c.index.nphase
     kcl = np.flatnonzero(c.kcl_mask)
     # one node re-initialized per attempt; each generator or ZIP lane needs
@@ -265,23 +265,20 @@ def run_newton(
         limited = int(np.count_nonzero(
             (abs_dv > options.dv_max) | (reach < options.v_min) | (reach > options.v_max)
         ))
-        # Q limiting on free generator slots; an infinite cap limits nothing
-        if options.di_max != math.inf:
-            pinned = modes.mode.ravel()[c.slot_lanes] == GEN_PINNED
-            for lane, qi, pin in zip(c.slot_lanes, c.q_idx, pinned):
-                if pin:
-                    continue
-                v = 2 * c.lane_v[lane]
-                q_lim = apply_q_limiting(
-                    float(bound.gen_p[lane]), current.x[qi], x_raw[qi],
-                    current.x[v], current.x[v + 1], options.di_max,
-                )
-                if q_lim != x_raw[qi]:
-                    limited += 1
-                new.x[qi] = q_lim
+        # Q limiting on the free Q-slot lanes; an infinite cap limits nothing
+        if options.di_max != math.inf and not modes.pinned.all():
+            free = ~modes.pinned
+            lanes, qi = c.slot_lanes[free], c.q_idx[free]
+            v = current.x[:nv].view(complex)[c.lane_v[lanes]]
+            q_raw = x_raw[qi]
+            q_lim = apply_q_limiting(
+                bound.gen_p[lanes], current.x[qi], q_raw, v.real, v.imag, options.di_max
+            )
+            limited += int(np.count_nonzero(q_lim != q_raw))
+            new.x[qi] = q_lim
 
-        own_trace.append(NrTraceRow(k, residual, max_dv, zeta, limited))
+        trace.append(NrTraceRow(k, residual, max_dv, zeta, limited))
         current = new
         # update_zeta reads at most the last three rows of this call
-        zeta = update_zeta(own_trace[max(base, len(own_trace) - 3):], zeta, options)
+        zeta = update_zeta(trace[max(base, len(trace) - 3):], zeta, options)
     return current, False, options.max_iter, residual

@@ -3,24 +3,29 @@ the outer device-limit loop adjusting generator Q limits, switched shunts and
 controlled transformer taps until nothing moves.
 
 The outer loop runs the inner solve, then enforces device limits one pass at
-a time. Generators whose free reactive power leaves its band are pinned at
-the violated limit (their bus drops to PQ); pinned machines are released when
-the regulated voltage crosses the set-point in the relieving direction.
-A device that reverses itself is frozen for the remaining passes so the loop
-cannot oscillate forever; running out of passes reports Infeasible.
+a time. Q limits act per Q-slot lane, a (generator, phase) pair: one array
+pass over the lanes pins those whose free reactive power leaves its band at
+the violated limit (their bus drops to PQ) and releases pinned lanes whose
+regulated voltage crosses the set-point in the relieving direction; events
+are recorded in lane order. Switched shunts and controlled taps then step
+toward their bands. Every device freezes for the remaining passes at its
+first reversal (a lane at its release, a shunt or tap at its first move
+against its last), so the loop cannot oscillate forever; running out of
+passes reports Infeasible.
 
 The set-up that depends only on the immutable :class:`Network` is built by
 the first solve of a network object and kept on it for every later solve
 (:func:`solve_setup`): the :class:`IndexMap`, the companion layout with its
 pattern (whose factorization plan the first factorization chooses, see
 ``linsys.py``) and the base :class:`DeviceParams`. ``validate`` runs once
-per object, before the set-up is built, so an invalid network raises before
-anything is laid out and a valid one is never checked again. The set-up
+per object, before the set-up is built, so an invalid network raises
+:class:`InvalidNetworkError`, carrying the issues, before anything is laid
+out, and a valid one is never checked again. The set-up
 lives in the network's private ``_setup`` slot, not in a module-level
 registry, and refers to no network, so reference counting frees a network
 with its set-up as soon as its last user lets go. A ``with_devices`` copy
-starts without it, and every array it holds is read-only. The generator
-modes, the state and the :class:`SparseSystem` are built per solve, so a
+starts without it, and every array it holds is read-only. The Q-slot pins,
+the state and the :class:`SparseSystem` are built per solve, so a
 solve's result does not depend on what was solved before it.
 """
 
@@ -40,13 +45,14 @@ from .linsys import SingularityError, SparseSystem
 from .network import Connection, Network, PHASE_OFFSETS, PhaseDomain, validate
 from .nr import NrOptions, check_convergence, run_newton
 from .reference import build_ybus
-from .stamps import GEN_PINNED, GEN_VC, GenModes, build_companion, effective_params
+from .stamps import GenModes, build_companion, effective_params
 
 __all__ = [
     "CONVERGED",
     "DIVERGED",
     "INFEASIBLE",
     "InitSpec",
+    "InvalidNetworkError",
     "SolverOptions",
     "SolveReport",
     "MismatchReport",
@@ -216,15 +222,14 @@ def transfer_state(
     old_pos = [old_index.bus_index[b] for b in kept]
     for new_idx, old_idx in zip(new_index.voltage_indices(), old_index.voltage_indices()):
         state.x[new_idx[:, new_pos]] = old.x[old_idx[:, old_pos]]
-    old_gen_pos = {g.id: k for k, g in enumerate(old_index.generators)}
-    for k, g in enumerate(new_network.generators):
-        if not new_index.has_q_slot(k):
-            continue
-        ko = old_gen_pos.get(g.id)
-        if ko is None or not old_index.has_q_slot(ko):
-            continue
-        for ph in range(new_index.nphase):
-            state.x[new_index.q_gen(k, ph)] = old.x[old_index.q_gen(ko, ph)]
+    # Q slots by generator id: one gather of the machines both maps regulate
+    old_slot = {old_index.generators[k].id: n for n, k in enumerate(old_index.vc_gen_positions)}
+    new_ids = [new_index.generators[k].id for k in new_index.vc_gen_positions]
+    both = [n for n, gid in enumerate(new_ids) if gid in old_slot]
+    nph = new_index.nphase
+    new_q = new_index.q_rows.reshape(-1, nph)[both]
+    old_q = old_index.q_rows.reshape(-1, nph)[[old_slot[new_ids[n]] for n in both]]
+    state.x[new_q] = old.x[old_q]
     return state
 
 
@@ -232,63 +237,62 @@ def transfer_state(
 # Outer-loop device enforcement
 
 
-def _target_vmag(network: Network, state: StateVector, bus_id: int) -> float:
-    pos = network.bus_index[bus_id]
-    v = state.v_complex()[:, pos]
-    return float(np.mean(np.abs(v)))
+def _bus_vmag(state: StateVector) -> np.ndarray:
+    """Voltage magnitude per bus position, the mean over its phases."""
+    return np.abs(state.v_complex()).mean(axis=0)
 
 
 def _enforce_q_limits(network, index, state, modes, frozen, events, pass_no, tol):
-    changed = False
-    for gen_pos in index.vc_gen_positions:
-        gen = network.generators[gen_pos]
-        vset = network.bus(gen.target_bus()).v_set
-        for ph in range(index.nphase):
-            key = ("qlim", gen.id, ph)
-            if key in frozen:
-                continue
-            mode = modes.mode[gen_pos, ph]
-            if mode == GEN_VC:
-                q = state.q_gen(gen_pos, ph)
-                if q > gen.qmax + tol:
-                    action, limit = "pin_qmax", gen.qmax
-                elif q < gen.qmin - tol:
-                    action, limit = "pin_qmin", gen.qmin
-                else:
-                    continue  # inside the band: nothing moved, nothing to freeze
-                modes.mode[gen_pos, ph] = GEN_PINNED
-                modes.q_pin[gen_pos, ph] = limit
-                state.x[index.q_gen(gen_pos, ph)] = limit
-                events.append(
-                    {"pass": pass_no, "device": f"gen {gen.id}", "phase": ph,
-                     "action": action, "value": limit}
-                )
-                changed = True
-            else:
-                pin = modes.q_pin[gen_pos, ph]
-                vmag = _target_vmag(network, state, gen.target_bus())
-                release = (
-                    (pin == gen.qmax and vmag > vset + tol)
-                    or (pin == gen.qmin and vmag < vset - tol)
-                )
-                if release:
-                    modes.mode[gen_pos, ph] = GEN_VC
-                    events.append(
-                        {"pass": pass_no, "device": f"gen {gen.id}", "phase": ph,
-                         "action": "release", "value": pin}
-                    )
-                    changed = True
-            # opposite-direction flip-flop: freeze at the current mode
-            acts = [e["action"] for e in events
-                    if e["device"] == f"gen {gen.id}" and e["phase"] == ph]
-            if len(acts) >= 2 and acts[-1] != acts[-2]:
-                frozen.add(key)
-    return changed
+    """Pin free Q-slot lanes outside their band and release pinned lanes
+    whose regulated bus crossed its set-point in the relieving direction:
+    one array pass finds them, then each moves in lane order with its event.
+
+    A release reverses the lane's pin, so it freezes the lane (``frozen``,
+    per lane) for the remaining passes. Returns whether a lane moved.
+    """
+    nph = index.nphase
+    gens = [network.generators[k] for k in index.vc_gen_positions]
+    if not gens:
+        return False
+    targets = [network.bus_index[g.target_bus()] for g in gens]
+    lanes = [(g.qmin, g.qmax, network.buses[t].v_set) for g, t in zip(gens, targets)]
+    qmin, qmax, vset = np.array(lanes, dtype=float).repeat(nph, axis=0).T
+    v = _bus_vmag(state)[targets].repeat(nph)
+    q = state.x[index.q_rows]
+    free = ~(modes.pinned | frozen)
+    high = free & (q > qmax + tol)
+    low = free & ~high & (q < qmin - tol)
+    q_pin = modes.q_pin
+    # a frozen lane is free: it froze at its release
+    release = modes.pinned & (
+        ((q_pin == qmax) & (v > vset + tol)) | ((q_pin == qmin) & (v < vset - tol))
+    )
+    moved = np.flatnonzero(high | low | release).tolist()
+    for n in moved:
+        gen = gens[n // nph]
+        if release[n]:
+            action, value = "release", float(q_pin[n])
+            modes.pinned[n], frozen[n] = False, True
+        else:
+            action, value = ("pin_qmax", gen.qmax) if high[n] else ("pin_qmin", gen.qmin)
+            modes.pinned[n] = True
+            q_pin[n] = state.x[index.q_rows[n]] = value
+        events.append({"pass": pass_no, "device": f"gen {gen.id}", "phase": n % nph,
+                       "action": action, "value": value})
+    return bool(moved)
 
 
-def _adjust_shunts(network, state, frozen, events, pass_no):
+def _record_move(key, direction, last_move, frozen):
+    """Record a device's move; one against its last move freezes it."""
+    if last_move.get(key, direction) != direction:
+        frozen.add(key)
+    last_move[key] = direction
+
+
+def _adjust_shunts(network, state, frozen, last_move, events, pass_no):
     """Step switchable shunt blocks toward their voltage band; returns the
     shunt tuple with new ``blocks_on`` (``network.shunts`` itself when none moved)."""
+    vmag = _bus_vmag(state)
     shunts = list(network.shunts)
     moved = False
     for k, sh in enumerate(network.shunts):
@@ -297,12 +301,12 @@ def _adjust_shunts(network, state, frozen, events, pass_no):
         key = ("shunt", sh.id)
         if key in frozen:
             continue
-        vmag = _target_vmag(network, state, sh.bus)
+        v = vmag[network.bus_index[sh.bus]]
         direction = 0
         capacitive = float(sh.block_b[0]) > 0
-        if vmag < sh.v_lo:
+        if v < sh.v_lo:
             direction = 1 if capacitive else -1
-        elif vmag > sh.v_hi:
+        elif v > sh.v_hi:
             direction = -1 if capacitive else 1
         new_blocks = min(max(sh.blocks_on + direction, 0), sh.max_blocks)
         if new_blocks != sh.blocks_on:
@@ -312,16 +316,15 @@ def _adjust_shunts(network, state, frozen, events, pass_no):
                 {"pass": pass_no, "device": f"shunt {sh.id}", "action": "blocks",
                  "value": new_blocks}
             )
-            dirs = [e["value"] for e in events if e["device"] == f"shunt {sh.id}"]
-            if len(dirs) >= 3 and (dirs[-1] - dirs[-2]) * (dirs[-2] - dirs[-3]) < 0:
-                frozen.add(key)
+            _record_move(key, direction, last_move, frozen)
     return tuple(shunts) if moved else network.shunts
 
 
-def _adjust_taps(network, state, frozen, events, pass_no):
+def _adjust_taps(network, state, frozen, last_move, events, pass_no):
     """Step controlled taps toward their voltage target; returns the
     transformer tuple with new ``tap`` (``network.transformers`` itself when
     none moved)."""
+    vmag = _bus_vmag(state)
     xfmrs = list(network.transformers)
     moved = False
     for k, tx in enumerate(network.transformers):
@@ -335,11 +338,11 @@ def _adjust_taps(network, state, frozen, events, pass_no):
             target = network.bus(tx.controlled_bus).v_set
         if target is None:
             continue
-        vmag = _target_vmag(network, state, tx.controlled_bus)
+        v = vmag[network.bus_index[tx.controlled_bus]]
         direction = 0.0
-        if vmag < target - TAP_DEADBAND:
+        if v < target - TAP_DEADBAND:
             direction = -tx.tap_step  # lower tap raises the regulated side
-        elif vmag > target + TAP_DEADBAND:
+        elif v > target + TAP_DEADBAND:
             direction = tx.tap_step
         if direction == 0.0:
             continue
@@ -352,9 +355,7 @@ def _adjust_taps(network, state, frozen, events, pass_no):
                 {"pass": pass_no, "device": f"xfmr {tx.id}", "action": "tap",
                  "value": float(new_tap[0])}
             )
-            vals = [e["value"] for e in events if e["device"] == f"xfmr {tx.id}"]
-            if len(vals) >= 3 and (vals[-1] - vals[-2]) * (vals[-2] - vals[-3]) < 0:
-                frozen.add(key)
+            _record_move(key, direction, last_move, frozen)
     return tuple(xfmrs) if moved else network.transformers
 
 
@@ -362,18 +363,26 @@ def _adjust_taps(network, state, frozen, events, pass_no):
 # The driver
 
 
+class InvalidNetworkError(ValueError):
+    """A network failed ``validate``; ``issues`` holds what it reported."""
+
+    def __init__(self, issues):
+        super().__init__("invalid network: " + "; ".join(str(i) for i in issues))
+        self.issues = issues
+
+
 def solve_setup(network: Network):
     """The index map, companion layout and base parameters of ``network``:
     built by its first solve and kept on it for every later one.
 
-    The first call validates the network and raises ``ValueError`` listing
-    every issue before it builds anything; a network object that passed is
-    not validated again.
+    The first call validates the network and raises
+    :class:`InvalidNetworkError` listing every issue before it builds
+    anything; a network object that passed is not validated again.
     """
     if network._setup is None:
         issues = validate(network)
         if issues:
-            raise ValueError("invalid network: " + "; ".join(str(i) for i in issues))
+            raise InvalidNetworkError(issues)
         index = IndexMap(network)
         # taps and shunt blocks only bind values: one layout serves every pass
         setup = (index, build_companion(network, index), effective_params(network))
@@ -392,13 +401,15 @@ def solve(network: Network, options: SolverOptions | None = None):
     t0 = time.perf_counter()
     index, layout, params = solve_setup(network)
     bound = layout.bind(params)
-    modes = GenModes.initial(network)
+    modes = GenModes.initial(index)
     system = SparseSystem(index.dim)
 
     state = initialize_state(network, options.init, index)
     report = SolveReport(status=DIVERGED)
     operated = network  # carries the outer loop's taps and shunt blocks
-    frozen: set = set()
+    q_frozen = np.zeros(index.q_rows.size, dtype=bool)
+    frozen: set = set()  # shunts and taps, by key
+    last_move: dict = {}  # their last move direction, by key
     events: list = []
     total_inner = 0
     homotopy_steps = 0
@@ -441,15 +452,15 @@ def solve(network: Network, options: SolverOptions | None = None):
         changed = False
         if options.enforce_q_limits:
             changed |= _enforce_q_limits(
-                operated, index, state, modes, frozen, events, pass_no, 10 * options.nr.tol
+                operated, index, state, modes, q_frozen, events, pass_no, 10 * options.nr.tol
             )
         devices = {}
         if options.adjust_shunts:
-            shunts = _adjust_shunts(operated, state, frozen, events, pass_no)
+            shunts = _adjust_shunts(operated, state, frozen, last_move, events, pass_no)
             if shunts is not operated.shunts:
                 devices["shunts"] = shunts
         if options.adjust_taps:
-            xfmrs = _adjust_taps(operated, state, frozen, events, pass_no)
+            xfmrs = _adjust_taps(operated, state, frozen, last_move, events, pass_no)
             if xfmrs is not operated.transformers:
                 devices["transformers"] = xfmrs
         if devices:
@@ -507,9 +518,9 @@ def _device_injections(network: Network, state: StateVector) -> np.ndarray:
     nph = network.nphase
     v = state.v_complex()  # (nph, n)
     inj = np.zeros((nph, n), dtype=complex)
-    for gpos, gen in enumerate(network.generators):
+    gen_q = state.gen_q()
+    for gen, q in zip(network.generators, gen_q):
         k = network.bus_index[gen.bus]
-        q = state.gen_q_per_phase(gpos)
         for ph in range(nph):
             s = complex(float(gen.p[ph]), float(q[ph]))
             inj[ph, k] += np.conj(s / v[ph, k])

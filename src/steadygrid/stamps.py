@@ -64,9 +64,6 @@ from .network import Connection, Network, PHASE_OFFSETS
 __all__ = [
     "ZeroVoltageIterate",
     "GenModes",
-    "GEN_VC",
-    "GEN_PINNED",
-    "GEN_FIXED",
     "DeviceParams",
     "effective_params",
     "build_virtual_shorts",
@@ -92,28 +89,24 @@ class ZeroVoltageIterate(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Generator control modes (solver working state, never stored on the Network)
-
-GEN_VC = 0  # voltage controlling, Q is a free unknown
-GEN_PINNED = 1  # Q pinned at a limit, bus behaves as PQ
-GEN_FIXED = 2  # constant-Q machine (no Q slot exists)
+# Q-slot pins (solver working state, never stored on the Network)
 
 
 @dataclass
 class GenModes:
-    """Per-generator, per-phase control mode plus pinned Q values."""
+    """Which Q-slot lanes are pinned at a limit, and at what Q: arrays over
+    the lanes, in :attr:`IndexMap.q_rows` order. A pinned lane's constraint
+    row holds its Q at ``q_pin``, so its bus behaves as PQ; a free lane's
+    row regulates the voltage."""
 
-    mode: np.ndarray  # (ngen, nphase) int8
-    q_pin: np.ndarray  # (ngen, nphase) float
+    pinned: np.ndarray  # bool per lane
+    q_pin: np.ndarray  # float per lane, read where pinned
 
     @classmethod
-    def initial(cls, network: Network | IndexMap) -> "GenModes":
-        """Every machine free or fixed, from the ``generators`` and
-        ``nphase`` of a network or of its :class:`IndexMap`."""
-        ng, nph = len(network.generators), network.nphase
-        mode = np.full((ng, nph), GEN_VC, dtype=np.int8)
-        mode[[not g.controls_voltage for g in network.generators]] = GEN_FIXED
-        return cls(mode=mode, q_pin=np.zeros((ng, nph)))
+    def initial(cls, index: IndexMap) -> "GenModes":
+        """Every lane free."""
+        n = index.q_rows.size
+        return cls(pinned=np.zeros(n, dtype=bool), q_pin=np.zeros(n))
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +195,10 @@ def build_virtual_shorts(network: Network) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Scalar source currents (the Q limiter's)
+# Source currents of the Q limiter, elementwise over scalars or lane arrays
 
 
-def pv_current(p: float, q: float, vr: float, vi: float):
+def pv_current(p, q, vr, vi):
     """Injection current of a constant-P source, Q given."""
     d = vr * vr + vi * vi
     ir = (p * vr + q * vi) / d
@@ -213,7 +206,7 @@ def pv_current(p: float, q: float, vr: float, vi: float):
     return ir, ii
 
 
-def invert_pv_current(ir: float, ii: float, vr: float, vi: float):
+def invert_pv_current(ir, ii, vr, vi):
     """Recover (P, Q) from an injection current at a given voltage."""
     p = ir * vr + ii * vi
     q = ir * vi - ii * vr
@@ -266,8 +259,8 @@ class Companion:
     nonlinear_rhs_rows: np.ndarray
     lane_v: np.ndarray  # node per lane; a ZIP lane's + node (the node itself for wye)
     n_gen: int  # generator lanes, which lead the lanes
-    slot_lanes: np.ndarray  # generator lanes (k * nph + ph) with a Q slot, in slot order
-    q_idx: np.ndarray  # Q unknown (and its constraint row) per slot lane
+    slot_lanes: np.ndarray  # generator lane (k * nph + ph) per Q-slot lane
+    q_idx: np.ndarray  # Q unknown (and its constraint row) per slot lane: index.q_rows
     vc_v: np.ndarray  # regulated node per slot lane
     vc_sq: np.ndarray  # squared regulated magnitude per slot lane
     delta_lanes: np.ndarray  # lanes of delta terminals
@@ -435,9 +428,7 @@ def build_companion(network: Network, index: IndexMap) -> Companion:
     gen_v = nodes([gen.bus for gen in gens]).ravel()
     vc_gens = np.array(index.vc_gen_positions, dtype=np.intp)
     slot_lanes = (vc_gens[:, None] * nph + np.arange(nph)).ravel()
-    q_idx = np.array(
-        [index.q_gen(k, ph) for k in index.vc_gen_positions for ph in range(nph)], dtype=np.intp
-    )
+    q_idx = index.q_rows
     targets = [gens[k].target_bus() for k in index.vc_gen_positions]
     vc_v = nodes(targets).ravel()
     vc_set = np.repeat(np.array([network.bus(b).v_set for b in targets], dtype=float), nph)
@@ -517,12 +508,7 @@ def _check_nonzero(bound: BoundCompanion, u: np.ndarray) -> None:
         raise ZeroVoltageIterate(f"zip {load.id}", load.bus, ph)
 
 
-def assemble_system(
-    bound: BoundCompanion,
-    state: StateVector,
-    zeta: float = 1.0,
-    modes: GenModes | None = None,
-):
+def assemble_system(bound: BoundCompanion, state: StateVector, zeta: float, modes: GenModes):
     """Companion system at the iterate; returns ``(data, rhs)``: the CSC data
     over ``bound.layout.pattern`` and the dense right-hand side.
 
@@ -537,8 +523,6 @@ def assemble_system(
     rows become identity pins at ``modes.q_pin``.
     """
     c = bound.layout
-    if modes is None:
-        modes = GenModes.initial(c.index)
     x = state.x
     node = x[: 2 * c.index.nbus * c.index.nphase].view(complex)
     u = node[c.lane_v]
@@ -587,7 +571,7 @@ def assemble_system(
         np.multiply(1j * u[slot], m2[slot], out=jq)
         r[slot] += jq * q
         # Q-slot rows: |V_w|^2 = vset^2 linearized, or the pin while at a limit
-        pinned = modes.mode.ravel()[slot] == GEN_PINNED
+        pinned = modes.pinned
         vals[at + 2 * ns: at + 3 * ns] = pinned
         w = node[c.vc_v]
         sq = w.view(float) * w.view(float)
@@ -596,7 +580,7 @@ def assemble_system(
         dw = vals[at + 3 * ns: at + 5 * ns].view(complex)
         np.multiply(-2.0, w, out=dw)
         if np.count_nonzero(pinned):
-            vc_rhs[pinned] = modes.q_pin.ravel()[slot][pinned]
+            vc_rhs[pinned] = modes.q_pin[pinned]
             dw[pinned] = 0.0
     if dl.size:
         # delta terminals stamp +J on the + node and -J on the - node

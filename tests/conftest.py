@@ -23,7 +23,8 @@ from steadygrid.network import (
     phase_carray,
     series_y,
 )
-from steadygrid.stamps import assemble_system
+from steadygrid.nr import run_newton
+from steadygrid.stamps import GenModes, assemble_system
 
 CASE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "cases")
 
@@ -72,11 +73,23 @@ def coupled_line_y(r: float, x: float, rm: float = 0.0, xm: float = 0.0) -> np.n
 
 
 def assembled(bound, state, modes=None) -> SparseSystem:
-    """The system of ``bound`` assembled undamped at ``state``."""
+    """The system of ``bound`` assembled undamped at ``state``, every Q slot
+    free unless ``modes`` says otherwise."""
+    if modes is None:
+        modes = GenModes.initial(bound.layout.index)
     data, rhs = assemble_system(bound, state, 1.0, modes)
     system = SparseSystem(bound.layout.index.dim)
     system.assemble(bound.layout.pattern, data, rhs)
     return system
+
+
+def newton(bound, state, options, trace=None):
+    """``run_newton`` with every Q slot free, a fresh system and, unless
+    ``trace`` is given, a fresh trace."""
+    index = bound.layout.index
+    trace = [] if trace is None else trace
+    modes = GenModes.initial(index)
+    return run_newton(bound, state, options, modes, SparseSystem(index.dim), trace)
 
 
 def residual_vector(bound, state, modes=None) -> np.ndarray:

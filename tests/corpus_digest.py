@@ -60,10 +60,12 @@ network whose path changed:
 
 ``--call-costs CASE METHOD`` prints, instead, what the calls made on every
 Newton pass cost inside live solves of one corpus case (say
-``hard_corridor.net power``): the median µs per call, the calls per solve
-and the share of solve time of ``Companion.bind``, ``assemble_system``,
-``SparseSystem.factor_solve`` and the factorization call within it
-(``dgetrf``, ``dgbtrf`` or ``splu``). Then it prints what a network object
+``hard_corridor.net power``): the median µs per call, the calls per solve,
+the mean µs per solve and the share of solve time of ``Companion.bind``,
+``assemble_system``, ``SparseSystem.factor_solve`` and the factorization
+call within it (``dgetrf``, ``dgbtrf`` or ``splu``), and of the outer loop's
+Q-limit enforcement (``_enforce_q_limits``, once per pass of a network with
+regulating machines). Then it prints what a network object
 costs once, on its first solve, each timed on ``COST_SOLVES`` fresh copies of
 the network: ``validate`` and ``solver.solve_setup`` (which validates, then
 builds the index map, the companion layout and the base parameters), with
@@ -249,7 +251,7 @@ def plan_lines():
 
 
 def call_cost_lines(case: str, method: str):
-    """A header, then ``call us/call calls/solve share`` per timed call that
+    """A header, then ``call us/call calls/solve us/solve share`` per timed call that
     ran, over ``COST_SOLVES`` solves of one loaded network (its set-up is
     kept between solves, as in the benchmark); then ``call us/call share``
     per call made once per network object, each timed on fresh copies."""
@@ -275,6 +277,7 @@ def call_cost_lines(case: str, method: str):
     )
     for name in ("dgetrf", "dgbtrf", "splu"):
         setattr(linsys, name, timed(name, getattr(linsys, name)))
+    solver._enforce_q_limits = timed("_enforce_q_limits", solver._enforce_q_limits)
     network = load_case(os.path.join(CASES, case)).network
     options = SolverOptions(homotopy=method)
     solve(network, options)  # set-up and plan
@@ -289,12 +292,13 @@ def call_cost_lines(case: str, method: str):
     median = statistics.median(solve_ns)
     yield (f"{case} {method}: {COST_SOLVES} solves, median "
            f"{median / 1e6:.3f} ms, one BLAS thread")
-    yield f"{'call':<28}{'us/call':>10}{'calls/solve':>13}{'share':>8}"
+    yield f"{'call':<28}{'us/call':>10}{'calls/solve':>13}{'us/solve':>10}{'share':>8}"
     for name, calls in times.items():
         if calls:
             yield (f"{name:<28}{statistics.median(calls) / 1e3:>10.1f}"
-                   f"{len(calls) / COST_SOLVES:>13.1f}{sum(calls) / total:>8.1%}")
-    yield f"{'once per network object':<28}{'us/call':>10}{'':>13}{'share':>8}"
+                   f"{len(calls) / COST_SOLVES:>13.1f}{sum(calls) / COST_SOLVES / 1e3:>10.1f}"
+                   f"{sum(calls) / total:>8.1%}")
+    yield f"{'once per network object':<28}{'us/call':>10}{'':>13}{'':>10}{'share':>8}"
     for name, fn in (("validate", validate), ("solve_setup", solver.solve_setup)):
         calls = []
         for _ in range(COST_SOLVES):
@@ -303,7 +307,7 @@ def call_cost_lines(case: str, method: str):
             fn(fresh)
             calls.append(time.perf_counter_ns() - start)
         cost = statistics.median(calls)
-        yield f"{name:<28}{cost / 1e3:>10.1f}{'':>13}{cost / median:>8.1%}"
+        yield f"{name:<28}{cost / 1e3:>10.1f}{'':>13}{'':>10}{cost / median:>8.1%}"
 
 
 def _seed_range(text: str) -> range:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from steadygrid.stamps import GEN_PINNED, BoundCompanion, Companion, DeviceParams, GenModes
+from steadygrid.stamps import BoundCompanion, Companion, DeviceParams, GenModes
 
 
 def _blocks(rows, cols):
@@ -118,12 +118,12 @@ def reference_assemble(bound: BoundCompanion, state, zeta: float = 1.0,
     r = -2.0 * uh
     r[:ng] = (1.0 + zeta) * uh[:ng]
     r[slot] += jq * q
-    pinned = modes.mode.ravel()[slot] == GEN_PINNED
+    pinned = modes.pinned
     w = node[c.vc_v]
     vc_rhs = -(c.vc_sq + w.real * w.real + w.imag * w.imag)
     dw = -2.0 * w
     if pinned.any():
-        vc_rhs = np.where(pinned, modes.q_pin.ravel()[slot], vc_rhs)
+        vc_rhs = np.where(pinned, modes.q_pin, vc_rhs)
         dw = np.where(pinned, 0.0, dw)
     dl = c.delta_lanes
     jd = jac[:, dl].ravel()

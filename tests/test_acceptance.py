@@ -196,7 +196,7 @@ def test_criterion_8_q_limit_complementarity():
     report, state = solve(net, SolverOptions(nr=TIGHT))
     assert report.status == CONVERGED
     gen = net.generators[0]
-    q = state.gen_q_per_phase(0)[0]
+    q = state.gen_q()[0, 0]
     vmag = state.v_mag()[0, net.bus_index[gen.target_bus()]]
     vset = net.bus(gen.target_bus()).v_set
     # complementarity: at the limit exactly, and off the set-point
@@ -210,10 +210,10 @@ def test_criterion_8_q_limit_complementarity():
     rep14, st14 = solve(free, SolverOptions(nr=TIGHT))
     assert rep14.status == CONVERGED
     assert not rep14.switch_events
-    for k, g in enumerate(free.generators):
-        if st14.index.has_q_slot(k):
-            tgt = free.bus(g.target_bus())
-            assert st14.v_mag()[0, free.bus_index[g.bus]] == pytest.approx(tgt.v_set, abs=1e-8)
+    for k in st14.index.vc_gen_positions:
+        g = free.generators[k]
+        tgt = free.bus(g.target_bus())
+        assert st14.v_mag()[0, free.bus_index[g.bus]] == pytest.approx(tgt.v_set, abs=1e-8)
     _report(8, f"binding machine pinned at qmax={gen.qmax} pu with |V|={vmag:.4f} "
                f"< set {vset}; pinned oracle re-solve agrees to {dv:.1e} pu")
 

@@ -149,8 +149,16 @@ def test_each_outage_builds_one_index_map(monkeypatch):
 def test_an_islanding_outage_is_rejected_before_any_index_map(monkeypatch):
     net, state = solved("case12_radial.net")
     built = _capturing_index_maps(monkeypatch)
+    validated = []
+    for module in (solver, analyses):
+        def counting(network, _real=module.validate):
+            validated.append(network)
+            return _real(network)
+
+        monkeypatch.setattr(module, "validate", counting)
     [result] = run_contingencies(net, state, ContingencySet([Outage("cut", branch_ids=(1,))]), OPTS)
     assert built == []
+    assert len(validated) == 1  # the reason comes from the issues solve_setup raised with
     assert (result.status, result.reason) == (INFEASIBLE, "islanding without slack")
 
 

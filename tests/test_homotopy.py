@@ -12,7 +12,7 @@ from steadygrid.homotopy import (
     tx_transform,
 )
 from steadygrid.indexing import IndexMap
-from steadygrid.nr import NrOptions, run_newton
+from steadygrid.nr import NrOptions
 from steadygrid.solver import SolverOptions, solve
 from steadygrid.stamps import build_companion, build_virtual_shorts, effective_params
 
@@ -23,6 +23,7 @@ from conftest import (
     net_3bus,
     net_3phase,
     net_allparts,
+    newton,
 )
 
 
@@ -177,7 +178,7 @@ def test_shorted_system_voltages_hug_the_sources(name):
     net = load_case(case_path(name)).network
     index = IndexMap(net)
     bound = build_companion(net, index).bind(tx_transform(effective_params(net), 1.0, 1e4))
-    state, ok, iters, _ = run_newton(bound, anchored_state(net, index), NrOptions(tol=1e-8))
+    state, ok, iters, _ = newton(bound, anchored_state(net, index), NrOptions(tol=1e-8))
     assert ok
     assert iters <= 5  # trivial problem property
     vmag = state.v_mag()
@@ -231,7 +232,7 @@ def test_warm_start_continuity():
     # one pass: the final state is the continuation's own
     assert report.status == "converged" and report.outer_passes == 1
     for lam, _, _ in report.lambda_trace:
-        state, ok, _, _ = run_newton(layout.bind(tx_transform(base, lam, 1e4)), state, opts)
+        state, ok, _, _ = newton(layout.bind(tx_transform(base, lam, 1e4)), state, opts)
         assert ok
         v = state.v_complex().copy()
         if prev is not None and lam_prev != lam:

@@ -19,10 +19,11 @@ def test_index_map_is_a_bijection(builder):
         for ph in range(index.nphase):
             seen.add(index.slack_ir(pos, ph))
             seen.add(index.slack_ii(pos, ph))
-    for gen_pos in index.vc_gen_positions:
-        for ph in range(index.nphase):
-            seen.add(index.q_gen(gen_pos, ph))
+    seen.update(index.q_rows.tolist())
     assert seen == set(range(index.dim))
+    # the Q rows are the tail, one per (regulating machine, phase) lane
+    assert index.q_rows.tolist() == list(range(index.dim - index.q_rows.size, index.dim))
+    assert index.q_rows.size == len(index.vc_gen_positions) * index.nphase
 
 
 def test_voltages_are_phase_major():
@@ -55,9 +56,25 @@ def test_slack_targeting_generator_gets_no_slot():
     net = Network(PhaseDomain.POSITIVE_SEQUENCE, 100.0, buses, generators=(gen,),
                   branches=(make_branch(1, 1, 2, 0.01, 0.1),))
     index = IndexMap(net)
-    assert not index.has_q_slot(0)
+    assert index.vc_gen_positions == () and index.q_rows.size == 0
     state = flat_state(index)
-    assert np.all(state.gen_q_per_phase(0) == 0.0)
+    assert state.gen_q().tolist() == [[0.0]]
+
+
+@pytest.mark.parametrize("builder", [net_3bus, net_allparts])
+def test_gen_q_reads_slots_and_fixed_output(builder):
+    net = builder()
+    index = IndexMap(net)
+    state = flat_state(index)
+    state.x[index.q_rows] = 0.1 + np.arange(index.q_rows.size)
+    q = state.gen_q()
+    assert q.shape == (len(net.generators), index.nphase)
+    lanes = iter(state.x[index.q_rows].tolist())
+    for k, gen in enumerate(net.generators):
+        if k in index.vc_gen_positions:
+            assert q[k].tolist() == [next(lanes) for _ in range(index.nphase)]
+        else:
+            assert q[k].tolist() == gen.q.tolist()
 
 
 def test_state_helpers_round_trip():

@@ -1,6 +1,6 @@
 import math
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,8 +23,17 @@ from steadygrid.network import (
     series_y,
     validate,
 )
+from steadygrid.solver import InvalidNetworkError, solve
 
-from conftest import CASE_DIR, coupled_line_y, make_branch, make_zip, net_2bus
+from conftest import (
+    CASE_DIR,
+    case_path,
+    coupled_line_y,
+    make_branch,
+    make_zip,
+    net_2bus,
+    net_allparts,
+)
 
 
 def test_minimal_network_validates_clean():
@@ -309,6 +318,30 @@ BROKEN_ISSUES = (
 def test_validate_reports_every_issue_in_order():
     for net, want in zip(_broken_networks(), BROKEN_ISSUES):
         assert [(i.code, i.device, i.message) for i in validate(net)] == want
+
+
+@pytest.mark.parametrize("family, name", [
+    ("generators", "gen"), ("zip_loads", "zip"), ("big_loads", "big"),
+    ("branches", "branch"), ("transformers", "xfmr"), ("shunts", "shunt"),
+])
+def test_a_device_id_repeated_in_its_family_is_rejected(family, name):
+    net = net_allparts()
+    assert validate(net) == []  # the same id in different families is fine
+    devices = getattr(net, family)
+    twice = net.with_devices(**{family: devices + (devices[0],)})
+    assert [(i.code, i.device, i.message) for i in validate(twice)] == [
+        ("duplicate_id", f"{name} {devices[0].id}", "id repeated in its family")
+    ]
+
+
+def test_a_renumbered_generator_that_repeats_an_id_is_not_solved():
+    # an outage of gen 1 would remove both machines of this case9
+    net = load_case(case_path("case9.net")).network
+    gens = net.generators[:2] + (replace(net.generators[2], id=1),)
+    with pytest.raises(InvalidNetworkError) as err:
+        solve(net.with_devices(generators=gens))
+    assert [(i.code, i.device) for i in err.value.issues] == [("duplicate_id", "gen 1")]
+    assert str(err.value) == "invalid network: [duplicate_id] gen 1: id repeated in its family"
 
 
 def test_transformer_rejects_nonpositive_tap():

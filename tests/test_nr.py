@@ -16,7 +16,6 @@ from steadygrid.nr import (
     apply_q_limiting,
     apply_voltage_limiting,
     check_convergence,
-    run_newton,
     trace_to_csv,
     update_zeta,
 )
@@ -27,7 +26,7 @@ from steadygrid.stamps import (
     pv_current,
 )
 
-from conftest import assembled, net_2bus, net_linear
+from conftest import assembled, net_2bus, net_linear, newton
 
 WIDE = NrOptions(tol=1e-10, dv_max=100.0, v_min=-10.0, v_max=10.0)
 
@@ -157,9 +156,45 @@ def test_q_cap_must_be_positive():
 # -- Q limiting ----------------------------------------------------------------
 
 
+def limit_one(p, q_k, q_raw, vr, vi, di_max):
+    """``apply_q_limiting`` on a single lane."""
+    [q] = apply_q_limiting(*(np.array([v], dtype=float) for v in (p, q_k, q_raw, vr, vi)), di_max)
+    return q
+
+
+def scalar_q_limit(p, q_k, q_raw, vr, vi, di_max):
+    """One lane of the Q limiter in plain float arithmetic."""
+    if vr == 0.0 and vi == 0.0:
+        return q_raw
+    d = vr * vr + vi * vi
+    ir_k, ii_k = (p * vr + q_k * vi) / d, (p * vi - q_k * vr) / d
+    ir_n, ii_n = (p * vr + q_raw * vi) / d, (p * vi - q_raw * vr) / d
+    d_ir, d_ii = ir_n - ir_k, ii_n - ii_k
+    if abs(d_ir) <= di_max and abs(d_ii) <= di_max:
+        return q_raw
+    ir_lim = ir_k + math.copysign(min(abs(d_ir), di_max), d_ir)
+    ii_lim = ii_k + math.copysign(min(abs(d_ii), di_max), d_ii)
+    return ir_lim * vi - ii_lim * vr
+
+
 def test_q_step_within_cap_is_untouched():
-    q = apply_q_limiting(1.0, 0.0, 0.3, 1.0, 0.0, di_max=10.0)
+    q = limit_one(1.0, 0.0, 0.3, 1.0, 0.0, di_max=10.0)
     assert q == 0.3
+
+
+@pytest.mark.parametrize("di_max", [0.0, 0.05, 0.5, 10.0, math.inf, math.nan])
+def test_q_limiting_over_lanes_matches_each_lane_bit_for_bit(di_max):
+    rng = np.random.default_rng(12)
+    n = 64
+    p, q_k, q_raw = rng.uniform(-2, 2, size=(3, n))
+    vr, vi = rng.uniform(0.5, 1.5, size=n), rng.uniform(-0.5, 0.5, size=n)
+    vr[:3] = vi[:3] = 0.0  # zero-voltage lanes keep their raw Q, undivided
+    q_raw[3:6] = q_k[3:6]  # lanes that do not move
+    got = apply_q_limiting(p, q_k, q_raw, vr, vi, di_max)
+    lanes = zip(*(a.tolist() for a in (p, q_k, q_raw, vr, vi)))
+    want = [scalar_q_limit(*lane, di_max) for lane in lanes]
+    assert got.tobytes() == np.array(want).tobytes()
+    assert got[:3].tolist() == q_raw[:3].tolist()
 
 
 def test_current_inverse_reference_point():
@@ -179,13 +214,13 @@ def test_inverse_is_exact_against_forward():
 
 
 def test_zero_cap_freezes_q():
-    q = apply_q_limiting(0.7, 0.2, 5.0, 1.0, 0.1, di_max=0.0)
+    q = limit_one(0.7, 0.2, 5.0, 1.0, 0.1, di_max=0.0)
     assert q == pytest.approx(0.2, abs=1e-14)
 
 
 def test_partial_cap_limits_q_change():
     q_raw = 5.0
-    q = apply_q_limiting(1.0, 0.0, q_raw, 1.0, 0.0, di_max=0.5)
+    q = limit_one(1.0, 0.0, q_raw, 1.0, 0.0, di_max=0.5)
     assert 0.0 < abs(q) < abs(q_raw)
 
 
@@ -207,11 +242,11 @@ def test_linear_network_converges_in_one_iteration_from_any_start(monkeypatch):
     for _ in range(10):
         state = flat_state(index)
         state.x += rng.uniform(-3, 3, size=index.dim)
-        out, ok, iters, _ = run_newton(bound, state, WIDE)
+        out, ok, iters, _ = newton(bound, state, WIDE)
         assert ok and iters == 1
         assert len(factorizations) == 1
         # already at the solution: measured, never factored
-        out2, ok2, iters2, _ = run_newton(bound, out, WIDE)
+        out2, ok2, iters2, _ = newton(bound, out, WIDE)
         assert ok2 and iters2 == 0
         assert len(factorizations) == 1
         factorizations.clear()
@@ -221,21 +256,21 @@ def test_zero_budget_measures_the_start_only():
     bound = bound_of(net_2bus(p=0.5, q=0.2))
     start = flat_state(bound.layout.index)
     trace = []
-    out, ok, iters, residual = run_newton(bound, start, NrOptions(max_iter=0), trace=trace)
+    out, ok, iters, residual = newton(bound, start, NrOptions(max_iter=0), trace=trace)
     assert (ok, iters, trace) == (False, 0, [])
     assert np.array_equal(out.x, start.x)
     # the residual of the returned iterate, here the start's
     assert residual == split(bound, start)[0] > 1e-6
-    solved, ok, _, _ = run_newton(bound, start, WIDE)
+    solved, ok, _, _ = newton(bound, start, WIDE)
     assert ok
-    ok, iters, residual = run_newton(bound, solved, NrOptions(tol=1e-8, max_iter=0))[1:]
+    ok, iters, residual = newton(bound, solved, NrOptions(tol=1e-8, max_iter=0))[1:]
     assert (ok, iters) == (True, 0) and residual < 1e-8
 
 
 def test_two_bus_quadratic_convergence():
     bound = bound_of(net_2bus())
     trace = []
-    state, ok, iters, residual = run_newton(
+    state, ok, iters, residual = newton(
         bound, flat_state(bound.layout.index), WIDE, trace=trace
     )
     assert ok and residual < WIDE.tol
@@ -250,7 +285,7 @@ def test_raw_step_capped_in_trace():
     bound = bound_of(net_2bus(p=1.2, q=0.5))
     opts = NrOptions(dv_max=0.02)
     trace = []
-    run_newton(bound, flat_state(bound.layout.index), opts, trace=trace)
+    newton(bound, flat_state(bound.layout.index), opts, trace=trace)
     # raw Newton steps recorded, limited count increments when capped
     assert any(r.limited > 0 for r in trace)
 
@@ -262,7 +297,7 @@ def test_limited_counts_capped_and_clamped_variables():
     # the first step moves bus 2 by a few hundredths and leaves the slack at 1
     for opts in (WIDE, replace(WIDE, dv_max=1e-3), replace(WIDE, v_max=0.999)):
         trace = []
-        run_newton(bound, start, replace(opts, max_iter=1), trace=trace)
+        newton(bound, start, replace(opts, max_iter=1), trace=trace)
         counts.append(trace[0].limited)
     assert counts == [0, 2, 1]
 
@@ -315,6 +350,6 @@ def test_nr_applies_clamp_bounds():
     index = bound.layout.index
     opts = NrOptions(max_iter=30)
     trace = []
-    state, ok, _, _ = run_newton(bound, flat_state(index), opts, trace=trace)
+    state, ok, _, _ = newton(bound, flat_state(index), opts, trace=trace)
     nv = 2 * index.nbus
     assert np.all(state.x[:nv] >= opts.v_min) and np.all(state.x[:nv] <= opts.v_max)

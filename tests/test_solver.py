@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 from steadygrid import homotopy, nr, solver, stamps
 from steadygrid.caseio import load_case, write_solution
 from steadygrid.homotopy import anchored_state
-from steadygrid.indexing import IndexMap
+from steadygrid.indexing import IndexMap, flat_state
 from steadygrid.network import (
     PHASE_OFFSETS,
     Bus,
     BusKind,
+    Generator,
+    Network,
     PhaseDomain,
     Shunt,
     Transformer,
@@ -22,6 +25,7 @@ from steadygrid.network import (
 )
 from steadygrid.homotopy import lambda_trace_to_csv
 from steadygrid.nr import NrOptions, trace_to_csv
+from steadygrid.stamps import GenModes
 from steadygrid.reference import dense_reference_solve
 from steadygrid.solver import (
     CONVERGED,
@@ -37,6 +41,7 @@ from steadygrid.solver import (
 from conftest import (
     ALL_NET_CASES,
     case_path,
+    make_branch,
     make_zip,
     net_2bus,
     net_3bus,
@@ -63,7 +68,7 @@ def test_qlim_switch_event_and_oracle_match():
     gen = net.generators[0]
     events = [e for e in report.switch_events if e["device"] == f"gen {gen.id}"]
     assert len(events) == 1 and events[0]["action"] == "pin_qmax"
-    assert state.gen_q_per_phase(0)[0] == gen.qmax  # exactly at the ceiling
+    assert state.gen_q()[0, 0] == gen.qmax  # exactly at the ceiling
     # bus no longer holds its set-point
     assert state.v_mag()[0, net.bus_index[3]] < net.bus(3).v_set
     # the independent solver, pinned the same way, lands on the same point
@@ -102,8 +107,8 @@ def test_q_limiting_inside_newton_keeps_the_solution(case, method):
     ("case196_mesh.net", "tx"),
 ])
 def test_infinite_q_cap_skips_only_the_scalar_limiter(monkeypatch, case, method):
-    # an infinite cap never limits, so skipping the per-lane loop must give
-    # the same bits as a finite cap too large to act, which runs the loop
+    # an infinite cap never limits, so skipping the limiter must give the
+    # same bits as a finite cap too large to act, which runs it every pass
     calls = []
 
     def counting(*args, _limit=nr.apply_q_limiting):
@@ -156,7 +161,7 @@ def test_flat_positive_sequence():
     net = net_3bus()
     state = initialize_state(net, InitSpec(kind="flat"))
     np.testing.assert_allclose(state.v_complex()[0], 1.0 + 0.0j)
-    assert state.q_gen(0, 0) == 0.0
+    assert state.gen_q()[0, 0] == 0.0
 
 
 def test_flat_three_phase_offsets():
@@ -315,10 +320,9 @@ def test_complementarity_invariant_on_qlim_case():
     net = load_case(case_path("case_qlim.net")).network
     report, state = solve(net, SolverOptions(nr=NrOptions(tol=1e-10)))
     assert report.status == CONVERGED
-    for k, gen in enumerate(net.generators):
-        if not state.index.has_q_slot(k):
-            continue
-        q = state.gen_q_per_phase(k)
+    gen_q = state.gen_q()
+    for k in state.index.vc_gen_positions:
+        gen, q = net.generators[k], gen_q[k]
         assert np.all(q >= gen.qmin - 1e-9) and np.all(q <= gen.qmax + 1e-9)
         vset = net.bus(gen.target_bus()).v_set
         vmag = state.v_mag()[0, net.bus_index[gen.target_bus()]]
@@ -327,6 +331,121 @@ def test_complementarity_invariant_on_qlim_case():
             assert not math.isclose(vmag, vset, abs_tol=1e-6)
         else:
             assert vmag == pytest.approx(vset, abs=1e-8)
+
+
+def _net_qmin_release():
+    """Two regulating machines on a chain from the slack: gen 2 holds bus 3
+    high, so gen 1 must absorb more than it can and pins at ``qmin``; once
+    gen 2 pins at ``qmax`` too, bus 2 sags below its set-point and gen 1 is
+    released, needing more than its ``qmax`` from then on."""
+    buses = (Bus(1, BusKind.SLACK, 138.0, 1.0, 0.0), Bus(2, BusKind.PQ, 138.0, v_set=1.0),
+             Bus(3, BusKind.PQ, 138.0, v_set=1.08))
+    gens = (Generator(1, 2, p=phase_array(0.2, 1), qmin=-0.05, qmax=0.3),
+            Generator(2, 3, p=phase_array(0.2, 1), qmin=-1.0, qmax=0.1))
+    return Network(
+        PhaseDomain.POSITIVE_SEQUENCE, 100.0, buses, generators=gens,
+        zip_loads=(make_zip(1, 2, s=0.3 + 0.1j), make_zip(2, 3, s=0.5 + 0.3j)),
+        branches=(make_branch(1, 1, 2, 0.02, 0.1), make_branch(2, 2, 3, 0.02, 0.1)),
+    )
+
+
+def test_a_released_machine_stays_frozen_out_of_its_band():
+    # the outer loop's pin_qmin, release and freeze, which no corpus solve takes
+    net = _net_qmin_release()
+    report, state = solve(net)
+    assert (report.status, report.outer_passes, report.inner_iterations) == (CONVERGED, 3, 9)
+    assert report.switch_events == [
+        {"pass": 1, "device": "gen 1", "phase": 0, "action": "pin_qmin", "value": -0.05},
+        {"pass": 1, "device": "gen 2", "phase": 0, "action": "pin_qmax", "value": 0.1},
+        {"pass": 2, "device": "gen 1", "phase": 0, "action": "release", "value": -0.05},
+    ]
+    # frozen at its release, gen 1 keeps regulating above its qmax of 0.3
+    assert state.x.tolist() == [
+        0.9999999999999999, 1.4987953581965016e-18, 0.9991149743626984, -0.04206266759159044,
+        0.9706173074484293, -0.06688594894143678, 0.40615069922164176, 0.0723798834713132,
+        0.40313337953011125, 0.1,
+    ]
+
+
+def scalar_enforce_q_limits(network, index, state, modes, frozen, events, pass_no, tol):
+    """The outer loop's Q-limit pass one lane at a time, each bus magnitude
+    taken on its own: the reference for the array pass."""
+    nph = index.nphase
+    for n, k in enumerate(index.vc_gen_positions):
+        gen = network.generators[k]
+        target = network.bus_index[gen.target_bus()]
+        vset = network.buses[target].v_set
+        for ph in range(nph):
+            lane = n * nph + ph
+            if frozen[lane]:
+                continue
+            if not modes.pinned[lane]:
+                q = state.x[index.q_rows[lane]]
+                if q > gen.qmax + tol:
+                    action, value = "pin_qmax", gen.qmax
+                elif q < gen.qmin - tol:
+                    action, value = "pin_qmin", gen.qmin
+                else:
+                    continue
+                modes.pinned[lane] = True
+                modes.q_pin[lane] = state.x[index.q_rows[lane]] = value
+            else:
+                pin = modes.q_pin[lane]
+                vmag = float(np.mean(np.abs(state.v_complex()[:, target])))
+                if not ((pin == gen.qmax and vmag > vset + tol)
+                        or (pin == gen.qmin and vmag < vset - tol)):
+                    continue
+                action, value = "release", float(pin)
+                modes.pinned[lane], frozen[lane] = False, True
+            events.append({"pass": pass_no, "device": f"gen {gen.id}", "phase": ph,
+                           "action": action, "value": value})
+    return bool(events)
+
+
+def _net_3phase_regulated():
+    """net_3phase with two regulating machines, one of them remote."""
+    net = net_3phase()
+    buses = (net.buses[0], dc_replace(net.buses[1], v_set=1.0),
+             dc_replace(net.buses[2], v_set=0.98))
+    gens = (Generator(1, 2, p=phase_array(0.1, 3), qmin=-0.05, qmax=0.1),
+            Generator(2, 2, p=phase_array(0.05, 3), qmin=-0.1, qmax=0.05, remote_bus=3))
+    return net.with_devices(buses=buses, generators=gens)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: load_case(case_path("case14.net")).network, id="case14"),
+    pytest.param(lambda: load_case(case_path("case196_mesh.net")).network, id="case196"),
+    pytest.param(_net_3phase_regulated, id="three_phase"),
+])
+def test_q_enforcement_over_lanes_matches_each_lane(make):
+    net = make()
+    index = IndexMap(net)
+    n, nv = index.q_rows.size, 2 * index.nbus * index.nphase
+    gens = [net.generators[k] for k in index.vc_gen_positions]
+    qmin = np.repeat([g.qmin for g in gens], index.nphase)
+    qmax = np.repeat([g.qmax for g in gens], index.nphase)
+    rng = np.random.default_rng(5)
+    actions = set()
+    for _ in range(40):
+        # random magnitudes around each set-point, Q around each band, pins
+        # at either limit, and frozen lanes among the free ones
+        state = flat_state(index)
+        state.x[:nv] += rng.uniform(-0.05, 0.05, nv)
+        state.x[index.q_rows] = rng.uniform(qmin - 0.1, qmax + 0.1)
+        pinned = rng.random(n) < 0.4
+        q_pin = np.where(rng.random(n) < 0.5, qmin, qmax)
+        frozen = ~pinned & (rng.random(n) < 0.3)
+        runs = []
+        for array_pass in (False, True):
+            st, fr, events = state.copy(), frozen.copy(), []
+            modes = GenModes(pinned.copy(), q_pin.copy())
+            enforce = solver._enforce_q_limits if array_pass else scalar_enforce_q_limits
+            moved = enforce(net, index, st, modes, fr, events, 2, 1e-5)
+            runs.append((moved, json.dumps(events), st.x.tobytes(), modes.pinned.tolist(),
+                         modes.q_pin.tobytes(), fr.tolist()))
+            actions.update(e["action"] for e in events)
+        assert runs[0] == runs[1]
+    assert actions == {"pin_qmax", "pin_qmin", "release"}
 
 
 def test_pass_limit_reports_infeasible():
@@ -410,8 +529,6 @@ def test_invalid_network_raises():
 
 
 def replace_kind(bus):
-    from dataclasses import replace as dc_replace
-
     return dc_replace(bus, kind=BusKind.PQ)
 
 
@@ -481,6 +598,27 @@ def test_shunt_block_stepping():
     assert report.to_dict()["final_shunt_blocks"] == {"1": report.network.shunts[0].blocks_on}
     assert state.v_mag()[0, 1] > s0.v_mag()[0, 1]
     assert validate_solution(report.network, state).max < 10 * options.nr.tol
+
+
+def test_a_shunt_that_steps_back_is_frozen_after_two_moves():
+    # one 0.8 pu block lifts the bus above its band, and taking it off again
+    # drops it below: the second move reverses the first, so the bank freezes
+    net = net_switched_shunt()
+    sh = dc_replace(net.shunts[0], block_b=phase_array(0.8, 1))
+    report, _ = solve(net.with_devices(shunts=(sh,)), SolverOptions(adjust_shunts=True))
+    assert (report.status, report.outer_passes) == (CONVERGED, 3)
+    assert [(e["pass"], e["value"]) for e in report.switch_events] == [(1, 1), (2, 0)]
+    assert report.to_dict()["final_shunt_blocks"] == {"1": 0}
+
+
+def test_a_tap_that_steps_back_is_frozen_after_two_moves():
+    net = net_tap()
+    tx = dc_replace(net.transformers[0], tap_step=0.1, tap_min=0.5, tap_max=1.5)
+    options = SolverOptions(adjust_taps=True, outer_max_passes=12)
+    report, _ = solve(net.with_devices(transformers=(tx,)), options)
+    assert (report.status, report.outer_passes) == (CONVERGED, 3)
+    assert [(e["pass"], e["value"]) for e in report.switch_events] == [(1, 0.9), (2, 1.0)]
+    assert report.to_dict()["final_taps"] == {"1": [1.0]}
 
 
 def test_without_adjustment_the_case_is_the_operated_network():

@@ -24,7 +24,6 @@ from steadygrid.network import (
 from steadygrid.nr import NrOptions
 from steadygrid.solver import SolverOptions, solve
 from steadygrid.stamps import (
-    GEN_PINNED,
     GenModes,
     ZeroVoltageIterate,
     assemble_system,
@@ -52,6 +51,8 @@ def dense_system(net, state=None, params=None, zeta=1.0, modes=None):
         state = flat_state(index)
     if params is None:
         params = effective_params(net)
+    if modes is None:
+        modes = GenModes.initial(index)
     layout = build_companion(net, index)
     data, b = assemble_system(layout.bind(params), state, zeta, modes)
     p = layout.pattern
@@ -101,7 +102,7 @@ def lane(device, v: complex, q: float = 0.0):
     rows = [index.vr(1, 0), index.vi(1, 0)]
     cols = list(rows)
     if gen and device.controls_voltage:
-        cols.append(index.q_gen(0, 0))
+        cols.append(index.q_rows[0])
         state.x[cols[2]] = q
     a, b, _ = dense_system(net, state)
     return (a @ state.x - b)[rows], a[np.ix_(rows, cols)]
@@ -293,7 +294,7 @@ def test_pv_zeta_scales_voltage_terms_only():
     # the generator's voltage derivative is the zeta-dependent part
     assert a1[r, c] != a0[r, c]
     assert ah[r, c] - a0[r, c] == pytest.approx(0.5 * (a1[r, c] - a0[r, c]))
-    cq = index.q_gen(0, 0)
+    cq = index.q_rows[0]
     ri = index.vi(pos, 0)
     assert a0[ri, cq] != 0.0
     # dI/dQ column unscaled
@@ -318,12 +319,12 @@ def test_zero_voltage_iterate_reported():
     state = flat_state(index)
     state.set_voltage(net.bus_index[2], 0, 0.0 + 0.0j)
     with pytest.raises(ZeroVoltageIterate) as zvi:
-        assemble_system(companion, state)
+        assemble_system(companion, state, 1.0, GenModes.initial(index))
     assert (zvi.value.device, zvi.value.bus, zvi.value.phase) == ("zip 1", 2, 0)
     # the generator is named first when both sit at zero
     state.set_voltage(net.bus_index[3], 0, 0.0 + 0.0j)
     with pytest.raises(ZeroVoltageIterate) as zvi:
-        assemble_system(companion, state)
+        assemble_system(companion, state, 1.0, GenModes.initial(index))
     assert (zvi.value.device, zvi.value.bus, zvi.value.phase) == ("gen 1", 3, 0)
 
 
@@ -337,7 +338,7 @@ def test_vc_row_at_satisfied_point():
     pos = net.bus_index[3]
     state.set_voltage(pos, 0, 1.01 + 0.0j)
     a, b, _ = dense_system(net, state)
-    row = index.q_gen(0, 0)
+    row = index.q_rows[0]
     assert a[row, index.vr(pos, 0)] == pytest.approx(-2.02)
     assert a[row, index.vi(pos, 0)] == 0.0
     assert a[row, row] == 0.0  # free Q: no pin on the diagonal
@@ -350,7 +351,7 @@ def test_vc_row_residual_values():
     index = IndexMap(net)
     state = flat_state(index)
     pos = net.bus_index[3]
-    row = index.q_gen(0, 0)
+    row = index.q_rows[0]
 
     # |v| = 0.9 against set-point 1.0: F = 1 - 0.81 = 0.19
     state.set_voltage(pos, 0, 0.9 + 0.0j)
@@ -363,9 +364,9 @@ def test_vc_row_residual_values():
     assert residual_vector(companion, state)[row] == pytest.approx(0.0, abs=1e-14)
 
     # pinned at a limit the row becomes q - q_pin
-    modes = GenModes.initial(net)
-    modes.mode[0, 0] = GEN_PINNED
-    modes.q_pin[0, 0] = 0.25
+    modes = GenModes.initial(index)
+    modes.pinned[0] = True
+    modes.q_pin[0] = 0.25
     state.x[row] = 0.4
     assert residual_vector(companion, state, modes)[row] == pytest.approx(0.15)
 
@@ -431,7 +432,7 @@ def test_inactive_delta_lane_at_zero_voltage_stamps_finite_values():
     state.set_voltage(pos, 2, complex(state.x[index.vr(pos, 1)], state.x[index.vi(pos, 1)]))
     assert state.v_complex()[1, pos] - state.v_complex()[2, pos] == 0
     bound = build_companion(net, index).bind(effective_params(net))
-    data, rhs = assemble_system(bound, state)
+    data, rhs = assemble_system(bound, state, 1.0, GenModes.initial(index))
     assert np.all(np.isfinite(data)) and np.all(np.isfinite(rhs))
 
 
@@ -444,13 +445,13 @@ def test_active_delta_lane_at_zero_voltage_is_reported():
     v_a = complex(state.x[index.vr(pos, 0)], state.x[index.vi(pos, 0)])
     state.set_voltage(pos, 1, v_a)  # terminal a-b, which has parts, at u = 0
     with pytest.raises(ZeroVoltageIterate) as zvi:
-        assemble_system(bound, state)
+        assemble_system(bound, state, 1.0, GenModes.initial(index))
     assert (zvi.value.device, zvi.value.bus, zvi.value.phase) == ("zip 2", 3, 0)
     # the machine on the same bus is named first once its phase a is at zero
     state.set_voltage(pos, 0, 0.0 + 0.0j)
     state.set_voltage(pos, 1, 0.0 + 0.0j)
     with pytest.raises(ZeroVoltageIterate) as zvi:
-        assemble_system(bound, state)
+        assemble_system(bound, state, 1.0, GenModes.initial(index))
     assert (zvi.value.device, zvi.value.bus, zvi.value.phase) == ("gen 1", 3, 0)
 
 
@@ -500,23 +501,23 @@ def net_remote():
 
 def plain(builder):
     net = builder()
-    return net, effective_params(net), GenModes.initial(net)
+    return net, effective_params(net), GenModes.initial(IndexMap(net))
 
 
 def tx_half_remote():
     net = net_remote()
-    return net, tx_transform(effective_params(net), 0.5, 10.0), GenModes.initial(net)
+    return net, tx_transform(effective_params(net), 0.5, 10.0), GenModes.initial(IndexMap(net))
 
 
 def power_half():
     net = net_3phase()
-    return net, power_transform(effective_params(net), 0.5), GenModes.initial(net)
+    return net, power_transform(effective_params(net), 0.5), GenModes.initial(IndexMap(net))
 
 
 def pinned_gen():
     net, params, modes = plain(net_allparts)
-    modes.mode[0, 0] = GEN_PINNED
-    modes.q_pin[0, 0] = 0.3
+    modes.pinned[0] = True
+    modes.q_pin[0] = 0.3
     return net, params, modes
 
 
@@ -566,7 +567,7 @@ def test_taylor_consistency_at_expansion_point():
     # zeta must not change the residual at the expansion point
     system = SparseSystem(index.dim)
     system.assemble(
-        companion.layout.pattern, *assemble_system(companion, state, 0.3, GenModes.initial(net))
+        companion.layout.pattern, *assemble_system(companion, state, 0.3, GenModes.initial(index))
     )
     f_damped = system.matrix @ state.x - system.rhs
     np.testing.assert_allclose(f_damped, f_unit, atol=1e-14)
@@ -576,9 +577,9 @@ def test_sparsity_pattern_is_iterate_independent():
     net = net_allparts()
     index = IndexMap(net)
     params = effective_params(net)
-    free = GenModes.initial(net)
-    pinned = GenModes(free.mode.copy(), free.q_pin.copy())
-    pinned.mode[0, 0] = GEN_PINNED
+    free = GenModes.initial(index)
+    pinned = GenModes.initial(index)
+    pinned.pinned[0] = True
     s1 = flat_state(index)
     s2 = flat_state(index)
     s2.x[: 2 * index.nbus] += 0.05
@@ -693,11 +694,11 @@ def test_bind_and_assembly_match_the_reference_byte_for_byte(name):
         pos = net.bus_index[3]
         state.set_voltage(pos, 2, complex(state.x[index.vr(pos, 1)], state.x[index.vi(pos, 1)]))
         states.append(state)
-    free = GenModes.initial(net)
-    pinned = GenModes.initial(net)
-    if index.vc_gen_positions:
-        pinned.mode[index.vc_gen_positions[0]] = GEN_PINNED
-        pinned.q_pin[index.vc_gen_positions[0]] = 0.3
+    free = GenModes.initial(index)
+    pinned = GenModes.initial(index)
+    # every phase of the first regulating machine
+    pinned.pinned[: index.nphase] = True
+    pinned.q_pin[: index.nphase] = 0.3
     for p in params:
         bound = layout.bind(p)
         for field, want in reference_bind(layout, p).items():
