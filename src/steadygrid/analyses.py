@@ -22,6 +22,7 @@ from .solver import (
     InitSpec,
     InvalidNetworkError,
     SolverOptions,
+    derive_outage_setup,
     solve,
     solve_setup,
     transfer_state,
@@ -29,7 +30,8 @@ from .solver import (
 )
 
 # perfbench/layers.py traces ``validate`` by its name in this module too,
-# though ``solve_setup`` alone validates an outage network, once
+# though only ``solve_setup`` validates an outage network: once, and only
+# when ``apply_outage`` could not give it its base network's set-up
 validate = _network.validate
 
 __all__ = [
@@ -106,20 +108,41 @@ class SweepResult:
 
 
 def apply_outage(network: Network, outage: Outage) -> Network:
-    """New network with the outaged devices removed."""
-    missing = []
-    gens = tuple(g for g in network.generators if g.id not in outage.gen_ids)
-    if len(gens) != len(network.generators) - len(outage.gen_ids):
-        missing.append(f"gens {outage.gen_ids}")
-    branches = tuple(b for b in network.branches if b.id not in outage.branch_ids)
-    if len(branches) != len(network.branches) - len(outage.branch_ids):
-        missing.append(f"branches {outage.branch_ids}")
-    xfmrs = tuple(t for t in network.transformers if t.id not in outage.transformer_ids)
-    if len(xfmrs) != len(network.transformers) - len(outage.transformer_ids):
-        missing.append(f"transformers {outage.transformer_ids}")
-    if missing:
-        raise ValueError(f"outage {outage.label}: unknown devices: {', '.join(missing)}")
-    return network.with_devices(generators=gens, branches=branches, transformers=xfmrs)
+    """New network with the outaged devices removed.
+
+    Raises ``ValueError`` naming the ids no device has, the ids listed
+    twice, and the ids several devices share. An outage of branches and
+    transformers alone gets the set-up of ``network``
+    (:func:`derive_outage_setup`), so ``run_contingencies`` and a caller
+    that solves the outage network itself share one set-up.
+    """
+    problems: dict[str, list[str]] = {}
+    kept, removed = {}, {}
+    for family, name, ids in (
+        ("generators", "gens", outage.gen_ids),
+        ("branches", "branches", outage.branch_ids),
+        ("transformers", "transformers", outage.transformer_ids),
+    ):
+        devices = getattr(network, family)
+        hit = [d.id in ids for d in devices]
+        found = [d.id for d, h in zip(devices, hit) if h]
+        for kind, bad in (
+            ("unknown", [i for i in ids if i not in found]),
+            ("repeated", [i for n, i in enumerate(ids) if i in ids[:n]]),
+            ("ambiguous", [i for n, i in enumerate(found) if i in found[:n]]),
+        ):
+            if bad:
+                problems.setdefault(kind, []).append(f"{name} {tuple(dict.fromkeys(bad))}")
+        kept[family] = tuple(d for d, h in zip(devices, hit) if not h)
+        removed[family] = [k for k, h in enumerate(hit) if h]
+    if problems:
+        text = "; ".join(f"{kind} devices: {', '.join(v)}" for kind, v in problems.items())
+        raise ValueError(f"outage {outage.label}: {text}")
+    if outage.gen_ids:  # the Q slots are numbered again
+        return network.with_devices(**kept)
+    post = network.with_devices(branches=kept["branches"], transformers=kept["transformers"])
+    derive_outage_setup(network, post, removed["branches"], removed["transformers"])
+    return post
 
 
 def check_top_fraction(top_fraction: float) -> None:
@@ -179,7 +202,8 @@ def _run_one_contingency(
     except ValueError as exc:
         return ContingencyResult(outage.label, INFEASIBLE, reason=str(exc))
     try:
-        # validates the post-outage network before anything is laid out
+        # the set-up apply_outage gave ``post``, or else ``post`` validated
+        # before anything is laid out
         index: IndexMap = solve_setup(post)[0]
     except InvalidNetworkError as exc:
         if any(i.code == "missing_slack" for i in exc.issues):

@@ -71,9 +71,10 @@ The three paths:
   and the solution is mapped back to the caller's numbering. The order
   depends on the pattern alone, explicit zeros included, and the pivots on
   the values, so a change in the set of exact zeros never orders again.
-  The order is set up once per pattern: in live N-1 runs of case56 (121
-  unknowns), where every outage is a new pattern, it took a median of
-  0.51 ms, about half of it in forming ``A + Aᵀ``.
+  The order is set up once per pattern, and a branch or transformer outage
+  keeps its base network's pattern (``apply_outage``), so an N-1 run orders
+  once per base network. On case56 (121 unknowns) the order took a median
+  of 0.51 ms, about half of it in forming ``A + Aᵀ``.
 * SuperLU: the plan keeps COLAMD's column order ``perm_c`` from the
   pattern's first factorization, the gather of each CSC entry into the
   column-permuted matrix ``A Pc`` and that matrix's ``indices``/``indptr``.

@@ -250,7 +250,8 @@ class Network:
     name: str = ""
     bus_index: dict = field(init=False, repr=False, compare=False)
     islands: tuple = field(init=False, repr=False, compare=False)
-    # the solve set-up of this object, kept by its first solve (solver.py)
+    # the solve set-up of this object, kept by its first solve, or given by
+    # apply_outage from its base network's (solver.py)
     _setup: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -333,22 +334,12 @@ def validate(network: Network) -> list[ValidationIssue]:
     if len(idx) != len(network.buses):
         add(ValidationIssue("duplicate_bus", "network", "duplicate bus ids"))
 
-    # Exactly one slack per island.
-    slack_per_island: dict[int, list[int]] = {}
-    for k, b in enumerate(network.buses):
-        if b.kind == BusKind.SLACK:
-            slack_per_island.setdefault(network.islands[k], []).append(b.id)
-            if b.v_set is None or not (b.v_set > 0):
-                add(ValidationIssue("bad_vset", f"bus {b.id}", "slack bus needs v_set > 0"))
-            if not math.isfinite(b.angle):
-                add(ValidationIssue("not_finite", f"bus {b.id}",
-                                    f"slack angle {b.angle} not finite"))
-    for isl in range(network.n_islands):
-        got = slack_per_island.get(isl, [])
-        if not got:
-            add(ValidationIssue("missing_slack", f"island {isl}", "island has no slack bus"))
-        elif len(got) > 1:
-            add(ValidationIssue("multiple_slack", f"island {isl}", f"slack buses {got}"))
+    for b in network.slack_buses():
+        if b.v_set is None or not (b.v_set > 0):
+            add(ValidationIssue("bad_vset", f"bus {b.id}", "slack bus needs v_set > 0"))
+        if not math.isfinite(b.angle):
+            add(ValidationIssue("not_finite", f"bus {b.id}", f"slack angle {b.angle} not finite"))
+    issues += _island_issues(network)
 
     for b in network.buses:
         if b.v_set is not None and not (b.v_set > 0):
@@ -385,12 +376,9 @@ def validate(network: Network) -> list[ValidationIssue]:
                 add(ValidationIssue("not_finite", dev, "q has non-finite entries"))
         if not (g.qmin <= g.qmax):
             add(ValidationIssue("qlim_order", dev, f"qmin {g.qmin} > qmax {g.qmax}"))
-        if g.remote_bus is not None:
-            if g.remote_bus not in idx:
-                add(ValidationIssue("unknown_bus", dev, f"remote bus {g.remote_bus} not defined"))
-            elif network.islands[idx[g.bus]] != network.islands[idx[g.remote_bus]]:
-                add(ValidationIssue("unreachable_remote", dev,
-                                    f"no path from bus {g.bus} to remote bus {g.remote_bus}"))
+        remote = _remote_issue(network, g)
+        if remote is not None:
+            add(remote)
         if g.controls_voltage:
             tgt = g.target_bus()
             if tgt in idx and network.bus(tgt).v_set is None:
@@ -476,6 +464,50 @@ def validate(network: Network) -> list[ValidationIssue]:
                     or not (0 <= sh.blocks_on <= sh.max_blocks)):
                 add(ValidationIssue("bad_blocks", dev, "switchable shunt needs finite block table"))
 
+    return issues
+
+
+def _island_issues(network: Network) -> list[ValidationIssue]:
+    """Exactly one slack per island."""
+    issues = []
+    slack_per_island: dict[int, list[int]] = {}
+    for k, b in enumerate(network.buses):
+        if b.kind == BusKind.SLACK:
+            slack_per_island.setdefault(network.islands[k], []).append(b.id)
+    for isl in range(network.n_islands):
+        got = slack_per_island.get(isl, [])
+        if not got:
+            issues.append(ValidationIssue("missing_slack", f"island {isl}", "island has no slack bus"))
+        elif len(got) > 1:
+            issues.append(ValidationIssue("multiple_slack", f"island {isl}", f"slack buses {got}"))
+    return issues
+
+
+def _remote_issue(network: Network, g: Generator) -> ValidationIssue | None:
+    """What is wrong with the remote bus of generator ``g``, whose own bus
+    exists, if anything: it must exist and lie in ``g``'s island."""
+    if g.remote_bus is None:
+        return None
+    idx = network.bus_index
+    dev = f"gen {g.id}"
+    if g.remote_bus not in idx:
+        return ValidationIssue("unknown_bus", dev, f"remote bus {g.remote_bus} not defined")
+    if network.islands[idx[g.bus]] != network.islands[idx[g.remote_bus]]:
+        return ValidationIssue("unreachable_remote", dev,
+                               f"no path from bus {g.bus} to remote bus {g.remote_bus}")
+    return None
+
+
+def connectivity_issues(network: Network) -> list[ValidationIssue]:
+    """The issues of :func:`validate` that removing a branch or transformer
+    can raise in a network that passed it: an island without its one slack,
+    and a regulating generator cut off from its remote bus. ``validate``
+    reports them through the same code, in the same order."""
+    issues = _island_issues(network)
+    for g in network.generators:
+        remote = _remote_issue(network, g)
+        if remote is not None:
+            issues.append(remote)
     return issues
 
 

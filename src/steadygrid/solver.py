@@ -24,9 +24,11 @@ out, and a valid one is never checked again. The set-up
 lives in the network's private ``_setup`` slot, not in a module-level
 registry, and refers to no network, so reference counting frees a network
 with its set-up as soon as its last user lets go. A ``with_devices`` copy
-starts without it, and every array it holds is read-only. The Q-slot pins,
-the state and the :class:`SparseSystem` are built per solve, so a
-solve's result does not depend on what was solved before it.
+starts without it, except that ``apply_outage`` gives a network without
+some branches or transformers one derived from its base network's
+(:func:`derive_outage_setup`); every array a set-up holds is read-only.
+The Q-slot pins, the state and the :class:`SparseSystem` are built per
+solve, so a solve's result does not depend on what was solved before it.
 """
 
 from __future__ import annotations
@@ -42,7 +44,9 @@ import numpy as np
 from .homotopy import anchored_state, run_homotopy
 from .indexing import IndexMap, StateVector, flat_state
 from .linsys import SingularityError, SparseSystem
-from .network import Connection, Network, PHASE_OFFSETS, PhaseDomain, validate
+from .network import (
+    Connection, Network, PHASE_OFFSETS, PhaseDomain, connectivity_issues, validate,
+)
 from .nr import NrOptions, check_convergence, run_newton
 from .reference import build_ybus
 from .stamps import GenModes, build_companion, effective_params
@@ -388,6 +392,33 @@ def solve_setup(network: Network):
         setup = (index, build_companion(network, index), effective_params(network))
         object.__setattr__(network, "_setup", setup)
     return network._setup
+
+
+def derive_outage_setup(base: Network, post: Network, branches, transformers) -> None:
+    """Give ``post``, which is ``base`` without the branches and transformers
+    at the positions ``branches`` and ``transformers``, the set-up of
+    ``base`` (:func:`solve_setup`), so ``post`` is neither validated, laid
+    out nor ordered again: the same index map, the layout without the
+    removed devices' linear values over the same pattern and plan
+    (:meth:`Companion.without_series`), and the base parameters without
+    their rows.
+
+    Every device of ``post`` is an immutable object ``base`` has passed, so
+    only the checks that removing a series device can change run again
+    (:func:`connectivity_issues`). When one fails, or ``base`` is invalid,
+    nothing is given, and ``solve_setup(post)`` validates in full.
+    """
+    try:
+        index, layout, params = solve_setup(base)
+    except InvalidNetworkError:
+        return
+    if connectivity_issues(post):
+        return
+    branches = np.asarray(branches, dtype=np.intp)
+    transformers = np.asarray(transformers, dtype=np.intp)
+    removed = np.concatenate([branches, len(base.branches) + transformers])
+    setup = (index, layout.without_series(removed), params.without_series(branches, transformers))
+    object.__setattr__(post, "_setup", setup)
 
 
 def solve(network: Network, options: SolverOptions | None = None):

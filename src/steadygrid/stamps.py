@@ -53,7 +53,7 @@ else trusts them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -149,6 +149,20 @@ class DeviceParams:
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
 
+    def without_series(self, branches, transformers) -> "DeviceParams":
+        """These parameters without the branches and transformers at the
+        given positions: the same bits as :func:`effective_params` of the
+        network without them. The other families' arrays are shared."""
+        return replace(
+            self,
+            branch_y=np.delete(self.branch_y, branches, axis=0),
+            branch_bf=np.delete(self.branch_bf, branches, axis=0),
+            branch_bt=np.delete(self.branch_bt, branches, axis=0),
+            xfmr_y=np.delete(self.xfmr_y, transformers, axis=0),
+            xfmr_tap=np.delete(self.xfmr_tap, transformers, axis=0),
+            xfmr_shift=np.delete(self.xfmr_shift, transformers, axis=0),
+        )
+
 
 def effective_params(network: Network) -> DeviceParams:
     """Identity parameter snapshot of the network as operated.
@@ -235,7 +249,8 @@ class Companion:
     continuation steps, taps and shunt blocks change values, never the layout.
     ``pattern`` is the whole fixed CSC pattern; ``linear_slots`` and
     ``nonlinear_slots`` are the slots of the values :meth:`bind` and
-    :func:`assemble_system` emit, in emission order, and
+    :func:`assemble_system` emit, in emission order, ``linear_owner`` the
+    series device each linear value belongs to (:meth:`without_series`), and
     ``nonlinear_rhs_rows`` the rows of the right-hand side values
     :func:`assemble_system` emits. Lanes are (generator,
     phase), then (ZIP load, terminal), in device order. Lane, regulated and
@@ -250,6 +265,7 @@ class Companion:
     zip_loads: tuple
     pattern: CscPattern
     linear_slots: np.ndarray
+    linear_owner: np.ndarray  # branch k is k, transformer k is nbranch + k, any other device -1
     nonlinear_slots: np.ndarray
     n_short: int  # (virtual short, phase) lanes
     zip_delta: np.ndarray  # per ZIP load: delta connected
@@ -274,6 +290,23 @@ class Companion:
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
+
+    def without_series(self, removed) -> "Companion":
+        """This layout for the network without the series devices at the
+        positions ``removed`` (numbered as in ``linear_owner``).
+
+        Their linear values leave :meth:`bind`'s emission and the rest keep
+        their order, so every slot sums the values it gets from the smaller
+        network in the same order. The pattern stays, with the removed
+        entries as explicit zeros, and with it the pattern's factorization
+        plan, so nothing is compressed or ordered again.
+        """
+        removed = np.unique(np.asarray(removed, dtype=np.intp))
+        keep = ~np.isin(self.linear_owner, removed)
+        owner = self.linear_owner[keep]
+        # the devices left are numbered as in the smaller network's own layout
+        owner = np.where(owner < 0, owner, owner - np.searchsorted(removed, owner))
+        return replace(self, linear_slots=self.linear_slots[keep], linear_owner=owner)
 
     def bind(self, params: DeviceParams) -> "BoundCompanion":
         """Reduce the linear part of ``params`` into CSC data over the
@@ -401,6 +434,12 @@ def build_companion(network: Network, index: IndexMap) -> Companion:
         np.concatenate([r.ravel() for r, _ in parts]),
         np.concatenate([c.ravel() for _, c in parts]),
     )
+    # the series device of each entry: the branch and transformer grids lead,
+    # device-major, with the same number of entries per device
+    series = [np.arange(len(brs))] * 6 + [len(brs) + np.arange(len(txs))] * 4
+    owner = [np.repeat(d, r.size // max(d.size, 1)) for d, (r, _) in zip(series, parts)]
+    owner.append(np.full(sum(r.size for r, _ in parts[len(series):]), -1))
+    owner = np.concatenate(owner)
 
     # slack rows: the source current leaves through the network, the
     # constraint rows pin the node voltage
@@ -470,6 +509,7 @@ def build_companion(network: Network, index: IndexMap) -> Companion:
         zip_loads=zl,
         pattern=pattern,
         linear_slots=slots[:n_linear],
+        linear_owner=np.concatenate([np.tile(owner, 4), np.full(n_linear - 4 * owner.size, -1)]),
         nonlinear_slots=slots[n_linear:],
         n_short=o.size,
         zip_delta=delta,

@@ -51,6 +51,15 @@ COLAMD and ``NATURAL`` calls to SuperLU in that solve, and the hash; with
 
     PYTHONPATH=src python3 tests/corpus_digest.py --tiles --states after.npz > after.txt
 
+``--outages`` prints, instead of the corpus, one line per valid single
+branch or transformer outage of ``OUTAGE_CASES``: each solved under ``tx``
+at tol 1e-8 and warm-started from its base network's solution, as
+``run_contingencies`` does. A line holds the status, the work counts and
+the hash; with ``--states`` it saves the states for ``--compare``. It covers
+every such outage, where the benchmark's ``n1_warm`` samples a few:
+
+    PYTHONPATH=src python3 tests/corpus_digest.py --outages --states after.npz > after.txt
+
 ``--plans`` prints, instead, one line per corpus network: its unknowns and
 the factorization plan its pattern chose in a flat-start solve (``dense``,
 ``band KL KU`` or ``SuperLU``), so a plain ``diff`` of two trees shows every
@@ -94,20 +103,24 @@ import statistics
 import sys
 import tempfile
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from steadygrid import linsys, nr, solver, stamps
+from steadygrid.analyses import Outage, apply_outage
 from steadygrid.caseio import load_case
 from steadygrid.cli import main
 from steadygrid.homotopy import lambda_trace_to_csv
 from steadygrid.network import validate
 from steadygrid.nr import NrOptions, trace_to_csv
-from steadygrid.solver import SolverOptions, solve
+from steadygrid.solver import InitSpec, SolverOptions, solve, transfer_state
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CASES = os.path.join(ROOT, "cases")
 
+OUTAGE_CASES = ("case14.net", "case30_mesh.net", "case56_mesh.net", "case196_mesh.net",
+                "feeder8.json")
 COST_SOLVES = 40  # timed solves of --call-costs, after one untimed
 SINGLE_THREAD = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                  "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -236,6 +249,28 @@ def tile_lines(states=None):
                        f"natural={specs.count('NATURAL')}"), digest
 
 
+def outage_lines(states=None):
+    """One ``(line, hash)`` per valid single series outage of
+    ``OUTAGE_CASES``; the state of each converged solve goes into
+    ``states`` when one is given."""
+    options = SolverOptions(homotopy="tx", nr=NrOptions(tol=1e-8))
+    for case in OUTAGE_CASES:
+        network = load_case(os.path.join(CASES, case)).network
+        _, base = solve(network, options)
+        outages = [Outage(f"branch{b.id}", branch_ids=(b.id,)) for b in network.branches]
+        outages += [Outage(f"xfmr{t.id}", transformer_ids=(t.id,)) for t in network.transformers]
+        for outage in outages:
+            post = apply_outage(network, outage)
+            if validate(post):
+                continue
+            warm = transfer_state(base, post, solver.solve_setup(post)[0])
+            label = f"{case} outage {outage.label}"
+            tail, digest, x = _run(post, replace(options, init=InitSpec(kind="warm", state=warm)))
+            if states is not None and x is not None:
+                states[label] = x
+            yield f"{label} {tail}", digest
+
+
 def plan_lines():
     """One ``case n=N plan`` line per corpus network."""
     for case in sorted(os.listdir(CASES)):
@@ -350,6 +385,8 @@ if __name__ == "__main__":
                         help="the seeds of --jobs, A to B inclusive (default 1)")
     parser.add_argument("--tiles", action="store_true",
                         help="print one line per solve of the case196 tiles instead")
+    parser.add_argument("--outages", action="store_true",
+                        help="print one line per valid single series outage instead")
     parser.add_argument("--plans", action="store_true",
                         help="print each corpus network's factorization plan instead")
     parser.add_argument("--call-costs", nargs=2, metavar=("CASE", "METHOD"),
@@ -373,8 +410,12 @@ if __name__ == "__main__":
     else:
         states = {} if args.states else None
         differs = []
-        lines = (tile_lines(states) if args.tiles else
-                 itertools.chain(corpus_lines(states, args.repeat, differs), cli_lines()))
+        if args.tiles:
+            lines = tile_lines(states)
+        elif args.outages:
+            lines = outage_lines(states)
+        else:
+            lines = itertools.chain(corpus_lines(states, args.repeat, differs), cli_lines())
         for line, digest in lines:
             print(line if args.work or digest is None else f"{line} {digest}", flush=True)
         if args.states:

@@ -1,6 +1,7 @@
 import gc
 import warnings
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,9 +18,12 @@ from steadygrid.analyses import (
     tally,
 )
 from steadygrid.caseio import load_case
+from steadygrid.indexing import IndexMap
 from steadygrid.nr import NrOptions
 from steadygrid.reference import dense_reference_solve
-from steadygrid.solver import CONVERGED, INFEASIBLE, InitSpec, SolverOptions, solve
+from steadygrid.solver import (
+    CONVERGED, INFEASIBLE, InitSpec, SolverOptions, solve, transfer_state, validate_solution,
+)
 
 from conftest import case_path, net_tap
 
@@ -87,6 +91,33 @@ def test_unknown_outage_id_rejected():
     assert results[0].status == INFEASIBLE
 
 
+def test_an_outage_names_only_its_unknown_ids():
+    net, state = solved("case3_ring.net")
+    cset = ContingencySet([Outage("mixed", branch_ids=(2, 99))])
+    [result] = run_contingencies(net, state, cset, OPTS)
+    assert (result.status, result.reason) == (
+        INFEASIBLE, "outage mixed: unknown devices: branches (99,)"
+    )
+
+
+def test_an_outage_reports_a_repeated_id_as_repeated():
+    net, state = solved("case3_ring.net")
+    [result] = run_contingencies(net, state, ContingencySet([Outage("dup", branch_ids=(2, 2))]), OPTS)
+    assert (result.status, result.reason) == (
+        INFEASIBLE, "outage dup: repeated devices: branches (2,)"
+    )
+
+
+def test_an_outage_of_an_id_two_devices_share_is_rejected():
+    # validate rejects such a network (duplicate_id); an outage of it must
+    # not pick one of the two devices
+    net = load_case(case_path("case3_ring.net")).network
+    twin = replace(net.branches[2], id=net.branches[1].id)
+    twins = net.with_devices(branches=(*net.branches[:2], twin, *net.branches[3:]))
+    with pytest.raises(ValueError, match=r"^outage t: ambiguous devices: branches \(2,\)$"):
+        apply_outage(twins, Outage("t", branch_ids=(2,)))
+
+
 def _capturing_outages(monkeypatch):
     """Weak references to every post-outage network ``run_contingencies``
     builds from now on."""
@@ -137,13 +168,50 @@ def _capturing_index_maps(monkeypatch):
     return built
 
 
-def test_each_outage_builds_one_index_map(monkeypatch):
+def _capturing_validations(monkeypatch):
+    """The networks of every ``validate`` call from now on."""
+    validated = []
+    for module in (solver, analyses):
+        def counting(network, _real=module.validate):
+            validated.append(network)
+            return _real(network)
+
+        monkeypatch.setattr(module, "validate", counting)
+    return validated
+
+
+def test_a_series_outage_builds_no_index_map_and_validates_nothing(monkeypatch):
+    # a generator outage renumbers the Q slots, so it is set up afresh
     net, state = solved("case14.net")
     cset = sample_contingencies(net, state, top_fraction=0.2)
+    assert {bool(o.gen_ids) for o in cset.outages} == {True, False}
     built = _capturing_index_maps(monkeypatch)
-    results = run_contingencies(net, state, cset, OPTS)
-    assert len(built) == len(cset.outages) == len(results)
-    assert len({id(post) for post in built}) == len(built)
+    validated = _capturing_validations(monkeypatch)
+    for outage in cset.outages:
+        built.clear()
+        validated.clear()
+        [result] = run_contingencies(net, state, ContingencySet([outage]), OPTS)
+        assert result.status != INFEASIBLE
+        fresh = 1 if outage.gen_ids else 0
+        assert (len(built), len(validated)) == (fresh, fresh), outage.label
+
+
+def test_a_re_solved_outage_reproduces_its_contingency_bit_for_bit():
+    # the benchmark's gate re-solves each outage through apply_outage + solve
+    options = SolverOptions(nr=NrOptions(tol=1e-8), homotopy="tx")
+    net, state = solved("case56_mesh.net", options)
+    cset = sample_contingencies(net, state, top_fraction=0.15)
+    results = run_contingencies(net, state, cset, options)
+    assert CONVERGED in {r.status for r in results}
+    for outage, result in zip(cset.outages, results):
+        post = apply_outage(net, outage)
+        warm = transfer_state(state, post, IndexMap(post))
+        report, got = solve(post, replace(options, init=InitSpec(kind="warm", state=warm)))
+        counts = (report.status, report.inner_iterations, report.homotopy_steps)
+        assert counts == (result.status, result.inner_iterations, result.homotopy_steps)
+        if report.status == CONVERGED:
+            mismatch = validate_solution(post, got).max
+            assert mismatch.hex() == result.max_mismatch.hex(), outage.label
 
 
 def test_an_islanding_outage_is_rejected_before_any_index_map(monkeypatch):

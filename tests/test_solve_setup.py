@@ -14,10 +14,12 @@ import numpy as np
 import pytest
 
 from steadygrid import analyses, linsys, solver
-from steadygrid.analyses import run_contingencies, sample_contingencies
+from steadygrid.analyses import Outage, apply_outage, run_contingencies, sample_contingencies
 from steadygrid.caseio import load_case
-from steadygrid.network import phase_array
+from steadygrid.indexing import IndexMap
+from steadygrid.network import phase_array, validate
 from steadygrid.solver import SolverOptions, solve
+from steadygrid.stamps import build_companion, effective_params
 
 from conftest import CASE_DIR, case196_tile
 
@@ -168,3 +170,66 @@ def test_the_set_up_refers_to_no_network():
     assert not any(isinstance(obj, solver.Network) for obj in reachable)
     index, layout, _ = net._setup
     assert not hasattr(index, "network") and not hasattr(layout, "network")
+
+
+def _check_set_up_objects(objects):
+    """No network among ``objects``, and every array read-only."""
+    for obj in objects:
+        assert not isinstance(obj, solver.Network)
+        assert not isinstance(obj, np.ndarray) or not obj.flags.writeable
+
+
+def _entry_keys(pattern):
+    """``column * n + row`` of each entry of ``pattern``, ascending."""
+    n = pattern.indptr.size - 1
+    return np.repeat(np.arange(n), np.diff(pattern.indptr)) * n + pattern.indices
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CASE_DIR)))
+def test_a_series_outage_gets_its_base_set_up_with_the_bits_of_its_own(name):
+    """Every single-branch and single-transformer outage of the corpus: the
+    set-up apply_outage derives from the base's is given exactly when the
+    outage network is valid, and binds to the same values as a set-up built
+    from the outage network itself, with exact zeros where the removed
+    device's entries were."""
+    net = _load(name)
+    base_index, base_layout, _ = solver.solve_setup(net)
+    shared = set()  # the base set-up's objects, checked once
+    _check_set_up_objects(_reachable(net._setup, shared))
+    outages = [Outage(f"b{b.id}", branch_ids=(b.id,)) for b in net.branches]
+    outages += [Outage(f"t{t.id}", transformer_ids=(t.id,)) for t in net.transformers]
+    for outage in outages:
+        post = apply_outage(net, outage)
+        assert (post._setup is not None) == (validate(post) == []), outage.label
+        if post._setup is None:
+            continue
+        index, layout, params = post._setup
+        assert index is base_index and layout.pattern is base_layout.pattern
+        own_layout = build_companion(post, IndexMap(post))
+        own_params = effective_params(post)
+        for field in vars(params):
+            assert np.array_equal(getattr(params, field), getattr(own_params, field)), field
+        np.testing.assert_array_equal(layout.linear_owner, own_layout.linear_owner)
+        bound, own = layout.bind(params), own_layout.bind(own_params)
+        keys, own_keys = _entry_keys(layout.pattern), _entry_keys(own_layout.pattern)
+        at = np.searchsorted(keys, own_keys)
+        assert np.array_equal(keys[at], own_keys)
+        bits = bound.linear_data.view(np.int64)
+        assert np.array_equal(bits[at], own.linear_data.view(np.int64)), outage.label
+        assert not np.delete(bits, at).any()  # +0.0 on the removed entries
+        assert bound.linear_rhs.tobytes() == own.linear_rhs.tobytes()
+        _check_set_up_objects(_reachable(post._setup, set(shared)))
+
+
+def test_an_outage_of_an_outage_network_matches_the_outage_of_both():
+    # the derived layout numbers its series devices as the smaller network's own
+    net = _load("case14.net")
+    first, later, xfmr = net.branches[3].id, net.branches[12].id, net.transformers[1].id
+    chained = apply_outage(apply_outage(net, Outage("b", branch_ids=(first,))),
+                           Outage("bt", branch_ids=(later,), transformer_ids=(xfmr,)))
+    both = apply_outage(net, Outage("all", branch_ids=(first, later), transformer_ids=(xfmr,)))
+    (_, got, got_params), (_, want, want_params) = chained._setup, both._setup
+    assert np.array_equal(got.linear_slots, want.linear_slots)
+    assert np.array_equal(got.linear_owner, want.linear_owner)
+    for field in vars(want_params):
+        assert np.array_equal(getattr(got_params, field), getattr(want_params, field)), field
