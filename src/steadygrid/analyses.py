@@ -22,6 +22,7 @@ from .solver import (
     InitSpec,
     InvalidNetworkError,
     SolverOptions,
+    check_seed,
     derive_outage_setup,
     solve,
     solve_setup,
@@ -88,6 +89,7 @@ class SweepSpec:
             raise ValueError("samples must be an integer")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        check_seed(self.seed)
 
 
 @dataclass

@@ -133,6 +133,8 @@ def _parse_net(text: str, name: str) -> Network:
                     base_mva = float(toks[1])
                 except (IndexError, ValueError):
                     raise CaseSyntaxError(lineno, "BASE_MVA needs one numeric value")
+                if not 0 < base_mva < math.inf:  # every power is divided by it; nan fails too
+                    raise CaseSyntaxError(lineno, f"BASE_MVA {base_mva} not finite and positive")
             elif head in _SECTIONS:
                 section = head
             else:
@@ -326,16 +328,81 @@ def _parse_net(text: str, name: str) -> Network:
 # Three-phase JSON format
 
 
-def _c3(re_list, im_list) -> np.ndarray:
-    arr = np.asarray(re_list, dtype=float) + 1j * np.asarray(im_list, dtype=float)
-    arr.setflags(write=False)
-    return arr
+_REQUIRED = object()
 
 
-def _given(rec: dict, *names: str) -> dict:
-    """The named fields that a record gives, as floats: a field it omits
-    keeps its dataclass default."""
-    return {name: float(rec[name]) for name in names if name in rec}
+def _raw(value):
+    return value
+
+
+class _JsonRecord:
+    """One record of a three-phase JSON section, at ``where`` (say
+    ``buses[0]``). A missing required field, or a field its conversion
+    rejects, raises a :class:`CaseSemanticError` that names the record and
+    the field."""
+
+    def __init__(self, where: str, rec):
+        if not isinstance(rec, dict):
+            raise CaseSemanticError(where, f"expected an object, got {rec!r}")
+        self.where, self.rec = where, rec
+
+    def __call__(self, name: str, convert=float, default=_REQUIRED):
+        """``convert`` of the field ``name``, or of ``default`` when the
+        record omits it."""
+        if name in self.rec:
+            value = self.rec[name]
+        elif default is _REQUIRED:
+            raise CaseSemanticError(self.where, f"missing field {name!r}")
+        else:
+            value = default
+        try:
+            return convert(value)
+        except (TypeError, ValueError) as exc:
+            raise CaseSemanticError(self.where, f"bad field {name!r}: {exc}") from None
+
+    def given(self, *names: str) -> dict:
+        """The named fields that the record gives, as floats: a field it
+        omits keeps its dataclass default."""
+        return {name: self(name) for name in names if name in self.rec}
+
+    def complex(self, re_name: str, im_name: str) -> np.ndarray:
+        """The read-only complex array of two required fields."""
+        arr = self(re_name, _floats) + 1j * self(im_name, _floats)
+        arr.setflags(write=False)
+        return arr
+
+
+def _base(value) -> float:
+    """The MVA base, which every power is divided by: finite and positive."""
+    base = float(value)
+    if not 0 < base < math.inf:  # nan fails too
+        raise ValueError(f"{base} not finite and positive")
+    return base
+
+
+def _float_or_none(value) -> float | None:
+    return None if value is None else float(value)
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _section(doc: dict, name: str, build) -> list:
+    """``build`` of each record of the JSON section ``name``. A value that
+    only a combination of fields rejects (per-phase arrays of another
+    length, say) raises a :class:`CaseSemanticError` naming the record."""
+    recs = doc.get(name, [])
+    if not isinstance(recs, list):
+        raise CaseSemanticError(name, "expected a list of records")
+    out = []
+    for pos, raw in enumerate(recs):
+        rec = _JsonRecord(f"{name}[{pos}]", raw)
+        try:
+            out.append(build(rec))
+        except ValueError as exc:
+            raise CaseSemanticError(rec.where, str(exc)) from None
+    return out
 
 
 def _parse_json3p(text: str, name: str) -> Network:
@@ -343,117 +410,114 @@ def _parse_json3p(text: str, name: str) -> Network:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CaseSyntaxError(exc.lineno, exc.msg)
-    base = float(doc.get("base_mva", 100.0))
+    base = _JsonRecord("case", doc)("base_mva", _base, 100.0)
     nph = 3
 
-    buses = []
-    for rec in doc.get("buses", []):
-        kind = BusKind.SLACK if rec.get("kind", "pq").lower() == "slack" else BusKind.PQ
-        buses.append(
-            Bus(
-                id=int(rec["id"]),
-                kind=kind,
-                **_given(rec, "base_kv"),
-                v_set=rec.get("v_set"),
-                angle=math.radians(float(rec.get("angle_deg", 0.0))),
-            )
+    def per_unit(value) -> np.ndarray:
+        return np.asarray(value, dtype=float) / base
+
+    def per_phase(value) -> np.ndarray:
+        return phase_array(value, nph)
+
+    def per_phase_pu(value) -> np.ndarray:
+        return phase_array(per_unit(value), nph)
+
+    def q_limit(bound: float):
+        return lambda value: bound if value is None else float(value) / base
+
+    def bus(rec):
+        kind = BusKind.SLACK if rec("kind", str.lower, "pq") == "slack" else BusKind.PQ
+        return Bus(
+            id=rec("id", int),
+            kind=kind,
+            **rec.given("base_kv"),
+            v_set=rec("v_set", _float_or_none, None),
+            angle=math.radians(rec("angle_deg", float, 0.0)),
         )
 
-    generators = []
+    buses = _section(doc, "buses", bus)
+
     bus_vset = {b.id: b.v_set for b in buses if b.v_set is not None}
-    for rec in doc.get("generators", []):
-        q_mvar = rec.get("q_mvar")
-        q = None if q_mvar is None else phase_array(np.asarray(q_mvar, dtype=float) / base, nph)
+
+    def generator(rec):
+        q = rec("q_mvar", lambda v: None if v is None else per_phase_pu(v), None)
         gen = Generator(
-            id=int(rec["id"]),
-            bus=int(rec["bus"]),
-            p=phase_array(np.asarray(rec["p_mw"], dtype=float) / base, nph),
+            id=rec("id", int),
+            bus=rec("bus", int),
+            p=rec("p_mw", per_phase_pu),
             q=q,
-            qmin=float(rec.get("qmin_mvar", -math.inf)) / base if rec.get("qmin_mvar") is not None else -math.inf,
-            qmax=float(rec.get("qmax_mvar", math.inf)) / base if rec.get("qmax_mvar") is not None else math.inf,
-            remote_bus=rec.get("remote_bus"),
+            qmin=rec("qmin_mvar", q_limit(-math.inf), None),
+            qmax=rec("qmax_mvar", q_limit(math.inf), None),
+            remote_bus=rec("remote_bus", _raw, None),
         )
-        generators.append(gen)
-        if q is None and rec.get("v_set") is not None:
-            bus_vset[gen.target_bus()] = float(rec["v_set"])
+        if q is None:
+            v_set = rec("v_set", _float_or_none, None)
+            if v_set is not None:
+                bus_vset[gen.target_bus()] = v_set
+        return gen
+
+    generators = _section(doc, "generators", generator)
     buses = [Bus(b.id, b.kind, b.base_kv, bus_vset.get(b.id, b.v_set), b.angle) for b in buses]
 
-    zip_loads = []
-    big_loads = []
-    for rec in doc.get("loads", []):
-        model = rec.get("model", "zip").lower()
-        if model == "big":
-            big_loads.append(
-                BigLoad(
-                    id=int(rec["id"]),
-                    bus=int(rec["bus"]),
-                    alpha=_c3(rec["alpha_re_pu"], rec["alpha_im_pu"]),
-                    y=_c3(rec["g_pu"], rec["b_pu"]),
-                )
+    def load(rec):
+        if rec("model", str.lower, "zip") == "big":
+            return BigLoad(
+                id=rec("id", int),
+                bus=rec("bus", int),
+                alpha=rec.complex("alpha_re_pu", "alpha_im_pu"),
+                y=rec.complex("g_pu", "b_pu"),
             )
-            continue
-        conn = Connection.DELTA if rec.get("connection", "wye").lower() == "delta" else Connection.WYE
-        pz = np.asarray(rec.get("z_mw", [0.0] * nph), dtype=float) / base
-        qz = np.asarray(rec.get("z_mvar", [0.0] * nph), dtype=float) / base
-        pi = np.asarray(rec.get("i_mw", [0.0] * nph), dtype=float) / base
-        qi = np.asarray(rec.get("i_mvar", [0.0] * nph), dtype=float) / base
-        ps = np.asarray(rec.get("s_mw", [0.0] * nph), dtype=float) / base
-        qs = np.asarray(rec.get("s_mvar", [0.0] * nph), dtype=float) / base
+        delta = rec("connection", str.lower, "wye") == "delta"
+        zero = [0.0] * nph
+        pz, qz = rec("z_mw", per_unit, zero), rec("z_mvar", per_unit, zero)
+        pi, qi = rec("i_mw", per_unit, zero), rec("i_mvar", per_unit, zero)
+        ps, qs = rec("s_mw", per_unit, zero), rec("s_mvar", per_unit, zero)
         # Device-level quantities: delta branches see line-to-line voltage
         # (magnitude sqrt(3) at nominal), so powers given at nominal rescale.
-        if conn == Connection.DELTA:
+        if delta:
             y = (pz - 1j * qz) / 3.0
             ic = (pi + 1j * qi) / SQRT3
         else:
             y = pz - 1j * qz
             ic = pi + 1j * qi
         s = ps + 1j * qs
-        zip_loads.append(
-            ZipLoad(
-                id=int(rec["id"]), bus=int(rec["bus"]), connection=conn,
-                y=phase_carray(y, nph), i=phase_carray(ic, nph), s=phase_carray(s, nph),
-            )
+        return ZipLoad(
+            id=rec("id", int), bus=rec("bus", int),
+            connection=Connection.DELTA if delta else Connection.WYE,
+            y=phase_carray(y, nph), i=phase_carray(ic, nph), s=phase_carray(s, nph),
         )
 
-    branches = []
-    for rec in doc.get("branches", []):
-        y = _c3(rec["y_real_pu"], rec["y_imag_pu"])
-        bch = rec.get("b_charge_pu", [0.0] * nph)
-        half = np.asarray(bch, dtype=float) / 2.0
-        branches.append(
-            Branch(
-                id=int(rec["id"]), from_bus=int(rec["from"]), to_bus=int(rec["to"]),
-                y_series=y, b_from=phase_array(half, nph), b_to=phase_array(half, nph),
-            )
+    loads = _section(doc, "loads", load)
+
+    def branch(rec):
+        y = rec.complex("y_real_pu", "y_imag_pu")
+        half = rec("b_charge_pu", _floats, [0.0] * nph) / 2.0
+        return Branch(
+            id=rec("id", int), from_bus=rec("from", int), to_bus=rec("to", int),
+            y_series=y, b_from=phase_array(half, nph), b_to=phase_array(half, nph),
         )
 
-    transformers = []
-    for rec in doc.get("transformers", []):
-        transformers.append(
-            Transformer(
-                id=int(rec["id"]), from_bus=int(rec["from"]), to_bus=int(rec["to"]),
-                y_series=_c3(rec["y_real_pu"], rec["y_imag_pu"]),
-                tap=phase_array(rec.get("tap", [1.0] * nph), nph),
-                shift=phase_array(np.radians(np.asarray(rec.get("shift_deg", [0.0] * nph), dtype=float)), nph),
-                **_given(rec, "tap_min", "tap_max", "tap_step"),
-                controlled_bus=rec.get("controlled_bus"),
-                v_target=rec.get("v_target"),
-            )
+    def transformer(rec):
+        return Transformer(
+            id=rec("id", int), from_bus=rec("from", int), to_bus=rec("to", int),
+            y_series=rec.complex("y_real_pu", "y_imag_pu"),
+            tap=rec("tap", per_phase, [1.0] * nph),
+            shift=rec("shift_deg", lambda v: per_phase(np.radians(_floats(v))), [0.0] * nph),
+            **rec.given("tap_min", "tap_max", "tap_step"),
+            controlled_bus=rec("controlled_bus", _raw, None),
+            v_target=rec("v_target", _float_or_none, None),
         )
 
-    shunts = []
-    for rec in doc.get("shunts", []):
-        max_blocks = int(rec.get("max_blocks", 0))
-        shunts.append(
-            Shunt(
-                id=int(rec["id"]), bus=int(rec["bus"]),
-                g=phase_array(rec.get("g_pu", [0.0] * nph), nph),
-                b=phase_array(rec.get("b_pu", [0.0] * nph), nph),
-                switchable=max_blocks > 0,
-                block_b=phase_array(rec["block_b_pu"], nph) if max_blocks > 0 else None,
-                max_blocks=max_blocks,
-                blocks_on=int(rec.get("blocks_on", 0)),
-            )
+    def shunt(rec):
+        max_blocks = rec("max_blocks", int, 0)
+        return Shunt(
+            id=rec("id", int), bus=rec("bus", int),
+            g=rec("g_pu", per_phase, [0.0] * nph),
+            b=rec("b_pu", per_phase, [0.0] * nph),
+            switchable=max_blocks > 0,
+            block_b=rec("block_b_pu", per_phase) if max_blocks > 0 else None,
+            max_blocks=max_blocks,
+            blocks_on=rec("blocks_on", int, 0),
         )
 
     return Network(
@@ -461,11 +525,11 @@ def _parse_json3p(text: str, name: str) -> Network:
         base_mva=base,
         buses=tuple(buses),
         generators=tuple(generators),
-        zip_loads=tuple(zip_loads),
-        big_loads=tuple(big_loads),
-        branches=tuple(branches),
-        transformers=tuple(transformers),
-        shunts=tuple(shunts),
+        zip_loads=tuple(d for d in loads if isinstance(d, ZipLoad)),
+        big_loads=tuple(d for d in loads if isinstance(d, BigLoad)),
+        branches=tuple(_section(doc, "branches", branch)),
+        transformers=tuple(_section(doc, "transformers", transformer)),
+        shunts=tuple(_section(doc, "shunts", shunt)),
         name=doc.get("name", name),
     )
 

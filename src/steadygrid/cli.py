@@ -64,8 +64,8 @@ def _fail(code: int, message: str) -> NoReturn:
 def _build_options(args, network) -> SolverOptions:
     if args.init == "file" and not args.init_file:
         _fail(EX_USAGE, "--init file needs --init-file PATH")
-    init = InitSpec(kind=args.init, seed=args.seed, path=args.init_file)
     try:
+        init = InitSpec(kind=args.init, seed=args.seed, path=args.init_file)
         options = SolverOptions(
             nr=NrOptions(tol=args.tol, max_iter=args.max_iter, dv_max=args.dv_max,
                          zeta_min=args.zeta_min),

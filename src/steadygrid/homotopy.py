@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .indexing import IndexMap, StateVector
-from .linsys import SingularityError, SparseSystem
+from .linsys import SparseSystem
 from .network import BusKind, Network, PHASE_OFFSETS
 from .nr import NrOptions, NrTraceRow, run_newton
 from .stamps import Companion, DeviceParams, GenModes
@@ -152,10 +152,7 @@ def run_homotopy(
     accepted: list = []  # (lambda, nr_iterations, residual of the accepted iterate)
     total_iters = 0
 
-    try:
-        state, ok, iters, residual = newton_at(1.0, start)
-    except SingularityError:
-        ok, iters = False, 0
+    state, ok, iters, residual = newton_at(1.0, start)
     total_iters += iters
     if not ok:
         return HomotopyResult(False, None, 0, total_iters, [], 1.0)
@@ -172,10 +169,7 @@ def run_homotopy(
         lam_next = next_lambda(lam, step)
         first_try = True
         while True:
-            try:
-                cand, ok, iters, residual = newton_at(lam_next, state)
-            except SingularityError:
-                ok, iters = False, 0
+            cand, ok, iters, residual = newton_at(lam_next, state)
             total_iters += iters
             if ok:
                 break

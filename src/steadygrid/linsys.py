@@ -15,34 +15,34 @@ Three factorizations, and one plan per pattern that picks among them. The
 analysis that depends on the structure alone runs once per pattern, not
 once per system (the split of symbolic analysis from numeric factorization
 in Davis and Palamadai Natarajan, "Algorithm 907: KLU", ACM TOMS 37(3),
-2010): the pattern's first factorization chooses its ``plan``, which holds
-read-only index arrays only and which every later system on the pattern
-reuses. Writable memory is never shared: each :class:`SparseSystem`
+2010): the pattern's first factorization sets its ``plan``, which holds
+read-only index arrays only, never changes and is reused by every later
+system on the pattern. Every factorization, the first one included, then
+runs on that plan, so a solve's result does not depend on whether the plan
+was set in the call, earlier in the same solve or by another solve of the
+same network. Writable memory is never shared: each :class:`SparseSystem`
 allocates its own buffers, so ``pattern_builds`` still counts one per
 system and pattern. The number of unknowns ``n`` chooses how the plan is
 chosen:
 
-* ``n <= _DENSE_MAX_N``: from the pattern alone, once the first
-  factorization's rows have passed the checks. SuperLU is never tried at or
+* ``n <= _DENSE_MAX_N``: from the pattern alone, at the start of its first
+  factorization, before the rows are checked. SuperLU is never tried at or
   below the cutoff. The pattern's RCM order (below) gives its
   half-bandwidths; the plan is the band LU when the band's work
   ``n·kl·(kl+ku)`` is at least ``_BAND_MIN_SAVING`` below the dense
   ``n³/3``, and otherwise the dense LU.
-* larger systems: the first factorization of a pattern goes to SuperLU with
-  COLAMD, and its flop count
+* larger systems: the first factorization of a pattern checks and scales
+  its rows as every band or SuperLU call does, then factors the scaled
+  matrix by SuperLU with COLAMD only to choose the plan. Its flop count
   ``F = Σ_j nnz(L[j+1:, j]) · nnz(U[j, j+1:]) + nnz(L) − n`` chooses the
   band LU when ``n·kl·(kl+ku) <= _BAND_FLOP_RATIO · F``, else SuperLU in
-  that call's column order (described below). The call that chooses the
-  band factors the same scaled data again with ``dgbtrf`` and solves with
-  the band, so every factorization of a band pattern takes the same path,
-  whether the plan was chosen in the call, earlier in the same solve or by
-  another solve of the same network; a solve's result does not depend on
-  what was solved before it. The call that chooses SuperLU solves with its
-  own factors, which are the ones every later call's ``NATURAL``
-  factorization of the same values would give. The flop count does depend
-  on the values of the first factorization, but the measured ratios below
-  sit far from the threshold. ``orderings`` counts these COLAMD calls: one
-  per pattern above the cutoff, made by the system that chose its plan.
+  COLAMD's column order (described below), and the call then factors on
+  the plan like every later one. On SuperLU that repeats COLAMD's
+  factorization, in ``NATURAL`` order on the permuted matrix, to the same
+  L and U. The flop count does depend on the values of the first
+  factorization, but the measured ratios below sit far from the threshold.
+  ``orderings`` counts these COLAMD calls: one per pattern above the
+  cutoff, made by the system that chose its plan.
 
 The three paths:
 
@@ -56,8 +56,7 @@ The three paths:
   multiplied by its row's scale once either way (``0 * scale`` stays 0 off
   the pattern), so the scale and every scaled entry are the same bytes as
   a scatter-maximum (``np.maximum.at``) over the CSC data and the scaled
-  CSC data scattered; a pattern's first factorization, before it has a
-  plan, takes the scatter-maximum.
+  CSC data scattered.
 * band: the unknowns are renumbered by reverse Cuthill–McKee (RCM) on the
   structure of ``A + Aᵀ`` (Cuthill and McKee, 1969; George and Liu,
   *Computer Solution of Large Sparse Positive Definite Systems*, 1981,
@@ -226,9 +225,9 @@ class CscPattern:
     :class:`_BandPlan` or a :class:`_SuperluPlan` (see the module
     docstring), which never changes. At or below ``_DENSE_MAX_N`` unknowns
     the plan is the band or the dense one, chosen from the pattern alone;
-    above it, SuperLU's first factorization chooses between the band and
-    SuperLU in that call's column order. A plan holds read-only arrays
-    only, so every system on the pattern shares it.
+    above it, a COLAMD factorization in the first call chooses between the
+    band and SuperLU in COLAMD's column order. A plan holds read-only
+    arrays only, so every system on the pattern shares it.
     """
 
     indices: np.ndarray
@@ -486,83 +485,45 @@ class SparseSystem:
         return self._rhs
 
     def factor_solve(self) -> np.ndarray:
-        """LU solve with row equilibration and one refinement step.
+        """The solve of the assembled system on its pattern's plan, with row
+        equilibration and one refinement step (see the module docstring).
 
-        Each row is scaled by its largest magnitude; a row with no nonzero
-        entry, with a non-finite one, or whose scale would overflow raises
-        before it is scaled, naming the first such row, and before any band
-        or SuperLU work, reverse Cuthill–McKee (RCM) ordering included. The
-        pattern's plan chooses the factorization; the first factorization
-        of a pattern chooses its plan.
-
-        A pattern of at most ``_DENSE_MAX_N`` unknowns chooses its plan from
-        its structure alone, once the rows have passed: the band when
-        ``n·kl·(kl+ku) + _BAND_MIN_SAVING <= n³/3``, where ``kl`` and ``ku``
-        are the half-bandwidths of the pattern in its RCM order, else dense;
-        SuperLU never runs. On the dense plan, the raw data is scattered
-        into this system's Fortran-order buffer, whose other entries stay
-        zero, the row maxima are read off its magnitudes (the first
-        factorization, which chooses the plan, takes them by a
-        scatter-maximum instead), its rows are scaled in place, the same
-        bits as scaling the CSC data, and LAPACK ``dgetrf``/``dgetrs``
-        factor and solve it; an exact zero pivot raises, naming the
-        unknown.
-
-        Larger patterns, and band patterns, are scaled on the cached CSC
-        arrays into this system's scaled CSC matrix, which keeps the
-        pattern's explicit zeros and serves the refinement residual. The
-        first factorization of a larger pattern goes to SuperLU with
-        COLAMD (``orderings`` counts each that succeeds), and its flop
-        count ``F`` chooses the plan: the band when ``n·kl·(kl+ku) <=
-        _BAND_FLOP_RATIO · F``, else SuperLU in that call's column order.
-        A call that chooses the band factors the same scaled data again on
-        the band and solves with that; a call that chooses SuperLU solves
-        with its own factors. On the band, the scaled data is scattered into this
-        system's LAPACK band buffer, ``dgbtrf``/``dgbtrs`` factor and solve
-        it in the RCM order, and an exact zero pivot raises, naming the
-        unknown in the caller's numbering. On SuperLU, the scaled data is
-        gathered into this system's column-permuted matrix, factored in
-        ``NATURAL`` order and the solution un-permuted. Both orders depend
-        on the pattern alone, so exact zeros never change them. Raises
-        :class:`SingularityError` on structural or numerical singularity,
-        reporting an offending row where one is identifiable; a call that
-        raises chooses no plan when its rows fail or above the dense
-        cutoff.
+        A pattern's first factorization sets its plan: at or below
+        ``_DENSE_MAX_N`` unknowns before its rows are checked, above it from
+        a COLAMD factorization of the scaled matrix, which ``orderings``
+        counts. Raises :class:`SingularityError`, before any factorization,
+        on the first row with no nonzero entry, with a non-finite one or
+        whose scale would overflow; and on an exact zero pivot (naming the
+        unknown), on SuperLU's singularity (row -1) or on a non-finite
+        solution entry.
         """
-        a, plan = self.matrix, self._pattern.plan
+        a, pattern = self.matrix, self._pattern
+        plan = pattern.plan
+        if plan is None and self.n <= _DENSE_MAX_N:
+            plan = _small_plan(pattern)
+            object.__setattr__(pattern, "plan", plan)
         if isinstance(plan, _DensePlan):
-            a_d = self._dense_buffer(a.data, plan)
-            absmax = np.abs(a_d).max(axis=1)
+            buffer = self._buffer_of(plan)
+            buffer.flat[plan.slots] = a.data
+            absmax = np.abs(buffer.a).max(axis=1)
         else:
             absmax = np.zeros(self.n)
             with np.errstate(invalid="ignore"):  # a nan entry leaves its row's maximum nan
                 np.maximum.at(absmax, a.indices, np.abs(a.data))
         scale = _row_scale(absmax)
-        # after the row checks, so a call with a bad row orders nothing
-        if plan is None and self.n <= _DENSE_MAX_N:
-            plan = _small_plan(self._pattern)
-            object.__setattr__(self._pattern, "plan", plan)
-            if isinstance(plan, _DensePlan):
-                a_d = self._dense_buffer(a.data, plan)
         b_s = scale * self.rhs
-        chosen = None
         if isinstance(plan, _DensePlan):
             # the same bits as scaling the CSC data: each entry is multiplied
             # by its row's scale once, and 0 * scale stays 0 off the pattern
-            a_d *= scale[:, None]
-            a_s, solve = a_d, _dense_lu(a_d)
+            buffer.a *= scale[:, None]
+            a_s, solve = buffer.a, _dense_lu(buffer.a)
         else:
             a_s = self._scaled_matrix(a.data * scale[a.indices])
             if plan is None:
-                # a band buffer left by a choosing call that raised may not
-                # fit the plan this call chooses
-                self._buffer = None
-                lu = _splu(a_s, "COLAMD")
-                plan = chosen = _choose_plan(self._pattern, lu)
-            if isinstance(chosen, _SuperluPlan):
-                solve = lu.solve  # the choosing call solves with its own factors
-            else:
-                solve = plan.factor(self._buffer_of(plan), a_s.data)
+                plan = _choose_plan(pattern, _splu(a_s, "COLAMD"))
+                object.__setattr__(pattern, "plan", plan)
+                self.orderings += 1
+            solve = plan.factor(self._buffer_of(plan), a_s.data)
         x = solve(b_s)
         if np.count_nonzero(np.isfinite(x)) < x.size:
             bad = int(np.flatnonzero(~np.isfinite(x))[0])
@@ -572,9 +533,6 @@ class SparseSystem:
         res = b_s - a_s @ x
         if np.abs(res).max() / denom > 1e-12:
             x = x + solve(res)
-        if chosen is not None:  # only once the call has succeeded
-            self.orderings += 1
-            object.__setattr__(self._pattern, "plan", chosen)
         return x
 
     def _buffer_of(self, plan):
@@ -592,10 +550,3 @@ class SparseSystem:
         else:
             self._scaled.data = data
         return self._scaled
-
-    def _dense_buffer(self, data: np.ndarray, plan: _DensePlan) -> np.ndarray:
-        """This system's dense matrix of ``plan``, holding ``data`` on the
-        pattern and zeros elsewhere."""
-        buffer = self._buffer_of(plan)
-        buffer.flat[plan.slots] = data
-        return buffer.a

@@ -329,8 +329,9 @@ def validate(network: Network) -> list[ValidationIssue]:
     nph = network.nphase
     idx = network.bus_index
 
-    if network.base_mva <= 0:
-        add(ValidationIssue("bad_base", "network", f"base MVA {network.base_mva} not positive"))
+    if not 0 < network.base_mva < math.inf:  # nan fails too
+        add(ValidationIssue("bad_base", "network",
+                            f"base MVA {network.base_mva} not finite and positive"))
     if len(idx) != len(network.buses):
         add(ValidationIssue("duplicate_bus", "network", "duplicate bus ids"))
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .indexing import StateVector
-from .linsys import SparseSystem
+from .linsys import SingularityError, SparseSystem
 from .network import PHASE_OFFSETS
 from .stamps import (
     BoundCompanion,
@@ -218,8 +218,10 @@ def run_newton(
     KCL rows. An iterate within ``tol`` returns at once, before any
     factorization; otherwise the pass factors, applies voltage and then Q
     limiting and appends one trace row. The pass after ``max_iter`` steps
-    only measures, at the current ``zeta``. Raises :class:`SingularityError`
-    when the system at an unconverged iterate cannot be solved.
+    only measures, at the current ``zeta``. A system that cannot be solved
+    (:class:`SingularityError`) ends the call as an exhausted budget does:
+    unconverged, at that pass's iterate and residual, with one iteration per
+    trace row appended.
 
     ``trace`` accumulates one row per step taken; ``system`` may be shared
     across calls to reuse the assembly pattern. On return it holds the
@@ -252,7 +254,10 @@ def run_newton(
         if k == options.max_iter:
             break
 
-        x_raw = system.factor_solve()
+        try:
+            x_raw = system.factor_solve()
+        except SingularityError:
+            return current, False, k, residual
         v_k = current.x[:nv]
         dv = x_raw[:nv] - v_k
         abs_dv = np.abs(dv)

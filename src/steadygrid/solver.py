@@ -43,7 +43,7 @@ import numpy as np
 
 from .homotopy import anchored_state, run_homotopy
 from .indexing import IndexMap, StateVector, flat_state
-from .linsys import SingularityError, SparseSystem
+from .linsys import SparseSystem
 from .network import (
     Connection, Network, PHASE_OFFSETS, PhaseDomain, connectivity_issues, validate,
 )
@@ -76,6 +76,13 @@ EXIT_CODES = {CONVERGED: 0, DIVERGED: 1, INFEASIBLE: 2}
 TAP_DEADBAND = 0.01
 
 
+def check_seed(seed) -> None:
+    """Raise ``ValueError`` unless ``seed`` is ``None`` or an integer >= 0,
+    the seeds numpy's generators take."""
+    if seed is not None and not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 @dataclass
 class InitSpec:
     """Where the initial state comes from.
@@ -83,7 +90,7 @@ class InitSpec:
     kinds: ``flat`` (1 pu at reference angles), ``random`` (per-bus uniform
     magnitude/angle samples), ``uniform`` (one sampled magnitude/angle pair
     applied to every bus), ``warm`` (copy a prior state), ``file`` (JSON
-    solution document).
+    solution document). ``seed`` is ``None`` or an integer >= 0.
     """
 
     kind: str = "flat"
@@ -94,6 +101,9 @@ class InitSpec:
     vang_deg: float = 0.0
     state: StateVector | None = None
     path: str | None = None
+
+    def __post_init__(self):
+        check_seed(self.seed)
 
 
 @dataclass
@@ -454,13 +464,10 @@ def solve(network: Network, options: SolverOptions | None = None):
         # continuation opens the first pass; later passes re-solve plainly and
         # continue again only when devices moved and Newton stalled
         if options.homotopy == "none" or pass_no > 1:
-            try:
-                state_new, ok, iters, _ = run_newton(
-                    bound, state, options.nr, modes, system, nr_trace
-                )
-                total_inner += iters
-            except SingularityError:
-                ok = False
+            state_new, ok, iters, _ = run_newton(
+                bound, state, options.nr, modes, system, nr_trace
+            )
+            total_inner += iters
             if ok:
                 state = state_new
         if not ok and options.homotopy != "none":

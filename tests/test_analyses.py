@@ -308,6 +308,14 @@ def test_sweep_samples_must_be_an_integer():
     assert SweepSpec(samples=np.int64(3)).samples == 3
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+def test_sweep_rejects_a_seed_numpy_cannot_take(seed):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        SweepSpec(seed=seed)
+    for good in (None, 0, np.int64(3)):
+        assert SweepSpec(seed=good).seed == good
+
+
 def test_sweep_of_size_one_flat_matches_plain_solve():
     net = load_case(case_path("case3_ring.net")).network
     spec = SweepSpec(samples=1, vmag_range=(1.0, 1.0), vang_range_deg=(0.0, 0.0))

@@ -73,6 +73,17 @@ def test_bogus_homotopy_flag_is_usage_error(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", case_path("case14.net"), "--init", "random", "--seed", "-1"],
+    ["sweep", case_path("case14.net"), "--seed", "-1"],
+])
+def test_a_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    assert run([*argv, "--out", str(tmp_path)]) == EX_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: seed must be an integer >= 0, got -1\n"
+    assert list(tmp_path.iterdir()) == []  # nothing solved
+
+
 def test_unreadable_case_exit_code(tmp_path):
     assert run(["solve", str(tmp_path / "missing.net")]) == EX_NOINPUT
 
@@ -102,6 +113,44 @@ def test_validate_rejects_broken_case(tmp_path, capsys):
         "BRANCH\n1 1 9 0.01 0.1 0.0\nEND\n"
     )
     assert run(["validate", str(bad)]) == 1
+
+
+SLACK_3P = {"id": 1, "kind": "slack", "v_set": 1.0}
+UNIT_3X3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+# a malformed three-phase JSON record, and the record and field it is reported by
+@pytest.mark.parametrize("doc, where, field", [
+    ({"buses": [{"kind": "slack", "v_set": 1.0}]}, "buses[0]", "'id'"),
+    ({"buses": [SLACK_3P], "generators": [{"id": 1, "bus": 1, "p_mw": "abc"}]},
+     "generators[0]", "'p_mw'"),
+    ({"buses": [1]}, "buses[0]", "object"),
+    ({"buses": [{"id": 1, "kind": "slack", "v_set": "abc"}]}, "buses[0]", "'v_set'"),
+    ({"buses": [SLACK_3P], "loads": [
+        {"id": 1, "bus": 1, "model": "big", "alpha_re_pu": [0.0] * 3,
+         "g_pu": [0.0] * 3, "b_pu": [0.0] * 3}]}, "loads[0]", "'alpha_im_pu'"),
+    ({"buses": [SLACK_3P], "shunts": [{"id": 1, "bus": 1, "max_blocks": 2}]},
+     "shunts[0]", "'block_b_pu'"),
+    ({"buses": [SLACK_3P, {"id": 2}], "branches": [
+        {"id": 1, "from": 1, "to": 2, "y_imag_pu": UNIT_3X3}]}, "branches[0]",
+     "'y_real_pu'"),
+    ({"base_mva": 0.0, "buses": [SLACK_3P]}, "case", "'base_mva'"),
+    # two fields that only fail together: reported by the record alone
+    ({"buses": [SLACK_3P], "loads": [
+        {"id": 1, "bus": 1, "z_mw": [1.0, 2.0], "z_mvar": [1.0, 2.0, 3.0]}]},
+     "loads[0]", "shapes (2,) (3,)"),
+], ids=["no_id", "bad_number", "not_an_object", "bad_v_set", "big_load", "shunt_blocks", "branch",
+        "zero_base", "zip_lengths"])
+def test_a_malformed_json_record_is_a_case_error(tmp_path, capsys, doc, where, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["validate", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith(f"invalid: {where}: ") and field in out and err == ""
+    for command in ("solve", "sweep", "contingency"):
+        assert run([command, str(bad), "--out", str(tmp_path)]) == EX_NOINPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"bad case file: {where}: ") and field in err
 
 
 def test_a_zero_tap_table_is_rejected_before_any_solve(tmp_path, capsys):

@@ -452,8 +452,10 @@ def test_dense_zero_pivot_names_the_unknown(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, SPARSE_N])
 def test_empty_and_zero_rows_are_reported_on_both_paths(monkeypatch, n):
-    # raised by the row checks, before a band order is ever computed
-    monkeypatch.setattr(linsys, "reverse_cuthill_mckee", _no_band)
+    # raised by the row checks, before any factorization; above the dense
+    # cutoff also before a band order is computed, while a smaller pattern
+    # sets its plan from the pattern alone first
+    calls = _recording(monkeypatch, "splu", "dgbtrf", "dgetrf", "reverse_cuthill_mckee")
     empty = SparseSystem(n)
     assemble(empty, [], [], [], np.zeros(n))
     with pytest.raises(SingularityError) as err:
@@ -467,6 +469,7 @@ def test_empty_and_zero_rows_are_reported_on_both_paths(monkeypatch, n):
     with pytest.raises(SingularityError) as err:
         s.factor_solve()
     assert (err.value.row, err.value.reason) == (1, "row has no entries")
+    assert calls == (2 * ["reverse_cuthill_mckee"] if n <= linsys._DENSE_MAX_N else [])
 
 
 @pytest.mark.parametrize("n", [3, SPARSE_N])
@@ -588,7 +591,8 @@ def test_the_cutoff_separates_the_two_paths(monkeypatch):
         assemble(s, rows, cols, vals, np.ones(n))
         s.factor_solve()
         assert s.orderings == (n > linsys._DENSE_MAX_N)
-    assert calls == [linsys._DENSE_MAX_N + 1]
+    # COLAMD chooses the SuperLU plan, on which the call then factors
+    assert calls == 2 * [linsys._DENSE_MAX_N + 1]
 
 
 # -- the band path ----------------------------------------------------------------
@@ -657,13 +661,17 @@ def test_a_choosing_call_that_raises_leaves_nothing_the_next_choice_trips_on(mon
     monkeypatch.setattr(linsys, "dgbtrf", lambda ab, kl, ku: (ab, None, 1))
     with pytest.raises(SingularityError):
         s.factor_solve()
-    assert (pattern.plan, s.orderings) == (None, 0)
-    # the next call chooses SuperLU on the same system
-    monkeypatch.setattr(linsys, "_BAND_FLOP_RATIO", 0.0)
+    plan = pattern.plan
+    assert isinstance(plan, linsys._BandPlan) and s.orderings == 1
+    # the plan is kept: the next calls factor on it, with the buffer the
+    # failed call left, and order nothing
+    monkeypatch.undo()
+    calls = _recording(monkeypatch, "splu", "dgbtrf", "reverse_cuthill_mckee")
     for _ in range(2):
         x = s.factor_solve()
         np.testing.assert_allclose(s.matrix @ x, rhs, rtol=0.0, atol=1e-12)
-    assert isinstance(pattern.plan, linsys._SuperluPlan) and s.orderings == 1
+    assert pattern.plan is plan and s.orderings == 1
+    assert calls == 2 * ["dgbtrf"]
 
 
 def _check_band_zero_pivot(k, k2, seed, orderings):
@@ -780,18 +788,19 @@ def test_small_band_zero_pivot_names_the_unknown_in_the_callers_numbering():
 @pytest.mark.parametrize("bad, reason", BAD_ROWS)
 def test_bad_rows_raise_before_any_small_band_work(monkeypatch, bad, reason):
     _check_bad_rows_before_band_work(monkeypatch, 6, 8, bad, reason)
-    # a pattern that has no plan yet chooses none in a call that raises
+    # a pattern that has no plan yet sets it from the pattern alone, and
+    # then raises before any factorization
     rows, cols, vals = _mesh_system(6, 8, np.random.default_rng(24))
     vals = np.where(rows == 7, 0.0, vals)
     vals[np.flatnonzero(rows == 7)[0]] = bad
-    calls = _recording(monkeypatch, "dgbtrf", "dgetrf", "reverse_cuthill_mckee")
+    calls = _recording(monkeypatch, "splu", "dgbtrf", "dgetrf", "reverse_cuthill_mckee")
     s = SparseSystem(96)
     pattern, slots = compress_pattern(96, rows, cols)
     s.assemble(pattern, reduce(pattern, slots, vals), np.ones(96))
     with pytest.raises(SingularityError) as err:
         s.factor_solve()
     assert (err.value.row, err.value.reason) == (7, reason)
-    assert calls == [] and pattern.plan is None
+    assert calls == ["reverse_cuthill_mckee"] and isinstance(pattern.plan, linsys._BandPlan)
 
 
 @pytest.mark.parametrize("n, system, order", [
@@ -832,7 +841,7 @@ def _system_on_one_pattern(kind, rng):
 @pytest.mark.parametrize("kind, first_calls, later_calls, orderings", [
     ("dense", ["reverse_cuthill_mckee", "dgetrf"], ["dgetrf"], (0, 0)),
     ("band", ["splu", "reverse_cuthill_mckee", "dgbtrf"], ["dgbtrf"], (1, 0)),
-    ("superlu", ["splu", "reverse_cuthill_mckee"], ["splu"], (1, 0)),
+    ("superlu", ["splu", "reverse_cuthill_mckee", "splu"], ["splu"], (1, 0)),
     ("small_band", ["reverse_cuthill_mckee", "dgbtrf"], ["dgbtrf"], (0, 0)),
 ])
 def test_systems_on_one_pattern_share_its_plan_and_nothing_writable(
@@ -915,7 +924,8 @@ def test_superlu_orders_a_pattern_once_whatever_its_zeros(monkeypatch):
             # the same bytes as COLAMD on the scaled matrix, zeros kept
             want = _colamd_factor_solve(s.matrix, rhs)
             assert s.factor_solve().tobytes() == want.tobytes()
-    assert specs == ["COLAMD"] + 5 * ["NATURAL"]
+    # the first call orders once, to choose the plan, then factors on it
+    assert specs == ["COLAMD"] + 6 * ["NATURAL"]
     assert tuple(s.orderings for s in systems) == (1, 0)
     assert isinstance(pattern.plan, linsys._SuperluPlan)
     _check_nothing_writable_is_shared(pattern.plan, *systems)
@@ -928,12 +938,13 @@ def _network(name):
 
 
 # the calls of each system's first and second factorization at a flat start;
-# case196's first runs SuperLU to choose the band, then factors on the band;
+# case196's and each tile's first runs SuperLU to choose the plan, then
+# factors on it;
 # case30 and case56 are narrow enough for the band below the dense cutoff
 PATHS = {name: ["dgetrf", "dgetrf"] for name in sorted(os.listdir(CASE_DIR))}
 PATHS["case196_mesh.net"] = ["splu", "dgbtrf", "dgbtrf"]
 PATHS["case30_mesh.net"] = PATHS["case56_mesh.net"] = ["dgbtrf", "dgbtrf"]
-PATHS.update({f"tile{k}": ["splu", "splu"] for k in (2, 4, 10)})
+PATHS.update({f"tile{k}": ["splu", "splu", "splu"] for k in (2, 4, 10)})
 
 
 @pytest.mark.parametrize("name", sorted(PATHS))

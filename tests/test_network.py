@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from steadygrid.caseio import load_case
+from steadygrid.caseio import CaseSyntaxError, load_case, parse_case
 from steadygrid.network import (
     BigLoad,
     Branch,
@@ -38,6 +38,23 @@ from conftest import (
 
 def test_minimal_network_validates_clean():
     assert validate(net_2bus()) == []
+
+
+@pytest.mark.parametrize("base", ["inf", "nan", "0", "-1e-3"])
+def test_a_base_mva_that_is_not_finite_and_positive_is_rejected(base):
+    # with an infinite base every power would divide to 0: a network
+    # without load or generation
+    net = load_case(case_path("case14.net")).network
+    issues = validate(replace(net, base_mva=float(base)))
+    assert [(i.code, i.device, i.message) for i in issues] == [
+        ("bad_base", "network", f"base MVA {float(base)} not finite and positive")
+    ]
+    # the parser rejects the line before it divides any power by the base
+    with open(case_path("case14.net"), encoding="utf-8") as fh:
+        text = fh.read().replace("BASE_MVA 100.0", f"BASE_MVA {base}")
+    with pytest.raises(CaseSyntaxError) as err:
+        parse_case(text)
+    assert str(err.value) == f"line 3: BASE_MVA {float(base)} not finite and positive"
 
 
 def test_missing_slack_reported_per_island():
@@ -242,7 +259,7 @@ def _broken_networks():
 # plus the non-finite values and tap tables that validate() rejects since
 BROKEN_ISSUES = (
     [
-        ('bad_base', 'network', 'base MVA -1.0 not positive'),
+        ('bad_base', 'network', 'base MVA -1.0 not finite and positive'),
         ('duplicate_bus', 'network', 'duplicate bus ids'),
         ('bad_vset', 'bus 3', 'slack bus needs v_set > 0'),
         ('not_finite', 'bus 6', 'slack angle nan not finite'),

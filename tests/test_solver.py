@@ -11,6 +11,7 @@ from steadygrid import homotopy, nr, solver, stamps
 from steadygrid.caseio import load_case, write_solution
 from steadygrid.homotopy import anchored_state
 from steadygrid.indexing import IndexMap, flat_state
+from steadygrid.linsys import SingularityError, SparseSystem
 from steadygrid.network import (
     PHASE_OFFSETS,
     Bus,
@@ -178,6 +179,14 @@ def test_random_seed_reproducible():
     assert np.array_equal(a.x, b.x)
     c = initialize_state(net, InitSpec(kind="random", seed=12))
     assert not np.array_equal(a.x, c.x)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+def test_init_spec_rejects_a_seed_numpy_cannot_take(seed):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        InitSpec(kind="random", seed=seed)
+    for good in (None, 0, np.int64(3)):
+        assert InitSpec(kind="random", seed=good).seed == good
 
 
 def _per_node(index, v_of):
@@ -517,6 +526,39 @@ def test_diverged_exit_code_and_report():
     report, _ = solve(net, SolverOptions(nr=NrOptions(max_iter=25)))
     assert report.status == "diverged"
     assert report.exit_code == 1
+
+
+# the method, the factorization that fails (counted from 1) and the status,
+# the same as when the failure ended the whole Newton call
+SINGULAR_AT = [
+    ("none", 3, "diverged"),
+    ("tx", 3, "diverged"),
+    ("power", 3, "diverged"),
+    # the continuation backtracks past the failed sub-problem
+    ("tx", 9, "converged"),
+    ("power", 9, "converged"),
+]
+
+
+@pytest.mark.parametrize("method, call, status", SINGULAR_AT)
+def test_a_singular_factorization_ends_its_newton_call_like_an_exhausted_budget(
+    monkeypatch, method, call, status
+):
+    calls = []
+
+    def failing_factor_solve(self, _run=SparseSystem.factor_solve):
+        calls.append(self)
+        if len(calls) == call:
+            raise SingularityError(-1, "singular on purpose")
+        return _run(self)
+
+    monkeypatch.setattr(SparseSystem, "factor_solve", failing_factor_solve)
+    report, _ = solve(load_case(case_path("case14.net")).network,
+                      SolverOptions(homotopy=method))
+    assert report.status == status and len(calls) >= call
+    # the failed call's passes before the factorization are counted, one per
+    # trace row, as for every other Newton call
+    assert report.inner_iterations == len(report.nr_trace) >= call - 1
 
 
 def test_invalid_network_raises():
