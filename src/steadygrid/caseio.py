@@ -217,12 +217,12 @@ def _parse_net(text: str, name: str) -> Network:
         try:
             brid = int(toks[0])
             fb, tb = int(toks[1]), int(toks[2])
-            r, x = float(toks[3]), float(toks[4])
+            y = series_y(float(toks[3]), float(toks[4]))
             b = float(toks[5]) if len(toks) > 5 else 0.0
-        except (ValueError, IndexError):
+        except (ValueError, IndexError, ZeroDivisionError):  # r = x = 0 divides by zero
             raise CaseSyntaxError(lineno, f"bad BRANCH record: {' '.join(toks)}")
         branches.append(
-            Branch(brid, fb, tb, y_series=series_y(r, x),
+            Branch(brid, fb, tb, y_series=y,
                    b_from=phase_array(b / 2.0, 1), b_to=phase_array(b / 2.0, 1))
         )
 
@@ -231,7 +231,7 @@ def _parse_net(text: str, name: str) -> Network:
         try:
             tid = int(toks[0])
             fb, tb = int(toks[1]), int(toks[2])
-            r, x = float(toks[3]), float(toks[4])
+            y = series_y(float(toks[3]), float(toks[4]))
             tap = float(toks[5]) if len(toks) > 5 else 1.0
             shift = float(toks[6]) if len(toks) > 6 else 0.0
             # the tap table fields the record gives; Transformer holds the defaults
@@ -240,11 +240,11 @@ def _parse_net(text: str, name: str) -> Network:
             if len(toks) > 10 and toks[10] != "-":
                 ctrl = int(toks[10])
             vtgt = _opt(toks[11]) if len(toks) > 11 else None
-        except (ValueError, IndexError):
+        except (ValueError, IndexError, ZeroDivisionError):
             raise CaseSyntaxError(lineno, f"bad TRANSFORMER record: {' '.join(toks)}")
         transformers.append(
             Transformer(
-                tid, fb, tb, y_series=series_y(r, x),
+                tid, fb, tb, y_series=y,
                 tap=phase_array(tap, 1), shift=phase_array(math.radians(shift), 1),
                 **table, controlled_bus=ctrl, v_target=vtgt,
             )

@@ -192,7 +192,9 @@ class Transformer(_Device):
     """Two-winding transformer with per-phase off-nominal tap and phase shift.
 
     The tap/shift apply on the ``from`` side. ``shift`` is radians within
-    (-pi, pi]. Optional tap-control fields drive the outer adjustment loop.
+    (-pi, pi]. A ``controlled_bus`` declares a controlled tap: the outer
+    loop steps it by ``tap_step`` toward ``v_target``, else that bus's
+    ``v_set``.
     """
 
     id: int
@@ -210,7 +212,8 @@ class Transformer(_Device):
 
 @dataclass(frozen=True)
 class Shunt(_Device):
-    """Bus shunt; optionally switchable in discrete susceptance blocks."""
+    """Bus shunt; optionally switchable in discrete susceptance blocks,
+    which the outer loop steps until its bus voltage is in ``[v_lo, v_hi]``."""
 
     id: int
     bus: int
@@ -251,8 +254,9 @@ class Network:
     bus_index: dict = field(init=False, repr=False, compare=False)
     islands: tuple = field(init=False, repr=False, compare=False)
     # the solve set-up of this object, kept by its first solve, or given by
-    # apply_outage from its base network's (solver.py)
-    _setup: tuple | None = field(init=False, repr=False, compare=False)
+    # apply_outage from its base network's; the list of validation issues
+    # when the first solve found it invalid (solver.py)
+    _setup: tuple | list | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "bus_index", {b.id: k for k, b in enumerate(self.buses)})
@@ -449,8 +453,16 @@ def validate(network: Network) -> list[ValidationIssue]:
             add(ValidationIssue("tap_range", dev, f"tap {tx.tap} outside [{lo}, {hi}]"))
         if not all(-math.pi < a <= math.pi for a in tx.shift.tolist()):
             add(ValidationIssue("shift_range", dev, "phase shift outside (-180, 180] degrees"))
-        if tx.controlled_bus is not None and tx.controlled_bus not in idx:
-            add(ValidationIssue("unknown_bus", dev, f"controlled bus {tx.controlled_bus} not defined"))
+        if tx.controlled_bus is not None:  # the outer loop steps the tap toward its target
+            if tx.controlled_bus not in idx:
+                add(ValidationIssue("unknown_bus", dev,
+                                    f"controlled bus {tx.controlled_bus} not defined"))
+            if not 0 < tx.tap_step < math.inf:
+                add(ValidationIssue("bad_control", dev,
+                                    f"tap_step {tx.tap_step} not finite and positive"))
+            if tx.v_target is not None and not 0 < tx.v_target < math.inf:
+                add(ValidationIssue("bad_control", dev,
+                                    f"v_target {tx.v_target} not finite and positive"))
 
     for sh in network.shunts:
         dev = f"shunt {sh.id}"
@@ -464,6 +476,9 @@ def validate(network: Network) -> list[ValidationIssue]:
             if (sh.block_b is None or not finite(sh.block_b) or sh.max_blocks < 0
                     or not (0 <= sh.blocks_on <= sh.max_blocks)):
                 add(ValidationIssue("bad_blocks", dev, "switchable shunt needs finite block table"))
+            if not 0 < sh.v_lo <= sh.v_hi < math.inf:  # the outer loop's band
+                add(ValidationIssue("bad_control", dev,
+                                    f"band [{sh.v_lo}, {sh.v_hi}] needs 0 < v_lo <= v_hi < inf"))
 
     return issues
 

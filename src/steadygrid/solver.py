@@ -7,11 +7,14 @@ a time. Q limits act per Q-slot lane, a (generator, phase) pair: one array
 pass over the lanes pins those whose free reactive power leaves its band at
 the violated limit (their bus drops to PQ) and releases pinned lanes whose
 regulated voltage crosses the set-point in the relieving direction; events
-are recorded in lane order. Switched shunts and controlled taps then step
-toward their bands. Every device freezes for the remaining passes at its
-first reversal (a lane at its release, a shunt or tap at its first move
-against its last), so the loop cannot oscillate forever; running out of
-passes reports Infeasible.
+are recorded in lane order. Then one pass over the controls steps each one
+move toward its band. The controls are what the case declares: every
+switchable shunt bank (blocks) and every transformer with a controlled bus
+and a target (tap), listed once per solve, banks first, each in device
+order; no option turns them on or off. Every device freezes for the
+remaining passes at its first reversal (a lane at its release, a control at
+its first move against its last), so the loop cannot oscillate forever;
+running out of passes reports Infeasible.
 
 The set-up that depends only on the immutable :class:`Network` is built by
 the first solve of a network object and kept on it for every later solve
@@ -20,7 +23,8 @@ pattern (whose factorization plan the first factorization chooses, see
 ``linsys.py``) and the base :class:`DeviceParams`. ``validate`` runs once
 per object, before the set-up is built, so an invalid network raises
 :class:`InvalidNetworkError`, carrying the issues, before anything is laid
-out, and a valid one is never checked again. The set-up
+out. Neither verdict is reached twice: an invalid network keeps its issues
+in place of the set-up and raises a fresh error on every solve. The set-up
 lives in the network's private ``_setup`` slot, not in a module-level
 registry, and refers to no network, so reference counting frees a network
 with its set-up as soon as its last user lets go. A ``with_devices`` copy
@@ -114,8 +118,6 @@ class SolverOptions:
     init: InitSpec = field(default_factory=InitSpec)
     outer_max_passes: int = 10
     enforce_q_limits: bool = True
-    adjust_shunts: bool = False
-    adjust_taps: bool = False
 
     def __post_init__(self):
         if not isinstance(self.outer_max_passes, numbers.Integral) or self.outer_max_passes < 1:
@@ -296,81 +298,70 @@ def _enforce_q_limits(network, index, state, modes, frozen, events, pass_no, tol
     return bool(moved)
 
 
-def _record_move(key, direction, last_move, frozen):
-    """Record a device's move; one against its last move freezes it."""
-    if last_move.get(key, direction) != direction:
-        frozen.add(key)
-    last_move[key] = direction
+# per family: the setting the loop steps, its event action and device label
+_SETTINGS = {"shunts": ("blocks_on", "blocks", "shunt"), "transformers": ("tap", "tap", "xfmr")}
 
 
-def _adjust_shunts(network, state, frozen, last_move, events, pass_no):
-    """Step switchable shunt blocks toward their voltage band; returns the
-    shunt tuple with new ``blocks_on`` (``network.shunts`` itself when none moved)."""
-    vmag = _bus_vmag(state)
-    shunts = list(network.shunts)
-    moved = False
-    for k, sh in enumerate(network.shunts):
-        if not sh.switchable or sh.block_b is None:
-            continue
-        key = ("shunt", sh.id)
-        if key in frozen:
-            continue
-        v = vmag[network.bus_index[sh.bus]]
-        direction = 0
-        capacitive = float(sh.block_b[0]) > 0
-        if v < sh.v_lo:
-            direction = 1 if capacitive else -1
-        elif v > sh.v_hi:
-            direction = -1 if capacitive else 1
-        new_blocks = min(max(sh.blocks_on + direction, 0), sh.max_blocks)
-        if new_blocks != sh.blocks_on:
-            shunts[k] = replace(sh, blocks_on=new_blocks)
-            moved = True
-            events.append(
-                {"pass": pass_no, "device": f"shunt {sh.id}", "action": "blocks",
-                 "value": new_blocks}
-            )
-            _record_move(key, direction, last_move, frozen)
-    return tuple(shunts) if moved else network.shunts
+def _controls(network) -> list:
+    """The devices the case declares controlled, as the outer loop steps
+    them: every switchable shunt bank, then every transformer with a
+    controlled bus and a target (its own ``v_target``, else the bus's
+    ``v_set``), each in device order.
 
-
-def _adjust_taps(network, state, frozen, last_move, events, pass_no):
-    """Step controlled taps toward their voltage target; returns the
-    transformer tuple with new ``tap`` (``network.transformers`` itself when
-    none moved)."""
-    vmag = _bus_vmag(state)
-    xfmrs = list(network.transformers)
-    moved = False
+    Each control is ``(family, position, bus, lo, hi, raise_step, bounds)``:
+    the device at ``position`` in the network's ``family`` field regulates
+    bus position ``bus`` into the band ``[lo, hi]``; a move of
+    ``raise_step`` (blocks, or tap) raises that bus's voltage and
+    ``-raise_step`` lowers it, within ``bounds`` of the setting.
+    """
+    idx = network.bus_index
+    # a capacitive block (b > 0) raises its bus, so it is switched in to raise
+    controls = [("shunts", k, idx[sh.bus], sh.v_lo, sh.v_hi,
+                 1 if sh.block_b[0] > 0 else -1, (0, sh.max_blocks))
+                for k, sh in enumerate(network.shunts) if sh.switchable]
     for k, tx in enumerate(network.transformers):
         if tx.controlled_bus is None:
             continue
-        key = ("tap", tx.id)
-        if key in frozen:
+        bus = idx[tx.controlled_bus]
+        target = network.buses[bus].v_set if tx.v_target is None else tx.v_target
+        if target is not None:  # a lower tap raises the regulated side
+            controls.append(("transformers", k, bus, target - TAP_DEADBAND,
+                             target + TAP_DEADBAND, -tx.tap_step, (tx.tap_min, tx.tap_max)))
+    return controls
+
+
+def _step_controls(network, controls, state, moves, events, pass_no):
+    """Step each control whose bus is outside its band one move toward it,
+    clipped to its bounds, in list order; returns the network with the new
+    settings (``network`` itself when none moved).
+
+    ``moves`` holds each control's last move (+1 raise, -1 lower, 0 none
+    yet); a move against the last one freezes the control (``None``) for
+    the remaining passes.
+    """
+    if not controls:
+        return network
+    vmag = _bus_vmag(state)
+    devices = {"shunts": list(network.shunts), "transformers": list(network.transformers)}
+    first_event = len(events)
+    for k, (family, position, bus, lo, hi, raise_step, bounds) in enumerate(controls):
+        sign = 1 if vmag[bus] < lo else -1 if vmag[bus] > hi else 0
+        if not sign or moves[k] is None:
             continue
-        target = tx.v_target
-        if target is None:
-            target = network.bus(tx.controlled_bus).v_set
-        if target is None:
+        setting, action, label = _SETTINGS[family]
+        dev = devices[family][position]
+        old = getattr(dev, setting)
+        new = np.clip(old + sign * raise_step, *bounds)
+        if np.array_equal(new, old):
             continue
-        v = vmag[network.bus_index[tx.controlled_bus]]
-        direction = 0.0
-        if v < target - TAP_DEADBAND:
-            direction = -tx.tap_step  # lower tap raises the regulated side
-        elif v > target + TAP_DEADBAND:
-            direction = tx.tap_step
-        if direction == 0.0:
-            continue
-        new_tap = np.clip(tx.tap + direction, tx.tap_min, tx.tap_max)
-        if not np.array_equal(new_tap, tx.tap):
-            new_tap.setflags(write=False)
-            xfmrs[k] = replace(tx, tap=new_tap)
-            moved = True
-            events.append(
-                {"pass": pass_no, "device": f"xfmr {tx.id}", "action": "tap",
-                 "value": float(new_tap[0])}
-            )
-            _record_move(key, direction, last_move, frozen)
-    return tuple(xfmrs) if moved else network.transformers
+        # blocks stay a Python int, taps an array
+        devices[family][position] = replace(dev, **{setting: new if new.ndim else new.item()})
+        events.append({"pass": pass_no, "device": f"{label} {dev.id}", "action": action,
+                       "value": new.item(0)})
+        moves[k] = None if moves[k] == -sign else sign
+    if len(events) == first_event:
+        return network
+    return network.with_devices(**{family: tuple(d) for family, d in devices.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -389,18 +380,20 @@ def solve_setup(network: Network):
     """The index map, companion layout and base parameters of ``network``:
     built by its first solve and kept on it for every later one.
 
-    The first call validates the network and raises
-    :class:`InvalidNetworkError` listing every issue before it builds
-    anything; a network object that passed is not validated again.
+    The first call validates the network and builds nothing for an invalid
+    one; either verdict is kept, so a network object is validated once, and
+    every call on an invalid one raises a fresh :class:`InvalidNetworkError`
+    listing its issues.
     """
     if network._setup is None:
-        issues = validate(network)
-        if issues:
-            raise InvalidNetworkError(issues)
-        index = IndexMap(network)
-        # taps and shunt blocks only bind values: one layout serves every pass
-        setup = (index, build_companion(network, index), effective_params(network))
+        setup = validate(network)  # the issues, kept as the list they are
+        if not setup:
+            index = IndexMap(network)
+            # taps and shunt blocks only bind values: one layout serves every pass
+            setup = (index, build_companion(network, index), effective_params(network))
         object.__setattr__(network, "_setup", setup)
+    if isinstance(network._setup, list):
+        raise InvalidNetworkError(list(network._setup))
     return network._setup
 
 
@@ -449,8 +442,8 @@ def solve(network: Network, options: SolverOptions | None = None):
     report = SolveReport(status=DIVERGED)
     operated = network  # carries the outer loop's taps and shunt blocks
     q_frozen = np.zeros(index.q_rows.size, dtype=bool)
-    frozen: set = set()  # shunts and taps, by key
-    last_move: dict = {}  # their last move direction, by key
+    controls = _controls(network)
+    moves = [0] * len(controls)  # each control's last move, None once frozen
     events: list = []
     total_inner = 0
     homotopy_steps = 0
@@ -492,17 +485,9 @@ def solve(network: Network, options: SolverOptions | None = None):
             changed |= _enforce_q_limits(
                 operated, index, state, modes, q_frozen, events, pass_no, 10 * options.nr.tol
             )
-        devices = {}
-        if options.adjust_shunts:
-            shunts = _adjust_shunts(operated, state, frozen, last_move, events, pass_no)
-            if shunts is not operated.shunts:
-                devices["shunts"] = shunts
-        if options.adjust_taps:
-            xfmrs = _adjust_taps(operated, state, frozen, last_move, events, pass_no)
-            if xfmrs is not operated.transformers:
-                devices["transformers"] = xfmrs
-        if devices:
-            operated = operated.with_devices(**devices)
+        stepped = _step_controls(operated, controls, state, moves, events, pass_no)
+        if stepped is not operated:
+            operated = stepped
             params = effective_params(operated)
             bound = layout.bind(params)
             changed = True

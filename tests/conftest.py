@@ -292,6 +292,26 @@ def case196_tile(copies: int) -> Network:
                    tuple(loads), (), tuple(branches), (), (), name=f"case196_x{copies}")
 
 
+def with_outer_devices(net, tap_from, shunt_bus):
+    """``net`` plus a load bus fed through a voltage-controlled transformer
+    and a switchable capacitor bank, so the outer loop moves taps and blocks."""
+    nph = net.nphase
+    new_bus = net.nbus + 1
+    tx = Transformer(1, tap_from, new_bus, y_series=series_y(0.005, 0.1, nph),
+                     tap=phase_array(1.0, nph), shift=phase_array(0.0, nph),
+                     tap_min=0.9, tap_max=1.1, tap_step=0.0125,
+                     controlled_bus=new_bus, v_target=1.0)
+    sh = Shunt(len(net.shunts) + 1, shunt_bus, g=phase_array(0.0, nph),
+               b=phase_array(0.0, nph), switchable=True, block_b=phase_array(0.05, nph),
+               max_blocks=4, v_lo=0.98, v_hi=1.02)
+    return net.with_devices(
+        buses=net.buses + (Bus(new_bus, BusKind.PQ, 13.8),),
+        zip_loads=net.zip_loads + (make_zip(len(net.zip_loads) + 1, new_bus, nph, s=0.4 + 0.2j),),
+        transformers=(tx,),
+        shunts=net.shunts + (sh,),
+    )
+
+
 def random_network(seed: int, domain=PhaseDomain.POSITIVE_SEQUENCE) -> Network:
     """Structurally valid random network for round-trip properties."""
     rng = np.random.default_rng(seed)

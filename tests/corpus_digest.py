@@ -1,4 +1,5 @@
-"""Print a digest of every corpus solve and of six CLI commands.
+"""Print a digest of every corpus solve, of the solves of the networks that
+declare controls, and of six CLI commands.
 
 Two trees that print the same lines produce bit-identical iterates: each
 corpus line hashes the report without ``meta``, the state bytes, the NR
@@ -26,10 +27,11 @@ script can check that both trees converged on the same runs:
 (Newton iterations, continuation steps, outer passes, exit codes) and
 nothing else.
 
-``--repeat N`` solves each loaded corpus network object N times in one
-process and prints the usual lines once. It exits 1, naming each line whose
-repeats differ, so it shows whether a solve depends on an earlier solve of
-the same object (the set-up a network keeps between solves):
+``--repeat N`` solves each corpus network object and each control network
+N times in one process and prints the usual lines once. It exits 1, naming
+each line whose repeats differ, so it shows whether a solve depends on an
+earlier solve of the same object (the set-up a network keeps between
+solves):
 
     PYTHONPATH=src python3 tests/corpus_digest.py --repeat 2 > after.txt
 
@@ -112,7 +114,7 @@ from steadygrid.analyses import Outage, apply_outage
 from steadygrid.caseio import load_case
 from steadygrid.cli import main
 from steadygrid.homotopy import lambda_trace_to_csv
-from steadygrid.network import validate
+from steadygrid.network import PhaseDomain, phase_array, validate
 from steadygrid.nr import NrOptions, trace_to_csv
 from steadygrid.solver import InitSpec, SolverOptions, solve, transfer_state
 
@@ -168,25 +170,44 @@ def _run(network, options):
     return tail, digest, state.x if report.status == "converged" else None
 
 
+def control_networks():
+    """``(name, network)`` for each network whose case declares controls:
+    the tap and the shunt bank of ``conftest``, each also with a step so
+    large that its second move reverses its first and freezes it, and a
+    three-phase network with both."""
+    from conftest import net_switched_shunt, net_tap, random_network, with_outer_devices
+
+    tap, bank = net_tap(), net_switched_shunt()
+    big_step = replace(tap.transformers[0], tap_step=0.1, tap_min=0.5, tap_max=1.5)
+    big_block = replace(bank.shunts[0], block_b=phase_array(0.8, 1))
+    yield "net_tap", tap
+    yield "net_tap_freeze", tap.with_devices(transformers=(big_step,))
+    yield "net_switched_shunt", bank
+    yield "net_switched_shunt_freeze", bank.with_devices(shunts=(big_block,))
+    yield "outer_devices_3p", with_outer_devices(random_network(0, PhaseDomain.THREE_PHASE), 3, 4)
+
+
 def corpus_lines(states=None, repeat=1, differs=None):
-    """One ``(line, hash)`` per corpus run (a raised run has no hash); the
-    state of each converged run goes into ``states`` (a dict keyed by the
-    run's label) when one is given. Each loaded network is solved ``repeat``
-    times; the line of a run whose repeats differ goes into ``differs``."""
+    """One ``(line, hash)`` per corpus run, then per run of each control
+    network under each method (a raised run has no hash); the state of each
+    converged run goes into ``states`` (a dict keyed by the run's label)
+    when one is given. Each network is solved ``repeat`` times; the line of
+    a run whose repeats differ goes into ``differs``."""
     grid = itertools.product(
-        sorted(os.listdir(CASES)), ("none", "tx", "power"), (False, True), (1e-6, 1e-8),
-        (math.inf, 0.05),
+        sorted(os.listdir(CASES)), ("none", "tx", "power"), (1e-6, 1e-8), (math.inf, 0.05),
     )
-    for case, method, adjust, tol, di_max in grid:
-        label = f"{case} {method} adjust={int(adjust)} tol={tol:g} di_max={di_max:g}"
-        options = SolverOptions(
-            homotopy=method, nr=NrOptions(tol=tol, di_max=di_max),
-            adjust_taps=adjust, adjust_shunts=adjust,
-        )
-        network = load_case(os.path.join(CASES, case)).network
-        runs = [_run(network, options) for _ in range(repeat)]
-        tail, digest, x = runs[0]
-        if differs is not None and any(run[:2] != (tail, digest) for run in runs[1:]):
+    runs = itertools.chain(
+        ((f"{case} {method} tol={tol:g} di_max={di_max:g}",
+          load_case(os.path.join(CASES, case)).network,
+          SolverOptions(homotopy=method, nr=NrOptions(tol=tol, di_max=di_max)))
+         for case, method, tol, di_max in grid),
+        ((f"{name} {method}", network, SolverOptions(homotopy=method))
+         for name, network in control_networks() for method in ("none", "tx", "power")),
+    )
+    for label, network, options in runs:
+        results = [_run(network, options) for _ in range(repeat)]
+        tail, digest, x = results[0]
+        if differs is not None and any(run[:2] != (tail, digest) for run in results[1:]):
             differs.append(f"{label} {tail}")
         if states is not None and x is not None:
             states[label] = x

@@ -64,7 +64,7 @@ def test_branch_outage_matches_dense_oracle():
 def test_outage_with_tap_control_passes_independent_check():
     # the check must read the taps the outer loop chose, not the case's
     net = net_tap(parallel=True)
-    options = SolverOptions(adjust_taps=True, outer_max_passes=12)
+    options = SolverOptions(outer_max_passes=12)
     base, state = solve(net, options)
     assert base.status == CONVERGED
     cset = ContingencySet([Outage("LB_branch2", branch_ids=(2,))])
@@ -116,6 +116,29 @@ def test_an_outage_of_an_id_two_devices_share_is_rejected():
     twins = net.with_devices(branches=(*net.branches[:2], twin, *net.branches[3:]))
     with pytest.raises(ValueError, match=r"^outage t: ambiguous devices: branches \(2,\)$"):
         apply_outage(twins, Outage("t", branch_ids=(2,)))
+
+
+def test_an_invalid_base_network_is_validated_once_for_all_its_outages(monkeypatch):
+    net, state = solved("case14.net")
+    twin = replace(net.zip_loads[1], id=net.zip_loads[0].id)
+    invalid = net.with_devices(zip_loads=(net.zip_loads[0], twin, *net.zip_loads[2:]))
+    calls = []
+    monkeypatch.setattr(solver, "validate", lambda network, _real=solver.validate: (
+        calls.append(network) or _real(network)))
+    cset = ContingencySet([Outage("b3", branch_ids=(3,)), Outage("b4", branch_ids=(4,))])
+    results = run_contingencies(invalid, state, cset, OPTS)
+    # the base once, then each outage network, which has the same twin ids
+    assert [network is invalid for network in calls] == [True, False, False]
+    for result in results:
+        assert result.status == INFEASIBLE and "duplicate_id" in result.reason
+    # the kept verdict raises a fresh error each time
+    errors = []
+    for _ in range(2):
+        with pytest.raises(solver.InvalidNetworkError) as err:
+            solver.solve_setup(invalid)
+        errors.append(err.value)
+    assert errors[0] is not errors[1] and errors[0].issues == errors[1].issues
+    assert len(calls) == 3
 
 
 def _capturing_outages(monkeypatch):

@@ -3,8 +3,10 @@ import json
 import pytest
 
 from steadygrid.cli import EX_NOINPUT, EX_USAGE, main
+from steadygrid.solver import solve
 
-from conftest import case_path
+from casewriter import write_case
+from conftest import case_path, net_tap
 
 
 def run(argv):
@@ -165,6 +167,50 @@ def test_a_zero_tap_table_is_rejected_before_any_solve(tmp_path, capsys):
     assert run(["solve", str(bad), "--out", str(tmp_path)]) == EX_NOINPUT
     out, err = capsys.readouterr()
     assert "tap_limits" in err and "Traceback" not in out + err
+
+
+# a case14 line whose record divides by zero impedance, and its line number
+@pytest.mark.parametrize("old, new, line", [
+    ("11 7  8  0.0     0.17615 0.0", "11 7  8  0.0     0.0 0.0", 40),
+    ("1 4 7 0.0 0.20912 0.978 0.0", "1 4 7 0.0 0.0 0.978 0.0", 50),
+], ids=["branch", "transformer"])
+def test_a_zero_impedance_record_is_a_case_error(tmp_path, capsys, old, new, line):
+    with open(case_path("case14.net"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.splitlines()[line - 1] == old
+    bad = tmp_path / "zero.net"
+    bad.write_text(text.replace(old, new))
+    assert run(["validate", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith(f"invalid: line {line}: ") and err == ""
+    assert run(["solve", str(bad), "--out", str(tmp_path)]) == EX_NOINPUT
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"bad case file: line {line}: ")
+    assert "Traceback" not in err
+
+
+def test_a_tap_control_without_a_usable_step_is_rejected(tmp_path, capsys):
+    bad = tmp_path / "nan_step.net"
+    bad.write_text(
+        "BASE_MVA 100\nBUS\n1 SLACK 138.0 0.0 0.0 1.0 0.0\n2 PQ 138.0\n3 PQ 13.8 60.0 25.0\n"
+        "END\nBRANCH\n1 1 2 0.01 0.08 0.0\nEND\n"
+        "TRANSFORMER\n1 2 3 0.005 0.1 1.0 0 0.9 1.1 nan 3 1.0\nEND\n"
+    )
+    assert run(["validate", str(bad)]) == 1
+    assert "[bad_control] xfmr 1: tap_step nan not finite and positive" in capsys.readouterr().out
+
+
+def test_solve_steps_the_controls_a_case_declares(tmp_path, capsys):
+    net = net_tap()
+    case = tmp_path / "tap.net"
+    case.write_text(write_case(net))
+    assert run(["solve", str(case), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "report.json", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    want = solve(net)[0].to_dict()
+    assert len(doc["switch_events"]) == 5  # the tap steps from 1.0 to 0.9375
+    assert doc["switch_events"] == want["switch_events"]
+    assert doc["final_taps"] == want["final_taps"] != {"1": [1.0]}
 
 
 def test_contingency_outputs(tmp_path, capsys):

@@ -33,6 +33,8 @@ from conftest import (
     make_zip,
     net_2bus,
     net_allparts,
+    net_switched_shunt,
+    net_tap,
 )
 
 
@@ -372,3 +374,40 @@ def test_transformer_rejects_nonpositive_tap():
     for net, code in ((with_tap(0.0), "tap_range"), (with_tap(0.0, tap_min=0.0), "tap_limits"),
                       (with_tap(-0.5, tap_min=-1.0), "tap_limits")):
         assert [i.code for i in validate(net)] == [code]
+
+
+def _tap_with(**fields):
+    net = net_tap()
+    return net.with_devices(transformers=(replace(net.transformers[0], **fields),))
+
+
+def _bank_with(**fields):
+    net = net_switched_shunt()
+    return net.with_devices(shunts=(replace(net.shunts[0], **fields),))
+
+
+# a control the outer loop cannot step sensibly, and the message it is rejected with
+@pytest.mark.parametrize("net, device, message", [
+    (_tap_with(tap_step=math.nan), "xfmr 1", "tap_step nan not finite and positive"),
+    # a negative step walks the tap away from its target
+    (_tap_with(tap_step=-0.0125), "xfmr 1", "tap_step -0.0125 not finite and positive"),
+    (_tap_with(tap_step=0.0), "xfmr 1", "tap_step 0.0 not finite and positive"),
+    (_tap_with(v_target=math.inf), "xfmr 1", "v_target inf not finite and positive"),
+    (_tap_with(v_target=-1.0), "xfmr 1", "v_target -1.0 not finite and positive"),
+    (_bank_with(v_lo=1.05, v_hi=0.95), "shunt 1", "band [1.05, 0.95] needs 0 < v_lo <= v_hi < inf"),
+    (_bank_with(v_lo=0.0), "shunt 1", "band [0.0, 1.05] needs 0 < v_lo <= v_hi < inf"),
+    (_bank_with(v_hi=math.nan), "shunt 1", "band [0.95, nan] needs 0 < v_lo <= v_hi < inf"),
+], ids=["nan_step", "negative_step", "zero_step", "inf_target", "negative_target",
+        "reversed_band", "zero_band", "nan_band"])
+def test_a_control_the_outer_loop_cannot_step_is_rejected(net, device, message):
+    assert [(i.code, i.device, i.message) for i in validate(net)] == [
+        ("bad_control", device, message)
+    ]
+    with pytest.raises(InvalidNetworkError):
+        solve(net)
+
+
+def test_only_a_controlled_device_needs_a_control_to_step():
+    # a fixed tap never steps, and a fixed shunt's band is never read
+    assert validate(_tap_with(tap_step=math.nan, controlled_bus=None)) == []
+    assert validate(_bank_with(v_lo=math.nan, switchable=False)) == []

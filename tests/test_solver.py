@@ -20,9 +20,7 @@ from steadygrid.network import (
     Network,
     PhaseDomain,
     Shunt,
-    Transformer,
     phase_array,
-    series_y,
 )
 from steadygrid.homotopy import lambda_trace_to_csv
 from steadygrid.nr import NrOptions, trace_to_csv
@@ -50,6 +48,7 @@ from conftest import (
     net_switched_shunt,
     net_tap,
     random_network,
+    with_outer_devices,
 )
 
 
@@ -585,10 +584,11 @@ def test_remote_control_holds_target_bus():
 
 def test_tap_adjustment_moves_toward_target():
     net = net_tap()
-    no_adjust, state0 = solve(net, SolverOptions())
+    fixed = dc_replace(net.transformers[0], controlled_bus=None)
+    _, state0 = solve(net.with_devices(transformers=(fixed,)), SolverOptions())
     v_before = state0.v_mag()[0, 2]
     assert v_before < 0.99
-    options = SolverOptions(adjust_taps=True, outer_max_passes=12)
+    options = SolverOptions(outer_max_passes=12)
     report, state = solve(net, options)
     assert report.status == CONVERGED
     v_after = state.v_mag()[0, 2]
@@ -603,7 +603,7 @@ def test_tap_adjustment_moves_toward_target():
 @pytest.mark.parametrize("make, options", [
     pytest.param(lambda: load_case(case_path("case_qlim.net")).network,
                  SolverOptions(homotopy="tx"), id="case_qlim-tx"),
-    pytest.param(net_tap, SolverOptions(adjust_taps=True, outer_max_passes=12), id="tap"),
+    pytest.param(net_tap, SolverOptions(outer_max_passes=12), id="tap"),
 ])
 def test_one_layout_and_one_stack_per_parameter_set(monkeypatch, make, options):
     calls = {"compress": 0, "stack": 0}
@@ -630,9 +630,10 @@ def test_one_layout_and_one_stack_per_parameter_set(monkeypatch, make, options):
 
 def test_shunt_block_stepping():
     net = net_switched_shunt()
-    base, s0 = solve(net, SolverOptions())
+    fixed = dc_replace(net.shunts[0], switchable=False)
+    _, s0 = solve(net.with_devices(shunts=(fixed,)), SolverOptions())
     assert s0.v_mag()[0, 1] < 0.95
-    options = SolverOptions(adjust_shunts=True)
+    options = SolverOptions()
     report, state = solve(net, options)
     assert report.status == CONVERGED
     assert report.network.shunts[0].blocks_on >= 1
@@ -647,7 +648,7 @@ def test_a_shunt_that_steps_back_is_frozen_after_two_moves():
     # drops it below: the second move reverses the first, so the bank freezes
     net = net_switched_shunt()
     sh = dc_replace(net.shunts[0], block_b=phase_array(0.8, 1))
-    report, _ = solve(net.with_devices(shunts=(sh,)), SolverOptions(adjust_shunts=True))
+    report, _ = solve(net.with_devices(shunts=(sh,)))
     assert (report.status, report.outer_passes) == (CONVERGED, 3)
     assert [(e["pass"], e["value"]) for e in report.switch_events] == [(1, 1), (2, 0)]
     assert report.to_dict()["final_shunt_blocks"] == {"1": 0}
@@ -656,7 +657,7 @@ def test_a_shunt_that_steps_back_is_frozen_after_two_moves():
 def test_a_tap_that_steps_back_is_frozen_after_two_moves():
     net = net_tap()
     tx = dc_replace(net.transformers[0], tap_step=0.1, tap_min=0.5, tap_max=1.5)
-    options = SolverOptions(adjust_taps=True, outer_max_passes=12)
+    options = SolverOptions(outer_max_passes=12)
     report, _ = solve(net.with_devices(transformers=(tx,)), options)
     assert (report.status, report.outer_passes) == (CONVERGED, 3)
     assert [(e["pass"], e["value"]) for e in report.switch_events] == [(1, 0.9), (2, 1.0)]
@@ -665,8 +666,9 @@ def test_a_tap_that_steps_back_is_frozen_after_two_moves():
 
 def test_without_adjustment_the_case_is_the_operated_network():
     net = net_tap()
-    report, _ = solve(net)
-    assert report.network is net
+    fixed = net.with_devices(transformers=(dc_replace(net.transformers[0], controlled_bus=None),))
+    report, _ = solve(fixed)
+    assert report.network is fixed
 
 
 def test_non_switchable_shunt_ignores_block_table():
@@ -697,26 +699,6 @@ def _q_pins(events) -> dict:
     return pins
 
 
-def _with_outer_devices(net, tap_from, shunt_bus):
-    """``net`` plus a load bus fed through a voltage-controlled transformer
-    and a switchable capacitor bank, so the outer loop moves taps and blocks."""
-    nph = net.nphase
-    new_bus = net.nbus + 1
-    tx = Transformer(1, tap_from, new_bus, y_series=series_y(0.005, 0.1, nph),
-                     tap=phase_array(1.0, nph), shift=phase_array(0.0, nph),
-                     tap_min=0.9, tap_max=1.1, tap_step=0.0125,
-                     controlled_bus=new_bus, v_target=1.0)
-    sh = Shunt(len(net.shunts) + 1, shunt_bus, g=phase_array(0.0, nph),
-               b=phase_array(0.0, nph), switchable=True, block_b=phase_array(0.05, nph),
-               max_blocks=4, v_lo=0.98, v_hi=1.02)
-    return net.with_devices(
-        buses=net.buses + (Bus(new_bus, BusKind.PQ, 13.8),),
-        zip_loads=net.zip_loads + (make_zip(len(net.zip_loads) + 1, new_bus, nph, s=0.4 + 0.2j),),
-        transformers=(tx,),
-        shunts=net.shunts + (sh,),
-    )
-
-
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
@@ -726,13 +708,12 @@ def _with_outer_devices(net, tap_from, shunt_bus):
 )
 def test_outer_loop_solutions_pass_independent_check(seed, domain, method, data):
     base = random_network(seed, domain)
-    net = _with_outer_devices(
+    net = with_outer_devices(
         base,
         tap_from=data.draw(st.integers(1, base.nbus), label="tap_from"),
         shunt_bus=data.draw(st.integers(2, base.nbus), label="shunt_bus"),
     )
-    options = SolverOptions(nr=NrOptions(tol=1e-10), homotopy=method,
-                            adjust_shunts=True, adjust_taps=True, outer_max_passes=20)
+    options = SolverOptions(nr=NrOptions(tol=1e-10), homotopy=method, outer_max_passes=20)
     report, state = solve(net, options)
     if report.status != CONVERGED:
         return
