@@ -31,9 +31,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .indexing import IndexMap, StateVector
+from .indexing import IndexMap, StateVector, polar_state
 from .linsys import SparseSystem
-from .network import BusKind, Network, PHASE_OFFSETS
+from .network import BusKind, Network
 from .nr import NrOptions, NrTraceRow, run_newton
 from .stamps import Companion, DeviceParams, GenModes
 
@@ -117,9 +117,7 @@ def anchored_state(network: Network, index: IndexMap) -> StateVector:
     buses = [slack.get(island) for island in network.islands]
     vmag = np.array([1.0 if b is None else b.v_set for b in buses], dtype=float)
     vang = np.array([0.0 if b is None else b.angle for b in buses], dtype=float)
-    state = StateVector(np.zeros(index.dim), index)
-    state.set_voltages(vmag * np.exp(1j * (vang + PHASE_OFFSETS[network.domain][:, None])))
-    return state
+    return polar_state(index, vmag, vang)
 
 
 def run_homotopy(

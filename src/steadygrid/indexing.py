@@ -1,10 +1,14 @@
 """Unknown/equation numbering for the nodal system.
 
-Voltages are stored phase-major: all of phase a, then b, then c, each phase
-block holding ``(V_R, V_I)`` pairs in bus order. Auxiliary unknowns follow:
-two injection-current variables per slack bus and phase, then one reactive
-power slot per voltage-controlling generator and phase. Row k is the equation
-naturally paired with unknown k (KCL for voltage unknowns, the source/control
+The state ``x`` holds three contiguous blocks. First the node voltages,
+``nv`` floats: node ``k = ph * nbus + pos`` (phase-major, bus position
+within a phase) keeps ``V_R`` at ``2k`` and ``V_I`` at ``2k + 1``, so the
+block read as complex numbers is the voltage of every node, and
+:attr:`StateVector.v` is that view, shaped (nphase, nbus). Then two
+injection-current variables ``(I_R, I_I)`` per slack bus and phase, slack
+buses in position order. Last, one reactive power slot per
+voltage-controlling generator and phase. Row k is the equation naturally
+paired with unknown k (KCL for voltage unknowns, the source/control
 constraint for auxiliaries), so the assembled system is square by
 construction.
 """
@@ -21,7 +25,8 @@ __all__ = ["IndexMap", "StateVector"]
 
 
 class IndexMap:
-    """Bijection between (device, phase) unknowns and 0..dim-1.
+    """The numbering of one network's unknowns 0..dim-1, in the three blocks
+    the module docstring describes.
 
     Stable for the lifetime of one network: Q slots exist for every
     voltage-controlling generator whether or not its limit is currently
@@ -37,11 +42,9 @@ class IndexMap:
         self.domain = network.domain
         self.bus_index = network.bus_index
         self.generators = network.generators
-        nb = network.nbus
-        nph = network.nphase
-        self.nbus = nb
-        self.nphase = nph
-        nv = 2 * nb * nph
+        self.nbus = network.nbus
+        self.nphase = nph = network.nphase
+        self.nv = 2 * self.nbus * nph  # the voltage block, x[:nv]
 
         self.slack_positions = tuple(
             k for k, b in enumerate(network.buses) if b.kind == BusKind.SLACK
@@ -56,37 +59,13 @@ class IndexMap:
             if g.controls_voltage and g.target_bus() not in slack_ids
         )
 
-        # slack current variables: per slack (in position order), per phase, (I_R, I_I)
-        self._slack_base = nv
-        self._slack_slot = {p: n for n, p in enumerate(self.slack_positions)}
-        # generator Q variables, the tail of the unknowns: one per Q-slot
-        # lane, a (vc-gen, phase) pair in vc_gen_positions order
-        q_base = nv + 2 * len(self.slack_positions) * nph
+        # generator Q variables, the tail of the unknowns after the slack
+        # currents: one per Q-slot lane, a (vc-gen, phase) pair in
+        # vc_gen_positions order
+        q_base = self.nv + 2 * len(self.slack_positions) * nph
         self.dim = q_base + len(self.vc_gen_positions) * nph
         self.q_rows = np.arange(q_base, self.dim)
         self.q_rows.setflags(write=False)
-
-    # -- voltage unknowns ---------------------------------------------------
-    def vr(self, bus_pos: int, ph: int) -> int:
-        return ph * 2 * self.nbus + 2 * bus_pos
-
-    def vi(self, bus_pos: int, ph: int) -> int:
-        return ph * 2 * self.nbus + 2 * bus_pos + 1
-
-    # -- auxiliary unknowns ---------------------------------------------------
-    def slack_ir(self, bus_pos: int, ph: int) -> int:
-        return self._slack_base + 2 * (self._slack_slot[bus_pos] * self.nphase + ph)
-
-    def slack_ii(self, bus_pos: int, ph: int) -> int:
-        return self.slack_ir(bus_pos, ph) + 1
-
-    # -- bulk views -----------------------------------------------------------
-    def voltage_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        """(vr, vi) index arrays of shape (nphase, nbus)."""
-        bus = np.arange(self.nbus)
-        phs = np.arange(self.nphase)[:, None]
-        vr = phs * 2 * self.nbus + 2 * bus[None, :]
-        return vr, vr + 1
 
 
 @dataclass
@@ -100,26 +79,26 @@ class StateVector:
         return StateVector(self.x.copy(), self.index)
 
     # -- voltages -------------------------------------------------------------
+    @property
+    def v(self) -> np.ndarray:
+        """Complex node voltages, shape (nphase, nbus): a writable view of
+        the voltage block of ``x``."""
+        index = self.index
+        return self.x[: index.nv].view(complex).reshape(index.nphase, index.nbus)
+
     def v_complex(self) -> np.ndarray:
-        """Complex node voltages, shape (nphase, nbus)."""
-        vr, vi = self.index.voltage_indices()
-        return self.x[vr] + 1j * self.x[vi]
+        """A copy of :attr:`v`."""
+        return self.v.copy()
 
     def v_mag(self) -> np.ndarray:
-        return np.abs(self.v_complex())
+        return np.abs(self.v)
 
     def v_ang(self) -> np.ndarray:
-        return np.angle(self.v_complex())
-
-    def set_voltage(self, bus_pos: int, ph: int, v: complex) -> None:
-        self.x[self.index.vr(bus_pos, ph)] = v.real
-        self.x[self.index.vi(bus_pos, ph)] = v.imag
+        return np.angle(self.v)
 
     def set_voltages(self, v: np.ndarray) -> None:
         """Write every node voltage; ``v`` broadcasts to (nphase, nbus)."""
-        vr, vi = self.index.voltage_indices()
-        self.x[vr] = v.real
-        self.x[vi] = v.imag
+        self.v[...] = v
 
     # -- generator reactive power ----------------------------------------------
     def gen_q(self) -> np.ndarray:
@@ -138,8 +117,14 @@ class StateVector:
         return q
 
 
+def polar_state(index: IndexMap, vmag, vang) -> StateVector:
+    """Every node at ``vmag * exp(j(vang + phase offset))``, all auxiliaries 0;
+    ``vmag`` and ``vang`` (radians) are scalars or per bus position."""
+    state = StateVector(np.zeros(index.dim), index)
+    state.v[...] = vmag * np.exp(1j * (vang + PHASE_OFFSETS[index.domain][:, None]))
+    return state
+
+
 def flat_state(index: IndexMap) -> StateVector:
     """V = 1 at the balanced reference angles everywhere, all auxiliaries 0."""
-    state = StateVector(np.zeros(index.dim), index)
-    state.set_voltages(np.exp(1j * PHASE_OFFSETS[index.domain])[:, None])
-    return state
+    return polar_state(index, 1.0, 0.0)

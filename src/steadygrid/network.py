@@ -347,8 +347,9 @@ def validate(network: Network) -> list[ValidationIssue]:
     issues += _island_issues(network)
 
     for b in network.buses:
-        if b.v_set is not None and not (b.v_set > 0):
-            add(ValidationIssue("bad_vset", f"bus {b.id}", f"v_set {b.v_set} not positive"))
+        if b.v_set is not None and not 0 < b.v_set < math.inf:  # nan fails too
+            what = "finite" if b.v_set > 0 else "positive"
+            add(ValidationIssue("bad_vset", f"bus {b.id}", f"v_set {b.v_set} not {what}"))
 
     # ids name devices in outages, outer-loop events and the report
     for family, devices in (
@@ -460,7 +461,11 @@ def validate(network: Network) -> list[ValidationIssue]:
             if not 0 < tx.tap_step < math.inf:
                 add(ValidationIssue("bad_control", dev,
                                     f"tap_step {tx.tap_step} not finite and positive"))
-            if tx.v_target is not None and not 0 < tx.v_target < math.inf:
+            if tx.v_target is None:  # the target falls back to the bus's v_set
+                if tx.controlled_bus in idx and network.bus(tx.controlled_bus).v_set is None:
+                    add(ValidationIssue("bad_control", dev, f"no v_target, and controlled bus "
+                                        f"{tx.controlled_bus} has no v_set"))
+            elif not 0 < tx.v_target < math.inf:
                 add(ValidationIssue("bad_control", dev,
                                     f"v_target {tx.v_target} not finite and positive"))
 

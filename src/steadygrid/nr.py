@@ -90,8 +90,8 @@ class NrOptions:
             raise ValueError("dv_max must be positive")
         if not self.v_min < self.v_max:
             raise ValueError("v_min must be below v_max")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:  # also rejects nan
+            raise ValueError("tol must be finite and positive")
         if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 0:
             raise ValueError("max_iter must be an integer >= 0")
         if not self.di_max > 0:  # also rejects nan
@@ -187,7 +187,7 @@ def check_convergence(
     so the residual is the one taken at the pass's damping ``zeta`` (1 unless
     limiting shrank it), not re-measured undamped.
     """
-    nv = 2 * layout.index.nbus * layout.index.nphase
+    nv = layout.index.nv
     f = system.matrix @ state.x - system.rhs
     return _max_abs(f[:nv], layout.kcl_mask[:nv]), _max_abs(f[nv:], layout.kcl_mask[nv:])
 
@@ -198,8 +198,7 @@ def check_convergence(
 
 def _reinit_voltage(state: StateVector, bus: int, ph: int) -> None:
     index = state.index
-    v = np.exp(1j * PHASE_OFFSETS[index.domain][ph])
-    state.set_voltage(index.bus_index[bus], ph, v)
+    state.v[ph, index.bus_index[bus]] = np.exp(1j * PHASE_OFFSETS[index.domain][ph])
 
 
 def run_newton(
@@ -230,7 +229,7 @@ def run_newton(
     """
     c = bound.layout
     base = len(trace)
-    nv = 2 * c.index.nbus * c.index.nphase
+    nv = c.index.nv
     kcl = np.flatnonzero(c.kcl_mask)
     # one node re-initialized per attempt; each generator or ZIP lane needs
     # at most one, so an arbitrary start (all zeros included) gets through

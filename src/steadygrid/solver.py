@@ -46,10 +46,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .homotopy import anchored_state, run_homotopy
-from .indexing import IndexMap, StateVector, flat_state
+from .indexing import IndexMap, StateVector, flat_state, polar_state
 from .linsys import SparseSystem
 from .network import (
-    Connection, Network, PHASE_OFFSETS, PhaseDomain, connectivity_issues, validate,
+    Connection, Network, PhaseDomain, connectivity_issues, validate,
 )
 from .nr import NrOptions, check_convergence, run_newton
 from .reference import build_ybus
@@ -65,7 +65,6 @@ __all__ = [
     "SolveReport",
     "MismatchReport",
     "initialize_state",
-    "uniform_state",
     "solve",
     "validate_solution",
 ]
@@ -177,29 +176,19 @@ class SolveReport:
 # Initial conditions
 
 
-def uniform_state(network: Network, index: IndexMap, vmag: float, vang_deg: float) -> StateVector:
-    """Every bus at the same magnitude/angle (plus balanced phase offsets)."""
-    state = flat_state(index)
-    ang = math.radians(vang_deg) + PHASE_OFFSETS[network.domain]
-    state.set_voltages(vmag * np.exp(1j * ang)[:, None])
-    return state
-
-
 def initialize_state(network: Network, spec: InitSpec, index: IndexMap | None = None) -> StateVector:
     """Build the starting state; Q slots and source currents start at zero."""
     if index is None:
         index = IndexMap(network)
     if spec.kind == "flat":
         return flat_state(index)
-    if spec.kind == "uniform":
-        return uniform_state(network, index, spec.vmag, spec.vang_deg)
+    if spec.kind == "uniform":  # every bus at the same magnitude and angle
+        return polar_state(index, spec.vmag, math.radians(spec.vang_deg))
     if spec.kind == "random":
         rng = np.random.default_rng(spec.seed)
-        state = flat_state(index)
         mags = rng.uniform(*spec.vmag_range, size=index.nbus)
         angs = np.radians(rng.uniform(*spec.vang_range_deg, size=index.nbus))
-        state.set_voltages(mags * np.exp(1j * (angs + PHASE_OFFSETS[network.domain][:, None])))
-        return state
+        return polar_state(index, mags, angs)
     if spec.kind == "warm":
         if spec.state is None:
             raise ValueError("warm start needs a state")
@@ -213,15 +202,13 @@ def initialize_state(network: Network, spec: InitSpec, index: IndexMap | None = 
             doc = read_solution_json(fh.read())
         state = flat_state(index)
         phase_pos = {name: ph for ph, name in enumerate(network.domain.phases)}
-        v = state.v_complex()
         for rec in doc["buses"]:
             bus, phase = int(rec["bus"]), rec["phase"]
             if bus not in network.bus_index or phase not in phase_pos:
                 raise ValueError(f"the case has no bus {bus} phase {phase!r}")
-            v[phase_pos[phase], network.bus_index[bus]] = complex(
+            state.v[phase_pos[phase], network.bus_index[bus]] = complex(
                 float(rec["vr_pu"]), float(rec["vi_pu"])
             )
-        state.set_voltages(v)
         return state
     raise ValueError(f"unknown init kind {spec.kind!r}")
 
@@ -236,8 +223,7 @@ def transfer_state(
     kept = [b for b in new_network.bus_index if b in old_index.bus_index]
     new_pos = [new_network.bus_index[b] for b in kept]
     old_pos = [old_index.bus_index[b] for b in kept]
-    for new_idx, old_idx in zip(new_index.voltage_indices(), old_index.voltage_indices()):
-        state.x[new_idx[:, new_pos]] = old.x[old_idx[:, old_pos]]
+    state.v[:, new_pos] = old.v[:, old_pos]
     # Q slots by generator id: one gather of the machines both maps regulate
     old_slot = {old_index.generators[k].id: n for n, k in enumerate(old_index.vc_gen_positions)}
     new_ids = [new_index.generators[k].id for k in new_index.vc_gen_positions]
@@ -305,8 +291,8 @@ _SETTINGS = {"shunts": ("blocks_on", "blocks", "shunt"), "transformers": ("tap",
 def _controls(network) -> list:
     """The devices the case declares controlled, as the outer loop steps
     them: every switchable shunt bank, then every transformer with a
-    controlled bus and a target (its own ``v_target``, else the bus's
-    ``v_set``), each in device order.
+    controlled bus, each in device order. A tap's target is its own
+    ``v_target``, else the bus's ``v_set`` (``validate`` requires one).
 
     Each control is ``(family, position, bus, lo, hi, raise_step, bounds)``:
     the device at ``position`` in the network's ``family`` field regulates
@@ -324,9 +310,9 @@ def _controls(network) -> list:
             continue
         bus = idx[tx.controlled_bus]
         target = network.buses[bus].v_set if tx.v_target is None else tx.v_target
-        if target is not None:  # a lower tap raises the regulated side
-            controls.append(("transformers", k, bus, target - TAP_DEADBAND,
-                             target + TAP_DEADBAND, -tx.tap_step, (tx.tap_min, tx.tap_max)))
+        # a lower tap raises the regulated side
+        controls.append(("transformers", k, bus, target - TAP_DEADBAND,
+                         target + TAP_DEADBAND, -tx.tap_step, (tx.tap_min, tx.tap_max)))
     return controls
 
 

@@ -395,12 +395,12 @@ class BoundCompanion:
 def build_companion(network: Network, index: IndexMap) -> Companion:
     """Lay out the fixed pattern and the nonlinear lanes of ``network``."""
     nph = index.nphase
-    vr, _ = index.voltage_indices()
     bus_pos = network.bus_index
+    phase_base = 2 * index.nbus * np.arange(nph)  # V_R of each phase's first node
 
     def nodes(buses) -> np.ndarray:
         """``V_R`` index per (device, phase), shape (ndevice, nph)."""
-        return vr[:, [bus_pos[b] for b in buses]].T.reshape(-1, nph)
+        return 2 * np.array([bus_pos[b] for b in buses], dtype=np.intp)[:, None] + phase_base
 
     def coupled(f, t):
         """Row and column grids of the nph x nph block between node sets."""
@@ -442,16 +442,16 @@ def build_companion(network: Network, index: IndexMap) -> Companion:
     owner = np.concatenate(owner)
 
     # slack rows: the source current leaves through the network, the
-    # constraint rows pin the node voltage
-    slack = list(index.slack_positions)
-    sv = vr[:, slack].T.ravel()
-    si = np.array([index.slack_ir(p, ph) for p in slack for ph in range(nph)], dtype=np.intp)
+    # constraint rows pin the node voltage; the source currents (I_R, I_I)
+    # per slack and phase follow the voltage block
+    buses = [network.buses[p] for p in index.slack_positions]
+    sv = nodes([b.id for b in buses]).ravel()
+    si = index.nv + 2 * np.arange(sv.size)
     rows = np.concatenate([rows, sv, sv + 1, si, si + 1])
     cols = np.concatenate([cols, si, si + 1, sv, sv + 1])
     n_linear = rows.size
     ones = np.ones(sv.size)
     slack_rhs = np.zeros(index.dim)
-    buses = [network.buses[p] for p in slack]
     v_set = np.array([b.v_set for b in buses], dtype=float)[:, None]
     angle = np.array([b.angle for b in buses], dtype=float)[:, None]
     vset = (v_set * np.exp(1j * (angle + PHASE_OFFSETS[network.domain]))).ravel()
@@ -564,7 +564,7 @@ def assemble_system(bound: BoundCompanion, state: StateVector, zeta: float, mode
     """
     c = bound.layout
     x = state.x
-    node = x[: 2 * c.index.nbus * c.index.nphase].view(complex)
+    node = x[: c.index.nv].view(complex)
     u = node[c.lane_v]
     dl = c.delta_lanes
     if dl.size:

@@ -92,6 +92,21 @@ def newton(bound, state, options, trace=None):
     return run_newton(bound, state, options, modes, SparseSystem(index.dim), trace)
 
 
+def vr(index, pos: int, ph: int = 0) -> int:
+    """Unknown (and KCL row) of ``V_R`` at bus position ``pos``, phase
+    ``ph``: node ``ph * nbus + pos`` of the phase-major voltage block keeps
+    ``V_R`` at twice its number and ``V_I`` right after it."""
+    return 2 * (ph * index.nbus + pos)
+
+
+def slack_ir(index, pos: int, ph: int = 0) -> int:
+    """Unknown (and constraint row) of the source current ``I_R`` of the
+    slack at bus position ``pos``, phase ``ph``; ``I_I`` follows it. The
+    ``(I_R, I_I)`` pairs follow the voltage block, slack-major in position
+    order."""
+    return index.nv + 2 * (index.slack_positions.index(pos) * index.nphase + ph)
+
+
 def residual_vector(bound, state, modes=None) -> np.ndarray:
     """Exact nonlinear residual F(x) via the companion identity A x - b."""
     system = assembled(bound, state, modes)

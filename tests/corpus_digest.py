@@ -86,12 +86,19 @@ this on each, alternately; it runs with every BLAS pool at one thread:
 
     PYTHONPATH=src python3 tests/corpus_digest.py --call-costs hard_corridor.net power
 
+``--code-lines`` prints, instead, the code lines of each module of the
+imported ``steadygrid`` (no blank lines, comments or docstrings), then
+their total, the measure of a change's size in code:
+
+    PYTHONPATH=src python3 tests/corpus_digest.py --code-lines
+
 pytest does not collect this file (its name does not start with ``test_``).
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import copy
 import functools
@@ -105,6 +112,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tokenize
 from dataclasses import replace
 
 import numpy as np
@@ -292,6 +300,38 @@ def outage_lines(states=None):
             yield f"{label} {tail}", digest
 
 
+def code_lines(source: str) -> int:
+    """Lines of ``source`` that hold code: no blank lines, comments or
+    docstrings (a string statement that opens a module, class or function)."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+              tokenize.DEDENT, tokenize.ENDMARKER}
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in layout:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - docstrings)
+
+
+def code_line_lines():
+    """``module lines`` for each module of the imported ``steadygrid``, then
+    ``total lines``."""
+    package = os.path.dirname(solver.__file__)
+    total = 0
+    for name in sorted(f for f in os.listdir(package) if f.endswith(".py")):
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            n = code_lines(fh.read())
+        total += n
+        yield f"{name} {n}"
+    yield f"total {total}"
+
+
 def plan_lines():
     """One ``case n=N plan`` line per corpus network."""
     for case in sorted(os.listdir(CASES)):
@@ -410,6 +450,8 @@ if __name__ == "__main__":
                         help="print one line per valid single series outage instead")
     parser.add_argument("--plans", action="store_true",
                         help="print each corpus network's factorization plan instead")
+    parser.add_argument("--code-lines", action="store_true",
+                        help="print the code lines of each steadygrid module instead")
     parser.add_argument("--call-costs", nargs=2, metavar=("CASE", "METHOD"),
                         help="print the cost of each per-pass call in live solves instead")
     args = parser.parse_args()
@@ -421,6 +463,8 @@ if __name__ == "__main__":
         print("\n".join(call_cost_lines(*args.call_costs)))
     elif args.plans:
         print("\n".join(plan_lines()))
+    elif args.code_lines:
+        print("\n".join(code_line_lines()))
     elif args.jobs:
         for line in job_lines(args.jobs, args.seeds):
             print(line, flush=True)

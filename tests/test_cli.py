@@ -60,7 +60,8 @@ def test_bogus_homotopy_flag_is_usage_error(capsys):
     rejected = [
         (command, flag, value)
         for flag, value in [("--dv-max", "0"), ("--zeta-min", "2"), ("--tol", "-1"),
-                            ("--tol", "0"), ("--max-iter", "-3"), ("--gamma", "0")]
+                            ("--tol", "0"), ("--tol", "inf"), ("--tol", "nan"),
+                            ("--max-iter", "-3"), ("--gamma", "0")]
         for command in ("solve", "sweep", "contingency")
     ]
     # and the values one subcommand's own flag rejects

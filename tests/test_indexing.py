@@ -1,42 +1,44 @@
 import numpy as np
 import pytest
 
-from steadygrid.indexing import IndexMap, flat_state
+from steadygrid.indexing import IndexMap, StateVector, flat_state
 
 from conftest import net_2bus, net_3bus, net_3phase, net_allparts, random_network
 
 
 @pytest.mark.parametrize("builder", [net_2bus, net_3bus, net_3phase, net_allparts])
 def test_index_map_is_a_bijection(builder):
+    # the state is three contiguous blocks that tile 0..dim-1: the voltages,
+    # phase-major, then the slack currents, then the Q slots
     net = builder()
     index = IndexMap(net)
-    seen = set()
-    for ph in range(index.nphase):
-        for k in range(index.nbus):
-            seen.add(index.vr(k, ph))
-            seen.add(index.vi(k, ph))
-    for pos in index.slack_positions:
-        for ph in range(index.nphase):
-            seen.add(index.slack_ir(pos, ph))
-            seen.add(index.slack_ii(pos, ph))
-    seen.update(index.q_rows.tolist())
-    assert seen == set(range(index.dim))
-    # the Q rows are the tail, one per (regulating machine, phase) lane
-    assert index.q_rows.tolist() == list(range(index.dim - index.q_rows.size, index.dim))
-    assert index.q_rows.size == len(index.vc_gen_positions) * index.nphase
+    nb, nph = index.nbus, index.nphase
+    assert index.nv == 2 * nb * nph
+    for ph in range(nph):
+        for pos in range(nb):
+            state = StateVector(np.zeros(index.dim), index)
+            state.v[ph, pos] = 0.8 - 0.25j
+            k = 2 * (ph * nb + pos)
+            assert np.flatnonzero(state.x).tolist() == [k, k + 1]
+            assert state.x[k: k + 2].tolist() == [0.8, -0.25]
+    # (I_R, I_I) per slack and phase, then one Q slot per (regulating
+    # machine, phase) lane, the tail
+    q_base = index.nv + 2 * len(index.slack_positions) * nph
+    assert index.q_rows.tolist() == list(range(q_base, index.dim))
+    assert index.q_rows.size == len(index.vc_gen_positions) * nph
 
 
 def test_voltages_are_phase_major():
     net = net_3phase()
     index = IndexMap(net)
-    # all of phase a first, then b, then c
-    assert index.vr(0, 0) == 0
-    assert index.vr(0, 1) == 2 * index.nbus
-    assert index.vr(0, 2) == 4 * index.nbus
-    vr, vi = index.voltage_indices()
-    assert vr.shape == (3, net.nbus)
-    assert np.all(vi == vr + 1)
-
+    state = StateVector(np.zeros(index.dim), index)
+    assert state.v.shape == (3, net.nbus)
+    # all of phase a first, then b, then c; each imaginary part follows its real
+    for ph, start in enumerate([0, 2 * index.nbus, 4 * index.nbus]):
+        state.x[:] = 0.0
+        state.v[ph, 0] = 1.0 + 2.0j
+        assert state.x[start] == 1.0
+        assert state.x[start + 1] == 2.0
 
 def test_dimension_formula():
     for seed in range(5):
@@ -81,6 +83,12 @@ def test_state_helpers_round_trip():
     net = net_3phase()
     index = IndexMap(net)
     state = flat_state(index)
-    state.set_voltage(1, 2, 0.8 - 0.25j)
-    assert state.v_complex()[2, 1] == 0.8 - 0.25j
+    state.v[2, 1] = 0.8 - 0.25j
+    v = state.v_complex()
+    assert v[2, 1] == 0.8 - 0.25j
     assert state.v_mag()[2, 1] == pytest.approx(abs(0.8 - 0.25j))
+    # v_complex is a copy; set_voltages writes through the view
+    v[2, 1] = 0.0
+    assert state.v[2, 1] == 0.8 - 0.25j
+    state.set_voltages(v)
+    assert state.v[2, 1] == 0.0 and np.array_equal(state.v_complex(), v)

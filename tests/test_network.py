@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from steadygrid.caseio import CaseSyntaxError, load_case, parse_case
+from steadygrid.caseio import CaseSemanticError, CaseSyntaxError, load_case, parse_case
 from steadygrid.network import (
     BigLoad,
     Branch,
@@ -32,10 +32,12 @@ from conftest import (
     make_branch,
     make_zip,
     net_2bus,
+    net_3phase,
     net_allparts,
     net_switched_shunt,
     net_tap,
 )
+from casewriter import write_case
 
 
 def test_minimal_network_validates_clean():
@@ -394,17 +396,45 @@ def _bank_with(**fields):
     (_tap_with(tap_step=0.0), "xfmr 1", "tap_step 0.0 not finite and positive"),
     (_tap_with(v_target=math.inf), "xfmr 1", "v_target inf not finite and positive"),
     (_tap_with(v_target=-1.0), "xfmr 1", "v_target -1.0 not finite and positive"),
+    # no v_target, and the regulated bus 3 has no v_set to fall back on
+    (_tap_with(v_target=None), "xfmr 1", "no v_target, and controlled bus 3 has no v_set"),
     (_bank_with(v_lo=1.05, v_hi=0.95), "shunt 1", "band [1.05, 0.95] needs 0 < v_lo <= v_hi < inf"),
     (_bank_with(v_lo=0.0), "shunt 1", "band [0.0, 1.05] needs 0 < v_lo <= v_hi < inf"),
     (_bank_with(v_hi=math.nan), "shunt 1", "band [0.95, nan] needs 0 < v_lo <= v_hi < inf"),
 ], ids=["nan_step", "negative_step", "zero_step", "inf_target", "negative_target",
-        "reversed_band", "zero_band", "nan_band"])
+        "no_target", "reversed_band", "zero_band", "nan_band"])
 def test_a_control_the_outer_loop_cannot_step_is_rejected(net, device, message):
     assert [(i.code, i.device, i.message) for i in validate(net)] == [
         ("bad_control", device, message)
     ]
     with pytest.raises(InvalidNetworkError):
         solve(net)
+
+
+def _with_vsets(net, v_sets):
+    """``net`` with the ``v_set`` of the buses ``v_sets`` names (by id)."""
+    return net.with_devices(
+        buses=tuple(replace(b, v_set=v_sets.get(b.id, b.v_set)) for b in net.buses)
+    )
+
+
+# the tap regulates bus 3 toward its v_set; a slack's v_set pins its source
+@pytest.mark.parametrize("v_sets, device", [
+    ({3: math.inf}, "bus 3"),
+    ({1: math.inf, 3: 1.0}, "bus 1"),
+], ids=["regulated", "slack"])
+def test_a_non_finite_v_set_is_rejected(v_sets, device):
+    net = _with_vsets(_tap_with(v_target=None), v_sets)
+    assert [(i.code, i.device, i.message) for i in validate(net)] == [
+        ("bad_vset", device, "v_set inf not finite")
+    ]
+    with pytest.raises(InvalidNetworkError):
+        solve(net)
+    # a .net case carries it as inf, a JSON case as Infinity
+    three = _with_vsets(net_3phase(), {2: math.inf})
+    for text in (write_case(net), write_case(three)):
+        with pytest.raises(CaseSemanticError, match="bad_vset"):
+            parse_case(text)
 
 
 def test_only_a_controlled_device_needs_a_control_to_step():

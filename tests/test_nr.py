@@ -26,7 +26,7 @@ from steadygrid.stamps import (
     pv_current,
 )
 
-from conftest import assembled, net_2bus, net_linear, newton
+from conftest import assembled, net_2bus, net_linear, newton, slack_ir
 
 WIDE = NrOptions(tol=1e-10, dv_max=100.0, v_min=-10.0, v_max=10.0)
 
@@ -328,11 +328,11 @@ def test_check_convergence_on_analytic_two_bus():
     delta = -math.asin(p * x / math.sqrt(vsq))
     index = IndexMap(net)
     state = flat_state(index)
-    state.set_voltage(1, 0, vr * complex(math.cos(delta), math.sin(delta)))
+    state.v[0, 1] = vr * complex(math.cos(delta), math.sin(delta))
     # slack source current must carry the line flow for the KCL row
     i_line = (1.0 - state.v_complex()[0, 1]) / complex(0.0, x)
-    state.x[index.slack_ir(0, 0)] = i_line.real
-    state.x[index.slack_ii(0, 0)] = i_line.imag
+    state.x[slack_ir(index, 0, 0)] = i_line.real
+    state.x[slack_ir(index, 0, 0) + 1] = i_line.imag
     assert max(split(bound_of(net), state)) <= 1e-12
 
 

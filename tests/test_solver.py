@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from steadygrid import homotopy, nr, solver, stamps
 from steadygrid.caseio import load_case, write_solution
 from steadygrid.homotopy import anchored_state
-from steadygrid.indexing import IndexMap, flat_state
+from steadygrid.indexing import IndexMap, flat_state, polar_state
 from steadygrid.linsys import SingularityError, SparseSystem
 from steadygrid.network import (
     PHASE_OFFSETS,
@@ -33,7 +33,6 @@ from steadygrid.solver import (
     SolverOptions,
     initialize_state,
     solve,
-    uniform_state,
     validate_solution,
 )
 
@@ -48,6 +47,7 @@ from conftest import (
     net_switched_shunt,
     net_tap,
     random_network,
+    vr,
     with_outer_devices,
 )
 
@@ -194,8 +194,8 @@ def _per_node(index, v_of):
     for k in range(index.nbus):
         for ph in range(index.nphase):
             v = v_of(k, ph)
-            x[index.vr(k, ph)] = v.real
-            x[index.vi(k, ph)] = v.imag
+            x[vr(index, k, ph)] = v.real
+            x[vr(index, k, ph) + 1] = v.imag
     return x
 
 
@@ -217,6 +217,10 @@ def test_initial_states_match_a_per_node_write(case):
     for kind, (spec, v_of) in states.items():
         x = initialize_state(net, spec, index).x
         assert x.tobytes() == _per_node(index, v_of).tobytes(), kind
+    # polar_state builds both from their magnitudes and angles
+    for x, kind in ((polar_state(index, 1.05, math.radians(12.5)).x, "uniform"),
+                    (polar_state(index, mags, angs).x, "random")):
+        assert x.tobytes() == _per_node(index, states[kind][1]).tobytes(), kind
     slack = {net.islands[k]: b for k, b in enumerate(net.buses) if b.kind == BusKind.SLACK}
     anchored = _per_node(index, lambda k, ph: slack[net.islands[k]].v_set * np.exp(
         1j * (slack[net.islands[k]].angle + off[ph])))
@@ -235,7 +239,7 @@ def test_random_respects_ranges():
 
 def test_uniform_state_same_everywhere():
     net = net_3bus()
-    state = uniform_state(net, IndexMap(net), 1.05, 12.0)
+    state = initialize_state(net, InitSpec(kind="uniform", vmag=1.05, vang_deg=12.0))
     vm = state.v_mag()[0]
     va = np.degrees(state.v_ang()[0])
     np.testing.assert_allclose(vm, 1.05, atol=1e-14)
@@ -304,7 +308,7 @@ def test_perturbation_shows_up_locally():
     _, state = solve(net, options)
     index = state.index
     k = 6  # mid-chain bus position
-    state.x[index.vr(k, 0)] += 1e-3
+    state.x[vr(index, k, 0)] += 1e-3
     rep = validate_solution(net, state)
     assert rep.per_bus[k] > 1e-6
     # buses two or more hops away are untouched by the bump (the slack bus is
@@ -468,6 +472,8 @@ def test_pass_limit_reports_infeasible():
     {"outer_max_passes": 0},
     {"nr": {"tol": 0.0}},
     {"nr": {"tol": -1.0}},
+    {"nr": {"tol": math.inf}},
+    {"nr": {"tol": math.nan}},
     {"nr": {"max_iter": -3}},
     {"nr": {"dv_max": 0.0}},
     {"nr": {"zeta_min": 2.0}},

@@ -40,6 +40,8 @@ from conftest import (
     net_3phase,
     net_allparts,
     residual_vector,
+    slack_ir,
+    vr,
 )
 from stamps_reference import reference_assemble, reference_bind
 
@@ -98,8 +100,8 @@ def lane(device, v: complex, q: float = 0.0):
                   generators=(device,) if gen else (), zip_loads=() if gen else (device,))
     index = IndexMap(net)
     state = flat_state(index)
-    state.set_voltage(1, 0, v)
-    rows = [index.vr(1, 0), index.vi(1, 0)]
+    state.v[0, 1] = v
+    rows = [vr(index, 1, 0), vr(index, 1, 0) + 1]
     cols = list(rows)
     if gen and device.controls_voltage:
         cols.append(index.q_rows[0])
@@ -144,11 +146,11 @@ def test_branch_stamp_pattern_and_kcl():
     nv = 2 * index.nbus
     assert not b[:nv].any()  # linear device: Jacobian only
     # conductance sub-matrix (real rows x real cols) has zero row sums
-    g = a[np.ix_([index.vr(0, 0), index.vr(1, 0)], [index.vr(0, 0), index.vr(1, 0)])]
+    g = a[np.ix_([vr(index, 0, 0), vr(index, 1, 0)], [vr(index, 0, 0), vr(index, 1, 0)])]
     np.testing.assert_allclose(g.sum(axis=1), 0.0, atol=1e-15)
     assert g[0, 0] == 1.0 and g[0, 1] == -1.0
     # susceptance couples real rows to imaginary columns with -B
-    assert a[index.vr(0, 0), index.vi(0, 0)] == 10.0  # -B = +10
+    assert a[vr(index, 0, 0), vr(index, 0, 0) + 1] == 10.0  # -B = +10
 
 
 def test_branch_tx_scaling_factor():
@@ -166,14 +168,14 @@ def test_three_phase_mutual_coupling_positions():
     a, _, index = dense_system(two_bus(3, y=y))
     # phase-a real row picks up phase-b columns with the mutual admittance,
     # alternating sign across (ii, il, li, ll) bus blocks
-    r = index.vr(0, 0)
-    assert a[r, index.vr(0, 1)] == yab.real
-    assert a[r, index.vr(1, 1)] == -yab.real
-    r2 = index.vr(1, 0)
-    assert a[r2, index.vr(1, 1)] == yab.real
-    assert a[r2, index.vr(0, 1)] == -yab.real
+    r = vr(index, 0, 0)
+    assert a[r, vr(index, 0, 1)] == yab.real
+    assert a[r, vr(index, 1, 1)] == -yab.real
+    r2 = vr(index, 1, 0)
+    assert a[r2, vr(index, 1, 1)] == yab.real
+    assert a[r2, vr(index, 0, 1)] == -yab.real
     # the uncoupled phase pair (a, c) stays zero
-    assert a[r, index.vr(0, 2)] == 0.0
+    assert a[r, vr(index, 0, 2)] == 0.0
 
 
 # -- transformer ------------------------------------------------------------
@@ -214,7 +216,7 @@ def test_transformer_tap_relaxation_endpoint():
 def test_transformer_conservation_zero_row_sums():
     tx = replace(net_allparts().transformers[0], from_bus=1, to_bus=2)
     a, _, index = dense_system(two_bus(transformer=tx))
-    rows = [index.vr(0, 0), index.vi(0, 0), index.vr(1, 0), index.vi(1, 0)]
+    rows = [vr(index, 0, 0), vr(index, 0, 0) + 1, vr(index, 1, 0), vr(index, 1, 0) + 1]
     sub = a[np.ix_(rows, rows)]
     # floating two-port: applying the same voltage at both ends with tap 1
     # would push zero current; with off-nominal tap the row sums are nonzero,
@@ -231,10 +233,10 @@ def test_transformer_conservation_zero_row_sums():
 
 def test_slack_pins_voltage():
     a, b, index = dense_system(two_bus())
-    r_ir = index.slack_ir(0, 0)
-    assert a[r_ir, index.vr(0, 0)] == 1.0
+    r_ir = slack_ir(index, 0, 0)
+    assert a[r_ir, vr(index, 0, 0)] == 1.0
     assert b[r_ir] == 1.0
-    assert a[index.vr(0, 0), r_ir] == -1.0
+    assert a[vr(index, 0, 0), r_ir] == -1.0
 
 
 def test_slack_angle_evaluation():
@@ -243,13 +245,13 @@ def test_slack_angle_evaluation():
                   branches=(Branch(1, 1, 2, y_series=series_y(0.01, 0.1),
                                    b_from=phase_array(0.0, 1), b_to=phase_array(0.0, 1)),))
     _, b, index = dense_system(net)
-    assert b[index.slack_ir(0, 0)] == pytest.approx(1.0340, abs=1e-4)
-    assert b[index.slack_ii(0, 0)] == pytest.approx(0.1823, abs=1e-4)
+    assert b[slack_ir(index, 0, 0)] == pytest.approx(1.0340, abs=1e-4)
+    assert b[slack_ir(index, 0, 0) + 1] == pytest.approx(0.1823, abs=1e-4)
 
 
 def test_three_phase_slack_offsets():
     _, b, index = dense_system(net_3phase())
-    vals = [(b[index.slack_ir(0, ph)], b[index.slack_ii(0, ph)]) for ph in range(3)]
+    vals = [(b[slack_ir(index, 0, ph)], b[slack_ir(index, 0, ph) + 1]) for ph in range(3)]
     expect = [(1.0, 0.0),
               (math.cos(-2 * math.pi / 3), math.sin(-2 * math.pi / 3)),
               (math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))]
@@ -290,12 +292,12 @@ def test_pv_zeta_scales_voltage_terms_only():
     ah, _, _ = dense_system(net, zeta=0.5)
     a0, _, _ = dense_system(net, zeta=0.0)
     pos = net.bus_index[3]
-    r, c = index.vr(pos, 0), index.vr(pos, 0)
+    r, c = vr(index, pos, 0), vr(index, pos, 0)
     # the generator's voltage derivative is the zeta-dependent part
     assert a1[r, c] != a0[r, c]
     assert ah[r, c] - a0[r, c] == pytest.approx(0.5 * (a1[r, c] - a0[r, c]))
     cq = index.q_rows[0]
-    ri = index.vi(pos, 0)
+    ri = vr(index, pos, 0) + 1
     assert a0[ri, cq] != 0.0
     # dI/dQ column unscaled
     assert ah[r, cq] == a1[r, cq] == a0[r, cq]
@@ -317,12 +319,12 @@ def test_zero_voltage_iterate_reported():
     index = IndexMap(net)
     companion = build_companion(net, index).bind(effective_params(net))
     state = flat_state(index)
-    state.set_voltage(net.bus_index[2], 0, 0.0 + 0.0j)
+    state.v[0, net.bus_index[2]] = 0.0 + 0.0j
     with pytest.raises(ZeroVoltageIterate) as zvi:
         assemble_system(companion, state, 1.0, GenModes.initial(index))
     assert (zvi.value.device, zvi.value.bus, zvi.value.phase) == ("zip 1", 2, 0)
     # the generator is named first when both sit at zero
-    state.set_voltage(net.bus_index[3], 0, 0.0 + 0.0j)
+    state.v[0, net.bus_index[3]] = 0.0 + 0.0j
     with pytest.raises(ZeroVoltageIterate) as zvi:
         assemble_system(companion, state, 1.0, GenModes.initial(index))
     assert (zvi.value.device, zvi.value.bus, zvi.value.phase) == ("gen 1", 3, 0)
@@ -336,11 +338,11 @@ def test_vc_row_at_satisfied_point():
     index = IndexMap(net)
     state = flat_state(index)
     pos = net.bus_index[3]
-    state.set_voltage(pos, 0, 1.01 + 0.0j)
+    state.v[0, pos] = 1.01 + 0.0j
     a, b, _ = dense_system(net, state)
     row = index.q_rows[0]
-    assert a[row, index.vr(pos, 0)] == pytest.approx(-2.02)
-    assert a[row, index.vi(pos, 0)] == 0.0
+    assert a[row, vr(index, pos, 0)] == pytest.approx(-2.02)
+    assert a[row, vr(index, pos, 0) + 1] == 0.0
     assert a[row, row] == 0.0  # free Q: no pin on the diagonal
     # residual F = vset^2 - |v|^2 = 0 at the satisfied point
     assert (a @ state.x - b)[row] == pytest.approx(0.0, abs=1e-14)
@@ -354,13 +356,13 @@ def test_vc_row_residual_values():
     row = index.q_rows[0]
 
     # |v| = 0.9 against set-point 1.0: F = 1 - 0.81 = 0.19
-    state.set_voltage(pos, 0, 0.9 + 0.0j)
+    state.v[0, pos] = 0.9 + 0.0j
     object.__setattr__(net.buses[pos], "v_set", 1.0)
     companion = build_companion(net, index).bind(effective_params(net))
     assert residual_vector(companion, state)[row] == pytest.approx(0.19)
 
     # magnitude-only: (0.8, 0.6) has |v| = 1 exactly
-    state.set_voltage(pos, 0, 0.8 + 0.6j)
+    state.v[0, pos] = 0.8 + 0.6j
     assert residual_vector(companion, state)[row] == pytest.approx(0.0, abs=1e-14)
 
     # pinned at a limit the row becomes q - q_pin
@@ -396,17 +398,16 @@ def test_zip_impedance_only_is_iterate_independent():
     net = net_3bus().with_devices(generators=(), zip_loads=(make_zip(1, 2, y=0.1 + 0.05j),))
     index = IndexMap(net)
     s2 = flat_state(index)
-    s2.set_voltage(1, 0, 0.7 - 0.3j)
+    s2.v[0, 1] = 0.7 - 0.3j
     a1, b1, _ = dense_system(net)
     a2, b2, _ = dense_system(net, s2)
     np.testing.assert_array_equal(a1, a2)
     np.testing.assert_array_equal(b1, b2)
     assert not b1[: 2 * index.nbus].any()  # no right-hand side on KCL rows
     a_off, _, _ = dense_system(net.with_devices(zip_loads=()))
-    assert a1[index.vr(1, 0), index.vr(1, 0)] - a_off[index.vr(1, 0), index.vr(1, 0)] == \
-        pytest.approx(0.1)
-    assert a1[index.vr(1, 0), index.vi(1, 0)] - a_off[index.vr(1, 0), index.vi(1, 0)] == \
-        pytest.approx(-0.05)
+    r = vr(index, 1, 0)
+    assert a1[r, r] - a_off[r, r] == pytest.approx(0.1)
+    assert a1[r, r + 1] - a_off[r, r + 1] == pytest.approx(-0.05)
 
 
 def net_3phase_delta():
@@ -429,7 +430,7 @@ def test_inactive_delta_lane_at_zero_voltage_stamps_finite_values():
     index = IndexMap(net)
     state = flat_state(index)
     pos = net.bus_index[3]
-    state.set_voltage(pos, 2, complex(state.x[index.vr(pos, 1)], state.x[index.vi(pos, 1)]))
+    state.v[2, pos] = state.v[1, pos]
     assert state.v_complex()[1, pos] - state.v_complex()[2, pos] == 0
     bound = build_companion(net, index).bind(effective_params(net))
     data, rhs = assemble_system(bound, state, 1.0, GenModes.initial(index))
@@ -442,14 +443,13 @@ def test_active_delta_lane_at_zero_voltage_is_reported():
     bound = build_companion(net, index).bind(effective_params(net))
     pos = net.bus_index[3]
     state = flat_state(index)
-    v_a = complex(state.x[index.vr(pos, 0)], state.x[index.vi(pos, 0)])
-    state.set_voltage(pos, 1, v_a)  # terminal a-b, which has parts, at u = 0
+    state.v[1, pos] = state.v[0, pos]  # terminal a-b, which has parts, at u = 0
     with pytest.raises(ZeroVoltageIterate) as zvi:
         assemble_system(bound, state, 1.0, GenModes.initial(index))
     assert (zvi.value.device, zvi.value.bus, zvi.value.phase) == ("zip 2", 3, 0)
     # the machine on the same bus is named first once its phase a is at zero
-    state.set_voltage(pos, 0, 0.0 + 0.0j)
-    state.set_voltage(pos, 1, 0.0 + 0.0j)
+    state.v[0, pos] = 0.0 + 0.0j
+    state.v[1, pos] = 0.0 + 0.0j
     with pytest.raises(ZeroVoltageIterate) as zvi:
         assemble_system(bound, state, 1.0, GenModes.initial(index))
     assert (zvi.value.device, zvi.value.bus, zvi.value.phase) == ("gen 1", 3, 0)
@@ -550,8 +550,8 @@ def test_tx_half_remote_stamps_the_short():
     a, _, index = dense_system(net, params=params)
     a0, _, _ = dense_system(net)
     o, w = net.bus_index[2], net.bus_index[4]
-    assert a0[index.vr(o, 0), index.vr(w, 0)] == 0.0
-    assert a[index.vr(o, 0), index.vr(w, 0)] != 0.0
+    assert a0[vr(index, o, 0), vr(index, w, 0)] == 0.0
+    assert a[vr(index, o, 0), vr(index, w, 0)] != 0.0
 
 
 def test_taylor_consistency_at_expansion_point():
@@ -692,7 +692,7 @@ def test_bind_and_assembly_match_the_reference_byte_for_byte(name):
         # there put an inactive delta lane at u = 0
         state = flat_state(index)
         pos = net.bus_index[3]
-        state.set_voltage(pos, 2, complex(state.x[index.vr(pos, 1)], state.x[index.vi(pos, 1)]))
+        state.v[2, pos] = state.v[1, pos]
         states.append(state)
     free = GenModes.initial(index)
     pinned = GenModes.initial(index)
