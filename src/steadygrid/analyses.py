@@ -22,6 +22,7 @@ from .solver import (
     InitSpec,
     InvalidNetworkError,
     SolverOptions,
+    check_range,
     check_seed,
     derive_outage_setup,
     solve,
@@ -90,6 +91,8 @@ class SweepSpec:
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         check_seed(self.seed)
+        check_range("vmag_range", self.vmag_range)
+        check_range("vang_range_deg", self.vang_range_deg)
 
 
 @dataclass

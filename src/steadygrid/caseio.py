@@ -12,17 +12,19 @@ Two input formats are supported (documented in ``docs/formats.md``):
 
 Everything is normalized to per-unit on the case MVA base during parsing and
 angles are converted from degrees to radians. Solution writers emit
-full-precision values, so a written solution rereads exactly.
+full-precision values, so a written solution rereads exactly:
+:func:`read_solution` reads the JSON one back into a state.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .indexing import IndexMap, StateVector, flat_state
 from .network import (
     BigLoad,
     Branch,
@@ -49,7 +51,7 @@ __all__ = [
     "parse_case",
     "load_case",
     "write_solution",
-    "read_solution_json",
+    "read_solution",
 ]
 
 SQRT3 = math.sqrt(3.0)
@@ -73,11 +75,8 @@ class CaseSemanticError(CaseError):
 
 @dataclass
 class CaseFile:
-    format: str  # "net" or "json3p"
-    path: str
     network: Network
     name: str
-    base_mva: float
 
 
 def parse_case(text: str, name: str = "") -> Network:
@@ -97,27 +96,125 @@ def parse_case(text: str, name: str = "") -> Network:
 def load_case(path: str) -> CaseFile:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    name = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    net = parse_case(text, name=name)
-    fmt = "json3p" if text.lstrip().startswith("{") else "net"
-    return CaseFile(format=fmt, path=path, network=net, name=net.name, base_mva=net.base_mva)
+    net = parse_case(text, name=path.rsplit("/", 1)[-1].rsplit(".", 1)[0])
+    return CaseFile(network=net, name=net.name)
 
 
 # ---------------------------------------------------------------------------
 # Positive-sequence text format
 
-_SECTIONS = ("BUS", "GEN", "BRANCH", "TRANSFORMER", "SHUNT", "ZIP", "BIG")
+
+def _col(toks: list[str], k: int, default, convert=float):
+    """``convert`` of column ``k`` (from 0), or ``default`` when the record
+    ends before it."""
+    return convert(toks[k]) if len(toks) > k else default
 
 
-def _opt(tok: str) -> float | None:
-    return None if tok == "-" else float(tok)
+def _opt(toks: list[str], k: int, default=None, convert=float):
+    """``convert`` of the optional column ``k``, or ``default`` when the
+    record ends before it or gives ``-``."""
+    return convert(toks[k]) if len(toks) > k and toks[k] != "-" else default
+
+
+def _net_bus(toks: list[str], base: float):
+    """The bus of a BUS record, and the power of its bus-table load in
+    per-unit (``None`` when it has none)."""
+    kind = BusKind.SLACK if BusKind[toks[1].upper()] is BusKind.SLACK else BusKind.PQ
+    va = _opt(toks, 6)
+    bus = Bus(int(toks[0]), kind, float(toks[2]), v_set=_opt(toks, 5),
+              angle=0.0 if va is None else math.radians(va))
+    pd, qd = _col(toks, 3, 0.0), _col(toks, 4, 0.0)
+    return bus, (complex(pd / base, qd / base) if pd != 0.0 or qd != 0.0 else None)
+
+
+def _net_gen(toks: list[str], base: float):
+    """The generator of a GEN record, and the set-point it gives its target
+    bus (``None`` unless it regulates and gives one)."""
+    q = toks[3]  # required: "-" marks a regulating machine
+    gen = Generator(
+        int(toks[0]), int(toks[1]), p=np.array([float(toks[2]) / base]),
+        q=None if q == "-" else np.array([float(q) / base]),
+        # an unlimited bound stays infinite on the per-unit base
+        qmin=_opt(toks, 4, -math.inf) / base, qmax=_opt(toks, 5, math.inf) / base,
+        remote_bus=_opt(toks, 7, None, int),
+    )
+    v_set = _opt(toks, 6)
+    return gen, v_set if gen.q is None else None
+
+
+def _net_branch(toks: list[str], base: float) -> Branch:
+    half = phase_array(_col(toks, 5, 0.0) / 2.0, 1)  # the total charging, split per end
+    return Branch(int(toks[0]), int(toks[1]), int(toks[2]),
+                  y_series=series_y(float(toks[3]), float(toks[4])), b_from=half, b_to=half)
+
+
+def _net_transformer(toks: list[str], base: float) -> Transformer:
+    # the tap table fields the record gives; Transformer holds the defaults
+    table = {k: float(t) for k, t in zip(("tap_min", "tap_max", "tap_step"), toks[7:10])}
+    return Transformer(
+        int(toks[0]), int(toks[1]), int(toks[2]),
+        y_series=series_y(float(toks[3]), float(toks[4])),
+        tap=phase_array(_col(toks, 5, 1.0), 1),
+        shift=phase_array(math.radians(_col(toks, 6, 0.0)), 1),
+        **table, controlled_bus=_opt(toks, 10, None, int), v_target=_opt(toks, 11),
+    )
+
+
+def _net_shunt(toks: list[str], base: float) -> Shunt:
+    block = phase_array(_col(toks, 4, 0.0) / base, 1)  # read, so a bad token fails, if unused
+    max_blocks = _col(toks, 5, 0, int)
+    return Shunt(
+        int(toks[0]), int(toks[1]),
+        g=phase_array(float(toks[2]) / base, 1), b=phase_array(float(toks[3]) / base, 1),
+        switchable=max_blocks > 0, block_b=block if max_blocks > 0 else None,
+        max_blocks=max_blocks, blocks_on=_col(toks, 6, 0, int),
+    )
+
+
+def _net_zip(toks: list[str], base: float) -> ZipLoad:
+    pz, qz, pi, qi, ps, qs = (float(t) / base for t in toks[2:8])
+    return ZipLoad(int(toks[0]), int(toks[1]), Connection.WYE, y=phase_carray(complex(pz, -qz), 1),
+                   i=phase_carray(complex(pi, qi), 1), s=phase_carray(complex(ps, qs), 1))
+
+
+def _net_big(toks: list[str], base: float) -> BigLoad:
+    ar, ai, g, b = (float(t) for t in toks[2:6])
+    return BigLoad(int(toks[0]), int(toks[1]), alpha=phase_carray(complex(ar, ai), 1),
+                   y=phase_carray(complex(g, b), 1))
+
+
+# each section's record builder, in the order the sections are read
+_NET_SECTIONS = {
+    "BUS": _net_bus, "GEN": _net_gen, "BRANCH": _net_branch,
+    "TRANSFORMER": _net_transformer, "SHUNT": _net_shunt, "ZIP": _net_zip, "BIG": _net_big,
+}
+
+
+def _net_section(section: str, records: list, base: float) -> list:
+    """The builder of ``section`` on each ``(lineno, tokens)`` record. A
+    column a record lacks or a token its conversion rejects (``r = x = 0``
+    divides by zero) raises a :class:`CaseSyntaxError` at its line."""
+    build = _NET_SECTIONS[section]
+    out = []
+    for lineno, toks in records:
+        try:
+            out.append(build(toks, base))
+        except (KeyError, ValueError, IndexError, ZeroDivisionError):
+            raise CaseSyntaxError(lineno, f"bad {section} record: {' '.join(toks)}") from None
+    return out
+
+
+def _with_set_points(buses: list, v_sets: dict) -> list:
+    """``buses`` with the set-points (bus id -> pu) that regulating machines
+    give them."""
+    return [replace(b, v_set=v_sets[b.id]) if b.id in v_sets else b for b in buses]
 
 
 def _parse_net(text: str, name: str) -> Network:
     base_mva = 100.0
     case_name = name
     section = None
-    records: dict[str, list[tuple[int, list[str]]]] = {s: [] for s in _SECTIONS}
+    records: dict[str, list[tuple[int, list[str]]]] = {s: [] for s in _NET_SECTIONS}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -135,7 +232,7 @@ def _parse_net(text: str, name: str) -> Network:
                     raise CaseSyntaxError(lineno, "BASE_MVA needs one numeric value")
                 if not 0 < base_mva < math.inf:  # every power is divided by it; nan fails too
                     raise CaseSyntaxError(lineno, f"BASE_MVA {base_mva} not finite and positive")
-            elif head in _SECTIONS:
+            elif head in records:
                 section = head
             else:
                 raise CaseSyntaxError(lineno, f"unexpected token {toks[0]!r}")
@@ -147,168 +244,20 @@ def _parse_net(text: str, name: str) -> Network:
     if section is not None:
         raise CaseSyntaxError(len(text.splitlines()), f"section {section} missing END")
 
-    buses: list[Bus] = []
-    zip_loads: list[ZipLoad] = []
-    bus_loads: list[tuple[int, float, float]] = []
-
-    for lineno, toks in records["BUS"]:
-        try:
-            bid = int(toks[0])
-            kind = BusKind[toks[1].upper()] if toks[1].upper() != "SLACK" else BusKind.SLACK
-            base_kv = float(toks[2])
-            pd = float(toks[3]) if len(toks) > 3 else 0.0
-            qd = float(toks[4]) if len(toks) > 4 else 0.0
-            vset = _opt(toks[5]) if len(toks) > 5 else None
-            va = _opt(toks[6]) if len(toks) > 6 else None
-        except (KeyError, ValueError, IndexError):
-            raise CaseSyntaxError(lineno, f"bad BUS record: {' '.join(toks)}")
-        stored_kind = kind if kind == BusKind.SLACK else BusKind.PQ
-        buses.append(
-            Bus(
-                id=bid,
-                kind=stored_kind,
-                base_kv=base_kv,
-                v_set=vset,
-                angle=math.radians(va) if va is not None else 0.0,
-            )
-        )
-        if pd != 0.0 or qd != 0.0:
-            bus_loads.append((bid, pd, qd))
-
-    bus_vset: dict[int, float] = {b.id: b.v_set for b in buses if b.v_set is not None}
-
-    generators: list[Generator] = []
-    for lineno, toks in records["GEN"]:
-        try:
-            gid = int(toks[0])
-            bus = int(toks[1])
-            p = float(toks[2]) / base_mva
-            qtok = toks[3]
-            qmin = _opt(toks[4]) if len(toks) > 4 else None
-            qmax = _opt(toks[5]) if len(toks) > 5 else None
-            vset = _opt(toks[6]) if len(toks) > 6 else None
-            remote = None
-            if len(toks) > 7 and toks[7] != "-":
-                remote = int(toks[7])
-        except (ValueError, IndexError):
-            raise CaseSyntaxError(lineno, f"bad GEN record: {' '.join(toks)}")
-        q = None if qtok == "-" else np.array([float(qtok) / base_mva])
-        generators.append(
-            Generator(
-                id=gid,
-                bus=bus,
-                p=np.array([p]),
-                q=q,
-                qmin=(qmin / base_mva) if qmin is not None else -math.inf,
-                qmax=(qmax / base_mva) if qmax is not None else math.inf,
-                remote_bus=remote,
-            )
-        )
-        if q is None and vset is not None:
-            bus_vset[remote if remote is not None else bus] = vset
-
-    # re-materialize buses with any set-points contributed by generators
-    buses = [
-        Bus(b.id, b.kind, b.base_kv, bus_vset.get(b.id, b.v_set), b.angle) for b in buses
+    got = {s: _net_section(s, recs, base_mva) for s, recs in records.items()}
+    generators = [gen for gen, _ in got["GEN"]]
+    buses = _with_set_points([bus for bus, _ in got["BUS"]], {
+        gen.target_bus(): v_set for gen, v_set in got["GEN"] if v_set is not None
+    })
+    # bus-table loads are power-only ZIP loads, numbered after the ZIP records
+    zip_loads = got["ZIP"]
+    first_id = max((z.id for z in zip_loads), default=0) + 1
+    loaded = [(bus.id, s) for bus, s in got["BUS"] if s is not None]
+    zip_loads += [
+        ZipLoad(zid, bid, Connection.WYE, y=phase_carray(0.0, 1), i=phase_carray(0.0, 1),
+                s=phase_carray(s, 1))
+        for zid, (bid, s) in enumerate(loaded, first_id)
     ]
-
-    branches: list[Branch] = []
-    for lineno, toks in records["BRANCH"]:
-        try:
-            brid = int(toks[0])
-            fb, tb = int(toks[1]), int(toks[2])
-            y = series_y(float(toks[3]), float(toks[4]))
-            b = float(toks[5]) if len(toks) > 5 else 0.0
-        except (ValueError, IndexError, ZeroDivisionError):  # r = x = 0 divides by zero
-            raise CaseSyntaxError(lineno, f"bad BRANCH record: {' '.join(toks)}")
-        branches.append(
-            Branch(brid, fb, tb, y_series=y,
-                   b_from=phase_array(b / 2.0, 1), b_to=phase_array(b / 2.0, 1))
-        )
-
-    transformers: list[Transformer] = []
-    for lineno, toks in records["TRANSFORMER"]:
-        try:
-            tid = int(toks[0])
-            fb, tb = int(toks[1]), int(toks[2])
-            y = series_y(float(toks[3]), float(toks[4]))
-            tap = float(toks[5]) if len(toks) > 5 else 1.0
-            shift = float(toks[6]) if len(toks) > 6 else 0.0
-            # the tap table fields the record gives; Transformer holds the defaults
-            table = {k: float(t) for k, t in zip(("tap_min", "tap_max", "tap_step"), toks[7:10])}
-            ctrl = None
-            if len(toks) > 10 and toks[10] != "-":
-                ctrl = int(toks[10])
-            vtgt = _opt(toks[11]) if len(toks) > 11 else None
-        except (ValueError, IndexError, ZeroDivisionError):
-            raise CaseSyntaxError(lineno, f"bad TRANSFORMER record: {' '.join(toks)}")
-        transformers.append(
-            Transformer(
-                tid, fb, tb, y_series=y,
-                tap=phase_array(tap, 1), shift=phase_array(math.radians(shift), 1),
-                **table, controlled_bus=ctrl, v_target=vtgt,
-            )
-        )
-
-    shunts: list[Shunt] = []
-    for lineno, toks in records["SHUNT"]:
-        try:
-            sid = int(toks[0])
-            bus = int(toks[1])
-            g = float(toks[2]) / base_mva
-            b = float(toks[3]) / base_mva
-            block = float(toks[4]) / base_mva if len(toks) > 4 else 0.0
-            max_blocks = int(toks[5]) if len(toks) > 5 else 0
-            blocks_on = int(toks[6]) if len(toks) > 6 else 0
-        except (ValueError, IndexError):
-            raise CaseSyntaxError(lineno, f"bad SHUNT record: {' '.join(toks)}")
-        shunts.append(
-            Shunt(
-                sid, bus, g=phase_array(g, 1), b=phase_array(b, 1),
-                switchable=max_blocks > 0,
-                block_b=phase_array(block, 1) if max_blocks > 0 else None,
-                max_blocks=max_blocks, blocks_on=blocks_on,
-            )
-        )
-
-    for lineno, toks in records["ZIP"]:
-        try:
-            zid = int(toks[0])
-            bus = int(toks[1])
-            pz, qz, pi, qi, ps, qs = (float(t) / base_mva for t in toks[2:8])
-        except (ValueError, IndexError):
-            raise CaseSyntaxError(lineno, f"bad ZIP record: {' '.join(toks)}")
-        zip_loads.append(
-            ZipLoad(
-                zid, bus, Connection.WYE,
-                y=phase_carray(complex(pz, -qz), 1),
-                i=phase_carray(complex(pi, qi), 1),
-                s=phase_carray(complex(ps, qs), 1),
-            )
-        )
-
-    big_loads: list[BigLoad] = []
-    for lineno, toks in records["BIG"]:
-        try:
-            lid = int(toks[0])
-            bus = int(toks[1])
-            ar, ai, g, b = (float(t) for t in toks[2:6])
-        except (ValueError, IndexError):
-            raise CaseSyntaxError(lineno, f"bad BIG record: {' '.join(toks)}")
-        big_loads.append(
-            BigLoad(lid, bus, alpha=phase_carray(complex(ar, ai), 1), y=phase_carray(complex(g, b), 1))
-        )
-
-    next_id = max((z.id for z in zip_loads), default=0) + 1
-    for bid, pd, qd in bus_loads:
-        zip_loads.append(
-            ZipLoad(
-                next_id, bid, Connection.WYE,
-                y=phase_carray(0.0, 1), i=phase_carray(0.0, 1),
-                s=phase_carray(complex(pd / base_mva, qd / base_mva), 1),
-            )
-        )
-        next_id += 1
 
     return Network(
         domain=PhaseDomain.POSITIVE_SEQUENCE,
@@ -316,10 +265,10 @@ def _parse_net(text: str, name: str) -> Network:
         buses=tuple(buses),
         generators=tuple(generators),
         zip_loads=tuple(zip_loads),
-        big_loads=tuple(big_loads),
-        branches=tuple(branches),
-        transformers=tuple(transformers),
-        shunts=tuple(shunts),
+        big_loads=tuple(got["BIG"]),
+        branches=tuple(got["BRANCH"]),
+        transformers=tuple(got["TRANSFORMER"]),
+        shunts=tuple(got["SHUNT"]),
         name=case_name,
     )
 
@@ -436,8 +385,7 @@ def _parse_json3p(text: str, name: str) -> Network:
         )
 
     buses = _section(doc, "buses", bus)
-
-    bus_vset = {b.id: b.v_set for b in buses if b.v_set is not None}
+    v_sets = {}  # bus id -> the set-point a regulating machine gives it
 
     def generator(rec):
         q = rec("q_mvar", lambda v: None if v is None else per_phase_pu(v), None)
@@ -453,11 +401,11 @@ def _parse_json3p(text: str, name: str) -> Network:
         if q is None:
             v_set = rec("v_set", _float_or_none, None)
             if v_set is not None:
-                bus_vset[gen.target_bus()] = v_set
+                v_sets[gen.target_bus()] = v_set
         return gen
 
     generators = _section(doc, "generators", generator)
-    buses = [Bus(b.id, b.kind, b.base_kv, bus_vset.get(b.id, b.v_set), b.angle) for b in buses]
+    buses = _with_set_points(buses, v_sets)
 
     def load(rec):
         if rec("model", str.lower, "zip") == "big":
@@ -538,48 +486,53 @@ def _parse_json3p(text: str, name: str) -> Network:
 # Solutions
 
 
+_SOLUTION_FIELDS = ("bus", "phase", "vmag_pu", "vang_deg", "vr_pu", "vi_pu")
+
+
 def write_solution(network: Network, state, report=None, fmt: str = "csv") -> str:
-    """Serialize a solved state; ``fmt`` is ``csv`` or ``json``."""
+    """Serialize a solved state; ``fmt`` is ``csv`` or ``json``. Both hold
+    one row per bus and phase; the JSON document adds the generators and,
+    when given, the report."""
     index = state.index
     if index.dim != state.x.shape[0] or index.nbus != network.nbus:
         raise ValueError("state dimension does not match network")
-    v = state.v_complex()
-    phases = network.domain.phases
-    if fmt == "csv":
-        lines = ["bus,phase,vmag_pu,vang_deg,vr_pu,vi_pu"]
-        for k, bus in enumerate(network.buses):
-            for ph, ph_name in enumerate(phases):
-                vv = complex(v[ph, k])
-                lines.append(
-                    f"{bus.id},{ph_name},{abs(vv)!r},{math.degrees(math.atan2(vv.imag, vv.real))!r},"
-                    f"{vv.real!r},{vv.imag!r}"
-                )
-        return "\n".join(lines) + "\n"
+    v = state.v
+    rows = []
+    for k, bus in enumerate(network.buses):
+        for ph, ph_name in enumerate(network.domain.phases):
+            vv = complex(v[ph, k])
+            rows.append((bus.id, ph_name, abs(vv), math.degrees(math.atan2(vv.imag, vv.real)),
+                         vv.real, vv.imag))
+    if fmt == "csv":  # str of a float is its shortest round-trip form
+        return "".join(",".join(map(str, row)) + "\n" for row in [_SOLUTION_FIELDS, *rows])
     if fmt != "json":
         raise ValueError(f"unknown solution format {fmt!r}")
-    doc: dict = {"case": network.name, "base_mva": network.base_mva, "buses": [], "generators": []}
-    for k, bus in enumerate(network.buses):
-        for ph, ph_name in enumerate(phases):
-            vv = complex(v[ph, k])
-            doc["buses"].append(
-                {
-                    "bus": bus.id,
-                    "phase": ph_name,
-                    "vmag_pu": abs(vv),
-                    "vang_deg": math.degrees(math.atan2(vv.imag, vv.real)),
-                    "vr_pu": vv.real,
-                    "vi_pu": vv.imag,
-                }
-            )
-    for gen, q in zip(network.generators, state.gen_q()):
-        doc["generators"].append(
+    doc: dict = {
+        "case": network.name,
+        "base_mva": network.base_mva,
+        "buses": [dict(zip(_SOLUTION_FIELDS, row)) for row in rows],
+        "generators": [
             {"id": gen.id, "bus": gen.bus, "p_pu": gen.p.tolist(), "q_pu": q.tolist()}
-        )
+            for gen, q in zip(network.generators, state.gen_q())
+        ],
+    }
     if report is not None:
-        doc["report"] = report.to_dict() if hasattr(report, "to_dict") else report
+        doc["report"] = report.to_dict()
     return json.dumps(doc, indent=1)
 
 
-def read_solution_json(text: str) -> dict:
-    """Inverse of the JSON writer; returns the raw document."""
-    return json.loads(text)
+def read_solution(network: Network, text: str) -> StateVector:
+    """The state of a ``write_solution(fmt="json")`` document on
+    ``network``: its bus voltages, with every other unknown (Q slots, source
+    currents) at 0. A bus or phase the case lacks raises ``ValueError``."""
+    doc = json.loads(text)
+    state = flat_state(IndexMap(network))
+    phase_pos = {name: ph for ph, name in enumerate(network.domain.phases)}
+    for rec in doc["buses"]:
+        bus, phase = int(rec["bus"]), rec["phase"]
+        if bus not in network.bus_index or phase not in phase_pos:
+            raise ValueError(f"the case has no bus {bus} phase {phase!r}")
+        state.v[phase_pos[phase], network.bus_index[bus]] = complex(
+            float(rec["vr_pu"]), float(rec["vi_pu"])
+        )
+    return state

@@ -15,7 +15,7 @@ import sys
 from typing import NoReturn
 
 from . import analyses
-from .caseio import CaseError, load_case, parse_case, write_solution
+from .caseio import CaseError, load_case, parse_case, read_solution, write_solution
 from .homotopy import lambda_trace_to_csv
 from .nr import NrOptions, trace_to_csv
 from .solver import (
@@ -23,7 +23,6 @@ from .solver import (
     EXIT_CODES,
     InitSpec,
     SolverOptions,
-    initialize_state,
     solve,
     validate_solution,
 )
@@ -62,25 +61,27 @@ def _fail(code: int, message: str) -> NoReturn:
 
 
 def _build_options(args, network) -> SolverOptions:
-    if args.init == "file" and not args.init_file:
+    from_file = args.init == "file"
+    if from_file and not args.init_file:
         _fail(EX_USAGE, "--init file needs --init-file PATH")
     try:
-        init = InitSpec(kind=args.init, seed=args.seed, path=args.init_file)
         options = SolverOptions(
             nr=NrOptions(tol=args.tol, max_iter=args.max_iter, dv_max=args.dv_max,
                          zeta_min=args.zeta_min),
             homotopy=args.homotopy,
             gamma=args.gamma,
-            init=init,
+            # a file start replaces this below, once every flag is checked
+            init=InitSpec(kind="flat" if from_file else args.init, seed=args.seed),
             enforce_q_limits=args.q_limits == "on",
         )
     except ValueError as exc:
         _fail(EX_USAGE, str(exc))
-    if init.kind == "file":  # read once, here, so a bad file is an input error
+    if from_file:  # read once, here, so a bad file is an input error
         try:
-            options.init = InitSpec(kind="warm", state=initialize_state(network, init))
+            with open(args.init_file, "r", encoding="utf-8") as fh:
+                options.init = InitSpec(kind="warm", state=read_solution(network, fh.read()))
         except (OSError, ValueError, KeyError, TypeError) as exc:
-            _fail(EX_NOINPUT, f"cannot use init file {init.path}: {exc}")
+            _fail(EX_NOINPUT, f"cannot use init file {args.init_file}: {exc}")
     return options
 
 

@@ -96,10 +96,6 @@ class StateVector:
     def v_ang(self) -> np.ndarray:
         return np.angle(self.v)
 
-    def set_voltages(self, v: np.ndarray) -> None:
-        """Write every node voltage; ``v`` broadcasts to (nphase, nbus)."""
-        self.v[...] = v
-
     # -- generator reactive power ----------------------------------------------
     def gen_q(self) -> np.ndarray:
         """Reactive output per (generator, phase): the Q slots of regulating

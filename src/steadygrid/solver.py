@@ -86,14 +86,25 @@ def check_seed(seed) -> None:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 
+def check_range(name: str, bounds) -> None:
+    """Raise ``ValueError`` unless ``bounds`` is a finite ``(lo, hi)`` pair
+    with ``lo <= hi``, the bounds of a uniform draw."""
+    if len(bounds) != 2 or not -math.inf < bounds[0] <= bounds[1] < math.inf:  # nan fails too
+        raise ValueError(f"{name} must be a finite (lo, hi) with lo <= hi, got {bounds!r}")
+
+
+_INIT_KINDS = ("flat", "random", "uniform", "warm")
+
+
 @dataclass
 class InitSpec:
     """Where the initial state comes from.
 
     kinds: ``flat`` (1 pu at reference angles), ``random`` (per-bus uniform
     magnitude/angle samples), ``uniform`` (one sampled magnitude/angle pair
-    applied to every bus), ``warm`` (copy a prior state), ``file`` (JSON
-    solution document). ``seed`` is ``None`` or an integer >= 0.
+    applied to every bus), ``warm`` (copy ``state``, a prior state, such as
+    one ``caseio.read_solution`` read). ``seed`` is ``None`` or an integer >= 0;
+    ``vmag`` and ``vang_deg`` are finite, the ranges finite with lo <= hi.
     """
 
     kind: str = "flat"
@@ -103,10 +114,18 @@ class InitSpec:
     vmag: float = 1.0
     vang_deg: float = 0.0
     state: StateVector | None = None
-    path: str | None = None
 
     def __post_init__(self):
         check_seed(self.seed)
+        if self.kind not in _INIT_KINDS:
+            raise ValueError(f"unknown init kind {self.kind!r}")
+        if self.kind == "warm" and self.state is None:
+            raise ValueError("warm start needs a state")
+        for name in ("vmag", "vang_deg"):
+            if not -math.inf < getattr(self, name) < math.inf:  # nan fails too
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        check_range("vmag_range", self.vmag_range)
+        check_range("vang_range_deg", self.vang_range_deg)
 
 
 @dataclass
@@ -190,26 +209,9 @@ def initialize_state(network: Network, spec: InitSpec, index: IndexMap | None = 
         angs = np.radians(rng.uniform(*spec.vang_range_deg, size=index.nbus))
         return polar_state(index, mags, angs)
     if spec.kind == "warm":
-        if spec.state is None:
-            raise ValueError("warm start needs a state")
         if spec.state.x.shape[0] != index.dim:
             raise ValueError("warm-start state dimension mismatch")
         return StateVector(spec.state.x.copy(), index)
-    if spec.kind == "file":
-        from .caseio import read_solution_json
-
-        with open(spec.path, "r", encoding="utf-8") as fh:
-            doc = read_solution_json(fh.read())
-        state = flat_state(index)
-        phase_pos = {name: ph for ph, name in enumerate(network.domain.phases)}
-        for rec in doc["buses"]:
-            bus, phase = int(rec["bus"]), rec["phase"]
-            if bus not in network.bus_index or phase not in phase_pos:
-                raise ValueError(f"the case has no bus {bus} phase {phase!r}")
-            state.v[phase_pos[phase], network.bus_index[bus]] = complex(
-                float(rec["vr_pu"]), float(rec["vi_pu"])
-            )
-        return state
     raise ValueError(f"unknown init kind {spec.kind!r}")
 
 

@@ -86,6 +86,15 @@ this on each, alternately; it runs with every BLAS pool at one thread:
 
     PYTHONPATH=src python3 tests/corpus_digest.py --call-costs hard_corridor.net power
 
+``--cases`` prints, instead, one line per file in ``cases/`` and one per
+``random_network`` seed 0-13 in each domain, written by ``casewriter`` and
+parsed again, each with a hash of the parsed network: its domain, base and
+name, and every field of every device (an array by its dtype, shape and
+bytes). Two trees that print the same lines parse every case to the same
+network:
+
+    PYTHONPATH=src python3 tests/corpus_digest.py --cases > after.txt
+
 ``--code-lines`` prints, instead, the code lines of each module of the
 imported ``steadygrid`` (no blank lines, comments or docstrings), then
 their total, the measure of a change's size in code:
@@ -101,6 +110,7 @@ import argparse
 import ast
 import contextlib
 import copy
+import dataclasses
 import functools
 import hashlib
 import io
@@ -119,7 +129,7 @@ import numpy as np
 
 from steadygrid import linsys, nr, solver, stamps
 from steadygrid.analyses import Outage, apply_outage
-from steadygrid.caseio import load_case
+from steadygrid.caseio import load_case, parse_case
 from steadygrid.cli import main
 from steadygrid.homotopy import lambda_trace_to_csv
 from steadygrid.network import PhaseDomain, phase_array, validate
@@ -300,6 +310,36 @@ def outage_lines(states=None):
             yield f"{label} {tail}", digest
 
 
+def network_digest(network) -> str:
+    """A hash of the domain, base and name of ``network`` and of every field
+    of every device it holds."""
+    parts = [repr((network.domain, network.base_mva, network.name)).encode()]
+    for family in ("buses", "generators", "zip_loads", "big_loads", "branches",
+                   "transformers", "shunts"):
+        for device in getattr(network, family):
+            for f in dataclasses.fields(device):
+                value = getattr(device, f.name)
+                if isinstance(value, np.ndarray):
+                    parts += [f"{value.dtype} {value.shape}".encode(), value.tobytes()]
+                else:
+                    parts.append(repr(value).encode())
+    return _digest(*parts)
+
+
+def case_lines():
+    """``(line, hash)`` per corpus file, then per ``random_network`` seed
+    0-13 in each domain, written and parsed again."""
+    from casewriter import write_case
+    from conftest import random_network
+
+    for case in sorted(os.listdir(CASES)):
+        yield case, network_digest(load_case(os.path.join(CASES, case)).network)
+    for domain in PhaseDomain:
+        for seed in range(14):
+            network = parse_case(write_case(random_network(seed, domain)))
+            yield f"random_network {seed} {domain.name}", network_digest(network)
+
+
 def code_lines(source: str) -> int:
     """Lines of ``source`` that hold code: no blank lines, comments or
     docstrings (a string statement that opens a module, class or function)."""
@@ -450,6 +490,9 @@ if __name__ == "__main__":
                         help="print one line per valid single series outage instead")
     parser.add_argument("--plans", action="store_true",
                         help="print each corpus network's factorization plan instead")
+    parser.add_argument("--cases", action="store_true",
+                        help="print a hash of each parsed corpus case and round-tripped "
+                             "random network instead")
     parser.add_argument("--code-lines", action="store_true",
                         help="print the code lines of each steadygrid module instead")
     parser.add_argument("--call-costs", nargs=2, metavar=("CASE", "METHOD"),
@@ -479,6 +522,8 @@ if __name__ == "__main__":
             lines = tile_lines(states)
         elif args.outages:
             lines = outage_lines(states)
+        elif args.cases:
+            lines = case_lines()
         else:
             lines = itertools.chain(corpus_lines(states, args.repeat, differs), cli_lines())
         for line, digest in lines:

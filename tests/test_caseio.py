@@ -1,4 +1,7 @@
+import json
 import math
+import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from steadygrid.caseio import (
     CaseSyntaxError,
     load_case,
     parse_case,
-    read_solution_json,
+    read_solution,
     write_solution,
 )
 from steadygrid.indexing import IndexMap, flat_state
@@ -16,7 +19,7 @@ from steadygrid.network import Connection, PhaseDomain, validate
 from steadygrid.solver import solve
 
 from casewriter import write_case
-from conftest import case_path, net_2bus, random_network
+from conftest import CASE_DIR, case_path, net_2bus, random_network
 
 MINIMAL = """
 BASE_MVA 100.0
@@ -58,6 +61,70 @@ def test_missing_end_marker():
         parse_case(MINIMAL.rstrip() + "\nBUS\n")
 
 
+# one record per section, each with exactly its required columns
+EVERY_SECTION = """BASE_MVA 100.0
+BUS
+1 SLACK 138.0 0.0 0.0 1.0
+2 PQ 138.0
+END
+GEN
+1 2 10.0 5.0
+END
+BRANCH
+1 1 2 0.01 0.1
+END
+TRANSFORMER
+2 1 2 0.0 0.1
+END
+SHUNT
+1 2 0.0 19.0
+END
+ZIP
+1 2 1.0 1.0 1.0 1.0 1.0 1.0
+END
+BIG
+1 2 0.1 0.0 -0.1 0.0
+END
+"""
+# each section's record in EVERY_SECTION, and its line
+SECTION_RECORDS = {
+    "BUS": ("2 PQ 138.0", 4), "GEN": ("1 2 10.0 5.0", 7), "BRANCH": ("1 1 2 0.01 0.1", 10),
+    "TRANSFORMER": ("2 1 2 0.0 0.1", 13), "SHUNT": ("1 2 0.0 19.0", 16),
+    "ZIP": ("1 2 1.0 1.0 1.0 1.0 1.0 1.0", 19), "BIG": ("1 2 0.1 0.0 -0.1 0.0", 22),
+}
+
+
+def test_every_section_parses_from_its_required_columns():
+    net = parse_case(EVERY_SECTION)
+    counts = [len(d) for d in (net.generators, net.branches, net.transformers, net.shunts,
+                               net.zip_loads, net.big_loads)]
+    assert counts == [1] * 6
+    assert net.generators[0].q is not None and net.bus(2).v_set is None
+
+
+@pytest.mark.parametrize("section", SECTION_RECORDS)
+@pytest.mark.parametrize("defect", ["short", "non_numeric"])
+def test_a_bad_record_names_its_section_and_line(section, defect):
+    record, line = SECTION_RECORDS[section]
+    toks = record.split()
+    # a record a column short of its required ones, or with a word for its last one
+    bad = " ".join(toks[:-1] if defect == "short" else toks[:-1] + ["x1"])
+    with pytest.raises(CaseSyntaxError) as err:
+        parse_case(EVERY_SECTION.replace(record, bad, 1))
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: bad {section} record: {bad}"
+
+
+@pytest.mark.parametrize("zip_first", [False, True])
+def test_bad_records_in_two_sections_report_the_earlier_section(zip_first):
+    text = EVERY_SECTION.replace("2 PQ 138.0", "2 PQ", 1).replace("1 2 1.0 1.0", "1 2 x1 1.0", 1)
+    if zip_first:  # sections are read in their fixed order, not the file's
+        zip_section = "ZIP\n1 2 x1 1.0 1.0 1.0 1.0 1.0\nEND\n"
+        text = text.replace(zip_section, "").replace("BUS\n", zip_section + "BUS\n", 1)
+    with pytest.raises(CaseSyntaxError, match=r"bad BUS record: 2 PQ$"):
+        parse_case(text)
+
+
 def test_canonical_14_bus_counts():
     case = load_case(case_path("case14.net"))
     net = case.network
@@ -92,40 +159,31 @@ def test_round_trip_three_phase(seed):
     _assert_networks_equal(net, back)
 
 
+FAMILIES = ("buses", "generators", "zip_loads", "big_loads", "branches", "transformers", "shunts")
+
+
 def _assert_networks_equal(a, b):
-    assert a.domain == b.domain
-    assert a.base_mva == b.base_mva
-    assert len(a.buses) == len(b.buses)
-    for ba, bb in zip(a.buses, b.buses):
-        assert (ba.id, ba.kind) == (bb.id, bb.kind)
-        if ba.v_set is None:
-            assert bb.v_set is None
-        else:
-            assert bb.v_set == pytest.approx(ba.v_set, abs=1e-12)
-    assert len(a.generators) == len(b.generators)
-    for ga, gb in zip(a.generators, b.generators):
-        assert ga.id == gb.id and ga.bus == gb.bus
-        np.testing.assert_allclose(gb.p, ga.p, atol=1e-12)
-        if ga.q is None:
-            assert gb.q is None
-        else:
-            np.testing.assert_allclose(gb.q, ga.q, atol=1e-12)
-    assert len(a.zip_loads) == len(b.zip_loads)
-    for za, zb in zip(sorted(a.zip_loads, key=lambda z: z.id),
-                      sorted(b.zip_loads, key=lambda z: z.id)):
-        assert za.bus == zb.bus and za.connection == zb.connection
-        np.testing.assert_allclose(zb.y, za.y, atol=1e-12)
-        np.testing.assert_allclose(zb.i, za.i, atol=1e-12)
-        np.testing.assert_allclose(zb.s, za.s, atol=1e-12)
-    assert len(a.branches) == len(b.branches)
-    for bra, brb in zip(a.branches, b.branches):
-        assert (bra.from_bus, bra.to_bus) == (brb.from_bus, brb.to_bus)
-        np.testing.assert_allclose(brb.y_series, bra.y_series, atol=1e-9)
-        np.testing.assert_allclose(brb.b_from + brb.b_to, bra.b_from + bra.b_to, atol=1e-12)
-    assert len(a.shunts) == len(b.shunts)
-    for sa, sb in zip(a.shunts, b.shunts):
-        np.testing.assert_allclose(sb.g, sa.g, atol=1e-12)
-        np.testing.assert_allclose(sb.b, sa.b, atol=1e-12)
+    """Every field of every device of ``a`` and ``b``, device by device. A
+    branch's charging is compared as the total ``b_from + b_to``, the only
+    form either format carries."""
+    assert (a.domain, a.base_mva) == (b.domain, b.base_mva)
+    for family in FAMILIES:
+        devices_a, devices_b = getattr(a, family), getattr(b, family)
+        assert len(devices_a) == len(devices_b), family
+        for da, db in zip(devices_a, devices_b):
+            names = [f.name for f in fields(da)]
+            if family == "branches":
+                names = [n for n in names if n not in ("b_from", "b_to")]
+                _assert_field(f"branch {da.id} charging", da.b_from + da.b_to, db.b_from + db.b_to)
+            for name in names:
+                _assert_field(f"{family} {da.id} {name}", getattr(da, name), getattr(db, name))
+
+
+def _assert_field(where, want, got):
+    if isinstance(want, (float, np.ndarray)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=where)
+    else:  # ids, kinds, flags, block counts and None
+        assert got == want, where
 
 
 def test_three_phase_json_parses_delta_and_big():
@@ -168,13 +226,11 @@ def test_solved_receiving_bus_sags():
 def test_json_solution_round_trip_bitwise():
     net = net_2bus()
     report, state = solve(net)
-    doc = read_solution_json(write_solution(net, state, report, fmt="json"))
-    v = state.v_complex()
-    for rec in doc["buses"]:
-        pos = net.bus_index[rec["bus"]]
-        assert rec["vr_pu"] == v[0, pos].real  # exact: json floats round-trip
-        assert rec["vi_pu"] == v[0, pos].imag
-    assert doc["report"]["status"] == "converged"
+    text = write_solution(net, state, report, fmt="json")
+    back = read_solution(net, text)
+    assert back.v.tobytes() == state.v.tobytes()  # exact: json floats round-trip
+    assert not back.x[back.index.nv:].any()  # the other unknowns start at 0
+    assert json.loads(text)["report"]["status"] == "converged"
 
 
 def test_csv_floats_reread_exactly():
@@ -199,9 +255,9 @@ def test_dimension_mismatch_rejected():
 
 
 def test_write_case_of_loaded_case_round_trips():
-    case = load_case(case_path("case14.net"))
-    back = parse_case(write_case(case.network))
-    _assert_networks_equal(case.network, back)
+    for name in sorted(os.listdir(CASE_DIR)):
+        network = load_case(case_path(name)).network
+        _assert_networks_equal(network, parse_case(write_case(network)))
 
 
 def test_fuzzed_invariant_breaking_mutations_rejected():

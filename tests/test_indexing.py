@@ -87,8 +87,9 @@ def test_state_helpers_round_trip():
     v = state.v_complex()
     assert v[2, 1] == 0.8 - 0.25j
     assert state.v_mag()[2, 1] == pytest.approx(abs(0.8 - 0.25j))
-    # v_complex is a copy; set_voltages writes through the view
+    # v_complex is a copy; a write to the view lands in x
     v[2, 1] = 0.0
     assert state.v[2, 1] == 0.8 - 0.25j
-    state.set_voltages(v)
+    state.v[...] = v
     assert state.v[2, 1] == 0.0 and np.array_equal(state.v_complex(), v)
+    assert np.array_equal(state.x[: index.nv].view(complex), v.ravel())

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace as dc_replace
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steadygrid import homotopy, nr, solver, stamps
-from steadygrid.caseio import load_case, write_solution
+from steadygrid.analyses import SweepSpec
+from steadygrid.caseio import load_case, read_solution, write_solution
 from steadygrid.homotopy import anchored_state
 from steadygrid.indexing import IndexMap, flat_state, polar_state
 from steadygrid.linsys import SingularityError, SparseSystem
@@ -272,7 +274,8 @@ def test_file_init_round_trip(tmp_path):
     doc = write_solution(net, state, report, fmt="json")
     path = tmp_path / "sol.json"
     path.write_text(doc)
-    loaded = initialize_state(net, InitSpec(kind="file", path=str(path)))
+    warm = InitSpec(kind="warm", state=read_solution(net, path.read_text()))
+    loaded = initialize_state(net, warm)
     np.testing.assert_allclose(loaded.v_complex(), state.v_complex(), atol=1e-15)
 
 
@@ -283,7 +286,32 @@ def test_file_init_rejects_a_bus_or_phase_the_case_lacks(tmp_path, bus, phase):
         {"buses": [{"bus": bus, "phase": phase, "vr_pu": 1.0, "vi_pu": 0.0}]}
     ))
     with pytest.raises(ValueError, match=f"bus {bus} phase '{phase}'"):
-        initialize_state(net_2bus(), InitSpec(kind="file", path=str(path)))
+        read_solution(net_2bus(), path.read_text())
+
+
+def test_bad_starts_are_rejected_when_built():
+    bad = [
+        (InitSpec, {"kind": "uniform", "vmag": math.nan}, "vmag must be finite"),
+        (InitSpec, {"kind": "uniform", "vmag": math.inf}, "vmag must be finite"),
+        (InitSpec, {"kind": "uniform", "vang_deg": math.inf}, "vang_deg must be finite"),
+        (InitSpec, {"kind": "random", "vmag_range": (math.nan, 1.0)}, "vmag_range must"),
+        (InitSpec, {"kind": "random", "vang_range_deg": (-40.0, math.inf)}, "vang_range_deg must"),
+        (InitSpec, {"kind": "random", "vmag_range": (1.1, 0.9)}, "vmag_range must"),
+        (InitSpec, {"kind": "random", "vmag_range": (0.9,)}, "vmag_range must"),
+        (InitSpec, {"kind": "warm"}, "warm start needs a state"),
+        (InitSpec, {"kind": "file"}, "unknown init kind 'file'"),
+        (InitSpec, {"kind": "bogus"}, "unknown init kind 'bogus'"),
+        (SweepSpec, {"vmag_range": (math.nan, 1.0)}, "vmag_range must"),
+        (SweepSpec, {"vang_range_deg": (-40.0, math.inf)}, "vang_range_deg must"),
+        (SweepSpec, {"vmag_range": (1.1, 0.9)}, "vmag_range must"),
+    ]
+    for spec, kwargs, message in bad:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            spec(**kwargs)
+    # a zero or negative magnitude is a start, and an empty range a point
+    assert InitSpec(kind="uniform", vmag=0.0).vmag == 0.0
+    assert InitSpec(kind="uniform", vmag=-0.5).vmag == -0.5
+    assert SweepSpec(vmag_range=(1.0, 1.0)).vmag_range == (1.0, 1.0)
 
 
 # -- validate_solution -----------------------------------------------------------
