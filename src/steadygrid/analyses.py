@@ -71,12 +71,6 @@ class ContingencyResult:
     homotopy_steps: int = 0
     max_mismatch: float = float("nan")
 
-    def csv_row(self) -> str:
-        return (
-            f"{self.label},{self.status},{self.inner_iterations},"
-            f"{self.homotopy_steps},{self.max_mismatch!r}"
-        )
-
 
 @dataclass
 class SweepSpec:
@@ -102,14 +96,6 @@ class SweepResult:
     iterations: list
     max_pairwise_dv: float
     n_converged: int
-
-    def csv(self) -> str:
-        lines = ["sample,vmag0,vang0,status,iters"]
-        for k, ((vm, va), st, it) in enumerate(
-            zip(self.samples, self.statuses, self.iterations)
-        ):
-            lines.append(f"{k},{vm!r},{va!r},{st},{it}")
-        return "\n".join(lines) + "\n"
 
 
 def apply_outage(network: Network, outage: Outage) -> Network:

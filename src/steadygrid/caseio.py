@@ -1,4 +1,4 @@
-"""Case file parsing and solution writing.
+"""Case file parsing, and the writers of solutions and CSV tables.
 
 Two input formats are supported (documented in ``docs/formats.md``):
 
@@ -13,7 +13,9 @@ Two input formats are supported (documented in ``docs/formats.md``):
 Everything is normalized to per-unit on the case MVA base during parsing and
 angles are converted from degrees to radians. Solution writers emit
 full-precision values, so a written solution rereads exactly:
-:func:`read_solution` reads the JSON one back into a state.
+:func:`read_solution` reads the JSON one back into a state. Every CSV output
+(solution, traces, sweep, contingency screen) is written by
+:func:`write_table`.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .network import (
     Transformer,
     ZipLoad,
     phase_array,
-    phase_carray,
     series_y,
     validate,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "load_case",
     "write_solution",
     "read_solution",
+    "write_table",
 ]
 
 SQRT3 = math.sqrt(3.0)
@@ -173,14 +175,16 @@ def _net_shunt(toks: list[str], base: float) -> Shunt:
 
 def _net_zip(toks: list[str], base: float) -> ZipLoad:
     pz, qz, pi, qi, ps, qs = (float(t) / base for t in toks[2:8])
-    return ZipLoad(int(toks[0]), int(toks[1]), Connection.WYE, y=phase_carray(complex(pz, -qz), 1),
-                   i=phase_carray(complex(pi, qi), 1), s=phase_carray(complex(ps, qs), 1))
+    return ZipLoad(int(toks[0]), int(toks[1]), Connection.WYE,
+                   y=phase_array(complex(pz, -qz), 1, complex),
+                   i=phase_array(complex(pi, qi), 1, complex),
+                   s=phase_array(complex(ps, qs), 1, complex))
 
 
 def _net_big(toks: list[str], base: float) -> BigLoad:
     ar, ai, g, b = (float(t) for t in toks[2:6])
-    return BigLoad(int(toks[0]), int(toks[1]), alpha=phase_carray(complex(ar, ai), 1),
-                   y=phase_carray(complex(g, b), 1))
+    return BigLoad(int(toks[0]), int(toks[1]), alpha=phase_array(complex(ar, ai), 1, complex),
+                   y=phase_array(complex(g, b), 1, complex))
 
 
 # each section's record builder, in the order the sections are read
@@ -254,8 +258,8 @@ def _parse_net(text: str, name: str) -> Network:
     first_id = max((z.id for z in zip_loads), default=0) + 1
     loaded = [(bus.id, s) for bus, s in got["BUS"] if s is not None]
     zip_loads += [
-        ZipLoad(zid, bid, Connection.WYE, y=phase_carray(0.0, 1), i=phase_carray(0.0, 1),
-                s=phase_carray(s, 1))
+        ZipLoad(zid, bid, Connection.WYE, y=phase_array(0.0, 1, complex),
+                i=phase_array(0.0, 1, complex), s=phase_array(s, 1, complex))
         for zid, (bid, s) in enumerate(loaded, first_id)
     ]
 
@@ -278,10 +282,6 @@ def _parse_net(text: str, name: str) -> Network:
 
 
 _REQUIRED = object()
-
-
-def _raw(value):
-    return value
 
 
 class _JsonRecord:
@@ -329,8 +329,20 @@ def _base(value) -> float:
     return base
 
 
-def _float_or_none(value) -> float | None:
-    return None if value is None else float(value)
+def _int(value) -> int:
+    """An id, bus or count: a JSON number equal to an integer (``3`` or
+    ``3.0``). A bool, a string, a list, ``NaN`` or any other number raises
+    ``ValueError``."""
+    if isinstance(value, float) and value.is_integer():  # inf and nan are not
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def _or_none(convert):
+    """``convert`` for a field that may be ``null``."""
+    return lambda value: None if value is None else convert(value)
 
 
 def _floats(value) -> np.ndarray:
@@ -377,10 +389,10 @@ def _parse_json3p(text: str, name: str) -> Network:
     def bus(rec):
         kind = BusKind.SLACK if rec("kind", str.lower, "pq") == "slack" else BusKind.PQ
         return Bus(
-            id=rec("id", int),
+            id=rec("id", _int),
             kind=kind,
             **rec.given("base_kv"),
-            v_set=rec("v_set", _float_or_none, None),
+            v_set=rec("v_set", _or_none(float), None),
             angle=math.radians(rec("angle_deg", float, 0.0)),
         )
 
@@ -388,18 +400,18 @@ def _parse_json3p(text: str, name: str) -> Network:
     v_sets = {}  # bus id -> the set-point a regulating machine gives it
 
     def generator(rec):
-        q = rec("q_mvar", lambda v: None if v is None else per_phase_pu(v), None)
+        q = rec("q_mvar", _or_none(per_phase_pu), None)
         gen = Generator(
-            id=rec("id", int),
-            bus=rec("bus", int),
+            id=rec("id", _int),
+            bus=rec("bus", _int),
             p=rec("p_mw", per_phase_pu),
             q=q,
             qmin=rec("qmin_mvar", q_limit(-math.inf), None),
             qmax=rec("qmax_mvar", q_limit(math.inf), None),
-            remote_bus=rec("remote_bus", _raw, None),
+            remote_bus=rec("remote_bus", _or_none(_int), None),
         )
         if q is None:
-            v_set = rec("v_set", _float_or_none, None)
+            v_set = rec("v_set", _or_none(float), None)
             if v_set is not None:
                 v_sets[gen.target_bus()] = v_set
         return gen
@@ -410,8 +422,8 @@ def _parse_json3p(text: str, name: str) -> Network:
     def load(rec):
         if rec("model", str.lower, "zip") == "big":
             return BigLoad(
-                id=rec("id", int),
-                bus=rec("bus", int),
+                id=rec("id", _int),
+                bus=rec("bus", _int),
                 alpha=rec.complex("alpha_re_pu", "alpha_im_pu"),
                 y=rec.complex("g_pu", "b_pu"),
             )
@@ -430,9 +442,10 @@ def _parse_json3p(text: str, name: str) -> Network:
             ic = pi + 1j * qi
         s = ps + 1j * qs
         return ZipLoad(
-            id=rec("id", int), bus=rec("bus", int),
+            id=rec("id", _int), bus=rec("bus", _int),
             connection=Connection.DELTA if delta else Connection.WYE,
-            y=phase_carray(y, nph), i=phase_carray(ic, nph), s=phase_carray(s, nph),
+            y=phase_array(y, nph, complex), i=phase_array(ic, nph, complex),
+            s=phase_array(s, nph, complex),
         )
 
     loads = _section(doc, "loads", load)
@@ -441,31 +454,31 @@ def _parse_json3p(text: str, name: str) -> Network:
         y = rec.complex("y_real_pu", "y_imag_pu")
         half = rec("b_charge_pu", _floats, [0.0] * nph) / 2.0
         return Branch(
-            id=rec("id", int), from_bus=rec("from", int), to_bus=rec("to", int),
+            id=rec("id", _int), from_bus=rec("from", _int), to_bus=rec("to", _int),
             y_series=y, b_from=phase_array(half, nph), b_to=phase_array(half, nph),
         )
 
     def transformer(rec):
         return Transformer(
-            id=rec("id", int), from_bus=rec("from", int), to_bus=rec("to", int),
+            id=rec("id", _int), from_bus=rec("from", _int), to_bus=rec("to", _int),
             y_series=rec.complex("y_real_pu", "y_imag_pu"),
             tap=rec("tap", per_phase, [1.0] * nph),
             shift=rec("shift_deg", lambda v: per_phase(np.radians(_floats(v))), [0.0] * nph),
             **rec.given("tap_min", "tap_max", "tap_step"),
-            controlled_bus=rec("controlled_bus", _raw, None),
-            v_target=rec("v_target", _float_or_none, None),
+            controlled_bus=rec("controlled_bus", _or_none(_int), None),
+            v_target=rec("v_target", _or_none(float), None),
         )
 
     def shunt(rec):
-        max_blocks = rec("max_blocks", int, 0)
+        max_blocks = rec("max_blocks", _int, 0)
         return Shunt(
-            id=rec("id", int), bus=rec("bus", int),
+            id=rec("id", _int), bus=rec("bus", _int),
             g=rec("g_pu", per_phase, [0.0] * nph),
             b=rec("b_pu", per_phase, [0.0] * nph),
             switchable=max_blocks > 0,
             block_b=rec("block_b_pu", per_phase) if max_blocks > 0 else None,
             max_blocks=max_blocks,
-            blocks_on=rec("blocks_on", int, 0),
+            blocks_on=rec("blocks_on", _int, 0),
         )
 
     return Network(
@@ -503,8 +516,8 @@ def write_solution(network: Network, state, report=None, fmt: str = "csv") -> st
             vv = complex(v[ph, k])
             rows.append((bus.id, ph_name, abs(vv), math.degrees(math.atan2(vv.imag, vv.real)),
                          vv.real, vv.imag))
-    if fmt == "csv":  # str of a float is its shortest round-trip form
-        return "".join(",".join(map(str, row)) + "\n" for row in [_SOLUTION_FIELDS, *rows])
+    if fmt == "csv":
+        return write_table(_SOLUTION_FIELDS, rows)
     if fmt != "json":
         raise ValueError(f"unknown solution format {fmt!r}")
     doc: dict = {
@@ -519,6 +532,13 @@ def write_solution(network: Network, state, report=None, fmt: str = "csv") -> st
     if report is not None:
         doc["report"] = report.to_dict()
     return json.dumps(doc, indent=1)
+
+
+def write_table(header, rows) -> str:
+    """CSV text of ``header`` and then each row, one line each. A field is
+    written as its ``str``, which for a float is its shortest round-trip
+    form, so every output table rereads bit for bit."""
+    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
 
 
 def read_solution(network: Network, text: str) -> StateVector:

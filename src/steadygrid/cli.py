@@ -12,12 +12,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import astuple, fields
 from typing import NoReturn
 
 from . import analyses
-from .caseio import CaseError, load_case, parse_case, read_solution, write_solution
-from .homotopy import lambda_trace_to_csv
-from .nr import NrOptions, trace_to_csv
+from .caseio import CaseError, load_case, parse_case, read_solution, write_solution, write_table
+from .homotopy import LAMBDA_TRACE_FIELDS
+from .nr import NrOptions, NrTraceRow
 from .solver import (
     CONVERGED,
     EXIT_CODES,
@@ -109,9 +110,11 @@ def _cmd_solve(args) -> int:
     _write(args.out, "solution.csv", write_solution(case.network, state, report, fmt="csv"))
     _write(args.out, "report.json", report.to_json())
     if args.trace:
-        _write(args.out, "trace.csv", trace_to_csv(report.nr_trace))
+        _write(args.out, "trace.csv", write_table([f.name for f in fields(NrTraceRow)],
+                                                  map(astuple, report.nr_trace)))
         if report.lambda_trace:
-            _write(args.out, "lambda_trace.csv", lambda_trace_to_csv(report.lambda_trace))
+            _write(args.out, "lambda_trace.csv",
+                   write_table(LAMBDA_TRACE_FIELDS, report.lambda_trace))
     mis = validate_solution(report.network, state) if report.status == CONVERGED else None
     print(f"{case.name}: {report.status} "
           f"(inner {report.inner_iterations}, homotopy {report.homotopy_steps}, "
@@ -128,7 +131,10 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         _fail(EX_USAGE, str(exc))
     result = analyses.run_sweep(case.network, spec, options)
-    _write(args.out, "sweep.csv", result.csv())
+    _write(args.out, "sweep.csv", write_table(
+        ("sample", "vmag0", "vang0", "status", "iters"),
+        ((k, vm, va, st, it) for k, ((vm, va), st, it)
+         in enumerate(zip(result.samples, result.statuses, result.iterations)))))
     print(f"{case.name}: {result.n_converged}/{spec.samples} converged, "
           f"spread {result.max_pairwise_dv:.3e}")
     worst = 0
@@ -150,9 +156,10 @@ def _cmd_contingency(args) -> int:
         return base_report.exit_code
     cset = analyses.sample_contingencies(case.network, base_state, top_fraction=args.top_fraction)
     results = analyses.run_contingencies(case.network, base_state, cset, options)
-    lines = ["label,status,inner_iters,homotopy_steps,max_mismatch"]
-    lines += [r.csv_row() for r in results]
-    _write(args.out, "contingency.csv", "\n".join(lines) + "\n")
+    _write(args.out, "contingency.csv", write_table(
+        ("label", "status", "inner_iters", "homotopy_steps", "max_mismatch"),
+        ((r.label, r.status, r.inner_iterations, r.homotopy_steps, r.max_mismatch)
+         for r in results)))
     counts = analyses.tally(results)
     print(f"{case.name}: {counts}")
     worst = 0

@@ -43,7 +43,7 @@ __all__ = [
     "power_transform",
     "anchored_state",
     "run_homotopy",
-    "lambda_trace_to_csv",
+    "LAMBDA_TRACE_FIELDS",
 ]
 
 
@@ -54,12 +54,15 @@ BACKTRACK = 0.5
 GROWTH = 2.0
 MAX_STEP = 0.5
 
+# the fields of each step in HomotopyResult.accepted: its factor, the Newton
+# iterations it took and the residual of the iterate it accepted
+LAMBDA_TRACE_FIELDS = ("lambda", "nr_iterations", "residual")
+
 
 @dataclass
 class HomotopyResult:
     converged: bool
     state: StateVector | None
-    steps: int
     inner_iterations: int
     accepted: list
     last_good_lambda: float
@@ -147,13 +150,13 @@ def run_homotopy(
 
     lam = 1.0
     step = D_LAMBDA
-    accepted: list = []  # (lambda, nr_iterations, residual of the accepted iterate)
+    accepted: list = []  # rows of LAMBDA_TRACE_FIELDS
     total_iters = 0
 
     state, ok, iters, residual = newton_at(1.0, start)
     total_iters += iters
     if not ok:
-        return HomotopyResult(False, None, 0, total_iters, [], 1.0)
+        return HomotopyResult(False, None, total_iters, [], 1.0)
     accepted.append((1.0, iters, residual))
 
     def next_lambda(lam, step):
@@ -175,7 +178,7 @@ def run_homotopy(
             first_try_successes = 0
             step *= BACKTRACK
             if step < MIN_STEP:
-                return HomotopyResult(False, state, len(accepted), total_iters, accepted, lam)
+                return HomotopyResult(False, state, total_iters, accepted, lam)
             lam_next = next_lambda(lam, step)
         state = cand
         lam = lam_next
@@ -186,11 +189,4 @@ def run_homotopy(
                 step = min(step * GROWTH, MAX_STEP)
                 first_try_successes = 0
 
-    return HomotopyResult(True, state, len(accepted), total_iters, accepted, 0.0)
-
-
-def lambda_trace_to_csv(accepted: list) -> str:
-    lines = ["lambda,nr_iterations,residual"]
-    for lam, iters, res in accepted:
-        lines.append(f"{lam!r},{iters},{res!r}")
-    return "\n".join(lines) + "\n"
+    return HomotopyResult(True, state, total_iters, accepted, 0.0)

@@ -41,7 +41,6 @@ __all__ = [
     "validate",
     "PHASE_OFFSETS",
     "phase_array",
-    "phase_carray",
     "series_y",
 ]
 
@@ -79,14 +78,6 @@ class BusKind(enum.Enum):
 class Connection(enum.Enum):
     WYE = "wye"
     DELTA = "delta"
-
-
-def _as_phase_array(value, nphase: int, dtype=float) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value, dtype=dtype))
-    if arr.shape != (nphase,):
-        raise ValueError(f"expected {nphase} per-phase values, got shape {arr.shape}")
-    arr.setflags(write=False)
-    return arr
 
 
 class _Device:
@@ -536,20 +527,16 @@ def connectivity_issues(network: Network) -> list[ValidationIssue]:
 # Construction helpers (used by parsers and tests)
 
 
-def phase_array(value, nphase: int) -> np.ndarray:
-    """Broadcast a scalar or validate a per-phase sequence (float)."""
-    arr = np.asarray(value, dtype=float)
+def phase_array(value, nphase: int, dtype=float) -> np.ndarray:
+    """The read-only per-phase array of ``value``: a scalar broadcast to
+    ``nphase`` entries, or a sequence of exactly ``nphase``."""
+    arr = np.asarray(value, dtype=dtype)
     if arr.ndim == 0:
-        arr = np.full(nphase, float(arr))
-    return _as_phase_array(arr, nphase)
-
-
-def phase_carray(value, nphase: int) -> np.ndarray:
-    """Broadcast a scalar or validate a per-phase sequence (complex)."""
-    arr = np.asarray(value, dtype=complex)
-    if arr.ndim == 0:
-        arr = np.full(nphase, complex(arr))
-    return _as_phase_array(arr, nphase, dtype=complex)
+        arr = np.full(nphase, arr, dtype=dtype)
+    if arr.shape != (nphase,):
+        raise ValueError(f"expected {nphase} per-phase values, got shape {arr.shape}")
+    arr.setflags(write=False)
+    return arr
 
 
 def series_y(r: float, x: float, nphase: int = 1) -> np.ndarray:

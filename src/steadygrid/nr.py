@@ -60,7 +60,6 @@ __all__ = [
     "apply_q_limiting",
     "check_convergence",
     "run_newton",
-    "trace_to_csv",
 ]
 
 
@@ -105,15 +104,6 @@ class NrTraceRow:
     max_dv: float  # raw Newton step, before limiting
     zeta: float
     limited: int  # variables whose step was capped, clamped or Q limited
-
-
-def trace_to_csv(trace: list[NrTraceRow]) -> str:
-    lines = ["iteration,residual,max_dv,zeta,limited"]
-    for row in trace:
-        lines.append(
-            f"{row.iteration},{row.residual!r},{row.max_dv!r},{row.zeta!r},{row.limited}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -103,8 +103,9 @@ class InitSpec:
     kinds: ``flat`` (1 pu at reference angles), ``random`` (per-bus uniform
     magnitude/angle samples), ``uniform`` (one sampled magnitude/angle pair
     applied to every bus), ``warm`` (copy ``state``, a prior state, such as
-    one ``caseio.read_solution`` read). ``seed`` is ``None`` or an integer >= 0;
-    ``vmag`` and ``vang_deg`` are finite, the ranges finite with lo <= hi.
+    one ``caseio.read_solution`` read, every entry finite). ``seed`` is
+    ``None`` or an integer >= 0; ``vmag`` and ``vang_deg`` are finite, the
+    ranges finite with lo <= hi.
     """
 
     kind: str = "flat"
@@ -121,6 +122,8 @@ class InitSpec:
             raise ValueError(f"unknown init kind {self.kind!r}")
         if self.kind == "warm" and self.state is None:
             raise ValueError("warm start needs a state")
+        if self.kind == "warm" and not np.isfinite(self.state.x).all():
+            raise ValueError("warm start state must be finite")
         for name in ("vmag", "vang_deg"):
             if not -math.inf < getattr(self, name) < math.inf:  # nan fails too
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -457,7 +460,7 @@ def solve(network: Network, options: SolverOptions | None = None):
                 options.nr, options.gamma, modes, system, nr_trace,
             )
             total_inner += hres.inner_iterations
-            homotopy_steps += hres.steps
+            homotopy_steps += len(hres.accepted)
             lam_trace = hres.accepted
             ok = hres.converged
             if ok:

@@ -20,7 +20,6 @@ from steadygrid.network import (
     Transformer,
     ZipLoad,
     phase_array,
-    phase_carray,
     series_y,
 )
 from steadygrid.nr import run_newton
@@ -125,7 +124,8 @@ def make_branch(idx, f, t, r, x, b=0.0, nphase=1):
 def make_zip(idx, bus, nphase=1, connection=Connection.WYE, y=0.0, i=0.0, s=0.0):
     return ZipLoad(
         idx, bus, connection,
-        y=phase_carray(y, nphase), i=phase_carray(i, nphase), s=phase_carray(s, nphase),
+        y=phase_array(y, nphase, complex), i=phase_array(i, nphase, complex),
+        s=phase_array(s, nphase, complex),
     )
 
 
@@ -141,7 +141,8 @@ def net_2bus(p=0.5, q=0.2, r=0.01, x=0.1, vset=1.0):
 def net_linear():
     """slack + branch + BIG load: every device linear."""
     buses = (Bus(1, BusKind.SLACK, 138.0, 1.0, 0.0), Bus(2, BusKind.PQ, 138.0))
-    big = BigLoad(1, 2, alpha=phase_carray(0.3 + 0.1j, 1), y=phase_carray(0.05 - 0.02j, 1))
+    big = BigLoad(1, 2, alpha=phase_array(0.3 + 0.1j, 1, complex),
+                  y=phase_array(0.05 - 0.02j, 1, complex))
     return Network(
         PhaseDomain.POSITIVE_SEQUENCE, 100.0, buses,
         big_loads=(big,),
@@ -179,7 +180,8 @@ def net_allparts():
         shift=phase_array(math.radians(2.0), 1),
     )
     sh = Shunt(1, 2, g=phase_array(0.01, 1), b=phase_array(0.15, 1))
-    big = BigLoad(1, 4, alpha=phase_carray(0.08 + 0.02j, 1), y=phase_carray(-0.02 + 0.01j, 1))
+    big = BigLoad(1, 4, alpha=phase_array(0.08 + 0.02j, 1, complex),
+                  y=phase_array(-0.02 + 0.01j, 1, complex))
     return Network(
         PhaseDomain.POSITIVE_SEQUENCE, 100.0, buses,
         generators=(gen, genf),
@@ -248,20 +250,20 @@ def net_3phase():
     )
     wye = ZipLoad(
         1, 2, Connection.WYE,
-        y=phase_carray([0.02 - 0.005j, 0.01 - 0.002j, 0.015 - 0.004j], 3),
-        i=phase_carray([0.05 + 0.01j, 0.02 + 0.005j, 0.0], 3),
-        s=phase_carray([0.15 + 0.05j, 0.25 + 0.08j, 0.1 + 0.02j], 3),
+        y=phase_array([0.02 - 0.005j, 0.01 - 0.002j, 0.015 - 0.004j], 3, complex),
+        i=phase_array([0.05 + 0.01j, 0.02 + 0.005j, 0.0], 3, complex),
+        s=phase_array([0.15 + 0.05j, 0.25 + 0.08j, 0.1 + 0.02j], 3, complex),
     )
     delta = ZipLoad(
         2, 3, Connection.DELTA,
-        y=phase_carray([0.01 - 0.004j, 0.0, 0.0], 3),
-        i=phase_carray([0.02 + 0.008j, 0.0, 0.01 + 0.002j], 3),
-        s=phase_carray([0.1 + 0.03j, 0.05 + 0.01j, 0.12 + 0.04j], 3),
+        y=phase_array([0.01 - 0.004j, 0.0, 0.0], 3, complex),
+        i=phase_array([0.02 + 0.008j, 0.0, 0.01 + 0.002j], 3, complex),
+        s=phase_array([0.1 + 0.03j, 0.05 + 0.01j, 0.12 + 0.04j], 3, complex),
     )
     big = BigLoad(
         1, 3,
-        alpha=phase_carray([0.03 + 0.01j, 0.02 + 0.005j, 0.04 + 0.012j], 3),
-        y=phase_carray([-0.005 + 0.002j, -0.004 + 0.0015j, -0.006 + 0.0025j], 3),
+        alpha=phase_array([0.03 + 0.01j, 0.02 + 0.005j, 0.04 + 0.012j], 3, complex),
+        y=phase_array([-0.005 + 0.002j, -0.004 + 0.0015j, -0.006 + 0.0025j], 3, complex),
     )
     return Network(
         PhaseDomain.THREE_PHASE, 10.0, buses,
@@ -356,10 +358,10 @@ def random_network(seed: int, domain=PhaseDomain.POSITIVE_SEQUENCE) -> Network:
         if nph == 3 and rng.random() < 0.4:
             conn = Connection.DELTA
         loads.append(
-            ZipLoad(lid, int(rng.integers(2, n + 1)), conn,
-                    y=phase_carray(complex(rng.uniform(0, 0.05), -rng.uniform(0, 0.02)), nph),
-                    i=phase_carray(complex(rng.uniform(0, 0.1), rng.uniform(0, 0.03)), nph),
-                    s=phase_carray(complex(rng.uniform(0.05, 0.4), rng.uniform(0, 0.15)), nph))
+            make_zip(lid, int(rng.integers(2, n + 1)), nph, conn,
+                     y=complex(rng.uniform(0, 0.05), -rng.uniform(0, 0.02)),
+                     i=complex(rng.uniform(0, 0.1), rng.uniform(0, 0.03)),
+                     s=complex(rng.uniform(0.05, 0.4), rng.uniform(0, 0.15)))
         )
     shunts = ()
     if rng.random() < 0.5:

@@ -123,17 +123,17 @@ import sys
 import tempfile
 import time
 import tokenize
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 
 from steadygrid import linsys, nr, solver, stamps
 from steadygrid.analyses import Outage, apply_outage
-from steadygrid.caseio import load_case, parse_case
+from steadygrid.caseio import load_case, parse_case, write_table
 from steadygrid.cli import main
-from steadygrid.homotopy import lambda_trace_to_csv
+from steadygrid.homotopy import LAMBDA_TRACE_FIELDS
 from steadygrid.network import PhaseDomain, phase_array, validate
-from steadygrid.nr import NrOptions, trace_to_csv
+from steadygrid.nr import NrOptions, NrTraceRow
 from steadygrid.solver import InitSpec, SolverOptions, solve, transfer_state
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -180,8 +180,8 @@ def _run(network, options):
     digest = _digest(
         _without_meta(report.to_json()),
         state.x.tobytes(),
-        trace_to_csv(report.nr_trace).encode(),
-        lambda_trace_to_csv(report.lambda_trace).encode(),
+        write_table([f.name for f in fields(NrTraceRow)], map(astuple, report.nr_trace)).encode(),
+        write_table(LAMBDA_TRACE_FIELDS, report.lambda_trace).encode(),
     )
     tail = (f"{report.status} {report.inner_iterations} {report.homotopy_steps} "
             f"{report.outer_passes}")

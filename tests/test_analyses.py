@@ -18,6 +18,7 @@ from steadygrid.analyses import (
     tally,
 )
 from steadygrid.caseio import load_case
+from steadygrid.cli import main
 from steadygrid.indexing import IndexMap
 from steadygrid.nr import NrOptions
 from steadygrid.reference import dense_reference_solve
@@ -264,14 +265,17 @@ def test_sampler_takes_biggest_devices():
     assert 1 in dropped  # the big machine goes first
 
 
-def test_contingency_csv_format():
+def test_contingency_csv_format(tmp_path):
+    # the CLI's contingency.csv: one row per result of the same screen
+    main(["contingency", case_path("case3_ring.net"), "--tol", "1e-10", "--top-fraction", "1",
+          "--out", str(tmp_path)])
+    lines = (tmp_path / "contingency.csv").read_text().splitlines()
+    assert lines[0] == "label,status,inner_iters,homotopy_steps,max_mismatch"
     net, state = solved("case3_ring.net")
-    results = run_contingencies(
-        net, state, ContingencySet([Outage("b2", branch_ids=(2,))]), OPTS
-    )
-    row = results[0].csv_row()
-    assert row.startswith("b2,converged,")
-    assert len(row.split(",")) == 5
+    results = run_contingencies(net, state, sample_contingencies(net, state, 1.0), OPTS)
+    assert CONVERGED in {r.status for r in results}
+    assert lines[1:] == [f"{r.label},{r.status},{r.inner_iterations},{r.homotopy_steps},"
+                         f"{r.max_mismatch!r}" for r in results]
 
 
 def test_results_in_input_order():
@@ -348,12 +352,16 @@ def test_sweep_of_size_one_flat_matches_plain_solve():
     assert result.iterations[0] == plain.inner_iterations
 
 
-def test_sweep_csv_row_count_and_header():
+def test_sweep_csv_row_count_and_header(tmp_path):
+    # the CLI's sweep.csv: one row per sample of the same sweep
+    main(["sweep", case_path("case3_ring.net"), "--tol", "1e-10", "--samples", "5", "--seed", "3",
+          "--out", str(tmp_path)])
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "sample,vmag0,vang0,status,iters"
     net = load_case(case_path("case3_ring.net")).network
     result = run_sweep(net, SweepSpec(samples=5, seed=3), OPTS)
-    lines = result.csv().strip().splitlines()
-    assert lines[0] == "sample,vmag0,vang0,status,iters"
-    assert len(lines) == 6
+    assert lines[1:] == [f"{k},{vm!r},{va!r},{st},{it}" for k, ((vm, va), st, it)
+                         in enumerate(zip(result.samples, result.statuses, result.iterations))]
 
 
 def test_sweep_seed_reproducible():
@@ -361,7 +369,7 @@ def test_sweep_seed_reproducible():
     a = run_sweep(net, SweepSpec(samples=4, seed=9), OPTS)
     b = run_sweep(net, SweepSpec(samples=4, seed=9), OPTS)
     assert a.samples == b.samples and a.statuses == b.statuses
-    assert a.csv() == b.csv()
+    assert a.iterations == b.iterations
 
 
 def test_converged_samples_agree():

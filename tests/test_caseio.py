@@ -195,6 +195,44 @@ def test_three_phase_json_parses_delta_and_big():
     assert len(net.transformers) == 1
 
 
+def _feeder8_doc() -> dict:
+    with open(case_path("feeder8.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+# each integer field of the three-phase JSON format, on a section whose first
+# record can carry it (feeder8 gains a generator for remote_bus and bus)
+JSON_INT_FIELDS = [("buses", "id"), ("generators", "bus"), ("generators", "remote_bus"),
+                   ("loads", "bus"), ("branches", "from"), ("branches", "to"),
+                   ("transformers", "controlled_bus"), ("shunts", "max_blocks"),
+                   ("shunts", "blocks_on")]
+
+
+@pytest.mark.parametrize("section, name", JSON_INT_FIELDS)
+@pytest.mark.parametrize("value", [True, 4.7, math.inf, math.nan, "3", [1]],
+                         ids=["bool", "fraction", "inf", "nan", "string", "list"])
+def test_a_json_integer_field_takes_only_an_integer(section, name, value):
+    doc = _feeder8_doc()
+    doc["generators"] = [{"id": 1, "bus": 2, "p_mw": [0.0] * 3, "q_mvar": [0.0] * 3}]
+    doc[section][0][name] = value
+    with pytest.raises(CaseSemanticError) as err:
+        parse_case(json.dumps(doc))
+    assert str(err.value) == (
+        f"{section}[0]: bad field {name!r}: expected an integer, got {value!r}"
+    )
+
+
+def test_a_json_integer_field_may_be_written_as_a_float():
+    doc = _feeder8_doc()
+    for section in ("buses", "loads", "branches", "transformers", "shunts"):
+        for rec in doc[section]:
+            for name in ("id", "bus", "from", "to"):
+                if name in rec:
+                    rec[name] = float(rec[name])
+    _assert_networks_equal(load_case(case_path("feeder8.json")).network,
+                           parse_case(json.dumps(doc)))
+
+
 def test_json_syntax_error_has_line():
     with pytest.raises(CaseSyntaxError):
         parse_case('{"base_mva": 100.0,,}')

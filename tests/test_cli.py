@@ -138,12 +138,17 @@ UNIT_3X3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         {"id": 1, "from": 1, "to": 2, "y_imag_pu": UNIT_3X3}]}, "branches[0]",
      "'y_real_pu'"),
     ({"base_mva": 0.0, "buses": [SLACK_3P]}, "case", "'base_mva'"),
+    # an id, bus or count is an integer: it is neither truncated nor left a string
+    ({"buses": [SLACK_3P, {"id": 4}], "loads": [{"id": 1, "bus": 4.7}]}, "loads[0]", "'bus'"),
+    ({"buses": [SLACK_3P, {"id": 2}], "branches": [
+        {"id": 1, "from": float("inf"), "to": 2, "y_real_pu": UNIT_3X3, "y_imag_pu": UNIT_3X3}]},
+     "branches[0]", "'from'"),
     # two fields that only fail together: reported by the record alone
     ({"buses": [SLACK_3P], "loads": [
         {"id": 1, "bus": 1, "z_mw": [1.0, 2.0], "z_mvar": [1.0, 2.0, 3.0]}]},
      "loads[0]", "shapes (2,) (3,)"),
 ], ids=["no_id", "bad_number", "not_an_object", "bad_v_set", "big_load", "shunt_blocks", "branch",
-        "zero_base", "zip_lengths"])
+        "zero_base", "fractional_bus", "infinite_from", "zip_lengths"])
 def test_a_malformed_json_record_is_a_case_error(tmp_path, capsys, doc, where, field):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -280,6 +285,8 @@ def test_missing_init_file_is_input_error(tmp_path, capsys):
     '{"solutions": []}',
     '{"buses": [{"bus": 99, "phase": "p", "vr_pu": 1.0, "vi_pu": 0.0}]}',
     '{"buses": [{"bus": 1, "phase": "a", "vr_pu": 1.0, "vi_pu": 0.0}]}',
+    '{"buses": [{"bus": 1, "phase": "p", "vr_pu": NaN, "vi_pu": 0.0}]}',
+    '{"buses": [{"bus": 1, "phase": "p", "vr_pu": Infinity, "vi_pu": 0.0}]}',
 ])
 def test_malformed_init_file_is_input_error(tmp_path, capsys, text):
     sol = tmp_path / "sol.json"

@@ -19,7 +19,6 @@ from steadygrid.network import (
     Transformer,
     ZipLoad,
     phase_array,
-    phase_carray,
     series_y,
     validate,
 )
@@ -174,7 +173,7 @@ def test_network_is_immutable():
 
 def _broken_networks():
     """Two networks that between them break a check in every device family."""
-    c1 = lambda v: phase_carray(v, 1)
+    c1 = lambda v: phase_array(v, 1, complex)
     r1 = lambda v: phase_array(v, 1)
     nan, inf = math.nan, math.inf
     buses = (
@@ -198,11 +197,11 @@ def _broken_networks():
     )
     zips = (
         ZipLoad(1, 97, Connection.DELTA, y=c1(0), i=c1(0), s=c1(complex(nan, 0))),
-        ZipLoad(2, 1, y=phase_carray(0, 3), i=c1(complex(0, inf)), s=c1(1.0)),
+        ZipLoad(2, 1, y=phase_array(0, 3, complex), i=c1(complex(0, inf)), s=c1(1.0)),
         ZipLoad(3, 2, y=c1(complex(0, nan)), i=c1(0), s=c1(0)),
     )
     bigs = (
-        BigLoad(1, 96, alpha=c1(inf), y=phase_carray(0, 3)),
+        BigLoad(1, 96, alpha=c1(inf), y=phase_array(0, 3, complex)),
         BigLoad(2, 2, alpha=c1(0.1), y=c1(complex(nan, nan))),
     )
     branches = (
@@ -236,7 +235,7 @@ def _broken_networks():
     y[0, 1] += 1e-9
     nan_y = np.array(series_y(0.01, 0.1, 3))
     nan_y[1, 1] = nan
-    c3 = lambda v: phase_carray(v, 3)
+    c3 = lambda v: phase_array(v, 3, complex)
     three = Network(
         PhaseDomain.THREE_PHASE, 10.0,
         (Bus(1, BusKind.SLACK, 12.47, 1.0), Bus(2, BusKind.PQ, 12.47)),

@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from steadygrid.caseio import load_case
+from steadygrid.cli import main
 from steadygrid.indexing import IndexMap, flat_state
 from steadygrid.linsys import SparseSystem
 from steadygrid.nr import (
@@ -16,7 +18,6 @@ from steadygrid.nr import (
     apply_q_limiting,
     apply_voltage_limiting,
     check_convergence,
-    trace_to_csv,
     update_zeta,
 )
 from steadygrid.stamps import (
@@ -25,8 +26,9 @@ from steadygrid.stamps import (
     invert_pv_current,
     pv_current,
 )
+from steadygrid.solver import solve
 
-from conftest import assembled, net_2bus, net_linear, newton, slack_ir
+from conftest import assembled, case_path, net_2bus, net_linear, newton, slack_ir
 
 WIDE = NrOptions(tol=1e-10, dv_max=100.0, v_min=-10.0, v_max=10.0)
 
@@ -336,13 +338,15 @@ def test_check_convergence_on_analytic_two_bus():
     assert max(split(bound_of(net), state)) <= 1e-12
 
 
-def test_trace_csv_format():
-    trace = [row(0, 1e-2, 0.3, 1.0, 2), row(1, 1e-5, 0.01, 1.0, 0)]
-    csv = trace_to_csv(trace)
-    lines = csv.strip().splitlines()
+def test_trace_csv_format(tmp_path):
+    # the CLI's trace.csv: one row per trace row, each float in its shortest
+    # round-trip form
+    assert main(["solve", case_path("case14.net"), "--trace", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "trace.csv").read_text().splitlines()
     assert lines[0] == "iteration,residual,max_dv,zeta,limited"
-    assert lines[1].startswith("0,0.01,")
-    assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["2", "0"]
+    report, _ = solve(load_case(case_path("case14.net")).network)
+    assert lines[1:] == [f"{r.iteration},{r.residual!r},{r.max_dv!r},{r.zeta!r},{r.limited}"
+                         for r in report.nr_trace]
 
 
 def test_nr_applies_clamp_bounds():

@@ -5,7 +5,7 @@ from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from steadygrid import homotopy, nr, solver, stamps
@@ -24,8 +24,7 @@ from steadygrid.network import (
     Shunt,
     phase_array,
 )
-from steadygrid.homotopy import lambda_trace_to_csv
-from steadygrid.nr import NrOptions, trace_to_csv
+from steadygrid.nr import NrOptions
 from steadygrid.stamps import GenModes
 from steadygrid.reference import dense_reference_solve
 from steadygrid.solver import (
@@ -125,8 +124,8 @@ def test_infinite_q_cap_skips_only_the_scalar_limiter(monkeypatch, case, method)
         report, state = solve(net, SolverOptions(homotopy=method, nr=NrOptions(di_max=di_max)))
         doc = json.loads(report.to_json())
         doc.pop("meta")
-        runs.append((len(calls), doc, state.x.tobytes(), trace_to_csv(report.nr_trace),
-                     lambda_trace_to_csv(report.lambda_trace)))
+        runs.append((len(calls), doc, state.x.tobytes(), repr(report.nr_trace),
+                     repr(report.lambda_trace)))
     (n_inf, *free), (n_finite, *capped) = runs
     assert free[0]["status"] == CONVERGED
     assert n_inf == 0 and n_finite > 0
@@ -289,8 +288,16 @@ def test_file_init_rejects_a_bus_or_phase_the_case_lacks(tmp_path, bus, phase):
         read_solution(net_2bus(), path.read_text())
 
 
+def _state_with(value):
+    state = flat_state(IndexMap(net_2bus()))
+    state.x[1] = value
+    return state
+
+
 def test_bad_starts_are_rejected_when_built():
     bad = [
+        (InitSpec, {"kind": "warm", "state": _state_with(math.nan)}, "warm start state must be"),
+        (InitSpec, {"kind": "warm", "state": _state_with(-math.inf)}, "warm start state must be"),
         (InitSpec, {"kind": "uniform", "vmag": math.nan}, "vmag must be finite"),
         (InitSpec, {"kind": "uniform", "vmag": math.inf}, "vmag must be finite"),
         (InitSpec, {"kind": "uniform", "vang_deg": math.inf}, "vang_deg must be finite"),
@@ -749,8 +756,9 @@ def test_outer_loop_solutions_pass_independent_check(seed, domain, method, data)
     )
     options = SolverOptions(nr=NrOptions(tol=1e-10), homotopy=method, outer_max_passes=20)
     report, state = solve(net, options)
-    if report.status != CONVERGED:
-        return
+    # a run that does not converge is rejected, not passed: a solver that
+    # never converges fails as unsatisfiable
+    assume(report.status == CONVERGED)
     assert validate_solution(report.network, state).max < 10 * options.nr.tol
     if domain != PhaseDomain.POSITIVE_SEQUENCE:
         return
