@@ -544,12 +544,13 @@ def write_table(header, rows) -> str:
 def read_solution(network: Network, text: str) -> StateVector:
     """The state of a ``write_solution(fmt="json")`` document on
     ``network``: its bus voltages, with every other unknown (Q slots, source
-    currents) at 0. A bus or phase the case lacks raises ``ValueError``."""
+    currents) at 0. A bus that is not an integer (read as the case JSON reads
+    one), or a bus or phase the case lacks, raises ``ValueError``."""
     doc = json.loads(text)
     state = flat_state(IndexMap(network))
     phase_pos = {name: ph for ph, name in enumerate(network.domain.phases)}
     for rec in doc["buses"]:
-        bus, phase = int(rec["bus"]), rec["phase"]
+        bus, phase = _int(rec["bus"]), rec["phase"]
         if bus not in network.bus_index or phase not in phase_pos:
             raise ValueError(f"the case has no bus {bus} phase {phase!r}")
         state.v[phase_pos[phase], network.bus_index[bus]] = complex(

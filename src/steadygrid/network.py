@@ -314,6 +314,92 @@ class Network:
 # Structural validation
 
 
+def _generator_issues(network: Network, g: Generator, issue) -> None:
+    if not (g.qmin <= g.qmax):
+        issue("qlim_order", f"qmin {g.qmin} > qmax {g.qmax}")
+    idx = network.bus_index
+    if g.bus in idx:  # an unknown bus has no island to reach the remote bus from
+        remote = _remote_issue(network, g)
+        if remote is not None:
+            issue(remote.code, remote.message)
+    if g.controls_voltage:
+        tgt = g.target_bus()
+        if tgt in idx and network.bus(tgt).v_set is None:
+            issue("missing_vset", f"controlled bus {tgt} has no v_set")
+
+
+def _zip_issues(network: Network, ld: ZipLoad, issue) -> None:
+    if ld.connection == Connection.DELTA and network.domain != PhaseDomain.THREE_PHASE:
+        issue("bad_connection", "delta load in positive-sequence network")
+
+
+def _transformer_issues(network: Network, tx: Transformer, issue) -> None:
+    # the outer loop clips taps into the table, so a positive table keeps them positive
+    lo, hi = tx.tap_min, tx.tap_max
+    if not (0 < lo <= hi):
+        issue("tap_limits", f"tap table [{lo}, {hi}] needs 0 < min <= max")
+    # a NaN fails every comparison, so these range tests reject it; they read
+    # the entries whatever the shape, which the table checks
+    if not all(lo <= t <= hi for t in tx.tap.ravel().tolist()):
+        issue("tap_range", f"tap {tx.tap} outside [{lo}, {hi}]")
+    if not all(-math.pi < a <= math.pi for a in tx.shift.ravel().tolist()):
+        issue("shift_range", "phase shift outside (-180, 180] degrees")
+    if tx.controlled_bus is None:  # only a controlled tap is stepped toward a target
+        return
+    idx = network.bus_index
+    if tx.controlled_bus not in idx:
+        issue("unknown_bus", f"controlled bus {tx.controlled_bus} not defined")
+    if not 0 < tx.tap_step < math.inf:
+        issue("bad_control", f"tap_step {tx.tap_step} not finite and positive")
+    if tx.v_target is None:  # the target falls back to the bus's v_set
+        if tx.controlled_bus in idx and network.bus(tx.controlled_bus).v_set is None:
+            issue("bad_control",
+                  f"no v_target, and controlled bus {tx.controlled_bus} has no v_set")
+    elif not 0 < tx.v_target < math.inf:
+        issue("bad_control", f"v_target {tx.v_target} not finite and positive")
+
+
+def _shunt_issues(network: Network, sh: Shunt, issue) -> None:
+    if not sh.switchable:  # a fixed shunt's blocks and band are never read
+        return
+    if (sh.block_b is None or not all(map(cmath.isfinite, sh.block_b.ravel().tolist()))
+            or sh.max_blocks < 0 or not (0 <= sh.blocks_on <= sh.max_blocks)):
+        issue("bad_blocks", "switchable shunt needs finite block table")
+    if not 0 < sh.v_lo <= sh.v_hi < math.inf:  # the outer loop's band
+        issue("bad_control", f"band [{sh.v_lo}, {sh.v_hi}] needs 0 < v_lo <= v_hi < inf")
+
+
+def _groups(text: str) -> tuple:
+    """The array groups of a ``_FAMILIES`` row from their names, such as
+    ``"g/b block_b"``. A group is one array or two checked as one; per group
+    its first array, its second (or ``""``), whether it is the ``(nph, nph)``
+    ``y_series``, whether the table checks its values, whether it may be
+    None, and the subject of its messages (``g/b have``)."""
+    groups = []
+    for name in text.split():
+        first, _, second = name.partition("/")
+        groups.append((first, second, name == "y_series", name not in ("tap", "shift", "block_b"),
+                       name in ("q", "block_b"), name + (" have" if second else " has")))
+    return tuple(groups)
+
+
+# One row per device family: the label its issues use, its field of Network,
+# its bus fields, its per-phase arrays in the groups they are checked and
+# named in, and the checks that are the family's alone. ``y_series`` is
+# (nph, nph), every other array (nph,). The table checks only the shape of
+# ``tap``, ``shift`` and ``block_b``, whose values their family's checks
+# read. A regulating generator has no ``q``, and a fixed shunt no ``block_b``.
+_FAMILIES = (
+    ("gen", "generators", ("bus",), _groups("p q"), _generator_issues),
+    ("zip", "zip_loads", ("bus",), _groups("y i s"), _zip_issues),
+    ("big", "big_loads", ("bus",), _groups("alpha y"), None),
+    ("branch", "branches", ("from_bus", "to_bus"), _groups("y_series b_from/b_to"), None),
+    ("xfmr", "transformers", ("from_bus", "to_bus"), _groups("y_series tap shift"),
+     _transformer_issues),
+    ("shunt", "shunts", ("bus",), _groups("g/b block_b"), _shunt_issues),
+)
+
+
 def validate(network: Network) -> list[ValidationIssue]:
     """Check every structural invariant; empty list means the case is sound.
 
@@ -327,6 +413,8 @@ def validate(network: Network) -> list[ValidationIssue]:
     if not 0 < network.base_mva < math.inf:  # nan fails too
         add(ValidationIssue("bad_base", "network",
                             f"base MVA {network.base_mva} not finite and positive"))
+    if not network.buses:
+        add(ValidationIssue("no_bus", "network", "network has no bus"))
     if len(idx) != len(network.buses):
         add(ValidationIssue("duplicate_bus", "network", "duplicate bus ids"))
 
@@ -342,139 +430,44 @@ def validate(network: Network) -> list[ValidationIssue]:
             what = "finite" if b.v_set > 0 else "positive"
             add(ValidationIssue("bad_vset", f"bus {b.id}", f"v_set {b.v_set} not {what}"))
 
-    # ids name devices in outages, outer-loop events and the report
-    for family, devices in (
-        ("gen", network.generators), ("zip", network.zip_loads), ("big", network.big_loads),
-        ("branch", network.branches), ("xfmr", network.transformers), ("shunt", network.shunts),
-    ):
-        seen = set()
-        for d in devices:
-            if d.id in seen:
-                add(ValidationIssue("duplicate_id", f"{family} {d.id}",
-                                    "id repeated in its family"))
-            seen.add(d.id)
+    def issue(code: str, message: str) -> None:  # about device d of family label
+        add(ValidationIssue(code, f"{label} {d.id}", message))
 
-    def finite(arr: np.ndarray) -> bool:
-        return all(map(cmath.isfinite, arr.tolist()))
-
-    for g in network.generators:
-        dev = f"gen {g.id}"
-        if g.bus not in idx:
-            add(ValidationIssue("unknown_bus", dev, f"bus {g.bus} not defined"))
-            continue
-        if g.p.shape != (nph,):
-            add(ValidationIssue("bad_phase_count", dev, "p has wrong phase count"))
-        elif not finite(g.p):
-            add(ValidationIssue("not_finite", dev, "p has non-finite entries"))
-        if g.q is not None:
-            if g.q.shape != (nph,):
-                add(ValidationIssue("bad_phase_count", dev, "q has wrong phase count"))
-            elif not finite(g.q):
-                add(ValidationIssue("not_finite", dev, "q has non-finite entries"))
-        if not (g.qmin <= g.qmax):
-            add(ValidationIssue("qlim_order", dev, f"qmin {g.qmin} > qmax {g.qmax}"))
-        remote = _remote_issue(network, g)
-        if remote is not None:
-            add(remote)
-        if g.controls_voltage:
-            tgt = g.target_bus()
-            if tgt in idx and network.bus(tgt).v_set is None:
-                add(ValidationIssue("missing_vset", dev, f"controlled bus {tgt} has no v_set"))
-
-    for ld in network.zip_loads:
-        dev = f"zip {ld.id}"
-        if ld.bus not in idx:
-            add(ValidationIssue("unknown_bus", dev, f"bus {ld.bus} not defined"))
-        for name, arr in (("y", ld.y), ("i", ld.i), ("s", ld.s)):
-            if arr.shape != (nph,):
-                add(ValidationIssue("bad_phase_count", dev, f"{name} has wrong phase count"))
-            elif not finite(arr):
-                add(ValidationIssue("not_finite", dev, f"{name} has non-finite entries"))
-        if ld.connection == Connection.DELTA and network.domain != PhaseDomain.THREE_PHASE:
-            add(ValidationIssue("bad_connection", dev, "delta load in positive-sequence network"))
-
-    for ld in network.big_loads:
-        dev = f"big {ld.id}"
-        if ld.bus not in idx:
-            add(ValidationIssue("unknown_bus", dev, f"bus {ld.bus} not defined"))
-        for name, arr in (("alpha", ld.alpha), ("y", ld.y)):
-            if arr.shape != (nph,):
-                add(ValidationIssue("bad_phase_count", dev, f"{name} has wrong phase count"))
-            elif not finite(arr):
-                add(ValidationIssue("not_finite", dev, f"{name} has non-finite entries"))
-
-    for br in network.branches:
-        dev = f"branch {br.id}"
-        for end in (br.from_bus, br.to_bus):
-            if end not in idx:
-                add(ValidationIssue("unknown_bus", dev, f"bus {end} not defined"))
-        if br.y_series.shape != (nph, nph):
-            add(ValidationIssue("bad_phase_count", dev, "y_series has wrong shape"))
-        else:
-            y = br.y_series.ravel().tolist()
-            if not any(y):  # NaN counts as nonzero, as in np.any
-                add(ValidationIssue("zero_series_y", dev, "series admittance is zero"))
-            elif not all(map(cmath.isfinite, y)):
-                add(ValidationIssue("not_finite", dev, "y_series has non-finite entries"))
-            elif nph > 1 and not np.array_equal(br.y_series, br.y_series.T):
-                add(ValidationIssue("asymmetric_y", dev, "three-phase y_series not symmetric"))
-        if br.b_from.shape != (nph,) or br.b_to.shape != (nph,):
-            add(ValidationIssue("bad_phase_count", dev, "b_from/b_to have wrong phase count"))
-        elif not all(map(cmath.isfinite, br.b_from.tolist() + br.b_to.tolist())):
-            add(ValidationIssue("not_finite", dev, "b_from/b_to have non-finite entries"))
-
-    for tx in network.transformers:
-        dev = f"xfmr {tx.id}"
-        for end in (tx.from_bus, tx.to_bus):
-            if end not in idx:
-                add(ValidationIssue("unknown_bus", dev, f"bus {end} not defined"))
-        if tx.y_series.shape != (nph, nph):
-            add(ValidationIssue("bad_phase_count", dev, "y_series has wrong shape"))
-            continue
-        y = tx.y_series.ravel().tolist()
-        if not any(y):  # NaN counts as nonzero, as in np.any
-            add(ValidationIssue("zero_series_y", dev, "series admittance is zero"))
-        elif not all(map(cmath.isfinite, y)):
-            add(ValidationIssue("not_finite", dev, "y_series has non-finite entries"))
-        # the outer loop clips taps into the table, so a positive table keeps them positive
-        lo, hi = tx.tap_min, tx.tap_max
-        if not (0 < lo <= hi):
-            add(ValidationIssue("tap_limits", dev, f"tap table [{lo}, {hi}] needs 0 < min <= max"))
-        # a NaN fails every comparison, so these range tests reject it
-        if not all(lo <= t <= hi for t in tx.tap.tolist()):
-            add(ValidationIssue("tap_range", dev, f"tap {tx.tap} outside [{lo}, {hi}]"))
-        if not all(-math.pi < a <= math.pi for a in tx.shift.tolist()):
-            add(ValidationIssue("shift_range", dev, "phase shift outside (-180, 180] degrees"))
-        if tx.controlled_bus is not None:  # the outer loop steps the tap toward its target
-            if tx.controlled_bus not in idx:
-                add(ValidationIssue("unknown_bus", dev,
-                                    f"controlled bus {tx.controlled_bus} not defined"))
-            if not 0 < tx.tap_step < math.inf:
-                add(ValidationIssue("bad_control", dev,
-                                    f"tap_step {tx.tap_step} not finite and positive"))
-            if tx.v_target is None:  # the target falls back to the bus's v_set
-                if tx.controlled_bus in idx and network.bus(tx.controlled_bus).v_set is None:
-                    add(ValidationIssue("bad_control", dev, f"no v_target, and controlled bus "
-                                        f"{tx.controlled_bus} has no v_set"))
-            elif not 0 < tx.v_target < math.inf:
-                add(ValidationIssue("bad_control", dev,
-                                    f"v_target {tx.v_target} not finite and positive"))
-
-    for sh in network.shunts:
-        dev = f"shunt {sh.id}"
-        if sh.bus not in idx:
-            add(ValidationIssue("unknown_bus", dev, f"bus {sh.bus} not defined"))
-        if sh.g.shape != (nph,) or sh.b.shape != (nph,):
-            add(ValidationIssue("bad_phase_count", dev, "g/b have wrong phase count"))
-        elif not (finite(sh.g) and finite(sh.b)):
-            add(ValidationIssue("not_finite", dev, "g/b have non-finite entries"))
-        if sh.switchable:
-            if (sh.block_b is None or not finite(sh.block_b) or sh.max_blocks < 0
-                    or not (0 <= sh.blocks_on <= sh.max_blocks)):
-                add(ValidationIssue("bad_blocks", dev, "switchable shunt needs finite block table"))
-            if not 0 < sh.v_lo <= sh.v_hi < math.inf:  # the outer loop's band
-                add(ValidationIssue("bad_control", dev,
-                                    f"band [{sh.v_lo}, {sh.v_hi}] needs 0 < v_lo <= v_hi < inf"))
+    vector, square = (nph,), (nph, nph)
+    for label, family, bus_fields, groups, own_issues in _FAMILIES:
+        ids = set()
+        for d in getattr(network, family):
+            if d.id in ids:  # ids name devices in outages, outer-loop events and the report
+                issue("duplicate_id", "id repeated in its family")
+            ids.add(d.id)
+            for name in bus_fields:
+                bus = getattr(d, name)
+                if bus not in idx:
+                    issue("unknown_bus", f"bus {bus} not defined")
+            for name, paired, matrix, check_values, optional, subject in groups:
+                arr = getattr(d, name)
+                if arr is None and optional:
+                    continue
+                other = getattr(d, paired) if paired else None
+                shape = square if matrix else vector
+                if arr.shape != shape or (paired and other.shape != shape):
+                    issue("bad_phase_count",
+                          f"{subject} wrong " + ("shape" if matrix else "phase count"))
+                    continue
+                if not check_values:
+                    continue
+                values = (arr.ravel() if matrix else arr).tolist()
+                if paired:
+                    values += other.tolist()
+                if matrix and not any(values):  # NaN counts as nonzero, as in np.any
+                    issue("zero_series_y", "series admittance is zero")
+                elif not all(map(cmath.isfinite, values)):
+                    issue("not_finite", f"{subject} non-finite entries")
+                elif (matrix and label == "branch" and nph > 1
+                      and values != arr.T.ravel().tolist()):  # as np.array_equal(arr, arr.T)
+                    issue("asymmetric_y", "three-phase y_series not symmetric")
+            if own_issues is not None:
+                own_issues(network, d, issue)
 
     return issues
 

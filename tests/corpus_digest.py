@@ -95,6 +95,19 @@ network:
 
     PYTHONPATH=src python3 tests/corpus_digest.py --cases > after.txt
 
+``--issues`` prints, instead, one line per damaged network: its label, the
+issues ``validate`` reports for it (``ok`` for none) and a hash of the
+network, so a plain ``diff`` of two trees shows every issue list that
+changed. The networks are the two ``_broken_networks`` of
+``test_network``, an empty network in each domain, and copies of each
+corpus case in which one field of one of the first two devices of a family
+(buses included) is damaged: an array resized to ``nphase + 1`` or to 0
+entries along each axis, or filled with NaN, inf or zeros; a bus field set
+to a bus the case lacks; a float field set to NaN, inf, -1 or 0; a bool
+flipped:
+
+    PYTHONPATH=src python3 tests/corpus_digest.py --issues > after.txt
+
 ``--code-lines`` prints, instead, the code lines of each module of the
 imported ``steadygrid`` (no blank lines, comments or docstrings), then
 their total, the measure of a change's size in code:
@@ -132,13 +145,16 @@ from steadygrid.analyses import Outage, apply_outage
 from steadygrid.caseio import load_case, parse_case, write_table
 from steadygrid.cli import main
 from steadygrid.homotopy import LAMBDA_TRACE_FIELDS
-from steadygrid.network import PhaseDomain, phase_array, validate
+from steadygrid.network import Network, PhaseDomain, phase_array, validate
 from steadygrid.nr import NrOptions, NrTraceRow
 from steadygrid.solver import InitSpec, SolverOptions, solve, transfer_state
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CASES = os.path.join(ROOT, "cases")
 
+FAMILIES = ("buses", "generators", "zip_loads", "big_loads", "branches", "transformers",
+            "shunts")
+BUS_FIELDS = ("bus", "from_bus", "to_bus", "remote_bus", "controlled_bus")
 OUTAGE_CASES = ("case14.net", "case30_mesh.net", "case56_mesh.net", "case196_mesh.net",
                 "feeder8.json")
 COST_SOLVES = 40  # timed solves of --call-costs, after one untimed
@@ -314,8 +330,7 @@ def network_digest(network) -> str:
     """A hash of the domain, base and name of ``network`` and of every field
     of every device it holds."""
     parts = [repr((network.domain, network.base_mva, network.name)).encode()]
-    for family in ("buses", "generators", "zip_loads", "big_loads", "branches",
-                   "transformers", "shunts"):
+    for family in FAMILIES:
         for device in getattr(network, family):
             for f in dataclasses.fields(device):
                 value = getattr(device, f.name)
@@ -338,6 +353,50 @@ def case_lines():
         for seed in range(14):
             network = parse_case(write_case(random_network(seed, domain)))
             yield f"random_network {seed} {domain.name}", network_digest(network)
+
+
+def damaged_copies(device, nphase: int, missing_bus: int):
+    """``(label, copy)`` per damaged copy of ``device``, one field damaged
+    in each, as ``--issues`` lists them."""
+    for f in fields(device):
+        value = getattr(device, f.name)
+        if isinstance(value, np.ndarray):
+            changes = [(f" size={n}", np.resize(value, (n,) * value.ndim)) for n in (nphase + 1, 0)]
+            changes += [(f"={fill:g}", np.full_like(value, fill)) for fill in (math.nan, math.inf, 0)]
+        elif f.name in BUS_FIELDS:
+            changes = [("=missing", missing_bus)]
+        elif isinstance(value, bool):
+            changes = [(f"={not value}", not value)]
+        elif isinstance(value, float):
+            changes = [(f"={v:g}", v) for v in (math.nan, math.inf, -1.0, 0.0)]
+        else:
+            continue
+        for label, new in changes:
+            yield f"{f.name}{label}", replace(device, **{f.name: new})
+
+
+def issue_lines():
+    """``(line, hash)`` per damaged network of ``--issues``."""
+    from test_network import _broken_networks
+
+    networks = [(f"broken {net.domain.name}", net) for net in _broken_networks()]
+    networks += [(f"empty {domain.name}", Network(domain, 100.0, ())) for domain in PhaseDomain]
+    for case in sorted(os.listdir(CASES)):
+        network = load_case(os.path.join(CASES, case)).network
+        missing = max(network.bus_index) + 1
+        for family in FAMILIES:
+            devices = getattr(network, family)
+            for k, device in enumerate(devices[:2]):
+                for label, copy_ in damaged_copies(device, network.nphase, missing):
+                    changed = devices[:k] + (copy_,) + devices[k + 1:]
+                    networks.append((f"{case} {family}[{k}] {label}",
+                                     network.with_devices(**{family: changed})))
+    for label, network in networks:
+        try:
+            issues = "; ".join(map(str, validate(network))) or "ok"
+        except Exception as exc:  # a raised check is part of the behaviour
+            issues = f"raised {type(exc).__name__}"
+        yield f"{label}: {issues}", network_digest(network)
 
 
 def code_lines(source: str) -> int:
@@ -493,6 +552,8 @@ if __name__ == "__main__":
     parser.add_argument("--cases", action="store_true",
                         help="print a hash of each parsed corpus case and round-tripped "
                              "random network instead")
+    parser.add_argument("--issues", action="store_true",
+                        help="print the validate issues of each damaged network instead")
     parser.add_argument("--code-lines", action="store_true",
                         help="print the code lines of each steadygrid module instead")
     parser.add_argument("--call-costs", nargs=2, metavar=("CASE", "METHOD"),
@@ -524,6 +585,8 @@ if __name__ == "__main__":
             lines = outage_lines(states)
         elif args.cases:
             lines = case_lines()
+        elif args.issues:
+            lines = issue_lines()
         else:
             lines = itertools.chain(corpus_lines(states, args.repeat, differs), cli_lines())
         for line, digest in lines:

@@ -271,6 +271,26 @@ def test_json_solution_round_trip_bitwise():
     assert json.loads(text)["report"]["status"] == "converged"
 
 
+def test_a_solution_row_names_its_bus_by_the_json_integer_rule():
+    net = net_2bus()
+    report, state = solve(net)
+    doc = json.loads(write_solution(net, state, report, fmt="json"))
+    for rec in doc["buses"]:
+        rec["bus"] = float(rec["bus"])  # 2.0 names bus 2
+    assert read_solution(net, json.dumps(doc)).v.tobytes() == state.v.tobytes()
+    for bad in (2.9, True):  # int() read them as bus 2 and bus 1
+        doc["buses"][-1]["bus"] = bad
+        with pytest.raises(ValueError, match=f"expected an integer, got {bad!r}"):
+            read_solution(net, json.dumps(doc))
+
+
+@pytest.mark.parametrize("text", ["", "{}"], ids=["net", "json"])
+def test_a_case_without_a_bus_is_a_semantic_error(text):
+    with pytest.raises(CaseSemanticError) as err:
+        parse_case(text)
+    assert str(err.value) == "network: [no_bus] network: network has no bus"
+
+
 def test_csv_floats_reread_exactly():
     net = net_2bus()
     _, state = solve(net)

@@ -161,6 +161,17 @@ def test_a_malformed_json_record_is_a_case_error(tmp_path, capsys, doc, where, f
         assert out == "" and err.startswith(f"bad case file: {where}: ") and field in err
 
 
+@pytest.mark.parametrize("name, text", [("empty.net", ""), ("empty.json", "{}")])
+def test_a_case_without_a_bus_is_rejected(tmp_path, capsys, name, text):
+    bad = tmp_path / name
+    bad.write_text(text)
+    assert run(["validate", str(bad)]) == 1
+    assert capsys.readouterr().out == "invalid: network: [no_bus] network: network has no bus\n"
+    assert run(["solve", str(bad), "--out", str(tmp_path / "out")]) == EX_NOINPUT
+    out, err = capsys.readouterr()
+    assert out == "" and "no_bus" in err and not (tmp_path / "out").exists()
+
+
 def test_a_zero_tap_table_is_rejected_before_any_solve(tmp_path, capsys):
     bad = tmp_path / "tap0.net"
     bad.write_text(
@@ -287,6 +298,9 @@ def test_missing_init_file_is_input_error(tmp_path, capsys):
     '{"buses": [{"bus": 1, "phase": "a", "vr_pu": 1.0, "vi_pu": 0.0}]}',
     '{"buses": [{"bus": 1, "phase": "p", "vr_pu": NaN, "vi_pu": 0.0}]}',
     '{"buses": [{"bus": 1, "phase": "p", "vr_pu": Infinity, "vi_pu": 0.0}]}',
+    # a bus is an integer, as in the case JSON: neither truncated nor a bool
+    '{"buses": [{"bus": 2.9, "phase": "p", "vr_pu": 1.0, "vi_pu": 0.0}]}',
+    '{"buses": [{"bus": true, "phase": "p", "vr_pu": 1.0, "vi_pu": 0.0}]}',
 ])
 def test_malformed_init_file_is_input_error(tmp_path, capsys, text):
     sol = tmp_path / "sol.json"

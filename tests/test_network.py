@@ -440,3 +440,69 @@ def test_only_a_controlled_device_needs_a_control_to_step():
     # a fixed tap never steps, and a fixed shunt's band is never read
     assert validate(_tap_with(tap_step=math.nan, controlled_bus=None)) == []
     assert validate(_bank_with(v_lo=math.nan, switchable=False)) == []
+
+
+def _networks_with_every_array():
+    """A valid network per domain that holds every per-phase array of every
+    device family: a fixed generator's q and a switchable shunt's block_b too."""
+    net = net_allparts()
+    bank = replace(net.shunts[0], switchable=True, block_b=phase_array(0.05, 1), max_blocks=2)
+    yield net.with_devices(shunts=(bank,))
+    bank = Shunt(1, 3, g=phase_array(0.0, 3), b=phase_array(0.0, 3), switchable=True,
+                 block_b=phase_array(0.05, 3), max_blocks=2)
+    gen = Generator(1, 3, p=phase_array(0.1, 3), q=phase_array(0.02, 3))
+    yield net_3phase().with_devices(generators=(gen,), shunts=(bank,))
+
+
+ARRAY_FIELDS = [(cls, f.name) for cls in (Generator, ZipLoad, BigLoad, Branch, Transformer, Shunt)
+                for f in fields(cls) if f.type.startswith("np.ndarray")]
+
+
+@pytest.mark.parametrize("cls, name", ARRAY_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in ARRAY_FIELDS])
+def test_every_device_array_at_a_wrong_phase_count_is_rejected(cls, name):
+    family = {Generator: "generators", ZipLoad: "zip_loads", BigLoad: "big_loads",
+              Branch: "branches", Transformer: "transformers", Shunt: "shunts"}[cls]
+    for net in _networks_with_every_array():
+        assert validate(net) == []
+        devices = getattr(net, family)
+        k = next(k for k, d in enumerate(devices) if getattr(d, name) is not None)
+        arr = getattr(devices[k], name)
+        for size in (net.nphase + 1, 0):  # one phase too many, and none
+            wrong = replace(devices[k], **{name: np.resize(arr, (size,) * arr.ndim)})
+            bad = net.with_devices(**{family: devices[:k] + (wrong,) + devices[k + 1:]})
+            issues = validate(bad)
+            assert [i.code for i in issues] == ["bad_phase_count"], (net.domain, size)
+            assert name in issues[0].message.split()[0].split("/")
+
+
+def test_taps_of_the_wrong_length_are_not_solved():
+    # both used to pass: the solve converged with transformer 2 at transformer 1's 0.9
+    net = load_case(case_path("case14.net")).network
+    tx = net.transformers
+    taps = (replace(tx[0], tap=np.array([0.978, 0.9])), replace(tx[1], tap=np.array([])))
+    with pytest.raises(InvalidNetworkError) as err:
+        solve(net.with_devices(transformers=taps + tx[2:]))
+    assert [(i.code, i.device, i.message) for i in err.value.issues] == [
+        ("bad_phase_count", "xfmr 1", "tap has wrong phase count"),
+        ("bad_phase_count", "xfmr 2", "tap has wrong phase count"),
+    ]
+
+
+def test_a_tap_or_block_table_of_the_wrong_length_is_not_solved():
+    # the solve used to raise numpy's reshape and bincount errors on these
+    feeder = load_case(case_path("feeder8.json")).network
+    tx = feeder.transformers
+    short_tap = replace(tx[0], tap=phase_array(1.0, 1))
+    net = load_case(case_path("case14.net")).network
+    bank = replace(net.shunts[0], switchable=True, block_b=np.array([0.05, 0.05]), max_blocks=2)
+    for bad, want in (
+        (feeder.with_devices(transformers=(short_tap,) + tx[1:]),
+         ("xfmr 1", "tap has wrong phase count")),
+        (net.with_devices(shunts=(bank,)), ("shunt 1", "block_b has wrong phase count")),
+    ):
+        with pytest.raises(InvalidNetworkError) as err:
+            solve(bad)
+        assert [(i.code, i.device, i.message) for i in err.value.issues] == [
+            ("bad_phase_count", *want)
+        ]
