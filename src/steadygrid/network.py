@@ -317,6 +317,8 @@ class Network:
 def _generator_issues(network: Network, g: Generator, issue) -> None:
     if not (g.qmin <= g.qmax):
         issue("qlim_order", f"qmin {g.qmin} > qmax {g.qmax}")
+    elif g.qmin == math.inf or g.qmax == -math.inf:  # no finite Q to pin the machine at
+        issue("qlim_order", f"Q band [{g.qmin}, {g.qmax}] lies at infinity")
     idx = network.bus_index
     if g.bus in idx:  # an unknown bus has no island to reach the remote bus from
         remote = _remote_issue(network, g)

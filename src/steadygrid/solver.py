@@ -2,19 +2,24 @@
 the outer device-limit loop adjusting generator Q limits, switched shunts and
 controlled transformer taps until nothing moves.
 
-The outer loop runs the inner solve, then enforces device limits one pass at
-a time. Q limits act per Q-slot lane, a (generator, phase) pair: one array
-pass over the lanes pins those whose free reactive power leaves its band at
-the violated limit (their bus drops to PQ) and releases pinned lanes whose
-regulated voltage crosses the set-point in the relieving direction; events
-are recorded in lane order. Then one pass over the controls steps each one
-move toward its band. The controls are what the case declares: every
-switchable shunt bank (blocks) and every transformer with a controlled bus
-and a target (tap), listed once per solve, banks first, each in device
-order; no option turns them on or off. Every device freezes for the
-remaining passes at its first reversal (a lane at its release, a control at
-its first move against its last), so the loop cannot oscillate forever;
-running out of passes reports Infeasible.
+The outer loop runs one inner solve per pass, then enforces device limits.
+Under ``tx`` or ``power`` the first pass walks the continuation from the
+anchored start, the solve's one walk, whose accepted steps are
+``lambda_trace`` and number ``homotopy_steps``; every later pass, and every
+pass under ``none``, runs plain Newton from the previous pass's state (the
+initial state on the first). A failed inner solve ends the solve diverged.
+After each inner solve, Q limits act per Q-slot lane, a (generator, phase)
+pair: one array pass over the lanes pins those whose free reactive power
+leaves its band at the violated limit (their bus drops to PQ) and releases
+pinned lanes whose regulated voltage crosses the set-point in the relieving
+direction; events are recorded in lane order. Then one pass over the controls
+steps each one move toward its band. The controls are what the case declares:
+every switchable shunt bank (blocks) and every transformer with a controlled
+bus and a target (tap), listed once per solve, banks first, each in device
+order; no option turns them on or off. Every device freezes for the remaining
+passes at its first reversal (a lane at its release, a control at its first
+move against its last), so the loop cannot oscillate forever; running out of
+passes reports Infeasible.
 
 The set-up that depends only on the immutable :class:`Network` is built by
 the first solve of a network object and kept on it for every later solve
@@ -437,39 +442,30 @@ def solve(network: Network, options: SolverOptions | None = None):
     moves = [0] * len(controls)  # each control's last move, None once frozen
     events: list = []
     total_inner = 0
-    homotopy_steps = 0
-    lam_trace: list = []
     nr_trace: list = []
     status = DIVERGED
     pass_no = 0
 
     for pass_no in range(1, options.outer_max_passes + 1):
-        ok = False
-        # continuation opens the first pass; later passes re-solve plainly and
-        # continue again only when devices moved and Newton stalled
-        if options.homotopy == "none" or pass_no > 1:
-            state_new, ok, iters, _ = run_newton(
-                bound, state, options.nr, modes, system, nr_trace
-            )
-            total_inner += iters
-            if ok:
-                state = state_new
-        if not ok and options.homotopy != "none":
-            hres = run_homotopy(
+        if pass_no == 1 and options.homotopy != "none":
+            # the solve's one continuation walk, from the anchored start
+            walk = run_homotopy(
                 layout, params, anchored_state(network, index), options.homotopy,
                 options.nr, options.gamma, modes, system, nr_trace,
             )
-            total_inner += hres.inner_iterations
-            homotopy_steps += len(hres.accepted)
-            lam_trace = hres.accepted
-            ok = hres.converged
-            if ok:
-                state = hres.state
-            else:
-                report.last_lambda = hres.last_good_lambda
+            total_inner += walk.inner_iterations
+            report.homotopy_steps = len(walk.accepted)
+            report.lambda_trace = walk.accepted
+            if not walk.converged:
+                report.last_lambda = walk.last_good_lambda
+            solved, ok = walk.state, walk.converged
+        else:
+            # plain Newton from the previous pass's state (or the start)
+            solved, ok, iters, _ = run_newton(bound, state, options.nr, modes, system, nr_trace)
+            total_inner += iters
         if not ok:
-            status = DIVERGED
             break
+        state = solved
 
         changed = False
         if options.enforce_q_limits:
@@ -490,10 +486,8 @@ def solve(network: Network, options: SolverOptions | None = None):
 
     report.status = status
     report.inner_iterations = total_inner
-    report.homotopy_steps = homotopy_steps
     report.outer_passes = pass_no
     report.switch_events = events
-    report.lambda_trace = lam_trace
     report.nr_trace = nr_trace
     report.network = operated
 

@@ -86,6 +86,14 @@ this on each, alternately; it runs with every BLAS pool at one thread:
 
     PYTHONPATH=src python3 tests/corpus_digest.py --call-costs hard_corridor.net power
 
+``--summary`` prints, instead, one Markdown table over the corpus solve
+lines (every line but the CLI ones): for each method, the count of each
+status and the Newton iterations summed over its lines, then the same over
+all methods. It is the status table a change that moves statuses or counts
+reports before and after:
+
+    PYTHONPATH=src python3 tests/corpus_digest.py --summary
+
 ``--cases`` prints, instead, one line per file in ``cases/`` and one per
 ``random_network`` seed 0-13 in each domain, written by ``casewriter`` and
 parsed again, each with a hash of the parsed network: its domain, base and
@@ -202,6 +210,28 @@ def _run(network, options):
     tail = (f"{report.status} {report.inner_iterations} {report.homotopy_steps} "
             f"{report.outer_passes}")
     return tail, digest, state.x if report.status == "converged" else None
+
+
+def summary_lines(lines):
+    """The ``--summary`` table of the ``(line, hash)`` pairs of
+    :func:`corpus_lines`: per method, then over all, the count of each
+    status (``raised`` for a raised run) and the Newton iterations."""
+    statuses = (solver.CONVERGED, solver.DIVERGED, solver.INFEASIBLE, "raised")
+    rows = {method: dict.fromkeys(statuses + ("iterations",), 0)
+            for method in ("none", "tx", "power", "all")}
+    for line, _ in lines:
+        words = line.split()  # label (case, method, ...) then the work tail
+        if words[-2] == "raised":
+            status, iterations = "raised", 0
+        else:
+            status, iterations = words[-4], int(words[-3])
+        for method in (words[1], "all"):
+            rows[method][status] += 1
+            rows[method]["iterations"] += iterations
+    yield "| method | " + " | ".join(statuses) + " | Newton iterations |"
+    yield "|---" * (len(statuses) + 2) + "|"
+    for method, row in rows.items():
+        yield f"| {method} | " + " | ".join(str(n) for n in row.values()) + " |"
 
 
 def control_networks():
@@ -549,6 +579,9 @@ if __name__ == "__main__":
                         help="print one line per valid single series outage instead")
     parser.add_argument("--plans", action="store_true",
                         help="print each corpus network's factorization plan instead")
+    parser.add_argument("--summary", action="store_true",
+                        help="print the status counts and Newton iterations of the corpus "
+                             "solve lines per method instead")
     parser.add_argument("--cases", action="store_true",
                         help="print a hash of each parsed corpus case and round-tripped "
                              "random network instead")
@@ -569,6 +602,8 @@ if __name__ == "__main__":
         print("\n".join(plan_lines()))
     elif args.code_lines:
         print("\n".join(code_line_lines()))
+    elif args.summary:
+        print("\n".join(summary_lines(corpus_lines())))
     elif args.jobs:
         for line in job_lines(args.jobs, args.seeds):
             print(line, flush=True)

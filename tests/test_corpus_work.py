@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from steadygrid import linsys
+from steadygrid import linsys, solver
 from steadygrid.caseio import load_case
 from steadygrid.linsys import SparseSystem
 from steadygrid.nr import NrOptions
@@ -55,8 +55,8 @@ WORK = {
     },
     "case20_radial.net": {
         "none": ("diverged", 111, 0, 2, 0),
-        "tx": ("diverged", 1351, 22, 2, 0),
-        "power": ("diverged", 1363, 15, 2, 0),
+        "tx": ("diverged", 121, 6, 2, 0),
+        "power": ("diverged", 124, 6, 2, 0),
     },
     "case2_twosol.net": {
         "none": ("converged", 4, 0, 1, 0),
@@ -131,7 +131,15 @@ def test_corpus_work_counts(case, method, monkeypatch):
         systems.add(self)
         return _run(self)
 
+    walks = 0
+
+    def counting_run_homotopy(*args, _run=solver.run_homotopy):
+        nonlocal walks
+        walks += 1
+        return _run(*args)
+
     monkeypatch.setattr(SparseSystem, "factor_solve", counting_factor_solve)
+    monkeypatch.setattr(solver, "run_homotopy", counting_run_homotopy)
     net = load_case(os.path.join(CASE_DIR, case)).network
     report, _ = solve(net, SolverOptions(homotopy=method, nr=NrOptions(tol=1e-8)))
     got = (report.status, report.inner_iterations, report.homotopy_steps, report.outer_passes,
@@ -139,6 +147,9 @@ def test_corpus_work_counts(case, method, monkeypatch):
     assert got == WORK[case][method]
     # one factorization per Newton step: a converged iterate is never factored
     assert factorizations == report.inner_iterations
+    # one continuation walk per solve, whose accepted steps are the lambda trace
+    assert walks == (method != "none")
+    assert report.homotopy_steps == len(report.lambda_trace)
 
 
 @pytest.mark.parametrize("case, method", [

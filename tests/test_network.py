@@ -194,6 +194,9 @@ def _broken_networks():
         Generator(5, 1, p=r1(0.1), remote_bus=3),
         Generator(6, 1, p=r1(inf), q=r1(nan)),
         Generator(7, 6, p=r1(0.1), remote_bus=7),
+        # Q bands pinned at infinity: no finite Q to pin the machine at
+        Generator(8, 1, p=r1(0.1), qmin=inf, qmax=inf),
+        Generator(9, 1, p=r1(0.1), qmin=-inf, qmax=-inf),
     )
     zips = (
         ZipLoad(1, 97, Connection.DELTA, y=c1(0), i=c1(0), s=c1(complex(nan, 0))),
@@ -259,7 +262,7 @@ def _broken_networks():
 
 
 # recorded before validate() replaced its numpy reductions with scalar checks,
-# plus the non-finite values and tap tables that validate() rejects since
+# plus the non-finite values, tap tables and Q bands at infinity that validate() rejects since
 BROKEN_ISSUES = (
     [
         ('bad_base', 'network', 'base MVA -1.0 not finite and positive'),
@@ -281,6 +284,8 @@ BROKEN_ISSUES = (
         ('not_finite', 'gen 6', 'p has non-finite entries'),
         ('not_finite', 'gen 6', 'q has non-finite entries'),
         ('unreachable_remote', 'gen 7', 'no path from bus 6 to remote bus 7'),
+        ('qlim_order', 'gen 8', 'Q band [inf, inf] lies at infinity'),
+        ('qlim_order', 'gen 9', 'Q band [-inf, -inf] lies at infinity'),
         ('unknown_bus', 'zip 1', 'bus 97 not defined'),
         ('not_finite', 'zip 1', 's has non-finite entries'),
         ('bad_connection', 'zip 1', 'delta load in positive-sequence network'),
