@@ -16,7 +16,9 @@ adaptive step, warm-starting every sub-problem from the previous solution.
 
 Both transforms are array operations on :class:`DeviceParams` that share
 every array they leave unchanged with their base. Only values move, so every
-sub-problem binds to the one companion layout of the solve.
+sub-problem binds to the one companion layout of the solve, and each bind
+takes what its step left unchanged from the bind before it: a Tx step the
+lane parameters and the constant rhs, a power step the linear CSC data.
 
 The factor moves from 1 to 0 with fixed step control: the first step is
 ``D_LAMBDA``; a failed sub-problem multiplies the step by ``BACKTRACK`` until
@@ -138,15 +140,21 @@ def run_homotopy(
     of ``base`` (``method`` is ``tx`` or ``power``, which ignores ``gamma``),
     starting the first sub-problem from ``start`` (``solve`` passes
     :func:`anchored_state`); every sub-problem binds its parameter set to
-    ``layout`` and appends its iterations to ``nr_trace``."""
+    ``layout``, reusing from the last bind the part its transform shares
+    with it (:meth:`Companion.bind`), and appends its iterations to
+    ``nr_trace``."""
 
     def params_at(lam: float) -> DeviceParams:
         if method == "tx":
             return tx_transform(base, lam, gamma)
         return power_transform(base, 1.0 - lam)
 
+    bound = None
+
     def newton_at(lam: float, state: StateVector):
-        return run_newton(layout.bind(params_at(lam)), state, options, modes, system, nr_trace)
+        nonlocal bound
+        bound = layout.bind(params_at(lam), bound)
+        return run_newton(bound, state, options, modes, system, nr_trace)
 
     lam = 1.0
     step = D_LAMBDA

@@ -181,6 +181,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs
+from scipy.sparse._sparsetools import csc_matvec
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
@@ -429,6 +430,15 @@ def _dense_lu(a_s: np.ndarray):
     return lambda r: dgetrs(lu, piv, r)[0]
 
 
+def _product(a: sparse.csc_matrix, x: np.ndarray) -> np.ndarray:
+    """``a @ x`` for a float vector ``x``: the CSC kernel scipy's own product
+    calls, into zeros (``_cs_matrix._matmul_vector`` in scipy 1.17.1), so
+    the same bits without scipy's dispatch."""
+    y = np.zeros(a.shape[0])
+    csc_matvec(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, x, y)
+    return y
+
+
 def _splu(a: sparse.csc_matrix, permc_spec: str):
     try:
         return splu(a, permc_spec=permc_spec, **_SUPERLU_SETTING)
@@ -484,9 +494,15 @@ class SparseSystem:
             raise RuntimeError("assemble() before accessing the rhs")
         return self._rhs
 
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        """``A x - b`` of the assembled system at the float vector ``x``:
+        the bits of ``self.matrix @ x - self.rhs``."""
+        return _product(self.matrix, x) - self.rhs
+
     def factor_solve(self) -> np.ndarray:
         """The solve of the assembled system on its pattern's plan, with row
-        equilibration and one refinement step (see the module docstring).
+        equilibration and one refinement step (see the module docstring),
+        as a new array on every call, which the caller may keep or edit.
 
         A pattern's first factorization sets its plan: at or below
         ``_DENSE_MAX_N`` unknowns before its rows are checked, above it from
@@ -530,7 +546,7 @@ class SparseSystem:
             raise SingularityError(bad, "non-finite solution entry")
         # one step of iterative refinement when the backward error is loose
         denom = max(1.0, np.abs(b_s).max()) if b_s.size else 1.0
-        res = b_s - a_s @ x
+        res = b_s - (a_s @ x if isinstance(plan, _DensePlan) else _product(a_s, x))
         if np.abs(res).max() / denom > 1e-12:
             x = x + solve(res)
         return x

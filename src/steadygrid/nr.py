@@ -1,7 +1,9 @@
 """Inner Newton-Raphson loop with variable, voltage and Q limiting.
 
 Each call takes one parameter set already bound to the companion layout
-(``solve()`` lays the layout out once and binds each parameter set once).
+(``solve()`` lays the layout out once; a parameter set is bound when a
+Newton call first needs it, and a continuation step's bind reuses what its
+step left unchanged).
 Each pass of the one loop assembles the system at the current iterate and
 measures the true nonlinear residual (``A x_k - b`` is exact for companion
 stamps). A converged iterate returns before any factorization; otherwise
@@ -178,7 +180,7 @@ def check_convergence(
     limiting shrank it), not re-measured undamped.
     """
     nv = layout.index.nv
-    f = system.matrix @ state.x - system.rhs
+    f = system.residual(state.x)
     return _max_abs(f[:nv], layout.kcl_mask[:nv]), _max_abs(f[nv:], layout.kcl_mask[nv:])
 
 
@@ -236,7 +238,7 @@ def run_newton(
                     raise
                 _reinit_voltage(current, zvi.bus, zvi.phase)
         system.assemble(c.pattern, data, rhs)
-        f = system.matrix @ current.x - rhs
+        f = system.residual(current.x)
         residual = float(np.abs(f[kcl]).max()) if kcl.size else 0.0
         if residual < options.tol:
             return current, True, k, residual
@@ -251,8 +253,8 @@ def run_newton(
         dv = x_raw[:nv] - v_k
         abs_dv = np.abs(dv)
         max_dv = float(abs_dv.max()) if nv else 0.0
-        # auxiliary slack currents and Q slots take the raw solve
-        new = StateVector(x_raw.copy(), current.index)
+        # auxiliary slack currents and Q slots take the raw solve, a new array
+        new = StateVector(x_raw, current.index)
         new.x[:nv] = apply_voltage_limiting(v_k, dv, options)
         # the limiter's decisions, not the round-off of v_k + (x_raw - v_k)
         reach = v_k + dv

@@ -385,7 +385,8 @@ def solve_setup(network: Network):
         setup = validate(network)  # the issues, kept as the list they are
         if not setup:
             index = IndexMap(network)
-            # taps and shunt blocks only bind values: one layout serves every pass
+            # taps and shunt blocks only bind values: one layout serves every
+            # pass, and solve binds a parameter set when a Newton pass needs it
             setup = (index, build_companion(network, index), effective_params(network))
         object.__setattr__(network, "_setup", setup)
     if isinstance(network._setup, list):
@@ -430,7 +431,7 @@ def solve(network: Network, options: SolverOptions | None = None):
 
     t0 = time.perf_counter()
     index, layout, params = solve_setup(network)
-    bound = layout.bind(params)
+    bound = None  # the binding of params, made when a plain Newton pass first needs it
     modes = GenModes.initial(index)
     system = SparseSystem(index.dim)
 
@@ -461,6 +462,8 @@ def solve(network: Network, options: SolverOptions | None = None):
             solved, ok = walk.state, walk.converged
         else:
             # plain Newton from the previous pass's state (or the start)
+            if bound is None or bound.params is not params:
+                bound = layout.bind(params)
             solved, ok, iters, _ = run_newton(bound, state, options.nr, modes, system, nr_trace)
             total_inner += iters
         if not ok:
@@ -476,7 +479,6 @@ def solve(network: Network, options: SolverOptions | None = None):
         if stepped is not operated:
             operated = stepped
             params = effective_params(operated)
-            bound = layout.bind(params)
             changed = True
         if not changed:
             status = CONVERGED

@@ -17,11 +17,16 @@ is exactly the nonlinear KCL/constraint residual. It is made in three steps:
   and every Q-slot row keeps its diagonal and both regulated-voltage columns
   whether the generator is free or pinned;
 * :meth:`Companion.bind` **binds** one parameter set (:class:`DeviceParams`,
-  stacked arrays): the linear part (branches and charging, transformers
-  with ``n = tap * exp(j shift)`` on the from side, virtual shorts, shunts,
-  BIG loads, wye and delta ZIP impedance, slack rows) reduced into CSC data,
-  the constant rhs and the lane parameters. Continuation steps, taps and
-  shunt blocks change only this step;
+  stacked arrays) in two parts: the linear part (branches and charging,
+  transformers with ``n = tap * exp(j shift)`` on the from side, virtual
+  shorts, shunts, BIG loads, wye and delta ZIP impedance, slack rows)
+  reduced into CSC data, read from :data:`LINEAR_FIELDS`; and the lane part,
+  the lane parameters and the constant rhs, read from :data:`LANE_FIELDS`.
+  Given the bound of the previous parameter set, it takes each part whose
+  fields are the same objects there (``short_y`` the same value) from that
+  bound instead of computing it again: a power step moves only the lanes,
+  a Tx step only the linear part. Continuation steps, taps and shunt blocks
+  change only this step;
 * :func:`assemble_system` computes the nonlinear values at the iterate in
   closed form over complex lanes (generators per (generator, phase), the
   constant-current and -power parts of ZIP loads per (load, terminal)) and
@@ -162,6 +167,23 @@ class DeviceParams:
             xfmr_tap=np.delete(self.xfmr_tap, transformers, axis=0),
             xfmr_shift=np.delete(self.xfmr_shift, transformers, axis=0),
         )
+
+
+# the DeviceParams fields each part of Companion.bind reads: the linear
+# part's CSC data, and the lane part's lane parameters and constant rhs
+LINEAR_FIELDS = ("branch_y", "branch_bf", "branch_bt", "xfmr_y", "xfmr_tap", "xfmr_shift",
+                 "shunt_y", "big_y", "zip_y", "short_y")
+LANE_FIELDS = ("gen_p", "gen_q", "zip_i", "zip_s", "big_alpha")
+
+
+def _same_fields(a: DeviceParams, b: DeviceParams, fields) -> bool:
+    """Every field of ``fields`` is the same array object in ``a`` and
+    ``b``, or, for a scalar, the same value."""
+    for name in fields:
+        x, y = getattr(a, name), getattr(b, name)
+        if x is not y and (isinstance(x, np.ndarray) or x != y):
+            return False
+    return True
 
 
 def effective_params(network: Network) -> DeviceParams:
@@ -308,14 +330,34 @@ class Companion:
         owner = np.where(owner < 0, owner, owner - np.searchsorted(removed, owner))
         return replace(self, linear_slots=self.linear_slots[keep], linear_owner=owner)
 
-    def bind(self, params: DeviceParams) -> "BoundCompanion":
+    def bind(self, params: DeviceParams, previous: "BoundCompanion | None" = None
+             ) -> "BoundCompanion":
         """Reduce the linear part of ``params`` into CSC data over the
-        pattern and take its lane parameters.
+        pattern and take its lane part: the lane parameters and the
+        constant rhs.
+
+        ``previous``, a bound of this layout, gives each part whose fields
+        (:data:`LINEAR_FIELDS`, :data:`LANE_FIELDS`) are the same objects in
+        ``params`` as in ``previous.params``: those arrays are read-only, so
+        the part is the same bytes a fresh bind computes.
 
         Every tap in ``params`` is positive: ``validate`` requires a
         positive tap table holding every tap, the outer loop clips taps into
         that table, and Tx stepping moves them toward 1.
         """
+        prior = previous.params if previous is not None and previous.layout is self else None
+        if prior is not None and _same_fields(params, prior, LINEAR_FIELDS):
+            data = previous.linear_data
+        else:
+            data = self._linear_data(params)
+        if prior is not None and _same_fields(params, prior, LANE_FIELDS):
+            lanes = {name: getattr(previous, name) for name in _LANE_PART}
+        else:
+            lanes = self._lane_part(params)
+        return BoundCompanion(layout=self, params=params, linear_data=data, **lanes)
+
+    def _linear_data(self, params: DeviceParams) -> np.ndarray:
+        """The CSC data of the linear part of ``params``."""
         # complex admittance per laid-out triplet group, in layout order; a
         # family the network lacks has empty arrays and lays out no triplet,
         # so it is skipped
@@ -340,23 +382,23 @@ class Companion:
             groups += [-yd, yd, -yd]
         y = np.concatenate([g.ravel() for g in groups], dtype=complex)
         g, b = y.real, y.imag
+        return np.bincount(
+            self.linear_slots,
+            weights=np.concatenate([g, -b, b, g, self.slack_vals]),
+            minlength=self.pattern.indices.size,
+        )
+
+    def _lane_part(self, params: DeviceParams) -> dict:
+        """The :class:`BoundCompanion` fields of the lane part of ``params``."""
         rhs = self.slack_rhs.copy()
         if self.big_v.size:
             alpha = params.big_alpha.ravel()
             np.add.at(rhs, self.big_v, -alpha.real)
             np.add.at(rhs, self.big_v + 1, -alpha.imag)
         gen_p, zip_i, zip_s = params.gen_p.ravel(), params.zip_i.ravel(), params.zip_s.ravel()
-        data = np.bincount(
-            self.linear_slots,
-            weights=np.concatenate([g, -b, b, g, self.slack_vals]),
-            minlength=self.pattern.indices.size,
-        )
-        data.setflags(write=False)
         lane_cc = np.concatenate([np.zeros(gen_p.size), np.conj(zip_i)])
         lane_live = np.concatenate([np.ones(gen_p.size, bool), (zip_i != 0) | (zip_s != 0)])
-        return BoundCompanion(
-            layout=self,
-            linear_data=data,
+        return dict(
             linear_rhs=rhs,
             gen_p=gen_p,
             lane_cs=np.concatenate([gen_p - 1j * params.gen_q.ravel(), np.conj(zip_s)]),
@@ -370,18 +412,27 @@ class Companion:
         )
 
 
+# the BoundCompanion fields of the lane part, which Companion._lane_part returns
+_LANE_PART = ("linear_rhs", "gen_p", "lane_cs", "lane_cc", "lane_live", "has_cc", "all_live")
+
+
 @dataclass(frozen=True)
 class BoundCompanion:
-    """One parameter set's linear part as CSC data over the layout's pattern
-    (read-only), its constant rhs and its lane parameters.
+    """One parameter set's linear part as CSC data over the layout's pattern,
+    its constant rhs and its lane parameters, with the ``params`` they were
+    bound from.
 
     ``has_cc`` and ``all_live`` tell :func:`assemble_system` which of its
     steps a pass can skip: with no constant-current part, every lane's
     ``a`` term is exactly ``0j``; with every lane live, no magnitude needs
     masking.
+
+    Every array is read-only: a later bind shares the parts its parameter
+    set did not move (:meth:`Companion.bind`), so an in-place edit must fail.
     """
 
     layout: Companion
+    params: DeviceParams
     linear_data: np.ndarray
     linear_rhs: np.ndarray
     gen_p: np.ndarray  # per generator lane
@@ -390,6 +441,11 @@ class BoundCompanion:
     lane_live: np.ndarray  # generator lanes and ZIP lanes with a constant-current or -power part
     has_cc: bool  # some lane has a constant-current part
     all_live: bool  # every lane is live
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
 
 def build_companion(network: Network, index: IndexMap) -> Companion:

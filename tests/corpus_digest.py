@@ -72,13 +72,16 @@ network whose path changed:
 ``--call-costs CASE METHOD`` prints, instead, what the calls made on every
 Newton pass cost inside live solves of one corpus case (say
 ``hard_corridor.net power``): the median µs per call, the calls per solve,
-the mean µs per solve and the share of solve time of ``Companion.bind``,
-``assemble_system``, ``SparseSystem.factor_solve`` and the factorization
-call within it (``dgetrf``, ``dgbtrf`` or ``splu``), and of the outer loop's
-Q-limit enforcement (``_enforce_q_limits``, once per pass of a network with
-regulating machines). Then it prints what a network object
-costs once, on its first solve, each timed on ``COST_SOLVES`` fresh copies of
-the network: ``validate`` and ``solver.solve_setup`` (which validates, then
+the mean µs per solve and the share of solve time of ``Companion.bind``
+(split into ``full`` binds, and binds that took the lane part or the
+linear part from the previous bound: ``lanes reused``, ``linear reused``),
+``assemble_system``, ``SparseSystem.residual``, ``SparseSystem.factor_solve``
+and the factorization call within it (``dgetrf``, ``dgbtrf`` or
+``splu``), and of the outer loop's Q-limit enforcement
+(``_enforce_q_limits``, once per pass of a network with regulating
+machines). Then it prints what a network object costs once, on its
+first solve, each timed on ``COST_SOLVES`` fresh copies of the network:
+``validate`` and ``solver.solve_setup`` (which validates, then
 builds the index map, the companion layout and the base parameters), with
 their share of the median solve. Small numpy calls cost far more in a
 standalone loop than inside a solve, so two trees are compared by running
@@ -495,8 +498,27 @@ def call_cost_lines(case: str, method: str):
 
         return wrapper
 
-    stamps.Companion.bind = timed("Companion.bind", stamps.Companion.bind)
+    # a bind by what it took from the previous bound: nothing, or one part
+    for kind in ("full", "lanes reused", "linear reused"):
+        times[f"Companion.bind {kind}"] = []
+
+    @functools.wraps(stamps.Companion.bind)
+    def timed_bind(self, params, previous=None, _bind=stamps.Companion.bind):
+        start = time.perf_counter_ns()
+        bound = _bind(self, params, previous)
+        elapsed = time.perf_counter_ns() - start
+        if previous is not None and bound.lane_cs is previous.lane_cs:
+            kind = "lanes reused"
+        elif previous is not None and bound.linear_data is previous.linear_data:
+            kind = "linear reused"
+        else:
+            kind = "full"
+        times[f"Companion.bind {kind}"].append(elapsed)
+        return bound
+
+    stamps.Companion.bind = timed_bind
     nr.assemble_system = timed("assemble_system", nr.assemble_system)
+    linsys.SparseSystem.residual = timed("SparseSystem.residual", linsys.SparseSystem.residual)
     linsys.SparseSystem.factor_solve = timed(
         "SparseSystem.factor_solve", linsys.SparseSystem.factor_solve
     )

@@ -957,3 +957,40 @@ def test_each_network_takes_its_measured_path(monkeypatch, name):
     s.factor_solve()
     s.factor_solve()
     assert calls == PATHS[name]
+
+
+# one network per plan: dense, band and SuperLU
+RESIDUAL_PLANS = {
+    "hard_corridor.net": linsys._DensePlan,
+    "case196_mesh.net": linsys._BandPlan,
+    "tile2": linsys._SuperluPlan,
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUAL_PLANS))
+def test_residual_has_the_bits_of_scipys_product(name):
+    """``residual`` calls scipy's private CSC kernel: a scipy whose product
+    no longer goes through it, or sums in another order, fails here."""
+    net = _network(name)
+    index = IndexMap(net)
+    s = assembled(build_companion(net, index).bind(effective_params(net)), flat_state(index))
+    x_solved = s.factor_solve()
+    assert type(s._pattern.plan) is RESIDUAL_PLANS[name]
+    rng = np.random.default_rng(5)
+    for x in (x_solved, rng.uniform(-1.5, 1.5, size=s.n), flat_state(index).x):
+        assert s.residual(x).tobytes() == (s.matrix @ x - s.rhs).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUAL_PLANS))
+def test_each_factor_solve_returns_a_new_array(name):
+    net = _network(name)
+    index = IndexMap(net)
+    s = assembled(build_companion(net, index).bind(effective_params(net)), flat_state(index))
+    first = s.factor_solve()
+    want = first.copy()
+    second = s.factor_solve()
+    assert not np.shares_memory(first, second)
+    assert first.flags.writeable
+    first[:] = np.nan
+    assert second.tobytes() == want.tobytes()
+    assert s.factor_solve().tobytes() == want.tobytes()

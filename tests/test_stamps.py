@@ -1,12 +1,12 @@
 import math
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from steadygrid import homotopy, load_case, nr, solver
+from steadygrid import homotopy, load_case, nr, solver, stamps
 from steadygrid.homotopy import power_transform, tx_transform
 from steadygrid.indexing import IndexMap, flat_state
 from steadygrid.linsys import SparseSystem
@@ -24,6 +24,10 @@ from steadygrid.network import (
 from steadygrid.nr import NrOptions
 from steadygrid.solver import SolverOptions, solve
 from steadygrid.stamps import (
+    LANE_FIELDS,
+    LINEAR_FIELDS,
+    BoundCompanion,
+    DeviceParams,
     GenModes,
     ZeroVoltageIterate,
     assemble_system,
@@ -710,3 +714,91 @@ def test_bind_and_assembly_match_the_reference_byte_for_byte(name):
                     want = reference_assemble(bound, state, zeta, modes)
                     assert got[0].tobytes() == want[0].tobytes()
                     assert got[1].tobytes() == want[1].tobytes()
+
+
+# -- reusing the previous bound ------------------------------------------------
+
+# the fields of the lane part, which a Tx step takes from the previous bound
+LANE_PART = ("linear_rhs", "gen_p", "lane_cs", "lane_cc", "lane_live", "has_cc", "all_live")
+WALK = (1.0, 0.9, 0.6, 0.2, 0.0)
+
+
+def test_the_bind_field_groups_name_every_device_param_once():
+    names = LINEAR_FIELDS + LANE_FIELDS
+    assert sorted(names) == sorted(f.name for f in fields(DeviceParams))
+
+
+def test_bound_companion_is_read_only():
+    net = net_allparts()
+    bound = build_companion(net, IndexMap(net)).bind(effective_params(net))
+    arrays = {f.name: getattr(bound, f.name) for f in fields(BoundCompanion)}
+    arrays = {name: a for name, a in arrays.items() if isinstance(a, np.ndarray)}
+    assert set(arrays) == {"linear_data", *LANE_PART} - {"has_cc", "all_live"}
+    for name, a in arrays.items():
+        with pytest.raises(ValueError):
+            a[0] = a[0]
+    with pytest.raises(ValueError):
+        bound.linear_rhs += 1.0
+
+
+def _bound_bytes(bound):
+    """Every field of ``bound`` but its layout and parameters, as bytes."""
+    return {f.name: np.asarray(getattr(bound, f.name)).tobytes()
+            for f in fields(BoundCompanion) if f.name not in ("layout", "params")}
+
+
+@pytest.mark.parametrize("name", BIT_NETWORKS)
+def test_a_bind_that_reuses_the_previous_bound_matches_a_fresh_one(name):
+    net = _bit_network(name)
+    layout = build_companion(net, IndexMap(net))
+    base = effective_params(net)
+    for method in ("tx", "power"):
+        previous = None
+        for lam in WALK:
+            params = (tx_transform(base, lam, 1e4) if method == "tx"
+                      else power_transform(base, 1.0 - lam))
+            bound = layout.bind(params, previous)
+            assert bound.params is params
+            assert _bound_bytes(bound) == _bound_bytes(layout.bind(params))
+            for field, want in reference_bind(layout, params).items():
+                assert getattr(bound, field).tobytes() == want.tobytes(), field
+            if previous is not None:
+                # the part the step left unchanged is the previous bound's own
+                if method == "tx":
+                    assert all(getattr(bound, f) is getattr(previous, f) for f in LANE_PART)
+                    assert bound.linear_data is not previous.linear_data
+                else:
+                    assert bound.linear_data is previous.linear_data
+                    assert bound.lane_cs is not previous.lane_cs
+            previous = bound
+
+
+def test_a_bound_of_another_layout_is_not_reused():
+    net = net_allparts()
+    layout = build_companion(net, IndexMap(net))
+    base = effective_params(net)
+    other = layout.without_series([]).bind(base)
+    bound = layout.bind(power_transform(base, 0.5), other)
+    assert bound.linear_data is not other.linear_data
+    assert _bound_bytes(bound) == _bound_bytes(layout.bind(power_transform(base, 0.5)))
+
+
+@pytest.mark.parametrize("method", ["tx", "power"])
+def test_a_one_pass_continuation_solve_binds_once_per_step(monkeypatch, method):
+    """No bind before the walk: feeder8 takes 6 continuation steps in its one
+    pass, and every bind after the first reuses the part its step kept."""
+    binds = []
+
+    def recording(self, params, previous=None, _bind=stamps.Companion.bind):
+        bound = _bind(self, params, previous)
+        binds.append((bound, previous))
+        return bound
+
+    monkeypatch.setattr(stamps.Companion, "bind", recording)
+    net = load_case(case_path("feeder8.json")).network
+    report, _ = solve(net, SolverOptions(homotopy=method, nr=NrOptions(tol=1e-8)))
+    assert report.status == "converged" and report.outer_passes == 1
+    assert len(binds) == report.homotopy_steps == 6
+    assert binds[0][1] is None
+    kept = "lane_cs" if method == "tx" else "linear_data"
+    assert all(getattr(b, kept) is getattr(p, kept) for b, p in binds[1:])
