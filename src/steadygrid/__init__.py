@@ -25,14 +25,12 @@ from .indexing import IndexMap, StateVector
 from .nr import NrOptions
 from .solver import (
     InitSpec,
-    MismatchReport,
     SolveReport,
     SolverOptions,
     initialize_state,
     solve,
-    validate_solution,
 )
-from .reference import dense_reference_solve
+from .reference import MismatchReport, dense_reference_solve, validate_solution
 from .analyses import ContingencySet, Outage, SweepSpec, run_contingencies, run_sweep
 
 __version__ = "0.1.0"

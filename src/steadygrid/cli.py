@@ -19,13 +19,13 @@ from . import analyses
 from .caseio import CaseError, load_case, parse_case, read_solution, write_solution, write_table
 from .homotopy import LAMBDA_TRACE_FIELDS
 from .nr import NrOptions, NrTraceRow
+from .reference import validate_solution
 from .solver import (
     CONVERGED,
     EXIT_CODES,
     InitSpec,
     SolverOptions,
     solve,
-    validate_solution,
 )
 
 EX_USAGE = 64

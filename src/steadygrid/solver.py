@@ -50,14 +50,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import reference
 from .homotopy import anchored_state, run_homotopy
 from .indexing import IndexMap, StateVector, flat_state, polar_state
 from .linsys import SparseSystem
-from .network import (
-    Connection, Network, PhaseDomain, connectivity_issues, validate,
-)
+from .network import Network, connectivity_issues, validate
 from .nr import NrOptions, check_convergence, run_newton
-from .reference import build_ybus
 from .stamps import GenModes, build_companion, effective_params
 
 __all__ = [
@@ -79,6 +77,11 @@ DIVERGED = "diverged"
 INFEASIBLE = "infeasible"
 
 EXIT_CODES = {CONVERGED: 0, DIVERGED: 1, INFEASIBLE: 2}
+
+# the mismatch check lives with the rest of the oracle path in reference.py,
+# and is still importable from here
+MismatchReport = reference.MismatchReport
+validate_solution = reference.validate_solution
 
 # a controlled tap moves once its bus is this far (pu) from the target
 TAP_DEADBAND = 0.01
@@ -503,89 +506,3 @@ def solve(network: Network, options: SolverOptions | None = None):
     report.vmag = np.abs(v)
     report.vang_deg = np.degrees(np.angle(v))
     return report, state
-
-
-# ---------------------------------------------------------------------------
-# Independent solution validation (admittance-matrix mismatch equations)
-
-
-@dataclass
-class MismatchReport:
-    domain: PhaseDomain
-    max_p: float = 0.0
-    max_q: float = 0.0
-    max_i: float = 0.0
-    per_bus: np.ndarray | None = None  # max mismatch magnitude per bus
-
-    @property
-    def max(self) -> float:
-        return max(self.max_p, self.max_q, self.max_i)
-
-
-def _device_injections(network: Network, state: StateVector) -> np.ndarray:
-    """Net complex current injected by sources minus loads, per (phase, bus)."""
-    n = network.nbus
-    nph = network.nphase
-    v = state.v_complex()  # (nph, n)
-    inj = np.zeros((nph, n), dtype=complex)
-    gen_q = state.gen_q()
-    for gen, q in zip(network.generators, gen_q):
-        k = network.bus_index[gen.bus]
-        for ph in range(nph):
-            s = complex(float(gen.p[ph]), float(q[ph]))
-            inj[ph, k] += np.conj(s / v[ph, k])
-    for ld in network.zip_loads:
-        k = network.bus_index[ld.bus]
-        if ld.connection == Connection.WYE:
-            for ph in range(nph):
-                u = v[ph, k]
-                inj[ph, k] -= _zip_complex_current(ld.y[ph], ld.i[ph], ld.s[ph], u)
-        else:
-            for d, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
-                u = v[a, k] - v[b, k]
-                i_d = _zip_complex_current(ld.y[d], ld.i[d], ld.s[d], u)
-                inj[a, k] -= i_d
-                inj[b, k] += i_d
-    for ld in network.big_loads:
-        k = network.bus_index[ld.bus]
-        for ph in range(nph):
-            inj[ph, k] -= complex(ld.alpha[ph]) + complex(ld.y[ph]) * v[ph, k]
-    return inj
-
-
-def _zip_complex_current(y, ic, s, u: complex) -> complex:
-    y = complex(y)
-    ic = complex(ic)
-    s = complex(s)
-    i = y * u
-    if s != 0:
-        i += np.conj(s) * u / (abs(u) ** 2)
-    if ic != 0:
-        i += np.conj(ic) * u / abs(u)
-    return i
-
-
-def validate_solution(network: Network, state: StateVector) -> MismatchReport:
-    """Mismatch of the candidate solution against the admittance-matrix
-    network equations, coded independently of the stamping path.
-
-    Positive sequence reports power mismatches, three phase current
-    mismatches; slack buses are excluded (their injection is free).
-    """
-    n = network.nbus
-    nph = network.nphase
-    v = state.v_complex()
-    i_net = (build_ybus(network) @ v.reshape(-1)).reshape(nph, n)  # phase-major nodes
-    inj = _device_injections(network, state)
-    slack_pos = {network.bus_index[b.id] for b in network.slack_buses()}
-    keep = np.array([k not in slack_pos for k in range(n)])
-
-    if network.domain == PhaseDomain.POSITIVE_SEQUENCE:
-        ds = v[0] * np.conj(inj[0]) - v[0] * np.conj(i_net[0])
-        max_p = float(np.max(np.abs(ds.real[keep]))) if keep.any() else 0.0
-        max_q = float(np.max(np.abs(ds.imag[keep]))) if keep.any() else 0.0
-        return MismatchReport(network.domain, max_p=max_p, max_q=max_q, per_bus=np.abs(ds))
-
-    per_bus = np.max(np.abs(inj - i_net), axis=0)
-    max_i = float(np.max(per_bus[keep])) if keep.any() else 0.0
-    return MismatchReport(network.domain, max_i=max_i, per_bus=per_bus)

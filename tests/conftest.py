@@ -27,7 +27,8 @@ from steadygrid.stamps import GenModes, assemble_system
 
 CASE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "cases")
 
-# Oracle corpus: positive-sequence cases the dense reference can also solve.
+# Oracle corpus: every corpus case whose plain solve converges at tol 1e-10
+# (all but hard_corridor), checked against the dense reference on every phase.
 ORACLE_CASES = [
     "case2.net",
     "case2_twosol.net",
@@ -42,9 +43,11 @@ ORACLE_CASES = [
     "case56_mesh.net",
     "case196_mesh.net",
     "case_qlim.net",
+    "case6_remote.net",
+    "feeder8.json",
 ]
 
-ALL_NET_CASES = ORACLE_CASES + ["case6_remote.net", "hard_corridor.net"]
+ALL_NET_CASES = [name for name in ORACLE_CASES if name.endswith(".net")] + ["hard_corridor.net"]
 
 
 def case_path(name: str) -> str:
@@ -110,6 +113,20 @@ def residual_vector(bound, state, modes=None) -> np.ndarray:
     """Exact nonlinear residual F(x) via the companion identity A x - b."""
     system = assembled(bound, state, modes)
     return system.matrix @ state.x - system.rhs
+
+
+def q_pins(events) -> dict:
+    """Generator id -> pinned Q after replaying the outer loop's pin events."""
+    pins = {}
+    for e in events:
+        if not e["device"].startswith("gen "):
+            continue
+        gid = int(e["device"].split()[1])
+        if e["action"] in ("pin_qmax", "pin_qmin"):
+            pins[gid] = e["value"]
+        elif e["action"] == "release":
+            pins.pop(gid, None)
+    return pins
 
 
 def make_branch(idx, f, t, r, x, b=0.0, nphase=1):

@@ -119,6 +119,16 @@ flipped:
 
     PYTHONPATH=src python3 tests/corpus_digest.py --issues > after.txt
 
+``--oracle`` prints, instead, one line per corpus case: its domain, then
+the dense oracle (``dense_reference_solve``) from flat at tol 1e-12, with
+the Q pins that the case's ``tx`` solve at tol 1e-8 replays: ``refused``
+when it raises ``ValueError``, else its status, its iterations and its
+largest |dV| (pu) against that solve, or ``-`` where the solve fails. It
+reads only the public API, so the same script shows how two trees' oracles
+differ:
+
+    PYTHONPATH=src python3 tests/corpus_digest.py --oracle > after.txt
+
 ``--code-lines`` prints, instead, the code lines of each module of the
 imported ``steadygrid`` (no blank lines, comments or docstrings), then
 their total, the measure of a change's size in code:
@@ -432,6 +442,30 @@ def issue_lines():
         yield f"{label}: {issues}", network_digest(network)
 
 
+def oracle_lines():
+    """One ``case domain result`` line per corpus case (see ``--oracle``)."""
+    import steadygrid as sg
+    from conftest import q_pins
+
+    for case in sorted(os.listdir(CASES)):
+        network = sg.load_case(os.path.join(CASES, case)).network
+        report, state = sg.solve(network, sg.SolverOptions(homotopy="tx", nr=sg.NrOptions(tol=1e-8)))
+        label = f"{case} {network.domain.value}"
+        try:
+            ref = sg.dense_reference_solve(network, q_pins=q_pins(report.switch_events), tol=1e-12)
+        except ValueError:
+            yield f"{label} refused"
+            continue
+        dv = "-"
+        if report.status == "converged":
+            # older trees return positive-sequence voltages per bus alone
+            shape = (network.nphase, network.nbus)
+            v_ref = np.reshape(ref.vm, shape) * np.exp(1j * np.reshape(ref.va, shape))
+            dv = f"{np.max(np.abs(v_ref - state.v_complex())):.2e}"
+        status = "converged" if ref.converged else "diverged"
+        yield f"{label} {status} {ref.iterations} {dv}"
+
+
 def code_lines(source: str) -> int:
     """Lines of ``source`` that hold code: no blank lines, comments or
     docstrings (a string statement that opens a module, class or function)."""
@@ -609,6 +643,8 @@ if __name__ == "__main__":
                              "random network instead")
     parser.add_argument("--issues", action="store_true",
                         help="print the validate issues of each damaged network instead")
+    parser.add_argument("--oracle", action="store_true",
+                        help="print the dense oracle's result on each corpus case instead")
     parser.add_argument("--code-lines", action="store_true",
                         help="print the code lines of each steadygrid module instead")
     parser.add_argument("--call-costs", nargs=2, metavar=("CASE", "METHOD"),
@@ -624,6 +660,8 @@ if __name__ == "__main__":
         print("\n".join(plan_lines()))
     elif args.code_lines:
         print("\n".join(code_line_lines()))
+    elif args.oracle:
+        print("\n".join(oracle_lines()))
     elif args.summary:
         print("\n".join(summary_lines(corpus_lines())))
     elif args.jobs:

@@ -1,4 +1,5 @@
 import gc
+import math
 import warnings
 import weakref
 from dataclasses import replace
@@ -21,9 +22,10 @@ from steadygrid.caseio import load_case
 from steadygrid.cli import main
 from steadygrid.indexing import IndexMap
 from steadygrid.nr import NrOptions
-from steadygrid.reference import dense_reference_solve
+from steadygrid.reference import MismatchReport, dense_reference_solve
 from steadygrid.solver import (
-    CONVERGED, INFEASIBLE, InitSpec, SolverOptions, solve, transfer_state, validate_solution,
+    CONVERGED, DIVERGED, INFEASIBLE, InitSpec, SolverOptions, solve, transfer_state,
+    validate_solution,
 )
 
 from conftest import case_path, net_tap
@@ -59,7 +61,18 @@ def test_branch_outage_matches_dense_oracle():
     warm = transfer_state(state, post, index)
     rep2, st2 = solve(post, SolverOptions(nr=NrOptions(tol=1e-10),
                                           init=InitSpec(kind="warm", state=warm)))
-    np.testing.assert_allclose(ref.vm, st2.v_mag()[0], atol=1e-8)
+    np.testing.assert_allclose(ref.vm[0], st2.v_mag()[0], atol=1e-8)
+
+
+def test_a_nan_mismatch_downgrades_a_converged_outage(monkeypatch):
+    net, state = solved("case3_ring.net")
+    monkeypatch.setattr(analyses, "validate_solution",
+                        lambda network, state: MismatchReport(network.domain, max_p=math.nan))
+    [result] = run_contingencies(net, state, ContingencySet([Outage("b2", branch_ids=(2,))]), OPTS)
+    assert (result.status, result.reason) == (
+        DIVERGED, "solution failed independent mismatch check"
+    )
+    assert math.isnan(result.max_mismatch)
 
 
 def test_outage_with_tap_control_passes_independent_check():

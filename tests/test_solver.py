@@ -47,6 +47,7 @@ from conftest import (
     net_3phase,
     net_switched_shunt,
     net_tap,
+    q_pins,
     random_network,
     vr,
     with_outer_devices,
@@ -74,7 +75,7 @@ def test_qlim_switch_event_and_oracle_match():
     assert state.v_mag()[0, net.bus_index[3]] < net.bus(3).v_set
     # the independent solver, pinned the same way, lands on the same point
     ref = dense_reference_solve(net, q_pins={gen.id: gen.qmax})
-    np.testing.assert_allclose(ref.vm, state.v_mag()[0], atol=1e-8)
+    np.testing.assert_allclose(ref.vm[0], state.v_mag()[0], atol=1e-8)
 
 
 @pytest.mark.parametrize("case, method", [
@@ -350,6 +351,15 @@ def test_perturbation_shows_up_locally():
     # excluded: its free injection soaks up whatever the bump unbalances)
     far = [pos for pos in range(1, net.nbus) if abs(pos - k) > 1]
     assert np.max(rep.per_bus[far]) < 1e-8
+
+
+@pytest.mark.parametrize("case", ["feeder8.json", "case14.net"])
+def test_one_nan_voltage_makes_the_mismatch_nan(case):
+    net = load_case(case_path(case)).network
+    _, state = solve(net, SolverOptions(nr=NrOptions(tol=1e-10)))
+    state.v[-1, -1] = math.nan  # the last phase of the last bus
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(validate_solution(net, state).max)
 
 
 def test_three_phase_mismatch_is_current_based():
@@ -723,21 +733,7 @@ def test_non_switchable_shunt_ignores_block_table():
     assert report.status == CONVERGED
     assert validate_solution(report.network, state).max < 10 * options.nr.tol
     ref = dense_reference_solve(net, tol=1e-12)
-    np.testing.assert_allclose(ref.vm, state.v_mag()[0], atol=1e-8)
-
-
-def _q_pins(events) -> dict:
-    """Generator id -> pinned Q after replaying the outer loop's pin events."""
-    pins = {}
-    for e in events:
-        if not e["device"].startswith("gen "):
-            continue
-        gid = int(e["device"].split()[1])
-        if e["action"] in ("pin_qmax", "pin_qmin"):
-            pins[gid] = e["value"]
-        elif e["action"] == "release":
-            pins.pop(gid, None)
-    return pins
+    np.testing.assert_allclose(ref.vm[0], state.v_mag()[0], atol=1e-8)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -760,12 +756,11 @@ def test_outer_loop_solutions_pass_independent_check(seed, domain, method, data)
     # never converges fails as unsatisfiable
     assume(report.status == CONVERGED)
     assert validate_solution(report.network, state).max < 10 * options.nr.tol
-    if domain != PhaseDomain.POSITIVE_SEQUENCE:
-        return
-    vm, va = state.v_mag()[0], state.v_ang()[0]
-    ref = dense_reference_solve(
-        report.network, q_pins=_q_pins(report.switch_events), v0=(vm, va), tol=1e-12
-    )
-    assert ref.converged
-    np.testing.assert_allclose(ref.vm, vm, atol=1e-8)
-    np.testing.assert_allclose(np.angle(np.exp(1j * (ref.va - va))), 0.0, atol=1e-8)
+    vm, va = state.v_mag(), state.v_ang()
+    pins = q_pins(report.switch_events)
+    # from the solution, and once more from the flat start
+    for v0 in ((vm, va), None):
+        ref = dense_reference_solve(report.network, q_pins=pins, v0=v0, tol=1e-12)
+        assert ref.converged
+        np.testing.assert_allclose(ref.vm, vm, atol=1e-8)
+        np.testing.assert_allclose(np.angle(np.exp(1j * (ref.va - va))), 0.0, atol=1e-8)
