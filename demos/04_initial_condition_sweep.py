@@ -14,7 +14,7 @@ Run from the repository root:
 
 from steadygrid import NrOptions, SolverOptions, load_case, run_sweep, SweepSpec
 
-spec = SweepSpec(samples=15, vmag_range=(0.9, 1.1), vang_range_deg=(-40, 40), seed=7)
+spec = SweepSpec(samples=15, seed=7)
 
 for case_name in ("cases/case14.net", "cases/hard_corridor.net"):
     net = load_case(case_name).network

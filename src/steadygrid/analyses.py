@@ -19,10 +19,11 @@ from .solver import (
     CONVERGED,
     DIVERGED,
     INFEASIBLE,
+    START_VANG_DEG,
+    START_VMAG,
     InitSpec,
     InvalidNetworkError,
     SolverOptions,
-    check_range,
     check_seed,
     derive_outage_setup,
     solve,
@@ -76,8 +77,6 @@ class ContingencyResult:
 @dataclass
 class SweepSpec:
     samples: int = 15
-    vmag_range: tuple = (0.9, 1.1)
-    vang_range_deg: tuple = (-40.0, 40.0)
     seed: int | None = None
 
     def __post_init__(self):
@@ -86,8 +85,6 @@ class SweepSpec:
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         check_seed(self.seed)
-        check_range("vmag_range", self.vmag_range)
-        check_range("vang_range_deg", self.vang_range_deg)
 
 
 @dataclass
@@ -254,7 +251,8 @@ def run_sweep(
 ) -> SweepResult:
     """Solve from ``spec.samples`` uniformly sampled initial conditions.
 
-    Every bus of one sample shares the same sampled magnitude and angle. The
+    Every bus of one sample shares the same magnitude and angle, drawn from
+    ``START_VMAG`` and ``START_VANG_DEG`` (``solver.py``). The
     pairwise voltage spread over the converged samples measures whether they
     all landed on the same solution.
     """
@@ -263,8 +261,8 @@ def run_sweep(
     rng = np.random.default_rng(spec.seed)
     samples = [
         (
-            float(rng.uniform(*spec.vmag_range)),
-            float(rng.uniform(*spec.vang_range_deg)),
+            float(rng.uniform(*START_VMAG)),
+            float(rng.uniform(*START_VANG_DEG)),
         )
         for _ in range(spec.samples)
     ]

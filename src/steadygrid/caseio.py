@@ -11,10 +11,10 @@ Two input formats are supported (documented in ``docs/formats.md``):
   matrices in per-unit.
 
 Everything is normalized to per-unit on the case MVA base during parsing and
-angles are converted from degrees to radians. Solution writers emit
-full-precision values, so a written solution rereads exactly:
-:func:`read_solution` reads the JSON one back into a state. Every CSV output
-(solution, traces, sweep, contingency screen) is written by
+angles are converted from degrees to radians. The one solution file is the
+CSV of :func:`write_solution`; its values are written in full precision, so
+:func:`read_solution` reads it back into the same voltages, bit for bit.
+Every CSV output (solution, traces, sweep, contingency screen) is written by
 :func:`write_table`.
 """
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -502,10 +503,9 @@ def _parse_json3p(text: str, name: str) -> Network:
 _SOLUTION_FIELDS = ("bus", "phase", "vmag_pu", "vang_deg", "vr_pu", "vi_pu")
 
 
-def write_solution(network: Network, state, report=None, fmt: str = "csv") -> str:
-    """Serialize a solved state; ``fmt`` is ``csv`` or ``json``. Both hold
-    one row per bus and phase; the JSON document adds the generators and,
-    when given, the report."""
+def write_solution(network: Network, state) -> str:
+    """The solution CSV of a solved state: the ``_SOLUTION_FIELDS`` header,
+    then one row per bus and phase, which :func:`read_solution` reads back."""
     index = state.index
     if index.dim != state.x.shape[0] or index.nbus != network.nbus:
         raise ValueError("state dimension does not match network")
@@ -516,22 +516,7 @@ def write_solution(network: Network, state, report=None, fmt: str = "csv") -> st
             vv = complex(v[ph, k])
             rows.append((bus.id, ph_name, abs(vv), math.degrees(math.atan2(vv.imag, vv.real)),
                          vv.real, vv.imag))
-    if fmt == "csv":
-        return write_table(_SOLUTION_FIELDS, rows)
-    if fmt != "json":
-        raise ValueError(f"unknown solution format {fmt!r}")
-    doc: dict = {
-        "case": network.name,
-        "base_mva": network.base_mva,
-        "buses": [dict(zip(_SOLUTION_FIELDS, row)) for row in rows],
-        "generators": [
-            {"id": gen.id, "bus": gen.bus, "p_pu": gen.p.tolist(), "q_pu": q.tolist()}
-            for gen, q in zip(network.generators, state.gen_q())
-        ],
-    }
-    if report is not None:
-        doc["report"] = report.to_dict()
-    return json.dumps(doc, indent=1)
+    return write_table(_SOLUTION_FIELDS, rows)
 
 
 def write_table(header, rows) -> str:
@@ -542,18 +527,27 @@ def write_table(header, rows) -> str:
 
 
 def read_solution(network: Network, text: str) -> StateVector:
-    """The state of a ``write_solution(fmt="json")`` document on
-    ``network``: its bus voltages, with every other unknown (Q slots, source
-    currents) at 0. A bus that is not an integer (read as the case JSON reads
-    one), or a bus or phase the case lacks, raises ``ValueError``."""
-    doc = json.loads(text)
+    """The state of a :func:`write_solution` CSV on ``network``: each row's
+    ``vr_pu + j vi_pu`` at its bus and phase, every other unknown (Q slots,
+    source currents) at 0.
+
+    Raises ``ValueError`` unless the header is ``_SOLUTION_FIELDS`` and every
+    row has six fields, a ``bus`` written as a decimal integer, a bus and
+    phase the case has, and voltages that read as floats.
+    """
+    header, *rows = text.splitlines() or [""]
+    if header != ",".join(_SOLUTION_FIELDS):
+        raise ValueError(f"header {header!r} is not {','.join(_SOLUTION_FIELDS)}")
     state = flat_state(IndexMap(network))
     phase_pos = {name: ph for ph, name in enumerate(network.domain.phases)}
-    for rec in doc["buses"]:
-        bus, phase = _int(rec["bus"]), rec["phase"]
-        if bus not in network.bus_index or phase not in phase_pos:
-            raise ValueError(f"the case has no bus {bus} phase {phase!r}")
-        state.v[phase_pos[phase], network.bus_index[bus]] = complex(
-            float(rec["vr_pu"]), float(rec["vi_pu"])
-        )
+    for lineno, row in enumerate(rows, start=2):
+        fields = row.split(",")
+        if len(fields) != len(_SOLUTION_FIELDS):
+            raise ValueError(f"line {lineno}: {len(fields)} fields, not {len(_SOLUTION_FIELDS)}")
+        bus, phase, _, _, vr, vi = fields
+        # only decimal digits: int() also reads "+2", " 2" and "2_0"
+        pos = network.bus_index.get(int(bus)) if re.fullmatch("-?[0-9]+", bus) else None
+        if pos is None or phase not in phase_pos:
+            raise ValueError(f"line {lineno}: the case has no bus {bus} phase {phase!r}")
+        state.v[phase_pos[phase], pos] = complex(float(vr), float(vi))
     return state

@@ -1,7 +1,9 @@
 """Command-line front end: solve, sweep, contingency and validate workflows.
 
 Outputs land in ``--out`` (default ``.``): ``solution.csv``, ``report.json``,
-``trace.csv`` (with ``--trace``), ``sweep.csv``, ``contingency.csv``. Exit
+``trace.csv`` (with ``--trace``), ``sweep.csv``, ``contingency.csv``;
+``--init file --init-file PATH`` starts from the ``solution.csv`` of an
+earlier solve. Exit
 codes: 0 converged, 1 diverged, 2 infeasible (worst status across a batch),
 64 usage error (a rejected flag value included), 66 unreadable case or init
 file.
@@ -53,7 +55,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_init_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--init", choices=["flat", "random", "file"], default="flat")
-    p.add_argument("--init-file", help="JSON solution used with --init file")
+    p.add_argument("--init-file", help="solution.csv of an earlier solve, used with --init file")
 
 
 def _fail(code: int, message: str) -> NoReturn:
@@ -81,7 +83,7 @@ def _build_options(args, network) -> SolverOptions:
         try:
             with open(args.init_file, "r", encoding="utf-8") as fh:
                 options.init = InitSpec(kind="warm", state=read_solution(network, fh.read()))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError) as exc:
             _fail(EX_NOINPUT, f"cannot use init file {args.init_file}: {exc}")
     return options
 
@@ -107,7 +109,7 @@ def _cmd_solve(args) -> int:
     case = _load(args.case)
     options = _build_options(args, case.network)
     report, state = solve(case.network, options)
-    _write(args.out, "solution.csv", write_solution(case.network, state, report, fmt="csv"))
+    _write(args.out, "solution.csv", write_solution(case.network, state))
     _write(args.out, "report.json", report.to_json())
     if args.trace:
         _write(args.out, "trace.csv", write_table([f.name for f in fields(NrTraceRow)],

@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -471,6 +472,25 @@ def validate(network: Network) -> list[ValidationIssue]:
             if own_issues is not None:
                 own_issues(network, d, issue)
 
+    issues += _regulator_issues(network)
+    return issues
+
+
+def _regulator_issues(network: Network) -> list[ValidationIssue]:
+    """The regulating machines whose set-point rows no solve can satisfy:
+    one on a slack bus that regulates a non-slack bus, whose Q enters only
+    the slack bus's balance, which no row measures, and two on one non-slack
+    bus, whose rows repeat each other."""
+    slack = {b.id for b in network.slack_buses()}
+    free = [g for g in network.generators if g.controls_voltage and g.target_bus() not in slack]
+    issues = [ValidationIssue("slack_regulator", f"gen {g.id}",
+                              f"on slack bus {g.bus}, regulates bus {g.target_bus()}")
+              for g in free if g.bus in slack]
+    for bus, count in Counter(g.target_bus() for g in free).items():
+        if count > 1:
+            ids = [g.id for g in free if g.target_bus() == bus]
+            issues.append(ValidationIssue("shared_regulation", f"bus {bus}",
+                                          f"generators {ids} all regulate it"))
     return issues
 
 

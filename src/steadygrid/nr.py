@@ -10,7 +10,7 @@ stamps). A converged iterate returns before any factorization; otherwise
 the pass solves for the raw next iterate and then applies the safeguards:
 
 * voltage limiting caps every ``V_R``/``V_I`` step at ``dv_max`` and clamps
-  the result into ``[v_min, v_max]``;
+  the result into ``[V_MIN, V_MAX]`` (-2 to 2 pu);
 * variable limiting damps only the PV-source voltage derivatives through the
   factor ``zeta``, which shrinks on large raw steps and recovers after two
   consecutive monotone improvements;
@@ -30,7 +30,8 @@ control-constraint residual; :func:`check_convergence` splits that same
 measurement into its two parts.
 
 The damping constants (``ZETA_INIT``, ``ZETA_SHRINK``, ``ZETA_GROWTH``,
-``LARGE_STEP``) are fixed; only the floor ``zeta_min`` is an option.
+``LARGE_STEP``) and the clamp (``V_MIN``, ``V_MAX``) are fixed; of the
+damping, only the floor ``zeta_min`` is an option.
 """
 
 from __future__ import annotations
@@ -71,6 +72,10 @@ ZETA_SHRINK = 0.5
 ZETA_GROWTH = 2.0
 LARGE_STEP = 0.5
 
+# the clamp of every limited V_R/V_I component, pu
+V_MIN = -2.0
+V_MAX = 2.0
+
 
 @dataclass
 class NrOptions:
@@ -79,8 +84,6 @@ class NrOptions:
     tol: float = 1e-6
     max_iter: int = 100
     dv_max: float = 0.1
-    v_min: float = -2.0
-    v_max: float = 2.0
     zeta_min: float = 0.05
     di_max: float = math.inf  # Q-limiting current cap per step
 
@@ -89,8 +92,6 @@ class NrOptions:
             raise ValueError("need 0 < zeta_min <= 1")
         if not self.dv_max > 0:
             raise ValueError("dv_max must be positive")
-        if not self.v_min < self.v_max:
-            raise ValueError("v_min must be below v_max")
         if not 0 < self.tol < math.inf:  # also rejects nan
             raise ValueError("tol must be finite and positive")
         if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 0:
@@ -117,7 +118,7 @@ def apply_voltage_limiting(v_k: np.ndarray, dv: np.ndarray, options: NrOptions) 
     step = np.sign(dv) * np.minimum(np.abs(dv), options.dv_max)
     # np.clip without its wrapper: the bound goes first, so a value equal to
     # a bound keeps its own bits (its sign, for a zero bound), as np.clip does
-    return np.minimum(options.v_max, np.maximum(options.v_min, v_k + step))
+    return np.minimum(V_MAX, np.maximum(V_MIN, v_k + step))
 
 
 def update_zeta(trace: list[NrTraceRow], zeta: float, options: NrOptions) -> float:
@@ -259,7 +260,7 @@ def run_newton(
         # the limiter's decisions, not the round-off of v_k + (x_raw - v_k)
         reach = v_k + dv
         limited = int(np.count_nonzero(
-            (abs_dv > options.dv_max) | (reach < options.v_min) | (reach > options.v_max)
+            (abs_dv > options.dv_max) | (reach < V_MIN) | (reach > V_MAX)
         ))
         # Q limiting on the free Q-slot lanes; an infinite cap limits nothing
         if options.di_max != math.inf and not modes.pinned.all():

@@ -203,7 +203,10 @@ def dense_reference_solve(
     ``|V_target| - v_set`` per lane. The start is flat at the balanced phase
     offsets, with the slack nodes at their source voltage and each lane's
     target at its set-point; ``v0 = (vm, va)``, each reshaped to (nphase,
-    nbus), replaces the flat part.
+    nbus), replaces the flat part. Each lane's Q starts at the value that
+    balances its machine bus's reactive power at the start voltages (the
+    first lane of a bus takes it all, any other starts at 0), so a start at
+    a solution converges at its first measurement.
 
     ``q_pins`` maps generator id -> fixed Q (pu), a scalar or per phase; a
     pinned machine stops regulating. A regulating machine whose target is a
@@ -259,13 +262,20 @@ def dense_reference_solve(
     va[:, slack] = offsets + [b.angle for b in slack_buses]
     vm[:, targets] = v_set
     polar = np.stack([va, vm]).reshape(2, -1)  # angle and magnitude per node
-    q_lane = np.zeros(lane.size)
 
     ybus = build_ybus(network)
 
     def device_power(polar):
         v = polar[1] * np.exp(1j * polar[0])
         return v * np.conj(device_injections(network, v.reshape(nph, n), machine_q).ravel())
+
+    # minus each machine bus's reactive mismatch with its lanes at 0, which
+    # ``machine_q`` holds for them until the loop sets them
+    v = polar[1] * np.exp(1j * polar[0])
+    q_bus = -(device_power(polar) - v * np.conj(ybus @ v)).imag
+    q_lane = np.zeros(lane.size)
+    first = np.unique(lane_bus, return_index=True)[1]
+    q_lane[first] = q_bus[lane_bus[first]]
 
     converged = False
     it = 0

@@ -18,8 +18,14 @@ every switchable shunt bank (blocks) and every transformer with a controlled
 bus and a target (tap), listed once per solve, banks first, each in device
 order; no option turns them on or off. Every device freezes for the remaining
 passes at its first reversal (a lane at its release, a control at its first
-move against its last), so the loop cannot oscillate forever; running out of
-passes reports Infeasible.
+move against its last), so the loop cannot oscillate forever. That rule
+bounds the passes: every pass but the last moves a device, a lane is pinned
+at most once and released at most once, and a control steps at most across
+its table (one more step for round-off at a bound) and then steps back once,
+so a solve takes at most ``1 + 2 * lanes + sum(ceil((hi - lo) / |step|) + 2)``
+passes, the sum over the controls and their tables ``[lo, hi]``. The loop
+runs that many passes and no more; a solve that still moves a device on the
+last one (only a broken freezing rule lets it) reports Infeasible.
 
 The set-up that depends only on the immutable :class:`Network` is built by
 the first solve of a network object and kept on it for every later solve
@@ -86,19 +92,17 @@ validate_solution = reference.validate_solution
 # a controlled tap moves once its bus is this far (pu) from the target
 TAP_DEADBAND = 0.01
 
+# the uniform draws of a random start (and of each sweep sample): magnitude
+# in pu, angle in degrees
+START_VMAG = (0.9, 1.1)
+START_VANG_DEG = (-40.0, 40.0)
+
 
 def check_seed(seed) -> None:
     """Raise ``ValueError`` unless ``seed`` is ``None`` or an integer >= 0,
     the seeds numpy's generators take."""
     if seed is not None and not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-
-
-def check_range(name: str, bounds) -> None:
-    """Raise ``ValueError`` unless ``bounds`` is a finite ``(lo, hi)`` pair
-    with ``lo <= hi``, the bounds of a uniform draw."""
-    if len(bounds) != 2 or not -math.inf < bounds[0] <= bounds[1] < math.inf:  # nan fails too
-        raise ValueError(f"{name} must be a finite (lo, hi) with lo <= hi, got {bounds!r}")
 
 
 _INIT_KINDS = ("flat", "random", "uniform", "warm")
@@ -109,16 +113,14 @@ class InitSpec:
     """Where the initial state comes from.
 
     kinds: ``flat`` (1 pu at reference angles), ``random`` (per-bus uniform
-    magnitude/angle samples), ``uniform`` (one sampled magnitude/angle pair
-    applied to every bus), ``warm`` (copy ``state``, a prior state, such as
-    one ``caseio.read_solution`` read, every entry finite). ``seed`` is
-    ``None`` or an integer >= 0; ``vmag`` and ``vang_deg`` are finite, the
-    ranges finite with lo <= hi.
+    magnitude/angle samples from ``START_VMAG`` and ``START_VANG_DEG``),
+    ``uniform`` (``vmag`` and ``vang_deg`` applied to every bus), ``warm``
+    (copy ``state``, a prior state, such as one ``caseio.read_solution``
+    read, every entry finite). ``seed`` is ``None`` or an integer >= 0;
+    ``vmag`` and ``vang_deg`` are finite.
     """
 
     kind: str = "flat"
-    vmag_range: tuple = (0.9, 1.1)
-    vang_range_deg: tuple = (-40.0, 40.0)
     seed: int | None = None
     vmag: float = 1.0
     vang_deg: float = 0.0
@@ -135,8 +137,6 @@ class InitSpec:
         for name in ("vmag", "vang_deg"):
             if not -math.inf < getattr(self, name) < math.inf:  # nan fails too
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        check_range("vmag_range", self.vmag_range)
-        check_range("vang_range_deg", self.vang_range_deg)
 
 
 @dataclass
@@ -145,12 +145,9 @@ class SolverOptions:
     homotopy: str = "none"  # none | tx | power
     gamma: float = 1e4  # Tx-stepping series scale
     init: InitSpec = field(default_factory=InitSpec)
-    outer_max_passes: int = 10
     enforce_q_limits: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.outer_max_passes, numbers.Integral) or self.outer_max_passes < 1:
-            raise ValueError("outer_max_passes must be an integer >= 1")
         if not 0 < self.gamma < math.inf:  # also rejects nan
             raise ValueError("gamma must be finite and positive")
         if self.homotopy not in ("none", "tx", "power"):
@@ -216,8 +213,8 @@ def initialize_state(network: Network, spec: InitSpec, index: IndexMap | None = 
         return polar_state(index, spec.vmag, math.radians(spec.vang_deg))
     if spec.kind == "random":
         rng = np.random.default_rng(spec.seed)
-        mags = rng.uniform(*spec.vmag_range, size=index.nbus)
-        angs = np.radians(rng.uniform(*spec.vang_range_deg, size=index.nbus))
+        mags = rng.uniform(*START_VMAG, size=index.nbus)
+        angs = np.radians(rng.uniform(*START_VANG_DEG, size=index.nbus))
         return polar_state(index, mags, angs)
     if spec.kind == "warm":
         if spec.state.x.shape[0] != index.dim:
@@ -444,13 +441,17 @@ def solve(network: Network, options: SolverOptions | None = None):
     q_frozen = np.zeros(index.q_rows.size, dtype=bool)
     controls = _controls(network)
     moves = [0] * len(controls)  # each control's last move, None once frozen
+    # the freezing rule's bound (module docstring): a pass that moves nothing ends the loop
+    passes = 1 + 2 * q_frozen.size + sum(
+        math.ceil((hi - lo) / abs(step)) + 2 for *_, step, (lo, hi) in controls
+    )
     events: list = []
     total_inner = 0
     nr_trace: list = []
     status = DIVERGED
     pass_no = 0
 
-    for pass_no in range(1, options.outer_max_passes + 1):
+    for pass_no in range(1, passes + 1):
         if pass_no == 1 and options.homotopy != "none":
             # the solve's one continuation walk, from the anchored start
             walk = run_homotopy(

@@ -235,6 +235,14 @@ def net_tap(parallel=False):
     )
 
 
+def net_tap_fine():
+    """``net_tap`` with the Transformer's own tap table and step, regulating
+    bus 3 to 1.03 pu: the outer loop steps the tap 13 times."""
+    net = net_tap()
+    tx = replace(net.transformers[0], tap_min=0.8, tap_max=1.2, tap_step=0.00625, v_target=1.03)
+    return net.with_devices(transformers=(tx,))
+
+
 def net_switched_shunt():
     """Under-voltage load bus with a switchable capacitor bank, all blocks off."""
     buses = (Bus(1, BusKind.SLACK, 138.0, 1.0, 0.0), Bus(2, BusKind.PQ, 138.0))

@@ -250,9 +250,12 @@ def summary_lines(lines):
 def control_networks():
     """``(name, network)`` for each network whose case declares controls:
     the tap and the shunt bank of ``conftest``, each also with a step so
-    large that its second move reverses its first and freezes it, and a
-    three-phase network with both."""
-    from conftest import net_switched_shunt, net_tap, random_network, with_outer_devices
+    large that its second move reverses its first and freezes it, a
+    three-phase network with both, and the tap at the Transformer's own step
+    (``net_tap_fine``), whose solve takes 14 outer passes."""
+    from conftest import (
+        net_switched_shunt, net_tap, net_tap_fine, random_network, with_outer_devices,
+    )
 
     tap, bank = net_tap(), net_switched_shunt()
     big_step = replace(tap.transformers[0], tap_step=0.1, tap_min=0.5, tap_max=1.5)
@@ -262,6 +265,7 @@ def control_networks():
     yield "net_switched_shunt", bank
     yield "net_switched_shunt_freeze", bank.with_devices(shunts=(big_block,))
     yield "outer_devices_3p", with_outer_devices(random_network(0, PhaseDomain.THREE_PHASE), 3, 4)
+    yield "net_tap_fine", net_tap_fine()
 
 
 def corpus_lines(states=None, repeat=1, differs=None):

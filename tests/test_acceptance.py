@@ -22,6 +22,8 @@ from steadygrid.nr import NrOptions
 from steadygrid.reference import dense_reference_solve
 from steadygrid.solver import (
     CONVERGED,
+    START_VANG_DEG,
+    START_VMAG,
     InitSpec,
     SolverOptions,
     solve,
@@ -120,7 +122,7 @@ def test_criterion_3_homotopy_endpoints():
 
 def test_criterion_4_initial_condition_sweep():
     t0 = time.perf_counter()
-    spec = SweepSpec(samples=15, vmag_range=(0.9, 1.1), vang_range_deg=(-40.0, 40.0), seed=2024)
+    spec = SweepSpec(samples=15, seed=2024)
     net14 = load_case(case_path("case14.net")).network
     tx_opts = SolverOptions(nr=NrOptions(tol=1e-8), homotopy="tx")
     sweep14 = run_sweep(net14, spec, tx_opts)
@@ -176,8 +178,8 @@ def test_criterion_7_high_voltage_selection():
     rng = np.random.default_rng(spec.seed)
     picks = []
     for _ in range(spec.samples):
-        vm = float(rng.uniform(*spec.vmag_range))
-        va = float(rng.uniform(*spec.vang_range_deg))
+        vm = float(rng.uniform(*START_VMAG))
+        va = float(rng.uniform(*START_VANG_DEG))
         opts = SolverOptions(nr=TIGHT, homotopy="tx",
                              init=InitSpec(kind="uniform", vmag=vm, vang_deg=va))
         report, state = solve(net, opts)

@@ -78,7 +78,7 @@ def test_a_nan_mismatch_downgrades_a_converged_outage(monkeypatch):
 def test_outage_with_tap_control_passes_independent_check():
     # the check must read the taps the outer loop chose, not the case's
     net = net_tap(parallel=True)
-    options = SolverOptions(outer_max_passes=12)
+    options = SolverOptions()
     base, state = solve(net, options)
     assert base.status == CONVERGED
     cset = ContingencySet([Outage("LB_branch2", branch_ids=(2,))])
@@ -356,12 +356,13 @@ def test_sweep_rejects_a_seed_numpy_cannot_take(seed):
         assert SweepSpec(seed=good).seed == good
 
 
-def test_sweep_of_size_one_flat_matches_plain_solve():
+def test_sweep_of_size_one_matches_plain_solve():
     net = load_case(case_path("case3_ring.net")).network
-    spec = SweepSpec(samples=1, vmag_range=(1.0, 1.0), vang_range_deg=(0.0, 0.0))
-    result = run_sweep(net, spec, OPTS)
+    result = run_sweep(net, SweepSpec(samples=1, seed=11), OPTS)
     assert result.statuses == [CONVERGED]
-    plain, _ = solve(net, OPTS)
+    [(vmag, vang_deg)] = result.samples
+    start = InitSpec(kind="uniform", vmag=vmag, vang_deg=vang_deg)
+    plain, _ = solve(net, replace(OPTS, init=start))
     assert result.iterations[0] == plain.inner_iterations
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -244,7 +245,7 @@ def test_json_syntax_error_has_line():
 def test_flat_solution_rows():
     net = net_2bus()
     state = flat_state(IndexMap(net))
-    csv = write_solution(net, state, fmt="csv")
+    csv = write_solution(net, state)
     lines = csv.strip().splitlines()
     assert lines[0] == "bus,phase,vmag_pu,vang_deg,vr_pu,vi_pu"
     for row in lines[1:]:
@@ -256,32 +257,41 @@ def test_flat_solution_rows():
 def test_solved_receiving_bus_sags():
     net = net_2bus()
     report, state = solve(net)
-    csv = write_solution(net, state, report, fmt="csv")
+    csv = write_solution(net, state)
     row2 = csv.strip().splitlines()[2].split(",")
     assert float(row2[2]) < 1.0  # inductive load pulls the magnitude down
 
 
-def test_json_solution_round_trip_bitwise():
-    net = net_2bus()
-    report, state = solve(net)
-    text = write_solution(net, state, report, fmt="json")
-    back = read_solution(net, text)
-    assert back.v.tobytes() == state.v.tobytes()  # exact: json floats round-trip
+@pytest.mark.parametrize("make", [net_2bus, lambda: load_case(case_path("feeder8.json")).network],
+                         ids=["net_2bus", "feeder8"])
+def test_solution_csv_round_trip_bitwise(make):
+    net = make()
+    _, state = solve(net)
+    back = read_solution(net, write_solution(net, state))
+    assert back.v.tobytes() == state.v.tobytes()  # exact: str(float) round-trips
     assert not back.x[back.index.nv:].any()  # the other unknowns start at 0
-    assert json.loads(text)["report"]["status"] == "converged"
 
 
-def test_a_solution_row_names_its_bus_by_the_json_integer_rule():
+def test_a_solution_row_names_its_bus_by_a_decimal_integer():
     net = net_2bus()
-    report, state = solve(net)
-    doc = json.loads(write_solution(net, state, report, fmt="json"))
-    for rec in doc["buses"]:
-        rec["bus"] = float(rec["bus"])  # 2.0 names bus 2
-    assert read_solution(net, json.dumps(doc)).v.tobytes() == state.v.tobytes()
-    for bad in (2.9, True):  # int() read them as bus 2 and bus 1
-        doc["buses"][-1]["bus"] = bad
-        with pytest.raises(ValueError, match=f"expected an integer, got {bad!r}"):
-            read_solution(net, json.dumps(doc))
+    _, state = solve(net)
+    header, *rows = write_solution(net, state).splitlines()
+    for bad in ("2.9", "2.0", "+2", " 2", "x", "True", ""):  # float() or int() read some
+        last = ",".join([bad, *rows[-1].split(",")[1:]])
+        with pytest.raises(ValueError, match=re.escape(f"line 3: the case has no bus {bad} phase 'p'")):
+            read_solution(net, "\n".join([header, rows[0], last]))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "header '' is not bus,phase,vmag_pu,vang_deg,vr_pu,vi_pu"),
+    ("bus,phase,vr_pu,vi_pu\n1,p,1.0,0.0\n", "header 'bus,phase,vr_pu,vi_pu' is not"),
+    ("bus,phase,vmag_pu,vang_deg,vr_pu,vi_pu\n1,p,1.0,0.0,1.0\n", "line 2: 5 fields, not 6"),
+    ("bus,phase,vmag_pu,vang_deg,vr_pu,vi_pu\n1,p,1,0,1,0,0\n", "line 2: 7 fields, not 6"),
+    ("bus,phase,vmag_pu,vang_deg,vr_pu,vi_pu\n1,p,1.0,0.0,one,0.0\n", "could not convert"),
+], ids=["empty", "header", "short", "long", "voltage"])
+def test_a_solution_csv_needs_its_header_and_six_fields(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        read_solution(net_2bus(), text)
 
 
 @pytest.mark.parametrize("text", ["", "{}"], ids=["net", "json"])
@@ -294,7 +304,7 @@ def test_a_case_without_a_bus_is_a_semantic_error(text):
 def test_csv_floats_reread_exactly():
     net = net_2bus()
     _, state = solve(net)
-    csv = write_solution(net, state, fmt="csv")
+    csv = write_solution(net, state)
     v = state.v_complex()
     for row in csv.strip().splitlines()[1:]:
         bus, ph, vm, va, vr, vi = row.split(",")
@@ -309,7 +319,7 @@ def test_dimension_mismatch_rejected():
     other = random_network(3)
     state = flat_state(IndexMap(other))
     with pytest.raises(ValueError):
-        write_solution(net, state, fmt="csv")
+        write_solution(net, state)
 
 
 def test_write_case_of_loaded_case_round_trips():

@@ -6,7 +6,7 @@ from steadygrid.cli import EX_NOINPUT, EX_USAGE, main
 from steadygrid.solver import solve
 
 from casewriter import write_case
-from conftest import case_path, net_tap
+from conftest import case_path, net_tap, net_tap_fine
 
 
 def run(argv):
@@ -230,6 +230,14 @@ def test_solve_steps_the_controls_a_case_declares(tmp_path, capsys):
     assert doc["final_taps"] == want["final_taps"] != {"1": [1.0]}
 
 
+def test_solve_takes_the_passes_a_default_step_tap_needs(tmp_path, capsys):
+    # 13 tap moves at the Transformer's own tap_step: more passes than ten
+    case = tmp_path / "tap_fine.net"
+    case.write_text(write_case(net_tap_fine()))
+    assert run(["solve", str(case), "--out", str(tmp_path)]) == 0
+    assert "converged (inner 29, homotopy 0, passes 14)" in capsys.readouterr().out
+
+
 def test_contingency_outputs(tmp_path, capsys):
     code = run(["contingency", case_path("case9.net"), "--top-fraction", "0.34",
                 "--out", str(tmp_path)])
@@ -265,18 +273,15 @@ def test_missing_subcommand_usage():
 
 
 def test_init_from_solution_file(tmp_path):
-    out = tmp_path / "first"
-    assert run(["solve", case_path("case14.net"), "--out", str(out)]) == 0
-    # JSON solution written alongside for warm restarts
-    from steadygrid.caseio import load_case, write_solution
-    from steadygrid.solver import solve as solve_fn, SolverOptions
-    case = load_case(case_path("case14.net"))
-    rep, state = solve_fn(case.network, SolverOptions())
-    sol = tmp_path / "sol.json"
-    sol.write_text(write_solution(case.network, state, rep, fmt="json"))
-    code = run(["solve", case_path("case14.net"), "--init", "file",
-                "--init-file", str(sol), "--out", str(tmp_path / "second")])
-    assert code == 0
+    # the solution.csv a solve writes is the start of the next one
+    for name, iterations in (("case14.net", 1), ("feeder8.json", 0)):
+        first, second = tmp_path / name / "first", tmp_path / name / "second"
+        assert run(["solve", case_path(name), "--homotopy", "tx", "--tol", "1e-8",
+                    "--out", str(first)]) == 0
+        assert run(["solve", case_path(name), "--tol", "1e-8", "--init", "file",
+                    "--init-file", str(first / "solution.csv"), "--out", str(second)]) == 0
+        report = json.loads((second / "report.json").read_text())
+        assert (report["status"], report["inner_iterations"]) == ("converged", iterations)
 
 
 def test_init_file_without_path_is_usage_error():
@@ -292,15 +297,24 @@ def test_missing_init_file_is_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", [
+    # anything but a solution CSV, the JSON solution documents once read included
     "not json",
     '{"solutions": []}',
     '{"buses": [{"bus": 99, "phase": "p", "vr_pu": 1.0, "vi_pu": 0.0}]}',
     '{"buses": [{"bus": 1, "phase": "a", "vr_pu": 1.0, "vi_pu": 0.0}]}',
     '{"buses": [{"bus": 1, "phase": "p", "vr_pu": NaN, "vi_pu": 0.0}]}',
     '{"buses": [{"bus": 1, "phase": "p", "vr_pu": Infinity, "vi_pu": 0.0}]}',
-    # a bus is an integer, as in the case JSON: neither truncated nor a bool
     '{"buses": [{"bus": 2.9, "phase": "p", "vr_pu": 1.0, "vi_pu": 0.0}]}',
     '{"buses": [{"bus": true, "phase": "p", "vr_pu": 1.0, "vi_pu": 0.0}]}',
+    # the solution CSV a solve writes: its header, six fields, a decimal
+    # integer bus, a bus and phase the case has, finite voltages
+    "bus,phase,vr_pu,vi_pu\n1,p,1.0,0.0\n",
+    "bus,phase,vmag_pu,vang_deg,vr_pu,vi_pu\n1,p,1.0,0.0,1.0\n",
+    "bus,phase,vmag_pu,vang_deg,vr_pu,vi_pu\n2.9,p,1.0,0.0,1.0,0.0\n",
+    "bus,phase,vmag_pu,vang_deg,vr_pu,vi_pu\nx,p,1.0,0.0,1.0,0.0\n",
+    "bus,phase,vmag_pu,vang_deg,vr_pu,vi_pu\n99,p,1.0,0.0,1.0,0.0\n",
+    "bus,phase,vmag_pu,vang_deg,vr_pu,vi_pu\n1,a,1.0,0.0,1.0,0.0\n",
+    "bus,phase,vmag_pu,vang_deg,vr_pu,vi_pu\n1,p,nan,nan,nan,0.0\n",
 ])
 def test_malformed_init_file_is_input_error(tmp_path, capsys, text):
     sol = tmp_path / "sol.json"

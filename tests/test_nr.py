@@ -7,6 +7,7 @@ import pytest
 from steadygrid.caseio import load_case
 from steadygrid.cli import main
 from steadygrid.indexing import IndexMap, flat_state
+from steadygrid import nr
 from steadygrid.linsys import SparseSystem
 from steadygrid.nr import (
     LARGE_STEP,
@@ -30,7 +31,7 @@ from steadygrid.solver import solve
 
 from conftest import assembled, case_path, net_2bus, net_linear, newton, slack_ir
 
-WIDE = NrOptions(tol=1e-10, dv_max=100.0, v_min=-10.0, v_max=10.0)
+WIDE = NrOptions(tol=1e-10, dv_max=100.0)
 
 
 def bound_of(net):
@@ -51,13 +52,14 @@ def split(bound, state):
 
 
 def test_step_cap():
-    opts = NrOptions(dv_max=0.1, v_min=-2.0, v_max=2.0)
+    opts = NrOptions(dv_max=0.1)
     out = apply_voltage_limiting(np.array([1.0]), np.array([-0.5]), opts)
     assert out[0] == pytest.approx(0.9)
 
 
 def test_clamp_branch():
-    opts = NrOptions(dv_max=0.3, v_min=-2.0, v_max=2.0)
+    assert (nr.V_MIN, nr.V_MAX) == (-2.0, 2.0)
+    opts = NrOptions(dv_max=0.3)
     out = apply_voltage_limiting(np.array([1.95]), np.array([0.2]), opts)
     assert out[0] == pytest.approx(2.0)
 
@@ -70,16 +72,16 @@ def test_zero_step_fixed_point():
 
 def test_limiting_safety_property():
     rng = np.random.default_rng(1)
-    opts = NrOptions(dv_max=0.1, v_min=-2.0, v_max=2.0)
+    opts = NrOptions(dv_max=0.1)
     for _ in range(300):
         v = rng.uniform(-2, 2, size=12)
         dv = rng.uniform(-10, 10, size=12)
         out = apply_voltage_limiting(v, dv, opts)
-        assert np.all(out >= opts.v_min - 1e-15) and np.all(out <= opts.v_max + 1e-15)
+        assert np.all(out >= nr.V_MIN - 1e-15) and np.all(out <= nr.V_MAX + 1e-15)
         assert np.all(np.abs(out - v) <= opts.dv_max + 1e-15)
 
 
-def test_voltage_limiting_matches_the_clip_formula_bit_for_bit():
+def test_voltage_limiting_matches_the_clip_formula_bit_for_bit(monkeypatch):
     # at, inside and beyond each bound, signed zeros, NaN and infinities
     special = np.array([
         -np.inf, -3.0, -2.0, np.nextafter(-2.0, -3.0), -1.0, -0.25, -0.0, 0.0,
@@ -88,7 +90,9 @@ def test_voltage_limiting_matches_the_clip_formula_bit_for_bit():
     v_k, dv = (a.ravel() for a in np.meshgrid(special, special))
     rng = np.random.default_rng(14)
     for v_min, v_max in [(-2.0, 2.0), (-1.0, 0.0), (-1.0, -0.0), (0.0, 1.0), (-0.0, 1.0)]:
-        opts = NrOptions(dv_max=0.25, v_min=v_min, v_max=v_max)
+        monkeypatch.setattr(nr, "V_MIN", v_min)
+        monkeypatch.setattr(nr, "V_MAX", v_max)
+        opts = NrOptions(dv_max=0.25)
         # every length, so that vector loops and their scalar tails both run
         for n in (*range(1, 40), v_k.size):
             pick = rng.integers(0, v_k.size, size=n) if n < v_k.size else np.arange(n)
@@ -142,8 +146,6 @@ def test_options_invariants_enforced():
         NrOptions(zeta_min=0.0)
     with pytest.raises(ValueError):
         NrOptions(dv_max=0.0)
-    with pytest.raises(ValueError):
-        NrOptions(v_min=2.0, v_max=-2.0)
 
 
 def test_q_cap_must_be_positive():
@@ -292,12 +294,14 @@ def test_raw_step_capped_in_trace():
     assert any(r.limited > 0 for r in trace)
 
 
-def test_limited_counts_capped_and_clamped_variables():
+def test_limited_counts_capped_and_clamped_variables(monkeypatch):
     bound = bound_of(net_2bus(p=0.5, q=0.2))
     start = flat_state(bound.layout.index)
     counts = []
     # the first step moves bus 2 by a few hundredths and leaves the slack at 1
-    for opts in (WIDE, replace(WIDE, dv_max=1e-3), replace(WIDE, v_max=0.999)):
+    for opts, v_max in ((WIDE, 10.0), (replace(WIDE, dv_max=1e-3), 10.0), (WIDE, 0.999)):
+        monkeypatch.setattr(nr, "V_MIN", -10.0)
+        monkeypatch.setattr(nr, "V_MAX", v_max)
         trace = []
         newton(bound, start, replace(opts, max_iter=1), trace=trace)
         counts.append(trace[0].limited)
@@ -356,4 +360,4 @@ def test_nr_applies_clamp_bounds():
     trace = []
     state, ok, _, _ = newton(bound, flat_state(index), opts, trace=trace)
     nv = 2 * index.nbus
-    assert np.all(state.x[:nv] >= opts.v_min) and np.all(state.x[:nv] <= opts.v_max)
+    assert np.all(state.x[:nv] >= nr.V_MIN) and np.all(state.x[:nv] <= nr.V_MAX)

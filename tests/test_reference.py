@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from steadygrid.caseio import load_case
+from steadygrid.cli import main
 from steadygrid.network import BusKind, Generator, phase_array
 from steadygrid.nr import NrOptions
 from steadygrid.reference import build_ybus, dense_reference_solve
-from steadygrid.solver import CONVERGED, DIVERGED, SolverOptions, solve
+from steadygrid.solver import CONVERGED, InvalidNetworkError, SolverOptions, solve
 
-from conftest import case_path, net_2bus, net_3bus, net_3phase, net_allparts
+from casewriter import write_case
+from conftest import ORACLE_CASES, case_path, net_2bus, net_3bus, net_3phase, net_allparts
 
 
 def _stamped(net, tol=1e-10):
@@ -96,28 +98,49 @@ def test_remote_control_solves_to_its_set_point():
 
 
 def _refused_shapes():
-    """``net_3bus`` changed two ways the oracle refuses: a second free
-    machine on the regulated bus 3, and a free machine on the slack bus
-    regulating bus 3 in place of bus 3's own."""
+    """``net_3bus`` changed two ways the oracle refuses, each with the code
+    ``validate`` reports it by: a second free machine on the regulated bus
+    3, and a free machine on the slack bus regulating bus 3 in place of bus
+    3's own."""
     net = net_3bus()
     second = Generator(2, 2, p=phase_array(0.1, 1), q=None, qmin=-1.0, qmax=1.0, remote_bus=3)
     on_slack = Generator(1, 1, p=phase_array(0.0, 1), q=None, qmin=-1.0, qmax=1.0, remote_bus=3)
     assert net.buses[0].kind == BusKind.SLACK and net.buses[0].id == 1
-    yield "two_free_machines_on_one_target", net.with_devices(generators=net.generators + (second,))
-    yield "free_machine_on_the_slack_bus", net.with_devices(generators=(on_slack,))
+    yield "two_free_machines_on_one_target", (
+        net.with_devices(generators=net.generators + (second,)), "shared_regulation")
+    yield "free_machine_on_the_slack_bus", (
+        net.with_devices(generators=(on_slack,)), "slack_regulator")
 
 
 REFUSED = dict(_refused_shapes())
 
 
 @pytest.mark.parametrize("label", list(REFUSED))
-def test_shapes_the_oracle_refuses_the_stamped_solver_cannot_solve(label):
-    net = REFUSED[label]
+def test_shapes_the_oracle_refuses_the_stamped_solver_cannot_solve(tmp_path, capsys, label):
+    net, code = REFUSED[label]
     with pytest.raises(ValueError):
         dense_reference_solve(net)
+    # the stamped solver's set-point rows are singular here: validate refuses
+    # the shape before any method runs
     for method in ("none", "tx", "power"):
-        report, _ = solve(net, SolverOptions(homotopy=method))
-        assert report.status == DIVERGED, (label, method)
+        with pytest.raises(InvalidNetworkError) as err:
+            solve(net, SolverOptions(homotopy=method))
+        assert [issue.code for issue in err.value.issues] == [code], method
+    case = tmp_path / "refused.net"
+    case.write_text(write_case(net))
+    assert main(["validate", str(case)]) == 1
+    assert f"[{code}]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_a_restart_at_its_own_solution_converges_at_once(case):
+    # each lane's Q starts where its machine bus balances, so the first
+    # measurement of a start at a solution is within tol
+    net = load_case(case_path(case)).network
+    sol = dense_reference_solve(net)
+    assert sol.converged
+    again = dense_reference_solve(net, v0=(sol.vm, sol.va))
+    assert (again.converged, again.iterations) == (True, 1)
 
 
 def test_big_and_zip_loads_supported():

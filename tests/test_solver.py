@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from steadygrid import homotopy, nr, solver, stamps
-from steadygrid.analyses import SweepSpec
 from steadygrid.caseio import load_case, read_solution, write_solution
 from steadygrid.homotopy import anchored_state
 from steadygrid.indexing import IndexMap, flat_state, polar_state
@@ -22,6 +21,7 @@ from steadygrid.network import (
     Network,
     PhaseDomain,
     Shunt,
+    Transformer,
     phase_array,
 )
 from steadygrid.nr import NrOptions
@@ -47,6 +47,7 @@ from conftest import (
     net_3phase,
     net_switched_shunt,
     net_tap,
+    net_tap_fine,
     q_pins,
     random_network,
     vr,
@@ -137,11 +138,13 @@ def test_infinite_q_cap_skips_only_the_scalar_limiter(monkeypatch, case, method)
     ("case14.net", "tx"),
     ("hard_corridor.net", "power"),
 ])
-def test_steps_no_limiter_touches_count_nothing(case, method):
+def test_steps_no_limiter_touches_count_nothing(monkeypatch, case, method):
     # caps and clamps far beyond every step: v_k + (x_raw - v_k) differs from
     # x_raw in the last bit for some entries, which is no limiting
     net = load_case(case_path(case)).network
-    options = NrOptions(dv_max=10.0, v_min=-10.0, v_max=10.0)
+    monkeypatch.setattr(nr, "V_MIN", -10.0)
+    monkeypatch.setattr(nr, "V_MAX", 10.0)
+    options = NrOptions(dv_max=10.0)
     report, _ = solve(net, SolverOptions(homotopy=method, nr=options))
     assert report.status == CONVERGED
     assert max(row.max_dv for row in report.nr_trace) < options.dv_max
@@ -231,7 +234,8 @@ def test_initial_states_match_a_per_node_write(case):
 
 def test_random_respects_ranges():
     net = net_3bus()
-    spec = InitSpec(kind="random", seed=5, vmag_range=(0.9, 1.1), vang_range_deg=(-40, 40))
+    assert (solver.START_VMAG, solver.START_VANG_DEG) == ((0.9, 1.1), (-40.0, 40.0))
+    spec = InitSpec(kind="random", seed=5)
     state = initialize_state(net, spec)
     vm = state.v_mag()[0]
     va = np.degrees(state.v_ang()[0])
@@ -271,8 +275,8 @@ def test_warm_start_dimension_checked():
 def test_file_init_round_trip(tmp_path):
     net = net_2bus()
     report, state = solve(net)
-    doc = write_solution(net, state, report, fmt="json")
-    path = tmp_path / "sol.json"
+    doc = write_solution(net, state)
+    path = tmp_path / "solution.csv"
     path.write_text(doc)
     warm = InitSpec(kind="warm", state=read_solution(net, path.read_text()))
     loaded = initialize_state(net, warm)
@@ -281,10 +285,8 @@ def test_file_init_round_trip(tmp_path):
 
 @pytest.mark.parametrize("bus, phase", [(99, "p"), (1, "a")])
 def test_file_init_rejects_a_bus_or_phase_the_case_lacks(tmp_path, bus, phase):
-    path = tmp_path / "sol.json"
-    path.write_text(json.dumps(
-        {"buses": [{"bus": bus, "phase": phase, "vr_pu": 1.0, "vi_pu": 0.0}]}
-    ))
+    path = tmp_path / "solution.csv"
+    path.write_text(f"bus,phase,vmag_pu,vang_deg,vr_pu,vi_pu\n{bus},{phase},1.0,0.0,1.0,0.0\n")
     with pytest.raises(ValueError, match=f"bus {bus} phase '{phase}'"):
         read_solution(net_2bus(), path.read_text())
 
@@ -302,24 +304,16 @@ def test_bad_starts_are_rejected_when_built():
         (InitSpec, {"kind": "uniform", "vmag": math.nan}, "vmag must be finite"),
         (InitSpec, {"kind": "uniform", "vmag": math.inf}, "vmag must be finite"),
         (InitSpec, {"kind": "uniform", "vang_deg": math.inf}, "vang_deg must be finite"),
-        (InitSpec, {"kind": "random", "vmag_range": (math.nan, 1.0)}, "vmag_range must"),
-        (InitSpec, {"kind": "random", "vang_range_deg": (-40.0, math.inf)}, "vang_range_deg must"),
-        (InitSpec, {"kind": "random", "vmag_range": (1.1, 0.9)}, "vmag_range must"),
-        (InitSpec, {"kind": "random", "vmag_range": (0.9,)}, "vmag_range must"),
         (InitSpec, {"kind": "warm"}, "warm start needs a state"),
         (InitSpec, {"kind": "file"}, "unknown init kind 'file'"),
         (InitSpec, {"kind": "bogus"}, "unknown init kind 'bogus'"),
-        (SweepSpec, {"vmag_range": (math.nan, 1.0)}, "vmag_range must"),
-        (SweepSpec, {"vang_range_deg": (-40.0, math.inf)}, "vang_range_deg must"),
-        (SweepSpec, {"vmag_range": (1.1, 0.9)}, "vmag_range must"),
     ]
     for spec, kwargs, message in bad:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             spec(**kwargs)
-    # a zero or negative magnitude is a start, and an empty range a point
+    # a zero or negative magnitude is a start
     assert InitSpec(kind="uniform", vmag=0.0).vmag == 0.0
     assert InitSpec(kind="uniform", vmag=-0.5).vmag == -0.5
-    assert SweepSpec(vmag_range=(1.0, 1.0)).vmag_range == (1.0, 1.0)
 
 
 # -- validate_solution -----------------------------------------------------------
@@ -505,16 +499,43 @@ def test_q_enforcement_over_lanes_matches_each_lane(make):
     assert actions == {"pin_qmax", "pin_qmin", "release"}
 
 
-def test_pass_limit_reports_infeasible():
-    net = load_case(case_path("case_qlim.net")).network
-    report, _ = solve(net, SolverOptions(outer_max_passes=1))
-    assert report.status == INFEASIBLE
+def test_pass_limit_reports_infeasible(monkeypatch):
+    # a tap that moves on every pass breaks the freezing rule: the loop stops
+    # after the passes that rule bounds, not later and not never
+    net = net_tap()
+    tx = net.transformers[0]
+    lanes = IndexMap(net).q_rows.size
+    bound = 1 + 2 * lanes + math.ceil((tx.tap_max - tx.tap_min) / tx.tap_step) + 2
+
+    def step_every_pass(network, controls, state, moves, events, pass_no):
+        tap = network.transformers[0].tap
+        events.append({"pass": pass_no, "device": "xfmr 1", "action": "tap"})
+        return network.with_devices(transformers=(dc_replace(tx, tap=2.0 - tx.tap_step - tap),))
+
+    monkeypatch.setattr(solver, "_step_controls", step_every_pass)
+    report, _ = solve(net)
+    assert (report.status, report.outer_passes) == (INFEASIBLE, bound)
+    assert len(report.switch_events) == bound
     assert report.exit_code == 2
+
+
+def test_a_default_step_tap_converges_past_ten_passes():
+    # the Transformer's own tap_step needs 13 moves and a last pass: a fixed
+    # budget of ten passes reported this feasible case infeasible
+    net = net_tap_fine()
+    tx = net.transformers[0]
+    assert tx.tap_step == Transformer(1, 1, 2).tap_step
+    options = SolverOptions()
+    report, state = solve(net, options)
+    assert (report.status, report.outer_passes) == (CONVERGED, 14)
+    vmag = state.v_mag()[0, net.bus_index[tx.controlled_bus]]
+    assert abs(vmag - tx.v_target) <= solver.TAP_DEADBAND
+    assert validate_solution(report.network, state).max < 10 * options.nr.tol
 
 
 @pytest.mark.parametrize("bad", [
     {"homotopy": "bogus"},
-    {"outer_max_passes": 0},
+    {"nr": {"dv_max": math.nan}},
     {"nr": {"tol": 0.0}},
     {"nr": {"tol": -1.0}},
     {"nr": {"tol": math.inf}},
@@ -526,7 +547,7 @@ def test_pass_limit_reports_infeasible():
     {"gamma": -1e4},
     {"gamma": math.inf},
     {"gamma": math.nan},
-    {"outer_max_passes": 2.5},
+    {"nr": {"zeta_min": math.nan}},
     {"nr": {"max_iter": 2.5}},
 ])
 def test_options_reject_bad_values(bad):
@@ -537,7 +558,7 @@ def test_options_reject_bad_values(bad):
 
 def test_counts_take_any_integer_type():
     # numpy integers are counts too; floats are rejected (see above)
-    options = SolverOptions(outer_max_passes=np.int64(2), nr=NrOptions(max_iter=np.int32(30)))
+    options = SolverOptions(nr=NrOptions(max_iter=np.int32(30)))
     report, _ = solve(load_case(case_path("case14.net")).network, options)
     assert report.status == CONVERGED
 
@@ -551,7 +572,7 @@ def test_determinism_of_reports_and_solutions():
     d1, d2 = r1.to_dict(), r2.to_dict()
     d1.pop("meta"), d2.pop("meta")  # timing is the only volatile field
     assert d1 == d2
-    assert write_solution(net, s1, r1, fmt="csv") == write_solution(net, s2, r2, fmt="csv")
+    assert write_solution(net, s1) == write_solution(net, s2)
 
 
 def test_report_carries_the_residual_the_last_newton_pass_measured():
@@ -639,7 +660,7 @@ def test_tap_adjustment_moves_toward_target():
     _, state0 = solve(net.with_devices(transformers=(fixed,)), SolverOptions())
     v_before = state0.v_mag()[0, 2]
     assert v_before < 0.99
-    options = SolverOptions(outer_max_passes=12)
+    options = SolverOptions()
     report, state = solve(net, options)
     assert report.status == CONVERGED
     v_after = state.v_mag()[0, 2]
@@ -654,7 +675,7 @@ def test_tap_adjustment_moves_toward_target():
 @pytest.mark.parametrize("make, options", [
     pytest.param(lambda: load_case(case_path("case_qlim.net")).network,
                  SolverOptions(homotopy="tx"), id="case_qlim-tx"),
-    pytest.param(net_tap, SolverOptions(outer_max_passes=12), id="tap"),
+    pytest.param(net_tap, SolverOptions(), id="tap"),
 ])
 def test_one_layout_and_one_stack_per_parameter_set(monkeypatch, make, options):
     calls = {"compress": 0, "stack": 0}
@@ -708,8 +729,7 @@ def test_a_shunt_that_steps_back_is_frozen_after_two_moves():
 def test_a_tap_that_steps_back_is_frozen_after_two_moves():
     net = net_tap()
     tx = dc_replace(net.transformers[0], tap_step=0.1, tap_min=0.5, tap_max=1.5)
-    options = SolverOptions(outer_max_passes=12)
-    report, _ = solve(net.with_devices(transformers=(tx,)), options)
+    report, _ = solve(net.with_devices(transformers=(tx,)))
     assert (report.status, report.outer_passes) == (CONVERGED, 3)
     assert [(e["pass"], e["value"]) for e in report.switch_events] == [(1, 0.9), (2, 1.0)]
     assert report.to_dict()["final_taps"] == {"1": [1.0]}
@@ -750,8 +770,10 @@ def test_outer_loop_solutions_pass_independent_check(seed, domain, method, data)
         tap_from=data.draw(st.integers(1, base.nbus), label="tap_from"),
         shunt_bus=data.draw(st.integers(2, base.nbus), label="shunt_bus"),
     )
-    options = SolverOptions(nr=NrOptions(tol=1e-10), homotopy=method, outer_max_passes=20)
+    options = SolverOptions(nr=NrOptions(tol=1e-10), homotopy=method)
     report, state = solve(net, options)
+    # the pass budget is a guard the freezing rule never reaches
+    assert report.status != INFEASIBLE
     # a run that does not converge is rejected, not passed: a solver that
     # never converges fails as unsatisfiable
     assume(report.status == CONVERGED)
