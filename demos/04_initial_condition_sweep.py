@@ -2,10 +2,11 @@
 
 Fifteen starting points are drawn uniformly from magnitudes in [0.9, 1.1]
 and angles in [-40, 40] degrees, every bus initialized to the same sampled
-pair. Series shorting ("Tx stepping") first solves a virtually shorted system
-whose solution hugs the sources regardless of the start, then relaxes the
-short: the sweep converges from every sample and always to the same point.
-Plain Newton from the same samples is a coin flip on a hard case.
+pair. Plain Newton starts from each sample, and on a hard case whether it
+converges is a coin flip. Series shorting ("Tx stepping") first solves a
+virtually shorted system, then relaxes the short; its walk starts at the
+anchored state and reads no sample, so every sample repeats one solve, and the
+Tx rows show what the walk reaches, not robustness to the start.
 
 Run from the repository root:
 

@@ -255,6 +255,10 @@ def run_sweep(
     ``START_VMAG`` and ``START_VANG_DEG`` (``solver.py``). The
     pairwise voltage spread over the converged samples measures whether they
     all landed on the same solution.
+
+    Only plain Newton (``homotopy="none"``) starts from the samples. Under
+    ``tx`` and ``power`` the first pass walks from ``anchored_state`` and
+    reads no start, so every sample repeats one solve and the spread is 0.
     """
     if options is None:
         options = SolverOptions()

@@ -533,13 +533,16 @@ def read_solution(network: Network, text: str) -> StateVector:
 
     Raises ``ValueError`` unless the header is ``_SOLUTION_FIELDS`` and every
     row has six fields, a ``bus`` written as a decimal integer, a bus and
-    phase the case has, and voltages that read as floats.
+    phase the case has, and voltages that read as floats, and then unless
+    the rows give each bus and phase exactly once (the error names the first
+    that breaks this, in bus order).
     """
     header, *rows = text.splitlines() or [""]
     if header != ",".join(_SOLUTION_FIELDS):
         raise ValueError(f"header {header!r} is not {','.join(_SOLUTION_FIELDS)}")
     state = flat_state(IndexMap(network))
     phase_pos = {name: ph for ph, name in enumerate(network.domain.phases)}
+    given = np.zeros(state.v.shape, dtype=int)  # rows per (phase, bus)
     for lineno, row in enumerate(rows, start=2):
         fields = row.split(",")
         if len(fields) != len(_SOLUTION_FIELDS):
@@ -550,4 +553,9 @@ def read_solution(network: Network, text: str) -> StateVector:
         if pos is None or phase not in phase_pos:
             raise ValueError(f"line {lineno}: the case has no bus {bus} phase {phase!r}")
         state.v[phase_pos[phase], pos] = complex(float(vr), float(vi))
+        given[phase_pos[phase], pos] += 1
+    if (given != 1).any():
+        pos, ph = np.argwhere(given.T != 1)[0]
+        bus, phase = network.buses[pos].id, network.domain.phases[ph]
+        raise ValueError(f"bus {bus} phase {phase!r}: {given[ph, pos]} rows, not 1")
     return state

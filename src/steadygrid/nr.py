@@ -15,10 +15,11 @@ the pass solves for the raw next iterate and then applies the safeguards:
   factor ``zeta``, which shrinks on large raw steps and recovers after two
   consecutive monotone improvements;
 * Q limiting caps the change of the source current implied by the reactive
-  power step of every free Q-slot lane (pinned lanes keep their pin) and
-  maps the capped current back to Q, in one array pass over the lanes. Under
-  the default infinite cap (``di_max = inf``) it can limit nothing, so the
-  pass skips it and every Q takes the raw solve.
+  power step of every free Q-slot lane (pinned lanes keep their pin): a
+  constant-P source's current moves by ``-j dQ v / |v|^2`` whatever P is, so
+  the capped Q follows in closed form, in one array pass over the lanes.
+  Under the default infinite cap (``di_max = inf``) it can limit nothing, so
+  the pass skips it and every Q takes the raw solve.
 
 A variable counts as limited when its step was capped or its result
 clamped, or when Q limiting moved its Q.
@@ -45,15 +46,7 @@ import numpy as np
 from .indexing import StateVector
 from .linsys import SingularityError, SparseSystem
 from .network import PHASE_OFFSETS
-from .stamps import (
-    BoundCompanion,
-    Companion,
-    GenModes,
-    ZeroVoltageIterate,
-    assemble_system,
-    invert_pv_current,
-    pv_current,
-)
+from .stamps import BoundCompanion, Companion, GenModes, ZeroVoltageIterate, assemble_system
 
 __all__ = [
     "NrOptions",
@@ -136,26 +129,24 @@ def update_zeta(trace: list[NrTraceRow], zeta: float, options: NrOptions) -> flo
 
 
 def apply_q_limiting(
-    p: np.ndarray, q_k: np.ndarray, q_raw: np.ndarray, vr: np.ndarray, vi: np.ndarray,
-    di_max: float,
+    q_k: np.ndarray, q_raw: np.ndarray, v: np.ndarray, di_max: float
 ) -> np.ndarray:
-    """Cap the source-current change implied by each lane's Q step, invert
-    back to Q. Arrays over lanes; a lane at zero voltage or within the cap
-    keeps its raw Q."""
-    live = (vr != 0.0) | (vi != 0.0)
-    if not live.all():
-        vr = np.where(live, vr, 1.0)  # a unit voltage keeps the dead lanes finite
-    ir_k, ii_k = pv_current(p, q_k, vr, vi)
-    ir_n, ii_n = pv_current(p, q_raw, vr, vi)
-    d_ir = ir_n - ir_k
-    d_ii = ii_n - ii_k
-    a_ir, a_ii = np.abs(d_ir), np.abs(d_ii)
-    within = (a_ir <= di_max) & (a_ii <= di_max)
+    """Each lane's Q after its step ``q_raw - q_k`` at the complex voltage
+    ``v`` moves the source current by at most ``di_max`` per component.
+
+    The current moves by ``(dQ Im v, -dQ Re v) / |v|^2``; a lane within the
+    cap keeps ``q_raw``, and a capped lane takes ``q_k`` plus the Q of the
+    capped change. Arrays over lanes, none at zero voltage: an iterate with
+    a generator lane at zero never reaches a pass's factorization
+    (:func:`run_newton` re-initializes that node first).
+    """
+    dq = q_raw - q_k
+    d = v.real * v.real + v.imag * v.imag
+    di = dq * (np.array([v.imag, -v.real]) / d)  # the current change, (re, im) rows
+    a = np.abs(di)
     # fmin, like min(a, di_max), ignores a NaN cap
-    ir_lim = ir_k + np.copysign(np.fmin(a_ir, di_max), d_ir)
-    ii_lim = ii_k + np.copysign(np.fmin(a_ii, di_max), d_ii)
-    _, q_lim = invert_pv_current(ir_lim, ii_lim, vr, vi)
-    return np.where(live & ~within, q_lim, q_raw)
+    c = np.copysign(np.fmin(a, di_max), di)
+    return np.where((a <= di_max).all(axis=0), q_raw, q_k + c[0] * v.imag - c[1] * v.real)
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +256,10 @@ def run_newton(
         # Q limiting on the free Q-slot lanes; an infinite cap limits nothing
         if options.di_max != math.inf and not modes.pinned.all():
             free = ~modes.pinned
-            lanes, qi = c.slot_lanes[free], c.q_idx[free]
-            v = current.x[:nv].view(complex)[c.lane_v[lanes]]
+            qi = c.index.q_rows[free]
+            v = current.x[:nv].view(complex)[c.lane_v[c.slot_lanes[free]]]
             q_raw = x_raw[qi]
-            q_lim = apply_q_limiting(
-                bound.gen_p[lanes], current.x[qi], q_raw, v.real, v.imag, options.di_max
-            )
+            q_lim = apply_q_limiting(current.x[qi], q_raw, v, options.di_max)
             limited += int(np.count_nonzero(q_lim != q_raw))
             new.x[qi] = q_lim
 

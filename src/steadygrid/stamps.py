@@ -231,25 +231,6 @@ def build_virtual_shorts(network: Network) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Source currents of the Q limiter, elementwise over scalars or lane arrays
-
-
-def pv_current(p, q, vr, vi):
-    """Injection current of a constant-P source, Q given."""
-    d = vr * vr + vi * vi
-    ir = (p * vr + q * vi) / d
-    ii = (p * vi - q * vr) / d
-    return ir, ii
-
-
-def invert_pv_current(ir, ii, vr, vi):
-    """Recover (P, Q) from an injection current at a given voltage."""
-    p = ir * vr + ii * vi
-    q = ir * vi - ii * vr
-    return p, q
-
-
-# ---------------------------------------------------------------------------
 # The companion system: laid out once per network, bound per parameter set
 
 
@@ -298,7 +279,6 @@ class Companion:
     lane_v: np.ndarray  # node per lane; a ZIP lane's + node (the node itself for wye)
     n_gen: int  # generator lanes, which lead the lanes
     slot_lanes: np.ndarray  # generator lane (k * nph + ph) per Q-slot lane
-    q_idx: np.ndarray  # Q unknown (and its constraint row) per slot lane: index.q_rows
     vc_v: np.ndarray  # regulated node per slot lane
     vc_sq: np.ndarray  # squared regulated magnitude per slot lane
     delta_lanes: np.ndarray  # lanes of delta terminals
@@ -400,7 +380,6 @@ class Companion:
         lane_live = np.concatenate([np.ones(gen_p.size, bool), (zip_i != 0) | (zip_s != 0)])
         return dict(
             linear_rhs=rhs,
-            gen_p=gen_p,
             lane_cs=np.concatenate([gen_p - 1j * params.gen_q.ravel(), np.conj(zip_s)]),
             lane_cc=lane_cc,
             lane_live=lane_live,
@@ -413,7 +392,7 @@ class Companion:
 
 
 # the BoundCompanion fields of the lane part, which Companion._lane_part returns
-_LANE_PART = ("linear_rhs", "gen_p", "lane_cs", "lane_cc", "lane_live", "has_cc", "all_live")
+_LANE_PART = ("linear_rhs", "lane_cs", "lane_cc", "lane_live", "has_cc", "all_live")
 
 
 @dataclass(frozen=True)
@@ -435,7 +414,6 @@ class BoundCompanion:
     params: DeviceParams
     linear_data: np.ndarray
     linear_rhs: np.ndarray
-    gen_p: np.ndarray  # per generator lane
     lane_cs: np.ndarray  # conj(s) per lane: P - jQ with the fixed Q (0 on Q-slot lanes)
     lane_cc: np.ndarray  # conj(c) per lane, 0 on generator lanes
     lane_live: np.ndarray  # generator lanes and ZIP lanes with a constant-current or -power part
@@ -576,7 +554,6 @@ def build_companion(network: Network, index: IndexMap) -> Companion:
         lane_v=lanes // 2,
         n_gen=gen_v.size,
         slot_lanes=slot_lanes,
-        q_idx=q_idx,
         vc_v=vc_v // 2,
         vc_sq=vc_set * vc_set,
         delta_lanes=dl,
@@ -635,7 +612,7 @@ def assemble_system(bound: BoundCompanion, state: StateVector, zeta: float, mode
     nl, ns = u.size, slot.size
     cs = bound.lane_cs
     if ns:
-        q = x[c.q_idx]
+        q = x[c.index.q_rows]
         cs = cs.copy()
         cs.imag[slot] = -q
     sq = u.view(float) * u.view(float)

@@ -9,7 +9,8 @@ the Q-slot rows, ZIP lanes, delta blocks, each entry-major. The library
 skips what a network or parameter set lacks, writes into preallocated
 arrays in an order where every slot still receives its values in the same
 order, and orders its right-hand side the same way; the tests require the
-two to agree byte for byte.
+two to agree byte for byte. ``pv_current`` is the constant-P source current
+the Jacobian tests differentiate, and the Q limiter's tests round-trip.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ def reference_order(layout: Companion):
     lanes = 2 * layout.lane_v
     gen_v, za = lanes[: layout.n_gen], lanes[layout.n_gen:]
     zd, zb = lanes[layout.delta_lanes], 2 * layout.zip_b
-    gv, q, vc = gen_v[layout.slot_lanes], layout.q_idx, 2 * layout.vc_v
+    gv, q, vc = gen_v[layout.slot_lanes], layout.index.q_rows, 2 * layout.vc_v
     rows, cols = zip(
         _blocks(gen_v, gen_v),
         (np.concatenate([gv, gv + 1]), np.concatenate([q, q])),
@@ -49,6 +50,15 @@ def reference_order(layout: Companion):
     slots = np.searchsorted(keys, want)
     assert np.array_equal(keys[slots], want)
     return slots, np.concatenate([lanes, lanes + 1, q, zb, zb + 1])
+
+
+def pv_current(p, q, vr, vi):
+    """Injection current of a constant-P source, Q given, elementwise over
+    scalars or lane arrays."""
+    d = vr * vr + vi * vi
+    ir = (p * vr + q * vi) / d
+    ii = (p * vi - q * vr) / d
+    return ir, ii
 
 
 def reference_bind(layout: Companion, params: DeviceParams) -> dict:
@@ -85,7 +95,6 @@ def reference_bind(layout: Companion, params: DeviceParams) -> dict:
     return {
         "linear_data": data,
         "linear_rhs": rhs,
-        "gen_p": gen_p,
         "lane_cs": np.concatenate([gen_p - 1j * params.gen_q.ravel(), np.conj(zip_s)]),
         "lane_cc": np.concatenate([np.zeros(gen_p.size), np.conj(zip_i)]),
         "lane_live": np.concatenate([np.ones(gen_p.size, bool), (zip_i != 0) | (zip_s != 0)]),
@@ -104,7 +113,7 @@ def reference_assemble(bound: BoundCompanion, state, zeta: float = 1.0,
     u = node[c.lane_v]
     u[c.delta_lanes] -= node[c.zip_b]
     ng, slot = c.n_gen, c.slot_lanes
-    q = x[c.q_idx]
+    q = x[c.index.q_rows]
     cs = bound.lane_cs.copy()
     cs.imag[slot] = -q
     m2 = 1.0 / np.where(bound.lane_live, u.real * u.real + u.imag * u.imag, 1.0)

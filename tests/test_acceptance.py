@@ -30,9 +30,10 @@ from steadygrid.solver import (
     validate_solution,
 )
 from steadygrid.network import Generator, phase_array
-from steadygrid.stamps import effective_params, pv_current
+from steadygrid.stamps import effective_params
 
 from conftest import ALL_NET_CASES, ORACLE_CASES, case_path, make_zip
+from stamps_reference import pv_current
 from test_stamps import central_differences, lane, zip_current
 
 TIGHT = NrOptions(tol=1e-10)

@@ -282,6 +282,22 @@ def test_a_solution_row_names_its_bus_by_a_decimal_integer():
             read_solution(net, "\n".join([header, rows[0], last]))
 
 
+def test_a_solution_csv_gives_each_bus_and_phase_exactly_once():
+    net = load_case(case_path("feeder8.json")).network
+    _, state = solve(net)
+    header, *rows = write_solution(net, state).splitlines()
+    for text, message in [
+        ([header, *rows[:5], *rows[6:]], "bus 2 phase 'c': 0 rows, not 1"),
+        ([header], "bus 1 phase 'a': 0 rows, not 1"),
+        ([header, *rows, rows[7], rows[1]], "bus 1 phase 'b': 2 rows, not 1"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_solution(net, "\n".join(text))
+    # any order of the rows reads the same state
+    back = read_solution(net, "\n".join([header, *reversed(rows)]))
+    assert back.v.tobytes() == state.v.tobytes()
+
+
 @pytest.mark.parametrize("text, message", [
     ("", "header '' is not bus,phase,vmag_pu,vang_deg,vr_pu,vi_pu"),
     ("bus,phase,vr_pu,vi_pu\n1,p,1.0,0.0\n", "header 'bus,phase,vr_pu,vi_pu' is not"),

@@ -284,6 +284,24 @@ def test_init_from_solution_file(tmp_path):
         assert (report["status"], report["inner_iterations"]) == ("converged", iterations)
 
 
+@pytest.mark.parametrize("edit, named", [
+    (lambda rows: rows[:8], "bus 8 phase 'p': 0 rows, not 1"),  # the header and 7 rows
+    (lambda rows: rows + [rows[3]], "bus 3 phase 'p': 2 rows, not 1"),
+], ids=["cut", "repeated"])
+def test_init_file_gives_each_bus_and_phase_once(tmp_path, capsys, edit, named):
+    first = tmp_path / "first"
+    assert run(["solve", case_path("case14.net"), "--homotopy", "tx", "--tol", "1e-8",
+                "--out", str(first)]) == 0
+    sol = tmp_path / "solution.csv"
+    sol.write_text("\n".join(edit((first / "solution.csv").read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    assert run(["solve", case_path("case14.net"), "--tol", "1e-8", "--init", "file",
+                "--init-file", str(sol), "--out", str(tmp_path / "second")]) == EX_NOINPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot use init file") and err.rstrip().endswith(named)
+    assert not (tmp_path / "second" / "report.json").exists()
+
+
 def test_init_file_without_path_is_usage_error():
     assert run(["solve", case_path("case14.net"), "--init", "file"]) == EX_USAGE
 

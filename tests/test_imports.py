@@ -1,7 +1,7 @@
 """Every imported name is used somewhere in its module.
 
 No linter ships with the toolchain, so this scan stands in for the unused
-import check: it parses each library and test module and compares the names
+import check: it parses each library, test and demo module and compares the names
 its imports bind with the names its code reads. ``__future__`` imports and
 the package ``__init__.py`` (its imports are the public re-exports) are out
 of scope.
@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = [
     path for path in sorted((ROOT / "src" / "steadygrid").glob("*.py"))
     + sorted((ROOT / "tests").glob("*.py"))
+    + sorted((ROOT / "demos").glob("*.py"))
     if path.name != "__init__.py"
 ]
 

@@ -21,15 +21,11 @@ from steadygrid.nr import (
     check_convergence,
     update_zeta,
 )
-from steadygrid.stamps import (
-    build_companion,
-    effective_params,
-    invert_pv_current,
-    pv_current,
-)
+from steadygrid.stamps import build_companion, effective_params
 from steadygrid.solver import solve
 
 from conftest import assembled, case_path, net_2bus, net_linear, newton, slack_ir
+from stamps_reference import pv_current
 
 WIDE = NrOptions(tol=1e-10, dv_max=100.0)
 
@@ -160,29 +156,39 @@ def test_q_cap_must_be_positive():
 # -- Q limiting ----------------------------------------------------------------
 
 
-def limit_one(p, q_k, q_raw, vr, vi, di_max):
+def limit_one(q_k, q_raw, v, di_max):
     """``apply_q_limiting`` on a single lane."""
-    [q] = apply_q_limiting(*(np.array([v], dtype=float) for v in (p, q_k, q_raw, vr, vi)), di_max)
+    [q] = apply_q_limiting(np.array([q_k]), np.array([q_raw]), np.array([v], complex), di_max)
     return q
 
 
-def scalar_q_limit(p, q_k, q_raw, vr, vi, di_max):
-    """One lane of the Q limiter in plain float arithmetic."""
-    if vr == 0.0 and vi == 0.0:
-        return q_raw
+def scalar_q_limit(q_k, q_raw, vr, vi, di_max):
+    """One lane of the Q limiter's closed form in plain float arithmetic."""
+    dq = q_raw - q_k
     d = vr * vr + vi * vi
-    ir_k, ii_k = (p * vr + q_k * vi) / d, (p * vi - q_k * vr) / d
-    ir_n, ii_n = (p * vr + q_raw * vi) / d, (p * vi - q_raw * vr) / d
-    d_ir, d_ii = ir_n - ir_k, ii_n - ii_k
+    d_ir, d_ii = dq * (vi / d), dq * (-vr / d)
     if abs(d_ir) <= di_max and abs(d_ii) <= di_max:
         return q_raw
-    ir_lim = ir_k + math.copysign(min(abs(d_ir), di_max), d_ir)
-    ii_lim = ii_k + math.copysign(min(abs(d_ii), di_max), d_ii)
-    return ir_lim * vi - ii_lim * vr
+    c_r = math.copysign(min(abs(d_ir), di_max), d_ir)
+    c_i = math.copysign(min(abs(d_ii), di_max), d_ii)
+    return q_k + c_r * vi - c_i * vr
+
+
+def round_trip_q_limit(p, q_k, q_raw, vr, vi, di_max):
+    """The Q limiter as a round trip through the source current: the
+    constant-P currents at ``q_k`` and ``q_raw``, their change capped per
+    component, the capped current inverted back to Q."""
+    ir_k, ii_k = pv_current(p, q_k, vr, vi)
+    ir_n, ii_n = pv_current(p, q_raw, vr, vi)
+    d_ir, d_ii = ir_n - ir_k, ii_n - ii_k
+    within = (np.abs(d_ir) <= di_max) & (np.abs(d_ii) <= di_max)
+    ir_lim = ir_k + np.copysign(np.fmin(np.abs(d_ir), di_max), d_ir)
+    ii_lim = ii_k + np.copysign(np.fmin(np.abs(d_ii), di_max), d_ii)
+    return np.where(within, q_raw, ir_lim * vi - ii_lim * vr)
 
 
 def test_q_step_within_cap_is_untouched():
-    q = limit_one(1.0, 0.0, 0.3, 1.0, 0.0, di_max=10.0)
+    q = limit_one(0.0, 0.3, 1.0 + 0.0j, di_max=10.0)
     assert q == 0.3
 
 
@@ -190,41 +196,37 @@ def test_q_step_within_cap_is_untouched():
 def test_q_limiting_over_lanes_matches_each_lane_bit_for_bit(di_max):
     rng = np.random.default_rng(12)
     n = 64
-    p, q_k, q_raw = rng.uniform(-2, 2, size=(3, n))
+    q_k, q_raw = rng.uniform(-2, 2, size=(2, n))
     vr, vi = rng.uniform(0.5, 1.5, size=n), rng.uniform(-0.5, 0.5, size=n)
-    vr[:3] = vi[:3] = 0.0  # zero-voltage lanes keep their raw Q, undivided
     q_raw[3:6] = q_k[3:6]  # lanes that do not move
-    got = apply_q_limiting(p, q_k, q_raw, vr, vi, di_max)
-    lanes = zip(*(a.tolist() for a in (p, q_k, q_raw, vr, vi)))
+    got = apply_q_limiting(q_k, q_raw, vr + 1j * vi, di_max)
+    lanes = zip(*(a.tolist() for a in (q_k, q_raw, vr, vi)))
     want = [scalar_q_limit(*lane, di_max) for lane in lanes]
     assert got.tobytes() == np.array(want).tobytes()
-    assert got[:3].tolist() == q_raw[:3].tolist()
 
 
-def test_current_inverse_reference_point():
-    p, q = invert_pv_current(1.0, -0.5, 1.0, 0.0)
-    assert (p, q) == (1.0, 0.5)
-
-
-def test_inverse_is_exact_against_forward():
-    rng = np.random.default_rng(4)
-    for _ in range(100):
-        p0, q0 = rng.uniform(-2, 2, size=2)
-        vr, vi = rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5)
-        ir, ii = pv_current(p0, q0, vr, vi)
-        p1, q1 = invert_pv_current(ir, ii, vr, vi)
-        assert p1 == pytest.approx(p0, abs=1e-12)
-        assert q1 == pytest.approx(q0, abs=1e-12)
+@pytest.mark.parametrize("di_max", [0.0, 0.05, 0.5, 10.0])
+def test_q_limiting_matches_the_source_current_round_trip(di_max):
+    # a constant-P source's current moves by -j dQ v / |v|^2 whatever P is
+    rng = np.random.default_rng(5)
+    n = 20_000
+    p, q_k, q_raw = rng.uniform(-5, 5, size=(3, n))
+    p[p == 0.0] = 1.0
+    v = rng.uniform(0.3, 1.7, size=n) * np.exp(1j * rng.uniform(-np.pi, np.pi, size=n))
+    got = apply_q_limiting(q_k, q_raw, v, di_max)
+    want = round_trip_q_limit(p, q_k, q_raw, v.real, v.imag, di_max)
+    scale = np.maximum(1.0, np.abs(q_k) + np.abs(q_raw))
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
 
 
 def test_zero_cap_freezes_q():
-    q = limit_one(0.7, 0.2, 5.0, 1.0, 0.1, di_max=0.0)
+    q = limit_one(0.2, 5.0, 1.0 + 0.1j, di_max=0.0)
     assert q == pytest.approx(0.2, abs=1e-14)
 
 
 def test_partial_cap_limits_q_change():
     q_raw = 5.0
-    q = limit_one(1.0, 0.0, q_raw, 1.0, 0.0, di_max=0.5)
+    q = limit_one(0.0, q_raw, 1.0 + 0.0j, di_max=0.5)
     assert 0.0 < abs(q) < abs(q_raw)
 
 

@@ -252,16 +252,31 @@ def test_uniform_state_same_everywhere():
     np.testing.assert_allclose(va, 12.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("case, iterations", [
-    ("case14.net", 11), ("case56_mesh.net", 11), ("case196_mesh.net", 17), ("feeder8.json", 10),
-])
-def test_zero_voltage_start_converges(case, iterations):
+# inner iterations from a zero start at di_max = inf and at di_max = 0.05
+ZERO_STARTS = [
+    ("case14.net", 11, 11), ("case56_mesh.net", 11, 14), ("case196_mesh.net", 17, 28),
+    ("feeder8.json", 10, 10),
+]
+
+
+@pytest.mark.parametrize("case, iterations, capped", ZERO_STARTS,
+                         ids=[f"{case}-{n}" for case, n, _ in ZERO_STARTS])
+def test_zero_voltage_start_converges(case, iterations, capped):
     # every generator and ZIP lane sits at |V| = 0: Newton re-initializes
-    # one node at a time until the companion system can be linearized
-    net = load_case(case_path(case)).network
-    report, _ = solve(net, SolverOptions(init=InitSpec(kind="uniform", vmag=0.0)))
-    assert report.status == CONVERGED
-    assert report.inner_iterations == iterations
+    # one node at a time until the companion system can be linearized, so
+    # the Q limiter, which divides by |V|^2, never meets a zero lane
+    limited = {}
+    for di_max, want in ((math.inf, iterations), (0.05, capped)):
+        net = load_case(case_path(case)).network
+        start = InitSpec(kind="uniform", vmag=0.0)
+        report, _ = solve(net, SolverOptions(nr=NrOptions(di_max=di_max), init=start))
+        assert report.status == CONVERGED
+        assert report.inner_iterations == want
+        limited[di_max] = sum(row.limited for row in report.nr_trace)
+    if IndexMap(net).q_rows.size:
+        assert limited[0.05] > limited[math.inf]
+    else:
+        assert limited[0.05] == limited[math.inf]
 
 
 def test_warm_start_dimension_checked():

@@ -33,7 +33,6 @@ from steadygrid.stamps import (
     assemble_system,
     build_companion,
     effective_params,
-    pv_current,
 )
 
 from conftest import (
@@ -47,7 +46,7 @@ from conftest import (
     slack_ir,
     vr,
 )
-from stamps_reference import reference_assemble, reference_bind
+from stamps_reference import pv_current, reference_assemble, reference_bind
 
 
 def dense_system(net, state=None, params=None, zeta=1.0, modes=None):
@@ -719,7 +718,7 @@ def test_bind_and_assembly_match_the_reference_byte_for_byte(name):
 # -- reusing the previous bound ------------------------------------------------
 
 # the fields of the lane part, which a Tx step takes from the previous bound
-LANE_PART = ("linear_rhs", "gen_p", "lane_cs", "lane_cc", "lane_live", "has_cc", "all_live")
+LANE_PART = ("linear_rhs", "lane_cs", "lane_cc", "lane_live", "has_cc", "all_live")
 WALK = (1.0, 0.9, 0.6, 0.2, 0.0)
 
 
