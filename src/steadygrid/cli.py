@@ -45,9 +45,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--homotopy", choices=["none", "tx", "power"], default="none")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--gamma", type=float, default=1e4)
-    p.add_argument("--dv-max", type=float, default=0.1)
-    p.add_argument("--zeta-min", type=float, default=0.05)
     p.add_argument("--q-limits", choices=["on", "off"], default="on")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=".", help="output directory")
@@ -69,10 +66,8 @@ def _build_options(args, network) -> SolverOptions:
         _fail(EX_USAGE, "--init file needs --init-file PATH")
     try:
         options = SolverOptions(
-            nr=NrOptions(tol=args.tol, max_iter=args.max_iter, dv_max=args.dv_max,
-                         zeta_min=args.zeta_min),
+            nr=NrOptions(tol=args.tol, max_iter=args.max_iter),
             homotopy=args.homotopy,
-            gamma=args.gamma,
             # a file start replaces this below, once every flag is checked
             init=InitSpec(kind="flat" if from_file else args.init, seed=args.seed),
             enforce_q_limits=args.q_limits == "on",

@@ -4,7 +4,7 @@ Both embed a factor into the device parameters so that the first sub-problem
 is trivial and the last is the original network, then walk the factor with an
 adaptive step, warm-starting every sub-problem from the previous solution.
 
-* Tx stepping multiplies every series admittance by ``(1 + lambda*gamma)``
+* Tx stepping multiplies every series admittance by ``(1 + lambda*GAMMA)``
   (the block diagonal only, a 1x1 block in positive sequence), relaxes taps
   to 1 and shifts to 0 at ``lambda = 1``, open-circuits shunts and charging
   by ``(1 - lambda)`` and closes a virtual short between every remote-control
@@ -24,7 +24,8 @@ The factor moves from 1 to 0 with fixed step control: the first step is
 ``D_LAMBDA``; a failed sub-problem multiplies the step by ``BACKTRACK`` until
 it drops below ``MIN_STEP``, which reports divergence with the last good
 factor; two consecutive first-try successes multiply it by ``GROWTH``, up to
-``MAX_STEP``. Only the Tx-stepping scale ``gamma`` is an option.
+``MAX_STEP``. These constants and the Tx-stepping scale ``GAMMA`` (1e4) are
+fixed; none is an option.
 """
 
 from __future__ import annotations
@@ -55,6 +56,9 @@ MIN_STEP = 1e-4
 BACKTRACK = 0.5
 GROWTH = 2.0
 MAX_STEP = 0.5
+
+# the series scale of Tx stepping: tx_transform's gamma in every walk
+GAMMA = 1e4
 
 # the fields of each step in HomotopyResult.accepted: its factor, the Newton
 # iterations it took and the residual of the iterate it accepted
@@ -131,13 +135,12 @@ def run_homotopy(
     start: StateVector,
     method: str,
     options: NrOptions,
-    gamma: float,
     modes: GenModes,
     system: SparseSystem,
     nr_trace: list[NrTraceRow],
 ) -> HomotopyResult:
     """Walk the continuation factor from the trivial to the original problem
-    of ``base`` (``method`` is ``tx`` or ``power``, which ignores ``gamma``),
+    of ``base`` (``method`` is ``tx``, at the scale ``GAMMA``, or ``power``),
     starting the first sub-problem from ``start`` (``solve`` passes
     :func:`anchored_state`); every sub-problem binds its parameter set to
     ``layout``, reusing from the last bind the part its transform shares
@@ -146,7 +149,7 @@ def run_homotopy(
 
     def params_at(lam: float) -> DeviceParams:
         if method == "tx":
-            return tx_transform(base, lam, gamma)
+            return tx_transform(base, lam, GAMMA)
         return power_transform(base, 1.0 - lam)
 
     bound = None

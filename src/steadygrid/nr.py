@@ -9,11 +9,11 @@ measures the true nonlinear residual (``A x_k - b`` is exact for companion
 stamps). A converged iterate returns before any factorization; otherwise
 the pass solves for the raw next iterate and then applies the safeguards:
 
-* voltage limiting caps every ``V_R``/``V_I`` step at ``dv_max`` and clamps
-  the result into ``[V_MIN, V_MAX]`` (-2 to 2 pu);
+* voltage limiting caps every ``V_R``/``V_I`` step at ``DV_MAX`` (0.1 pu) and
+  clamps the result into ``[V_MIN, V_MAX]`` (-2 to 2 pu);
 * variable limiting damps only the PV-source voltage derivatives through the
-  factor ``zeta``, which shrinks on large raw steps and recovers after two
-  consecutive monotone improvements;
+  factor ``zeta``, which shrinks on large raw steps, down to ``ZETA_MIN``,
+  and recovers after two consecutive monotone improvements;
 * Q limiting caps the change of the source current implied by the reactive
   power step of every free Q-slot lane (pinned lanes keep their pin): a
   constant-P source's current moves by ``-j dQ v / |v|^2`` whatever P is, so
@@ -22,7 +22,8 @@ the pass solves for the raw next iterate and then applies the safeguards:
   the pass skips it and every Q takes the raw solve.
 
 A variable counts as limited when its step was capped or its result
-clamped, or when Q limiting moved its Q.
+clamped (:func:`apply_voltage_limiting` counts these), or when Q limiting
+moved its Q.
 
 The last iterate of the ``max_iter`` budget is measured in one more pass,
 at the current ``zeta``. Convergence is declared on the maximum nonlinear
@@ -30,9 +31,10 @@ current mismatch over all non-slack KCL rows together with every
 control-constraint residual; :func:`check_convergence` splits that same
 measurement into its two parts.
 
-The damping constants (``ZETA_INIT``, ``ZETA_SHRINK``, ``ZETA_GROWTH``,
-``LARGE_STEP``) and the clamp (``V_MIN``, ``V_MAX``) are fixed; of the
-damping, only the floor ``zeta_min`` is an option.
+The safeguards are fixed: the damping constants (``ZETA_INIT``,
+``ZETA_MIN``, ``ZETA_SHRINK``, ``ZETA_GROWTH``, ``LARGE_STEP``), the step
+cap ``DV_MAX`` and the clamp (``V_MIN``, ``V_MAX``). Of the limiting, only
+the Q cap ``di_max`` is an option.
 """
 
 from __future__ import annotations
@@ -61,30 +63,26 @@ __all__ = [
 
 # the generator damping of update_zeta; every call starts at ZETA_INIT
 ZETA_INIT = 1.0
+ZETA_MIN = 0.05
 ZETA_SHRINK = 0.5
 ZETA_GROWTH = 2.0
 LARGE_STEP = 0.5
 
-# the clamp of every limited V_R/V_I component, pu
+# the cap of every V_R/V_I step and the clamp of its result, pu
+DV_MAX = 0.1
 V_MIN = -2.0
 V_MAX = 2.0
 
 
 @dataclass
 class NrOptions:
-    """Tolerances, iteration budget and limiting bounds."""
+    """Tolerance, iteration budget and Q-limiting cap."""
 
     tol: float = 1e-6
     max_iter: int = 100
-    dv_max: float = 0.1
-    zeta_min: float = 0.05
     di_max: float = math.inf  # Q-limiting current cap per step
 
     def __post_init__(self):
-        if not (0.0 < self.zeta_min <= ZETA_INIT):
-            raise ValueError("need 0 < zeta_min <= 1")
-        if not self.dv_max > 0:
-            raise ValueError("dv_max must be positive")
         if not 0 < self.tol < math.inf:  # also rejects nan
             raise ValueError("tol must be finite and positive")
         if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 0:
@@ -106,20 +104,23 @@ class NrTraceRow:
 # Limiting primitives
 
 
-def apply_voltage_limiting(v_k: np.ndarray, dv: np.ndarray, options: NrOptions) -> np.ndarray:
-    """Componentwise capped and clamped voltage update."""
-    step = np.sign(dv) * np.minimum(np.abs(dv), options.dv_max)
+def apply_voltage_limiting(v_k: np.ndarray, dv: np.ndarray) -> tuple[np.ndarray, int]:
+    """Componentwise capped and clamped voltage update, and the number of
+    components whose step was capped or whose result was clamped."""
+    a = np.abs(dv)
+    reach = v_k + np.sign(dv) * np.minimum(a, DV_MAX)
+    limited = np.count_nonzero((a > DV_MAX) | (reach < V_MIN) | (reach > V_MAX))
     # np.clip without its wrapper: the bound goes first, so a value equal to
     # a bound keeps its own bits (its sign, for a zero bound), as np.clip does
-    return np.minimum(V_MAX, np.maximum(V_MIN, v_k + step))
+    return np.minimum(V_MAX, np.maximum(V_MIN, reach)), int(limited)
 
 
-def update_zeta(trace: list[NrTraceRow], zeta: float, options: NrOptions) -> float:
+def update_zeta(trace: list[NrTraceRow], zeta: float) -> float:
     """Damping heuristic driven by the raw step-size history."""
     if not trace:
         return zeta
     if trace[-1].max_dv > LARGE_STEP:
-        return max(zeta * ZETA_SHRINK, options.zeta_min)
+        return max(zeta * ZETA_SHRINK, ZETA_MIN)
     if (
         len(trace) >= 3
         and trace[-1].max_dv < trace[-2].max_dv < trace[-3].max_dv
@@ -243,16 +244,10 @@ def run_newton(
             return current, False, k, residual
         v_k = current.x[:nv]
         dv = x_raw[:nv] - v_k
-        abs_dv = np.abs(dv)
-        max_dv = float(abs_dv.max()) if nv else 0.0
+        max_dv = float(np.abs(dv).max()) if nv else 0.0
         # auxiliary slack currents and Q slots take the raw solve, a new array
         new = StateVector(x_raw, current.index)
-        new.x[:nv] = apply_voltage_limiting(v_k, dv, options)
-        # the limiter's decisions, not the round-off of v_k + (x_raw - v_k)
-        reach = v_k + dv
-        limited = int(np.count_nonzero(
-            (abs_dv > options.dv_max) | (reach < V_MIN) | (reach > V_MAX)
-        ))
+        new.x[:nv], limited = apply_voltage_limiting(v_k, dv)
         # Q limiting on the free Q-slot lanes; an infinite cap limits nothing
         if options.di_max != math.inf and not modes.pinned.all():
             free = ~modes.pinned
@@ -266,5 +261,5 @@ def run_newton(
         trace.append(NrTraceRow(k, residual, max_dv, zeta, limited))
         current = new
         # update_zeta reads at most the last three rows of this call
-        zeta = update_zeta(trace[max(base, len(trace) - 3):], zeta, options)
+        zeta = update_zeta(trace[max(base, len(trace) - 3):], zeta)
     return current, False, options.max_iter, residual

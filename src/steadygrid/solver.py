@@ -56,7 +56,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import reference
 from .homotopy import anchored_state, run_homotopy
 from .indexing import IndexMap, StateVector, flat_state, polar_state
 from .linsys import SparseSystem
@@ -72,10 +71,8 @@ __all__ = [
     "InvalidNetworkError",
     "SolverOptions",
     "SolveReport",
-    "MismatchReport",
     "initialize_state",
     "solve",
-    "validate_solution",
 ]
 
 CONVERGED = "converged"
@@ -83,11 +80,6 @@ DIVERGED = "diverged"
 INFEASIBLE = "infeasible"
 
 EXIT_CODES = {CONVERGED: 0, DIVERGED: 1, INFEASIBLE: 2}
-
-# the mismatch check lives with the rest of the oracle path in reference.py,
-# and is still importable from here
-MismatchReport = reference.MismatchReport
-validate_solution = reference.validate_solution
 
 # a controlled tap moves once its bus is this far (pu) from the target
 TAP_DEADBAND = 0.01
@@ -143,13 +135,10 @@ class InitSpec:
 class SolverOptions:
     nr: NrOptions = field(default_factory=NrOptions)
     homotopy: str = "none"  # none | tx | power
-    gamma: float = 1e4  # Tx-stepping series scale
     init: InitSpec = field(default_factory=InitSpec)
     enforce_q_limits: bool = True
 
     def __post_init__(self):
-        if not 0 < self.gamma < math.inf:  # also rejects nan
-            raise ValueError("gamma must be finite and positive")
         if self.homotopy not in ("none", "tx", "power"):
             raise ValueError(f"unknown homotopy method {self.homotopy!r}")
 
@@ -161,8 +150,9 @@ class SolveReport:
     homotopy_steps: int = 0
     outer_passes: int = 0
     switch_events: list = field(default_factory=list)
-    max_kcl_residual: float = math.nan
-    max_constraint_residual: float = math.nan
+    # split only from a converged solve's last assembly, else None
+    max_kcl_residual: float | None = None
+    max_constraint_residual: float | None = None
     wall_time_s: float = 0.0
     vmag: np.ndarray | None = None
     vang_deg: np.ndarray | None = None
@@ -196,7 +186,8 @@ class SolveReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1)
+        """Strict JSON: a non-finite value raises rather than writing ``NaN``."""
+        return json.dumps(self.to_dict(), indent=1, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +447,7 @@ def solve(network: Network, options: SolverOptions | None = None):
             # the solve's one continuation walk, from the anchored start
             walk = run_homotopy(
                 layout, params, anchored_state(network, index), options.homotopy,
-                options.nr, options.gamma, modes, system, nr_trace,
+                options.nr, modes, system, nr_trace,
             )
             total_inner += walk.inner_iterations
             report.homotopy_steps = len(walk.accepted)

@@ -135,6 +135,13 @@ their total, the measure of a change's size in code:
 
     PYTHONPATH=src python3 tests/corpus_digest.py --code-lines
 
+The default output (the corpus and CLI lines) is checked in as
+``golden_digest.txt``, which ``test_golden_digest.py`` compares line by
+line. A change that moves a line on purpose records the file again and
+says which lines moved and why:
+
+    PYTHONPATH=src python3 tests/corpus_digest.py > tests/golden_digest.txt
+
 pytest does not collect this file (its name does not start with ``test_``).
 """
 
@@ -223,6 +230,13 @@ def _run(network, options):
     tail = (f"{report.status} {report.inner_iterations} {report.homotopy_steps} "
             f"{report.outer_passes}")
     return tail, digest, state.x if report.status == "converged" else None
+
+
+def printed(lines, work=False):
+    """Each ``(line, hash)`` as the script prints it: the hash after the
+    line, unless ``work`` is set or the run raised."""
+    for line, digest in lines:
+        yield line if work or digest is None else f"{line} {digest}"
 
 
 def summary_lines(lines):
@@ -688,8 +702,8 @@ if __name__ == "__main__":
             lines = issue_lines()
         else:
             lines = itertools.chain(corpus_lines(states, args.repeat, differs), cli_lines())
-        for line, digest in lines:
-            print(line if args.work or digest is None else f"{line} {digest}", flush=True)
+        for line in printed(lines, args.work):
+            print(line, flush=True)
         if args.states:
             np.savez(args.states, **states)
         for line in differs:

@@ -19,7 +19,7 @@ from steadygrid.analyses import (
 from steadygrid.caseio import load_case
 from steadygrid.homotopy import power_transform, tx_transform
 from steadygrid.nr import NrOptions
-from steadygrid.reference import dense_reference_solve
+from steadygrid.reference import dense_reference_solve, validate_solution
 from steadygrid.solver import (
     CONVERGED,
     START_VANG_DEG,
@@ -27,7 +27,6 @@ from steadygrid.solver import (
     InitSpec,
     SolverOptions,
     solve,
-    validate_solution,
 )
 from steadygrid.network import Generator, phase_array
 from steadygrid.stamps import effective_params

@@ -22,10 +22,9 @@ from steadygrid.caseio import load_case
 from steadygrid.cli import main
 from steadygrid.indexing import IndexMap
 from steadygrid.nr import NrOptions
-from steadygrid.reference import MismatchReport, dense_reference_solve
+from steadygrid.reference import MismatchReport, dense_reference_solve, validate_solution
 from steadygrid.solver import (
     CONVERGED, DIVERGED, INFEASIBLE, InitSpec, SolverOptions, solve, transfer_state,
-    validate_solution,
 )
 
 from conftest import case_path, net_tap

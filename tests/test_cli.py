@@ -56,12 +56,20 @@ def test_bogus_homotopy_flag_is_usage_error(capsys):
         assert [line for line in err.splitlines() if line.startswith("error:")] == [
             f"error: unrecognized arguments: {' '.join(flags)}"
         ]
+    # the safeguards are constants: their flags are gone, not ignored
+    for command in ("solve", "sweep", "contingency"):
+        for flag in ("--gamma", "--dv-max", "--zeta-min"):
+            assert run([command, case_path("case2.net"), flag, "10"]) == EX_USAGE
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert [line for line in err.splitlines() if line.startswith("error:")] == [
+                f"error: unrecognized arguments: {flag} 10"
+            ]
     # values the options reject: one error line, no traceback, no solve
     rejected = [
         (command, flag, value)
-        for flag, value in [("--dv-max", "0"), ("--zeta-min", "2"), ("--tol", "-1"),
-                            ("--tol", "0"), ("--tol", "inf"), ("--tol", "nan"),
-                            ("--max-iter", "-3"), ("--gamma", "0")]
+        for flag, value in [("--tol", "-1"), ("--tol", "0"), ("--tol", "inf"),
+                            ("--tol", "nan"), ("--max-iter", "-3")]
         for command in ("solve", "sweep", "contingency")
     ]
     # and the values one subcommand's own flag rejects
@@ -101,6 +109,22 @@ def test_diverged_exit_code(tmp_path):
     hard = case_path("hard_corridor.net")
     assert run(["solve", hard, "--out", str(tmp_path)]) == 1
     assert run(["solve", hard, "--homotopy", "power", "--out", str(tmp_path)]) == 0
+
+
+def test_report_json_is_strict_json_for_every_status(tmp_path):
+    def no_constant(name):
+        raise AssertionError(f"report.json holds {name}")
+
+    for case, status in (("case14.net", "converged"), ("hard_corridor.net", "diverged")):
+        out = tmp_path / case
+        run(["solve", case_path(case), "--out", str(out)])
+        report = json.loads((out / "report.json").read_text(), parse_constant=no_constant)
+        assert report["status"] == status
+        residuals = [report["max_kcl_residual"], report["max_constraint_residual"]]
+        if status == "converged":
+            assert all(isinstance(r, float) for r in residuals)
+        else:  # a solve that did not converge splits no residual
+            assert residuals == [None, None]
 
 
 def test_validate_subcommand(capsys):
@@ -314,6 +338,16 @@ def test_missing_init_file_is_input_error(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+# a row at NaN where the case has more buses: the rows are counted first
+ONE_NAN_ROW = "bus,phase,vmag_pu,vang_deg,vr_pu,vi_pu\n1,p,nan,nan,nan,0.0\n"
+# case14's own solution.csv with bus 2 at NaN, written by the test: it gives
+# every bus once, so the warm start's finiteness check rejects it
+CASE14_BUS2_NAN = "case14 solution.csv, bus 2 at nan"
+# the end of the error line, where an input's message is pinned
+NAMED = {ONE_NAN_ROW: "bus 2 phase 'p': 0 rows, not 1",
+         CASE14_BUS2_NAN: "warm start state must be finite"}
+
+
 @pytest.mark.parametrize("text", [
     # anything but a solution CSV, the JSON solution documents once read included
     "not json",
@@ -332,9 +366,18 @@ def test_missing_init_file_is_input_error(tmp_path, capsys):
     "bus,phase,vmag_pu,vang_deg,vr_pu,vi_pu\nx,p,1.0,0.0,1.0,0.0\n",
     "bus,phase,vmag_pu,vang_deg,vr_pu,vi_pu\n99,p,1.0,0.0,1.0,0.0\n",
     "bus,phase,vmag_pu,vang_deg,vr_pu,vi_pu\n1,a,1.0,0.0,1.0,0.0\n",
-    "bus,phase,vmag_pu,vang_deg,vr_pu,vi_pu\n1,p,nan,nan,nan,0.0\n",
+    ONE_NAN_ROW,
+    pytest.param(CASE14_BUS2_NAN, id="case14-bus2-nan"),
 ])
 def test_malformed_init_file_is_input_error(tmp_path, capsys, text):
+    given = text
+    if text == CASE14_BUS2_NAN:
+        first = tmp_path / "first"
+        assert run(["solve", case_path("case14.net"), "--out", str(first)]) == 0
+        rows = (first / "solution.csv").read_text().splitlines()
+        text = "\n".join("2,p,nan,nan,nan,nan" if row.startswith("2,") else row
+                         for row in rows) + "\n"
+        capsys.readouterr()
     sol = tmp_path / "sol.json"
     sol.write_text(text)
     argv = ["solve", case_path("case14.net"), "--init", "file",
@@ -342,3 +385,6 @@ def test_malformed_init_file_is_input_error(tmp_path, capsys, text):
     assert run(argv) == EX_NOINPUT
     err = capsys.readouterr().err
     assert err.startswith("error: cannot use init file") and err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
+    if given in NAMED:
+        assert err.rstrip().endswith(NAMED[given])

@@ -13,6 +13,7 @@ from steadygrid.nr import (
     LARGE_STEP,
     ZETA_GROWTH,
     ZETA_INIT,
+    ZETA_MIN,
     ZETA_SHRINK,
     NrOptions,
     NrTraceRow,
@@ -27,7 +28,13 @@ from steadygrid.solver import solve
 from conftest import assembled, case_path, net_2bus, net_linear, newton, slack_ir
 from stamps_reference import pv_current
 
-WIDE = NrOptions(tol=1e-10, dv_max=100.0)
+
+@pytest.fixture
+def wide(monkeypatch):
+    """Options at tol 1e-10 with the step cap at 100 pu, beyond every step
+    these tests take."""
+    monkeypatch.setattr(nr, "DV_MAX", 100.0)
+    return NrOptions(tol=1e-10)
 
 
 def bound_of(net):
@@ -48,33 +55,33 @@ def split(bound, state):
 
 
 def test_step_cap():
-    opts = NrOptions(dv_max=0.1)
-    out = apply_voltage_limiting(np.array([1.0]), np.array([-0.5]), opts)
-    assert out[0] == pytest.approx(0.9)
+    assert nr.DV_MAX == 0.1
+    out, limited = apply_voltage_limiting(np.array([1.0]), np.array([-0.5]))
+    assert out[0] == pytest.approx(0.9) and limited == 1
 
 
-def test_clamp_branch():
+def test_clamp_branch(monkeypatch):
     assert (nr.V_MIN, nr.V_MAX) == (-2.0, 2.0)
-    opts = NrOptions(dv_max=0.3)
-    out = apply_voltage_limiting(np.array([1.95]), np.array([0.2]), opts)
-    assert out[0] == pytest.approx(2.0)
+    monkeypatch.setattr(nr, "DV_MAX", 0.3)
+    out, limited = apply_voltage_limiting(np.array([1.95]), np.array([0.2]))
+    assert out[0] == pytest.approx(2.0) and limited == 1
 
 
 def test_zero_step_fixed_point():
-    opts = NrOptions()
-    out = apply_voltage_limiting(np.array([0.97]), np.array([0.0]), opts)
-    assert out[0] == 0.97
+    out, limited = apply_voltage_limiting(np.array([0.97]), np.array([0.0]))
+    assert out[0] == 0.97 and limited == 0
 
 
 def test_limiting_safety_property():
     rng = np.random.default_rng(1)
-    opts = NrOptions(dv_max=0.1)
     for _ in range(300):
         v = rng.uniform(-2, 2, size=12)
         dv = rng.uniform(-10, 10, size=12)
-        out = apply_voltage_limiting(v, dv, opts)
+        out, limited = apply_voltage_limiting(v, dv)
         assert np.all(out >= nr.V_MIN - 1e-15) and np.all(out <= nr.V_MAX + 1e-15)
-        assert np.all(np.abs(out - v) <= opts.dv_max + 1e-15)
+        assert np.all(np.abs(out - v) <= nr.DV_MAX + 1e-15)
+        # a component the limiter left alone took its whole step
+        assert limited == np.count_nonzero(out != v + dv)
 
 
 def test_voltage_limiting_matches_the_clip_formula_bit_for_bit(monkeypatch):
@@ -85,18 +92,22 @@ def test_voltage_limiting_matches_the_clip_formula_bit_for_bit(monkeypatch):
     ])
     v_k, dv = (a.ravel() for a in np.meshgrid(special, special))
     rng = np.random.default_rng(14)
+    monkeypatch.setattr(nr, "DV_MAX", 0.25)
     for v_min, v_max in [(-2.0, 2.0), (-1.0, 0.0), (-1.0, -0.0), (0.0, 1.0), (-0.0, 1.0)]:
         monkeypatch.setattr(nr, "V_MIN", v_min)
         monkeypatch.setattr(nr, "V_MAX", v_max)
-        opts = NrOptions(dv_max=0.25)
         # every length, so that vector loops and their scalar tails both run
         for n in (*range(1, 40), v_k.size):
             pick = rng.integers(0, v_k.size, size=n) if n < v_k.size else np.arange(n)
             with np.errstate(invalid="ignore"):  # inf - inf and NaN comparisons
-                step = np.sign(dv[pick]) * np.minimum(np.abs(dv[pick]), opts.dv_max)
+                step = np.sign(dv[pick]) * np.minimum(np.abs(dv[pick]), 0.25)
                 want = np.clip(v_k[pick] + step, v_min, v_max)
-                got = apply_voltage_limiting(v_k[pick], dv[pick], opts)
+                # the decisions on the unlimited step: capped, or clamped
+                reach = v_k[pick] + dv[pick]
+                decided = (np.abs(dv[pick]) > 0.25) | (reach < v_min) | (reach > v_max)
+                got, limited = apply_voltage_limiting(v_k[pick], dv[pick])
             assert got.tobytes() == want.tobytes()
+            assert limited == np.count_nonzero(decided)
 
 
 # -- zeta heuristics ----------------------------------------------------------
@@ -104,44 +115,45 @@ def test_voltage_limiting_matches_the_clip_formula_bit_for_bit(monkeypatch):
 
 def test_zeta_shrinks_on_large_step():
     assert (LARGE_STEP, ZETA_SHRINK) == (0.5, 0.5)
-    opts = NrOptions(zeta_min=0.05)
-    assert update_zeta([row(0, 1.0, 2.0)], 1.0, opts) == 0.5
+    assert update_zeta([row(0, 1.0, 2.0)], 1.0) == 0.5
 
 
 def test_zeta_grows_after_monotone_errors():
     assert ZETA_GROWTH == 2.0
     trace = [row(0, 1, 0.4), row(1, 1, 0.2), row(2, 1, 0.1)]
-    assert update_zeta(trace, 0.25, NrOptions()) == 0.5
+    assert update_zeta(trace, 0.25) == 0.5
 
 
-def test_zeta_floor():
-    assert ZETA_SHRINK == 0.5
-    opts = NrOptions(zeta_min=0.05)
-    assert update_zeta([row(0, 1, 5.0)], 0.05, opts) == 0.05
+def test_zeta_floor(monkeypatch):
+    assert (ZETA_SHRINK, ZETA_MIN) == (0.5, 0.05)
+    assert update_zeta([row(0, 1, 5.0)], 0.05) == 0.05
+    assert update_zeta([row(0, 1, 5.0)], 0.08) == 0.05
+    # the floor is read when the damping shrinks
+    monkeypatch.setattr(nr, "ZETA_MIN", 0.3)
+    assert update_zeta([row(0, 1, 5.0)], 0.5) == 0.3
 
 
 def test_zeta_cap_at_one():
     assert ZETA_GROWTH == 2.0
     trace = [row(0, 1, 0.4), row(1, 1, 0.2), row(2, 1, 0.1)]
-    assert update_zeta(trace, 0.8, NrOptions()) == 1.0
+    assert update_zeta(trace, 0.8) == 1.0
 
 
 def test_zeta_stays_in_band_for_any_sequence():
-    opts = NrOptions()
     rng = np.random.default_rng(2)
     zeta = ZETA_INIT
     trace = []
     for k in range(200):
         trace.append(row(k, 1.0, float(rng.uniform(0, 2))))
-        zeta = update_zeta(trace, zeta, opts)
-        assert opts.zeta_min <= zeta <= 1.0
+        zeta = update_zeta(trace, zeta)
+        assert ZETA_MIN <= zeta <= 1.0
 
 
 def test_options_invariants_enforced():
-    with pytest.raises(ValueError):
-        NrOptions(zeta_min=0.0)
-    with pytest.raises(ValueError):
-        NrOptions(dv_max=0.0)
+    with pytest.raises(ValueError, match="tol"):
+        NrOptions(tol=0.0)
+    with pytest.raises(ValueError, match="max_iter"):
+        NrOptions(max_iter=-1)
 
 
 def test_q_cap_must_be_positive():
@@ -233,7 +245,7 @@ def test_partial_cap_limits_q_change():
 # -- the Newton loop --------------------------------------------------------------
 
 
-def test_linear_network_converges_in_one_iteration_from_any_start(monkeypatch):
+def test_linear_network_converges_in_one_iteration_from_any_start(monkeypatch, wide):
     factorizations = []
 
     def counting_factor_solve(self, _run=SparseSystem.factor_solve):
@@ -248,17 +260,17 @@ def test_linear_network_converges_in_one_iteration_from_any_start(monkeypatch):
     for _ in range(10):
         state = flat_state(index)
         state.x += rng.uniform(-3, 3, size=index.dim)
-        out, ok, iters, _ = newton(bound, state, WIDE)
+        out, ok, iters, _ = newton(bound, state, wide)
         assert ok and iters == 1
         assert len(factorizations) == 1
         # already at the solution: measured, never factored
-        out2, ok2, iters2, _ = newton(bound, out, WIDE)
+        out2, ok2, iters2, _ = newton(bound, out, wide)
         assert ok2 and iters2 == 0
         assert len(factorizations) == 1
         factorizations.clear()
 
 
-def test_zero_budget_measures_the_start_only():
+def test_zero_budget_measures_the_start_only(wide):
     bound = bound_of(net_2bus(p=0.5, q=0.2))
     start = flat_state(bound.layout.index)
     trace = []
@@ -267,19 +279,19 @@ def test_zero_budget_measures_the_start_only():
     assert np.array_equal(out.x, start.x)
     # the residual of the returned iterate, here the start's
     assert residual == split(bound, start)[0] > 1e-6
-    solved, ok, _, _ = newton(bound, start, WIDE)
+    solved, ok, _, _ = newton(bound, start, wide)
     assert ok
     ok, iters, residual = newton(bound, solved, NrOptions(tol=1e-8, max_iter=0))[1:]
     assert (ok, iters) == (True, 0) and residual < 1e-8
 
 
-def test_two_bus_quadratic_convergence():
+def test_two_bus_quadratic_convergence(wide):
     bound = bound_of(net_2bus())
     trace = []
     state, ok, iters, residual = newton(
-        bound, flat_state(bound.layout.index), WIDE, trace=trace
+        bound, flat_state(bound.layout.index), wide, trace=trace
     )
-    assert ok and residual < WIDE.tol
+    assert ok and residual < wide.tol
     residuals = [r.residual for r in trace if r.residual > 0]
     # superlinear: successive ratios shrink
     ratios = [residuals[k + 1] / residuals[k] for k in range(len(residuals) - 1)]
@@ -287,25 +299,26 @@ def test_two_bus_quadratic_convergence():
     assert max(split(bound, state)) < 1e-10
 
 
-def test_raw_step_capped_in_trace():
+def test_raw_step_capped_in_trace(monkeypatch):
     bound = bound_of(net_2bus(p=1.2, q=0.5))
-    opts = NrOptions(dv_max=0.02)
+    monkeypatch.setattr(nr, "DV_MAX", 0.02)
     trace = []
-    newton(bound, flat_state(bound.layout.index), opts, trace=trace)
+    newton(bound, flat_state(bound.layout.index), NrOptions(), trace=trace)
     # raw Newton steps recorded, limited count increments when capped
     assert any(r.limited > 0 for r in trace)
 
 
-def test_limited_counts_capped_and_clamped_variables(monkeypatch):
+def test_limited_counts_capped_and_clamped_variables(monkeypatch, wide):
     bound = bound_of(net_2bus(p=0.5, q=0.2))
     start = flat_state(bound.layout.index)
     counts = []
     # the first step moves bus 2 by a few hundredths and leaves the slack at 1
-    for opts, v_max in ((WIDE, 10.0), (replace(WIDE, dv_max=1e-3), 10.0), (WIDE, 0.999)):
+    for dv_max, v_max in ((100.0, 10.0), (1e-3, 10.0), (100.0, 0.999)):
+        monkeypatch.setattr(nr, "DV_MAX", dv_max)
         monkeypatch.setattr(nr, "V_MIN", -10.0)
         monkeypatch.setattr(nr, "V_MAX", v_max)
         trace = []
-        newton(bound, start, replace(opts, max_iter=1), trace=trace)
+        newton(bound, start, replace(wide, max_iter=1), trace=trace)
         counts.append(trace[0].limited)
     assert counts == [0, 2, 1]
 

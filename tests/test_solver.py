@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from dataclasses import replace as dc_replace
+from dataclasses import fields, replace as dc_replace
 
 import numpy as np
 import pytest
@@ -26,7 +26,7 @@ from steadygrid.network import (
 )
 from steadygrid.nr import NrOptions
 from steadygrid.stamps import GenModes
-from steadygrid.reference import dense_reference_solve
+from steadygrid.reference import dense_reference_solve, validate_solution
 from steadygrid.solver import (
     CONVERGED,
     INFEASIBLE,
@@ -34,7 +34,6 @@ from steadygrid.solver import (
     SolverOptions,
     initialize_state,
     solve,
-    validate_solution,
 )
 
 from conftest import (
@@ -144,10 +143,10 @@ def test_steps_no_limiter_touches_count_nothing(monkeypatch, case, method):
     net = load_case(case_path(case)).network
     monkeypatch.setattr(nr, "V_MIN", -10.0)
     monkeypatch.setattr(nr, "V_MAX", 10.0)
-    options = NrOptions(dv_max=10.0)
-    report, _ = solve(net, SolverOptions(homotopy=method, nr=options))
+    monkeypatch.setattr(nr, "DV_MAX", 10.0)
+    report, _ = solve(net, SolverOptions(homotopy=method))
     assert report.status == CONVERGED
-    assert max(row.max_dv for row in report.nr_trace) < options.dv_max
+    assert max(row.max_dv for row in report.nr_trace) < nr.DV_MAX
     assert [row.limited for row in report.nr_trace] == [0] * len(report.nr_trace)
 
 
@@ -550,25 +549,34 @@ def test_a_default_step_tap_converges_past_ten_passes():
 
 @pytest.mark.parametrize("bad", [
     {"homotopy": "bogus"},
-    {"nr": {"dv_max": math.nan}},
+    {"homotopy": "Tx"},
     {"nr": {"tol": 0.0}},
     {"nr": {"tol": -1.0}},
     {"nr": {"tol": math.inf}},
     {"nr": {"tol": math.nan}},
     {"nr": {"max_iter": -3}},
-    {"nr": {"dv_max": 0.0}},
-    {"nr": {"zeta_min": 2.0}},
-    {"gamma": 0.0},
-    {"gamma": -1e4},
-    {"gamma": math.inf},
-    {"gamma": math.nan},
-    {"nr": {"zeta_min": math.nan}},
     {"nr": {"max_iter": 2.5}},
+    {"nr": {"di_max": 0.0}},
+    {"nr": {"di_max": -0.05}},
+    {"nr": {"di_max": math.nan}},
+    {"init": {"kind": "bogus"}},
+    {"init": {"kind": "warm"}},
+    {"init": {"vmag": math.nan}},
+    {"init": {"vang_deg": math.inf}},
 ])
 def test_options_reject_bad_values(bad):
-    parts = {"nr": NrOptions}
+    # every value SolverOptions checks; the safeguards are constants, not options
+    parts = {"nr": NrOptions, "init": InitSpec}
     with pytest.raises(ValueError):
         SolverOptions(**{k: parts[k](**v) if k in parts else v for k, v in bad.items()})
+
+
+def test_options_hold_only_what_a_caller_sets():
+    # the Newton and continuation safeguards are module constants
+    assert [f.name for f in fields(NrOptions)] == ["tol", "max_iter", "di_max"]
+    assert [f.name for f in fields(SolverOptions)] == ["nr", "homotopy", "init",
+                                                       "enforce_q_limits"]
+    assert (nr.DV_MAX, nr.ZETA_MIN, homotopy.GAMMA) == (0.1, 0.05, 1e4)
 
 
 def test_counts_take_any_integer_type():
