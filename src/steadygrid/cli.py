@@ -1,7 +1,9 @@
 """Command-line front end: solve, sweep, contingency and validate workflows.
 
 Outputs land in ``--out`` (default ``.``): ``solution.csv``, ``report.json``,
-``trace.csv`` (with ``--trace``), ``sweep.csv``, ``contingency.csv``;
+``trace.csv`` and ``lambda_trace.csv`` (both with ``--trace``, the latter
+only its header when no continuation step was taken), ``sweep.csv``,
+``contingency.csv``;
 ``--init file --init-file PATH`` starts from the ``solution.csv`` of an
 earlier solve. Exit
 codes: 0 converged, 1 diverged, 2 infeasible (worst status across a batch),
@@ -109,9 +111,9 @@ def _cmd_solve(args) -> int:
     if args.trace:
         _write(args.out, "trace.csv", write_table([f.name for f in fields(NrTraceRow)],
                                                   map(astuple, report.nr_trace)))
-        if report.lambda_trace:
-            _write(args.out, "lambda_trace.csv",
-                   write_table(LAMBDA_TRACE_FIELDS, report.lambda_trace))
+        # written with no step too, so no earlier run's rows are left behind
+        _write(args.out, "lambda_trace.csv",
+               write_table(LAMBDA_TRACE_FIELDS, report.lambda_trace))
     mis = validate_solution(report.network, state) if report.status == CONVERGED else None
     print(f"{case.name}: {report.status} "
           f"(inner {report.inner_iterations}, homotopy {report.homotopy_steps}, "

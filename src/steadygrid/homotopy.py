@@ -69,7 +69,6 @@ LAMBDA_TRACE_FIELDS = ("lambda", "nr_iterations", "residual")
 class HomotopyResult:
     converged: bool
     state: StateVector | None
-    inner_iterations: int
     accepted: list
     last_good_lambda: float
 
@@ -162,12 +161,10 @@ def run_homotopy(
     lam = 1.0
     step = D_LAMBDA
     accepted: list = []  # rows of LAMBDA_TRACE_FIELDS
-    total_iters = 0
 
     state, ok, iters, residual = newton_at(1.0, start)
-    total_iters += iters
     if not ok:
-        return HomotopyResult(False, None, total_iters, [], 1.0)
+        return HomotopyResult(False, None, [], 1.0)
     accepted.append((1.0, iters, residual))
 
     def next_lambda(lam, step):
@@ -182,14 +179,13 @@ def run_homotopy(
         first_try = True
         while True:
             cand, ok, iters, residual = newton_at(lam_next, state)
-            total_iters += iters
             if ok:
                 break
             first_try = False
             first_try_successes = 0
             step *= BACKTRACK
             if step < MIN_STEP:
-                return HomotopyResult(False, state, total_iters, accepted, lam)
+                return HomotopyResult(False, state, accepted, lam)
             lam_next = next_lambda(lam, step)
         state = cand
         lam = lam_next
@@ -200,4 +196,4 @@ def run_homotopy(
                 step = min(step * GROWTH, MAX_STEP)
                 first_try_successes = 0
 
-    return HomotopyResult(True, state, total_iters, accepted, 0.0)
+    return HomotopyResult(True, state, accepted, 0.0)

@@ -9,7 +9,10 @@ magnitude before factorization, because source/constraint rows and
 admittance rows can differ by many orders of magnitude mid-continuation. A
 row with no nonzero entry, with a non-finite one, or whose largest magnitude
 is too small to invert raises before any row is scaled, and without a numpy
-warning.
+warning. Each plan (below) has one method, ``factor(buffer, a)``, which
+equilibrates the rows of ``a`` its own way, factors the scaled matrix in the
+system's ``buffer`` and returns the row scale and the solve;
+:meth:`SparseSystem.factor_solve` solves the scaled right-hand side on it.
 
 Three factorizations, and one plan per pattern that picks among them. The
 analysis that depends on the structure alone runs once per pattern, not
@@ -32,8 +35,9 @@ chosen:
   ``n·kl·(kl+ku)`` is at least ``_BAND_MIN_SAVING`` below the dense
   ``n³/3``, and otherwise the dense LU.
 * larger systems: the first factorization of a pattern checks and scales
-  its rows as every band or SuperLU call does, then factors the scaled
-  matrix by SuperLU with COLAMD only to choose the plan. Its flop count
+  its rows as every band or SuperLU ``factor`` does, into a CSC matrix it
+  keeps for this call only, then factors that by SuperLU with COLAMD only
+  to choose the plan. Its flop count
   ``F = Σ_j nnz(L[j+1:, j]) · nnz(U[j, j+1:]) + nnz(L) − n`` chooses the
   band LU when ``n·kl·(kl+ku) <= _BAND_FLOP_RATIO · F``, else SuperLU in
   COLAMD's column order (described below), and the call then factors on
@@ -47,11 +51,11 @@ chosen:
 The three paths:
 
 * dense: the plan holds the place of each CSC entry in an ``n x n``
-  Fortran-order matrix. One such matrix per system, whose entries off the
-  pattern stay zero, takes the raw data by one scatter; the row maxima
-  are one reduction over the rows of its magnitudes, and its rows are then
-  scaled in place. LAPACK ``dgetrf``/``dgetrs`` factor and solve it with
-  partial pivoting. At these sizes SuperLU's fixed cost per call, not the
+  Fortran-order matrix. Its ``factor`` takes the raw data by one scatter
+  into one such matrix per system, whose entries off the pattern stay zero;
+  the row maxima are one reduction over the rows of its magnitudes, and its
+  rows are then scaled in place. LAPACK ``dgetrf`` factors a copy of it with
+  partial pivoting, and ``dgetrs`` solves. At these sizes SuperLU's fixed cost per call, not the
   factorization, dominates. A maximum is exact, and each entry is
   multiplied by its row's scale once either way (``0 * scale`` stays 0 off
   the pattern), so the scale and every scaled entry are the same bytes as
@@ -63,9 +67,11 @@ The three paths:
   ch. 4), which gives the half-bandwidths ``kl`` below and ``ku`` above the
   diagonal; the plan keeps the order, its inverse, ``kl``, ``ku`` and the
   place of each CSC entry in LAPACK's band layout, ``2 kl + ku + 1`` rows
-  by ``n``, whose first ``kl`` rows take the fill of row interchanges. The
-  row maxima come from a scatter-maximum over the CSC arrays. The scaled
-  data goes by one scatter into the system's own buffer in that layout;
+  by ``n``, whose first ``kl`` rows take the fill of row interchanges. Its
+  ``factor`` takes the row maxima from a scatter-maximum over the CSC
+  arrays, the one it shares with the SuperLU plan and the COLAMD choice.
+  The scaled data goes by one scatter into the system's own buffer in that
+  layout;
   LAPACK ``dgbtrf``/``dgbtrs`` factor and solve it with partial pivoting,
   and the solution is mapped back to the caller's numbering. The order
   depends on the pattern alone, explicit zeros included, and the pivots on
@@ -77,9 +83,10 @@ The three paths:
 * SuperLU: the plan keeps COLAMD's column order ``perm_c`` from the
   pattern's first factorization, the gather of each CSC entry into the
   column-permuted matrix ``A Pc`` and that matrix's ``indices``/``indptr``.
-  The row maxima come from a scatter-maximum over the CSC arrays. The scaled
-  data goes by one gather into the system's own ``A Pc``, which SuperLU
-  factors in ``NATURAL`` order, and the solution is un-permuted. COLAMD
+  Its ``factor`` takes the row maxima from the same scatter-maximum over the
+  CSC arrays. The scaled data goes by one gather into the system's own
+  ``A Pc``, which SuperLU factors in ``NATURAL`` order, and the solution is
+  un-permuted. COLAMD
   orders the structure, explicit zeros (open shorts, zeroed loads)
   included, so, as on the band, a change in the set of exact zeros never
   orders again.
@@ -112,17 +119,19 @@ case30 (65)                            13       7.0e4             0.85-0.87
 case56 (121)                           16       5.3e5             0.47
 =====================================  =======  ================  ============
 
-The band's fixed cost per call is higher than the dense path's: a
-scatter-maximum, a sparse residual product and the gathers of the order.
+The band's fixed cost per call was higher than the dense path's: a
+scatter-maximum, a sparse residual product (of a refinement step, since
+removed) and the gathers of the order.
 Below a saving of 1e4 the band lost or tied on every system but feeder8;
 between 1e4 and 3e4 the medians scatter around the break-even, within the
 spread of repeated runs; from 3e4 up the band won on every system, and by
 9% or more from 4e4 up. So ``_BAND_MIN_SAVING`` is 3e4: the band takes only
 the patterns where it wins by more than the noise. The table was measured
 before the dense path took its data by one scatter and scaled in place,
-which lowered its fixed cost per call; the thresholds are deliberately left
-as they were, because moving one moves plans, and with them iterates in
-the last bits.
+and before either path dropped the refinement residual, which lowered
+their fixed costs per call; the thresholds are deliberately left as they
+were, because moving one moves plans, and with them iterates in the last
+bits.
 
 Above the cutoff, the band rule reads SuperLU's flop count because no
 cutoff on the band's work ``n·kl·(kl+ku)`` or on its width alone separates
@@ -159,12 +168,18 @@ call (interleaved in one process, 2 cores, one BLAS thread). Two patterns
 that differ only by explicit-zero slots now solve alike only to the last
 bits, on SuperLU as on the band.
 
-The band and SuperLU paths keep the scaled data on the whole pattern in one
-CSC matrix per system, which gives COLAMD its input and the refinement its
-residual. The residual is taken on the unpermuted matrix, because a
-permuted product sums each row in another order and the result would differ
-in the last bits; an explicit zero adds a zero product to a sum that starts
-at +0, which never changes it.
+No step refines the solve. Every Newton pass is judged on the true
+residual ``A x - b`` of the unscaled system (``nr.run_newton``), so a loose
+solve can cost an iteration but never a false ``converged``; the one check
+left on the solution is that every entry is finite. Refinement in working
+precision with the same LU helps only an unstable factorization (Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002,
+ch. 12), which partial pivoting on equilibrated rows makes rare here: the
+step this module used to take whenever the scaled backward error exceeded
+1e-12 acted in 7 of 414,868 factorizations, counted over the corpus
+digest, its outages, the x2, x4 and x10 case196 tiles and the benchmark's
+job families, all 7 in plain-Newton solves of the ill-conditioned corridor
+from seeded starts; removing it moved no status, count or output byte.
 
 Every SuperLU factorization uses one setting, ``_SUPERLU_SETTING``:
 ``relax=1, panel_size=1``, so no relaxed supernodes and no panels. scipy's
@@ -285,6 +300,21 @@ class _DensePlan:
     def buffer(self) -> _Buffer:
         return _Buffer(self.shape)
 
+    def factor(self, buffer: _Buffer, a: sparse.csc_matrix):
+        """The row scale of ``a`` and the solve of LAPACK's LU of the scaled
+        matrix, with ``a``'s data scattered into a system's ``buffer`` and
+        its rows scaled there in place."""
+        buffer.flat[self.slots] = a.data
+        scale = _row_scale(np.abs(buffer.a).max(axis=1))
+        # the same bits as scaling the CSC data: each entry is multiplied by
+        # its row's scale once, and 0 * scale stays 0 off the pattern
+        buffer.a *= scale[:, None]
+        # dgetrf factors a copy: the buffer keeps its zeros off the pattern
+        lu, piv, info = dgetrf(buffer.a)
+        if info > 0:
+            raise SingularityError(info - 1, f"zero pivot at unknown {info - 1}")
+        return scale, lambda r: dgetrs(lu, piv, r)[0]
+
 
 class _BandPlan:
     """The band path of a pattern in its reverse Cuthill–McKee order.
@@ -309,16 +339,18 @@ class _BandPlan:
     def buffer(self) -> _Buffer:
         return _Buffer(self.shape)
 
-    def factor(self, buffer: _Buffer, data: np.ndarray):
-        """The solve, in the caller's numbering, of LAPACK's band LU of the
-        scaled ``data`` scattered into a system's ``buffer``."""
-        buffer.flat[self.slots] = data
+    def factor(self, buffer: _Buffer, a: sparse.csc_matrix):
+        """The row scale of ``a`` and the solve, in the caller's numbering,
+        of LAPACK's band LU of its scaled data scattered into a system's
+        ``buffer``."""
+        scale = _csc_scale(a)
+        buffer.flat[self.slots] = a.data * scale[a.indices]
         # dgbtrf factors a copy: the buffer keeps its zeros off the pattern
         lu, piv, info = dgbtrf(buffer.a, self.kl, self.ku)
         if info > 0:
             unknown = int(self.perm[info - 1])
             raise SingularityError(unknown, f"zero pivot at unknown {unknown}")
-        return lambda r: dgbtrs(lu, self.kl, self.ku, r[self.perm], piv)[0][self.inv]
+        return scale, lambda r: dgbtrs(lu, self.kl, self.ku, r[self.perm], piv)[0][self.inv]
 
 
 class _SuperluPlan:
@@ -349,13 +381,14 @@ class _SuperluPlan:
             (np.empty(self.indices.size), self.indices, self.indptr), shape=(n, n)
         )
 
-    def factor(self, a_p: sparse.csc_matrix, data: np.ndarray):
-        """The solve, in the caller's numbering, of SuperLU's LU in
-        ``NATURAL`` order of the scaled ``data`` gathered into a system's
-        ``a_p``."""
-        np.take(data, self.gather, out=a_p.data)
+    def factor(self, a_p: sparse.csc_matrix, a: sparse.csc_matrix):
+        """The row scale of ``a`` and the solve, in the caller's numbering,
+        of SuperLU's LU in ``NATURAL`` order of its scaled data gathered into
+        a system's ``a_p``."""
+        scale = _csc_scale(a)
+        np.take(a.data * scale[a.indices], self.gather, out=a_p.data)
         lu = _splu(a_p, "NATURAL")
-        return lambda r: lu.solve(r)[self.perm_c]
+        return scale, lambda r: lu.solve(r)[self.perm_c]
 
 
 def _superlu_flops(lu) -> int:
@@ -420,14 +453,13 @@ def _row_scale(absmax: np.ndarray) -> np.ndarray:
     return 1.0 / absmax
 
 
-def _dense_lu(a_s: np.ndarray):
-    """The solve of LAPACK's LU of the scaled dense matrix ``a_s``."""
-    # dgetrf factors a copy: ``a_s`` keeps its zeros off the pattern and
-    # serves the refinement residual
-    lu, piv, info = dgetrf(a_s)
-    if info > 0:
-        raise SingularityError(info - 1, f"zero pivot at unknown {info - 1}")
-    return lambda r: dgetrs(lu, piv, r)[0]
+def _csc_scale(a: sparse.csc_matrix) -> np.ndarray:
+    """The row scale of ``a`` (:func:`_row_scale`) from a scatter-maximum
+    over its CSC arrays."""
+    absmax = np.zeros(a.shape[0])
+    with np.errstate(invalid="ignore"):  # a nan entry leaves its row's maximum nan
+        np.maximum.at(absmax, a.indices, np.abs(a.data))
+    return _row_scale(absmax)
 
 
 def _product(a: sparse.csc_matrix, x: np.ndarray) -> np.ndarray:
@@ -451,8 +483,8 @@ class SparseSystem:
 
     Only the pattern and its plan, both read-only, are shared with other
     systems; this system holds its own buffer of the plan (the dense or
-    band matrix, or SuperLU's ``A Pc``), the band's and SuperLU's scaled
-    CSC matrix, and its counters.
+    band matrix, or SuperLU's ``A Pc``), which every ``factor`` on the
+    plan overwrites, and its counters.
     """
 
     def __init__(self, n: int):
@@ -460,7 +492,7 @@ class SparseSystem:
         self.pattern_builds = 0
         self.orderings = 0
         self._pattern = None
-        self._buffer = self._scaled = None
+        self._buffer = None
         self._matrix = self._rhs = None
 
     def assemble(self, pattern: CscPattern, data: np.ndarray, rhs: np.ndarray) -> None:
@@ -474,7 +506,7 @@ class SparseSystem:
                 (data, pattern.indices, pattern.indptr), shape=(self.n, self.n)
             )
             self._pattern = pattern
-            self._buffer = self._scaled = None
+            self._buffer = None
             self.pattern_builds += 1
         elif data.shape != self._matrix.data.shape:
             raise ValueError(f"{data.shape} values for {self._matrix.data.shape} slots")
@@ -500,69 +532,37 @@ class SparseSystem:
         return _product(self.matrix, x) - self.rhs
 
     def factor_solve(self) -> np.ndarray:
-        """The solve of the assembled system on its pattern's plan, with row
-        equilibration and one refinement step (see the module docstring),
-        as a new array on every call, which the caller may keep or edit.
+        """The solve of the assembled system on its pattern's plan, as a new
+        array on every call, which the caller may keep or edit.
 
         A pattern's first factorization sets its plan: at or below
-        ``_DENSE_MAX_N`` unknowns before its rows are checked, above it from
-        a COLAMD factorization of the scaled matrix, which ``orderings``
-        counts. Raises :class:`SingularityError`, before any factorization,
-        on the first row with no nonzero entry, with a non-finite one or
-        whose scale would overflow; and on an exact zero pivot (naming the
-        unknown), on SuperLU's singularity (row -1) or on a non-finite
-        solution entry.
+        ``_DENSE_MAX_N`` unknowns from the pattern alone, before its rows
+        are checked; above it from a COLAMD factorization of the
+        row-equilibrated matrix, which ``orderings`` counts. The plan's
+        ``factor`` then equilibrates the rows and factors, and the scaled
+        right-hand side is solved once, with no refinement (see the module
+        docstring). Raises :class:`SingularityError`, before any
+        factorization, on the first row with no nonzero entry, with a
+        non-finite one or whose scale would overflow; and on an exact zero
+        pivot (naming the unknown), on SuperLU's singularity (row -1) or on
+        the first non-finite solution entry, in the caller's numbering.
         """
         a, pattern = self.matrix, self._pattern
-        plan = pattern.plan
-        if plan is None and self.n <= _DENSE_MAX_N:
-            plan = _small_plan(pattern)
-            object.__setattr__(pattern, "plan", plan)
-        if isinstance(plan, _DensePlan):
-            buffer = self._buffer_of(plan)
-            buffer.flat[plan.slots] = a.data
-            absmax = np.abs(buffer.a).max(axis=1)
-        else:
-            absmax = np.zeros(self.n)
-            with np.errstate(invalid="ignore"):  # a nan entry leaves its row's maximum nan
-                np.maximum.at(absmax, a.indices, np.abs(a.data))
-        scale = _row_scale(absmax)
-        b_s = scale * self.rhs
-        if isinstance(plan, _DensePlan):
-            # the same bits as scaling the CSC data: each entry is multiplied
-            # by its row's scale once, and 0 * scale stays 0 off the pattern
-            buffer.a *= scale[:, None]
-            a_s, solve = buffer.a, _dense_lu(buffer.a)
-        else:
-            a_s = self._scaled_matrix(a.data * scale[a.indices])
-            if plan is None:
+        if pattern.plan is None:
+            if self.n <= _DENSE_MAX_N:
+                plan = _small_plan(pattern)
+            else:
+                scale = _csc_scale(a)
+                a_s = sparse.csc_matrix((a.data * scale[a.indices], a.indices, a.indptr),
+                                        shape=a.shape)
                 plan = _choose_plan(pattern, _splu(a_s, "COLAMD"))
-                object.__setattr__(pattern, "plan", plan)
                 self.orderings += 1
-            solve = plan.factor(self._buffer_of(plan), a_s.data)
-        x = solve(b_s)
+            object.__setattr__(pattern, "plan", plan)
+        if self._buffer is None:
+            self._buffer = pattern.plan.buffer()
+        scale, solve = pattern.plan.factor(self._buffer, a)
+        x = solve(scale * self.rhs)
         if np.count_nonzero(np.isfinite(x)) < x.size:
             bad = int(np.flatnonzero(~np.isfinite(x))[0])
             raise SingularityError(bad, "non-finite solution entry")
-        # one step of iterative refinement when the backward error is loose
-        denom = max(1.0, np.abs(b_s).max()) if b_s.size else 1.0
-        res = b_s - (a_s @ x if isinstance(plan, _DensePlan) else _product(a_s, x))
-        if np.abs(res).max() / denom > 1e-12:
-            x = x + solve(res)
         return x
-
-    def _buffer_of(self, plan):
-        """This system's buffer of the pattern's ``plan``, which never changes."""
-        if self._buffer is None:
-            self._buffer = plan.buffer()
-        return self._buffer
-
-    def _scaled_matrix(self, data: np.ndarray) -> sparse.csc_matrix:
-        """This system's CSC matrix of the scaled ``data`` on the whole pattern."""
-        if self._scaled is None:
-            self._scaled = sparse.csc_matrix(
-                (data, self._pattern.indices, self._pattern.indptr), shape=(self.n, self.n)
-            )
-        else:
-            self._scaled.data = data
-        return self._scaled

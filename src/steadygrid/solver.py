@@ -437,7 +437,6 @@ def solve(network: Network, options: SolverOptions | None = None):
         math.ceil((hi - lo) / abs(step)) + 2 for *_, step, (lo, hi) in controls
     )
     events: list = []
-    total_inner = 0
     nr_trace: list = []
     status = DIVERGED
     pass_no = 0
@@ -449,7 +448,6 @@ def solve(network: Network, options: SolverOptions | None = None):
                 layout, params, anchored_state(network, index), options.homotopy,
                 options.nr, modes, system, nr_trace,
             )
-            total_inner += walk.inner_iterations
             report.homotopy_steps = len(walk.accepted)
             report.lambda_trace = walk.accepted
             if not walk.converged:
@@ -459,8 +457,7 @@ def solve(network: Network, options: SolverOptions | None = None):
             # plain Newton from the previous pass's state (or the start)
             if bound is None or bound.params is not params:
                 bound = layout.bind(params)
-            solved, ok, iters, _ = run_newton(bound, state, options.nr, modes, system, nr_trace)
-            total_inner += iters
+            solved, ok, _, _ = run_newton(bound, state, options.nr, modes, system, nr_trace)
         if not ok:
             break
         state = solved
@@ -482,7 +479,8 @@ def solve(network: Network, options: SolverOptions | None = None):
         status = INFEASIBLE
 
     report.status = status
-    report.inner_iterations = total_inner
+    # every Newton call appends one trace row per iteration it counts
+    report.inner_iterations = len(nr_trace)
     report.outer_passes = pass_no
     report.switch_events = events
     report.nr_trace = nr_trace

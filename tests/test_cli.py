@@ -34,6 +34,20 @@ def test_solve_trace_output(tmp_path):
     assert len(trace) >= 2
 
 
+def test_trace_rewrites_both_trace_files_into_a_used_directory(tmp_path):
+    # a tx walk leaves a continuation trace; a plain run into the same
+    # directory must not leave it behind
+    assert run(["solve", case_path("case14.net"), "--homotopy", "tx", "--trace",
+                "--out", str(tmp_path)]) == 0
+    assert len((tmp_path / "lambda_trace.csv").read_text().splitlines()) == 7
+    assert run(["solve", case_path("case14.net"), "--trace", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["homotopy_steps"] == 0
+    assert (tmp_path / "lambda_trace.csv").read_text() == "lambda,nr_iterations,residual\n"
+    trace = (tmp_path / "trace.csv").read_text().splitlines()
+    assert len(trace) == 1 + report["inner_iterations"]
+
+
 def test_sweep_row_count(tmp_path):
     code = run(["sweep", case_path("case3_ring.net"), "--samples", "15",
                 "--seed", "7", "--out", str(tmp_path)])
