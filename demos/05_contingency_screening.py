@@ -2,7 +2,8 @@
 
 The base case is solved once; each outage (largest generators, most heavily
 loaded series elements) is then applied to a copy of the network and re-solved
-warm-started from the pre-contingency state. Outages that leave an island
+warm-started from the pre-contingency state: plain Newton from there, and the
+Tx walk only for an outage where that fails. Outages that leave an island
 without a slack are flagged infeasible without solving. Every converged
 result is re-checked against the independent mismatch equations, so the
 tally contains no false positives.

@@ -5,10 +5,11 @@ Outputs land in ``--out`` (default ``.``): ``solution.csv``, ``report.json``,
 only its header when no continuation step was taken), ``sweep.csv``,
 ``contingency.csv``;
 ``--init file --init-file PATH`` starts from the ``solution.csv`` of an
-earlier solve. Exit
-codes: 0 converged, 1 diverged, 2 infeasible (worst status across a batch),
-64 usage error (a rejected flag value included), 66 unreadable case or init
-file.
+earlier solve, a warm start: under ``--homotopy tx`` or ``power`` plain
+Newton runs from it first, and the continuation walk only when that fails.
+Exit codes: 0 converged, 1 diverged, 2 infeasible (worst status across a
+batch), 64 usage error (a rejected flag value included), 66 unreadable case
+or init file.
 """
 
 from __future__ import annotations

@@ -141,10 +141,11 @@ def run_homotopy(
     """Walk the continuation factor from the trivial to the original problem
     of ``base`` (``method`` is ``tx``, at the scale ``GAMMA``, or ``power``),
     starting the first sub-problem from ``start`` (``solve`` passes
-    :func:`anchored_state`); every sub-problem binds its parameter set to
-    ``layout``, reusing from the last bind the part its transform shares
-    with it (:meth:`Companion.bind`), and appends its iterations to
-    ``nr_trace``."""
+    :func:`anchored_state` whatever its own start, when it walks: at once,
+    or after plain Newton from a ``warm`` start failed); every sub-problem
+    binds its parameter set to ``layout``, reusing from the last bind the
+    part its transform shares with it (:meth:`Companion.bind`), and appends
+    its iterations to ``nr_trace``."""
 
     def params_at(lam: float) -> DeviceParams:
         if method == "tx":

@@ -3,11 +3,14 @@ the outer device-limit loop adjusting generator Q limits, switched shunts and
 controlled transformer taps until nothing moves.
 
 The outer loop runs one inner solve per pass, then enforces device limits.
-Under ``tx`` or ``power`` the first pass walks the continuation from the
-anchored start, the solve's one walk, whose accepted steps are
-``lambda_trace`` and number ``homotopy_steps``; every later pass, and every
-pass under ``none``, runs plain Newton from the previous pass's state (the
-initial state on the first). A failed inner solve ends the solve diverged.
+Every pass runs plain Newton from the previous pass's state (the initial
+state on the first), except the first pass under ``tx`` or ``power``: from a
+``warm`` start it tries plain Newton on the target problem and walks only
+when that fails, and from any other start it walks at once. The walk, the
+solve's one, starts at the anchored state whatever the start, and its
+accepted steps are ``lambda_trace`` and number ``homotopy_steps``, which
+stay empty and 0 when the warm try converged. A failed inner solve (a
+failed walk, not a failed warm try) ends the solve diverged.
 After each inner solve, Q limits act per Q-slot lane, a (generator, phase)
 pair: one array pass over the lanes pins those whose free reactive power
 leaves its band at the violated limit (their bus drops to PQ) and releases
@@ -110,6 +113,12 @@ class InitSpec:
     (copy ``state``, a prior state, such as one ``caseio.read_solution``
     read, every entry finite). ``seed`` is ``None`` or an integer >= 0;
     ``vmag`` and ``vang_deg`` are finite.
+
+    Under ``tx`` and ``power`` a ``warm`` start is trusted: the first pass
+    runs plain Newton from it on the target problem and walks the
+    continuation from the anchored start only when that fails, so a warm
+    start near one of several solutions returns that one. The other kinds
+    are not read there: the first pass walks from the anchored start.
     """
 
     kind: str = "flat"
@@ -441,9 +450,18 @@ def solve(network: Network, options: SolverOptions | None = None):
     status = DIVERGED
     pass_no = 0
 
+    walks = options.homotopy != "none"
     for pass_no in range(1, passes + 1):
-        if pass_no == 1 and options.homotopy != "none":
+        ok = False
+        if pass_no > 1 or not walks or options.init.kind == "warm":
+            # plain Newton from the previous pass's state (or the start; a
+            # warm one under continuation is tried before any walk)
+            if bound is None or bound.params is not params:
+                bound = layout.bind(params)
+            solved, ok, _, _ = run_newton(bound, state, options.nr, modes, system, nr_trace)
+        if not ok and pass_no == 1 and walks:
             # the solve's one continuation walk, from the anchored start
+            # whatever the start, also after a failed warm try
             walk = run_homotopy(
                 layout, params, anchored_state(network, index), options.homotopy,
                 options.nr, modes, system, nr_trace,
@@ -453,11 +471,6 @@ def solve(network: Network, options: SolverOptions | None = None):
             if not walk.converged:
                 report.last_lambda = walk.last_good_lambda
             solved, ok = walk.state, walk.converged
-        else:
-            # plain Newton from the previous pass's state (or the start)
-            if bound is None or bound.params is not params:
-                bound = layout.bind(params)
-            solved, ok, _, _ = run_newton(bound, state, options.nr, modes, system, nr_trace)
         if not ok:
             break
         state = solved

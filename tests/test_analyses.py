@@ -21,13 +21,14 @@ from steadygrid.analyses import (
 from steadygrid.caseio import load_case
 from steadygrid.cli import main
 from steadygrid.indexing import IndexMap
+from steadygrid.network import validate
 from steadygrid.nr import NrOptions
 from steadygrid.reference import MismatchReport, dense_reference_solve, validate_solution
 from steadygrid.solver import (
     CONVERGED, DIVERGED, INFEASIBLE, InitSpec, SolverOptions, solve, transfer_state,
 )
 
-from conftest import case_path, net_tap
+from conftest import case_path, net_tap, q_pins
 
 OPTS = SolverOptions(nr=NrOptions(tol=1e-10))
 
@@ -250,6 +251,29 @@ def test_a_re_solved_outage_reproduces_its_contingency_bit_for_bit():
             assert mismatch.hex() == result.max_mismatch.hex(), outage.label
 
 
+def test_every_converged_warm_outage_agrees_with_the_dense_oracle():
+    # a warm start is trusted under tx: each outage must still land on the
+    # solution the oracle finds from its own flat start, with the outer
+    # loop's Q pins replayed
+    options = SolverOptions(nr=NrOptions(tol=1e-8), homotopy="tx")
+    net, state = solved("case56_mesh.net", options)
+    checked = 0
+    for outage in sample_contingencies(net, state, top_fraction=1.0).outages:
+        post = apply_outage(net, outage)
+        if validate(post):
+            continue
+        warm = transfer_state(state, post, IndexMap(post))
+        report, got = solve(post, replace(options, init=InitSpec(kind="warm", state=warm)))
+        if report.status != CONVERGED:
+            continue
+        ref = dense_reference_solve(post, q_pins=q_pins(report.switch_events), tol=1e-12)
+        assert ref.converged, outage.label
+        v_ref = ref.vm * np.exp(1j * ref.va)
+        assert np.abs(v_ref - got.v_complex()[0]).max() <= 1e-8, outage.label
+        checked += 1
+    assert checked >= 100
+
+
 def test_an_islanding_outage_is_rejected_before_any_index_map(monkeypatch):
     net, state = solved("case12_radial.net")
     built = _capturing_index_maps(monkeypatch)
@@ -318,7 +342,6 @@ def test_warm_start_no_worse_than_flat(recwarn):
             post = apply_outage(net, outage)
         except ValueError:
             continue
-        from steadygrid.network import validate
         if validate(post):
             continue
         flat_rep, _ = solve(post, OPTS)

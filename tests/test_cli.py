@@ -322,6 +322,19 @@ def test_init_from_solution_file(tmp_path):
         assert (report["status"], report["inner_iterations"]) == ("converged", iterations)
 
 
+def test_a_tx_solve_from_its_own_solution_file_walks_no_step(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(["solve", case_path("case14.net"), "--homotopy", "tx", "--trace",
+                "--out", str(first)]) == 0
+    assert len((first / "lambda_trace.csv").read_text().splitlines()) > 1
+    assert run(["solve", case_path("case14.net"), "--init", "file", "--init-file",
+                str(first / "solution.csv"), "--homotopy", "tx", "--trace",
+                "--out", str(second)]) == 0
+    report = json.loads((second / "report.json").read_text())
+    assert (report["status"], report["homotopy_steps"]) == ("converged", 0)
+    assert (second / "lambda_trace.csv").read_text() == "lambda,nr_iterations,residual\n"
+
+
 @pytest.mark.parametrize("edit, named", [
     (lambda rows: rows[:8], "bus 8 phase 'p': 0 rows, not 1"),  # the header and 7 rows
     (lambda rows: rows + [rows[3]], "bus 3 phase 'p': 2 rows, not 1"),

@@ -330,6 +330,59 @@ def test_bad_starts_are_rejected_when_built():
     assert InitSpec(kind="uniform", vmag=-0.5).vmag == -0.5
 
 
+# -- warm starts under continuation ------------------------------------------------
+
+
+@pytest.mark.parametrize("method", ["tx", "power"])
+def test_a_warm_start_plain_newton_misses_walks_as_a_cold_solve(method):
+    # plain Newton from a flat start fails on hard_corridor at the default
+    # tol, so the warm solve walks from the anchored start after its try
+    net = load_case(case_path("hard_corridor.net")).network
+    warm = InitSpec(kind="warm", state=flat_state(IndexMap(net)))
+    plain, _ = solve(net, SolverOptions(init=warm))
+    assert plain.status != CONVERGED
+    cold, cold_state = solve(net, SolverOptions(homotopy=method))
+    report, state = solve(net, SolverOptions(homotopy=method, init=warm))
+    assert report.status == cold.status == CONVERGED
+    assert state.x.tobytes() == cold_state.x.tobytes()
+    assert report.lambda_trace == cold.lambda_trace
+    assert report.homotopy_steps == cold.homotopy_steps > 0
+    assert report.inner_iterations == cold.inner_iterations + NrOptions().max_iter
+
+
+@pytest.mark.parametrize("case", ["case14.net", "case56_mesh.net"])
+@pytest.mark.parametrize("method", ["tx", "power"])
+def test_a_warm_start_at_its_own_solution_takes_no_step(case, method):
+    net = load_case(case_path(case)).network
+    options = SolverOptions(homotopy=method)
+    first, state = solve(net, options)
+    assert first.status == CONVERGED and first.homotopy_steps > 0
+    report, again = solve(net, dc_replace(options, init=InitSpec(kind="warm", state=state)))
+    assert report.status == CONVERGED
+    assert (report.inner_iterations, report.homotopy_steps) == (0, 0)
+    assert report.lambda_trace == [] and report.last_lambda is None
+    assert again.x.tobytes() == state.x.tobytes()
+
+
+def test_a_warm_start_keeps_the_solution_it_starts_at():
+    # case2_twosol has a high- and a low-voltage solution: a warm start is
+    # trusted, so tx returns the low one from there, and from a flat start
+    # the high one, which its walk from the anchored start reaches
+    net = load_case(case_path("case2_twosol.net")).network
+    nr_options = NrOptions(tol=1e-8)
+    far = SolverOptions(nr=nr_options, init=InitSpec(kind="uniform", vmag=0.3))
+    low_report, low = solve(net, far)
+    assert low_report.status == CONVERGED
+    assert low_report.vmag[0, 1] == pytest.approx(0.2296, abs=1e-4)
+    warm = SolverOptions(nr=nr_options, homotopy="tx", init=InitSpec(kind="warm", state=low))
+    report, _ = solve(net, warm)
+    assert report.status == CONVERGED and report.homotopy_steps == 0
+    assert report.vmag[0, 1] == pytest.approx(0.2296, abs=1e-4)
+    report, _ = solve(net, SolverOptions(nr=nr_options, homotopy="tx"))
+    assert report.status == CONVERGED and report.homotopy_steps > 0
+    assert report.vmag[0, 1] == pytest.approx(0.9096, abs=1e-4)
+
+
 # -- validate_solution -----------------------------------------------------------
 
 
